@@ -1,7 +1,7 @@
 //! exec scaling bench: population evaluation wall time vs worker
 //! threads (the host-side analogue of Fig. 7's PU sweep).
 //!
-//! Measures `CpuBackend::try_evaluate_population` at 1/2/4/8 worker
+//! Measures E3-CPU's `EvalBackend::evaluate` at 1/2/4/8 worker
 //! threads on CartPole and LunarLander with a population of 64.
 //! Results are bit-identical at every thread count (the determinism
 //! contract of `e3-exec`); only the wall clock should move, and only
@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use e3_envs::EnvId;
 use e3_neat::{NeatConfig, Population};
-use e3_platform::{CpuBackend, EvalBackend, SwCostModel};
+use e3_platform::{EvalBackend, ScenarioSpec, SoftwareBackend, SwCostModel};
 use std::hint::black_box;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -24,10 +24,11 @@ fn bench(c: &mut Criterion) {
             .population_size(POPULATION)
             .build();
         let genomes = Population::new(neat, 3).genomes().to_vec();
+        let spec = ScenarioSpec::fixed(5, genomes.len());
         for threads in THREADS {
             // The pool is built once per configuration so the bench
             // times steady-state evaluation, not worker spawning.
-            let mut backend = CpuBackend::with_threads(SwCostModel::default(), threads);
+            let mut backend = SoftwareBackend::cpu(SwCostModel::default()).with_threads(threads);
             group.bench_with_input(
                 BenchmarkId::new(env.name(), threads),
                 &genomes,
@@ -35,7 +36,7 @@ fn bench(c: &mut Criterion) {
                     b.iter(|| {
                         black_box(
                             backend
-                                .try_evaluate_population(genomes, env, 5)
+                                .evaluate(genomes, env, &spec)
                                 .expect("feed-forward population"),
                         )
                     })

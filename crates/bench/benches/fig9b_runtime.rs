@@ -4,7 +4,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use e3_envs::EnvId;
 use e3_inax::InaxConfig;
 use e3_neat::{NeatConfig, Population};
-use e3_platform::{CpuBackend, EvalBackend, GpuBackend, InaxBackend, SwCostModel};
+use e3_platform::{
+    EvalBackend, GpuCostModel, InaxBackend, ScenarioSpec, SoftwareBackend, SwCostModel,
+};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
@@ -13,6 +15,7 @@ fn bench(c: &mut Criterion) {
         .population_size(32)
         .build();
     let genomes = Population::new(neat, 3).genomes().to_vec();
+    let spec = ScenarioSpec::fixed(5, genomes.len());
     let mut group = c.benchmark_group("fig9b_runtime");
     group.sample_size(10);
     group.bench_with_input(
@@ -20,10 +23,10 @@ fn bench(c: &mut Criterion) {
         &genomes,
         |b, genomes| {
             b.iter(|| {
-                let mut backend = CpuBackend::default();
+                let mut backend = SoftwareBackend::cpu(SwCostModel::default());
                 black_box(
                     backend
-                        .try_evaluate_population(genomes, env, 5)
+                        .evaluate(genomes, env, &spec)
                         .expect("feed-forward population"),
                 )
             })
@@ -34,10 +37,11 @@ fn bench(c: &mut Criterion) {
         &genomes,
         |b, genomes| {
             b.iter(|| {
-                let mut backend = GpuBackend::default();
+                let mut backend =
+                    SoftwareBackend::gpu(SwCostModel::default(), GpuCostModel::default());
                 black_box(
                     backend
-                        .try_evaluate_population(genomes, env, 5)
+                        .evaluate(genomes, env, &spec)
                         .expect("feed-forward population"),
                 )
             })
@@ -54,7 +58,7 @@ fn bench(c: &mut Criterion) {
                 );
                 black_box(
                     backend
-                        .try_evaluate_population(genomes, env, 5)
+                        .evaluate(genomes, env, &spec)
                         .expect("feed-forward population"),
                 )
             })

@@ -14,10 +14,10 @@
 //! scaling to `BENCH_exec.json`; `plan` times the CSR `NetPlan`
 //! executor against the preserved per-node reference, re-checks
 //! threaded repro parity, and writes `BENCH_plan.json` (nonzero exit
-//! on parity failure); `batch` times the population-major batched
-//! evaluation against the scalar path across thread counts, re-checks
-//! bitwise parity, and writes `BENCH_batch.json` (nonzero exit on
-//! parity failure); `jit` times natively compiled hot plans against
+//! on parity failure); `batch` times the lockstep (population-major)
+//! software route against the per-genome route across thread counts,
+//! re-checks bitwise parity, and writes `BENCH_batch.json` (nonzero
+//! exit on parity failure); `jit` times natively compiled hot plans against
 //! the interpreter on every environment, re-runs the seeded repro
 //! with the tier on and off at 1 and 4 threads gating exact
 //! `RunOutcome` equality, and writes `BENCH_jit.json` (nonzero exit

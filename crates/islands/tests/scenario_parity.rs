@@ -4,14 +4,15 @@
 //!
 //! 1. **Fixture parity** — a default config (K = 1, default
 //!    [`e3_envs::ScenarioParams`]) reproduces the pre-scenario
-//!    platform bit for bit. The constants below were captured from the
-//!    commit *before* the scenario refactor (population 24, seed 42,
-//!    five stepped generations) and must never drift: they are the
-//!    proof that the vanilla gate really takes the legacy path.
+//!    platform bit for bit. The constants below (population 24, seed
+//!    42, five stepped generations) were captured while a separate
+//!    fixed-env kernel still existed and must never drift: they are
+//!    the proof that the K-scenario kernels under
+//!    [`e3_platform::ScenarioSpec::fixed`] subsume it.
 //! 2. **Scenario determinism** — multi-scenario training is a pure
 //!    function of the config: sampled parameters and final
 //!    populations are bit-identical across thread counts (1/4/8) and
-//!    across the scalar and batched kernels, and each island of an
+//!    across the per-genome and lockstep kernels, and each island of an
 //!    archipelago trains on its own deterministic distribution.
 
 use e3_envs::{EnvId, ScenarioDistribution};
@@ -19,44 +20,97 @@ use e3_islands::island_seed;
 use e3_islands::scheduler::population_fingerprint;
 use e3_platform::telemetry::NullCollector;
 use e3_platform::{
-    BackendKind, E3Config, E3Platform, FitnessAggregation, ScenarioConfig, ScenarioSpec,
+    BackendKind, E3Config, E3Platform, FitnessAggregation, JitConfig, ScenarioConfig, ScenarioSpec,
 };
 use proptest::prelude::*;
 
-/// Pre-refactor golden fixtures: `(env, population fingerprint,
-/// per-generation best-fitness bits)` for population 24, seed 42,
-/// five generations. Captured on the commit before the scenario
-/// refactor; identical across E3-CPU/E3-INAX and threads 1/4 there.
-const GOLDEN: &[(EnvId, u64, [u64; 5])] = &[
-    (
-        EnvId::CartPole,
-        0xc976_7a05_eaca_6125,
-        [
+/// Golden fixtures for population 24, seed 42, five stepped
+/// generations of a default (K = 1, default-params, mean) config.
+///
+/// The CartPole and Pendulum fingerprints and best-fitness bits were
+/// captured on the commit *before* scenario distributions existed; the
+/// LunarLander row (the hand-vectorised SoA env) and every `profile`
+/// entry were captured on the last commit that still had a separate
+/// fixed-env kernel. Together they pin that the one K-scenario kernel
+/// under [`e3_platform::ScenarioSpec::fixed`] *is* that kernel — down
+/// to the pricing fold that produces the modeled-seconds total.
+struct Golden {
+    env: EnvId,
+    /// Final population fingerprint (identical on every backend, route
+    /// and thread count).
+    fingerprint: u64,
+    /// Best-fitness bits per generation.
+    bests: [u64; 5],
+    /// `profile().total()` bits after the five generations, per
+    /// backend in [`BackendKind::ALL`] order (the backends differ only
+    /// in how inference is priced).
+    profile: [u64; 3],
+}
+
+const GOLDEN: &[Golden] = &[
+    Golden {
+        env: EnvId::CartPole,
+        fingerprint: 0xc976_7a05_eaca_6125,
+        bests: [
             0x406c_4000_0000_0000,
             0x407f_4000_0000_0000,
             0x407f_4000_0000_0000,
             0x407f_4000_0000_0000,
             0x407f_4000_0000_0000,
         ],
-    ),
-    (
-        EnvId::Pendulum,
-        0x6ab9_57cf_a69f_90d1,
-        [
+        profile: [
+            0x4005_1779_e9d0_e994,
+            0x4055_d729_111f_a6d4,
+            0x3fbd_7c32_1526_01f1,
+        ],
+    },
+    Golden {
+        env: EnvId::Pendulum,
+        fingerprint: 0x6ab9_57cf_a69f_90d1,
+        bests: [
             0xc08b_fc73_e4d4_825e,
             0xc08e_56b2_dd48_53b1,
             0xc08e_560c_08e7_8601,
             0xc093_a02c_5a4c_6ec1,
             0xc08c_3ed7_8450_ce1e,
         ],
-    ),
+        profile: [
+            0x4004_a29e_9079_5f68,
+            0x405d_3bf9_46a8_5aff,
+            0x3fc1_a69c_ed0b_30b6,
+        ],
+    },
+    Golden {
+        env: EnvId::LunarLander,
+        fingerprint: 0x192a_18e5_1f12_0ecc,
+        bests: [
+            0xc050_8c37_bf4e_61c0,
+            0xc043_03e3_38c0_69a4,
+            0x4064_cf9a_d2df_eb97,
+            0xc03b_c1f0_fc7c_6260,
+            0xc04d_21c4_48eb_a43d,
+        ],
+        profile: [
+            0x400a_b7c8_8e79_aae7,
+            0x404d_779c_9fda_0bb6,
+            0x3fb7_6ae1_b5bd_10c3,
+        ],
+    },
 ];
 
-fn fixture_run(env: EnvId, backend: BackendKind, threads: usize) -> (u64, Vec<u64>) {
+/// One fixture run; returns the population fingerprint, the
+/// per-generation best-fitness bits and the modeled-seconds total bits.
+fn fixture_run(
+    env: EnvId,
+    backend: BackendKind,
+    threads: usize,
+    jit: JitConfig,
+) -> (u64, Vec<u64>, u64) {
     let config = E3Config::builder(env)
         .population_size(24)
         .max_generations(5)
         .threads(threads)
+        .jit(jit)
         .build();
     let mut platform = E3Platform::new(config, backend, 42);
     let mut bests = Vec::new();
@@ -66,24 +120,46 @@ fn fixture_run(env: EnvId, backend: BackendKind, threads: usize) -> (u64, Vec<u6
             .expect("fixture step succeeds");
         bests.push(best.to_bits());
     }
-    (population_fingerprint(platform.population()), bests)
+    (
+        population_fingerprint(platform.population()),
+        bests,
+        platform.profile().total().to_bits(),
+    )
 }
 
 #[test]
 fn default_config_matches_pre_scenario_fixtures() {
-    for &(env, fingerprint, bests) in GOLDEN {
-        for backend in [BackendKind::Cpu, BackendKind::Inax] {
+    // A tier policy at `hot_threshold` 1 moves the software backends
+    // onto the per-genome route (and promotes every plan to native
+    // code on first reuse); without one they run lockstep. INAX has no
+    // software route to tier, so it runs once per thread count.
+    let lockstep = JitConfig::default();
+    let per_genome = JitConfig {
+        enabled: true,
+        hot_threshold: 1,
+    };
+    for golden in GOLDEN {
+        for (backend, profile) in BackendKind::ALL.into_iter().zip(golden.profile) {
+            let routes: &[JitConfig] = match backend {
+                BackendKind::Inax => &[lockstep],
+                _ => &[lockstep, per_genome],
+            };
             for threads in [1usize, 4] {
-                let (pop, run_bests) = fixture_run(env, backend, threads);
-                assert_eq!(
-                    pop, fingerprint,
-                    "{env:?}/{backend:?}@{threads} population diverged from pre-scenario fixture"
-                );
-                assert_eq!(
-                    run_bests,
-                    bests.to_vec(),
-                    "{env:?}/{backend:?}@{threads} fitness trajectory diverged"
-                );
+                for &jit in routes {
+                    let env = golden.env;
+                    let label = format!("{env:?}/{backend:?}@{threads} jit={}", jit.enabled);
+                    let (pop, bests, total) = fixture_run(env, backend, threads, jit);
+                    assert_eq!(
+                        pop, golden.fingerprint,
+                        "{label}: population diverged from the fixture"
+                    );
+                    assert_eq!(
+                        bests,
+                        golden.bests.to_vec(),
+                        "{label}: fitness trajectory diverged"
+                    );
+                    assert_eq!(total, profile, "{label}: modeled seconds diverged");
+                }
             }
         }
     }
@@ -122,8 +198,9 @@ proptest! {
         let a = ScenarioSpec::for_generation(&config, run_seed, generation, population);
         let b = ScenarioSpec::for_generation(&config, run_seed, generation, population);
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.params.len(), k);
-        prop_assert_eq!(a.episode_seeds.len(), k * population);
+        prop_assert_eq!(a.scenarios(), k);
+        prop_assert_eq!(a.population(), population);
+        prop_assert_eq!(a.episode_seeds(0..population).len(), k * population);
     }
 
     /// Final populations of a multi-scenario training run are
@@ -221,7 +298,7 @@ fn islands_draw_distinct_deterministic_scenario_distributions() {
         );
         specs.push(spec);
     }
-    assert_ne!(specs[0].params, specs[1].params);
-    assert_ne!(specs[1].params, specs[2].params);
-    assert_ne!(specs[0].params, specs[2].params);
+    assert_ne!(specs[0].params(), specs[1].params());
+    assert_ne!(specs[1].params(), specs[2].params());
+    assert_ne!(specs[0].params(), specs[2].params());
 }

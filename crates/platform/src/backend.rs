@@ -7,26 +7,36 @@
 //! executed and therefore how long it takes (paper §VI-A's three
 //! settings).
 //!
-//! The primary entry point is the fallible
-//! [`EvalBackend::try_evaluate_population`]: a genome that cannot be
-//! lowered to a feed-forward network surfaces as
+//! There is one entry point, the fallible [`EvalBackend::evaluate`]:
+//! a population, an environment, and a [`ScenarioSpec`] saying which
+//! worlds and episode seeds every genome faces (a fixed-env evaluation
+//! is [`ScenarioSpec::fixed`], the K = 1 default-world case). A genome
+//! that cannot be lowered to a feed-forward network surfaces as
 //! [`EvalError::NotFeedForward`] instead of a panic, so callers (the
 //! platform loop, sweeps, long benchmark campaigns) can decide how to
-//! react. Backends are constructed either directly or through the
-//! unified [`BackendBuilder`] (mirroring `InaxConfig::builder()`),
-//! which yields the type-erased [`AnyBackend`].
+//! react.
+//!
+//! Behind it sit three K-scenario kernels: the [`SoftwareBackend`]'s
+//! [`Route::PerGenome`] and [`Route::Lockstep`] walks (E3-CPU and
+//! E3-GPU are that one backend under two [`Pricing`]s) and the
+//! [`InaxBackend`]'s wave loop. Backends are constructed either
+//! directly or through the unified [`BackendBuilder`] (mirroring
+//! `InaxConfig::builder()`), which yields the type-erased
+//! [`AnyBackend`].
 
-use crate::scenario::{aggregate_fitness, FitnessAggregation, ScenarioSpec};
+use crate::scenario::{aggregate_fitness, ScenarioSpec};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::{decode_action, Action, EnvId, Environment, ScenarioParams, StepBatch};
 use e3_exec::{
-    AnyExecutor, ExecError, ExecStats, ExecStatsState, Executor, JitConfig, SharedExecutor,
+    AnyExecutor, ExecError, ExecStats, ExecStatsState, Executor, JitConfig, ShardRun,
+    SharedExecutor, WorkerScratch,
 };
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, IrregularNet, UtilizationBreakdown};
-use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan, Network, PlanBatch};
-use e3_telemetry::Tracer;
+use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan, PlanBatch};
+use e3_telemetry::{SpanGuard, SpanTimer, Tracer};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -170,43 +180,31 @@ pub trait EvalBackend {
     /// Backend identity.
     fn kind(&self) -> BackendKind;
 
-    /// Evaluates every genome on one episode of `env` started from
-    /// `episode_seed`, returning fitnesses and modeled timing, or an
-    /// [`EvalError`] if any genome cannot be executed.
-    fn try_evaluate_population(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError>;
-
-    /// Evaluates every genome through the population-major batched
-    /// pipeline where the backend supports it.
-    ///
-    /// The contract is strict: the returned [`EvalOutcome`] must be
-    /// **bit-identical** to [`EvalBackend::try_evaluate_population`]
-    /// on the same arguments (with the `fast-math` cargo feature off).
-    /// The default implementation simply delegates to the scalar path,
-    /// so backends without a batched kernel are automatically
-    /// conformant; the software backends (CPU, GPU) override it with
-    /// the [`e3_neat::PlanBatch`] + [`e3_envs::BatchEnv`] lockstep
-    /// kernel, which shards the population per-worker instead of
-    /// per-individual.
+    /// Evaluates every genome on `env` under `spec` — one episode per
+    /// `(genome, scenario)` cell, collapsed per genome by the spec's
+    /// aggregation — returning fitnesses and modeled timing. A
+    /// fixed-env evaluation is [`ScenarioSpec::fixed`]; there is no
+    /// other entry point.
     ///
     /// # Errors
     ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    fn try_evaluate_population_batched(
+    /// Returns [`EvalError::NotFeedForward`] naming the lowest-indexed
+    /// genome that cannot be lowered to a feed-forward network, or
+    /// [`EvalError::ExecFailed`] if the parallel executor failed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `genomes.len() != spec.population()`: the spec's
+    /// episode-seed matrix must cover exactly the evaluated slice.
+    fn evaluate(
         &mut self,
         genomes: &[Genome],
         env: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError> {
-        self.try_evaluate_population(genomes, env, episode_seed)
-    }
+        spec: &ScenarioSpec,
+    ) -> Result<EvalOutcome, EvalError>;
 
     /// Takes (consumes) the executor statistics of the most recent
-    /// successful `try_evaluate_population` call.
+    /// successful `evaluate` call.
     ///
     /// The default returns [`ExecStatsState::Unavailable`]: the backend
     /// runs no executor and can never produce stats. Backends that *do*
@@ -229,18 +227,18 @@ pub trait EvalBackend {
     /// write-only: results are bit-identical with any tracer installed.
     fn set_tracer(&mut self, _tracer: Tracer) {}
 
-    /// Installs the tiered-execution (JIT) policy on the backend's
-    /// executor, affecting scalar evaluations from the next call on.
-    /// The default ignores the policy — backends without a software
-    /// scalar path (e.g. INAX) stay valid — and because the native
-    /// tier is bit-identical to the interpreter, installing a policy
-    /// can never change results, only speed and telemetry.
+    /// Installs the tiered-execution (JIT) policy, effective from the
+    /// next evaluation. The default ignores the policy — backends
+    /// without a software inference path (e.g. INAX) stay valid — and
+    /// because the native tier is bit-identical to the interpreter,
+    /// installing a policy can never change results, only speed and
+    /// telemetry.
     fn set_jit(&mut self, _config: JitConfig) {}
 }
 
 /// Runs one network's episode in software, returning
 /// `(fitness, steps)`. Generic over the [`ForwardPass`] seam so the
-/// same kernel drives the interpreted [`Network`] and the JIT tier's
+/// same kernel drives the interpreted network and the JIT tier's
 /// `CompiledPlan` — which are bit-identical by contract, so the episode
 /// trajectory cannot depend on the tier.
 pub(crate) fn run_software_episode(
@@ -265,652 +263,451 @@ pub(crate) fn run_software_episode(
     }
 }
 
+/// A genome that failed to decode: its population index and why.
+type DecodeFailure = (usize, DecodeError);
+
+/// What every shard task of one evaluation reads, shared immutably
+/// across workers: the population, the resolved request, and where to
+/// record spans.
+struct EvalJob {
+    pop: Arc<[Genome]>,
+    env: EnvId,
+    spec: ScenarioSpec,
+    tracer: Tracer,
+}
+
+impl EvalJob {
+    /// Snapshots the request. This is the one place the population is
+    /// checked against the spec (see `EvalBackend::evaluate`,
+    /// `# Panics`).
+    fn new(genomes: &[Genome], env: EnvId, spec: &ScenarioSpec, tracer: &Tracer) -> Self {
+        assert_eq!(
+            genomes.len(),
+            spec.population(),
+            "the spec's episode-seed matrix must cover the evaluated population"
+        );
+        EvalJob {
+            pop: genomes.into(),
+            env,
+            spec: spec.clone(),
+            tracer: tracer.clone(),
+        }
+    }
+
+    /// Runs `task` over every shard of `0..items` and flattens the
+    /// rows in index order. Shards are contiguous ranges and every
+    /// kernel reports its lowest-indexed decode failure, so the first
+    /// error met in that order is the population's lowest-indexed one —
+    /// the first-failure semantics of a serial loop, at any thread
+    /// count.
+    fn run<T, F>(
+        self,
+        exec: &mut AnyExecutor,
+        items: usize,
+        shard_size: usize,
+        task: F,
+    ) -> Result<ShardRun<T>, EvalError>
+    where
+        T: Send + 'static,
+        F: Fn(&EvalJob, &mut WorkerScratch, Range<usize>) -> Vec<Result<T, DecodeFailure>>
+            + Send
+            + Sync
+            + 'static,
+    {
+        let run = exec.run_shards(items, shard_size, move |scratch, range| {
+            task(&self, scratch, range)
+        })?;
+        let results = run
+            .results
+            .into_iter()
+            .map(|row| {
+                row.map_err(|(genome_index, reason)| EvalError::NotFeedForward {
+                    genome_index,
+                    reason,
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ShardRun {
+            results,
+            stats: run.stats,
+        })
+    }
+
+    /// Opens the span covering one shard (`items` genomes from
+    /// `start`).
+    fn shard_span(&self, start_key: &str, start: usize, items: usize) -> SpanGuard {
+        let mut span = self.tracer.span("shard", "exec");
+        span.arg(start_key, start as f64);
+        span.arg("items", items as f64);
+        span
+    }
+
+    /// Opens one explicit timer per lockstep episode. Episodes stepped
+    /// in lockstep interleave, so their spans cannot nest lexically;
+    /// each timer is closed by [`finish_episode`] when its episode
+    /// ends. Inert (no clock read) when tracing is disabled.
+    fn episode_timers(
+        &self,
+        cells: impl Iterator<Item = (usize, usize)>,
+    ) -> Vec<Option<SpanTimer>> {
+        cells
+            .map(|(genome_index, scenario)| {
+                let mut timer = self.tracer.start("episode", "env");
+                timer.arg("genome_index", genome_index as f64);
+                timer.arg("scenario", scenario as f64);
+                Some(timer)
+            })
+            .collect()
+    }
+}
+
+/// Closes a lockstep episode's span, recording its length.
+fn finish_episode(timer: &mut Option<SpanTimer>, steps: u64) {
+    if let Some(mut timer) = timer.take() {
+        timer.arg("steps", steps as f64);
+        timer.finish();
+    }
+}
+
+/// Which cost model prices one software inference — the only thing
+/// E3-CPU and E3-GPU differ in (the GPU is an analytical model of the
+/// same computation, see DESIGN.md).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Pricing {
+    /// Interpreted-runtime cost model (paper: E3-CPU).
+    Cpu(SwCostModel),
+    /// Launch-bound GPU offload model (paper: E3-GPU).
+    Gpu(GpuCostModel),
+}
+
+impl Pricing {
+    /// Modeled seconds for one inference of `plan`.
+    pub fn inference_seconds(&self, plan: &NetPlan) -> f64 {
+        match self {
+            Pricing::Cpu(model) => model.inference_seconds_plan(plan),
+            Pricing::Gpu(model) => model.inference_seconds_plan(plan),
+        }
+    }
+
+    /// The paper backend this pricing stands for.
+    pub fn kind(&self) -> BackendKind {
+        match self {
+            Pricing::Cpu(_) => BackendKind::Cpu,
+            Pricing::Gpu(_) => BackendKind::Gpu,
+        }
+    }
+}
+
+/// How a [`SoftwareBackend`] walks the `population × K` episode grid.
+/// Both routes produce bit-identical [`EvalOutcome`]s (with the
+/// `fast-math` cargo feature off); they differ in wall-clock and in
+/// which execution tiers they can host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Route {
+    /// One genome at a time through the tiered decode cache: the only
+    /// route that can run JIT-compiled plans. Over-sharded 4× per
+    /// worker so work stealing absorbs episode-length imbalance.
+    PerGenome,
+    /// All of a shard's `genomes × K` episodes in lockstep: plans
+    /// packed into one [`PlanBatch`], environments into one
+    /// [`e3_envs::BatchEnv`], finished lanes parked. Interpreter-only.
+    /// One coarse shard per worker — wider batches amortize more
+    /// per-step overhead, and parking absorbs the imbalance instead.
+    Lockstep,
+}
+
+impl Route {
+    /// Shard size for `items` genomes on `workers` workers. Depends
+    /// only on those two numbers, never on timing, so every run
+    /// produces the same shard plan.
+    fn shard_size(self, items: usize, workers: usize) -> usize {
+        let shards = match self {
+            Route::PerGenome => workers.max(1) * 4,
+            Route::Lockstep => workers.max(1),
+        };
+        items.div_ceil(shards).max(1)
+    }
+}
+
+impl fmt::Display for Route {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Route::PerGenome => "per-genome",
+            Route::Lockstep => "lockstep",
+        })
+    }
+}
+
 /// Per-genome `(fitness, steps, inference_seconds)` row of a software
 /// evaluation, or the decode failure for that genome.
-type SoftwareRow = Result<(f64, u64, f64), (usize, DecodeError)>;
+type SoftwareRow = Result<(f64, u64, f64), DecodeFailure>;
 
-/// Population-order `(fitness, steps, inference_seconds)` rows plus the
-/// executor's observability counters for the run.
-type SoftwareRun = (Vec<(f64, u64, f64)>, ExecStats);
-
-/// Shard size for software evaluation: ~4 shards per worker so work
-/// stealing can absorb episode-length imbalance without flooding the
-/// queues. Depends only on the population size and worker count, never
-/// on timing, so every run produces the same shard plan.
-fn software_shard_size(items: usize, workers: usize) -> usize {
-    items.div_ceil(workers.max(1) * 4).max(1)
+/// One genome's row from its K per-scenario results: the aggregated
+/// fitness, the summed episode lengths, and the inference seconds those
+/// steps cost. Both software kernels reduce through this one
+/// expression, which is what keeps them bit-identical.
+fn software_row(job: &EvalJob, fits: &[f64], steps: u64, per_inference: f64) -> SoftwareRow {
+    Ok((
+        aggregate_fitness(fits, job.spec.aggregation()),
+        steps,
+        per_inference * steps as f64,
+    ))
 }
 
-/// Evaluates every genome in software on the given executor: decode
-/// (through the per-worker cache) then run one episode, pricing each
-/// inference with `cost`. Returns per-genome rows in population order
-/// plus the executor stats.
-///
-/// Bit-identical to a serial loop: shard tasks depend only on genome
-/// index, and rows are reduced lowest-index-first (see `e3-exec`'s
-/// determinism contract).
-fn run_software_population<C>(
-    exec: &mut AnyExecutor,
-    genomes: &[Genome],
-    env_id: EnvId,
-    episode_seed: u64,
-    tracer: Tracer,
-    cost: C,
-) -> Result<SoftwareRun, EvalError>
-where
-    C: Fn(&Network) -> f64 + Send + Sync + 'static,
-{
-    let pop: Arc<[Genome]> = genomes.into();
-    let shard_size = software_shard_size(genomes.len(), exec.workers());
-    let run = exec.run_shards(genomes.len(), shard_size, move |scratch, range| {
-        let mut shard_span = tracer.span("shard", "exec");
-        shard_span.arg("start", range.start as f64);
-        shard_span.arg("items", range.len() as f64);
-        let mut env = env_id.make();
-        range
-            .map(|i| -> SoftwareRow {
-                let mut individual_span = tracer.span("individual", "eval");
-                individual_span.arg("genome_index", i as f64);
-                // Tier selection: the interpreted network, or (for hot
-                // entries under an enabled JIT policy) its natively
-                // compiled twin — bit-identical either way.
-                let mut tier = scratch
-                    .cache()
-                    .get_or_tiered(&pop[i])
-                    .map_err(|reason| (i, reason))?;
-                let per_inference = cost(tier.net());
-                let mut episode_span = tracer.start("episode", "env");
-                let (fitness, steps) =
-                    run_software_episode(tier.forward(), env.as_mut(), episode_seed);
+/// [`Route::PerGenome`] kernel for one shard: decode each genome
+/// through the worker's tiered cache, then run its K episodes back to
+/// back.
+fn per_genome_shard(
+    job: &EvalJob,
+    pricing: Pricing,
+    scratch: &mut WorkerScratch,
+    range: Range<usize>,
+) -> Vec<SoftwareRow> {
+    let _shard_span = job.shard_span("start", range.start, range.len());
+    // One environment per sampled world, built once per shard:
+    // `reset` fully re-initialises an episode, so genomes reuse them.
+    let mut envs: Vec<Box<dyn Environment>> = job
+        .spec
+        .params()
+        .iter()
+        .map(|params| job.env.make_scenario(params))
+        .collect();
+    let mut fits = vec![0.0; envs.len()];
+    range
+        .map(|i| {
+            let mut individual_span = job.tracer.span("individual", "eval");
+            individual_span.arg("genome_index", i as f64);
+            // Tier selection: the interpreted network, or (for hot
+            // entries under an enabled JIT policy) its natively
+            // compiled twin — bit-identical either way.
+            let mut tier = scratch
+                .cache()
+                .get_or_tiered(&job.pop[i])
+                .map_err(|reason| (i, reason))?;
+            let per_inference = pricing.inference_seconds(tier.plan());
+            let mut genome_steps = 0u64;
+            let seeds = job.spec.episode_seeds(i..i + 1);
+            for (s, (env, &seed)) in envs.iter_mut().zip(seeds).enumerate() {
+                let mut episode_span = job.tracer.start("episode", "env");
+                episode_span.arg("scenario", s as f64);
+                let (fitness, steps) = run_software_episode(tier.forward(), env.as_mut(), seed);
                 episode_span.arg("steps", steps as f64);
                 episode_span.finish();
-                Ok((fitness, steps, per_inference * steps as f64))
-            })
-            .collect()
-    })?;
-    let mut rows = Vec::with_capacity(run.results.len());
-    for row in run.results {
-        match row {
-            Ok(values) => rows.push(values),
-            // Index-ordered scan: the first error seen is the
-            // lowest-indexed one, matching the serial loop's
-            // first-failure semantics.
-            Err((genome_index, reason)) => {
-                return Err(EvalError::NotFeedForward {
-                    genome_index,
-                    reason,
-                })
+                fits[s] = fitness;
+                genome_steps += steps;
             }
-        }
-    }
-    Ok((rows, run.stats))
+            software_row(job, &fits, genome_steps, per_inference)
+        })
+        .collect()
 }
 
-/// Shard size for **batched** software evaluation: one coarse shard per
-/// worker. Unlike the scalar path (which over-shards 4× for stealing),
-/// the batched kernel amortizes per-step overhead across its whole
-/// lane set, so bigger batches are strictly better and imbalance is
-/// absorbed by lane parking instead of work stealing. Depends only on
-/// the population size and worker count, never on timing.
-fn batch_shard_size(items: usize, workers: usize) -> usize {
-    items.div_ceil(workers.max(1)).max(1)
-}
-
-/// Evaluates every genome through the population-major batched
-/// pipeline: each shard packs its genomes' [`NetPlan`]s into one
-/// [`PlanBatch`], drives all lanes through a [`e3_envs::BatchEnv`] in
-/// lockstep, and parks lanes whose episodes finish early.
+/// [`Route::Lockstep`] kernel for one shard: `genomes × K` lanes
+/// (genome-major, each genome's plan replicated K times) stepped
+/// together until every lane has parked.
 ///
-/// Bit-identical to [`run_software_population`] (with `fast-math`
-/// off): each lane's FP op order matches its solo execution, parked
-/// lanes contribute nothing, plans are priced identically to their
-/// decoded networks, and rows come back in population order.
-fn run_software_population_batched<C>(
-    exec: &mut AnyExecutor,
-    genomes: &[Genome],
-    env_id: EnvId,
-    episode_seed: u64,
-    tracer: Tracer,
-    cost: C,
-) -> Result<SoftwareRun, EvalError>
-where
-    C: Fn(&NetPlan) -> f64 + Send + Sync + 'static,
-{
-    let pop: Arc<[Genome]> = genomes.into();
-    let shard_size = batch_shard_size(genomes.len(), exec.workers());
-    let run = exec.run_shards(genomes.len(), shard_size, move |scratch, range| {
-        let mut shard_span = tracer.span("shard", "exec");
-        shard_span.arg("start", range.start as f64);
-        shard_span.arg("items", range.len() as f64);
-        let base = range.start;
-        // Decode every resident up front through the worker's plan
-        // cache. The cache hands out borrows tied to `&mut self`, so
-        // plans are cloned out before batching. On the first decode
-        // failure the shard still returns one row per item (the
-        // executor asserts that): an `Err` at the failing index and
-        // inert rows elsewhere — the index-ordered reduce below then
-        // surfaces the lowest-indexed failure, exactly like the
-        // scalar path.
-        let mut plans = Vec::with_capacity(range.len());
-        for i in range.clone() {
-            match scratch.cache().get_or_plan(&pop[i]) {
-                Ok(plan) => plans.push(plan.clone()),
-                Err(reason) => {
-                    return range
-                        .map(|j| -> SoftwareRow {
-                            if j == i {
-                                Err((i, reason.clone()))
-                            } else {
-                                Ok((0.0, 0, 0.0))
-                            }
-                        })
-                        .collect();
-                }
-            }
-        }
-        let lanes = plans.len();
-        let per_inference: Vec<f64> = plans.iter().map(&cost).collect();
-        let plan_refs: Vec<&NetPlan> = plans.iter().collect();
-        let batch = PlanBatch::build(&plan_refs);
-        let mut env = env_id.make_batch(lanes);
-        let space = env.action_space();
-        let mut sb = StepBatch::new(lanes, env.observation_size());
-        env.reset_batch(&vec![episode_seed; lanes], &mut sb);
-        let mut values = vec![0.0; batch.value_buffer_slots()];
-        let k = batch.num_outputs();
-        let mut outputs = vec![0.0; lanes * k];
-        let mut actions: Vec<Action> = vec![Action::Discrete(0); lanes];
-        let mut was_active = vec![false; lanes];
-        let mut fitness = vec![0.0f64; lanes];
-        let mut steps = vec![0u64; lanes];
-        // Lockstep episodes interleave, so their spans cannot nest
-        // lexically: one explicit timer per lane, finished when its
-        // episode parks (same convention as the INAX wave loop).
-        let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0..lanes)
-            .map(|b| {
-                let mut timer = tracer.start("episode", "env");
-                timer.arg("genome_index", (base + b) as f64);
-                Some(timer)
-            })
-            .collect();
-        while !sb.all_parked() {
-            batch.activate_batch_into(&sb.observations, &sb.active, &mut values, &mut outputs);
-            for b in 0..lanes {
-                if sb.active[b] {
-                    actions[b] = decode_action(&outputs[b * k..(b + 1) * k], &space);
-                    steps[b] += 1;
-                }
-            }
-            was_active.copy_from_slice(&sb.active);
-            env.step_batch(&actions, &mut sb);
-            for b in 0..lanes {
-                // Accumulate only lanes that actually stepped, so the
-                // sum is the exact FP sequence of the solo episode.
-                if was_active[b] {
-                    fitness[b] += sb.rewards[b];
-                    if !sb.active[b] {
-                        if let Some(mut timer) = episode_timers[b].take() {
-                            timer.arg("steps", steps[b] as f64);
-                            timer.finish();
+/// Bit-identical to [`per_genome_shard`]: each lane's FP op order
+/// matches its solo episode, parked lanes contribute nothing, and rows
+/// reduce through the same [`software_row`].
+fn lockstep_shard(
+    job: &EvalJob,
+    pricing: Pricing,
+    scratch: &mut WorkerScratch,
+    range: Range<usize>,
+) -> Vec<SoftwareRow> {
+    let _shard_span = job.shard_span("start", range.start, range.len());
+    let k = job.spec.scenarios();
+    // Decode every resident up front. The cache hands out borrows tied
+    // to `&mut self`, so plans are cloned out before batching. The
+    // executor wants one row per item even on failure: an `Err` at the
+    // first (lowest-indexed) failing genome, inert rows elsewhere.
+    let mut plans = Vec::with_capacity(range.len());
+    for i in range.clone() {
+        match scratch.cache().get_or_plan(&job.pop[i]) {
+            Ok(plan) => plans.push(plan.clone()),
+            Err(reason) => {
+                return range
+                    .map(|j| {
+                        if j == i {
+                            Err((i, reason.clone()))
+                        } else {
+                            Ok((0.0, 0, 0.0))
                         }
-                    }
+                    })
+                    .collect();
+            }
+        }
+    }
+    // Lane layout: lane = local_genome * K + scenario.
+    let lanes = plans.len() * k;
+    let plan_refs: Vec<&NetPlan> = plans
+        .iter()
+        .flat_map(|plan| std::iter::repeat_n(plan, k))
+        .collect();
+    let batch = PlanBatch::build(&plan_refs);
+    let lane_params: Vec<ScenarioParams> =
+        (0..lanes).map(|lane| job.spec.params()[lane % k]).collect();
+    let mut env = job.env.make_batch_scenarios(&lane_params);
+    let space = env.action_space();
+    let mut sb = StepBatch::new(lanes, env.observation_size());
+    env.reset_batch(job.spec.episode_seeds(range.clone()), &mut sb);
+    let mut values = vec![0.0; batch.value_buffer_slots()];
+    let width = batch.num_outputs();
+    let mut outputs = vec![0.0; lanes * width];
+    let mut actions: Vec<Action> = vec![Action::Discrete(0); lanes];
+    let mut was_active = vec![false; lanes];
+    let mut fitness = vec![0.0f64; lanes];
+    let mut steps = vec![0u64; lanes];
+    let mut timers = job.episode_timers((0..lanes).map(|lane| (range.start + lane / k, lane % k)));
+    while !sb.all_parked() {
+        batch.activate_batch_into(&sb.observations, &sb.active, &mut values, &mut outputs);
+        for lane in 0..lanes {
+            if sb.active[lane] {
+                actions[lane] = decode_action(&outputs[lane * width..(lane + 1) * width], &space);
+                steps[lane] += 1;
+            }
+        }
+        was_active.copy_from_slice(&sb.active);
+        env.step_batch(&actions, &mut sb);
+        for lane in 0..lanes {
+            // Accumulate only lanes that actually stepped, so the sum
+            // is the exact FP sequence of the solo episode.
+            if was_active[lane] {
+                fitness[lane] += sb.rewards[lane];
+                if !sb.active[lane] {
+                    finish_episode(&mut timers[lane], steps[lane]);
                 }
             }
         }
-        (0..lanes)
-            .map(|b| Ok((fitness[b], steps[b], per_inference[b] * steps[b] as f64)))
-            .collect()
-    })?;
-    let mut rows = Vec::with_capacity(run.results.len());
-    for row in run.results {
-        match row {
-            Ok(values) => rows.push(values),
-            // Index-ordered scan: shards are contiguous ranges and
-            // each shard reports its lowest-indexed decode failure,
-            // so the first error seen here is the lowest-indexed one
-            // — the serial loop's first-failure semantics.
-            Err((genome_index, reason)) => {
-                return Err(EvalError::NotFeedForward {
-                    genome_index,
-                    reason,
-                })
-            }
-        }
     }
-    Ok((rows, run.stats))
+    plans
+        .iter()
+        .enumerate()
+        .map(|(g, plan)| {
+            let cells = g * k..(g + 1) * k;
+            let genome_steps: u64 = steps[cells.clone()].iter().sum();
+            let per_inference = pricing.inference_seconds(plan);
+            software_row(job, &fitness[cells], genome_steps, per_inference)
+        })
+        .collect()
 }
 
-/// The per-shard closure state of a scenario evaluation: the sampled
-/// worlds, the genome-major episode-seed matrix, and the aggregation,
-/// shared immutably across workers.
-struct SharedSpec {
-    params: Arc<[ScenarioParams]>,
-    episode_seeds: Arc<[u64]>,
-    aggregation: FitnessAggregation,
-}
-
-impl SharedSpec {
-    fn new(spec: &ScenarioSpec) -> Self {
-        SharedSpec {
-            params: spec.params.clone().into(),
-            episode_seeds: spec.episode_seeds.clone().into(),
-            aggregation: spec.aggregation,
-        }
-    }
-
-    fn scenarios(&self) -> usize {
-        self.params.len()
-    }
-}
-
-/// Asserts the spec's seed matrix covers the population.
-fn check_spec(genomes: &[Genome], spec: &ScenarioSpec) {
-    assert!(
-        !spec.params.is_empty(),
-        "scenario evaluation needs at least one scenario"
-    );
-    assert_eq!(
-        spec.episode_seeds.len(),
-        genomes.len() * spec.params.len(),
-        "episode-seed matrix must be population × scenarios, genome-major"
-    );
-}
-
-/// Scalar multi-scenario software evaluation: per genome, run one
-/// episode per sampled world and collapse the per-scenario fitnesses
-/// with the spec's aggregation. The reference the batched kernel is
-/// checked against.
-fn run_software_population_scenarios<C>(
-    exec: &mut AnyExecutor,
-    genomes: &[Genome],
-    env_id: EnvId,
-    spec: &ScenarioSpec,
-    tracer: Tracer,
-    cost: C,
-) -> Result<SoftwareRun, EvalError>
-where
-    C: Fn(&Network) -> f64 + Send + Sync + 'static,
-{
-    check_spec(genomes, spec);
-    let pop: Arc<[Genome]> = genomes.into();
-    let shared = SharedSpec::new(spec);
-    let shard_size = software_shard_size(genomes.len(), exec.workers());
-    let run = exec.run_shards(genomes.len(), shard_size, move |scratch, range| {
-        let mut shard_span = tracer.span("shard", "exec");
-        shard_span.arg("start", range.start as f64);
-        shard_span.arg("items", range.len() as f64);
-        let k = shared.scenarios();
-        range
-            .map(|i| -> SoftwareRow {
-                let mut individual_span = tracer.span("individual", "eval");
-                individual_span.arg("genome_index", i as f64);
-                let mut tier = scratch
-                    .cache()
-                    .get_or_tiered(&pop[i])
-                    .map_err(|reason| (i, reason))?;
-                let per_inference = cost(tier.net());
-                let mut fits = Vec::with_capacity(k);
-                let mut genome_steps = 0u64;
-                for s in 0..k {
-                    let mut env = env_id.make_scenario(&shared.params[s]);
-                    let mut episode_span = tracer.start("episode", "env");
-                    episode_span.arg("scenario", s as f64);
-                    let (fitness, steps) = run_software_episode(
-                        tier.forward(),
-                        env.as_mut(),
-                        shared.episode_seeds[i * k + s],
-                    );
-                    episode_span.arg("steps", steps as f64);
-                    episode_span.finish();
-                    fits.push(fitness);
-                    genome_steps += steps;
-                }
-                Ok((
-                    aggregate_fitness(&fits, shared.aggregation),
-                    genome_steps,
-                    per_inference * genome_steps as f64,
-                ))
-            })
-            .collect()
-    })?;
-    let mut rows = Vec::with_capacity(run.results.len());
-    for row in run.results {
-        match row {
-            Ok(values) => rows.push(values),
-            Err((genome_index, reason)) => {
-                return Err(EvalError::NotFeedForward {
-                    genome_index,
-                    reason,
-                })
-            }
-        }
-    }
-    Ok((rows, run.stats))
-}
-
-/// Batched multi-scenario software evaluation: each shard packs
-/// `genomes × K` lanes (genome-major, each genome's plan replicated K
-/// times) into one [`PlanBatch`] over a heterogeneous-scenario
-/// [`e3_envs::BatchEnv`], then aggregates per genome. Bit-identical to
-/// [`run_software_population_scenarios`] with `fast-math` off: every
-/// lane's FP order matches its scalar twin, and per-genome reduction
-/// (aggregation, step sums, pricing) uses the same expressions.
-fn run_software_population_scenarios_batched<C>(
-    exec: &mut AnyExecutor,
-    genomes: &[Genome],
-    env_id: EnvId,
-    spec: &ScenarioSpec,
-    tracer: Tracer,
-    cost: C,
-) -> Result<SoftwareRun, EvalError>
-where
-    C: Fn(&NetPlan) -> f64 + Send + Sync + 'static,
-{
-    check_spec(genomes, spec);
-    let pop: Arc<[Genome]> = genomes.into();
-    let shared = SharedSpec::new(spec);
-    let shard_size = batch_shard_size(genomes.len(), exec.workers());
-    let run = exec.run_shards(genomes.len(), shard_size, move |scratch, range| {
-        let mut shard_span = tracer.span("shard", "exec");
-        shard_span.arg("start", range.start as f64);
-        shard_span.arg("items", range.len() as f64);
-        let base = range.start;
-        let k = shared.scenarios();
-        let mut plans = Vec::with_capacity(range.len());
-        for i in range.clone() {
-            match scratch.cache().get_or_plan(&pop[i]) {
-                Ok(plan) => plans.push(plan.clone()),
-                Err(reason) => {
-                    return range
-                        .map(|j| -> SoftwareRow {
-                            if j == i {
-                                Err((i, reason.clone()))
-                            } else {
-                                Ok((0.0, 0, 0.0))
-                            }
-                        })
-                        .collect();
-                }
-            }
-        }
-        let shard_genomes = plans.len();
-        let lanes = shard_genomes * k;
-        let per_inference: Vec<f64> = plans.iter().map(&cost).collect();
-        // Genome-major lane layout: lane = local_genome * K + scenario.
-        let plan_refs: Vec<&NetPlan> = plans
-            .iter()
-            .flat_map(|plan| std::iter::repeat_n(plan, k))
-            .collect();
-        let batch = PlanBatch::build(&plan_refs);
-        let lane_params: Vec<ScenarioParams> =
-            (0..lanes).map(|lane| shared.params[lane % k]).collect();
-        let lane_seeds: Vec<u64> = range
-            .clone()
-            .flat_map(|i| {
-                let seeds = &shared.episode_seeds;
-                (0..k).map(move |s| seeds[i * k + s])
-            })
-            .collect();
-        let mut env = env_id.make_batch_scenarios(&lane_params);
-        let space = env.action_space();
-        let mut sb = StepBatch::new(lanes, env.observation_size());
-        env.reset_batch(&lane_seeds, &mut sb);
-        let mut values = vec![0.0; batch.value_buffer_slots()];
-        let outputs_per_lane = batch.num_outputs();
-        let mut outputs = vec![0.0; lanes * outputs_per_lane];
-        let mut actions: Vec<Action> = vec![Action::Discrete(0); lanes];
-        let mut was_active = vec![false; lanes];
-        let mut fitness = vec![0.0f64; lanes];
-        let mut steps = vec![0u64; lanes];
-        let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0..lanes)
-            .map(|lane| {
-                let mut timer = tracer.start("episode", "env");
-                timer.arg("genome_index", (base + lane / k) as f64);
-                timer.arg("scenario", (lane % k) as f64);
-                Some(timer)
-            })
-            .collect();
-        while !sb.all_parked() {
-            batch.activate_batch_into(&sb.observations, &sb.active, &mut values, &mut outputs);
-            for b in 0..lanes {
-                if sb.active[b] {
-                    actions[b] = decode_action(
-                        &outputs[b * outputs_per_lane..(b + 1) * outputs_per_lane],
-                        &space,
-                    );
-                    steps[b] += 1;
-                }
-            }
-            was_active.copy_from_slice(&sb.active);
-            env.step_batch(&actions, &mut sb);
-            for b in 0..lanes {
-                if was_active[b] {
-                    fitness[b] += sb.rewards[b];
-                    if !sb.active[b] {
-                        if let Some(mut timer) = episode_timers[b].take() {
-                            timer.arg("steps", steps[b] as f64);
-                            timer.finish();
-                        }
-                    }
-                }
-            }
-        }
-        (0..shard_genomes)
-            .map(|g| {
-                let fits = &fitness[g * k..(g + 1) * k];
-                let genome_steps: u64 = steps[g * k..(g + 1) * k].iter().sum();
-                Ok((
-                    aggregate_fitness(fits, shared.aggregation),
-                    genome_steps,
-                    per_inference[g] * genome_steps as f64,
-                ))
-            })
-            .collect()
-    })?;
-    let mut rows = Vec::with_capacity(run.results.len());
-    for row in run.results {
-        match row {
-            Ok(values) => rows.push(values),
-            Err((genome_index, reason)) => {
-                return Err(EvalError::NotFeedForward {
-                    genome_index,
-                    reason,
-                })
-            }
-        }
-    }
-    Ok((rows, run.stats))
-}
-
-/// Reduces software rows into an [`EvalOutcome`], accumulating modeled
-/// seconds in population order (the serial summation order).
-fn reduce_software_rows(rows: Vec<(f64, u64, f64)>, sec_per_env_step: f64) -> EvalOutcome {
-    let mut fitnesses = Vec::with_capacity(rows.len());
-    let mut steps_per_genome = Vec::with_capacity(rows.len());
-    let mut eval_seconds = 0.0;
-    let mut total_steps = 0u64;
-    for (fitness, steps, seconds) in rows {
-        fitnesses.push(fitness);
-        steps_per_genome.push(steps);
-        eval_seconds += seconds;
-        total_steps += steps;
-    }
-    EvalOutcome {
-        fitnesses,
-        steps_per_genome,
-        eval_seconds,
-        env_seconds: total_steps as f64 * sec_per_env_step,
-        total_steps,
-        hw_report: None,
-        hw_utilization: None,
-    }
-}
-
-/// E3-CPU: software evaluation with the interpreted-runtime cost
-/// model. Optionally evaluates genomes on multiple host threads —
-/// NE's embarrassing parallelism is one of the properties the paper
-/// cites ([35], [43]) — without changing the *modeled* single-CPU
-/// time, so timing comparisons stay faithful to the baseline platform.
+/// E3-CPU and E3-GPU: software evaluation on host worker threads,
+/// timed by a [`Pricing`] cost model. Host parallelism — NE's
+/// embarrassing parallelism is one of the properties the paper cites
+/// ([35], [43]) — never changes the *modeled* time, so comparisons stay
+/// faithful to the baseline platforms; fitness values are bit-identical
+/// at every thread count (see `e3-exec`).
 #[derive(Debug)]
-pub struct CpuBackend {
-    model: SwCostModel,
+pub struct SoftwareBackend {
+    pricing: Pricing,
+    sec_per_env_step: f64,
     exec: AnyExecutor,
+    route: Route,
     last_exec: Option<ExecStats>,
     tracer: Tracer,
 }
 
-impl CpuBackend {
-    /// Creates the backend with the given cost model (single-threaded
-    /// host execution).
-    pub fn new(model: SwCostModel) -> Self {
-        CpuBackend::with_threads(model, 1)
+impl SoftwareBackend {
+    /// E3-CPU: inference and env stepping both priced by `model`.
+    /// Single-threaded until given more workers.
+    pub fn cpu(model: SwCostModel) -> Self {
+        SoftwareBackend::new(Pricing::Cpu(model), model.sec_per_env_step)
     }
 
-    /// Creates the backend with host-side parallel evaluation across
-    /// `threads` virtual PUs. Fitness values are bit-identical to the
-    /// serial backend (see `e3-exec`); only the harness's wall-clock
-    /// changes.
+    /// E3-GPU: inference priced by `gpu`, the CPU-side env stepping by
+    /// `sw`. Single-threaded until given more workers.
+    pub fn gpu(sw: SwCostModel, gpu: GpuCostModel) -> Self {
+        SoftwareBackend::new(Pricing::Gpu(gpu), sw.sec_per_env_step)
+    }
+
+    fn new(pricing: Pricing, sec_per_env_step: f64) -> Self {
+        SoftwareBackend {
+            pricing,
+            sec_per_env_step,
+            exec: AnyExecutor::new(1),
+            route: Route::Lockstep,
+            last_exec: None,
+            tracer: Tracer::disabled(),
+        }
+    }
+
+    /// Evaluates across `threads` host workers ("virtual PUs").
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
-    pub fn with_threads(model: SwCostModel, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        CpuBackend::with_executor(model, AnyExecutor::new(threads))
+    pub fn with_threads(self, threads: usize) -> Self {
+        self.with_executor(AnyExecutor::new(threads))
     }
 
-    /// Creates the backend on a caller-supplied executor — typically an
+    /// Evaluates on a caller-supplied executor — typically an
     /// [`AnyExecutor::Shared`] handle so many concurrent runs (islands)
     /// time-slice one worker pool. Results are bit-identical to an
     /// exclusive executor of the same width.
-    pub fn with_executor(model: SwCostModel, exec: AnyExecutor) -> Self {
-        CpuBackend {
-            model,
-            exec,
-            last_exec: None,
-            tracer: Tracer::disabled(),
+    pub fn with_executor(mut self, exec: AnyExecutor) -> Self {
+        self.exec = exec;
+        self
+    }
+
+    /// [`EvalBackend::evaluate`] with the route forced instead of
+    /// chosen — for parity tests and benchmarks that compare the two
+    /// kernels. Same errors and panics.
+    pub fn evaluate_via(
+        &mut self,
+        route: Route,
+        genomes: &[Genome],
+        env: EnvId,
+        spec: &ScenarioSpec,
+    ) -> Result<EvalOutcome, EvalError> {
+        let pricing = self.pricing;
+        let kernel = match route {
+            Route::PerGenome => per_genome_shard,
+            Route::Lockstep => lockstep_shard,
+        };
+        let shard_size = route.shard_size(genomes.len(), self.exec.workers());
+        let run = EvalJob::new(genomes, env, spec, &self.tracer).run(
+            &mut self.exec,
+            genomes.len(),
+            shard_size,
+            move |job, scratch, range| kernel(job, pricing, scratch, range),
+        )?;
+        self.last_exec = Some(run.stats);
+        // Modeled seconds accumulate in population order (the serial
+        // summation order), whatever the shard plan was.
+        let mut fitnesses = Vec::with_capacity(run.results.len());
+        let mut steps_per_genome = Vec::with_capacity(run.results.len());
+        let mut eval_seconds = 0.0;
+        let mut total_steps = 0u64;
+        for (fitness, steps, seconds) in run.results {
+            fitnesses.push(fitness);
+            steps_per_genome.push(steps);
+            eval_seconds += seconds;
+            total_steps += steps;
         }
-    }
-
-    /// Number of host worker threads.
-    pub fn threads(&self) -> usize {
-        self.exec.workers()
-    }
-
-    /// Evaluates every genome over the spec's K sampled scenarios with
-    /// the scalar per-genome loop, aggregating per genome. The
-    /// reference for the batched kernel.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let model = self.model;
-        let (rows, stats) = run_software_population_scenarios(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |net| model.inference_seconds(net),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
-    }
-
-    /// Evaluates every genome over the spec's K sampled scenarios
-    /// through the population-major batched pipeline (`genomes × K`
-    /// lanes per shard). Bit-identical to
-    /// [`CpuBackend::try_evaluate_population_scenarios`] with
-    /// `fast-math` off.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios_batched(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let model = self.model;
-        let (rows, stats) = run_software_population_scenarios_batched(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |plan| model.inference_seconds_plan(plan),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
+        Ok(EvalOutcome {
+            fitnesses,
+            steps_per_genome,
+            eval_seconds,
+            env_seconds: total_steps as f64 * self.sec_per_env_step,
+            total_steps,
+            hw_report: None,
+            hw_utilization: None,
+        })
     }
 }
 
-impl Clone for CpuBackend {
-    /// Clones the configuration and shares the installed tracer. An
-    /// exclusive executor is re-created at the same width (private
-    /// pools are never shared implicitly); a shared-pool handle stays
-    /// attached to the same pool.
-    fn clone(&self) -> Self {
-        let mut clone = CpuBackend::with_executor(self.model, self.exec.fork());
-        clone.tracer = self.tracer.clone();
-        clone
-    }
-}
-
-impl Default for CpuBackend {
-    fn default() -> Self {
-        CpuBackend::new(SwCostModel::default())
-    }
-}
-
-impl EvalBackend for CpuBackend {
+impl EvalBackend for SoftwareBackend {
     fn kind(&self) -> BackendKind {
-        BackendKind::Cpu
+        self.pricing.kind()
     }
 
-    fn try_evaluate_population(
+    fn evaluate(
         &mut self,
         genomes: &[Genome],
-        env_id: EnvId,
-        episode_seed: u64,
+        env: EnvId,
+        spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
-        let model = self.model;
-        let (rows, stats) = run_software_population(
-            &mut self.exec,
-            genomes,
-            env_id,
-            episode_seed,
-            self.tracer.clone(),
-            move |net| model.inference_seconds(net),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
-    }
-
-    fn try_evaluate_population_batched(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError> {
-        let model = self.model;
-        let (rows, stats) = run_software_population_batched(
-            &mut self.exec,
-            genomes,
-            env_id,
-            episode_seed,
-            self.tracer.clone(),
-            move |plan| model.inference_seconds_plan(plan),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.model.sec_per_env_step))
+        self.evaluate_via(self.route, genomes, env, spec)
     }
 
     fn take_exec_stats(&mut self) -> ExecStatsState {
@@ -924,179 +721,19 @@ impl EvalBackend for CpuBackend {
         self.tracer = tracer;
     }
 
+    /// Besides handing the policy to the executor's decode caches,
+    /// this picks the route: an enabled tier needs
+    /// [`Route::PerGenome`], the only kernel that consults the tiered
+    /// cache (the lockstep kernel interprets a merged [`PlanBatch`]
+    /// and cannot host per-genome native code); without one,
+    /// [`Route::Lockstep`] is the default.
     fn set_jit(&mut self, config: JitConfig) {
         self.exec.set_jit(config);
-    }
-}
-
-/// E3-GPU: functionally identical to software evaluation, but timed
-/// with the launch-bound GPU cost model.
-#[derive(Debug)]
-pub struct GpuBackend {
-    sw: SwCostModel,
-    gpu: GpuCostModel,
-    exec: AnyExecutor,
-    last_exec: Option<ExecStats>,
-    tracer: Tracer,
-}
-
-impl GpuBackend {
-    /// Creates the backend with the given cost models (`sw` prices the
-    /// CPU-side env stepping).
-    pub fn new(sw: SwCostModel, gpu: GpuCostModel) -> Self {
-        GpuBackend::with_threads(sw, gpu, 1)
-    }
-
-    /// Creates the backend with host-side parallel evaluation across
-    /// `threads` virtual PUs; results are bit-identical to serial.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn with_threads(sw: SwCostModel, gpu: GpuCostModel, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        GpuBackend::with_executor(sw, gpu, AnyExecutor::new(threads))
-    }
-
-    /// Creates the backend on a caller-supplied executor (see
-    /// [`CpuBackend::with_executor`]).
-    pub fn with_executor(sw: SwCostModel, gpu: GpuCostModel, exec: AnyExecutor) -> Self {
-        GpuBackend {
-            sw,
-            gpu,
-            exec,
-            last_exec: None,
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Scalar multi-scenario evaluation (see
-    /// [`CpuBackend::try_evaluate_population_scenarios`]), priced with
-    /// the GPU cost model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let gpu = self.gpu;
-        let (rows, stats) = run_software_population_scenarios(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |net| gpu.inference_seconds(net),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
-    }
-
-    /// Batched multi-scenario evaluation (see
-    /// [`CpuBackend::try_evaluate_population_scenarios_batched`]),
-    /// priced with the GPU cost model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios_batched(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let gpu = self.gpu;
-        let (rows, stats) = run_software_population_scenarios_batched(
-            &mut self.exec,
-            genomes,
-            env_id,
-            spec,
-            self.tracer.clone(),
-            move |plan| gpu.inference_seconds_plan(plan),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
-    }
-}
-
-impl Clone for GpuBackend {
-    /// Clones the configuration and shares the installed tracer. An
-    /// exclusive executor is re-created at the same width (private
-    /// pools are never shared implicitly); a shared-pool handle stays
-    /// attached to the same pool.
-    fn clone(&self) -> Self {
-        let mut clone = GpuBackend::with_executor(self.sw, self.gpu, self.exec.fork());
-        clone.tracer = self.tracer.clone();
-        clone
-    }
-}
-
-impl Default for GpuBackend {
-    fn default() -> Self {
-        GpuBackend::new(SwCostModel::default(), GpuCostModel::default())
-    }
-}
-
-impl EvalBackend for GpuBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Gpu
-    }
-
-    fn try_evaluate_population(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError> {
-        let gpu = self.gpu;
-        let (rows, stats) = run_software_population(
-            &mut self.exec,
-            genomes,
-            env_id,
-            episode_seed,
-            self.tracer.clone(),
-            move |net| gpu.inference_seconds(net),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
-    }
-
-    fn try_evaluate_population_batched(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError> {
-        let gpu = self.gpu;
-        let (rows, stats) = run_software_population_batched(
-            &mut self.exec,
-            genomes,
-            env_id,
-            episode_seed,
-            self.tracer.clone(),
-            move |plan| gpu.inference_seconds_plan(plan),
-        )?;
-        self.last_exec = Some(stats);
-        Ok(reduce_software_rows(rows, self.sw.sec_per_env_step))
-    }
-
-    fn take_exec_stats(&mut self) -> ExecStatsState {
-        match self.last_exec.take() {
-            Some(stats) => ExecStatsState::Ready(stats),
-            None => ExecStatsState::Idle,
-        }
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn set_jit(&mut self, config: JitConfig) {
-        self.exec.set_jit(config);
+        self.route = if config.enabled {
+            Route::PerGenome
+        } else {
+            Route::Lockstep
+        };
     }
 }
 
@@ -1119,192 +756,133 @@ pub struct InaxBackend {
 }
 
 /// Everything one INAX wave produces: per-resident fitness and episode
-/// lengths, the wave's cycle accounting and utilization breakdown, and
-/// its env-step count.
+/// lengths (summed over scenarios), and the wave's cycle accounting and
+/// utilization breakdown.
 struct WaveResult {
     fitnesses: Vec<f64>,
     steps: Vec<u64>,
     report: EpisodeRunReport,
     util: UtilizationBreakdown,
-    total_steps: u64,
 }
 
 impl InaxBackend {
     /// Creates the backend. `sw` prices the CPU-side env stepping (the
-    /// env stays a CPU program in all settings).
+    /// env stays a CPU program in all settings). Waves are simulated on
+    /// one host thread until given more workers.
     pub fn new(config: InaxConfig, sw: SwCostModel) -> Self {
-        InaxBackend::with_threads(config, sw, 1)
+        InaxBackend {
+            config,
+            sw,
+            exec: AnyExecutor::new(1),
+            last_exec: None,
+            tracer: Tracer::disabled(),
+        }
     }
 
-    /// Creates the backend with waves simulated across `threads`
-    /// host workers; results and accounting are bit-identical to
-    /// serial.
+    /// Simulates waves across `threads` host workers; results and
+    /// accounting are bit-identical to serial.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
-    pub fn with_threads(config: InaxConfig, sw: SwCostModel, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        InaxBackend::with_executor(config, sw, AnyExecutor::new(threads))
+    pub fn with_threads(self, threads: usize) -> Self {
+        self.with_executor(AnyExecutor::new(threads))
     }
 
-    /// Creates the backend on a caller-supplied executor (see
-    /// [`CpuBackend::with_executor`]).
-    pub fn with_executor(config: InaxConfig, sw: SwCostModel, exec: AnyExecutor) -> Self {
-        InaxBackend {
-            config,
-            sw,
-            exec,
-            last_exec: None,
-            tracer: Tracer::disabled(),
-        }
+    /// Simulates waves on a caller-supplied executor (see
+    /// [`SoftwareBackend::with_executor`]).
+    pub fn with_executor(mut self, exec: AnyExecutor) -> Self {
+        self.exec = exec;
+        self
     }
 
     /// The accelerator configuration.
     pub fn config(&self) -> &InaxConfig {
         &self.config
     }
+}
 
-    /// Evaluates every genome over the spec's K sampled scenarios on
-    /// the accelerator: each wave loads its residents once, then runs
-    /// the lock-step episode loop once per scenario against fresh
-    /// scenario-parameterized environments — weights stream onto the
-    /// PUs a single time however many worlds the wave faces.
-    /// Per-resident fitnesses aggregate exactly like the software
-    /// backends, so all backends agree on scenario fitness too.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios(
-        &mut self,
-        genomes: &[Genome],
-        env_id: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        check_spec(genomes, spec);
-        let num_pu = self.config.num_pu;
-        let num_waves = genomes.len().div_ceil(num_pu.max(1));
-        let pop: Arc<[Genome]> = genomes.into();
-        let shared = SharedSpec::new(spec);
-        let config = self.config.clone();
-        let tracer = self.tracer.clone();
-
-        let run = self.exec.run_shards(num_waves, 1, move |scratch, range| {
-            let k = shared.scenarios();
-            range
-                .map(|wave| -> Result<WaveResult, (usize, DecodeError)> {
-                    let base = wave * num_pu;
-                    let end = (base + num_pu).min(pop.len());
-                    let mut batch = Vec::with_capacity(end - base);
-                    for i in base..end {
-                        let plan = scratch
-                            .cache()
-                            .get_or_plan(&pop[i])
-                            .map_err(|reason| (i, reason))?;
-                        batch.push(IrregularNet::from_plan(plan));
-                    }
-                    let residents = batch.len();
-                    let mut wave_span = tracer.span("shard", "exec");
-                    wave_span.arg("wave", wave as f64);
-                    wave_span.arg("items", residents as f64);
-                    wave_span.arg("scenarios", k as f64);
-                    let mut accelerator = InaxAccelerator::new(config.clone());
-                    accelerator.load_batch(batch);
-                    let mut per_scenario = vec![vec![0.0f64; k]; residents];
-                    let mut steps_per_genome = vec![0u64; residents];
-                    let mut total_steps = 0u64;
-                    // `s` indexes three parallel per-scenario arrays,
-                    // so a range loop reads better than zipping them.
-                    #[allow(clippy::needless_range_loop)]
-                    for s in 0..k {
-                        let mut envs: Vec<Box<dyn Environment>> = (0..residents)
-                            .map(|_| env_id.make_scenario(&shared.params[s]))
-                            .collect();
-                        let space = envs
-                            .first()
-                            .expect("waves are non-empty by construction")
-                            .action_space();
-                        let mut observations: Vec<Option<Vec<f64>>> = envs
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(i, e)| Some(e.reset(shared.episode_seeds[(base + i) * k + s])))
-                            .collect();
-                        let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0
-                            ..residents)
-                            .map(|i| {
-                                let mut timer = tracer.start("episode", "env");
-                                timer.arg("genome_index", (base + i) as f64);
-                                timer.arg("scenario", s as f64);
-                                Some(timer)
-                            })
-                            .collect();
-                        let mut episode_steps = vec![0u64; residents];
-                        while observations.iter().any(Option::is_some) {
-                            let outputs = accelerator.step(&observations);
-                            for (i, output) in outputs.into_iter().enumerate() {
-                                let Some(out) = output else { continue };
-                                let action = decode_action(&out, &space);
-                                let step = envs[i].step(&action);
-                                per_scenario[i][s] += step.reward;
-                                episode_steps[i] += 1;
-                                steps_per_genome[i] += 1;
-                                total_steps += 1;
-                                observations[i] = if step.terminated || step.truncated {
-                                    if let Some(mut timer) = episode_timers[i].take() {
-                                        timer.arg("steps", episode_steps[i] as f64);
-                                        timer.finish();
-                                    }
-                                    None
-                                } else {
-                                    Some(step.observation)
-                                };
-                            }
-                        }
-                    }
-                    accelerator.unload_batch();
-                    let fitnesses = per_scenario
-                        .iter()
-                        .map(|fits| aggregate_fitness(fits, shared.aggregation))
-                        .collect();
-                    Ok(WaveResult {
-                        fitnesses,
-                        steps: steps_per_genome,
-                        report: accelerator.report(),
-                        util: accelerator.utilization().clone(),
-                        total_steps,
-                    })
-                })
-                .collect()
-        })?;
-
-        let mut fitnesses = Vec::with_capacity(genomes.len());
-        let mut steps_per_genome = Vec::with_capacity(genomes.len());
-        let mut total_steps = 0u64;
-        let mut report = EpisodeRunReport::default();
-        let mut util = UtilizationBreakdown::default();
-        for wave in run.results {
-            let wave = wave.map_err(|(genome_index, reason)| EvalError::NotFeedForward {
-                genome_index,
-                reason,
-            })?;
-            fitnesses.extend(wave.fitnesses);
-            steps_per_genome.extend(wave.steps);
-            total_steps += wave.total_steps;
-            report.merge(&wave.report);
-            util.merge(&wave.util);
-        }
-        self.last_exec = Some(run.stats);
-        Ok(EvalOutcome {
-            fitnesses,
-            steps_per_genome,
-            eval_seconds: self.config.cycles_to_seconds(report.total_cycles),
-            env_seconds: total_steps as f64 * self.sw.sec_per_env_step,
-            total_steps,
-            hw_report: Some(report),
-            hw_utilization: Some(util),
-        })
+/// The INAX kernel for one wave: lower the residents through the
+/// worker's plan cache (genome→NetPlan compiles once per fingerprint
+/// and the hardware view is a direct copy of the plan, so unchanged
+/// elites skip CreateNet exactly like on the software backends), load
+/// them onto a private accelerator instance once, then run the
+/// lock-step episode loop once per scenario against fresh environments
+/// — weights stream onto the PUs a single time however many worlds the
+/// wave faces. Per-resident fitnesses aggregate exactly like the
+/// software kernels, so all backends agree bit for bit.
+fn inax_wave(
+    job: &EvalJob,
+    config: &InaxConfig,
+    scratch: &mut WorkerScratch,
+    wave: usize,
+) -> Result<WaveResult, DecodeFailure> {
+    let k = job.spec.scenarios();
+    let base = wave * config.num_pu;
+    let end = (base + config.num_pu).min(job.pop.len());
+    let mut batch = Vec::with_capacity(end - base);
+    for i in base..end {
+        let plan = scratch
+            .cache()
+            .get_or_plan(&job.pop[i])
+            .map_err(|reason| (i, reason))?;
+        batch.push(IrregularNet::from_plan(plan));
     }
+    let residents = batch.len();
+    let mut wave_span = job.shard_span("wave", wave, residents);
+    wave_span.arg("scenarios", k as f64);
+    let mut accelerator = InaxAccelerator::new(config.clone());
+    accelerator.load_batch(batch);
+    let seeds = job.spec.episode_seeds(base..end);
+    // Resident-major grid: `per_scenario[resident * K + scenario]`.
+    let mut per_scenario = vec![0.0f64; residents * k];
+    let mut steps_per_genome = vec![0u64; residents];
+    for (s, params) in job.spec.params().iter().enumerate() {
+        // One environment instance per resident individual.
+        let mut envs: Vec<Box<dyn Environment>> = (0..residents)
+            .map(|_| job.env.make_scenario(params))
+            .collect();
+        let space = envs
+            .first()
+            .expect("waves are non-empty by construction")
+            .action_space();
+        let mut observations: Vec<Option<Vec<f64>>> = envs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, e)| Some(e.reset(seeds[i * k + s])))
+            .collect();
+        let mut timers = job.episode_timers((base..end).map(|i| (i, s)));
+        let mut episode_steps = vec![0u64; residents];
+        while observations.iter().any(Option::is_some) {
+            let outputs = accelerator.step(&observations);
+            for (i, output) in outputs.into_iter().enumerate() {
+                let Some(out) = output else { continue };
+                let action = decode_action(&out, &space);
+                let step = envs[i].step(&action);
+                per_scenario[i * k + s] += step.reward;
+                episode_steps[i] += 1;
+                observations[i] = if step.terminated || step.truncated {
+                    finish_episode(&mut timers[i], episode_steps[i]);
+                    None
+                } else {
+                    Some(step.observation)
+                };
+            }
+        }
+        for (genome_steps, steps) in steps_per_genome.iter_mut().zip(episode_steps) {
+            *genome_steps += steps;
+        }
+    }
+    accelerator.unload_batch();
+    Ok(WaveResult {
+        fitnesses: per_scenario
+            .chunks(k)
+            .map(|fits| aggregate_fitness(fits, job.spec.aggregation()))
+            .collect(),
+        steps: steps_per_genome,
+        report: accelerator.report(),
+        util: accelerator.utilization().clone(),
+    })
 }
 
 impl EvalBackend for InaxBackend {
@@ -1312,123 +890,39 @@ impl EvalBackend for InaxBackend {
         BackendKind::Inax
     }
 
-    fn try_evaluate_population(
+    fn evaluate(
         &mut self,
         genomes: &[Genome],
-        env_id: EnvId,
-        episode_seed: u64,
+        env: EnvId,
+        spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
-        let num_pu = self.config.num_pu;
-        let num_waves = genomes.len().div_ceil(num_pu.max(1));
-        let pop: Arc<[Genome]> = genomes.into();
+        // One work item per wave, each on a private accelerator
+        // instance (a "virtual PU cluster").
         let config = self.config.clone();
-        let tracer = self.tracer.clone();
-
-        // One work item per wave: each runs its batch on a private
-        // accelerator instance (a "virtual PU cluster"). Residents are
-        // lowered inside the wave through the worker's plan cache —
-        // genome→NetPlan compiles once per fingerprint and the
-        // hardware view is a direct copy of the plan — so unchanged
-        // elites skip CreateNet here exactly like on the software
-        // backends.
-        let run = self.exec.run_shards(num_waves, 1, move |scratch, range| {
-            range
-                .map(|wave| -> Result<WaveResult, (usize, DecodeError)> {
-                    let base = wave * num_pu;
-                    let end = (base + num_pu).min(pop.len());
-                    let mut batch = Vec::with_capacity(end - base);
-                    for i in base..end {
-                        let plan = scratch
-                            .cache()
-                            .get_or_plan(&pop[i])
-                            .map_err(|reason| (i, reason))?;
-                        batch.push(IrregularNet::from_plan(plan));
-                    }
-                    let residents = batch.len();
-                    let mut wave_span = tracer.span("shard", "exec");
-                    wave_span.arg("wave", wave as f64);
-                    wave_span.arg("items", residents as f64);
-                    let mut accelerator = InaxAccelerator::new(config.clone());
-                    accelerator.load_batch(batch);
-                    // One environment instance per resident individual.
-                    let mut envs: Vec<Box<dyn Environment>> =
-                        (0..residents).map(|_| env_id.make()).collect();
-                    let space = envs
-                        .first()
-                        .expect("waves are non-empty by construction")
-                        .action_space();
-                    let mut fitnesses = vec![0.0f64; residents];
-                    let mut steps_per_genome = vec![0u64; residents];
-                    let mut total_steps = 0u64;
-                    let mut observations: Vec<Option<Vec<f64>>> = envs
-                        .iter_mut()
-                        .map(|e| Some(e.reset(episode_seed)))
-                        .collect();
-                    // Episodes in a wave interleave in lock-step, so
-                    // their spans cannot nest lexically: one explicit
-                    // timer per resident, finished when its episode
-                    // terminates. Inert (no clock) when disabled.
-                    let mut episode_timers: Vec<Option<e3_telemetry::SpanTimer>> = (0..residents)
-                        .map(|i| {
-                            let mut timer = tracer.start("episode", "env");
-                            timer.arg("genome_index", (base + i) as f64);
-                            Some(timer)
-                        })
-                        .collect();
-                    while observations.iter().any(Option::is_some) {
-                        let outputs = accelerator.step(&observations);
-                        for (i, output) in outputs.into_iter().enumerate() {
-                            let Some(out) = output else { continue };
-                            let action = decode_action(&out, &space);
-                            let step = envs[i].step(&action);
-                            fitnesses[i] += step.reward;
-                            steps_per_genome[i] += 1;
-                            total_steps += 1;
-                            observations[i] = if step.terminated || step.truncated {
-                                if let Some(mut timer) = episode_timers[i].take() {
-                                    timer.arg("steps", steps_per_genome[i] as f64);
-                                    timer.finish();
-                                }
-                                None
-                            } else {
-                                Some(step.observation)
-                            };
-                        }
-                    }
-                    accelerator.unload_batch();
-                    Ok(WaveResult {
-                        fitnesses,
-                        steps: steps_per_genome,
-                        report: accelerator.report(),
-                        util: accelerator.utilization().clone(),
-                        total_steps,
-                    })
-                })
-                .collect()
-        })?;
-
+        let num_waves = genomes.len().div_ceil(config.num_pu.max(1));
+        let run = EvalJob::new(genomes, env, spec, &self.tracer).run(
+            &mut self.exec,
+            num_waves,
+            1,
+            move |job, scratch, range| {
+                range
+                    .map(|wave| inax_wave(job, &config, scratch, wave))
+                    .collect()
+            },
+        )?;
         // Wave-ordered reduction: counters are additive, so this is
         // the accounting a single accelerator would have produced.
-        // Waves are contiguous index ranges and each wave lowers its
-        // residents in index order, so scanning results in order
-        // reports the lowest-indexed non-feed-forward genome — the
-        // same error the old serial pre-decode produced.
         let mut fitnesses = Vec::with_capacity(genomes.len());
         let mut steps_per_genome = Vec::with_capacity(genomes.len());
-        let mut total_steps = 0u64;
         let mut report = EpisodeRunReport::default();
         let mut util = UtilizationBreakdown::default();
         for wave in run.results {
-            let wave = wave.map_err(|(genome_index, reason)| EvalError::NotFeedForward {
-                genome_index,
-                reason,
-            })?;
             fitnesses.extend(wave.fitnesses);
             steps_per_genome.extend(wave.steps);
-            total_steps += wave.total_steps;
             report.merge(&wave.report);
             util.merge(&wave.util);
         }
+        let total_steps: u64 = steps_per_genome.iter().sum();
         self.last_exec = Some(run.stats);
         Ok(EvalOutcome {
             fitnesses,
@@ -1460,55 +954,17 @@ impl EvalBackend for InaxBackend {
 /// platform `Debug` and cheap to construct in sweeps.
 #[derive(Debug)]
 pub enum AnyBackend {
-    /// Software baseline.
-    Cpu(CpuBackend),
-    /// GPU offload model.
-    Gpu(GpuBackend),
+    /// E3-CPU or E3-GPU, by [`Pricing`].
+    Software(SoftwareBackend),
     /// INAX accelerator simulator.
     Inax(InaxBackend),
 }
 
 impl AnyBackend {
-    /// Evaluates every genome over the spec's K sampled scenarios,
-    /// dispatching to the kind-appropriate kernel: the software
-    /// backends run the batched SoA scenario kernel, INAX runs its
-    /// scenario wave loop. All three agree bit-for-bit on fitness.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
+    fn as_dyn(&mut self) -> &mut dyn EvalBackend {
         match self {
-            AnyBackend::Cpu(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
-            AnyBackend::Gpu(b) => b.try_evaluate_population_scenarios_batched(genomes, env, spec),
-            AnyBackend::Inax(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
-        }
-    }
-
-    /// Like [`AnyBackend::try_evaluate_population_scenarios`], but the
-    /// software backends take the scalar per-genome loop — the route
-    /// the platform picks when the JIT tier is enabled, since only the
-    /// scalar loop consults the tiered decode cache. Bit-identical to
-    /// the batched dispatch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EvalBackend::try_evaluate_population`].
-    pub fn try_evaluate_population_scenarios_scalar(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        match self {
-            AnyBackend::Cpu(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
-            AnyBackend::Gpu(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
-            AnyBackend::Inax(b) => b.try_evaluate_population_scenarios(genomes, env, spec),
+            AnyBackend::Software(b) => b,
+            AnyBackend::Inax(b) => b,
         }
     }
 }
@@ -1516,64 +972,30 @@ impl AnyBackend {
 impl EvalBackend for AnyBackend {
     fn kind(&self) -> BackendKind {
         match self {
-            AnyBackend::Cpu(_) => BackendKind::Cpu,
-            AnyBackend::Gpu(_) => BackendKind::Gpu,
-            AnyBackend::Inax(_) => BackendKind::Inax,
+            AnyBackend::Software(b) => b.kind(),
+            AnyBackend::Inax(b) => b.kind(),
         }
     }
 
-    fn try_evaluate_population(
+    fn evaluate(
         &mut self,
         genomes: &[Genome],
         env: EnvId,
-        episode_seed: u64,
+        spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
-        match self {
-            AnyBackend::Cpu(b) => b.try_evaluate_population(genomes, env, episode_seed),
-            AnyBackend::Gpu(b) => b.try_evaluate_population(genomes, env, episode_seed),
-            AnyBackend::Inax(b) => b.try_evaluate_population(genomes, env, episode_seed),
-        }
-    }
-
-    fn try_evaluate_population_batched(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        episode_seed: u64,
-    ) -> Result<EvalOutcome, EvalError> {
-        match self {
-            AnyBackend::Cpu(b) => b.try_evaluate_population_batched(genomes, env, episode_seed),
-            AnyBackend::Gpu(b) => b.try_evaluate_population_batched(genomes, env, episode_seed),
-            // INAX already batches onto the accelerator's PUs; the
-            // trait default routes it through its wave loop.
-            AnyBackend::Inax(b) => b.try_evaluate_population_batched(genomes, env, episode_seed),
-        }
+        self.as_dyn().evaluate(genomes, env, spec)
     }
 
     fn take_exec_stats(&mut self) -> ExecStatsState {
-        match self {
-            AnyBackend::Cpu(b) => b.take_exec_stats(),
-            AnyBackend::Gpu(b) => b.take_exec_stats(),
-            AnyBackend::Inax(b) => b.take_exec_stats(),
-        }
+        self.as_dyn().take_exec_stats()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
-        match self {
-            AnyBackend::Cpu(b) => b.set_tracer(tracer),
-            AnyBackend::Gpu(b) => b.set_tracer(tracer),
-            AnyBackend::Inax(b) => b.set_tracer(tracer),
-        }
+        self.as_dyn().set_tracer(tracer)
     }
 
     fn set_jit(&mut self, config: JitConfig) {
-        match self {
-            AnyBackend::Cpu(b) => b.set_jit(config),
-            AnyBackend::Gpu(b) => b.set_jit(config),
-            // INAX lowers plans to hardware; it has no software scalar
-            // path to tier (the trait default ignores the policy).
-            AnyBackend::Inax(_) => {}
-        }
+        self.as_dyn().set_jit(config)
     }
 }
 
@@ -1669,17 +1091,19 @@ impl BackendBuilder {
     /// Panics if `threads == 0`.
     pub fn build(self) -> AnyBackend {
         assert!(self.threads > 0, "need at least one worker thread");
-        let make_exec = || match &self.executor {
-            Some(shared) => AnyExecutor::Shared(shared.clone()),
+        let exec = match self.executor {
+            Some(shared) => AnyExecutor::Shared(shared),
             None => AnyExecutor::new(self.threads),
         };
         let mut backend = match self.kind {
-            BackendKind::Cpu => AnyBackend::Cpu(CpuBackend::with_executor(self.sw, make_exec())),
+            BackendKind::Cpu => {
+                AnyBackend::Software(SoftwareBackend::cpu(self.sw).with_executor(exec))
+            }
             BackendKind::Gpu => {
-                AnyBackend::Gpu(GpuBackend::with_executor(self.sw, self.gpu, make_exec()))
+                AnyBackend::Software(SoftwareBackend::gpu(self.sw, self.gpu).with_executor(exec))
             }
             BackendKind::Inax => {
-                AnyBackend::Inax(InaxBackend::with_executor(self.inax, self.sw, make_exec()))
+                AnyBackend::Inax(InaxBackend::new(self.inax, self.sw).with_executor(exec))
             }
         };
         backend.set_tracer(self.tracer);
@@ -1690,6 +1114,8 @@ impl BackendBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioConfig;
+    use e3_envs::ScenarioDistribution;
     use e3_neat::{NeatConfig, Population};
 
     fn genomes(env: EnvId, n: usize) -> Vec<Genome> {
@@ -1699,41 +1125,80 @@ mod tests {
         Population::new(config, 3).genomes().to_vec()
     }
 
+    fn cpu() -> SoftwareBackend {
+        SoftwareBackend::cpu(SwCostModel::default())
+    }
+
+    fn gpu() -> SoftwareBackend {
+        SoftwareBackend::gpu(SwCostModel::default(), GpuCostModel::default())
+    }
+
+    fn inax(num_pu: usize, num_pe: usize) -> InaxBackend {
+        InaxBackend::new(
+            InaxConfig::builder().num_pu(num_pu).num_pe(num_pe).build(),
+            SwCostModel::default(),
+        )
+    }
+
+    /// One fixed-env episode per genome from `seed`.
     fn eval(backend: &mut dyn EvalBackend, pop: &[Genome], env: EnvId, seed: u64) -> EvalOutcome {
         backend
-            .try_evaluate_population(pop, env, seed)
+            .evaluate(pop, env, &ScenarioSpec::fixed(seed, pop.len()))
             .expect("population is feed-forward")
+    }
+
+    /// K worlds from the moderate distribution with genome-major
+    /// episode seeds, exactly as the platform resolves one generation.
+    fn sampled(k: usize, population: usize) -> ScenarioSpec {
+        let config = ScenarioConfig::default()
+            .train(ScenarioDistribution::moderate())
+            .scenarios_per_eval(k);
+        ScenarioSpec::for_generation(&config, 42, 3, population)
+    }
+
+    fn span_names(tracer: &Tracer) -> Vec<String> {
+        tracer.spans().into_iter().map(|s| s.name).collect()
+    }
+
+    fn count(names: &[String], name: &str) -> usize {
+        names.iter().filter(|n| *n == name).count()
     }
 
     #[test]
     fn all_backends_agree_on_fitness() {
         let pop = genomes(EnvId::CartPole, 12);
-        let mut cpu = CpuBackend::default();
-        let mut gpu = GpuBackend::default();
-        let mut inax = InaxBackend::new(
-            InaxConfig::builder().num_pu(5).num_pe(2).build(),
-            SwCostModel::default(),
-        );
-        let a = eval(&mut cpu, &pop, EnvId::CartPole, 7);
-        let b = eval(&mut gpu, &pop, EnvId::CartPole, 7);
-        let c = eval(&mut inax, &pop, EnvId::CartPole, 7);
+        let a = eval(&mut cpu(), &pop, EnvId::CartPole, 7);
+        let b = eval(&mut gpu(), &pop, EnvId::CartPole, 7);
+        let c = eval(&mut inax(5, 2), &pop, EnvId::CartPole, 7);
         assert_eq!(a.fitnesses, b.fitnesses);
         assert_eq!(a.fitnesses, c.fitnesses);
         assert_eq!(a.steps_per_genome, c.steps_per_genome);
     }
 
     #[test]
+    fn all_backends_agree_on_scenario_fitness() {
+        let pop = genomes(EnvId::CartPole, 9);
+        let spec = sampled(3, pop.len());
+        let run = |backend: &mut dyn EvalBackend| {
+            backend
+                .evaluate(&pop, EnvId::CartPole, &spec)
+                .expect("scenario eval succeeds")
+        };
+        let a = run(&mut cpu());
+        let b = run(&mut gpu());
+        let c = run(&mut inax(4, 2));
+        assert_eq!(a.fitnesses, b.fitnesses);
+        assert_eq!(a.fitnesses, c.fitnesses);
+        assert_eq!(a.steps_per_genome, c.steps_per_genome);
+        assert_eq!(a.total_steps, c.total_steps);
+    }
+
+    #[test]
     fn gpu_eval_is_slower_and_inax_faster_than_cpu() {
         let pop = genomes(EnvId::CartPole, 12);
-        let mut cpu = CpuBackend::default();
-        let mut gpu = GpuBackend::default();
-        let mut inax = InaxBackend::new(
-            InaxConfig::builder().num_pu(12).num_pe(2).build(),
-            SwCostModel::default(),
-        );
-        let a = eval(&mut cpu, &pop, EnvId::CartPole, 7);
-        let b = eval(&mut gpu, &pop, EnvId::CartPole, 7);
-        let c = eval(&mut inax, &pop, EnvId::CartPole, 7);
+        let a = eval(&mut cpu(), &pop, EnvId::CartPole, 7);
+        let b = eval(&mut gpu(), &pop, EnvId::CartPole, 7);
+        let c = eval(&mut inax(12, 2), &pop, EnvId::CartPole, 7);
         assert!(b.eval_seconds > a.eval_seconds, "GPU must lose (Fig. 9(b))");
         assert!(c.eval_seconds < a.eval_seconds, "INAX must win (Fig. 9(b))");
     }
@@ -1741,11 +1206,7 @@ mod tests {
     #[test]
     fn inax_reports_hw_accounting() {
         let pop = genomes(EnvId::MountainCar, 6);
-        let mut inax = InaxBackend::new(
-            InaxConfig::builder().num_pu(3).num_pe(3).build(),
-            SwCostModel::default(),
-        );
-        let out = eval(&mut inax, &pop, EnvId::MountainCar, 1);
+        let out = eval(&mut inax(3, 3), &pop, EnvId::MountainCar, 1);
         let report = out.hw_report.expect("INAX reports HW accounting");
         assert!(report.total_cycles > 0);
         assert!(report.steps > 0);
@@ -1756,13 +1217,8 @@ mod tests {
     #[test]
     fn continuous_action_envs_work_on_all_backends() {
         let pop = genomes(EnvId::Pendulum, 4);
-        let mut cpu = CpuBackend::default();
-        let mut inax = InaxBackend::new(
-            InaxConfig::builder().num_pu(4).num_pe(1).build(),
-            SwCostModel::default(),
-        );
-        let a = eval(&mut cpu, &pop, EnvId::Pendulum, 2);
-        let c = eval(&mut inax, &pop, EnvId::Pendulum, 2);
+        let a = eval(&mut cpu(), &pop, EnvId::Pendulum, 2);
+        let c = eval(&mut inax(4, 1), &pop, EnvId::Pendulum, 2);
         assert_eq!(a.fitnesses, c.fitnesses);
         assert!(
             a.fitnesses.iter().all(|f| *f < 0.0),
@@ -1772,7 +1228,7 @@ mod tests {
 
     #[test]
     fn exec_stats_state_distinguishes_idle_from_ready() {
-        let mut cpu = CpuBackend::default();
+        let mut cpu = cpu();
         assert_eq!(
             cpu.take_exec_stats(),
             ExecStatsState::Idle,
@@ -1797,16 +1253,21 @@ mod tests {
             BackendKind::Cpu
         }
 
-        fn try_evaluate_population(
+        fn evaluate(
             &mut self,
             genomes: &[Genome],
             _env: EnvId,
-            _episode_seed: u64,
+            _spec: &ScenarioSpec,
         ) -> Result<EvalOutcome, EvalError> {
-            Ok(reduce_software_rows(
-                vec![(0.0, 0, 0.0); genomes.len()],
-                0.0,
-            ))
+            Ok(EvalOutcome {
+                fitnesses: vec![0.0; genomes.len()],
+                steps_per_genome: vec![0; genomes.len()],
+                eval_seconds: 0.0,
+                env_seconds: 0.0,
+                total_steps: 0,
+                hw_report: None,
+                hw_utilization: None,
+            })
         }
     }
 
@@ -1823,36 +1284,56 @@ mod tests {
     #[test]
     fn tracing_records_spans_without_changing_results() {
         let pop = genomes(EnvId::CartPole, 12);
-        let config = InaxConfig::builder().num_pu(5).num_pe(2).build();
-        let mut plain = InaxBackend::new(config.clone(), SwCostModel::default());
-        let mut traced = InaxBackend::new(config, SwCostModel::default());
+        let mut plain = inax(5, 2);
+        let mut traced = inax(5, 2);
         let tracer = Tracer::enabled();
         traced.set_tracer(tracer.clone());
         let a = eval(&mut plain, &pop, EnvId::CartPole, 7);
         let b = eval(&mut traced, &pop, EnvId::CartPole, 7);
         assert_eq!(a, b, "tracing is write-only");
-        let spans = tracer.spans();
-        assert!(!spans.is_empty());
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"shard"), "wave spans recorded");
-        assert!(names.contains(&"episode"), "episode spans recorded");
-        assert_eq!(
-            names.iter().filter(|n| **n == "episode").count(),
-            pop.len(),
-            "one episode span per genome"
-        );
+        let names = span_names(&tracer);
+        assert_eq!(count(&names, "shard"), 3, "one span per wave");
+        assert_eq!(count(&names, "episode"), pop.len(), "one per genome");
     }
 
     #[test]
-    fn software_backends_trace_individual_spans() {
+    fn software_routes_trace_their_own_span_shapes() {
         let pop = genomes(EnvId::CartPole, 6);
-        let mut cpu = CpuBackend::default();
-        let tracer = Tracer::enabled();
-        cpu.set_tracer(tracer.clone());
-        let _ = eval(&mut cpu, &pop, EnvId::CartPole, 3);
-        let names: Vec<String> = tracer.spans().into_iter().map(|s| s.name).collect();
-        for expected in ["shard", "individual", "episode"] {
-            assert!(names.iter().any(|n| n == expected), "missing {expected}");
+        let spec = sampled(2, pop.len());
+        for (route, individuals) in [(Route::PerGenome, pop.len()), (Route::Lockstep, 0)] {
+            let mut cpu = cpu();
+            let tracer = Tracer::enabled();
+            cpu.set_tracer(tracer.clone());
+            cpu.evaluate_via(route, &pop, EnvId::CartPole, &spec)
+                .expect("eval succeeds");
+            let names = span_names(&tracer);
+            assert!(count(&names, "shard") > 0, "{route}: shard spans recorded");
+            assert_eq!(count(&names, "individual"), individuals, "{route}");
+            assert_eq!(
+                count(&names, "episode"),
+                pop.len() * 2,
+                "{route}: one episode span per (genome, scenario)"
+            );
+        }
+    }
+
+    #[test]
+    fn a_tier_policy_selects_the_per_genome_route() {
+        let pop = genomes(EnvId::CartPole, 4);
+        for (enabled, individuals) in [(false, 0), (true, pop.len())] {
+            let mut cpu = cpu();
+            cpu.set_jit(JitConfig {
+                enabled,
+                ..JitConfig::default()
+            });
+            let tracer = Tracer::enabled();
+            cpu.set_tracer(tracer.clone());
+            let _ = eval(&mut cpu, &pop, EnvId::CartPole, 3);
+            assert_eq!(
+                count(&span_names(&tracer), "individual"),
+                individuals,
+                "jit.enabled = {enabled}"
+            );
         }
     }
 
@@ -1861,11 +1342,7 @@ mod tests {
         // 12 genomes on 5 PUs ⇒ 3 waves merged: the invariant must
         // survive the wave-ordered reduction.
         let pop = genomes(EnvId::CartPole, 12);
-        let mut inax = InaxBackend::new(
-            InaxConfig::builder().num_pu(5).num_pe(2).build(),
-            SwCostModel::default(),
-        );
-        let out = eval(&mut inax, &pop, EnvId::CartPole, 7);
+        let out = eval(&mut inax(5, 2), &pop, EnvId::CartPole, 7);
         let report = out.hw_report.expect("INAX reports HW accounting");
         let util = out.hw_utilization.expect("INAX reports utilization");
         assert_eq!(util.per_pu.len(), 5);
@@ -1884,39 +1361,61 @@ mod tests {
     }
 
     #[test]
-    fn parallel_inax_utilization_matches_serial() {
+    fn parallel_inax_matches_serial() {
         let pop = genomes(EnvId::CartPole, 13);
-        let config = InaxConfig::builder().num_pu(3).num_pe(2).build();
-        let mut serial = InaxBackend::new(config.clone(), SwCostModel::default());
-        let mut parallel = InaxBackend::with_threads(config, SwCostModel::default(), 4);
-        let a = eval(&mut serial, &pop, EnvId::CartPole, 9);
-        let b = eval(&mut parallel, &pop, EnvId::CartPole, 9);
-        assert_eq!(
-            a.hw_utilization, b.hw_utilization,
-            "accounting is deterministic"
-        );
-        assert_eq!(a.hw_report, b.hw_report);
+        for spec in [ScenarioSpec::fixed(9, pop.len()), sampled(2, pop.len())] {
+            let a = inax(3, 2).evaluate(&pop, EnvId::CartPole, &spec);
+            let b = inax(3, 2)
+                .with_threads(4)
+                .evaluate(&pop, EnvId::CartPole, &spec);
+            assert_eq!(a, b, "results and accounting are deterministic");
+        }
     }
 
+    #[cfg(not(feature = "fast-math"))]
     #[test]
-    fn parallel_cpu_evaluation_matches_sequential() {
-        let pop = genomes(EnvId::CartPole, 17); // odd size exercises chunk remainders
-        let mut sequential = CpuBackend::default();
-        let mut parallel = CpuBackend::with_threads(SwCostModel::default(), 4);
-        let a = eval(&mut sequential, &pop, EnvId::CartPole, 9);
-        let b = eval(&mut parallel, &pop, EnvId::CartPole, 9);
-        assert_eq!(a.fitnesses, b.fitnesses, "order and values preserved");
-        assert_eq!(a.steps_per_genome, b.steps_per_genome);
-        assert!(
-            (a.eval_seconds - b.eval_seconds).abs() < 1e-12,
-            "modeled time unchanged"
-        );
+    fn software_routes_and_thread_counts_are_bit_identical() {
+        // Odd population sizes exercise shard remainders; 1/4/8
+        // threads exercise single- and multi-shard lane packing; the
+        // per-genome serial run is the reference for everything.
+        for env in [EnvId::CartPole, EnvId::LunarLander, EnvId::Pendulum] {
+            let pop = genomes(env, 13);
+            for spec in [ScenarioSpec::fixed(7, pop.len()), sampled(3, pop.len())] {
+                for make in [cpu, gpu] {
+                    let reference = make()
+                        .evaluate_via(Route::PerGenome, &pop, env, &spec)
+                        .expect("reference eval succeeds");
+                    for route in [Route::PerGenome, Route::Lockstep] {
+                        for threads in [1usize, 4, 8] {
+                            let mut backend = make().with_threads(threads);
+                            let kind = backend.kind();
+                            let outcome = backend
+                                .evaluate_via(route, &pop, env, &spec)
+                                .expect("eval succeeds");
+                            assert_eq!(
+                                outcome,
+                                reference,
+                                "{env:?}/{kind} K={} {route}@{threads} diverged",
+                                spec.scenarios()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_threads_rejected() {
-        let _ = CpuBackend::with_threads(SwCostModel::default(), 0);
+        let _ = cpu().with_threads(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must cover the evaluated population")]
+    fn a_spec_for_another_population_size_is_rejected() {
+        let pop = genomes(EnvId::CartPole, 5);
+        let _ = cpu().evaluate(&pop, EnvId::CartPole, &ScenarioSpec::fixed(7, 4));
     }
 
     #[test]
@@ -1949,104 +1448,10 @@ mod tests {
     #[test]
     fn builder_backends_match_direct_construction() {
         let pop = genomes(EnvId::CartPole, 8);
-        let mut direct = CpuBackend::default();
         let mut built = BackendKind::Cpu.builder().threads(2).build();
-        let a = eval(&mut direct, &pop, EnvId::CartPole, 5);
+        let a = eval(&mut cpu(), &pop, EnvId::CartPole, 5);
         let b = eval(&mut built, &pop, EnvId::CartPole, 5);
-        assert_eq!(a.fitnesses, b.fitnesses);
-    }
-
-    #[cfg(not(feature = "fast-math"))]
-    #[test]
-    fn batched_eval_is_bit_identical_to_scalar() {
-        // Odd population sizes exercise shard remainders; 1/4/8
-        // threads exercise single-batch and multi-batch sharding.
-        for env in [EnvId::CartPole, EnvId::LunarLander, EnvId::Pendulum] {
-            let pop = genomes(env, 13);
-            for threads in [1usize, 4, 8] {
-                let mut scalar = CpuBackend::default();
-                let mut batched = CpuBackend::with_threads(SwCostModel::default(), threads);
-                let a = scalar
-                    .try_evaluate_population(&pop, env, 7)
-                    .expect("scalar eval succeeds");
-                let b = batched
-                    .try_evaluate_population_batched(&pop, env, 7)
-                    .expect("batched eval succeeds");
-                assert_eq!(
-                    a, b,
-                    "{env:?} batched@{threads} threads diverged from scalar"
-                );
-            }
-        }
-    }
-
-    #[cfg(not(feature = "fast-math"))]
-    #[test]
-    fn batched_gpu_pricing_matches_scalar_gpu() {
-        let pop = genomes(EnvId::CartPole, 9);
-        let mut scalar = GpuBackend::default();
-        let mut batched = GpuBackend::default();
-        let a = scalar
-            .try_evaluate_population(&pop, EnvId::CartPole, 11)
-            .expect("scalar eval succeeds");
-        let b = batched
-            .try_evaluate_population_batched(&pop, EnvId::CartPole, 11)
-            .expect("batched eval succeeds");
-        assert_eq!(a, b, "GPU cost model must price plans identically");
-    }
-
-    #[test]
-    fn batched_entry_point_works_on_every_backend_kind() {
-        let pop = genomes(EnvId::CartPole, 6);
-        for kind in BackendKind::ALL {
-            let mut scalar = kind.builder().build();
-            let mut batched = kind.builder().build();
-            let a = scalar
-                .try_evaluate_population(&pop, EnvId::CartPole, 7)
-                .expect("scalar eval succeeds");
-            let b = batched
-                .try_evaluate_population_batched(&pop, EnvId::CartPole, 7)
-                .expect("batched eval succeeds");
-            assert_eq!(a.fitnesses, b.fitnesses, "{kind} batched fitness diverged");
-            assert_eq!(a.steps_per_genome, b.steps_per_genome);
-        }
-    }
-
-    #[test]
-    fn batched_recurrent_genome_reports_lowest_index() {
-        let mut pop = genomes(EnvId::CartPole, 5);
-        pop[1] = make_cyclic(&pop[1]);
-        pop[3] = make_cyclic(&pop[3]);
-        for threads in [1usize, 4] {
-            let mut backend = CpuBackend::with_threads(SwCostModel::default(), threads);
-            let err = backend
-                .try_evaluate_population_batched(&pop, EnvId::CartPole, 7)
-                .expect_err("cyclic genome must be rejected");
-            match err {
-                EvalError::NotFeedForward { genome_index, .. } => {
-                    assert_eq!(genome_index, 1, "lowest-indexed failure wins")
-                }
-                other => panic!("expected NotFeedForward, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn batched_eval_traces_shard_and_episode_spans() {
-        let pop = genomes(EnvId::CartPole, 6);
-        let mut cpu = CpuBackend::default();
-        let tracer = Tracer::enabled();
-        cpu.set_tracer(tracer.clone());
-        cpu.try_evaluate_population_batched(&pop, EnvId::CartPole, 3)
-            .expect("batched eval succeeds");
-        let spans = tracer.spans();
-        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-        assert!(names.contains(&"shard"), "shard spans recorded");
-        assert_eq!(
-            names.iter().filter(|n| **n == "episode").count(),
-            pop.len(),
-            "one episode span per genome"
-        );
+        assert_eq!(a, b);
     }
 
     /// Adds a recurrent self-loop on an output node, producing a
@@ -2068,136 +1473,30 @@ mod tests {
     }
 
     #[test]
-    fn recurrent_genome_reports_not_feed_forward() {
-        // Build a genome with a cycle: a feed-forward decode must fail
-        // with EvalError::NotFeedForward rather than panic.
-        let mut pop = genomes(EnvId::CartPole, 3);
-        pop[1] = make_cyclic(&pop[1]);
-        for kind in BackendKind::ALL {
-            let mut backend = kind.builder().build();
-            let err = backend
-                .try_evaluate_population(&pop, EnvId::CartPole, 7)
-                .expect_err("cyclic genome must be rejected");
-            match err {
-                EvalError::NotFeedForward { genome_index, .. } => {
-                    assert_eq!(
-                        genome_index, 1,
-                        "index points at the cyclic genome ({kind})"
-                    )
-                }
-                other => panic!("expected NotFeedForward, got {other:?}"),
-            }
-        }
-    }
-
-    /// A non-vanilla spec: K worlds from the moderate distribution
-    /// with genome-major episode seeds, exactly as the platform
-    /// resolves one generation.
-    fn spec(k: usize, population: usize) -> ScenarioSpec {
-        use crate::scenario::ScenarioConfig;
-        use e3_envs::ScenarioDistribution;
-        let config = ScenarioConfig::default()
-            .train(ScenarioDistribution::moderate())
-            .scenarios_per_eval(k);
-        ScenarioSpec::for_generation(&config, 42, 3, population)
-    }
-
-    #[test]
-    fn all_backends_agree_on_scenario_fitness() {
-        let pop = genomes(EnvId::CartPole, 9);
-        let spec = spec(3, pop.len());
-        let mut cpu = CpuBackend::default();
-        let mut gpu = GpuBackend::default();
-        let mut inax = InaxBackend::new(
-            InaxConfig::builder().num_pu(4).num_pe(2).build(),
-            SwCostModel::default(),
-        );
-        let a = cpu
-            .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &spec)
-            .expect("cpu scenario eval succeeds");
-        let b = gpu
-            .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &spec)
-            .expect("gpu scenario eval succeeds");
-        let c = inax
-            .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &spec)
-            .expect("inax scenario eval succeeds");
-        assert_eq!(a.fitnesses, b.fitnesses);
-        assert_eq!(a.fitnesses, c.fitnesses);
-        assert_eq!(a.steps_per_genome, c.steps_per_genome);
-        assert_eq!(a.total_steps, c.total_steps);
-    }
-
-    #[cfg(not(feature = "fast-math"))]
-    #[test]
-    fn batched_scenario_eval_is_bit_identical_to_scalar() {
-        // Odd population exercises shard remainders; 1/4/8 threads
-        // exercise single- and multi-shard lane packing.
-        for env in [EnvId::CartPole, EnvId::Pendulum] {
-            let pop = genomes(env, 7);
-            let sp = spec(3, pop.len());
-            let mut scalar = CpuBackend::default();
-            let a = scalar
-                .try_evaluate_population_scenarios(&pop, env, &sp)
-                .expect("scalar scenario eval succeeds");
-            for threads in [1usize, 4, 8] {
-                let mut batched = CpuBackend::with_threads(SwCostModel::default(), threads);
-                let b = batched
-                    .try_evaluate_population_scenarios_batched(&pop, env, &sp)
-                    .expect("batched scenario eval succeeds");
-                assert_eq!(
-                    a.fitnesses, b.fitnesses,
-                    "{env:?} scenario batched@{threads} threads diverged from scalar"
-                );
-                assert_eq!(a.steps_per_genome, b.steps_per_genome);
-                assert_eq!(a.total_steps, b.total_steps);
-            }
-        }
-    }
-
-    #[cfg(not(feature = "fast-math"))]
-    #[test]
-    fn single_default_scenario_with_shared_seed_matches_legacy_kernel() {
-        // Hand-build a K=1 spec that replays the legacy schedule
-        // exactly (default params, one shared episode seed): the
-        // scenario kernels must reproduce the legacy kernel
-        // bit-for-bit. The platform's real K=1 spec uses per-genome
-        // scenario_seed streams instead, which is why the vanilla
-        // gate bypasses the scenario path rather than running K=1
-        // through it.
-        use e3_envs::ScenarioParams;
-        let pop = genomes(EnvId::CartPole, 5);
-        let sp = ScenarioSpec {
-            params: vec![ScenarioParams::default()],
-            episode_seeds: vec![7; pop.len()],
-            aggregation: FitnessAggregation::Mean,
-        };
-        let mut scenario = CpuBackend::default();
-        let mut legacy = CpuBackend::default();
-        let a = scenario
-            .try_evaluate_population_scenarios(&pop, EnvId::CartPole, &sp)
-            .expect("scenario eval succeeds");
-        let b = legacy
-            .try_evaluate_population(&pop, EnvId::CartPole, 7)
-            .expect("legacy eval succeeds");
-        assert_eq!(a.fitnesses, b.fitnesses);
-        assert_eq!(a.steps_per_genome, b.steps_per_genome);
-    }
-
-    #[test]
-    fn scenario_eval_rejects_recurrent_genomes_with_lowest_index() {
+    fn recurrent_genomes_are_rejected_lowest_index_first() {
+        // A feed-forward decode must fail with a typed error rather
+        // than panic, and with two offenders in different shards the
+        // lower index wins on every kernel at any thread count.
         let mut pop = genomes(EnvId::CartPole, 5);
         pop[1] = make_cyclic(&pop[1]);
         pop[3] = make_cyclic(&pop[3]);
-        let sp = spec(2, pop.len());
-        let mut backend = CpuBackend::with_threads(SwCostModel::default(), 2);
-        let err = backend
-            .try_evaluate_population_scenarios_batched(&pop, EnvId::CartPole, &sp)
-            .expect_err("cyclic genome must be rejected");
-        match err {
-            EvalError::NotFeedForward { genome_index, .. } => {
-                assert_eq!(genome_index, 1, "lowest-indexed failure wins")
+        let check = |label: String, result: Result<EvalOutcome, EvalError>| match result {
+            Err(EvalError::NotFeedForward { genome_index, .. }) => {
+                assert_eq!(genome_index, 1, "{label}: lowest-indexed failure wins")
             }
-            other => panic!("expected NotFeedForward, got {other:?}"),
+            other => panic!("{label}: expected NotFeedForward, got {other:?}"),
+        };
+        for spec in [ScenarioSpec::fixed(7, pop.len()), sampled(2, pop.len())] {
+            for threads in [1usize, 4] {
+                for route in [Route::PerGenome, Route::Lockstep] {
+                    let mut backend = cpu().with_threads(threads);
+                    let result = backend.evaluate_via(route, &pop, EnvId::CartPole, &spec);
+                    check(format!("{route}@{threads}"), result);
+                }
+                let mut backend = inax(2, 2).with_threads(threads);
+                let result = backend.evaluate(&pop, EnvId::CartPole, &spec);
+                check(format!("inax@{threads}"), result);
+            }
         }
     }
 }

@@ -1,12 +1,11 @@
 //! batch — population-major batched evaluation throughput and parity.
 //!
 //! Reproduction-specific companion to [`crate::experiments::exec`]:
-//! measures [`crate::EvalBackend::try_evaluate_population_batched`]
-//! (the `PlanBatch` + `BatchEnv` lockstep kernel) against the scalar
-//! per-individual path on the CPU backend, across worker-thread
-//! counts, and re-checks that every batched run reproduces the scalar
-//! serial run's fitnesses and episode lengths bit for bit (the
-//! determinism contract the batch API redesign pins).
+//! measures the software backend's [`Route::Lockstep`] kernel
+//! (`PlanBatch` + `BatchEnv`) against its [`Route::PerGenome`] kernel
+//! on E3-CPU, across worker-thread counts, and re-checks that every
+//! run reproduces the per-genome serial run's fitnesses and episode
+//! lengths bit for bit (the determinism contract both routes share).
 //!
 //! The workload is the generation-0 population the platform actually
 //! evaluates first: small dense genomes whose per-step cost is
@@ -14,9 +13,10 @@
 //! per-step observation allocation, dynamic dispatch) that the batched
 //! kernel amortizes across lanes.
 
-use crate::backend::{CpuBackend, EvalBackend, EvalOutcome};
+use crate::backend::{EvalOutcome, Route, SoftwareBackend};
 use crate::experiments::Scale;
 use crate::platform::RunError;
+use crate::scenario::ScenarioSpec;
 use crate::timing::SwCostModel;
 use e3_envs::EnvId;
 use e3_neat::{Genome, NeatConfig, Population};
@@ -27,32 +27,13 @@ use std::time::Instant;
 /// Worker counts the batched sweep visits.
 pub const THREAD_SWEEP: [usize; 3] = [1, 4, 8];
 
-/// Evaluation mode of one measurement row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EvalMode {
-    /// Per-individual scalar path (`try_evaluate_population`).
-    Scalar,
-    /// Population-major batched path
-    /// (`try_evaluate_population_batched`).
-    Batched,
-}
-
-impl fmt::Display for EvalMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            EvalMode::Scalar => "scalar",
-            EvalMode::Batched => "batched",
-        })
-    }
-}
-
 /// One `(environment, mode, thread count)` measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchBenchRow {
     /// Environment.
     pub env: EnvId,
-    /// Which evaluation entry point was timed.
-    pub mode: EvalMode,
+    /// Which evaluation route was timed.
+    pub mode: Route,
     /// Worker threads ("virtual PUs").
     pub threads: usize,
     /// Minimum wall-clock seconds of one generation evaluation over
@@ -94,7 +75,7 @@ impl BatchBenchResult {
     pub fn batched_speedup(&self, env: EnvId, threads: usize) -> f64 {
         self.rows
             .iter()
-            .find(|r| r.env == env && r.mode == EvalMode::Batched && r.threads == threads)
+            .find(|r| r.env == env && r.mode == Route::Lockstep && r.threads == threads)
             .map_or(0.0, |r| r.speedup_vs_scalar_serial)
     }
 
@@ -113,22 +94,20 @@ fn generation_zero(env: EnvId, population: usize, seed: u64) -> Vec<Genome> {
     Population::new(config, seed).genomes().to_vec()
 }
 
-/// Times one evaluation entry point: a warm call first (decode caches,
+/// Times one evaluation route: a warm call first (decode caches,
 /// page-in), then `rounds` timed calls keeping the minimum — the
 /// robust estimator against scheduler noise. Returns the outcome (for
 /// parity) and the minimum wall seconds.
 fn time_eval(
-    backend: &mut CpuBackend,
-    mode: EvalMode,
+    backend: &mut SoftwareBackend,
+    mode: Route,
     genomes: &[Genome],
     env: EnvId,
     seed: u64,
     rounds: usize,
 ) -> Result<(EvalOutcome, f64), RunError> {
-    let call = |backend: &mut CpuBackend| match mode {
-        EvalMode::Scalar => backend.try_evaluate_population(genomes, env, seed),
-        EvalMode::Batched => backend.try_evaluate_population_batched(genomes, env, seed),
-    };
+    let spec = ScenarioSpec::fixed(seed, genomes.len());
+    let call = |backend: &mut SoftwareBackend| backend.evaluate_via(mode, genomes, env, &spec);
     let outcome = call(backend)?;
     let mut wall = f64::INFINITY;
     for _ in 0..rounds {
@@ -158,12 +137,13 @@ pub fn run_on(envs: &[EnvId], scale: Scale, seed: u64) -> Result<BatchBenchResul
         let genomes = generation_zero(env, population, seed);
         // Scalar serial is the reference both for speedups and for the
         // bitwise parity check.
-        let mut serial = CpuBackend::new(SwCostModel::default());
+        let mut serial = SoftwareBackend::cpu(SwCostModel::default());
         let (reference, serial_wall) =
-            time_eval(&mut serial, EvalMode::Scalar, &genomes, env, seed, rounds)?;
-        for mode in [EvalMode::Scalar, EvalMode::Batched] {
+            time_eval(&mut serial, Route::PerGenome, &genomes, env, seed, rounds)?;
+        for mode in [Route::PerGenome, Route::Lockstep] {
             for threads in THREAD_SWEEP {
-                let mut backend = CpuBackend::with_threads(SwCostModel::default(), threads);
+                let mut backend =
+                    SoftwareBackend::cpu(SwCostModel::default()).with_threads(threads);
                 let (outcome, wall) = time_eval(&mut backend, mode, &genomes, env, seed, rounds)?;
                 let matches = outcome.fitnesses.len() == reference.fitnesses.len()
                     && outcome
@@ -210,19 +190,19 @@ impl fmt::Display for BatchBenchResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "batch — population-major batched eval vs scalar (CPU backend, \
+            "batch — lockstep vs per-genome software eval (CPU backend, \
              population {}, min of {} rounds)",
             self.population, self.rounds
         )?;
         writeln!(
             f,
-            "  {:<22} {:>8} {:>7} {:>11} {:>9} {:>11} {:>8} {:>5}",
+            "  {:<22} {:>10} {:>7} {:>11} {:>9} {:>11} {:>8} {:>5}",
             "env", "mode", "threads", "eval wall", "steps", "steps/s", "speedup", "bits"
         )?;
         for row in &self.rows {
             writeln!(
                 f,
-                "  {:<22} {:>8} {:>7} {:>10.4}s {:>9} {:>11.0} {:>7.2}x {:>5}",
+                "  {:<22} {:>10} {:>7} {:>10.4}s {:>9} {:>11.0} {:>7.2}x {:>5}",
                 row.env.to_string(),
                 row.mode.to_string(),
                 row.threads,

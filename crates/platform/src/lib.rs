@@ -4,20 +4,25 @@
 //! the CPU and offloads the heavy "evaluate" phase to a pluggable
 //! backend:
 //!
-//! * [`CpuBackend`] — the paper's E3-CPU baseline: software inference
-//!   with an interpreted-runtime cost model (the original system runs
-//!   `neat-python`);
+//! * [`SoftwareBackend`] under [`Pricing::Cpu`] — the paper's E3-CPU
+//!   baseline: software inference with an interpreted-runtime cost
+//!   model (the original system runs `neat-python`);
 //! * [`InaxBackend`] — the paper's E3-INAX: the cycle-level INAX
 //!   simulator behind DMA channels, with cycles converted to seconds
 //!   at the configured clock;
-//! * [`GpuBackend`] — the paper's E3-GPU reference: an analytical GPU
-//!   execution model dominated by kernel-launch and transfer overheads
-//!   on small, irregular, per-individual workloads.
+//! * [`SoftwareBackend`] under [`Pricing::Gpu`] — the paper's E3-GPU
+//!   reference: the same software evaluation timed by an analytical
+//!   GPU model dominated by kernel-launch and transfer overheads on
+//!   small, irregular, per-individual workloads.
 //!
-//! All three backends compute **identical fitness values** for
-//! identical seeds (the environments and networks are deterministic),
-//! so runtime/energy comparisons are apples-to-apples — exactly the
-//! paper's experimental design.
+//! All three compute **identical fitness values** for identical seeds
+//! (the environments and networks are deterministic), so
+//! runtime/energy comparisons are apples-to-apples — exactly the
+//! paper's experimental design. They share one entry point,
+//! [`EvalBackend::evaluate`], which takes the population, the
+//! environment, and a [`ScenarioSpec`] naming the worlds and episode
+//! seeds every genome faces; evaluating on the fixed default
+//! environment is the spec [`ScenarioSpec::fixed`].
 //!
 //! The [`experiments`] module contains one driver per table and figure
 //! of the paper's evaluation; the `e3-bench` crate exposes them as a
@@ -84,8 +89,8 @@ pub mod scenario;
 pub mod timing;
 
 pub use backend::{
-    AnyBackend, BackendBuilder, BackendKind, CpuBackend, EvalBackend, EvalError, EvalOutcome,
-    GpuBackend, InaxBackend, ParseBackendKindError,
+    AnyBackend, BackendBuilder, BackendKind, EvalBackend, EvalError, EvalOutcome, InaxBackend,
+    ParseBackendKindError, Pricing, Route, SoftwareBackend,
 };
 pub use checkpoint::{fingerprint, RunState};
 pub use design_space::{sweep_design_space, sweep_design_space_with, DesignPoint, DesignSweep};
@@ -99,6 +104,6 @@ pub use fpga::{FpgaBudget, FpgaResources};
 pub use platform::{E3Config, E3ConfigBuilder, E3Platform, FunctionProfile, RunError, RunOutcome};
 pub use scenario::{
     aggregate_fitness, holdout_plan, FitnessAggregation, HoldoutConfig, ScenarioConfig,
-    ScenarioSpec, HOLDOUT_EPISODE_STREAM, HOLDOUT_PARAM_STREAM, PARAM_STREAM,
+    ScenarioSpec, SpecError, HOLDOUT_EPISODE_STREAM, HOLDOUT_PARAM_STREAM, PARAM_STREAM,
 };
 pub use timing::{GpuCostModel, SwCostModel};

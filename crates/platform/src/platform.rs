@@ -12,7 +12,7 @@
 use crate::backend::{run_software_episode, AnyBackend, BackendKind, EvalBackend, EvalError};
 use crate::checkpoint::{fingerprint, RunState};
 use crate::energy::PowerModel;
-use crate::scenario::{holdout_plan, ScenarioConfig, ScenarioSpec};
+use crate::scenario::{holdout_plan, ScenarioConfig};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::EnvId;
 use e3_exec::{ExecStatsState, JitConfig, SharedExecutor};
@@ -203,10 +203,10 @@ pub struct E3Config {
     /// genome faces per generation, which distribution they are drawn
     /// from, how per-scenario fitnesses aggregate, and the optional
     /// held-out generalization pass. The default is *vanilla* —
-    /// `K = 1` with default [`e3_envs::ScenarioParams`] — which takes
-    /// the legacy evaluation path and is bit-identical to
-    /// configurations that predate this field (old JSON deserializes
-    /// via `serde(default)`).
+    /// `K = 1` with default [`e3_envs::ScenarioParams`] — which
+    /// evaluates under [`crate::ScenarioSpec::fixed`] and is
+    /// bit-identical to configurations that predate this field (old
+    /// JSON deserializes via `serde(default)`).
     #[serde(default)]
     pub scenario: ScenarioConfig,
     /// Tiered-execution policy: when enabled, genomes that stay hot in
@@ -458,9 +458,11 @@ impl E3Platform {
         }
         let mut backend = builder.build();
         if config.jit.enabled {
-            // Install the tier policy before the first evaluation.
-            // Disabled configs skip the call entirely, so their
-            // executors never see a policy message.
+            // Install the tier policy before the first evaluation (on
+            // the software backends this also selects the per-genome
+            // route, the one that can run native code). Disabled
+            // configs skip the call entirely, so their executors never
+            // see a policy message.
             backend.set_jit(config.jit);
         }
         let population = Population::new(config.neat.clone(), seed);
@@ -758,54 +760,19 @@ impl E3Platform {
         // identical trajectories) while exposing evolution to varied
         // start states — important for flat-reward tasks like
         // MountainCar where a single fixed condition stalls progress.
-        // The batched entry point is bit-identical to the scalar one
-        // (software backends run the population-major kernel, INAX its
-        // wave loop), so the platform always takes it. A vanilla
-        // scenario config (K = 1, default params, mean aggregation)
-        // keeps the legacy path verbatim so pre-scenario runs stay
-        // bit-identical; anything else builds a per-generation
-        // ScenarioSpec and routes through the scenario kernels. The
-        // legacy episode-seed counter advances either way so toggling
-        // the holdout pass (or a later config edit) never shifts the
-        // vanilla schedule.
-        // With the JIT tier enabled the vanilla route takes the scalar
-        // per-genome entry point instead: the batched SoA kernel runs
-        // plans lockstep and cannot host per-genome native code, while
-        // the scalar loop consults the tiered decode cache. The two
-        // entry points are bit-identical (see `repro batch`), so the
-        // switch shifts only speed and telemetry.
-        let outcome = if self.config.scenario.is_vanilla() {
-            if self.config.jit.enabled {
-                self.backend.try_evaluate_population(
-                    &genomes,
-                    self.config.env,
-                    self.episode_seed,
-                )?
-            } else {
-                self.backend.try_evaluate_population_batched(
-                    &genomes,
-                    self.config.env,
-                    self.episode_seed,
-                )?
-            }
-        } else {
-            let spec = ScenarioSpec::for_generation(
-                &self.config.scenario,
-                self.seed,
-                self.generation as u64,
-                genomes.len(),
-            );
-            if self.config.jit.enabled {
-                self.backend.try_evaluate_population_scenarios_scalar(
-                    &genomes,
-                    self.config.env,
-                    &spec,
-                )?
-            } else {
-                self.backend
-                    .try_evaluate_population_scenarios(&genomes, self.config.env, &spec)?
-            }
-        };
+        // The scenario config resolves that schedule into the
+        // generation's spec; which kernel then runs it is the
+        // backend's business. The episode-seed counter advances
+        // whether or not the spec used it, so a config that starts
+        // (or stops) sampling scenarios never shifts the fixed
+        // schedule.
+        let spec = self.config.scenario.spec_for(
+            self.seed,
+            self.generation as u64,
+            self.episode_seed,
+            genomes.len(),
+        );
+        let outcome = self.backend.evaluate(&genomes, self.config.env, &spec)?;
         self.episode_seed = self.episode_seed.wrapping_add(1);
         self.profile.evaluate += outcome.eval_seconds;
         self.profile.env += outcome.env_seconds;
@@ -1407,10 +1374,10 @@ mod tests {
     }
 
     #[test]
-    fn default_scenario_config_reproduces_legacy_run_bitwise() {
+    fn explicit_default_scenario_config_matches_the_implicit_one() {
         // The scenario field defaults to vanilla; a config that spells
         // the default out explicitly must reproduce the implicit one
-        // bit-for-bit (both take the legacy evaluation path).
+        // bit-for-bit (both resolve to the fixed seed schedule).
         let implicit = E3Platform::new(small(EnvId::CartPole), BackendKind::Cpu, 5)
             .run()
             .unwrap();

@@ -30,21 +30,35 @@
 //! real genome index, so reserved streams and per-genome streams can
 //! never alias.
 //!
-//! ## The vanilla gate
+//! ## Two seed schedules, one kernel
 //!
-//! [`ScenarioConfig::is_vanilla`] is the bit-identity switch: with one
-//! scenario, default train parameters, and mean aggregation, the
-//! platform takes the legacy fixed-env evaluation path verbatim —
-//! same episode-seed schedule, same FP operation order, bit-identical
-//! populations and telemetry to the pre-scenario platform. The
-//! held-out pass is deliberately **excluded** from the gate: it is
+//! Every evaluation — fixed-env or distributional — is a
+//! [`ScenarioSpec`] handed to `EvalBackend::evaluate`; there is no
+//! separate fixed-env kernel. What a config chooses is only *which
+//! spec* a generation resolves to ([`ScenarioConfig::spec_for`]):
+//!
+//! * A **vanilla** config ([`ScenarioConfig::is_vanilla`]: one
+//!   scenario, default train parameters, mean aggregation) resolves to
+//!   [`ScenarioSpec::fixed`]: one default world and the platform's
+//!   per-generation episode-seed counter shared by every genome. This
+//!   is the schedule every run used before scenario distributions
+//!   existed, so old configs, checkpoints and golden fixtures keep
+//!   reproducing bit for bit (`crates/islands/tests/scenario_parity.rs`
+//!   pins it).
+//! * Anything else resolves to [`ScenarioSpec::for_generation`]: K
+//!   sampled worlds and per-`(genome, scenario)` seeds from the scheme
+//!   above.
+//!
+//! The held-out pass is deliberately **not** part of the choice: it is
 //! read-only (it never touches the population, the episode-seed
-//! schedule, or the modeled-time profile), so enabling holdout alone
-//! keeps training on the legacy path.
+//! counter, or the modeled-time profile), so enabling holdout alone
+//! leaves training on the fixed schedule.
 
 use e3_envs::{ScenarioDistribution, ScenarioParams};
 use e3_exec::rng::scenario_seed;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::Arc;
 
 /// Genome-coordinate salt for sampling *training* scenario parameters
 /// (shared by the whole population).
@@ -74,10 +88,12 @@ pub enum FitnessAggregation {
 
 /// Collapses per-scenario fitnesses into one value.
 ///
-/// `Mean` sums in scenario order (the exact FP sequence both the
-/// scalar and batched kernels produce). `CVaR` sorts a copy ascending
+/// `Mean` sums in scenario order (the exact FP sequence every
+/// kernel produces). `CVaR` sorts a copy ascending
 /// by `total_cmp` and averages the worst `ceil(alpha * K)` entries
-/// (at least one).
+/// (at least one). A lone fitness (`K = 1`) is returned as is under
+/// either aggregation — bit for bit, which is what lets a
+/// [`ScenarioSpec::fixed`] evaluation stand in for a fixed-env one.
 ///
 /// # Panics
 ///
@@ -87,6 +103,9 @@ pub fn aggregate_fitness(per_scenario: &[f64], aggregation: FitnessAggregation) 
         !per_scenario.is_empty(),
         "cannot aggregate zero scenario fitnesses"
     );
+    if let [only] = per_scenario {
+        return *only;
+    }
     match aggregation {
         FitnessAggregation::Mean => per_scenario.iter().sum::<f64>() / per_scenario.len() as f64,
         FitnessAggregation::CVaR { alpha } => {
@@ -230,16 +249,34 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// The legacy fixed-env contract: one scenario, default train
-    /// parameters, mean aggregation — the platform takes the
-    /// pre-scenario evaluation path verbatim and results are
-    /// bit-identical to it. Holdout is deliberately not consulted: the
-    /// held-out pass is read-only, so it never moves training off the
-    /// legacy path.
+    /// The fixed-env contract: one scenario, default train
+    /// parameters, mean aggregation. Such a config evaluates under
+    /// [`ScenarioSpec::fixed`] (see [`ScenarioConfig::spec_for`]).
+    /// Holdout is deliberately not consulted: the held-out pass is
+    /// read-only, so it never moves training off the fixed schedule.
     pub fn is_vanilla(&self) -> bool {
         self.scenarios_per_eval <= 1
             && self.train.is_default()
             && self.aggregation == FitnessAggregation::Mean
+    }
+
+    /// Resolves one generation's evaluation plan. This is the only
+    /// place the two seed schedules fork: a vanilla config replays
+    /// `episode_seed` (the platform's per-generation counter) for every
+    /// genome in the default world; any other config samples its worlds
+    /// and seeds from `(run_seed, generation)`.
+    pub fn spec_for(
+        &self,
+        run_seed: u64,
+        generation: u64,
+        episode_seed: u64,
+        population: usize,
+    ) -> ScenarioSpec {
+        if self.is_vanilla() {
+            ScenarioSpec::fixed(episode_seed, population)
+        } else {
+            ScenarioSpec::for_generation(self, run_seed, generation, population)
+        }
     }
 
     /// Sets the training distribution.
@@ -281,23 +318,87 @@ impl ScenarioConfig {
     }
 }
 
-/// One generation's fully resolved evaluation plan under a scenario
-/// distribution: the K sampled worlds, the genome-major episode-seed
-/// matrix, and the aggregation — everything a backend needs to run a
-/// multi-scenario evaluation deterministically.
+/// Why a [`ScenarioSpec`] could not be built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// No scenario parameters: every genome needs at least one world.
+    NoScenarios,
+    /// The episode-seed matrix is not a whole number of `K`-wide rows.
+    RaggedSeeds {
+        /// Episode seeds supplied.
+        seeds: usize,
+        /// Scenarios per genome (`K`).
+        scenarios: usize,
+    },
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::NoScenarios => f.write_str("a scenario spec needs at least one scenario"),
+            SpecError::RaggedSeeds { seeds, scenarios } => write!(
+                f,
+                "{seeds} episode seeds do not form genome-major rows of {scenarios} scenarios"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+/// One fully resolved evaluation request: the K worlds every genome
+/// faces, the genome-major episode-seed matrix, and the aggregation —
+/// everything a backend needs to evaluate a population
+/// deterministically. The invariant `K ≥ 1` and
+/// `episode_seeds.len() == population × K` holds by construction, and
+/// the spec is cheap to clone (shard tasks on every worker share it).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Sampled scenario parameters, one per scenario (shared across
-    /// genomes).
-    pub params: Vec<ScenarioParams>,
-    /// Episode seeds in genome-major order:
-    /// `episode_seeds[genome * K + scenario]`.
-    pub episode_seeds: Vec<u64>,
-    /// How per-scenario fitnesses collapse per genome.
-    pub aggregation: FitnessAggregation,
+    params: Arc<[ScenarioParams]>,
+    episode_seeds: Arc<[u64]>,
+    aggregation: FitnessAggregation,
 }
 
 impl ScenarioSpec {
+    /// Builds a spec from explicit parts: one parameter set per
+    /// scenario (shared across genomes) and episode seeds in
+    /// genome-major order (`episode_seeds[genome * K + scenario]`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError`] if `params` is empty or `episode_seeds`
+    /// is not a multiple of `params.len()` long.
+    pub fn new(
+        params: Vec<ScenarioParams>,
+        episode_seeds: Vec<u64>,
+        aggregation: FitnessAggregation,
+    ) -> Result<Self, SpecError> {
+        if params.is_empty() {
+            return Err(SpecError::NoScenarios);
+        }
+        if !episode_seeds.len().is_multiple_of(params.len()) {
+            return Err(SpecError::RaggedSeeds {
+                seeds: episode_seeds.len(),
+                scenarios: params.len(),
+            });
+        }
+        Ok(ScenarioSpec {
+            params: params.into(),
+            episode_seeds: episode_seeds.into(),
+            aggregation,
+        })
+    }
+
+    /// The fixed-env request: every one of `population` genomes runs a
+    /// single episode of the default world from `episode_seed`.
+    pub fn fixed(episode_seed: u64, population: usize) -> Self {
+        ScenarioSpec {
+            params: vec![ScenarioParams::default()].into(),
+            episode_seeds: vec![episode_seed; population].into(),
+            aggregation: FitnessAggregation::Mean,
+        }
+    }
+
     /// Resolves `config` for one generation of a `population`-sized
     /// run: samples the K training worlds and derives every
     /// `(genome, scenario)` episode seed. Identical inputs produce an
@@ -317,15 +418,37 @@ impl ScenarioSpec {
             }
         }
         ScenarioSpec {
-            params,
-            episode_seeds,
+            params: params.into(),
+            episode_seeds: episode_seeds.into(),
             aggregation: config.aggregation,
         }
     }
 
-    /// Number of scenarios per genome.
+    /// Number of scenarios per genome (`K ≥ 1`).
     pub fn scenarios(&self) -> usize {
         self.params.len()
+    }
+
+    /// Number of genomes the seed matrix covers.
+    pub fn population(&self) -> usize {
+        self.episode_seeds.len() / self.params.len()
+    }
+
+    /// The sampled worlds, one per scenario (shared across genomes).
+    pub fn params(&self) -> &[ScenarioParams] {
+        &self.params
+    }
+
+    /// Episode seeds of `genomes` (a range of population indices),
+    /// genome-major: `K` consecutive seeds per genome.
+    pub fn episode_seeds(&self, genomes: std::ops::Range<usize>) -> &[u64] {
+        let k = self.scenarios();
+        &self.episode_seeds[genomes.start * k..genomes.end * k]
+    }
+
+    /// How per-scenario fitnesses collapse per genome.
+    pub fn aggregation(&self) -> FitnessAggregation {
+        self.aggregation
     }
 }
 
@@ -413,17 +536,79 @@ mod tests {
         let a = ScenarioSpec::for_generation(&config, 42, 7, 5);
         let b = ScenarioSpec::for_generation(&config, 42, 7, 5);
         assert_eq!(a, b);
-        assert_eq!(a.params.len(), 3);
-        assert_eq!(a.episode_seeds.len(), 15);
+        assert_eq!(a.scenarios(), 3);
+        assert_eq!(a.population(), 5);
+        assert_eq!(a.episode_seeds(2..3), &a.episode_seeds(0..5)[6..9]);
         // Every (genome, scenario) cell is distinct.
-        let mut seeds = a.episode_seeds.clone();
+        let mut seeds = a.episode_seeds(0..5).to_vec();
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 15, "episode seeds collide");
         // Different generation ⇒ different worlds and seeds.
         let c = ScenarioSpec::for_generation(&config, 42, 8, 5);
-        assert_ne!(a.params, c.params);
-        assert_ne!(a.episode_seeds, c.episode_seeds);
+        assert_ne!(a.params(), c.params());
+        assert_ne!(a.episode_seeds(0..5), c.episode_seeds(0..5));
+    }
+
+    #[test]
+    fn fixed_spec_is_one_default_world_with_a_shared_seed() {
+        let spec = ScenarioSpec::fixed(7, 4);
+        assert_eq!(spec.params(), &[ScenarioParams::default()]);
+        assert_eq!(spec.episode_seeds(0..4), &[7; 4]);
+        assert_eq!(spec.aggregation(), FitnessAggregation::Mean);
+        assert_eq!(
+            ScenarioSpec::new(
+                vec![ScenarioParams::default()],
+                vec![7; 4],
+                FitnessAggregation::Mean
+            ),
+            Ok(spec)
+        );
+        // Only a vanilla config resolves to it; holdout does not count.
+        let vanilla =
+            ScenarioConfig::default().holdout(HoldoutConfig::new(ScenarioDistribution::shifted()));
+        assert_eq!(vanilla.spec_for(42, 3, 7, 4), ScenarioSpec::fixed(7, 4));
+        let k2 = ScenarioConfig::default().scenarios_per_eval(2);
+        assert_eq!(
+            k2.spec_for(42, 3, 7, 4),
+            ScenarioSpec::for_generation(&k2, 42, 3, 4)
+        );
+    }
+
+    #[test]
+    fn malformed_specs_are_rejected() {
+        let world = ScenarioParams::default();
+        assert_eq!(
+            ScenarioSpec::new(Vec::new(), Vec::new(), FitnessAggregation::Mean),
+            Err(SpecError::NoScenarios)
+        );
+        let ragged = ScenarioSpec::new(vec![world; 3], vec![1; 7], FitnessAggregation::Mean);
+        assert_eq!(
+            ragged,
+            Err(SpecError::RaggedSeeds {
+                seeds: 7,
+                scenarios: 3
+            })
+        );
+        assert!(ragged.unwrap_err().to_string().contains("7 episode seeds"));
+        // An empty population is a valid (if idle) request.
+        let empty = ScenarioSpec::new(vec![world; 3], Vec::new(), FitnessAggregation::Mean);
+        assert_eq!(empty.map(|spec| spec.population()), Ok(0));
+    }
+
+    #[test]
+    fn a_lone_scenario_fitness_aggregates_to_itself_bitwise() {
+        for fitness in [-0.0f64, 0.1 + 0.2, -123.456, f64::MIN_POSITIVE] {
+            for aggregation in [
+                FitnessAggregation::Mean,
+                FitnessAggregation::CVaR { alpha: 0.25 },
+            ] {
+                assert_eq!(
+                    aggregate_fitness(&[fitness], aggregation).to_bits(),
+                    fitness.to_bits()
+                );
+            }
+        }
     }
 
     #[test]
@@ -436,7 +621,7 @@ mod tests {
         let plan = holdout_plan(&holdout, 42, 3);
         for (_, holdout_seed) in &plan {
             assert!(
-                !spec.episode_seeds.contains(holdout_seed),
+                !spec.episode_seeds(0..8).contains(holdout_seed),
                 "holdout episode seed collided with a training seed"
             );
         }

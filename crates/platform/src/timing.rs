@@ -15,7 +15,7 @@
 //! runtime (Fig. 1(b)), and a GPU that *loses* to the CPU on small
 //! irregular workloads (Fig. 9(b)).
 
-use e3_neat::{Genome, NetPlan, Network};
+use e3_neat::{Genome, NetPlan};
 use serde::{Deserialize, Serialize};
 
 /// Cost model of the interpreted software runtime (CPU-side NEAT).
@@ -59,14 +59,9 @@ pub struct SwCostModel {
 }
 
 impl SwCostModel {
-    /// Modeled software time for one inference of `net`.
-    pub fn inference_seconds(&self, net: &Network) -> f64 {
-        self.inference_seconds_plan(net.plan())
-    }
-
-    /// Modeled software time for one inference of a compiled `plan` —
-    /// the same cost, priced without decoding a [`Network`], so the
-    /// batched eval path charges bit-identically to the scalar path.
+    /// Modeled software time for one inference of a compiled `plan`.
+    /// Every evaluation route prices the plan, never a decoded
+    /// network, so they all charge bit-identically.
     pub fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
         self.sec_per_inference
             + plan.num_nodes() as f64 * self.sec_per_node_eval
@@ -136,15 +131,8 @@ pub struct GpuCostModel {
 }
 
 impl GpuCostModel {
-    /// Modeled GPU time for one inference of `net`: the irregular
-    /// network executes as its dense per-level counterpart.
-    pub fn inference_seconds(&self, net: &Network) -> f64 {
-        self.inference_seconds_plan(net.plan())
-    }
-
-    /// Modeled GPU time for one inference of a compiled `plan` (see
-    /// [`GpuCostModel::inference_seconds`]); bit-identical to pricing
-    /// the decoded network.
+    /// Modeled GPU time for one inference of a compiled `plan`: the
+    /// irregular network executes as its dense per-level counterpart.
     pub fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
         let levels = plan.num_compute_levels() as f64;
         let widths = plan.level_widths();
@@ -177,19 +165,18 @@ mod tests {
     use super::*;
     use e3_neat::{Genome, InnovationTracker};
 
-    fn tiny_net() -> Network {
+    fn tiny_plan() -> NetPlan {
         let mut tracker = InnovationTracker::with_reserved_nodes(3);
         let mut g = Genome::bare(2, 1);
         g.add_connection(0, 2, 1.0, &mut tracker).unwrap();
         g.add_connection(1, 2, 1.0, &mut tracker).unwrap();
-        g.decode().unwrap()
+        g.decode().unwrap().plan().clone()
     }
 
     #[test]
     fn sw_inference_scales_with_size() {
         let model = SwCostModel::default();
-        let net = tiny_net();
-        let t = model.inference_seconds(&net);
+        let t = model.inference_seconds_plan(&tiny_plan());
         assert!(t > model.sec_per_inference);
         assert!(t < 1e-3, "a tiny net is fast even interpreted");
     }
@@ -197,25 +184,10 @@ mod tests {
     #[test]
     fn gpu_is_slower_than_sw_for_tiny_irregular_nets() {
         // The inversion that makes E3-GPU lose (Fig. 9(b)).
-        let net = tiny_net();
-        let sw = SwCostModel::default().inference_seconds(&net);
-        let gpu = GpuCostModel::default().inference_seconds(&net);
+        let plan = tiny_plan();
+        let sw = SwCostModel::default().inference_seconds_plan(&plan);
+        let gpu = GpuCostModel::default().inference_seconds_plan(&plan);
         assert!(gpu > 10.0 * sw, "GPU {gpu} must be launch-bound vs SW {sw}");
-    }
-
-    #[test]
-    fn plan_pricing_is_bit_identical_to_network_pricing() {
-        let net = tiny_net();
-        let sw = SwCostModel::default();
-        let gpu = GpuCostModel::default();
-        assert_eq!(
-            sw.inference_seconds(&net).to_bits(),
-            sw.inference_seconds_plan(net.plan()).to_bits()
-        );
-        assert_eq!(
-            gpu.inference_seconds(&net).to_bits(),
-            gpu.inference_seconds_plan(net.plan()).to_bits()
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The determinism contract of the batched evaluation API: for any
-//! backend, seed, environment, and worker-thread count,
-//! `try_evaluate_population_batched` is bit-identical to the scalar
-//! serial `try_evaluate_population` — same fitness vectors, same
-//! episode lengths, same modeled seconds. The population-major kernel
+//! The determinism contract of the software backend's two routes: for
+//! either pricing, any seed, environment, scenario spec and
+//! worker-thread count, `Route::Lockstep` is bit-identical to the
+//! serial `Route::PerGenome` — same fitness vectors, same episode
+//! lengths, same modeled seconds. The population-major kernel
 //! (`PlanBatch` + `BatchEnv` lockstep stepping with lane parking) is a
 //! pure execution-layout change; results must never depend on batch
 //! composition or sharding.
@@ -11,11 +11,11 @@
 //! forfeited by design, so these tests compile out.
 #![cfg(not(feature = "fast-math"))]
 
-use e3_envs::EnvId;
+use e3_envs::{EnvId, ScenarioDistribution};
 use e3_neat::{Genome, NeatConfig, Population};
 use e3_platform::{
-    BackendKind, CpuBackend, E3Config, E3Platform, EvalBackend, EvalOutcome, GpuBackend,
-    SwCostModel,
+    BackendKind, E3Config, E3Platform, EvalOutcome, GpuCostModel, Route, ScenarioConfig,
+    ScenarioSpec, SoftwareBackend, SwCostModel,
 };
 use proptest::prelude::*;
 
@@ -56,64 +56,86 @@ fn assert_outcomes_bit_identical(a: &EvalOutcome, b: &EvalOutcome, what: &str) {
     assert_eq!(a.total_steps, b.total_steps, "{what}: total steps");
 }
 
+/// The two requests the platform issues: the fixed-env schedule (one
+/// default world, one shared seed) and a sampled K = 3 generation.
+fn specs(seed: u64, population: usize) -> [ScenarioSpec; 2] {
+    let sampled = ScenarioConfig::default()
+        .train(ScenarioDistribution::moderate())
+        .scenarios_per_eval(3);
+    [
+        ScenarioSpec::fixed(seed, population),
+        ScenarioSpec::for_generation(&sampled, seed, 0, population),
+    ]
+}
+
+/// Checks `Route::Lockstep` at every thread count against the serial
+/// `Route::PerGenome` reference, for every spec.
+fn assert_lockstep_matches_per_genome(
+    make: fn() -> SoftwareBackend,
+    genomes: &[Genome],
+    env: EnvId,
+    seed: u64,
+) {
+    for spec in specs(seed, genomes.len()) {
+        let reference = make()
+            .evaluate_via(Route::PerGenome, genomes, env, &spec)
+            .expect("evolved populations are feed-forward");
+        for threads in THREADS {
+            let mut backend = make().with_threads(threads);
+            let outcome = backend
+                .evaluate_via(Route::Lockstep, genomes, env, &spec)
+                .expect("lockstep eval succeeds");
+            let what = format!("{env} K={} lockstep@{threads}", spec.scenarios());
+            assert_outcomes_bit_identical(&reference, &outcome, &what);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// CPU backend: the batched kernel at 1/4/8 workers reproduces the
-    /// scalar serial evaluation bit for bit on heterogeneous evolved
-    /// populations, for arbitrary seeds and odd population sizes.
+    /// E3-CPU: the lockstep kernel at 1/4/8 workers reproduces the
+    /// per-genome serial evaluation bit for bit on heterogeneous
+    /// evolved populations, for arbitrary seeds and odd population
+    /// sizes.
     #[test]
-    fn cpu_batched_matches_scalar_serial(
+    fn cpu_lockstep_matches_per_genome_serial(
         seed in any::<u64>(),
         pop_size in 5usize..20,
         generations in 0usize..4,
     ) {
         for env in ENVS {
             let genomes = evolved_population(env, pop_size, seed, generations);
-            let mut scalar = CpuBackend::new(SwCostModel::default());
-            let reference = scalar
-                .try_evaluate_population(&genomes, env, seed)
-                .expect("evolved populations are feed-forward");
-            for threads in THREADS {
-                let mut batched = CpuBackend::with_threads(SwCostModel::default(), threads);
-                let outcome = batched
-                    .try_evaluate_population_batched(&genomes, env, seed)
-                    .expect("batched eval succeeds");
-                assert_outcomes_bit_identical(
-                    &reference,
-                    &outcome,
-                    &format!("{env} batched@{threads}"),
-                );
-            }
+            assert_lockstep_matches_per_genome(
+                || SoftwareBackend::cpu(SwCostModel::default()),
+                &genomes,
+                env,
+                seed,
+            );
         }
     }
 
-    /// GPU backend: same contract, with the launch-bound cost model
-    /// priced on plans instead of decoded networks.
+    /// E3-GPU: same contract under the launch-bound cost model.
     #[test]
-    fn gpu_batched_matches_scalar_serial(
+    fn gpu_lockstep_matches_per_genome_serial(
         seed in any::<u64>(),
         pop_size in 4usize..12,
     ) {
         let genomes = evolved_population(EnvId::CartPole, pop_size, seed, 2);
-        let mut scalar = GpuBackend::default();
-        let reference = scalar
-            .try_evaluate_population(&genomes, EnvId::CartPole, seed)
-            .expect("evolved populations are feed-forward");
-        let mut batched = GpuBackend::default();
-        let outcome = batched
-            .try_evaluate_population_batched(&genomes, EnvId::CartPole, seed)
-            .expect("batched eval succeeds");
-        assert_outcomes_bit_identical(&reference, &outcome, "gpu batched");
+        assert_lockstep_matches_per_genome(
+            || SoftwareBackend::gpu(SwCostModel::default(), GpuCostModel::default()),
+            &genomes,
+            EnvId::CartPole,
+            seed,
+        );
     }
 }
 
-/// The whole platform loop — which now always calls the batched entry
-/// point — stays bit-identical across worker-thread counts on every
-/// backend kind, including INAX (whose batched default routes through
-/// its wave loop).
+/// The whole platform loop — whose software backends take the lockstep
+/// route by default — stays bit-identical across worker-thread counts
+/// on every backend kind, including INAX and its wave loop.
 #[test]
-fn platform_runs_are_thread_invariant_through_the_batched_path() {
+fn platform_runs_are_thread_invariant_through_the_default_route() {
     for kind in BackendKind::ALL {
         let mut reference = None;
         for threads in THREADS {

@@ -5,6 +5,7 @@ use e3_envs::EnvId;
 use e3_platform::telemetry::{Collector, MemoryCollector, NdjsonWriter, TelemetryEvent, Tracer};
 use e3_platform::{
     BackendKind, CheckpointPolicy, E3Config, E3Platform, EvalBackend, EvalError, RunError,
+    ScenarioSpec,
 };
 use proptest::prelude::*;
 
@@ -437,7 +438,7 @@ fn recurrent_genome_surfaces_as_run_error() {
 
     let mut backend = BackendKind::Cpu.builder().build();
     let err = backend
-        .try_evaluate_population(&[cyclic], EnvId::CartPole, 0)
+        .evaluate(&[cyclic], EnvId::CartPole, &ScenarioSpec::fixed(0, 1))
         .expect_err("cycle must be rejected");
     match err {
         EvalError::NotFeedForward { genome_index, .. } => assert_eq!(genome_index, 0),

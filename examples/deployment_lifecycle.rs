@@ -19,9 +19,9 @@ use e3::inax::IrregularNet;
 use e3::neat::{DecodeError, NeatConfig, Population, PopulationSnapshot};
 
 /// Fallible population evaluation, mirroring the platform's
-/// `try_evaluate_population`: a malformed genome surfaces as a typed
+/// `EvalBackend::evaluate`: a malformed genome surfaces as a typed
 /// error instead of a panic.
-fn try_evaluate_population(
+fn evaluate_population(
     population: &mut Population,
     env: &mut dyn Environment,
     seed: u64,
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut population = Population::new(config, 21);
     let mut env = CartPole::new();
     for generation in 0..30 {
-        let best = try_evaluate_population(&mut population, &mut env, 500 + generation)?;
+        let best = evaluate_population(&mut population, &mut env, 500 + generation)?;
         if best >= 475.0 {
             println!("learned cartpole in {generation} generations (best {best})");
             break;
@@ -60,11 +60,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tuned = restored.restore(99);
     // The deployed plant differs: noisy sensors, half-rate control.
     let mut shifted = ActionRepeat::new(ObservationNoise::new(CartPole::new(), 0.1), 3);
-    let before = try_evaluate_population(&mut tuned, &mut shifted, 900)?;
+    let before = evaluate_population(&mut tuned, &mut shifted, 900)?;
     let mut after = before;
     for generation in 0..20 {
         tuned.evolve();
-        after = try_evaluate_population(&mut tuned, &mut shifted, 900 + generation)?;
+        after = evaluate_population(&mut tuned, &mut shifted, 900 + generation)?;
         if after >= 240.0 {
             break;
         }

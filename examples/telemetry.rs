@@ -7,7 +7,7 @@
 //! ```
 
 use e3::envs::EnvId;
-use e3::platform::{BackendKind, E3Config, E3Platform, EvalBackend};
+use e3::platform::{BackendKind, E3Config, E3Platform, EvalBackend, ScenarioSpec};
 use e3::telemetry::{Collector, MemoryCollector, NdjsonWriter};
 
 fn main() {
@@ -65,7 +65,7 @@ fn main() {
         .population()
         .genomes()
         .to_vec();
-    match backend.try_evaluate_population(&genomes, env, 1042) {
+    match backend.evaluate(&genomes, env, &ScenarioSpec::fixed(1042, genomes.len())) {
         Ok(eval) => {
             let best = eval.fitnesses.iter().cloned().fold(f64::MIN, f64::max);
             println!(

@@ -12,10 +12,20 @@ cargo test -q --offline
 echo "== examples build =="
 cargo build --release --offline --examples
 
-echo "== exec determinism: parity at 1 and 4 worker threads =="
-# The parity property test covers 2/4/8 threads internally; the repro
-# binary re-checks end-to-end that --threads does not change results.
-cargo test -q --offline -p e3-platform --test exec_parity
+echo "== parity gates: threads, routes, resume, telemetry, scenarios, jit =="
+# The crate-level suites the tier-1 command does not reach. Together
+# they pin that results depend on nothing but (config, backend, seed):
+# not on thread count (exec_parity covers 2/4/8 internally), software
+# route (batch_parity), a kill-and-resume (resume_parity), any installed
+# collector or tracer (telemetry_parity), or execution tier
+# (jit_parity) — and scenario_parity holds default-config runs to the
+# golden captured before the fixed-env kernels were folded into
+# ScenarioSpec::fixed. The repro binary then re-checks end to end that
+# --threads does not change results.
+cargo test -q --offline -p e3-platform \
+    --test exec_parity --test batch_parity --test resume_parity --test telemetry_parity
+cargo test -q --offline -p e3-islands --test scenario_parity
+cargo test -q --offline -p e3-jit --test jit_parity
 out1=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend cpu --threads 1 --json)
 out4=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend cpu --threads 4 --json)
 if [ "$out1" != "$out4" ]; then
@@ -145,6 +155,26 @@ if [ "$ref" != "$resumed" ]; then
     echo "error: resumed run diverged from the uninterrupted reference" >&2
     exit 1
 fi
+
+echo "== benchmark/: the instrument still builds and checks out =="
+# benchmark/ is a package of its own that links against the platform
+# API; nothing else in this script compiles it. Build it and run two
+# one-second workloads (the fixed-env default route and the K=4
+# scenario route). The single-workload form writes neither
+# BENCHMARK.json nor benchmark/history.ndjson; its last stdout line
+# must report every output check passed and no generation failed.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+for workload in cartpole_default lander_k4; do
+    last=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$last" in
+        *'"correct":true,'*'"failed":0,'*) ;;
+        *)
+            echo "error: benchmark workload $workload did not check out: $last" >&2
+            exit 1
+            ;;
+    esac
+done
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -2,7 +2,7 @@
 
 use e3::envs::EnvId;
 use e3::inax::InaxConfig;
-use e3::platform::{BackendKind, E3Config, E3Platform, EvalBackend, PowerModel};
+use e3::platform::{BackendKind, E3Config, E3Platform, EvalBackend, PowerModel, ScenarioSpec};
 use e3::telemetry::MemoryCollector;
 
 fn quick_config(env: EnvId) -> E3Config {
@@ -140,8 +140,9 @@ fn backend_builder_matches_platform_backends() {
     let mut platform = E3Platform::new(config, BackendKind::Inax, 9);
     let genomes = platform.population().genomes().to_vec();
     // The platform derives its first episode seed as `seed + 1000`.
+    let spec = ScenarioSpec::fixed(9 + 1000, genomes.len());
     let outcome = backend
-        .try_evaluate_population(&genomes, EnvId::CartPole, 9 + 1000)
+        .evaluate(&genomes, EnvId::CartPole, &spec)
         .expect("fresh populations are feed-forward");
     let best_direct = outcome.fitnesses.iter().cloned().fold(f64::MIN, f64::max);
     let best_platform = platform.step_generation().unwrap();
