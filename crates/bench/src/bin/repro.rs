@@ -11,7 +11,9 @@
 //! single evolve/evaluate run on one env/backend; `--threads N` shards
 //! the evaluation across N worker threads with bit-identical results).
 //! `exec` sweeps the worker-thread count and writes the measured
-//! scaling to `BENCH_exec.json`; `plan` times the CSR `NetPlan`
+//! scaling to `BENCH_exec.json` (its CPU rows report no decode-cache
+//! reuse: the lockstep route compiles each plan once without a
+//! lookup); `plan` times the CSR `NetPlan`
 //! executor against the preserved per-node reference, re-checks
 //! threaded repro parity, and writes `BENCH_plan.json` (nonzero exit
 //! on parity failure); `batch` times the lockstep (population-major)

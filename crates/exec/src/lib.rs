@@ -31,14 +31,15 @@
 //! into many concurrent runs (multi-run time-slicing for the islands
 //! service).
 //!
-//! Each worker keeps a [`DecodeCache`] of compiled `NetPlan`s so
-//! unchanged elites and champions skip genome→plan compilation across
-//! generations — the same cache feeds the software executors and the
-//! hardware lowering paths. Under an enabled [`JitConfig`] the cache
-//! additionally *tiers* execution: entries that stay hot across
-//! lookups are promoted to natively compiled code ([`TierExec`],
-//! backed by `e3-jit`), with the interpreter remaining the bit-exact
-//! oracle and permanent fallback.
+//! Each worker keeps a [`DecodeCache`] of compiled `NetPlan`s for the
+//! task kernels to whom an entry is worth more than a recompile (a
+//! fingerprint lookup costs about as much as compiling the plan, so
+//! kernels that need only the plan compile it themselves — see the
+//! cache's module docs). Under an enabled [`JitConfig`] the cache
+//! *tiers* execution: entries that stay hot across lookups are
+//! promoted to natively compiled code ([`TierExec`], backed by
+//! `e3-jit`), with the interpreter remaining the bit-exact oracle and
+//! permanent fallback.
 
 #![warn(missing_docs)]
 

@@ -95,7 +95,23 @@ pub struct NetPlan {
     outputs: Vec<u32>,
 }
 
+#[cfg(debug_assertions)]
+thread_local! {
+    static COMPILES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl NetPlan {
+    /// Debug builds only: how many times [`NetPlan::compile`] has run
+    /// on the calling thread. The one-compile-per-genome-per-generation
+    /// guard (`crates/platform/tests/one_compile.rs`) reads it around a
+    /// serial-executor step, where every lowering — the kernels' and
+    /// any the driver might grow back — happens on the test's thread.
+    #[cfg(debug_assertions)]
+    #[doc(hidden)]
+    pub fn compiles_on_this_thread() -> u64 {
+        COMPILES.with(std::cell::Cell::get)
+    }
+
     /// Compiles a genome: resolves node dependencies, topologically
     /// sorts (Kahn, level = longest path from any source), and packs
     /// the result into the flat CSR layout.
@@ -106,6 +122,8 @@ impl NetPlan {
     /// cyclic, or [`DecodeError::DanglingConnection`] if a connection
     /// references a missing node.
     pub fn compile(genome: &Genome) -> Result<Self, DecodeError> {
+        #[cfg(debug_assertions)]
+        COMPILES.with(|count| count.set(count.get() + 1));
         let genome_nodes = genome.nodes();
         let index_of =
             |id: NodeId| -> Option<usize> { genome_nodes.binary_search_by_key(&id, |n| n.id).ok() };

@@ -5,7 +5,9 @@
 //! layer (Fig. 4(f)), and population density across generations
 //! (Fig. 4(g)), plus average node/connection counts (Table V).
 
+use crate::error::DecodeError;
 use crate::genome::Genome;
+use crate::plan::NetPlan;
 use serde::{Deserialize, Serialize};
 
 /// A simple integer histogram with mean/max accessors.
@@ -75,11 +77,40 @@ impl Histogram {
     }
 }
 
+/// One network's structural shape — everything [`ComplexityStats`]
+/// folds — read off the [`NetPlan`] its evaluation compiled, so no
+/// statistic needs a second CreateNet.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PlanShape {
+    in_degrees: Vec<usize>,
+    level_widths: Vec<usize>,
+    density: f64,
+    nodes: usize,
+    connections: usize,
+}
+
+impl PlanShape {
+    /// The shape of `plan`.
+    pub fn of(plan: &NetPlan) -> Self {
+        PlanShape {
+            in_degrees: plan.in_degrees(),
+            level_widths: plan.level_widths(),
+            density: plan.density(),
+            // Table V counts hidden + output nodes ("nodes" the HW must
+            // compute) plus inputs; we count all nodes like the paper's
+            // MLP node counts do.
+            nodes: plan.num_nodes(),
+            connections: plan.num_connections(),
+        }
+    }
+}
+
 /// Rolling structural statistics over the generations of a NEAT run.
 ///
 /// Feed every generation's population through
-/// [`ComplexityStats::record_generation`]; read the aggregates after the
-/// run.
+/// [`ComplexityStats::record_shapes`] (or the compile-it-for-me
+/// convenience [`ComplexityStats::record_generation`]); read the
+/// aggregates after the run.
 ///
 /// # Example
 ///
@@ -90,11 +121,12 @@ impl Histogram {
 /// let mut pop = Population::new(NeatConfig::builder(2, 1).population_size(10).build(), 1);
 /// let mut stats = ComplexityStats::new();
 /// for _ in 0..3 {
-///     stats.record_generation(pop.genomes());
+///     stats.record_generation(pop.genomes())?;
 ///     pop.evaluate(|g| g.num_enabled_connections() as f64);
 ///     pop.evolve();
 /// }
 /// assert!(stats.avg_nodes() > 0.0);
+/// # Ok::<(), e3_neat::DecodeError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ComplexityStats {
@@ -111,33 +143,49 @@ impl ComplexityStats {
         Self::default()
     }
 
-    /// Records one generation's population.
-    pub fn record_generation(&mut self, genomes: &[Genome]) {
+    /// Records one generation from its networks' shapes, one per
+    /// genome in population order — the order fixes the floating-point
+    /// summation of the density mean. An empty generation records
+    /// nothing.
+    pub fn record_shapes(&mut self, shapes: &[PlanShape]) {
+        if shapes.is_empty() {
+            return;
+        }
         let mut density_sum = 0.0;
-        let mut density_n = 0usize;
         let mut nodes_sum = 0.0;
         let mut conns_sum = 0.0;
-        for genome in genomes {
-            let Ok(net) = genome.decode() else { continue };
-            for d in net.in_degrees() {
+        for shape in shapes {
+            for &d in &shape.in_degrees {
                 self.degree_histogram.record(d);
             }
-            for w in net.level_widths() {
+            for &w in &shape.level_widths {
                 self.layer_width_histogram.record(w);
             }
-            density_sum += net.density();
-            density_n += 1;
-            // Table V counts hidden + output nodes ("nodes" the HW must
-            // compute) plus inputs; we count all nodes like the paper's
-            // MLP node counts do.
-            nodes_sum += net.num_nodes() as f64;
-            conns_sum += net.num_connections() as f64;
+            density_sum += shape.density;
+            nodes_sum += shape.nodes as f64;
+            conns_sum += shape.connections as f64;
         }
-        if density_n > 0 {
-            self.density_trace.push(density_sum / density_n as f64);
-            self.node_counts.push(nodes_sum / density_n as f64);
-            self.connection_counts.push(conns_sum / density_n as f64);
-        }
+        let n = shapes.len() as f64;
+        self.density_trace.push(density_sum / n);
+        self.node_counts.push(nodes_sum / n);
+        self.connection_counts.push(conns_sum / n);
+    }
+
+    /// Compiles every genome and records the generation — for callers
+    /// with no evaluation at hand whose plans they could reuse.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`DecodeError`] of the first genome that is not
+    /// feed-forward and records nothing: a generation that could not
+    /// be evaluated leaves no complexity sample.
+    pub fn record_generation(&mut self, genomes: &[Genome]) -> Result<(), DecodeError> {
+        let shapes = genomes
+            .iter()
+            .map(|genome| NetPlan::compile(genome).map(|plan| PlanShape::of(&plan)))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.record_shapes(&shapes);
+        Ok(())
     }
 
     /// In-degree histogram across all recorded networks (Fig. 4(e)).
@@ -217,7 +265,9 @@ mod tests {
         let mut pop = Population::new(config, 2);
         let mut stats = ComplexityStats::new();
         for _ in 0..4 {
-            stats.record_generation(pop.genomes());
+            stats
+                .record_generation(pop.genomes())
+                .expect("NEAT populations are feed-forward");
             pop.evaluate(|g| g.num_hidden() as f64);
             pop.evolve();
         }
@@ -226,5 +276,33 @@ mod tests {
         assert!(stats.avg_nodes() >= 5.0, "at least the 5 fixed IO nodes");
         assert!(stats.avg_connections() > 0.0);
         assert!(stats.degree_histogram().total() > 0);
+    }
+
+    #[test]
+    fn an_undecodable_genome_fails_the_generation_and_records_nothing() {
+        let config = NeatConfig::builder(2, 1).population_size(4).build();
+        let mut genomes = Population::new(config, 5).genomes().to_vec();
+        let mut stats = ComplexityStats::new();
+        stats.record_generation(&genomes).expect("feed-forward");
+        let before = stats.clone();
+        // A self-loop on the output node: evaluation rejects such a
+        // population, so it must leave no sample either — not a mean
+        // over the genomes that happened to decode.
+        let mut tracker = crate::InnovationTracker::with_reserved_nodes(3);
+        genomes[2]
+            .add_connection_unchecked(2, 2, 0.5, &mut tracker)
+            .expect("self-loop is structurally new");
+        assert!(matches!(
+            stats.record_generation(&genomes),
+            Err(DecodeError::Cycle(_))
+        ));
+        assert_eq!(stats, before);
+    }
+
+    #[test]
+    fn an_empty_generation_records_nothing() {
+        let mut stats = ComplexityStats::new();
+        stats.record_shapes(&[]);
+        assert_eq!(stats.generations(), 0);
     }
 }

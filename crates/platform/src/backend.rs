@@ -32,6 +32,7 @@ use e3_exec::{
     SharedExecutor, WorkerScratch,
 };
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, IrregularNet, UtilizationBreakdown};
+use e3_neat::stats::PlanShape;
 use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan, PlanBatch};
 use e3_telemetry::{SpanGuard, SpanTimer, Tracer};
 use serde::{Deserialize, Serialize};
@@ -168,6 +169,10 @@ pub struct EvalOutcome {
     pub env_seconds: f64,
     /// Total environment steps across the generation.
     pub total_steps: u64,
+    /// Structural shape per genome, in population order, read off the
+    /// plan its evaluation compiled — what the platform's complexity
+    /// statistics fold, so CreateNet runs once per genome.
+    pub shapes: Vec<PlanShape>,
     /// Accelerator accounting (INAX backend only).
     pub hw_report: Option<EpisodeRunReport>,
     /// Cycle-level per-PU/per-PE utilization accounting (INAX backend
@@ -438,20 +443,35 @@ impl fmt::Display for Route {
     }
 }
 
-/// Per-genome `(fitness, steps, inference_seconds)` row of a software
-/// evaluation, or the decode failure for that genome.
-type SoftwareRow = Result<(f64, u64, f64), DecodeFailure>;
+/// One genome's row of a software evaluation.
+struct GenomeRow {
+    fitness: f64,
+    steps: u64,
+    inference_seconds: f64,
+    shape: PlanShape,
+}
 
-/// One genome's row from its K per-scenario results: the aggregated
-/// fitness, the summed episode lengths, and the inference seconds those
-/// steps cost. Both software kernels reduce through this one
-/// expression, which is what keeps them bit-identical.
-fn software_row(job: &EvalJob, fits: &[f64], steps: u64, per_inference: f64) -> SoftwareRow {
-    Ok((
-        aggregate_fitness(fits, job.spec.aggregation()),
+/// A genome's row, or the decode failure that sank its shard.
+type SoftwareRow = Result<GenomeRow, DecodeFailure>;
+
+/// One genome's row from its plan and its K per-scenario results: the
+/// aggregated fitness, the summed episode lengths, the inference
+/// seconds those steps cost, and the plan's shape (once per genome,
+/// however many lanes ran it). Both software kernels reduce through
+/// this one expression, which is what keeps them bit-identical.
+fn software_row(
+    job: &EvalJob,
+    pricing: Pricing,
+    plan: &NetPlan,
+    fits: &[f64],
+    steps: u64,
+) -> SoftwareRow {
+    Ok(GenomeRow {
+        fitness: aggregate_fitness(fits, job.spec.aggregation()),
         steps,
-        per_inference * steps as f64,
-    ))
+        inference_seconds: pricing.inference_seconds(plan) * steps as f64,
+        shape: PlanShape::of(plan),
+    })
 }
 
 /// [`Route::PerGenome`] kernel for one shard: decode each genome
@@ -484,7 +504,6 @@ fn per_genome_shard(
                 .cache()
                 .get_or_tiered(&job.pop[i])
                 .map_err(|reason| (i, reason))?;
-            let per_inference = pricing.inference_seconds(tier.plan());
             let mut genome_steps = 0u64;
             let seeds = job.spec.episode_seeds(i..i + 1);
             for (s, (env, &seed)) in envs.iter_mut().zip(seeds).enumerate() {
@@ -496,7 +515,7 @@ fn per_genome_shard(
                 fits[s] = fitness;
                 genome_steps += steps;
             }
-            software_row(job, &fits, genome_steps, per_inference)
+            software_row(job, pricing, tier.plan(), &fits, genome_steps)
         })
         .collect()
 }
@@ -505,38 +524,27 @@ fn per_genome_shard(
 /// (genome-major, each genome's plan replicated K times) stepped
 /// together until every lane has parked.
 ///
+/// Plans are compiled here, not fetched from the worker's decode
+/// cache: a lookup costs a whole-genome fingerprint, about as much as
+/// the compile it might save, and only a generation's few survivors
+/// could hit (see `e3_exec`'s cache docs).
+///
 /// Bit-identical to [`per_genome_shard`]: each lane's FP op order
 /// matches its solo episode, parked lanes contribute nothing, and rows
 /// reduce through the same [`software_row`].
-fn lockstep_shard(
-    job: &EvalJob,
-    pricing: Pricing,
-    scratch: &mut WorkerScratch,
-    range: Range<usize>,
-) -> Vec<SoftwareRow> {
+fn lockstep_shard(job: &EvalJob, pricing: Pricing, range: Range<usize>) -> Vec<SoftwareRow> {
     let _shard_span = job.shard_span("start", range.start, range.len());
     let k = job.spec.scenarios();
-    // Decode every resident up front. The cache hands out borrows tied
-    // to `&mut self`, so plans are cloned out before batching. The
-    // executor wants one row per item even on failure: an `Err` at the
-    // first (lowest-indexed) failing genome, inert rows elsewhere.
-    let mut plans = Vec::with_capacity(range.len());
-    for i in range.clone() {
-        match scratch.cache().get_or_plan(&job.pop[i]) {
-            Ok(plan) => plans.push(plan.clone()),
-            Err(reason) => {
-                return range
-                    .map(|j| {
-                        if j == i {
-                            Err((i, reason.clone()))
-                        } else {
-                            Ok((0.0, 0, 0.0))
-                        }
-                    })
-                    .collect();
-            }
-        }
-    }
+    let compiled: Result<Vec<NetPlan>, DecodeFailure> = range
+        .clone()
+        .map(|i| NetPlan::compile(&job.pop[i]).map_err(|reason| (i, reason)))
+        .collect();
+    let plans = match compiled {
+        Ok(plans) => plans,
+        // The executor wants one row per item even on failure: every
+        // row names the shard's first (lowest-indexed) failing genome.
+        Err(failure) => return range.map(|_| Err(failure.clone())).collect(),
+    };
     // Lane layout: lane = local_genome * K + scenario.
     let lanes = plans.len() * k;
     let plan_refs: Vec<&NetPlan> = plans
@@ -585,8 +593,7 @@ fn lockstep_shard(
         .map(|(g, plan)| {
             let cells = g * k..(g + 1) * k;
             let genome_steps: u64 = steps[cells.clone()].iter().sum();
-            let per_inference = pricing.inference_seconds(plan);
-            software_row(job, &fitness[cells], genome_steps, per_inference)
+            software_row(job, pricing, plan, &fitness[cells], genome_steps)
         })
         .collect()
 }
@@ -660,29 +667,30 @@ impl SoftwareBackend {
         spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
         let pricing = self.pricing;
-        let kernel = match route {
-            Route::PerGenome => per_genome_shard,
-            Route::Lockstep => lockstep_shard,
-        };
         let shard_size = route.shard_size(genomes.len(), self.exec.workers());
         let run = EvalJob::new(genomes, env, spec, &self.tracer).run(
             &mut self.exec,
             genomes.len(),
             shard_size,
-            move |job, scratch, range| kernel(job, pricing, scratch, range),
+            move |job, scratch, range| match route {
+                Route::PerGenome => per_genome_shard(job, pricing, scratch, range),
+                Route::Lockstep => lockstep_shard(job, pricing, range),
+            },
         )?;
         self.last_exec = Some(run.stats);
         // Modeled seconds accumulate in population order (the serial
         // summation order), whatever the shard plan was.
         let mut fitnesses = Vec::with_capacity(run.results.len());
         let mut steps_per_genome = Vec::with_capacity(run.results.len());
+        let mut shapes = Vec::with_capacity(run.results.len());
         let mut eval_seconds = 0.0;
         let mut total_steps = 0u64;
-        for (fitness, steps, seconds) in run.results {
-            fitnesses.push(fitness);
-            steps_per_genome.push(steps);
-            eval_seconds += seconds;
-            total_steps += steps;
+        for row in run.results {
+            fitnesses.push(row.fitness);
+            steps_per_genome.push(row.steps);
+            shapes.push(row.shape);
+            eval_seconds += row.inference_seconds;
+            total_steps += row.steps;
         }
         Ok(EvalOutcome {
             fitnesses,
@@ -690,6 +698,7 @@ impl SoftwareBackend {
             eval_seconds,
             env_seconds: total_steps as f64 * self.sec_per_env_step,
             total_steps,
+            shapes,
             hw_report: None,
             hw_utilization: None,
         })
@@ -755,12 +764,13 @@ pub struct InaxBackend {
     tracer: Tracer,
 }
 
-/// Everything one INAX wave produces: per-resident fitness and episode
-/// lengths (summed over scenarios), and the wave's cycle accounting and
-/// utilization breakdown.
+/// Everything one INAX wave produces: per-resident fitness, episode
+/// lengths (summed over scenarios) and plan shape, and the wave's cycle
+/// accounting and utilization breakdown.
 struct WaveResult {
     fitnesses: Vec<f64>,
     steps: Vec<u64>,
+    shapes: Vec<PlanShape>,
     report: EpisodeRunReport,
     util: UtilizationBreakdown,
 }
@@ -804,13 +814,14 @@ impl InaxBackend {
 
 /// The INAX kernel for one wave: lower the residents through the
 /// worker's plan cache (genome→NetPlan compiles once per fingerprint
-/// and the hardware view is a direct copy of the plan, so unchanged
-/// elites skip CreateNet exactly like on the software backends), load
-/// them onto a private accelerator instance once, then run the
-/// lock-step episode loop once per scenario against fresh environments
-/// — weights stream onto the PUs a single time however many worlds the
-/// wave faces. Per-resident fitnesses aggregate exactly like the
-/// software kernels, so all backends agree bit for bit.
+/// and the hardware view is a direct copy of the plan; this kernel's
+/// host time is the cycle-level simulator's, so the lookup is kept
+/// where the lockstep kernel dropped it), load them onto a private
+/// accelerator instance once, then run the lock-step episode loop once
+/// per scenario against fresh environments — weights stream onto the
+/// PUs a single time however many worlds the wave faces. Per-resident
+/// fitnesses aggregate exactly like the software kernels, so all
+/// backends agree bit for bit.
 fn inax_wave(
     job: &EvalJob,
     config: &InaxConfig,
@@ -821,12 +832,14 @@ fn inax_wave(
     let base = wave * config.num_pu;
     let end = (base + config.num_pu).min(job.pop.len());
     let mut batch = Vec::with_capacity(end - base);
+    let mut shapes = Vec::with_capacity(end - base);
     for i in base..end {
-        let plan = scratch
+        let cached = scratch
             .cache()
-            .get_or_plan(&job.pop[i])
+            .get_or_tiered(&job.pop[i])
             .map_err(|reason| (i, reason))?;
-        batch.push(IrregularNet::from_plan(plan));
+        batch.push(IrregularNet::from_plan(cached.plan()));
+        shapes.push(PlanShape::of(cached.plan()));
     }
     let residents = batch.len();
     let mut wave_span = job.shard_span("wave", wave, residents);
@@ -880,6 +893,7 @@ fn inax_wave(
             .map(|fits| aggregate_fitness(fits, job.spec.aggregation()))
             .collect(),
         steps: steps_per_genome,
+        shapes,
         report: accelerator.report(),
         util: accelerator.utilization().clone(),
     })
@@ -914,11 +928,13 @@ impl EvalBackend for InaxBackend {
         // the accounting a single accelerator would have produced.
         let mut fitnesses = Vec::with_capacity(genomes.len());
         let mut steps_per_genome = Vec::with_capacity(genomes.len());
+        let mut shapes = Vec::with_capacity(genomes.len());
         let mut report = EpisodeRunReport::default();
         let mut util = UtilizationBreakdown::default();
         for wave in run.results {
             fitnesses.extend(wave.fitnesses);
             steps_per_genome.extend(wave.steps);
+            shapes.extend(wave.shapes);
             report.merge(&wave.report);
             util.merge(&wave.util);
         }
@@ -930,6 +946,7 @@ impl EvalBackend for InaxBackend {
             eval_seconds: self.config.cycles_to_seconds(report.total_cycles),
             env_seconds: total_steps as f64 * self.sw.sec_per_env_step,
             total_steps,
+            shapes,
             hw_report: Some(report),
             hw_utilization: Some(util),
         })
@@ -1265,6 +1282,7 @@ mod tests {
                 eval_seconds: 0.0,
                 env_seconds: 0.0,
                 total_steps: 0,
+                shapes: Vec::new(),
                 hw_report: None,
                 hw_utilization: None,
             })

@@ -4,10 +4,12 @@
 //! (`e3-exec`) over the same evolve/evaluate workload and reports, per
 //! environment and thread count, the measured evaluation wall time,
 //! the speedup over the serial reference, and the pool's observability
-//! counters (steals, decode-cache hit rate, worker utilization — the
-//! host-side `U(r)` analogue). Because the engine is deterministic by
-//! construction, the sweep also re-checks that every thread count
-//! reproduces the serial run's fitness bit for bit.
+//! counters (steals, worker utilization — the host-side `U(r)`
+//! analogue; no decode-cache column, because the CPU backend's lockstep
+//! route compiles each plan once and never consults the cache).
+//! Because the engine is deterministic by construction, the sweep also
+//! re-checks that every thread count reproduces the serial run's
+//! fitness bit for bit.
 
 use crate::backend::BackendKind;
 use crate::experiments::Scale;
@@ -34,8 +36,6 @@ pub struct ExecScalingRow {
     pub speedup_vs_serial: f64,
     /// Shards executed by a non-home worker, summed over generations.
     pub steal_count: u64,
-    /// Decode-cache hit rate across the whole run.
-    pub cache_hit_rate: f64,
     /// Mean fraction of pool wall time the workers were busy.
     pub worker_utilization: f64,
     /// Best fitness of the run (bit-identical across thread counts).
@@ -83,8 +83,6 @@ pub fn run_on(envs: &[EnvId], scale: Scale, seed: u64) -> Result<ExecScalingResu
                 E3Platform::new(config, BackendKind::Cpu, seed).run_with(&mut telemetry)?;
             let wall: f64 = telemetry.execs().map(|x| x.wall_seconds).sum();
             let steal_count: u64 = telemetry.execs().map(|x| x.steal_count).sum();
-            let hits: u64 = telemetry.execs().map(|x| x.cache_hits).sum();
-            let misses: u64 = telemetry.execs().map(|x| x.cache_misses).sum();
             let records = telemetry.execs().count().max(1) as f64;
             let utilization: f64 =
                 telemetry.execs().map(|x| x.worker_utilization).sum::<f64>() / records;
@@ -103,11 +101,6 @@ pub fn run_on(envs: &[EnvId], scale: Scale, seed: u64) -> Result<ExecScalingResu
                 eval_wall_seconds: wall,
                 speedup_vs_serial: if wall > 0.0 { serial_wall / wall } else { 1.0 },
                 steal_count,
-                cache_hit_rate: if hits + misses > 0 {
-                    hits as f64 / (hits + misses) as f64
-                } else {
-                    0.0
-                },
                 worker_utilization: utilization,
                 best_fitness: outcome.best_fitness,
             });
@@ -127,19 +120,18 @@ impl fmt::Display for ExecScalingResult {
         writeln!(f, "exec — evaluation-engine scaling (CPU backend)")?;
         writeln!(
             f,
-            "  {:<22} {:>7} {:>10} {:>8} {:>7} {:>10} {:>7}",
-            "env", "threads", "eval wall", "speedup", "steals", "cache hit", "util"
+            "  {:<22} {:>7} {:>10} {:>8} {:>7} {:>7}",
+            "env", "threads", "eval wall", "speedup", "steals", "util"
         )?;
         for row in &self.rows {
             writeln!(
                 f,
-                "  {:<22} {:>7} {:>9.3}s {:>7.2}x {:>7} {:>10} {:>7}",
+                "  {:<22} {:>7} {:>9.3}s {:>7.2}x {:>7} {:>7}",
                 row.env.to_string(),
                 row.threads,
                 row.eval_wall_seconds,
                 row.speedup_vs_serial,
                 row.steal_count,
-                crate::experiments::pct(row.cache_hit_rate),
                 crate::experiments::pct(row.worker_utilization)
             )?;
         }
@@ -147,6 +139,13 @@ impl fmt::Display for ExecScalingResult {
             f,
             "  note: wall-clock speedup requires free cores; results are \
              bit-identical at every thread count by construction"
+        )?;
+        writeln!(
+            f,
+            "  note: no cache-reuse column — these CPU rows run the lockstep \
+             route, which compiles each plan once and never consults the \
+             decode cache (see `benchmark/`'s exec.cache_hit_rate on the \
+             tiered and INAX workloads)"
         )
     }
 }

@@ -749,10 +749,12 @@ impl E3Platform {
         generation_span.arg("generation", self.generation as f64);
         // --- Evaluate phase (CreateNet + inference + env). ---
         let mut eval_span = self.tracer.start("eval", "platform");
-        let genomes = self.population.genomes().to_vec();
+        // Borrowed, not copied: the backend snapshots the population
+        // once for its workers, and nothing below touches
+        // `self.population` until the fitnesses are assigned.
+        let genomes = self.population.genomes();
         eval_span.arg("population", genomes.len() as f64);
-        self.complexity.record_generation(&genomes);
-        for genome in &genomes {
+        for genome in genomes {
             self.profile.createnet += self.config.sw.createnet_seconds_for(genome);
         }
         // Episode conditions follow a deterministic per-generation
@@ -772,8 +774,13 @@ impl E3Platform {
             self.episode_seed,
             genomes.len(),
         );
-        let outcome = self.backend.evaluate(&genomes, self.config.env, &spec)?;
+        let outcome = self.backend.evaluate(genomes, self.config.env, &spec)?;
         self.episode_seed = self.episode_seed.wrapping_add(1);
+        // Complexity statistics fold the shapes of the plans the
+        // evaluation compiled — no second CreateNet on this thread —
+        // and a generation whose evaluation failed (the `?` above)
+        // leaves no sample.
+        self.complexity.record_shapes(&outcome.shapes);
         self.profile.evaluate += outcome.eval_seconds;
         self.profile.env += outcome.env_seconds;
         if let Some(report) = outcome.hw_report {
@@ -1087,6 +1094,35 @@ mod tests {
         assert!(outcome.profile.mutate > 0.0);
         assert!(outcome.modeled_seconds > 0.0);
         assert!(outcome.complexity.generations() >= 1);
+    }
+
+    #[test]
+    fn a_failed_evaluation_records_no_complexity_sample() {
+        let mut platform = E3Platform::new(small(EnvId::CartPole), BackendKind::Cpu, 5);
+        platform.step_generation().expect("generation 0 evaluates");
+        assert_eq!(platform.complexity.generations(), 1);
+        // A self-loop: no backend can lower the genome, so the next
+        // evaluation fails.
+        let mut state = platform.capture_state();
+        let genome = &mut state.population.genomes[4];
+        let node = genome.nodes().last().expect("genome has nodes").id;
+        let mut tracker = e3_neat::InnovationTracker::with_reserved_nodes(genome.nodes().len());
+        genome
+            .add_connection_unchecked(node, node, 0.5, &mut tracker)
+            .expect("self-loop is structurally new");
+        platform.apply_state(state);
+        let before = platform.complexity.clone();
+        assert!(matches!(
+            platform.step_generation(),
+            Err(RunError::Eval(EvalError::NotFeedForward {
+                genome_index: 4,
+                ..
+            }))
+        ));
+        assert_eq!(
+            platform.complexity, before,
+            "the mean must not be taken over the genomes that happened to decode"
+        );
     }
 
     #[test]

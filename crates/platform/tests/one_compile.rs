@@ -1,0 +1,97 @@
+//! CreateNet runs at most once per genome per generation. The guard
+//! reads `NetPlan`'s debug-build compile counter around serial-executor
+//! steps — the kernels' lowerings and any the driver thread might grow
+//! back (a stats pass, a pre-decode) all happen on the test's thread —
+//! and the `ExecRecord` beside it says whether the decode cache was
+//! consulted at all.
+#![cfg(debug_assertions)]
+
+use e3_envs::{EnvId, ScenarioDistribution};
+use e3_neat::NetPlan;
+use e3_platform::telemetry::{ExecRecord, MemoryCollector};
+use e3_platform::{BackendKind, E3Config, E3Platform, JitConfig, ScenarioConfig};
+
+const POPULATION: u64 = 20;
+const GENERATIONS: usize = 4;
+
+fn builder() -> e3_platform::E3ConfigBuilder {
+    E3Config::builder(EnvId::CartPole)
+        .population_size(POPULATION as usize)
+        .max_generations(GENERATIONS)
+}
+
+/// Steps `GENERATIONS` times on one thread; per generation, the number
+/// of `NetPlan::compile` calls and the executor's record.
+fn compiles_per_step(config: E3Config, kind: BackendKind) -> Vec<(u64, ExecRecord)> {
+    let mut platform = E3Platform::new(config, kind, 3);
+    (0..GENERATIONS)
+        .map(|_| {
+            let mut telemetry = MemoryCollector::new();
+            let before = NetPlan::compiles_on_this_thread();
+            platform
+                .step_with(&mut telemetry)
+                .expect("evaluation succeeds");
+            let compiles = NetPlan::compiles_on_this_thread() - before;
+            let exec = telemetry.execs().next().expect("one Exec record per step");
+            (compiles, exec.clone())
+        })
+        .collect()
+}
+
+#[test]
+fn the_lockstep_route_compiles_each_genome_once_and_never_asks_the_cache() {
+    let k4 = ScenarioConfig::default()
+        .train(ScenarioDistribution::moderate())
+        .scenarios_per_eval(4);
+    for (label, config) in [
+        ("fixed env", builder().build()),
+        ("K=4", builder().scenario(k4).build()),
+    ] {
+        for kind in [BackendKind::Cpu, BackendKind::Gpu] {
+            for (generation, (compiles, exec)) in compiles_per_step(config.clone(), kind)
+                .into_iter()
+                .enumerate()
+            {
+                let what = format!("{label} {kind} generation {generation}");
+                assert_eq!(compiles, POPULATION, "{what}: one compile per genome");
+                assert_eq!(
+                    (
+                        exec.cache_hits,
+                        exec.cache_misses,
+                        exec.cache_entries,
+                        exec.cache_evictions
+                    ),
+                    (0, 0, 0, 0),
+                    "{what}: no cache traffic"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn cached_routes_compile_exactly_their_misses() {
+    let jit = JitConfig {
+        enabled: true,
+        hot_threshold: 2,
+    };
+    for (label, config, kind) in [
+        ("tiered", builder().jit(jit).build(), BackendKind::Cpu),
+        ("inax", builder().build(), BackendKind::Inax),
+    ] {
+        let steps = compiles_per_step(config, kind);
+        for (generation, (compiles, exec)) in steps.iter().enumerate() {
+            let what = format!("{label} generation {generation}");
+            assert_eq!(
+                exec.cache_hits + exec.cache_misses,
+                POPULATION,
+                "{what}: one lookup per genome"
+            );
+            assert_eq!(*compiles, exec.cache_misses, "{what}: only misses compile");
+        }
+        assert!(
+            steps.iter().skip(1).any(|(_, exec)| exec.cache_hits > 0),
+            "{label}: surviving elites hit the cache"
+        );
+    }
+}

@@ -168,7 +168,9 @@ pub struct ExecRecord {
     pub shard_seconds: Vec<f64>,
     /// Shards executed by a worker other than their home worker.
     pub steal_count: u64,
-    /// Decode-cache hits across all workers.
+    /// Decode-cache hits across all workers. Hits and misses are both
+    /// zero where the kernel compiles its plans without a lookup (the
+    /// software backends' default lockstep route).
     pub cache_hits: u64,
     /// Decode-cache misses across all workers.
     pub cache_misses: u64,
