@@ -6,44 +6,23 @@
 //! ```
 //!
 //! Experiments: table4 table5 fig1b fig2 fig3 fig4 fig6 fig7 fig9a
-//! fig9b fig10a fig10b fig11 ablation exec plan jit batch islands
-//! serve generalize, plus `run` (a
-//! single evolve/evaluate run on one env/backend; `--threads N` shards
-//! the evaluation across N worker threads with bit-identical results).
-//! `exec` sweeps the worker-thread count and writes the measured
-//! scaling to `BENCH_exec.json` (its CPU rows report no decode-cache
-//! reuse: the lockstep route compiles each plan once without a
-//! lookup); `plan` times the CSR `NetPlan`
-//! executor against the preserved per-node reference, re-checks
-//! threaded repro parity, and writes `BENCH_plan.json` (nonzero exit
-//! on parity failure); `batch` times the lockstep (population-major)
-//! software route against the per-genome route across thread counts,
-//! re-checks bitwise parity, and writes `BENCH_batch.json` (nonzero
-//! exit on parity failure); `jit` times natively compiled hot plans against
-//! the interpreter on every environment, re-runs the seeded repro
-//! with the tier on and off at 1 and 4 threads gating exact
-//! `RunOutcome` equality, and writes `BENCH_jit.json` (nonzero exit
-//! when parity, tier engagement — fallback engagement off x86-64 —
-//! or the hot-plan speedup gate fails); `islands` sweeps the
-//! asynchronous archipelago
-//! over island counts and migration intervals, gates single-island
-//! parity against a plain run, determinism across driver counts and
-//! pickup orders, and the run-manager submit/stream/stop lifecycle,
-//! and writes `BENCH_islands.json` (nonzero exit on any gate
-//! failure); `serve` mounts the HTTP observability plane on a live
-//! run, scrapes `/metrics` mid-flight, exercises `/healthz`, `/runs`,
-//! and the NDJSON event stream, gates bit-identical populations and
-//! telemetry versus a server-less run, and writes `BENCH_serve.json`
-//! (nonzero exit on any gate failure; `--scrape-out FILE` saves the
-//! final scrape for exposition-format validation); `generalize`
-//! evolves on a sampled scenario distribution at K ∈ {1, 4, 8}
-//! scenarios per evaluation, scores champions on a held-out shifted
-//! distribution, gates thread-schedule determinism and per-generation
-//! `Generalization` telemetry, and writes `BENCH_generalize.json`
-//! (nonzero exit on any gate failure). `--full` uses
-//! paper-scale
-//! parameters (population 200, full step budgets); the default quick
-//! scale finishes in seconds per experiment. `--svg DIR` additionally
+//! fig9b fig10a fig10b fig11 ablation islands generalize, plus `run`
+//! (a single evolve/evaluate run on one env/backend; `--threads N`
+//! shards the evaluation across N worker threads with bit-identical
+//! results). None of them times anything: speed claims go through
+//! `benchmark/` (see its README). `islands` sweeps the asynchronous
+//! archipelago over island counts and migration intervals and gates
+//! single-island parity against a plain run, determinism across
+//! driver counts and pickup orders, and the run-manager
+//! submit/stream/stop lifecycle; `generalize` evolves on a sampled
+//! scenario distribution at K ∈ {1, 4, 8} scenarios per evaluation,
+//! scores champions on a held-out shifted distribution, and gates
+//! thread-schedule determinism and per-generation `Generalization`
+//! telemetry. Both print like every other experiment and exit nonzero
+//! on any gate failure; no command writes into the working directory
+//! unless a flag names the file. `--full` uses paper-scale parameters
+//! (population 200, full step budgets); the default quick scale
+//! finishes in seconds per experiment. `--svg DIR` additionally
 //! writes figure images for the sweep experiments. `--telemetry FILE`
 //! streams every `e3-telemetry` event of the instrumented experiments
 //! (fig1b, fig9a, fig9b, fig10a, run) as NDJSON. `--envs` takes a
@@ -60,8 +39,8 @@ use e3_bench::svg::{LineChart, Series};
 use e3_bench::{DEFAULT_SEED, EXPERIMENTS};
 use e3_envs::EnvId;
 use e3_platform::experiments::{
-    ablation, batch, exec, fig10, fig11, fig1b, fig2, fig3, fig4, fig6, fig7, fig9, generalize,
-    jit, plan, table4, table5, Scale,
+    ablation, fig10, fig11, fig1b, fig2, fig3, fig4, fig6, fig7, fig9, generalize, table4, table5,
+    Scale,
 };
 use e3_platform::telemetry::{Collector, MeteredCollector, NdjsonWriter, NullCollector, Tracer};
 use e3_platform::{BackendKind, CheckpointPolicy, E3Config, E3Platform, PowerModel};
@@ -92,9 +71,6 @@ struct Options {
     /// Simulate a crash: stop `run` after N generations without a
     /// summary (`--crash-after`, for the kill-and-resume smoke test).
     crash_after: Option<usize>,
-    /// Write the final `/metrics` scrape of the `serve` experiment to
-    /// this file (`--scrape-out`, for CI exposition validation).
-    scrape_out: Option<PathBuf>,
     /// Enable the tiered native execution path for `run` (`--jit`);
     /// bit-identical to the interpreter, off by default.
     jit: bool,
@@ -119,7 +95,6 @@ fn main() -> ExitCode {
         checkpoint_every: 1,
         resume: false,
         crash_after: None,
-        scrape_out: None,
         jit: false,
         jit_threshold: e3_platform::JitConfig::default().hot_threshold,
     };
@@ -206,12 +181,6 @@ fn main() -> ExitCode {
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage("--jit-threshold needs a positive integer"));
-            }
-            "--scrape-out" => {
-                opts.scrape_out = Some(PathBuf::from(
-                    iter.next()
-                        .unwrap_or_else(|| usage("--scrape-out needs a file path")),
-                ));
             }
             "--crash-after" => {
                 opts.crash_after = Some(
@@ -552,126 +521,27 @@ fn run_experiment(name: &str, opts: &Options, collector: &mut dyn Collector) -> 
             emit!(result);
         }
         "ablation" => emit!(ablation::run()),
-        "exec" => {
-            let result = try_run!(exec::run(scale, seed));
-            let json = serde_json::to_string_pretty(&result).expect("scaling results serialize");
-            if let Err(e) = std::fs::write("BENCH_exec.json", &json) {
-                eprintln!("warning: could not write BENCH_exec.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_exec.json");
-            }
-            emit!(result);
-        }
-        "plan" => {
-            let result = try_run!(plan::run(scale, seed));
-            let json = serde_json::to_string_pretty(&result).expect("bench results serialize");
-            if let Err(e) = std::fs::write("BENCH_plan.json", &json) {
-                eprintln!("warning: could not write BENCH_plan.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_plan.json");
-            }
-            if !result.parity_ok {
-                // A parity break means the plan executor drifted from
-                // the reference or the threaded repro changed fitness —
-                // fail loudly so CI catches it.
-                return Err("plan executor parity FAILED (see BENCH_plan.json)".to_string());
-            }
-            emit!(result);
-        }
-        "jit" => {
-            let result = try_run!(jit::run(scale, seed));
-            let json = serde_json::to_string_pretty(&result).expect("bench results serialize");
-            if let Err(e) = std::fs::write("BENCH_jit.json", &json) {
-                eprintln!("warning: could not write BENCH_jit.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_jit.json");
-            }
-            if !result.gate_ok() {
-                // The native tier is contractually bit-identical to
-                // the interpreter, must demonstrably engage (or, off
-                // x86-64, demonstrably fall back — never silently
-                // skip), and must beat the interpreter on hot plans —
-                // fail loudly so CI catches any of the three breaking.
-                return Err("jit tier parity/speedup gate FAILED (see BENCH_jit.json)".to_string());
-            }
-            emit!(result);
-        }
         "islands" => {
             let result = try_run!(e3_islands::bench::run(scale, seed));
-            let json = serde_json::to_string_pretty(&result).expect("bench results serialize");
-            if let Err(e) = std::fs::write("BENCH_islands.json", &json) {
-                eprintln!("warning: could not write BENCH_islands.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_islands.json");
-            }
             if !result.parity_ok {
                 // A failed gate means the archipelago layer changed
                 // results (vs the plain platform, across schedules, or
                 // through the service boundary) — a correctness bug,
                 // so fail loudly for CI.
-                return Err(
-                    "islands parity/determinism/smoke FAILED (see BENCH_islands.json)".to_string(),
-                );
-            }
-            emit!(result);
-        }
-        "batch" => {
-            let result = try_run!(batch::run(scale, seed));
-            let json = serde_json::to_string_pretty(&result).expect("bench results serialize");
-            if let Err(e) = std::fs::write("BENCH_batch.json", &json) {
-                eprintln!("warning: could not write BENCH_batch.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_batch.json");
-            }
-            if !result.parity_ok {
-                // The batched eval contract is bit-identity with the
-                // scalar serial path — a drift is a correctness bug,
-                // not a perf regression; fail loudly so CI catches it.
-                return Err("batched evaluation parity FAILED (see BENCH_batch.json)".to_string());
+                return Err(format!(
+                    "islands parity/determinism/smoke FAILED:\n{result}"
+                ));
             }
             emit!(result);
         }
         "generalize" => {
             let result = try_run!(generalize::run(scale, seed, collector));
-            let json = serde_json::to_string_pretty(&result).expect("bench results serialize");
-            if let Err(e) = std::fs::write("BENCH_generalize.json", &json) {
-                eprintln!("warning: could not write BENCH_generalize.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_generalize.json");
-            }
             if !result.parity_ok {
                 // Scenario sampling is seeded per (run, generation,
                 // genome, scenario): a thread-count-dependent result or
                 // a missing Generalization record is a correctness bug,
                 // so fail loudly for CI.
-                return Err(
-                    "generalize determinism/coverage FAILED (see BENCH_generalize.json)"
-                        .to_string(),
-                );
-            }
-            emit!(result);
-        }
-        "serve" => {
-            let output = try_run!(e3_serve::bench::run(scale, seed));
-            let result = output.result;
-            let json_text = serde_json::to_string_pretty(&result).expect("bench results serialize");
-            if let Err(e) = std::fs::write("BENCH_serve.json", &json_text) {
-                eprintln!("warning: could not write BENCH_serve.json: {e}");
-            } else {
-                eprintln!("wrote BENCH_serve.json");
-            }
-            if let Some(path) = &opts.scrape_out {
-                if let Err(e) = std::fs::write(path, &output.scraped_metrics) {
-                    return Err(format!("--scrape-out {}: {e}", path.display()));
-                }
-                eprintln!("wrote scraped metrics to {}", path.display());
-            }
-            if !result.parity_ok {
-                // The observability plane must be inert: scraping a
-                // run mid-flight cannot change its populations or its
-                // telemetry stream. A failed gate is a correctness
-                // bug, so fail loudly for CI.
-                return Err("serve observability parity FAILED (see BENCH_serve.json)".to_string());
+                return Err(format!("generalize determinism/coverage FAILED:\n{result}"));
             }
             emit!(result);
         }
@@ -708,7 +578,6 @@ fn print_usage() {
     eprintln!("  --checkpoint-every snapshot every N generations (default 1)");
     eprintln!("  --resume           resume `run` from the newest intact snapshot");
     eprintln!("  --crash-after      stop `run` after N generations without a summary");
-    eprintln!("  --scrape-out       write the `serve` experiment's final /metrics scrape to FILE");
     eprintln!("  --jit              enable tiered native execution for `run` (cpu/gpu software");
     eprintln!("                     eval; bit-identical to the interpreter, off by default)");
     eprintln!("  --jit-threshold    decode-cache uses before a plan compiles natively (default 3)");

@@ -23,15 +23,17 @@
 //! scrapes fetched from the live `/metrics` endpoint.
 //!
 //! `--ndjson FILE` validates an NDJSON telemetry export (the
-//! `--telemetry` stream of `repro`): every line must be a JSON object
-//! wrapping exactly one known record kind, and every `Generalization`
-//! record must carry the full pinned key set with finite fitness
-//! numbers and a positive held-out scenario count — a malformed
-//! generalization report fails CI here.
+//! `--telemetry` stream of `repro`): every line must parse as an
+//! `e3_telemetry::TelemetryEvent` — the schema is the type, so an
+//! unknown record kind or a dropped key is a parse error — and the
+//! values types cannot express must hold: finite `Generalization`
+//! fitness numbers, a positive held-out scenario count, no all-zero
+//! `Jit` record.
 //!
 //! Exits 0 when everything holds, 1 with a diagnostic on stderr
 //! otherwise. CI runs this after a short traced `repro` run.
 
+use e3_telemetry::TelemetryEvent;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -74,36 +76,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Record kinds the NDJSON telemetry stream may carry, mirroring
-/// `e3_telemetry::TelemetryEvent`.
-const NDJSON_KINDS: &[&str] = &[
-    "Eval",
-    "Exec",
-    "Jit",
-    "Generation",
-    "Utilization",
-    "Checkpoint",
-    "Resume",
-    "Island",
-    "Migration",
-    "Generalization",
-    "Summary",
-];
-
-/// Keys every `Jit` record must carry on the wire. A `Jit` record is
-/// only ever emitted when the tier did work, so an all-zero record is
-/// itself a violation.
-const JIT_KEYS: &[&str] = &[
-    "generation",
-    "backend",
-    "compiled",
-    "bytes",
-    "compile_seconds",
-    "fallbacks",
-    "activations",
-    "resident",
-];
-
 /// The `e3_jit_*` series a scrape must carry as a set: seeing one of
 /// them without the others means the exporter dropped counters.
 const JIT_METRICS: &[&str] = &[
@@ -113,20 +85,6 @@ const JIT_METRICS: &[&str] = &[
     "e3_jit_hot_activations_total",
     "e3_jit_resident_plans",
     "e3_jit_compile_seconds",
-];
-
-/// Keys every `Generalization` record must carry on the wire.
-const GENERALIZATION_KEYS: &[&str] = &[
-    "generation",
-    "backend",
-    "env",
-    "train_fitness",
-    "holdout_fitness",
-    "holdout_scenarios",
-    "holdout_min",
-    "holdout_max",
-    "holdout_std",
-    "gap",
 ];
 
 /// Validates an NDJSON telemetry export; returns a diagnostic on the
@@ -139,96 +97,40 @@ fn check_ndjson(path: &str) -> Result<(), String> {
         if line.trim().is_empty() {
             continue;
         }
-        let value: serde_json::Value = serde_json::from_str(line)
-            .map_err(|e| format!("line {}: not valid JSON: {e}", lineno + 1))?;
-        let serde_json::Value::Object(fields) = &value else {
-            return Err(format!("line {}: record is not an object", lineno + 1));
-        };
-        let [(kind, record)] = fields.as_slice() else {
-            return Err(format!(
-                "line {}: record must wrap exactly one kind: {line}",
-                lineno + 1
-            ));
-        };
-        if !NDJSON_KINDS.contains(&kind.as_str()) {
-            return Err(format!("line {}: unknown record kind: {line}", lineno + 1));
-        }
-        if kind == "Generalization" {
-            for key in GENERALIZATION_KEYS {
-                record.get(key).ok_or(format!(
-                    "line {}: Generalization record missing {key}",
-                    lineno + 1
-                ))?;
+        let at = |msg: &str| format!("line {}: {msg}", lineno + 1);
+        let event: TelemetryEvent = serde_json::from_str(line)
+            .map_err(|e| at(&format!("not a telemetry record ({e}): {line}")))?;
+        match event {
+            TelemetryEvent::Generalization(pass) => {
+                let numbers = [
+                    ("train_fitness", pass.train_fitness),
+                    ("holdout_fitness", pass.holdout_fitness),
+                    ("holdout_min", pass.holdout_min),
+                    ("holdout_max", pass.holdout_max),
+                    ("holdout_std", pass.holdout_std),
+                    ("gap", pass.gap),
+                ];
+                if let Some((key, _)) = numbers.iter().find(|(_, value)| !value.is_finite()) {
+                    return Err(at(&format!("Generalization {key} is not finite")));
+                }
+                if pass.holdout_scenarios == 0 {
+                    return Err(at("Generalization pass scored zero held-out scenarios"));
+                }
+                generalizations += 1;
             }
-            for key in [
-                "train_fitness",
-                "holdout_fitness",
-                "holdout_min",
-                "holdout_max",
-                "holdout_std",
-                "gap",
-            ] {
-                let number = record.get(key).and_then(|v| v.as_f64()).ok_or(format!(
-                    "line {}: Generalization {key} is not a number",
-                    lineno + 1
-                ))?;
-                if !number.is_finite() {
-                    return Err(format!(
-                        "line {}: Generalization {key} is not finite",
-                        lineno + 1
+            TelemetryEvent::Jit(jit) => {
+                if !jit.compile_seconds.is_finite() || jit.compile_seconds < 0.0 {
+                    return Err(at(
+                        "Jit compile_seconds is not a finite non-negative number",
                     ));
                 }
+                // The platform only emits a Jit record when the tier
+                // did work, so an all-zero one is itself a violation.
+                if jit.compiled + jit.bytes + jit.fallbacks + jit.activations + jit.resident == 0 {
+                    return Err(at("all-zero Jit record"));
+                }
             }
-            let scenarios = record
-                .get("holdout_scenarios")
-                .and_then(|v| v.as_u64())
-                .ok_or(format!(
-                    "line {}: Generalization holdout_scenarios is not an integer",
-                    lineno + 1
-                ))?;
-            if scenarios == 0 {
-                return Err(format!(
-                    "line {}: Generalization pass scored zero held-out scenarios",
-                    lineno + 1
-                ));
-            }
-            generalizations += 1;
-        }
-        if kind == "Jit" {
-            for key in JIT_KEYS {
-                record
-                    .get(key)
-                    .ok_or(format!("line {}: Jit record missing {key}", lineno + 1))?;
-            }
-            let seconds = record
-                .get("compile_seconds")
-                .and_then(|v| v.as_f64())
-                .ok_or(format!(
-                    "line {}: Jit compile_seconds is not a number",
-                    lineno + 1
-                ))?;
-            if !seconds.is_finite() || seconds < 0.0 {
-                return Err(format!(
-                    "line {}: Jit compile_seconds is not a finite non-negative number",
-                    lineno + 1
-                ));
-            }
-            let activity: u64 = ["compiled", "bytes", "fallbacks", "activations", "resident"]
-                .iter()
-                .map(|key| {
-                    record.get(key).and_then(|v| v.as_u64()).ok_or(format!(
-                        "line {}: Jit {key} is not an unsigned integer",
-                        lineno + 1
-                    ))
-                })
-                .sum::<Result<u64, String>>()?;
-            if activity == 0 {
-                return Err(format!(
-                    "line {}: all-zero Jit record — the platform only emits \
-                     these when the tier did work",
-                    lineno + 1
-                ));
-            }
+            _ => {}
         }
         records += 1;
     }

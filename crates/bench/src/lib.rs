@@ -1,23 +1,17 @@
 //! # e3-bench — the experiment regeneration harness
 //!
-//! Two entry points:
+//! The **`repro` binary** prints any (or all) of the paper's tables
+//! and figures as text, optionally as JSON:
 //!
-//! * the **`repro` binary** prints any (or all) of the paper's tables
-//!   and figures as text, optionally as JSON:
-//!
-//!   ```text
-//!   cargo run --release -p e3-bench --bin repro -- all
-//!   cargo run --release -p e3-bench --bin repro -- fig9b --full
-//!   cargo run --release -p e3-bench --bin repro -- fig11 --json
-//!   ```
-//!
-//! * the **Criterion benches** (`cargo bench`) time the kernels behind
-//!   each experiment (INAX scheduling, SA lowering, NEAT generations,
-//!   RL updates) so performance regressions in the simulator itself are
-//!   visible.
+//! ```text
+//! cargo run --release -p e3-bench --bin repro -- all
+//! cargo run --release -p e3-bench --bin repro -- fig9b --full
+//! cargo run --release -p e3-bench --bin repro -- fig11 --json
+//! ```
 //!
 //! The experiment logic itself lives in [`e3_platform::experiments`];
-//! this crate only drives it.
+//! this crate only drives it. Nothing here measures wall-clock speed:
+//! the one instrument for that is the `benchmark/` package.
 
 pub mod svg;
 
@@ -39,12 +33,7 @@ pub const EXPERIMENTS: &[&str] = &[
     "fig10b",
     "fig11",
     "ablation",
-    "exec",
-    "plan",
-    "jit",
-    "batch",
     "islands",
-    "serve",
     "generalize",
 ];
 

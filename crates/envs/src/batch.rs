@@ -1,7 +1,7 @@
 //! Batch-first environment stepping: many episodes in lockstep.
 //!
-//! `BENCH_exec.json` showed the per-individual eval API defeating the
-//! thread pool — sub-microsecond work items drown in scheduling
+//! An early thread-scaling sweep showed the per-individual eval API
+//! defeating the thread pool — sub-microsecond work items drown in scheduling
 //! overhead. The fix (the TensorNEAT insight) is to restructure the
 //! eval loop population-major: a [`BatchEnv`] advances a whole *batch*
 //! of episodes per call, reading and writing struct-of-arrays buffers

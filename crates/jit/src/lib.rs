@@ -2,9 +2,9 @@
 //!
 //! A dependency-free x86-64 machine-code emitter that compiles a
 //! [`NetPlan`] into a straight-line native function, claiming the
-//! interpreter-overhead headroom `BENCH_plan.json` measures as
-//! *addressable speedup* — without giving up the platform's bit-exact
-//! determinism contract.
+//! interpreter overhead around the activation calls (`benchmark/`
+//! reports the result as `jit.native_vs_interp`) — without giving up
+//! the platform's bit-exact determinism contract.
 //!
 //! The paper treats the genome→phenotype compile ("CreateNet") as a
 //! first-class hardware step; this crate is the same move in software.

@@ -18,12 +18,7 @@
 //! floating-point operation order of [`NetPlan::execute_into`]. Since
 //! individuals never read each other's value slots, each lane of the
 //! batch is **bit-identical** to executing its plan alone, regardless
-//! of batch composition. The only licensed deviation is the
-//! `fast-math` cargo feature (off by default), which swaps the exact
-//! activation functions for [`Activation::apply_fast`] inside this
-//! kernel — and nowhere else; enabling it forfeits bit-exactness with
-//! the scalar path while keeping trajectories within the documented
-//! `1e-3` activation error.
+//! of batch composition.
 
 use crate::activation::Activation;
 use crate::plan::NetPlan;
@@ -175,8 +170,7 @@ impl PlanBatch {
     /// output rows keep whatever they held before the call.
     ///
     /// Per lane, results are bit-identical to running that lane's
-    /// [`NetPlan::execute_into`] alone (with `fast-math` off — see the
-    /// [module docs](self)).
+    /// [`NetPlan::execute_into`] alone (see the [module docs](self)).
     ///
     /// # Panics
     ///
@@ -227,11 +221,7 @@ impl PlanBatch {
                 for &(source, weight) in &self.edges[offset as usize..(offset + len) as usize] {
                     acc += values[source as usize] * weight;
                 }
-                #[cfg(not(feature = "fast-math"))]
-                let out = node.activation.apply(acc);
-                #[cfg(feature = "fast-math")]
-                let out = node.activation.apply_fast(acc);
-                values[node.slot as usize] = out;
+                values[node.slot as usize] = node.activation.apply(acc);
             }
         }
 
@@ -314,9 +304,6 @@ mod tests {
         NetPlan::compile(&g).unwrap()
     }
 
-    // Bit-exactness only holds with the exact activation functions;
-    // under `fast-math` the tolerance tests below take over.
-    #[cfg(not(feature = "fast-math"))]
     #[test]
     fn batched_lanes_match_solo_execution_bitwise() {
         let plans = [diamond_plan(0.5), diamond_plan(-1.5), shallow_plan()];
@@ -366,13 +353,9 @@ mod tests {
         );
         assert_eq!(outputs[1].to_bits(), lane1_before.to_bits());
         let solo = plans[0].execute(&[0.2, 0.3]);
-        assert!(
-            (outputs[0] - solo[0]).abs() < 1e-3,
-            "lane 0 within activation tolerance of solo execution"
-        );
+        assert_eq!(outputs[0].to_bits(), solo[0].to_bits());
     }
 
-    #[cfg(not(feature = "fast-math"))]
     #[test]
     fn single_lane_batch_equals_plan_execute() {
         let plan = diamond_plan(0.75);
@@ -387,28 +370,6 @@ mod tests {
             outputs[0].to_bits(),
             plan.execute(&[0.6, -0.9])[0].to_bits()
         );
-    }
-
-    #[test]
-    fn batched_lanes_stay_within_activation_tolerance_of_solo() {
-        // Holds with or without `fast-math`: the approximation error
-        // contract bounds single-pass divergence near 1e-3.
-        let plans = [diamond_plan(0.5), shallow_plan()];
-        let refs: Vec<&NetPlan> = plans.iter().collect();
-        let batch = PlanBatch::build(&refs);
-        let inputs = [0.8, 0.4, -0.3, 1.1];
-        let mut values = vec![0.0; batch.value_buffer_slots()];
-        let mut outputs = vec![0.0; 2];
-        batch.activate_batch_into(&inputs, &[true, true], &mut values, &mut outputs);
-        for (lane, plan) in plans.iter().enumerate() {
-            let solo = plan.execute(&inputs[lane * 2..(lane + 1) * 2]);
-            assert!(
-                (outputs[lane] - solo[0]).abs() < 2e-3,
-                "lane {lane}: {} vs {}",
-                outputs[lane],
-                solo[0]
-            );
-        }
     }
 
     #[test]

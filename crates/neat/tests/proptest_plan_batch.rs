@@ -3,11 +3,7 @@
 //!
 //! The batched kernel's contract is per-lane **bit-identity** with
 //! solo [`e3_neat::NetPlan`] execution, regardless of which other
-//! plans share the batch or which lanes are parked. With the
-//! `fast-math` feature on the bit-exactness claim is forfeited by
-//! design (the kernel swaps in a rational tanh/sigmoid), so the
-//! bitwise properties compile out and only the tolerance property
-//! remains.
+//! plans share the batch or which lanes are parked.
 
 use e3_neat::{Genome, InnovationTracker, NeatConfig, NetPlan, PlanBatch};
 use proptest::prelude::*;
@@ -28,7 +24,6 @@ fn evolved_genome(num_inputs: usize, num_outputs: usize, seed: u64, mutations: u
 }
 
 /// Compiles `lanes` differently-evolved plans sharing one IO shape.
-#[cfg(not(feature = "fast-math"))]
 fn evolved_plans(
     num_inputs: usize,
     num_outputs: usize,
@@ -63,140 +58,69 @@ fn run_batch(batch: &PlanBatch, inputs: &[f64], active: &[bool]) -> Vec<f64> {
     outputs
 }
 
-#[cfg(not(feature = "fast-math"))]
-mod bitwise {
-    use super::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Every active lane of an arbitrary batch produces the exact
-        /// f64 bit patterns of its plan executed alone, whatever the
-        /// other lanes contain and whatever subset of lanes is parked.
-        #[test]
-        fn batched_lanes_match_solo_execution(
-            seed in any::<u64>(),
-            num_inputs in 1usize..5,
-            num_outputs in 1usize..4,
-            lanes in 1usize..7,
-            mutations in 0usize..40,
-            mask in any::<u8>(),
-            x in -4.0f64..4.0,
-        ) {
-            let plans = evolved_plans(num_inputs, num_outputs, seed, lanes, mutations);
-            let refs: Vec<&NetPlan> = plans.iter().collect();
-            let batch = PlanBatch::build(&refs);
-            let inputs = lane_inputs(lanes, num_inputs, x);
-            let active: Vec<bool> = (0..lanes).map(|b| mask & (1 << b) != 0).collect();
-            let outputs = run_batch(&batch, &inputs, &active);
-            for (b, plan) in plans.iter().enumerate() {
-                if !active[b] {
-                    continue;
-                }
-                let solo = plan.execute(&inputs[b * num_inputs..(b + 1) * num_inputs]);
-                for (k, want) in solo.iter().enumerate() {
-                    let got = outputs[b * num_outputs + k];
-                    prop_assert_eq!(
-                        want.to_bits(),
-                        got.to_bits(),
-                        "lane {} output {} drifted: {} vs {}",
-                        b, k, want, got
-                    );
-                }
-            }
-        }
-
-        /// Parked lanes are never touched: their output slots keep
-        /// whatever bits the caller left in them.
-        #[test]
-        fn parked_lanes_keep_caller_bits(
-            seed in any::<u64>(),
-            lanes in 2usize..6,
-            mutations in 0usize..30,
-            sentinel in any::<f64>(),
-        ) {
-            let plans = evolved_plans(3, 2, seed, lanes, mutations);
-            let refs: Vec<&NetPlan> = plans.iter().collect();
-            let batch = PlanBatch::build(&refs);
-            let inputs = lane_inputs(lanes, 3, 0.7);
-            // Park every odd lane.
-            let active: Vec<bool> = (0..lanes).map(|b| b % 2 == 0).collect();
-            let mut values = vec![0.0; batch.value_buffer_slots()];
-            let mut outputs = vec![sentinel; lanes * 2];
-            batch.activate_batch_into(&inputs, &active, &mut values, &mut outputs);
-            for b in (1..lanes).step_by(2) {
-                for k in 0..2 {
-                    prop_assert_eq!(
-                        outputs[b * 2 + k].to_bits(),
-                        sentinel.to_bits(),
-                        "parked lane {} was written", b
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Rigorous worst-case envelope for the `fast-math` approximation
-/// error at the outputs of `genome`'s network: per activation the
-/// approximation is within `EPS = 1e-3` and every activation in the
-/// suite is Lipschitz with constant ≤ `LIP = 1.3` (the steepest is the
-/// sigmoid at 1.225), so an input perturbation `e` becomes at most
-/// `EPS + LIP * W * e` one level deeper, where `W` is the largest
-/// absolute fan-in weight sum of any node.
-fn fast_math_bound(genome: &Genome, levels: usize) -> f64 {
-    const EPS: f64 = 1e-3;
-    const LIP: f64 = 1.3;
-    let mut fan_in: std::collections::HashMap<_, f64> = std::collections::HashMap::new();
-    for c in genome.connections() {
-        if c.enabled {
-            *fan_in.entry(c.to).or_default() += c.weight.abs();
-        }
-    }
-    let w = fan_in.values().fold(1.0f64, |a, b| a.max(*b));
-    let gain = LIP * w;
-    let mut bound = 0.0;
-    for _ in 0..levels.max(1) {
-        bound = EPS + gain * bound;
-    }
-    bound
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Feature-agnostic envelope: with `fast-math` on, batched outputs
-    /// stay within the compounded worst-case approximation bound of
-    /// solo execution; with it off they are bit-identical (covered
-    /// exactly by the `bitwise` module) and trivially within bound.
+    /// Every active lane of an arbitrary batch produces the exact
+    /// f64 bit patterns of its plan executed alone, whatever the
+    /// other lanes contain and whatever subset of lanes is parked.
     #[test]
-    fn batched_lanes_stay_within_tolerance(
+    fn batched_lanes_match_solo_execution(
         seed in any::<u64>(),
-        lanes in 1usize..6,
+        num_inputs in 1usize..5,
+        num_outputs in 1usize..4,
+        lanes in 1usize..7,
         mutations in 0usize..40,
+        mask in any::<u8>(),
         x in -4.0f64..4.0,
     ) {
-        let genomes: Vec<Genome> = (0..lanes)
-            .map(|b| evolved_genome(4, 2, seed.wrapping_add(b as u64), mutations))
-            .collect();
-        let plans: Vec<NetPlan> = genomes
-            .iter()
-            .map(|g| NetPlan::compile(g).expect("mutations preserve feed-forwardness"))
-            .collect();
+        let plans = evolved_plans(num_inputs, num_outputs, seed, lanes, mutations);
         let refs: Vec<&NetPlan> = plans.iter().collect();
         let batch = PlanBatch::build(&refs);
-        let inputs = lane_inputs(lanes, 4, x);
-        let active = vec![true; lanes];
+        let inputs = lane_inputs(lanes, num_inputs, x);
+        let active: Vec<bool> = (0..lanes).map(|b| mask & (1 << b) != 0).collect();
         let outputs = run_batch(&batch, &inputs, &active);
         for (b, plan) in plans.iter().enumerate() {
-            let bound = fast_math_bound(&genomes[b], plan.num_compute_levels());
-            let solo = plan.execute(&inputs[b * 4..(b + 1) * 4]);
+            if !active[b] {
+                continue;
+            }
+            let solo = plan.execute(&inputs[b * num_inputs..(b + 1) * num_inputs]);
             for (k, want) in solo.iter().enumerate() {
-                let got = outputs[b * 2 + k];
-                prop_assert!(
-                    (want - got).abs() <= bound,
-                    "lane {} output {} off by {} (bound {})",
-                    b, k, (want - got).abs(), bound
+                let got = outputs[b * num_outputs + k];
+                prop_assert_eq!(
+                    want.to_bits(),
+                    got.to_bits(),
+                    "lane {} output {} drifted: {} vs {}",
+                    b, k, want, got
+                );
+            }
+        }
+    }
+
+    /// Parked lanes are never touched: their output slots keep
+    /// whatever bits the caller left in them.
+    #[test]
+    fn parked_lanes_keep_caller_bits(
+        seed in any::<u64>(),
+        lanes in 2usize..6,
+        mutations in 0usize..30,
+        sentinel in any::<f64>(),
+    ) {
+        let plans = evolved_plans(3, 2, seed, lanes, mutations);
+        let refs: Vec<&NetPlan> = plans.iter().collect();
+        let batch = PlanBatch::build(&refs);
+        let inputs = lane_inputs(lanes, 3, 0.7);
+        // Park every odd lane.
+        let active: Vec<bool> = (0..lanes).map(|b| b % 2 == 0).collect();
+        let mut values = vec![0.0; batch.value_buffer_slots()];
+        let mut outputs = vec![sentinel; lanes * 2];
+        batch.activate_batch_into(&inputs, &active, &mut values, &mut outputs);
+        for b in (1..lanes).step_by(2) {
+            for k in 0..2 {
+                prop_assert_eq!(
+                    outputs[b * 2 + k].to_bits(),
+                    sentinel.to_bits(),
+                    "parked lane {} was written", b
                 );
             }
         }

@@ -404,9 +404,8 @@ impl Pricing {
 }
 
 /// How a [`SoftwareBackend`] walks the `population × K` episode grid.
-/// Both routes produce bit-identical [`EvalOutcome`]s (with the
-/// `fast-math` cargo feature off); they differ in wall-clock and in
-/// which execution tiers they can host.
+/// Both routes produce bit-identical [`EvalOutcome`]s; they differ in
+/// wall-clock and in which execution tiers they can host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Route {
     /// One genome at a time through the tiered decode cache: the only
@@ -1390,7 +1389,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "fast-math"))]
     #[test]
     fn software_routes_and_thread_counts_are_bit_identical() {
         // Odd population sizes exercise shard remainders; 1/4/8

@@ -60,7 +60,7 @@ pub struct GeneralizeRow {
     pub deterministic: bool,
 }
 
-/// The generalization benchmark result (`BENCH_generalize.json`).
+/// The generalization sweep result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GeneralizeResult {
     /// Environment under test.

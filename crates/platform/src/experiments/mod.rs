@@ -3,7 +3,8 @@
 //!
 //! Every driver is a pure function from a [`Scale`] to a serializable
 //! result struct with a `render()` text table, so the same code backs
-//! the `repro` CLI, the Criterion benches, and the integration tests.
+//! the `repro` CLI and the integration tests. None of them is a speed
+//! instrument: wall-clock claims go through `benchmark/`.
 //!
 //! | Paper artifact | Module |
 //! |---|---|
@@ -19,19 +20,11 @@
 //! | Fig. 10(a,b) (energy, FPGA utilization) | [`fig10`] |
 //! | Fig. 11 (INAX vs systolic array) | [`fig11`] |
 //!
-//! [`exec`], [`plan`], [`batch`], [`jit`] and [`generalize`] are
-//! reproduction-specific: the host-side thread-scaling sweep of the
-//! `e3-exec` evaluation engine (a software Fig. 7), the CSR `NetPlan`
-//! executor microbenchmark with its end-to-end repro parity re-check,
-//! the population-major batched-evaluation throughput/parity sweep,
-//! the tiered-execution benchmark (hand-rolled x86-64 codegen for hot
-//! genomes, interpreter as the bit-exact oracle), and the
-//! scenario-distribution generalization sweep (train vs held-out
-//! fitness across K scenarios per evaluation).
+//! [`generalize`] is reproduction-specific: the scenario-distribution
+//! generalization sweep (train vs held-out fitness across K scenarios
+//! per evaluation).
 
 pub mod ablation;
-pub mod batch;
-pub mod exec;
 pub mod fig10;
 pub mod fig11;
 pub mod fig1b;
@@ -42,8 +35,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig9;
 pub mod generalize;
-pub mod jit;
-pub mod plan;
 pub mod table4;
 pub mod table5;
 

@@ -26,7 +26,7 @@
 //!
 //! The [`experiments`] module contains one driver per table and figure
 //! of the paper's evaluation; the `e3-bench` crate exposes them as a
-//! CLI (`repro`) and as Criterion benches.
+//! CLI (`repro`).
 //!
 //! ## Quickstart
 //!

@@ -6,10 +6,6 @@
 //! (`PlanBatch` + `BatchEnv` lockstep stepping with lane parking) is a
 //! pure execution-layout change; results must never depend on batch
 //! composition or sharding.
-//!
-//! With the `fast-math` feature enabled the bit-exactness claim is
-//! forfeited by design, so these tests compile out.
-#![cfg(not(feature = "fast-math"))]
 
 use e3_envs::{EnvId, ScenarioDistribution};
 use e3_neat::{Genome, NeatConfig, Population};

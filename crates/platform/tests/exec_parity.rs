@@ -11,7 +11,7 @@
 
 use e3_envs::EnvId;
 use e3_platform::telemetry::MemoryCollector;
-use e3_platform::{BackendKind, E3Config, E3Platform, RunOutcome};
+use e3_platform::{BackendKind, E3Config, E3Platform, JitConfig, RunOutcome};
 use proptest::prelude::*;
 
 const ENVS: [EnvId; 3] = [EnvId::CartPole, EnvId::MountainCar, EnvId::Pendulum];
@@ -88,5 +88,53 @@ fn final_champion_is_identical_across_worker_counts() {
             pooled.population().genomes(),
             "{kind:?}: whole population evolves identically"
         );
+    }
+}
+
+/// The tier reports what it did, and nothing when it did nothing. A
+/// disabled tier emits zero `Jit` records. Enabled at `hot_threshold`
+/// 1 every plan promotes on its first decode, so on x86-64 Linux the
+/// run serves native activations; anywhere else it counts the failed
+/// compiles as fallbacks and compiles nothing — never a silent skip.
+/// The outcome is the same in all three cases, on every environment
+/// of the suite, Atari-class Pong included.
+#[test]
+fn an_enabled_tier_engages_and_a_disabled_one_is_silent() {
+    let run = |env: EnvId, threads: usize, jit: JitConfig| {
+        let config = E3Config {
+            jit,
+            ..config(env, threads)
+        };
+        let mut telemetry = MemoryCollector::new();
+        let outcome = E3Platform::new(config, BackendKind::Cpu, 42)
+            .run_with(&mut telemetry)
+            .expect("quick populations are feed-forward");
+        (outcome, telemetry)
+    };
+    let hot = JitConfig {
+        enabled: true,
+        hot_threshold: 1,
+    };
+    for env in EnvId::ALL_WITH_ATARI {
+        for threads in [1usize, 4] {
+            let what = format!("{env} threads={threads}");
+            let (oracle, silent) = run(env, threads, JitConfig::default());
+            assert_eq!(silent.jits().count(), 0, "{what}");
+            let (tiered, telemetry) = run(env, threads, hot);
+            assert_eq!(tiered, oracle, "{what}");
+            let (compiled, activations, fallbacks) = telemetry.jits().fold((0, 0, 0), |acc, r| {
+                (
+                    acc.0 + r.compiled,
+                    acc.1 + r.activations,
+                    acc.2 + r.fallbacks,
+                )
+            });
+            if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+                assert!(compiled > 0 && activations > 0, "{what}");
+            } else {
+                assert!(fallbacks > 0, "{what}");
+                assert_eq!((compiled, activations), (0, 0), "{what}");
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! keep-alive (every response closes the connection), no TLS, no
 //! request bodies.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// A parsed request line: method, path, and the raw query string (the
 /// part after `?`, if any). Headers are drained but ignored — no
@@ -34,16 +34,32 @@ fn bad_request(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("bad request: {what}"))
 }
 
+/// Longest request or header line accepted, terminator included —
+/// ample for this API's paths and any scraper's headers.
+const MAX_LINE_BYTES: u64 = 8 * 1024;
+
+/// `read_line` through a bounded `take`, so a peer that never sends
+/// `\n` costs at most [`MAX_LINE_BYTES`] of memory, not the read
+/// timeout's worth.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
+    let n = reader.by_ref().take(MAX_LINE_BYTES).read_line(line)?;
+    if n as u64 == MAX_LINE_BYTES && !line.ends_with('\n') {
+        return Err(bad_request("line too long"));
+    }
+    Ok(n)
+}
+
 /// Reads one request head (request line plus headers, up to the blank
 /// line) from the stream.
 ///
 /// # Errors
 ///
 /// I/O errors from the underlying stream (including read timeouts),
-/// or [`io::ErrorKind::InvalidData`] for a malformed request line.
+/// or [`io::ErrorKind::InvalidData`] for a malformed request line or
+/// any line longer than 8 KiB.
 pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_bounded_line(reader, &mut line)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before a request line",
@@ -59,7 +75,7 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     // endless header section.
     for _ in 0..128 {
         let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
+        let n = read_bounded_line(reader, &mut header)?;
         if n == 0 || header == "\r\n" || header == "\n" {
             break;
         }
@@ -196,6 +212,30 @@ mod tests {
         let raw = b"nonsense\r\n\r\n";
         let err = read_request(&mut BufReader::new(&raw[..])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_request_line_that_never_ends_is_cut_off_at_the_cap() {
+        let raw = vec![b'A'; 1 << 20];
+        let mut input = &raw[..];
+        let err = read_request(&mut input).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let consumed = (raw.len() - input.len()) as u64;
+        assert_eq!(consumed, MAX_LINE_BYTES, "read past the cap");
+    }
+
+    #[test]
+    fn rejects_an_over_long_header() {
+        let mut raw = b"GET /metrics HTTP/1.1\r\nX-Padding: ".to_vec();
+        raw.extend(std::iter::repeat_n(b'a', 1 << 20));
+        raw.extend_from_slice(b"\r\n\r\n");
+        let err = read_request(&mut BufReader::new(&raw[..])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // At the cap exactly, terminator included, a line still parses.
+        let mut raw = b"GET /metrics HTTP/1.1\r\n".to_vec();
+        raw.extend(std::iter::repeat_n(b'a', MAX_LINE_BYTES as usize - 2));
+        raw.extend_from_slice(b"\r\n\r\n");
+        assert!(read_request(&mut BufReader::new(&raw[..])).is_ok());
     }
 
     #[test]

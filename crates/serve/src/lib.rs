@@ -19,26 +19,22 @@
 //! The design constraint throughout is that **serving must be inert**:
 //! attaching the server and scraping it mid-run must not perturb the
 //! evolution (bit-identical final populations and NDJSON telemetry
-//! versus a server-less run). [`bench::run`] is the gate that enforces
-//! this.
+//! versus a server-less run); `tests/serve_roundtrip.rs` is the gate
+//! that enforces this.
 //!
 //! * [`server`] — the accept loop, routing, and graceful shutdown.
 //! * [`client`] — a matching minimal blocking client used by the
-//!   bench, CI smoke, and `repro serve --scrape-out`.
+//!   tests and `benchmark/`.
 //! * [`http`] — shared HTTP/1.1 plumbing (request parsing, chunked
 //!   transfer encoding).
-//! * [`bench`] — scrape latency measurement plus the
-//!   serving-is-inert parity gate behind `BENCH_serve.json`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 pub mod client;
 pub mod http;
 pub mod server;
 
-pub use bench::{ServeBenchOutput, ServeBenchResult};
 pub use client::{http_get, http_request, tail_events, HttpResponse};
 pub use server::{
     serve, Health, RunHealth, ServeOptions, Server, EVENTS_CONTENT_TYPE, METRICS_CONTENT_TYPE,

@@ -1,20 +1,27 @@
 //! End-to-end observability round trip: submit a real run through the
-//! manager, hit every endpoint over real TCP, and shut down cleanly.
+//! manager, hit every endpoint over real TCP, and shut down cleanly —
+//! and the gate that serving is inert: a run scraped mid-flight ends
+//! with the populations and NDJSON bytes of a server-less run.
 
 use e3_envs::EnvId;
-use e3_islands::{IslandsConfig, Pickup, RunManager, RunSnapshot, SubmitOptions};
+use e3_islands::{IslandsConfig, Pickup, RunManager, RunSnapshot, RunStatus, SubmitOptions};
 use e3_platform::{BackendKind, E3Config};
 use e3_serve::{http_get, http_request, serve, tail_events, Health, ServeOptions};
 use e3_telemetry::SharedRegistry;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
 fn tiny_config(seed: u64) -> IslandsConfig {
+    config(seed, 12, 3)
+}
+
+fn config(seed: u64, population: usize, generations: usize) -> IslandsConfig {
     let base = E3Config::builder(EnvId::CartPole)
-        .population_size(12)
-        .max_generations(3)
+        .population_size(population)
+        .max_generations(generations)
         .target_fitness(f64::INFINITY)
         .threads(2)
         .build();
@@ -186,4 +193,95 @@ fn stop_endpoints_round_trip_over_tcp() {
     assert_eq!(replay.status, snapshot.status);
 
     server.shutdown();
+}
+
+/// Serving must be inert. The same config runs twice through the
+/// manager — bare, then with the server attached and `/metrics`,
+/// `/runs/{id}` and a tailed `/events` stream hit while it is in
+/// flight — and must end with identical island populations and
+/// byte-identical NDJSON (one driver makes the event order
+/// deterministic). The final scrape carries the per-run and per-island
+/// series and parses as Prometheus text exposition.
+#[test]
+fn a_run_scraped_mid_flight_matches_a_server_less_run() {
+    let dir = std::env::temp_dir().join(format!("e3-serve-inert-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let with_ndjson = |path: &Path| SubmitOptions {
+        ndjson: Some(path.to_string_lossy().into_owned()),
+        ..submit_options()
+    };
+    let fingerprints = |outcome: &e3_islands::ArchipelagoOutcome| -> Vec<u64> {
+        outcome
+            .islands
+            .iter()
+            .map(|island| island.population_fingerprint)
+            .collect()
+    };
+
+    let bare_path = dir.join("bare.ndjson");
+    let mut bare = RunManager::new();
+    let id = bare
+        .submit(config(42, 48, 8), with_ndjson(&bare_path))
+        .expect("submit");
+    let bare_outcome = bare.join(id).expect("known run").expect("run succeeds");
+
+    let served_path = dir.join("served.ndjson");
+    let manager = Arc::new(Mutex::new(RunManager::with_registry(SharedRegistry::new())));
+    let mut server = serve(Arc::clone(&manager), ServeOptions::default()).expect("bind");
+    let addr = server.local_addr();
+    let id = manager
+        .lock()
+        .expect("manager lock")
+        .submit(config(42, 48, 8), with_ndjson(&served_path))
+        .expect("submit");
+    let events =
+        tail_events(addr, &format!("/runs/{id}/events?limit=5"), 5, TIMEOUT).expect("tail events");
+    assert!(!events.is_empty());
+    loop {
+        assert_eq!(
+            http_get(addr, "/metrics", TIMEOUT).expect("scrape").status,
+            200
+        );
+        let snapshot = http_get(addr, &format!("/runs/{id}"), TIMEOUT).expect("snapshot");
+        assert_eq!(snapshot.status, 200);
+        let status = manager.lock().expect("manager lock").status(id);
+        if !matches!(status, Some(RunStatus::Running)) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let served_outcome = manager
+        .lock()
+        .expect("manager lock")
+        .join(id)
+        .expect("known run")
+        .expect("run succeeds");
+    let scrape = http_get(addr, "/metrics", TIMEOUT)
+        .expect("final scrape")
+        .body;
+    server.shutdown();
+
+    assert_eq!(fingerprints(&served_outcome), fingerprints(&bare_outcome));
+    assert!(
+        std::fs::read(&served_path).expect("served ndjson")
+            == std::fs::read(&bare_path).expect("bare ndjson"),
+        "serving injected, dropped or reordered telemetry"
+    );
+    for series in [
+        "e3_island_generation{",
+        "e3_island_best_fitness{",
+        "e3_run_up{",
+    ] {
+        assert!(scrape.contains(series), "final scrape lacks {series}");
+    }
+    // And the live page is well-formed exposition text: comments, or
+    // `name value` samples with finite values.
+    for line in scrape.lines().filter(|line| !line.starts_with('#')) {
+        let (name, value) = line.rsplit_once(' ').expect("sample is `name value`");
+        assert!(
+            !name.is_empty() && value.parse::<f64>().is_ok_and(f64::is_finite),
+            "malformed sample: {line}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
