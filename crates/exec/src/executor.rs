@@ -1,43 +1,27 @@
 //! The [`Executor`] trait, the serial reference implementation, and
 //! the enum-dispatch wrapper backends hold.
 
-use crate::cache::DecodeCache;
 use crate::pool::ThreadPoolExecutor;
 use crate::stats::ExecStats;
-use e3_jit::JitConfig;
 use std::fmt;
 use std::ops::Range;
 use std::time::Instant;
 
-/// Per-worker mutable state handed to every shard task.
-///
-/// Scratch state may only affect *how fast* a task runs (the decode
-/// cache), never *what* it computes — that is the determinism
-/// contract every task closure must uphold.
+/// What a shard task learns about the worker running it: its index,
+/// nothing else. The engine keeps no state between jobs on a task's
+/// behalf.
 #[derive(Debug)]
 pub struct WorkerScratch {
-    index: usize,
-    cache: DecodeCache,
+    pub(crate) index: usize,
 }
 
 impl WorkerScratch {
-    pub(crate) fn new(index: usize) -> Self {
-        WorkerScratch {
-            index,
-            cache: DecodeCache::new(),
-        }
-    }
-
-    /// Index of the worker running this shard (0 for the serial
-    /// executor). **For observability only** — results must not depend
-    /// on it.
+    /// Index of the worker running this shard, in `0..workers` (0 for
+    /// the serial executor). A worker runs one shard at a time, so a
+    /// task may use it to label spans or to pick a per-worker slot of
+    /// state it owns itself — **results must not depend on it**.
     pub fn worker_index(&self) -> usize {
         self.index
-    }
-
-    /// The worker's decoded-network cache.
-    pub fn cache(&mut self) -> &mut DecodeCache {
-        &mut self.cache
     }
 }
 
@@ -115,14 +99,6 @@ pub trait Executor {
     /// Number of workers (virtual PUs) this executor runs shards on.
     fn workers(&self) -> usize;
 
-    /// Installs the tiered-execution policy on every worker's decode
-    /// cache (see [`crate::TierExec`]). Takes effect before the next
-    /// `run_shards` call. The default ignores the policy — executors
-    /// without decode caches stay valid — and because both tiers are
-    /// bit-identical, whether a policy is installed can never change
-    /// results.
-    fn set_jit(&mut self, _config: JitConfig) {}
-
     /// Runs `task` over every shard of `0..num_items` and reduces the
     /// results in index order.
     ///
@@ -149,40 +125,19 @@ pub trait Executor {
 /// The reference executor: runs every shard on the calling thread, in
 /// shard order. This is by definition the serial semantics the
 /// parallel executors must reproduce bit-for-bit.
-pub struct SerialExecutor {
-    scratch: WorkerScratch,
-}
+#[derive(Debug, Default)]
+pub struct SerialExecutor;
 
 impl SerialExecutor {
     /// Creates the serial executor.
     pub fn new() -> Self {
-        SerialExecutor {
-            scratch: WorkerScratch::new(0),
-        }
-    }
-}
-
-impl Default for SerialExecutor {
-    fn default() -> Self {
-        SerialExecutor::new()
-    }
-}
-
-impl fmt::Debug for SerialExecutor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SerialExecutor")
-            .field("workers", &1usize)
-            .finish()
+        SerialExecutor
     }
 }
 
 impl Executor for SerialExecutor {
     fn workers(&self) -> usize {
         1
-    }
-
-    fn set_jit(&mut self, config: JitConfig) {
-        self.scratch.cache.set_jit(config);
     }
 
     fn run_shards<T, F>(
@@ -197,12 +152,12 @@ impl Executor for SerialExecutor {
     {
         let t0 = Instant::now();
         let plan = shard_plan(num_items, shard_size);
-        self.scratch.cache.begin_job();
+        let mut scratch = WorkerScratch { index: 0 };
         let mut results = Vec::with_capacity(num_items);
         let mut shard_seconds = Vec::with_capacity(plan.len());
         for &(start, end) in &plan {
             let shard_t0 = Instant::now();
-            let shard = task(&mut self.scratch, start..end);
+            let shard = task(&mut scratch, start..end);
             assert_eq!(
                 shard.len(),
                 end - start,
@@ -211,7 +166,6 @@ impl Executor for SerialExecutor {
             results.extend(shard);
             shard_seconds.push(shard_t0.elapsed().as_secs_f64());
         }
-        let cache = self.scratch.cache.take_counters();
         let busy = shard_seconds.iter().sum();
         Ok(ShardRun {
             results,
@@ -221,16 +175,6 @@ impl Executor for SerialExecutor {
                 items: num_items,
                 shard_seconds,
                 steal_count: 0,
-                cache_hits: cache.hits,
-                cache_misses: cache.misses,
-                cache_entries: self.scratch.cache.len() as u64,
-                cache_evictions: cache.evictions,
-                jit_compiled: cache.jit_compiled,
-                jit_bytes: cache.jit_bytes,
-                jit_compile_seconds: cache.jit_compile_nanos as f64 / 1e9,
-                jit_fallbacks: cache.jit_fallbacks,
-                jit_activations: cache.jit_activations,
-                jit_resident: self.scratch.cache.jit_resident() as u64,
                 busy_seconds: vec![busy],
                 queue_depths: vec![plan.len()],
                 wall_seconds: t0.elapsed().as_secs_f64(),
@@ -287,14 +231,6 @@ impl Executor for AnyExecutor {
             AnyExecutor::Serial(e) => e.workers(),
             AnyExecutor::Pool(e) => e.workers(),
             AnyExecutor::Shared(e) => e.workers(),
-        }
-    }
-
-    fn set_jit(&mut self, config: JitConfig) {
-        match self {
-            AnyExecutor::Serial(e) => e.set_jit(config),
-            AnyExecutor::Pool(e) => e.set_jit(config),
-            AnyExecutor::Shared(e) => e.set_jit(config),
         }
     }
 

@@ -13,12 +13,10 @@
 //! `catch_unwind` and surface as [`ExecError::ShardPanicked`]; the
 //! pool stays usable afterwards.
 
-use crate::cache::CacheCounters;
 use crate::executor::{shard_plan, ExecError, Executor, ShardRun, WorkerScratch};
 use crate::stats::ExecStats;
 use crossbeam::channel::{self, Receiver, Sender};
 use crossbeam::deque::{Injector, Steal};
-use e3_jit::JitConfig;
 use std::any::Any;
 use std::fmt;
 use std::ops::Range;
@@ -42,10 +40,6 @@ struct JobShared {
 
 enum WorkerMsg {
     Run(Arc<JobShared>),
-    /// Installs the tiered-execution policy on the worker's decode
-    /// cache. Channel FIFO order guarantees it lands before any job
-    /// submitted after the `set_jit` call.
-    SetJit(JitConfig),
     Shutdown,
 }
 
@@ -59,14 +53,11 @@ enum PoolMsg {
     WorkerDone {
         worker: usize,
         busy_seconds: f64,
-        counters: CacheCounters,
-        cache_entries: u64,
-        jit_resident: u64,
     },
 }
 
 /// A persistent pool of `threads` workers executing shard jobs with
-/// work stealing and per-worker decode caches.
+/// work stealing.
 pub struct ThreadPoolExecutor {
     senders: Vec<Sender<WorkerMsg>>,
     handles: Vec<JoinHandle<()>>,
@@ -117,17 +108,12 @@ impl Drop for ThreadPoolExecutor {
 /// A worker's event loop: wait for a job, drain home queue, steal from
 /// siblings, report, repeat.
 fn worker_main(index: usize, rx: Receiver<WorkerMsg>) {
-    let mut scratch = WorkerScratch::new(index);
+    let mut scratch = WorkerScratch { index };
     while let Ok(msg) = rx.recv() {
         let job = match msg {
             WorkerMsg::Run(job) => job,
-            WorkerMsg::SetJit(config) => {
-                scratch.cache().set_jit(config);
-                continue;
-            }
             WorkerMsg::Shutdown => break,
         };
-        scratch.cache().begin_job();
         let workers = job.queues.len();
         let mut busy_seconds = 0.0f64;
         loop {
@@ -165,15 +151,9 @@ fn worker_main(index: usize, rx: Receiver<WorkerMsg>) {
                 break; // submitter gave up on the job
             }
         }
-        let counters = scratch.cache().take_counters();
-        let cache_entries = scratch.cache().len() as u64;
-        let jit_resident = scratch.cache().jit_resident() as u64;
         let _ = job.done_tx.send(PoolMsg::WorkerDone {
             worker: index,
             busy_seconds,
-            counters,
-            cache_entries,
-            jit_resident,
         });
     }
 }
@@ -192,14 +172,6 @@ fn panic_message(panic: &(dyn Any + Send)) -> String {
 impl Executor for ThreadPoolExecutor {
     fn workers(&self) -> usize {
         self.senders.len()
-    }
-
-    fn set_jit(&mut self, config: JitConfig) {
-        // Best effort: a lost worker surfaces as `WorkerLost` on the
-        // next job, which is the actionable failure.
-        for tx in &self.senders {
-            let _ = tx.send(WorkerMsg::SetJit(config));
-        }
     }
 
     fn run_shards<T, F>(
@@ -284,22 +256,9 @@ impl Executor for ThreadPoolExecutor {
                 PoolMsg::WorkerDone {
                     worker,
                     busy_seconds,
-                    counters,
-                    cache_entries,
-                    jit_resident,
                 } => {
                     workers_done += 1;
                     stats.busy_seconds[worker] = busy_seconds;
-                    stats.cache_hits += counters.hits;
-                    stats.cache_misses += counters.misses;
-                    stats.cache_entries += cache_entries;
-                    stats.cache_evictions += counters.evictions;
-                    stats.jit_compiled += counters.jit_compiled;
-                    stats.jit_bytes += counters.jit_bytes;
-                    stats.jit_compile_seconds += counters.jit_compile_nanos as f64 / 1e9;
-                    stats.jit_fallbacks += counters.jit_fallbacks;
-                    stats.jit_activations += counters.jit_activations;
-                    stats.jit_resident += jit_resident;
                 }
             }
         }

@@ -19,7 +19,6 @@
 //! reflect contention.
 
 use crate::executor::{AnyExecutor, ExecError, Executor, ShardRun, WorkerScratch};
-use e3_jit::JitConfig;
 use parking_lot::Mutex;
 use std::fmt;
 use std::ops::Range;
@@ -132,13 +131,6 @@ impl fmt::Debug for SharedExecutor {
 impl Executor for SharedExecutor {
     fn workers(&self) -> usize {
         self.workers
-    }
-
-    fn set_jit(&mut self, config: JitConfig) {
-        // The policy is pool-wide: every run sharing this pool sees
-        // it. Safe because tiers are bit-identical — sharing can only
-        // shift speed and telemetry, never a sibling run's results.
-        self.inner.lock().set_jit(config);
     }
 
     fn run_shards<T, F>(

@@ -23,33 +23,6 @@ pub struct ExecStats {
     /// Shards executed by a worker other than their home worker
     /// (always 0 for the serial executor).
     pub steal_count: u64,
-    /// Decode-cache hits across all workers for this call.
-    pub cache_hits: u64,
-    /// Decode-cache misses across all workers for this call.
-    pub cache_misses: u64,
-    /// Compiled plans resident across all workers' decode caches at
-    /// the end of this call (a gauge, not a rate).
-    #[serde(default)]
-    pub cache_entries: u64,
-    /// Decode-cache entries evicted by epoch turnover during this call,
-    /// summed across workers.
-    #[serde(default)]
-    pub cache_evictions: u64,
-    /// Plans promoted to the native (JIT) tier during this call, summed
-    /// across workers. All `jit_*` fields are zero when the tier is
-    /// disabled or unsupported.
-    pub jit_compiled: u64,
-    /// Machine-code bytes emitted by this call's promotions.
-    pub jit_bytes: u64,
-    /// Seconds spent compiling plans to native code during this call.
-    pub jit_compile_seconds: f64,
-    /// Promotion attempts that failed and kept the interpreter.
-    pub jit_fallbacks: u64,
-    /// Forward passes executed on the native tier during this call.
-    pub jit_activations: u64,
-    /// Natively compiled plans resident across all workers' caches at
-    /// the end of this call (a gauge, like `cache_entries`).
-    pub jit_resident: u64,
     /// Seconds each worker spent running shard bodies, by worker index.
     pub busy_seconds: Vec<f64>,
     /// Shards enqueued on each worker's home queue at submit time
@@ -61,17 +34,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Fraction of decode lookups served from cache (0 when no lookups
-    /// happened).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Mean fraction of the call's wall-clock each worker spent busy —
     /// the host-side analogue of the INAX PU utilization `U(r)`.
     /// Returns 0 when the call did no timed work.
@@ -90,9 +52,10 @@ impl ExecStats {
 /// backend never produces stats" with "no evaluation ran since the
 /// last take" — both came back `None`, silently dropping the
 /// distinction. This enum keeps the three states apart so callers can
-/// tell a misconfigured pipeline from a merely quiet one.
+/// tell a misconfigured pipeline from a merely quiet one. `S` is the
+/// producer's per-evaluation record: [`ExecStats`], or one carrying them.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub enum ExecStatsState {
+pub enum ExecStatsState<S = ExecStats> {
     /// The backend does not run through an executor at all; it will
     /// never produce stats. This is the trait default.
     #[default]
@@ -102,12 +65,12 @@ pub enum ExecStatsState {
     Idle,
     /// Stats from the most recent evaluation; taking them resets the
     /// backend to [`ExecStatsState::Idle`].
-    Ready(ExecStats),
+    Ready(S),
 }
 
-impl ExecStatsState {
+impl<S> ExecStatsState<S> {
     /// The stats, if ready — the shape most telemetry call sites want.
-    pub fn into_option(self) -> Option<ExecStats> {
+    pub fn into_option(self) -> Option<S> {
         match self {
             ExecStatsState::Ready(stats) => Some(stats),
             ExecStatsState::Unavailable | ExecStatsState::Idle => None,
@@ -126,10 +89,11 @@ mod tests {
 
     #[test]
     fn stats_state_separates_never_from_not_yet() {
-        assert!(ExecStatsState::Unavailable.is_unavailable());
-        assert!(!ExecStatsState::Idle.is_unavailable());
-        assert_eq!(ExecStatsState::Unavailable.into_option(), None);
-        assert_eq!(ExecStatsState::Idle.into_option(), None);
+        type State = ExecStatsState; // the default payload, `ExecStats`
+        assert!(State::Unavailable.is_unavailable());
+        assert!(!State::Idle.is_unavailable());
+        assert_eq!(State::Unavailable.into_option(), None);
+        assert_eq!(State::Idle.into_option(), None);
         let stats = ExecStats {
             workers: 2,
             ..ExecStats::default()
@@ -138,15 +102,6 @@ mod tests {
             ExecStatsState::Ready(stats.clone()).into_option(),
             Some(stats)
         );
-    }
-
-    #[test]
-    fn hit_rate_handles_empty_and_mixed() {
-        let mut stats = ExecStats::default();
-        assert_eq!(stats.cache_hit_rate(), 0.0);
-        stats.cache_hits = 3;
-        stats.cache_misses = 1;
-        assert!((stats.cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -170,16 +125,6 @@ mod tests {
             items: 32,
             shard_seconds: vec![0.1; 8],
             steal_count: 2,
-            cache_hits: 10,
-            cache_misses: 22,
-            cache_entries: 16,
-            cache_evictions: 3,
-            jit_compiled: 5,
-            jit_bytes: 4096,
-            jit_compile_seconds: 0.001,
-            jit_fallbacks: 1,
-            jit_activations: 900,
-            jit_resident: 4,
             busy_seconds: vec![0.2; 4],
             queue_depths: vec![2; 4],
             wall_seconds: 0.3,

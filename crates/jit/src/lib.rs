@@ -8,8 +8,8 @@
 //!
 //! The paper treats the genome→phenotype compile ("CreateNet") as a
 //! first-class hardware step; this crate is the same move in software.
-//! Elites survive many generations, so the `e3-exec` decode cache
-//! already knows which plans are hot: entries that cross a configurable
+//! Elites survive many generations, so `e3-platform`'s tiered plan
+//! cache already knows which plans are hot: entries that cross a configurable
 //! use threshold ([`JitConfig::hot_threshold`]) are promoted from the
 //! interpreter tier to a [`CompiledPlan`].
 //!
@@ -30,7 +30,7 @@
 //! [`CompiledPlan::compile`] returns [`JitError`] instead of a plan on
 //! non-x86-64-Linux targets, when the kernel refuses the executable
 //! mapping, or when a plan exceeds the emitter's size cap. Callers
-//! (the `e3-exec` tiered cache) treat any error as "keep
+//! (the `e3-platform` tiered cache) treat any error as "keep
 //! interpreting": compilation is an optimization, never a requirement.
 //!
 //! ## W^X contract
@@ -108,7 +108,7 @@ pub(crate) fn activation_index(activation: Activation) -> usize {
 }
 
 /// Tiered-execution policy, carried on `E3Config` and handed to the
-/// `e3-exec` decode caches.
+/// software backend's tiered plan cache when it is built.
 ///
 /// Disabled by default: a run with the default config is byte-identical
 /// to one predating the JIT tier.
@@ -348,7 +348,7 @@ impl CompiledPlan {
     }
 
     /// Drains the forward-pass counter (hot-path activations since the
-    /// last drain) — how the `e3-exec` cache aggregates JIT telemetry.
+    /// last drain) — how the tiered cache aggregates JIT telemetry.
     pub fn take_activations(&mut self) -> u64 {
         std::mem::take(&mut self.activations)
     }

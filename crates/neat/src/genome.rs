@@ -892,8 +892,9 @@ impl Genome {
     /// endpoints, innovation) changes the fingerprint with overwhelming
     /// probability. Float parameters are hashed through their IEEE-754
     /// bit patterns, so the fingerprint is deterministic across
-    /// processes and platforms. Used as the key of the decoded-network
-    /// cache in `e3-exec`.
+    /// processes and platforms. Used as the key of `e3-platform`'s tiered
+    /// plan cache, which confirms every hit with `PartialEq` — 64 bits
+    /// can collide.
     pub fn fingerprint(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -69,7 +69,7 @@ impl Network {
     }
 
     /// Wraps an already compiled plan in an executor (for callers that
-    /// cache or share plans, e.g. `e3-exec`'s decode cache).
+    /// cache or share plans, e.g. `e3-platform`'s tiered plan cache).
     pub fn from_plan(plan: NetPlan) -> Self {
         Network {
             values: vec![0.0; plan.value_buffer_slots()],

@@ -25,13 +25,15 @@
 //! [`AnyBackend`].
 
 use crate::scenario::{aggregate_fitness, ScenarioSpec};
+use crate::tier::{Tier, TierExec, TierStats};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::{decode_action, Action, EnvId, Environment, ScenarioParams, StepBatch};
 use e3_exec::{
-    AnyExecutor, ExecError, ExecStats, ExecStatsState, Executor, JitConfig, ShardRun,
-    SharedExecutor, WorkerScratch,
+    AnyExecutor, ExecError, ExecStats, ExecStatsState, Executor, ShardRun, SharedExecutor,
+    WorkerScratch,
 };
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, IrregularNet, UtilizationBreakdown};
+use e3_jit::JitConfig;
 use e3_neat::stats::PlanShape;
 use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan, PlanBatch};
 use e3_telemetry::{SpanGuard, SpanTimer, Tracer};
@@ -208,8 +210,10 @@ pub trait EvalBackend {
         spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError>;
 
-    /// Takes (consumes) the executor statistics of the most recent
-    /// successful `evaluate` call.
+    /// Takes (consumes) the statistics of the most recent successful
+    /// `evaluate` call: the executor's schedule and what the backend's
+    /// plan-cache tier did around it ([`TierStats`], all zero for a
+    /// backend without a tier).
     ///
     /// The default returns [`ExecStatsState::Unavailable`]: the backend
     /// runs no executor and can never produce stats. Backends that *do*
@@ -222,7 +226,7 @@ pub trait EvalBackend {
     /// Stats are observability only: they describe the nondeterministic
     /// execution schedule (wall times, steals, cache hits), never the
     /// results, which are bit-identical across thread counts.
-    fn take_exec_stats(&mut self) -> ExecStatsState {
+    fn take_exec_stats(&mut self) -> ExecStatsState<EvalStats> {
         ExecStatsState::Unavailable
     }
 
@@ -231,15 +235,11 @@ pub trait EvalBackend {
     /// tracer (backends without instrumentation stay valid). Tracing is
     /// write-only: results are bit-identical with any tracer installed.
     fn set_tracer(&mut self, _tracer: Tracer) {}
-
-    /// Installs the tiered-execution (JIT) policy, effective from the
-    /// next evaluation. The default ignores the policy — backends
-    /// without a software inference path (e.g. INAX) stay valid — and
-    /// because the native tier is bit-identical to the interpreter,
-    /// installing a policy can never change results, only speed and
-    /// telemetry.
-    fn set_jit(&mut self, _config: JitConfig) {}
 }
+
+/// What [`EvalBackend::take_exec_stats`] yields per evaluation: the
+/// executor's statistics and the tier's.
+pub type EvalStats = (ExecStats, TierStats);
 
 /// Runs one network's episode in software, returning
 /// `(fitness, steps)`. Generic over the [`ForwardPass`] seam so the
@@ -408,9 +408,10 @@ impl Pricing {
 /// wall-clock and in which execution tiers they can host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Route {
-    /// One genome at a time through the tiered decode cache: the only
-    /// route that can run JIT-compiled plans. Over-sharded 4× per
-    /// worker so work stealing absorbs episode-length imbalance.
+    /// One genome at a time: the only route that can run JIT-compiled
+    /// plans, so the one a backend built with an enabled tier takes.
+    /// Over-sharded 4× per worker so work stealing absorbs
+    /// episode-length imbalance.
     PerGenome,
     /// All of a shard's `genomes × K` episodes in lockstep: plans
     /// packed into one [`PlanBatch`], environments into one
@@ -473,13 +474,15 @@ fn software_row(
     })
 }
 
-/// [`Route::PerGenome`] kernel for one shard: decode each genome
-/// through the worker's tiered cache, then run its K episodes back to
-/// back.
+/// [`Route::PerGenome`] kernel for one shard: lower each genome —
+/// through this worker's tiered cache when the backend has a tier,
+/// with a plain [`Genome::decode`] otherwise — then run its K episodes
+/// back to back.
 fn per_genome_shard(
     job: &EvalJob,
     pricing: Pricing,
-    scratch: &mut WorkerScratch,
+    tier: Option<&Tier>,
+    scratch: &WorkerScratch,
     range: Range<usize>,
 ) -> Vec<SoftwareRow> {
     let _shard_span = job.shard_span("start", range.start, range.len());
@@ -492,6 +495,7 @@ fn per_genome_shard(
         .map(|params| job.env.make_scenario(params))
         .collect();
     let mut fits = vec![0.0; envs.len()];
+    let mut cache = tier.map(|tier| tier.cache(scratch.worker_index()));
     range
         .map(|i| {
             let mut individual_span = job.tracer.span("individual", "eval");
@@ -499,22 +503,27 @@ fn per_genome_shard(
             // Tier selection: the interpreted network, or (for hot
             // entries under an enabled JIT policy) its natively
             // compiled twin — bit-identical either way.
-            let mut tier = scratch
-                .cache()
-                .get_or_tiered(&job.pop[i])
-                .map_err(|reason| (i, reason))?;
+            let failed = |reason| (i, reason);
+            let mut decoded;
+            let mut exec = match cache.as_deref_mut() {
+                Some(cache) => cache.get_or_tiered(&job.pop[i]).map_err(failed)?,
+                None => {
+                    decoded = job.pop[i].decode().map_err(failed)?;
+                    TierExec::Interpreted(&mut decoded)
+                }
+            };
             let mut genome_steps = 0u64;
             let seeds = job.spec.episode_seeds(i..i + 1);
             for (s, (env, &seed)) in envs.iter_mut().zip(seeds).enumerate() {
                 let mut episode_span = job.tracer.start("episode", "env");
                 episode_span.arg("scenario", s as f64);
-                let (fitness, steps) = run_software_episode(tier.forward(), env.as_mut(), seed);
+                let (fitness, steps) = run_software_episode(exec.forward(), env.as_mut(), seed);
                 episode_span.arg("steps", steps as f64);
                 episode_span.finish();
                 fits[s] = fitness;
                 genome_steps += steps;
             }
-            software_row(job, pricing, tier.plan(), &fits, genome_steps)
+            software_row(job, pricing, exec.plan(), &fits, genome_steps)
         })
         .collect()
 }
@@ -523,10 +532,10 @@ fn per_genome_shard(
 /// (genome-major, each genome's plan replicated K times) stepped
 /// together until every lane has parked.
 ///
-/// Plans are compiled here, not fetched from the worker's decode
-/// cache: a lookup costs a whole-genome fingerprint, about as much as
-/// the compile it might save, and only a generation's few survivors
-/// could hit (see `e3_exec`'s cache docs).
+/// Plans are compiled here, not fetched from a cache: a lookup costs
+/// a whole-genome fingerprint, about as much as the compile it might
+/// save, and only a generation's few survivors could hit (see
+/// `tier.rs`).
 ///
 /// Bit-identical to [`per_genome_shard`]: each lane's FP op order
 /// matches its solo episode, parked lanes contribute nothing, and rows
@@ -608,8 +617,10 @@ pub struct SoftwareBackend {
     pricing: Pricing,
     sec_per_env_step: f64,
     exec: AnyExecutor,
-    route: Route,
-    last_exec: Option<ExecStats>,
+    /// The tiered plan cache, present iff the backend was built with
+    /// an enabled [`JitConfig`]. Its presence is also the route choice.
+    tier: Option<Tier>,
+    last_exec: ExecStatsState<EvalStats>,
     tracer: Tracer,
 }
 
@@ -631,10 +642,21 @@ impl SoftwareBackend {
             pricing,
             sec_per_env_step,
             exec: AnyExecutor::new(1),
-            route: Route::Lockstep,
-            last_exec: None,
+            tier: None,
+            last_exec: ExecStatsState::Idle,
             tracer: Tracer::disabled(),
         }
+    }
+
+    /// Installs the tiered-execution (JIT) policy. An enabled policy
+    /// gives the backend a tier (`tier.rs`) and with it
+    /// [`Route::PerGenome`], the only kernel that can host per-genome
+    /// native code; a disabled one leaves [`Route::Lockstep`] and no
+    /// cache at all. Both tiers are bit-identical, so the policy moves
+    /// speed and telemetry, never results.
+    pub fn with_jit(mut self, config: JitConfig) -> Self {
+        self.tier = config.enabled.then(|| Tier::new(config));
+        self
     }
 
     /// Evaluates across `threads` host workers ("virtual PUs").
@@ -666,17 +688,22 @@ impl SoftwareBackend {
         spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
         let pricing = self.pricing;
-        let shard_size = route.shard_size(genomes.len(), self.exec.workers());
+        let workers = self.exec.workers();
+        let shard_size = route.shard_size(genomes.len(), workers);
+        // The tier's epoch turns and its counters drain around this
+        // backend's own evaluations, whoever else shares the pool.
+        let tier = self.tier.as_mut().map(|tier| tier.begin_run(workers));
         let run = EvalJob::new(genomes, env, spec, &self.tracer).run(
             &mut self.exec,
             genomes.len(),
             shard_size,
             move |job, scratch, range| match route {
-                Route::PerGenome => per_genome_shard(job, pricing, scratch, range),
+                Route::PerGenome => per_genome_shard(job, pricing, tier.as_ref(), scratch, range),
                 Route::Lockstep => lockstep_shard(job, pricing, range),
             },
         )?;
-        self.last_exec = Some(run.stats);
+        let tier_stats = self.tier.as_ref().map(Tier::end_run).unwrap_or_default();
+        self.last_exec = ExecStatsState::Ready((run.stats, tier_stats));
         // Modeled seconds accumulate in population order (the serial
         // summation order), whatever the shard plan was.
         let mut fitnesses = Vec::with_capacity(run.results.len());
@@ -715,33 +742,19 @@ impl EvalBackend for SoftwareBackend {
         env: EnvId,
         spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
-        self.evaluate_via(self.route, genomes, env, spec)
+        let route = match self.tier {
+            Some(_) => Route::PerGenome,
+            None => Route::Lockstep,
+        };
+        self.evaluate_via(route, genomes, env, spec)
     }
 
-    fn take_exec_stats(&mut self) -> ExecStatsState {
-        match self.last_exec.take() {
-            Some(stats) => ExecStatsState::Ready(stats),
-            None => ExecStatsState::Idle,
-        }
+    fn take_exec_stats(&mut self) -> ExecStatsState<EvalStats> {
+        std::mem::replace(&mut self.last_exec, ExecStatsState::Idle)
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Besides handing the policy to the executor's decode caches,
-    /// this picks the route: an enabled tier needs
-    /// [`Route::PerGenome`], the only kernel that consults the tiered
-    /// cache (the lockstep kernel interprets a merged [`PlanBatch`]
-    /// and cannot host per-genome native code); without one,
-    /// [`Route::Lockstep`] is the default.
-    fn set_jit(&mut self, config: JitConfig) {
-        self.exec.set_jit(config);
-        self.route = if config.enabled {
-            Route::PerGenome
-        } else {
-            Route::Lockstep
-        };
     }
 }
 
@@ -759,7 +772,7 @@ pub struct InaxBackend {
     config: InaxConfig,
     sw: SwCostModel,
     exec: AnyExecutor,
-    last_exec: Option<ExecStats>,
+    last_exec: ExecStatsState<EvalStats>,
     tracer: Tracer,
 }
 
@@ -783,7 +796,7 @@ impl InaxBackend {
             config,
             sw,
             exec: AnyExecutor::new(1),
-            last_exec: None,
+            last_exec: ExecStatsState::Idle,
             tracer: Tracer::disabled(),
         }
     }
@@ -811,34 +824,23 @@ impl InaxBackend {
     }
 }
 
-/// The INAX kernel for one wave: lower the residents through the
-/// worker's plan cache (genome→NetPlan compiles once per fingerprint
-/// and the hardware view is a direct copy of the plan; this kernel's
-/// host time is the cycle-level simulator's, so the lookup is kept
-/// where the lockstep kernel dropped it), load them onto a private
+/// The INAX kernel for one wave: compile the residents' plans (the
+/// hardware view is a direct copy of the plan), load them onto a private
 /// accelerator instance once, then run the lock-step episode loop once
 /// per scenario against fresh environments — weights stream onto the
 /// PUs a single time however many worlds the wave faces. Per-resident
 /// fitnesses aggregate exactly like the software kernels, so all
 /// backends agree bit for bit.
-fn inax_wave(
-    job: &EvalJob,
-    config: &InaxConfig,
-    scratch: &mut WorkerScratch,
-    wave: usize,
-) -> Result<WaveResult, DecodeFailure> {
+fn inax_wave(job: &EvalJob, config: &InaxConfig, wave: usize) -> Result<WaveResult, DecodeFailure> {
     let k = job.spec.scenarios();
     let base = wave * config.num_pu;
     let end = (base + config.num_pu).min(job.pop.len());
     let mut batch = Vec::with_capacity(end - base);
     let mut shapes = Vec::with_capacity(end - base);
     for i in base..end {
-        let cached = scratch
-            .cache()
-            .get_or_tiered(&job.pop[i])
-            .map_err(|reason| (i, reason))?;
-        batch.push(IrregularNet::from_plan(cached.plan()));
-        shapes.push(PlanShape::of(cached.plan()));
+        let plan = NetPlan::compile(&job.pop[i]).map_err(|reason| (i, reason))?;
+        batch.push(IrregularNet::from_plan(&plan));
+        shapes.push(PlanShape::of(&plan));
     }
     let residents = batch.len();
     let mut wave_span = job.shard_span("wave", wave, residents);
@@ -917,11 +919,7 @@ impl EvalBackend for InaxBackend {
             &mut self.exec,
             num_waves,
             1,
-            move |job, scratch, range| {
-                range
-                    .map(|wave| inax_wave(job, &config, scratch, wave))
-                    .collect()
-            },
+            move |job, _, range| range.map(|wave| inax_wave(job, &config, wave)).collect(),
         )?;
         // Wave-ordered reduction: counters are additive, so this is
         // the accounting a single accelerator would have produced.
@@ -938,7 +936,7 @@ impl EvalBackend for InaxBackend {
             util.merge(&wave.util);
         }
         let total_steps: u64 = steps_per_genome.iter().sum();
-        self.last_exec = Some(run.stats);
+        self.last_exec = ExecStatsState::Ready((run.stats, TierStats::default()));
         Ok(EvalOutcome {
             fitnesses,
             steps_per_genome,
@@ -951,11 +949,8 @@ impl EvalBackend for InaxBackend {
         })
     }
 
-    fn take_exec_stats(&mut self) -> ExecStatsState {
-        match self.last_exec.take() {
-            Some(stats) => ExecStatsState::Ready(stats),
-            None => ExecStatsState::Idle,
-        }
+    fn take_exec_stats(&mut self) -> ExecStatsState<EvalStats> {
+        std::mem::replace(&mut self.last_exec, ExecStatsState::Idle)
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -1002,16 +997,12 @@ impl EvalBackend for AnyBackend {
         self.as_dyn().evaluate(genomes, env, spec)
     }
 
-    fn take_exec_stats(&mut self) -> ExecStatsState {
+    fn take_exec_stats(&mut self) -> ExecStatsState<EvalStats> {
         self.as_dyn().take_exec_stats()
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
         self.as_dyn().set_tracer(tracer)
-    }
-
-    fn set_jit(&mut self, config: JitConfig) {
-        self.as_dyn().set_jit(config)
     }
 }
 
@@ -1037,6 +1028,7 @@ pub struct BackendBuilder {
     inax: InaxConfig,
     threads: usize,
     executor: Option<SharedExecutor>,
+    jit: JitConfig,
     tracer: Tracer,
 }
 
@@ -1051,6 +1043,7 @@ impl BackendBuilder {
             inax: InaxConfig::default(),
             threads: 1,
             executor: None,
+            jit: JitConfig::default(),
             tracer: Tracer::disabled(),
         }
     }
@@ -1092,6 +1085,14 @@ impl BackendBuilder {
         self
     }
 
+    /// Sets the tiered-execution (JIT) policy of the software backends
+    /// (see [`SoftwareBackend::with_jit`]; disabled by default). E3-INAX
+    /// has no software inference path and ignores it.
+    pub fn jit(mut self, config: JitConfig) -> Self {
+        self.jit = config;
+        self
+    }
+
     /// Installs a span tracer on the built backend (defaults to the
     /// zero-cost disabled tracer). Tracing is write-only: results are
     /// bit-identical with any tracer.
@@ -1112,12 +1113,16 @@ impl BackendBuilder {
             None => AnyExecutor::new(self.threads),
         };
         let mut backend = match self.kind {
-            BackendKind::Cpu => {
-                AnyBackend::Software(SoftwareBackend::cpu(self.sw).with_executor(exec))
-            }
-            BackendKind::Gpu => {
-                AnyBackend::Software(SoftwareBackend::gpu(self.sw, self.gpu).with_executor(exec))
-            }
+            BackendKind::Cpu => AnyBackend::Software(
+                SoftwareBackend::cpu(self.sw)
+                    .with_executor(exec)
+                    .with_jit(self.jit),
+            ),
+            BackendKind::Gpu => AnyBackend::Software(
+                SoftwareBackend::gpu(self.sw, self.gpu)
+                    .with_executor(exec)
+                    .with_jit(self.jit),
+            ),
             BackendKind::Inax => {
                 AnyBackend::Inax(InaxBackend::new(self.inax, self.sw).with_executor(exec))
             }
@@ -1338,8 +1343,7 @@ mod tests {
     fn a_tier_policy_selects_the_per_genome_route() {
         let pop = genomes(EnvId::CartPole, 4);
         for (enabled, individuals) in [(false, 0), (true, pop.len())] {
-            let mut cpu = cpu();
-            cpu.set_jit(JitConfig {
+            let mut cpu = cpu().with_jit(JitConfig {
                 enabled,
                 ..JitConfig::default()
             });

@@ -86,16 +86,17 @@ pub mod experiments;
 pub mod fpga;
 pub mod platform;
 pub mod scenario;
+mod tier;
 pub mod timing;
 
 pub use backend::{
-    AnyBackend, BackendBuilder, BackendKind, EvalBackend, EvalError, EvalOutcome, InaxBackend,
-    ParseBackendKindError, Pricing, Route, SoftwareBackend,
+    AnyBackend, BackendBuilder, BackendKind, EvalBackend, EvalError, EvalOutcome, EvalStats,
+    InaxBackend, ParseBackendKindError, Pricing, Route, SoftwareBackend,
 };
 pub use checkpoint::{fingerprint, RunState};
 pub use design_space::{sweep_design_space, sweep_design_space_with, DesignPoint, DesignSweep};
 pub use e3_exec as exec;
-pub use e3_exec::JitConfig;
+pub use e3_jit::JitConfig;
 pub use e3_store as store;
 pub use e3_store::CheckpointPolicy;
 pub use e3_telemetry as telemetry;
@@ -106,4 +107,5 @@ pub use scenario::{
     aggregate_fitness, holdout_plan, FitnessAggregation, HoldoutConfig, ScenarioConfig,
     ScenarioSpec, SpecError, HOLDOUT_EPISODE_STREAM, HOLDOUT_PARAM_STREAM, PARAM_STREAM,
 };
+pub use tier::TierStats;
 pub use timing::{GpuCostModel, SwCostModel};

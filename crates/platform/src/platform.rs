@@ -15,8 +15,9 @@ use crate::energy::PowerModel;
 use crate::scenario::{holdout_plan, ScenarioConfig};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::EnvId;
-use e3_exec::{ExecStatsState, JitConfig, SharedExecutor};
+use e3_exec::{ExecStatsState, SharedExecutor};
 use e3_inax::{EpisodeRunReport, InaxConfig, UtilizationBreakdown};
+use e3_jit::JitConfig;
 use e3_neat::checkpoint::PopulationSnapshot;
 use e3_neat::stats::ComplexityStats;
 use e3_neat::{NeatConfig, Population};
@@ -452,19 +453,12 @@ impl E3Platform {
             .sw(config.sw)
             .gpu(config.gpu)
             .inax(config.inax.clone())
-            .threads(config.threads);
+            .threads(config.threads)
+            .jit(config.jit);
         if let Some(pool) = pool {
             builder = builder.executor(pool);
         }
-        let mut backend = builder.build();
-        if config.jit.enabled {
-            // Install the tier policy before the first evaluation (on
-            // the software backends this also selects the per-genome
-            // route, the one that can run native code). Disabled
-            // configs skip the call entirely, so their executors never
-            // see a policy message.
-            backend.set_jit(config.jit);
-        }
+        let backend = builder.build();
         let population = Population::new(config.neat.clone(), seed);
         E3Platform {
             config,
@@ -821,7 +815,7 @@ impl E3Platform {
         // (the backend has no executor) both mean "no record this
         // generation" — but the states stay distinguishable for
         // callers that need to know why.
-        if let ExecStatsState::Ready(exec) = self.backend.take_exec_stats() {
+        if let ExecStatsState::Ready((exec, tier)) = self.backend.take_exec_stats() {
             collector.record(&TelemetryEvent::Exec(ExecRecord {
                 generation: self.generation,
                 backend: self.backend.kind().name().to_string(),
@@ -829,11 +823,11 @@ impl E3Platform {
                 shards: exec.shards,
                 shard_seconds: exec.shard_seconds.clone(),
                 steal_count: exec.steal_count,
-                cache_hits: exec.cache_hits,
-                cache_misses: exec.cache_misses,
-                cache_entries: exec.cache_entries,
-                cache_evictions: exec.cache_evictions,
-                cache_hit_rate: exec.cache_hit_rate(),
+                cache_hits: tier.cache_hits,
+                cache_misses: tier.cache_misses,
+                cache_entries: tier.cache_entries,
+                cache_evictions: tier.cache_evictions,
+                cache_hit_rate: tier.cache_hit_rate(),
                 worker_utilization: exec.worker_utilization(),
                 queue_depths: exec.queue_depths.clone(),
                 wall_seconds: exec.wall_seconds,
@@ -842,21 +836,21 @@ impl E3Platform {
             // did something this evaluation — disabled (or
             // unsupported-target) runs emit no `Jit` events, keeping
             // their NDJSON byte-identical to pre-tier runs.
-            let jit_active = exec.jit_compiled != 0
-                || exec.jit_bytes != 0
-                || exec.jit_fallbacks != 0
-                || exec.jit_activations != 0
-                || exec.jit_resident != 0;
+            let jit_active = tier.jit_compiled != 0
+                || tier.jit_bytes != 0
+                || tier.jit_fallbacks != 0
+                || tier.jit_activations != 0
+                || tier.jit_resident != 0;
             if jit_active {
                 collector.record(&TelemetryEvent::Jit(JitRecord {
                     generation: self.generation,
                     backend: self.backend.kind().name().to_string(),
-                    compiled: exec.jit_compiled,
-                    bytes: exec.jit_bytes,
-                    compile_seconds: exec.jit_compile_seconds,
-                    fallbacks: exec.jit_fallbacks,
-                    activations: exec.jit_activations,
-                    resident: exec.jit_resident,
+                    compiled: tier.jit_compiled,
+                    bytes: tier.jit_bytes,
+                    compile_seconds: tier.jit_compile_seconds,
+                    fallbacks: tier.jit_fallbacks,
+                    activations: tier.jit_activations,
+                    resident: tier.jit_resident,
                 }))?;
             }
         }

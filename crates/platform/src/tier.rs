@@ -1,36 +1,44 @@
-//! Per-worker compiled-plan cache.
+//! The tiered plan cache of the per-genome software kernel.
 //!
-//! Unchanged elites and champions survive generations verbatim, so a
-//! worker can keep their compiled [`NetPlan`] across generations: the
-//! cache is keyed by [`Genome::fingerprint`], a lookup for an unchanged
-//! genome returns the previously compiled plan (wrapped in its
-//! [`Network`] executor), and any mutation changes the fingerprint, so
-//! a mutated genome can never be served a stale phenotype.
+//! Unchanged elites and champions survive generations verbatim, so
+//! their compiled [`NetPlan`] can be kept: a [`DecodeCache`] is keyed
+//! by [`Genome::fingerprint`] and a lookup for an unchanged genome
+//! returns the previously compiled plan (wrapped in its [`Network`]
+//! executor). The 64-bit key is only a hint: every entry keeps its
+//! genome and a hit is served only after `Genome: PartialEq` confirms
+//! it, so a collision is a miss that replaces the entry, never another
+//! genome's phenotype.
 //!
-//! # Who consults it, and why not everyone
+//! # Who consults it, and why nobody else
 //!
-//! A lookup is not free: the fingerprint is a byte-wise hash over the
-//! whole genome (~1.7 µs at LunarLander sizes) and compiling the plan
-//! afresh costs about the same (~1.9 µs), while only the survivors of
-//! a generation can hit (measured hit rate 0.01 on LunarLander, 0.36
-//! on CartPole). So `fingerprint + (1 − h) · compile` beats plain
-//! `compile` only above h ≈ 0.9, which evolution never reaches: a
-//! caller that needs nothing but the plan should call
-//! [`NetPlan::compile`] itself, and the platform's lockstep kernel
-//! does. The cache is for callers to whom an entry is worth more than
-//! a recompile:
+//! A lookup costs a byte-wise hash over the whole genome (1.85 µs at
+//! LunarLander sizes), compiling the plan afresh costs the same
+//! (1.84 µs), and only a generation's survivors can hit. So
+//! `fingerprint + (1 − h) · compile` beats plain `compile` only above
+//! h ≈ 0.9, which evolution never reaches, and a kernel that needs
+//! nothing but the plan calls [`NetPlan::compile`]: the **lockstep
+//! kernel** (hit rate 0.01 on LunarLander — EXPERIMENTS.md "Where the
+//! time goes") and the **INAX wave kernel** (0.36 on CartPole;
+//! `cartpole_inax` reads +2 % `env_steps_per_s` without the lookup —
+//! EXPERIMENTS.md "INAX off the cache").
 //!
-//! * the **tiered route** (the per-genome software kernel): every
-//!   entry carries a use counter, and [`DecodeCache::get_or_tiered`]
-//!   promotes entries that cross the configured
-//!   [`JitConfig::hot_threshold`] to a natively compiled
-//!   [`CompiledPlan`] (see `e3-jit`) — hotness and native code are
-//!   state a recompile cannot rebuild. The interpreter stays the
-//!   oracle — both tiers are bit-identical — so promotion can only
-//!   change speed and telemetry, never results;
-//! * the **INAX wave kernel**, which reads [`TierExec::plan`] to build
-//!   the hardware layout and keeps the cache because its host time is
-//!   the simulator's, not CreateNet's.
+//! That leaves the one caller to whom an entry is worth more than a
+//! recompile, the **tiered per-genome route**: every entry carries a
+//! use counter, and [`DecodeCache::get_or_tiered`] promotes entries
+//! that cross [`JitConfig::hot_threshold`] to a natively compiled
+//! [`CompiledPlan`] (see `e3-jit`) — hotness and native code are state
+//! a recompile cannot rebuild. Both tiers are bit-identical, so
+//! promotion can only change speed and telemetry, never results.
+//!
+//! # Who owns it
+//!
+//! A [`Tier`] is construction-time state of one `SoftwareBackend`, which
+//! turns the epoch and drains the counters around its own `run_shards`
+//! call: an entry's lifetime is counted in *this run's* generations
+//! even when many runs alternate on one shared pool. (Hung off the
+//! pool's workers, the epoch would turn once per *job*, and two
+//! alternating runs would evict each other's entries before either
+//! could hit.)
 //!
 //! Reusing a cached [`Network`] across episodes is safe because
 //! `activate` overwrites every value-buffer slot on each pass — the
@@ -38,10 +46,15 @@
 
 use e3_jit::{CompiledPlan, JitConfig};
 use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan, Network};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+#[derive(Debug)]
 struct CacheEntry {
+    /// The genome `net` was decoded from: what a hit is confirmed
+    /// against, since the 64-bit key alone can collide.
+    genome: Genome,
     net: Network,
     last_used: u64,
     /// Lookups that returned this entry since it was decoded — the
@@ -56,39 +69,16 @@ struct CacheEntry {
 }
 
 impl CacheEntry {
-    fn new(net: Network) -> Self {
-        CacheEntry {
-            net,
+    fn new(genome: &Genome) -> Result<Self, DecodeError> {
+        Ok(CacheEntry {
+            net: genome.decode()?,
+            genome: genome.clone(),
             last_used: 0,
             uses: 0,
             jit: None,
             jit_failed: false,
-        }
+        })
     }
-}
-
-/// Counters drained from a [`DecodeCache`] by
-/// [`DecodeCache::take_counters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheCounters {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that compiled a fresh plan.
-    pub misses: u64,
-    /// Entries evicted by [`DecodeCache::begin_job`] epoch turnover.
-    pub evictions: u64,
-    /// Plans promoted to the native tier.
-    pub jit_compiled: u64,
-    /// Machine-code bytes emitted by those promotions.
-    pub jit_bytes: u64,
-    /// Nanoseconds spent compiling (observability only — never fed
-    /// back into scheduling).
-    pub jit_compile_nanos: u64,
-    /// Promotion attempts that failed and fell back to the interpreter.
-    pub jit_fallbacks: u64,
-    /// Forward passes executed on the native tier (drained from every
-    /// resident and evicted [`CompiledPlan`]).
-    pub jit_activations: u64,
 }
 
 /// A genome-fingerprint-keyed cache of compiled network plans.
@@ -96,19 +86,14 @@ pub struct CacheCounters {
 /// Entries not used for two consecutive jobs (generations) are evicted
 /// at the next [`DecodeCache::begin_job`], bounding the cache to the
 /// working set of the current population.
-#[derive(Default)]
-pub struct DecodeCache {
+#[derive(Debug, Default)]
+pub(crate) struct DecodeCache {
     entries: HashMap<u64, CacheEntry>,
     epoch: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
     jit: JitConfig,
-    jit_compiled: u64,
-    jit_bytes: u64,
-    jit_compile_nanos: u64,
-    jit_fallbacks: u64,
-    jit_activations: u64,
+    /// Accumulated since the last [`DecodeCache::take_counters`]; the
+    /// two gauges stay zero here.
+    counters: TierStats,
 }
 
 /// The execution tier [`DecodeCache::get_or_tiered`] selected for a
@@ -119,7 +104,7 @@ pub struct DecodeCache {
 /// Both tiers are bit-identical by `e3-jit`'s contract, so the choice
 /// may only affect speed and telemetry, never results.
 #[derive(Debug)]
-pub enum TierExec<'a> {
+pub(crate) enum TierExec<'a> {
     /// The plan interpreter — always available.
     Interpreted(&'a mut Network),
     /// The native tier, with the backing network alongside.
@@ -132,18 +117,13 @@ pub enum TierExec<'a> {
 }
 
 impl TierExec<'_> {
-    /// The interpreted network backing either tier (for plan
-    /// inspection — costing, complexity metrics).
-    pub fn net(&self) -> &Network {
-        match self {
-            TierExec::Interpreted(net) => net,
-            TierExec::Compiled { net, .. } => net,
-        }
-    }
-
-    /// The compiled plan backing either tier.
+    /// The compiled plan backing either tier (for costing and
+    /// complexity metrics).
     pub fn plan(&self) -> &NetPlan {
-        self.net().plan()
+        match self {
+            TierExec::Interpreted(net) => net.plan(),
+            TierExec::Compiled { net, .. } => net.plan(),
+        }
     }
 
     /// The selected tier as the episode-kernel execution seam.
@@ -153,17 +133,15 @@ impl TierExec<'_> {
             TierExec::Compiled { jit, .. } => *jit,
         }
     }
-
-    /// Whether the native tier was selected.
-    pub fn is_compiled(&self) -> bool {
-        matches!(self, TierExec::Compiled { .. })
-    }
 }
 
 impl DecodeCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        DecodeCache::default()
+    /// Creates an empty cache promoting under `policy`.
+    pub fn new(policy: JitConfig) -> Self {
+        DecodeCache {
+            jit: policy,
+            ..DecodeCache::default()
+        }
     }
 
     /// Starts a new job (generation): advances the epoch and evicts
@@ -173,34 +151,25 @@ impl DecodeCache {
     pub fn begin_job(&mut self) {
         self.epoch += 1;
         let horizon = self.epoch.saturating_sub(1);
-        let before = self.entries.len();
-        let mut drained = 0u64;
+        let counters = &mut self.counters;
         self.entries.retain(|_, e| {
             if e.last_used >= horizon {
                 return true;
             }
             if let Some(jit) = e.jit.as_mut() {
-                drained += jit.take_activations();
+                counters.jit_activations += jit.take_activations();
             }
+            counters.cache_evictions += 1;
             false
         });
-        self.jit_activations += drained;
-        self.evictions += (before - self.entries.len()) as u64;
-    }
-
-    /// Installs the tiered-execution policy. Entries already resident
-    /// keep their compiled tier; future promotions follow the new
-    /// policy.
-    pub fn set_jit(&mut self, config: JitConfig) {
-        self.jit = config;
     }
 
     /// The cache's one lookup: returns the selected execution tier for
     /// `genome`, compiling its plan (and counting a miss) on first sight
-    /// of the fingerprint, then promoting the entry to the native tier
+    /// of the genome, then promoting the entry to the native tier
     /// once its use count crosses the configured hot threshold. With
-    /// the default (disabled) [`JitConfig`] nothing is ever promoted
-    /// and every lookup yields [`TierExec::Interpreted`].
+    /// a disabled [`JitConfig`] nothing is ever promoted and every
+    /// lookup yields [`TierExec::Interpreted`].
     ///
     /// A failed compilation is counted as a fallback, marks the entry
     /// so it is never retried, and keeps the interpreter — promotion
@@ -210,16 +179,22 @@ impl DecodeCache {
     ///
     /// Returns [`DecodeError`] if the genome is not feed-forward.
     pub fn get_or_tiered(&mut self, genome: &Genome) -> Result<TierExec<'_>, DecodeError> {
-        let key = genome.fingerprint();
+        self.lookup(genome.fingerprint(), genome)
+    }
+
+    /// [`DecodeCache::get_or_tiered`] under a caller-supplied key. An
+    /// entry is a hit only if it was decoded from an equal genome; another
+    /// genome under the same key is a miss whose fresh decode replaces the
+    /// entry, unreported native activations and all.
+    fn lookup(&mut self, key: u64, genome: &Genome) -> Result<TierExec<'_>, DecodeError> {
         let entry = match self.entries.entry(key) {
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                self.hits += 1;
+            Entry::Occupied(slot) if slot.get().genome == *genome => {
+                self.counters.cache_hits += 1;
                 slot.into_mut()
             }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                self.misses += 1;
-                let net = genome.decode()?;
-                slot.insert(CacheEntry::new(net))
+            slot => {
+                self.counters.cache_misses += 1;
+                slot.insert_entry(CacheEntry::new(genome)?).into_mut()
             }
         };
         entry.last_used = self.epoch;
@@ -232,14 +207,14 @@ impl DecodeCache {
             let t0 = Instant::now();
             match CompiledPlan::compile(entry.net.plan()) {
                 Ok(compiled) => {
-                    self.jit_compile_nanos += t0.elapsed().as_nanos() as u64;
-                    self.jit_compiled += 1;
-                    self.jit_bytes += compiled.code_bytes() as u64;
+                    self.counters.jit_compile_seconds += t0.elapsed().as_secs_f64();
+                    self.counters.jit_compiled += 1;
+                    self.counters.jit_bytes += compiled.code_bytes() as u64;
                     entry.jit = Some(compiled);
                 }
                 Err(_) => {
                     entry.jit_failed = true;
-                    self.jit_fallbacks += 1;
+                    self.counters.jit_fallbacks += 1;
                 }
             }
         }
@@ -257,11 +232,6 @@ impl DecodeCache {
         self.entries.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Number of entries currently holding a native-tier plan — a
     /// gauge, like [`DecodeCache::len`].
     pub fn jit_resident(&self) -> usize {
@@ -273,37 +243,124 @@ impl DecodeCache {
     /// along the way. The current entry counts are *not* reset — they
     /// are gauges, read via [`DecodeCache::len`] and
     /// [`DecodeCache::jit_resident`].
-    pub fn take_counters(&mut self) -> CacheCounters {
-        let mut jit_activations = std::mem::take(&mut self.jit_activations);
+    pub fn take_counters(&mut self) -> TierStats {
         for entry in self.entries.values_mut() {
             if let Some(jit) = entry.jit.as_mut() {
-                jit_activations += jit.take_activations();
+                self.counters.jit_activations += jit.take_activations();
             }
         }
-        CacheCounters {
-            hits: std::mem::take(&mut self.hits),
-            misses: std::mem::take(&mut self.misses),
-            evictions: std::mem::take(&mut self.evictions),
-            jit_compiled: std::mem::take(&mut self.jit_compiled),
-            jit_bytes: std::mem::take(&mut self.jit_bytes),
-            jit_compile_nanos: std::mem::take(&mut self.jit_compile_nanos),
-            jit_fallbacks: std::mem::take(&mut self.jit_fallbacks),
-            jit_activations,
+        std::mem::take(&mut self.counters)
+    }
+}
+
+/// What a [`Tier`] did during one evaluation, summed over its
+/// per-worker caches — the `cache_*`/`jit_*` values of the `Exec` and
+/// `Jit` telemetry records. All zero for a backend with no tier.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct TierStats {
+    /// Lookups served from a cache.
+    pub cache_hits: u64,
+    /// Lookups that compiled a fresh plan.
+    pub cache_misses: u64,
+    /// Compiled plans resident at the end of the evaluation (a gauge,
+    /// not a rate).
+    pub cache_entries: u64,
+    /// Entries evicted by this evaluation's epoch turnover
+    /// ([`DecodeCache::begin_job`]).
+    pub cache_evictions: u64,
+    /// Plans promoted to the native (JIT) tier.
+    pub jit_compiled: u64,
+    /// Machine-code bytes emitted by those promotions.
+    pub jit_bytes: u64,
+    /// Seconds spent compiling plans to native code.
+    pub jit_compile_seconds: f64,
+    /// Promotion attempts that failed and kept the interpreter.
+    pub jit_fallbacks: u64,
+    /// Forward passes executed on the native tier (drained from every
+    /// resident and evicted [`CompiledPlan`]).
+    pub jit_activations: u64,
+    /// Natively compiled plans resident at the end of the evaluation
+    /// (a gauge, like `cache_entries`).
+    pub jit_resident: u64,
+}
+
+impl TierStats {
+    /// Fraction of lookups served from cache (0 when no lookups
+    /// happened).
+    pub fn cache_hit_rate(&self) -> f64 {
+        let total = self.cache_hits + self.cache_misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / total as f64
         }
     }
 }
 
-impl std::fmt::Debug for DecodeCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DecodeCache")
-            .field("entries", &self.entries.len())
-            .field("epoch", &self.epoch)
-            .field("hits", &self.hits)
-            .field("misses", &self.misses)
-            .field("evictions", &self.evictions)
-            .field("jit", &self.jit)
-            .field("jit_resident", &self.jit_resident())
-            .finish()
+/// One backend's tier: a [`DecodeCache`] per executor worker index.
+/// Shard tasks hold a clone, which shares the caches; the locks are
+/// uncontended — a backend has one evaluation in flight and a worker
+/// runs one shard at a time.
+#[derive(Debug, Clone)]
+pub(crate) struct Tier {
+    policy: JitConfig,
+    slots: Arc<[Mutex<DecodeCache>]>,
+}
+
+impl Tier {
+    /// A tier promoting under `policy`, empty until its first run.
+    pub fn new(policy: JitConfig) -> Self {
+        Tier {
+            policy,
+            slots: Arc::new([]),
+        }
+    }
+
+    /// Starts one evaluation on `workers` workers: turns every cache's
+    /// epoch, evicting what the previous two evaluations of *this*
+    /// backend did not use, and returns the handle its shard tasks
+    /// share. (A backend moved to an executor of another width starts
+    /// over with empty caches.)
+    pub fn begin_run(&mut self, workers: usize) -> Tier {
+        if self.slots.len() != workers {
+            self.slots = (0..workers)
+                .map(|_| Mutex::new(DecodeCache::new(self.policy)))
+                .collect();
+        }
+        for worker in 0..workers {
+            self.cache(worker).begin_job();
+        }
+        self.clone()
+    }
+
+    /// The cache of worker `worker`, held for one shard. A shard that
+    /// panicked mid-lookup leaves at worst a stale entry behind, so a
+    /// poisoned lock is still good.
+    pub fn cache(&self, worker: usize) -> MutexGuard<'_, DecodeCache> {
+        self.slots[worker]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Ends one evaluation: drains every cache's counters and reads
+    /// its gauges.
+    pub fn end_run(&self) -> TierStats {
+        let mut stats = TierStats::default();
+        for worker in 0..self.slots.len() {
+            let mut cache = self.cache(worker);
+            let drained = cache.take_counters();
+            stats.cache_hits += drained.cache_hits;
+            stats.cache_misses += drained.cache_misses;
+            stats.cache_entries += cache.len() as u64;
+            stats.cache_evictions += drained.cache_evictions;
+            stats.jit_compiled += drained.jit_compiled;
+            stats.jit_bytes += drained.jit_bytes;
+            stats.jit_compile_seconds += drained.jit_compile_seconds;
+            stats.jit_fallbacks += drained.jit_fallbacks;
+            stats.jit_activations += drained.jit_activations;
+            stats.jit_resident += cache.jit_resident() as u64;
+        }
+        stats
     }
 }
 
@@ -314,12 +371,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn counters(hits: u64, misses: u64, evictions: u64) -> CacheCounters {
-        CacheCounters {
-            hits,
-            misses,
-            evictions,
-            ..CacheCounters::default()
+    fn counters(cache_hits: u64, cache_misses: u64, cache_evictions: u64) -> TierStats {
+        TierStats {
+            cache_hits,
+            cache_misses,
+            cache_evictions,
+            ..TierStats::default()
         }
     }
 
@@ -340,7 +397,7 @@ mod tests {
     #[test]
     fn second_lookup_hits_the_first_one_s_plan() {
         let (g, _, _, _) = genome();
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::new(JitConfig::default());
         cache.begin_job();
         let plan = cache.get_or_tiered(&g).expect("compiles").plan().clone();
         assert_eq!(plan, *g.decode().expect("decodes").plan());
@@ -352,7 +409,7 @@ mod tests {
     #[test]
     fn mutated_genome_never_served_stale_network() {
         let (mut g, config, mut tracker, mut rng) = genome();
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::new(JitConfig::default());
         cache.begin_job();
         let inputs = vec![0.25, -0.5, 1.0];
         let before = activate(&mut cache, &g, &inputs);
@@ -378,6 +435,40 @@ mod tests {
     }
 
     #[test]
+    fn a_colliding_key_is_a_miss_that_replaces_the_entry() {
+        let (g, config, mut tracker, mut rng) = genome();
+        let inputs = [0.25, -0.5, 1.0];
+        let fresh = |genome: &Genome| genome.decode().expect("decodes").activate(&inputs);
+        let mut other = g.clone();
+        while fresh(&other) == fresh(&g) {
+            other.mutate(&config, &mut tracker, &mut rng);
+        }
+        let mut cache = DecodeCache::new(JitConfig::default());
+        cache.begin_job();
+        // Two different genomes forced under one key: each is served
+        // its own network, the second by evicting the first.
+        let mut served = |genome: &Genome| {
+            let mut tier = cache.lookup(7, genome).expect("decodes");
+            tier.forward().activate_into(&inputs).to_vec()
+        };
+        assert_eq!(served(&g), fresh(&g));
+        assert_eq!(served(&other), fresh(&other), "a collision must miss");
+        assert_eq!(served(&other), fresh(&other), "the replacement hits");
+        assert_eq!(served(&g), fresh(&g), "and is replaced in turn");
+        assert_eq!(cache.take_counters(), counters(1, 3, 0));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn hit_rate_handles_empty_and_mixed() {
+        let mut stats = TierStats::default();
+        assert_eq!(stats.cache_hit_rate(), 0.0);
+        stats.cache_hits = 3;
+        stats.cache_misses = 1;
+        assert!((stats.cache_hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
     fn eviction_drops_entries_unused_for_two_jobs() {
         let (g, config, mut tracker, mut rng) = genome();
         let mut other = g.clone();
@@ -385,7 +476,7 @@ mod tests {
             other.mutate(&config, &mut tracker, &mut rng);
         }
         assert_ne!(g.fingerprint(), other.fingerprint());
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::new(JitConfig::default());
         cache.begin_job(); // epoch 1
         cache.get_or_tiered(&g).expect("decodes");
         cache.get_or_tiered(&other).expect("decodes");
@@ -411,12 +502,12 @@ mod tests {
     #[test]
     fn a_disabled_policy_never_promotes() {
         let (g, _, _, _) = genome();
-        let mut cache = DecodeCache::new();
+        let mut cache = DecodeCache::new(JitConfig::default());
         cache.begin_job();
         for _ in 0..10 {
             let tier = cache.get_or_tiered(&g).expect("decodes");
             assert!(
-                !tier.is_compiled(),
+                !matches!(tier, TierExec::Compiled { .. }),
                 "disabled config must never promote an entry"
             );
         }
@@ -430,8 +521,7 @@ mod tests {
         let (g, _, _, _) = genome();
         let inputs = vec![0.25, -0.5, 1.0];
         let reference = g.decode().expect("decodes").activate(&inputs);
-        let mut cache = DecodeCache::new();
-        cache.set_jit(JitConfig {
+        let mut cache = DecodeCache::new(JitConfig {
             enabled: true,
             hot_threshold: 3,
         });
@@ -439,7 +529,7 @@ mod tests {
         for use_count in 1..=5u64 {
             let mut tier = cache.get_or_tiered(&g).expect("decodes");
             assert_eq!(
-                tier.is_compiled(),
+                matches!(tier, TierExec::Compiled { .. }),
                 use_count >= 3,
                 "promotion happens exactly at the threshold"
             );
@@ -455,7 +545,7 @@ mod tests {
         }
         assert_eq!(cache.jit_resident(), 1);
         let c = cache.take_counters();
-        assert_eq!((c.hits, c.misses), (4, 1));
+        assert_eq!((c.cache_hits, c.cache_misses), (4, 1));
         assert_eq!(c.jit_compiled, 1);
         assert!(c.jit_bytes > 0);
         assert_eq!(c.jit_fallbacks, 0);
@@ -472,8 +562,7 @@ mod tests {
     #[test]
     fn eviction_drains_native_tier_activations() {
         let (g, _, _, _) = genome();
-        let mut cache = DecodeCache::new();
-        cache.set_jit(JitConfig {
+        let mut cache = DecodeCache::new(JitConfig {
             enabled: true,
             hot_threshold: 1,
         });
@@ -488,7 +577,7 @@ mod tests {
         cache.begin_job(); // epoch 3: evicted, activation drained
         assert_eq!(cache.len(), 0);
         let c = cache.take_counters();
-        assert_eq!(c.evictions, 1);
+        assert_eq!(c.cache_evictions, 1);
         assert_eq!(
             c.jit_activations, 1,
             "activations of evicted plans survive into the counters"
@@ -499,15 +588,17 @@ mod tests {
     #[test]
     fn unsupported_targets_fall_back_to_the_interpreter() {
         let (g, _, _, _) = genome();
-        let mut cache = DecodeCache::new();
-        cache.set_jit(JitConfig {
+        let mut cache = DecodeCache::new(JitConfig {
             enabled: true,
             hot_threshold: 1,
         });
         cache.begin_job();
         for _ in 0..3 {
             let tier = cache.get_or_tiered(&g).expect("decodes");
-            assert!(!tier.is_compiled(), "no native tier off x86-64 Linux");
+            assert!(
+                !matches!(tier, TierExec::Compiled { .. }),
+                "no native tier off x86-64 Linux"
+            );
         }
         let c = cache.take_counters();
         assert_eq!(c.jit_fallbacks, 1, "the failed compile is not retried");

@@ -10,6 +10,7 @@
 //! count only changes wave latency, not episode outcomes).
 
 use e3_envs::EnvId;
+use e3_platform::exec::SharedExecutor;
 use e3_platform::telemetry::MemoryCollector;
 use e3_platform::{BackendKind, E3Config, E3Platform, JitConfig, RunOutcome};
 use proptest::prelude::*;
@@ -136,5 +137,76 @@ fn an_enabled_tier_engages_and_a_disabled_one_is_silent() {
                 assert_eq!((compiled, activations), (0, 0), "{what}");
             }
         }
+    }
+}
+
+/// Runs that share one pool keep their own hot plans. A tier belongs
+/// to its backend, so its epoch turns once per *this run's*
+/// generation however many other runs interleave jobs on the pool:
+/// elites that survive a generation hit, and entries that stay hot
+/// promote — exactly as when the run has the pool to itself. (Hung off
+/// the pool's workers, a cache sees every run's job as an epoch, and
+/// two alternating runs evict each other's entries before either can
+/// hit: zero hits, nothing ever promoted.) One worker, so a survivor
+/// always meets the cache that decoded it — with more, which worker
+/// steals its shard is up to the schedule.
+#[test]
+fn runs_sharing_a_pool_keep_their_own_hot_plans() {
+    const GENERATIONS: usize = 4;
+    let config = E3Config {
+        jit: JitConfig {
+            enabled: true,
+            hot_threshold: 2,
+        },
+        ..config(EnvId::MountainCar, 1)
+    };
+    /// What a run computed: per-step best fitness bits, modeled
+    /// seconds bits, and the final population.
+    fn fingerprint(platform: &E3Platform, bests: &[f64]) -> (Vec<u64>, u64, Vec<e3_neat::Genome>) {
+        (
+            bests.iter().map(|b| b.to_bits()).collect(),
+            platform.profile().total().to_bits(),
+            platform.population().genomes().to_vec(),
+        )
+    }
+    let seeds = [42u64, 43];
+    let pool = SharedExecutor::new(1);
+    let mut shared: Vec<(E3Platform, MemoryCollector, Vec<f64>)> = seeds
+        .iter()
+        .map(|&seed| {
+            let platform =
+                E3Platform::new_with_executor(config.clone(), BackendKind::Cpu, seed, pool.clone());
+            (platform, MemoryCollector::new(), Vec::new())
+        })
+        .collect();
+    for _ in 0..GENERATIONS {
+        for (platform, telemetry, bests) in &mut shared {
+            bests.push(platform.step_with(telemetry).expect("shared step"));
+        }
+    }
+    for ((platform, telemetry, bests), &seed) in shared.iter().zip(&seeds) {
+        let hits: Vec<u64> = telemetry.execs().map(|x| x.cache_hits).collect();
+        assert_eq!(hits.len(), GENERATIONS, "seed {seed}");
+        assert!(
+            hits[1..].iter().all(|&h| h > 0),
+            "seed {seed}: survivors hit from the second generation on, got {hits:?}"
+        );
+        let (compiled, fallbacks) = telemetry
+            .jits()
+            .fold((0, 0), |acc, r| (acc.0 + r.compiled, acc.1 + r.fallbacks));
+        if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+            assert!(compiled > 0, "seed {seed}: hot survivors promote");
+        } else {
+            assert!(fallbacks > 0, "seed {seed}: promotion was attempted");
+        }
+        let mut alone = E3Platform::new(config.clone(), BackendKind::Cpu, seed);
+        let alone_bests: Vec<f64> = (0..GENERATIONS)
+            .map(|_| alone.step_generation().expect("exclusive step"))
+            .collect();
+        assert_eq!(
+            fingerprint(platform, bests),
+            fingerprint(&alone, &alone_bests),
+            "seed {seed}: sharing a pool never changes a run"
+        );
     }
 }

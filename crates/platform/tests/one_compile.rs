@@ -2,8 +2,8 @@
 //! reads `NetPlan`'s debug-build compile counter around serial-executor
 //! steps — the kernels' lowerings and any the driver thread might grow
 //! back (a stats pass, a pre-decode) all happen on the test's thread —
-//! and the `ExecRecord` beside it says whether the decode cache was
-//! consulted at all.
+//! and the `ExecRecord` beside it says whether a plan cache was
+//! consulted at all: only a backend built with an enabled tier has one.
 #![cfg(debug_assertions)]
 
 use e3_envs::{EnvId, ScenarioDistribution};
@@ -40,6 +40,8 @@ fn compiles_per_step(config: E3Config, kind: BackendKind) -> Vec<(u64, ExecRecor
 
 #[test]
 fn the_lockstep_route_compiles_each_genome_once_and_never_asks_the_cache() {
+    // ... and so does the INAX wave kernel: every route without a tier
+    // calls `NetPlan::compile` once per genome and owns no cache.
     let k4 = ScenarioConfig::default()
         .train(ScenarioDistribution::moderate())
         .scenarios_per_eval(4);
@@ -47,7 +49,7 @@ fn the_lockstep_route_compiles_each_genome_once_and_never_asks_the_cache() {
         ("fixed env", builder().build()),
         ("K=4", builder().scenario(k4).build()),
     ] {
-        for kind in [BackendKind::Cpu, BackendKind::Gpu] {
+        for kind in BackendKind::ALL {
             for (generation, (compiles, exec)) in compiles_per_step(config.clone(), kind)
                 .into_iter()
                 .enumerate()
@@ -75,23 +77,18 @@ fn cached_routes_compile_exactly_their_misses() {
         enabled: true,
         hot_threshold: 2,
     };
-    for (label, config, kind) in [
-        ("tiered", builder().jit(jit).build(), BackendKind::Cpu),
-        ("inax", builder().build(), BackendKind::Inax),
-    ] {
-        let steps = compiles_per_step(config, kind);
-        for (generation, (compiles, exec)) in steps.iter().enumerate() {
-            let what = format!("{label} generation {generation}");
-            assert_eq!(
-                exec.cache_hits + exec.cache_misses,
-                POPULATION,
-                "{what}: one lookup per genome"
-            );
-            assert_eq!(*compiles, exec.cache_misses, "{what}: only misses compile");
-        }
-        assert!(
-            steps.iter().skip(1).any(|(_, exec)| exec.cache_hits > 0),
-            "{label}: surviving elites hit the cache"
+    let steps = compiles_per_step(builder().jit(jit).build(), BackendKind::Cpu);
+    for (generation, (compiles, exec)) in steps.iter().enumerate() {
+        let what = format!("tiered generation {generation}");
+        assert_eq!(
+            exec.cache_hits + exec.cache_misses,
+            POPULATION,
+            "{what}: one lookup per genome"
         );
+        assert_eq!(*compiles, exec.cache_misses, "{what}: only misses compile");
     }
+    assert!(
+        steps.iter().skip(1).any(|(_, exec)| exec.cache_hits > 0),
+        "tiered: surviving elites hit the cache"
+    );
 }

@@ -113,7 +113,7 @@ impl std::fmt::Display for FormatError {
 impl std::error::Error for FormatError {}
 
 /// FNV-1a 64-bit hash — the same cheap, dependency-free fingerprint
-/// the exec decode cache uses.
+/// the tiered plan cache keys on.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -147,7 +147,8 @@ pub struct EvalRecord {
 }
 
 /// Host-side execution counters for one population evaluation,
-/// mirrored from `e3-exec`'s `ExecStats` as plain data (the host
+/// mirrored from `e3-exec`'s `ExecStats` (and, for the `cache_*`
+/// fields, the backend's `TierStats`) as plain data (the host
 /// analogue of the INAX `U(r)` utilization counters). Emitted only
 /// when the platform runs with a parallel executor installed.
 ///
@@ -169,8 +170,8 @@ pub struct ExecRecord {
     /// Shards executed by a worker other than their home worker.
     pub steal_count: u64,
     /// Decode-cache hits across all workers. Hits and misses are both
-    /// zero where the kernel compiles its plans without a lookup (the
-    /// software backends' default lockstep route).
+    /// zero where the kernel compiles its plans without a lookup (every
+    /// route but the software backends' tiered per-genome one).
     pub cache_hits: u64,
     /// Decode-cache misses across all workers.
     pub cache_misses: u64,
@@ -194,7 +195,7 @@ pub struct ExecRecord {
 }
 
 /// Tiered-execution (JIT) counters for one population evaluation,
-/// mirrored from `e3-exec`'s `ExecStats`. Emitted **only** when at
+/// mirrored from the backend's `TierStats`. Emitted **only** when at
 /// least one counter is nonzero — disabled or unsupported-target runs
 /// produce no `Jit` events, so their NDJSON streams stay byte-identical
 /// to runs that predate the tier.

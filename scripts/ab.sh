@@ -104,6 +104,8 @@ for metric in bench["end_to_end"]:
     print(f"{name} [{metric['unit']}, {metric['better']} is better]")
     print(f"  parent median {pmed:.6g}  quartiles [{pq1:.6g}, {pq3:.6g}]")
     print(f"  change median {cmed:.6g}  quartiles [{cq1:.6g}, {cq3:.6g}]")
+    print("  per pair: " + ", ".join(f"{(c - p) / p * 100:+.1f}%" if p else "n/a"
+                                     for p, c in zip(by_side["parent"], by_side["change"])))
     print(f"  change wins {wins}/{len(by_side['parent'])} pairs, loses {losses}; "
           f"median {'+' if cmed >= pmed else ''}{(cmed - pmed) / pmed * 100 if pmed else 0:.2f}% "
           f"vs parent IQR {(pq3 - pq1) / pmed * 100 if pmed else 0:.2f}% -> {verdict}")

@@ -16,6 +16,10 @@ echo "== test suite: every crate, every target =="
 # kill-and-resume, an installed collector or tracer, an attached HTTP
 # server, or the execution tier.
 cargo test --workspace --offline -q
+# The vendored stand-ins sit outside the workspace; `serde_json` is the
+# one with a parser, and every snapshot, config and NDJSON line goes
+# through it.
+cargo test --offline -q --manifest-path vendor/serde_json/Cargo.toml
 
 echo "== examples build =="
 cargo build --release --offline --examples
@@ -103,13 +107,14 @@ fi
 
 echo "== benchmark/: the instrument still builds and checks out =="
 # benchmark/ is a package of its own that links against the platform
-# API; nothing else in this script compiles it. Build it and run two
-# one-second workloads (the fixed-env default route and the K=4
-# scenario route). The single-workload form writes neither
+# API; nothing else in this script compiles it. Build it and run four
+# one-second workloads, one per evaluation kernel: the fixed-env
+# lockstep route, the K=4 scenario route, the tiered per-genome route
+# and the INAX wave kernel. The single-workload form writes neither
 # BENCHMARK.json nor benchmark/history.ndjson; its last stdout line
 # must report every output check passed and no generation failed.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-for workload in cartpole_default lander_k4; do
+for workload in cartpole_default lander_k4 lander_jit cartpole_inax; do
     last=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
     case "$last" in
