@@ -6,7 +6,7 @@
 //! (wind); the default parameters reproduce the classic constants
 //! bit-identically.
 
-use crate::env::{expect_discrete, Action, ActionSpace, Environment, Step};
+use crate::env::{expect_discrete, Action, ActionSpace, Environment, Transition};
 use crate::scenario::ScenarioParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,9 +98,9 @@ impl Acrobot {
         }
     }
 
-    fn observation(&self) -> Vec<f64> {
+    fn write_observation(&self, obs: &mut [f64]) {
         let [t1, t2, w1, w2] = self.state;
-        vec![t1.cos(), t1.sin(), t2.cos(), t2.sin(), w1, w2]
+        obs.copy_from_slice(&[t1.cos(), t1.sin(), t2.cos(), t2.sin(), w1, w2]);
     }
 
     /// Height of the tip above the pivot: `-cos θ1 - cos(θ1 + θ2)`.
@@ -171,14 +171,14 @@ impl Environment for Acrobot {
         ActionSpace::Discrete(3)
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         let mut rng = StdRng::seed_from_u64(seed);
         for s in &mut self.state {
             *s = rng.gen_range(-0.1..0.1);
         }
         self.steps = 0;
         self.done = false;
-        self.observation()
+        self.write_observation(obs);
     }
 
     /// # Panics
@@ -186,7 +186,7 @@ impl Environment for Acrobot {
     /// Panics if called after the episode finished (terminated or
     /// truncated) without an intervening reset, or if the action is
     /// not `Discrete(0..=2)`.
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         assert!(!self.done, "acrobot: step() called on a finished episode");
         let torque = TORQUES[expect_discrete(action, 3, "acrobot")] * self.phys.torque_gain;
         let mut next = Self::rk4(&self.phys, self.state, torque, DT);
@@ -203,8 +203,8 @@ impl Environment for Acrobot {
         let terminated = self.tip_height() > 1.0;
         let truncated = !terminated && self.steps >= self.max_steps;
         self.done = terminated || truncated;
-        Step {
-            observation: self.observation(),
+        self.write_observation(obs);
+        Transition {
             reward: if terminated { 0.0 } else { -1.0 },
             terminated,
             truncated,

@@ -7,7 +7,10 @@
 //! of episodes per call, reading and writing struct-of-arrays buffers
 //! ([`StepBatch`]) so the per-step cost is one virtual dispatch and a
 //! tight loop over lanes instead of one dispatch, one `Vec` allocation
-//! and one `Step` struct per individual.
+//! and one `Step` struct per individual. [`ScalarBatch`] is the
+//! implementation: one scalar environment per lane, held by value,
+//! each writing its observation straight into its [`StepBatch`] row
+//! through [`Environment::step_into`].
 //!
 //! # Lanes and parking
 //!
@@ -24,14 +27,12 @@
 //!
 //! Lane `i` of a batch reproduces, **bit for bit**, the trajectory the
 //! scalar environment produces from the same reset seed and action
-//! sequence. Lanes are fully independent: the hand-vectorized SoA
-//! implementations (`CartPoleBatch`, `LunarLanderBatch`) perform each
-//! lane's floating-point operations in exactly the scalar order, and
-//! the generic [`ScalarBatch`] adapter simply owns one scalar
-//! environment per lane. Batch composition and lane count never affect
-//! a lane's trajectory.
+//! sequence — by construction: a lane *is* that scalar environment,
+//! running the task's one copy of its physics. Lanes share no state,
+//! so batch composition and lane count never affect a lane's
+//! trajectory.
 
-use crate::env::{Action, ActionSpace, Environment, Step};
+use crate::env::{Action, ActionSpace, Environment, Transition};
 
 /// Struct-of-arrays step buffers for one batch of episodes.
 ///
@@ -159,10 +160,11 @@ pub trait BatchEnv {
     fn step_batch(&mut self, actions: &[Action], batch: &mut StepBatch);
 }
 
-/// Generic [`BatchEnv`] adapter over `N` scalar environments: the
-/// reference semantics every hand-vectorized implementation must
-/// reproduce, and the fallback [`crate::EnvId::make_batch`] uses for
-/// environments without a SoA port.
+/// The [`BatchEnv`] over `N` scalar environments of one type, and what
+/// [`crate::EnvId::make_batch`] builds for every task. It adds lane
+/// bookkeeping (parking, flags) around [`Environment::reset_into`] and
+/// [`Environment::step_into`]; a parked lane's environment is never
+/// touched.
 ///
 /// # Example
 ///
@@ -227,8 +229,7 @@ impl<E: Environment> BatchEnv for ScalarBatch<E> {
         assert_eq!(seeds.len(), self.envs.len(), "one seed per lane");
         batch.assert_lanes(self.envs.len(), "reset_batch");
         for (lane, env) in self.envs.iter_mut().enumerate() {
-            let obs = env.reset(seeds[lane]);
-            batch.obs_row_mut(lane).copy_from_slice(&obs);
+            env.reset_into(seeds[lane], batch.obs_row_mut(lane));
             batch.rewards[lane] = 0.0;
             batch.terminated[lane] = false;
             batch.truncated[lane] = false;
@@ -244,13 +245,11 @@ impl<E: Environment> BatchEnv for ScalarBatch<E> {
                 batch.rewards[lane] = 0.0;
                 continue;
             }
-            let Step {
-                observation,
+            let Transition {
                 reward,
                 terminated,
                 truncated,
-            } = env.step(&actions[lane]);
-            batch.obs_row_mut(lane).copy_from_slice(&observation);
+            } = env.step_into(&actions[lane], batch.obs_row_mut(lane));
             batch.rewards[lane] = reward;
             batch.terminated[lane] = terminated;
             batch.truncated[lane] = truncated;

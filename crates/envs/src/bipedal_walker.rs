@@ -12,7 +12,7 @@
 //! requires the alternating, phase-coordinated gait the real task
 //! demands (see DESIGN.md, substitutions).
 
-use crate::env::{expect_continuous, Action, ActionSpace, Environment, Step};
+use crate::env::{expect_continuous, Action, ActionSpace, Environment, Transition};
 use crate::scenario::ScenarioParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,32 +133,34 @@ impl BipedalWalker {
         (e0 >= max - 0.08, e1 >= max - 0.08)
     }
 
-    fn observation(&self) -> Vec<f64> {
+    fn write_observation(&self, obs: &mut [f64]) {
         let (c0, c1) = self.contacts();
-        let mut obs = Vec::with_capacity(24);
-        obs.push(self.hull_angle);
-        obs.push(self.hull_omega);
-        obs.push(self.vx * 0.3); // Gym scales hull velocity
-        obs.push(self.vy * 0.3);
-        obs.push(self.joints[0]);
-        obs.push(self.joint_speeds[0]);
-        obs.push(self.joints[1]);
-        obs.push(self.joint_speeds[1]);
-        obs.push(f64::from(c0));
-        obs.push(self.joints[2]);
-        obs.push(self.joint_speeds[2]);
-        obs.push(self.joints[3]);
-        obs.push(self.joint_speeds[3]);
-        obs.push(f64::from(c1));
+        let (body, lidar) = obs.split_at_mut(14);
+        body.copy_from_slice(&[
+            self.hull_angle,
+            self.hull_omega,
+            self.vx * 0.3, // Gym scales hull velocity
+            self.vy * 0.3,
+            self.joints[0],
+            self.joint_speeds[0],
+            self.joints[1],
+            self.joint_speeds[1],
+            f64::from(c0),
+            self.joints[2],
+            self.joint_speeds[2],
+            self.joints[3],
+            self.joint_speeds[3],
+            f64::from(c1),
+        ]);
         // Lidar over flat terrain: distance to ground along rays fanned
         // from the hull. Deterministic in hull attitude.
+        assert_eq!(lidar.len(), LIDAR_RAYS, "bipedal_walker: observation row");
         let hull_height = 1.2;
-        for i in 0..LIDAR_RAYS {
+        for (i, ray) in lidar.iter_mut().enumerate() {
             let ray_angle = self.hull_angle + 0.15 * i as f64;
             let dist = hull_height / ray_angle.cos().max(0.2);
-            obs.push(dist.min(2.0) / 2.0);
+            *ray = dist.min(2.0) / 2.0;
         }
-        obs
     }
 }
 
@@ -177,7 +179,7 @@ impl Environment for BipedalWalker {
         ActionSpace::symmetric(4, 1.0)
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         let mut rng = StdRng::seed_from_u64(seed);
         self.hull_angle = rng.gen_range(-0.05..0.05);
         self.hull_omega = 0.0;
@@ -191,7 +193,7 @@ impl Environment for BipedalWalker {
         self.joint_speeds = [0.0; 4];
         self.steps = 0;
         self.done = false;
-        self.observation()
+        self.write_observation(obs);
     }
 
     /// # Panics
@@ -199,7 +201,7 @@ impl Environment for BipedalWalker {
     /// Panics if called after the episode finished (terminated or
     /// truncated) without an intervening reset, or if the action is
     /// not a four-dimensional `Continuous` torque vector.
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         assert!(
             !self.done,
             "bipedal_walker: step() called on a finished episode"
@@ -264,8 +266,8 @@ impl Environment for BipedalWalker {
         if fell {
             reward -= 100.0;
         }
-        Step {
-            observation: self.observation(),
+        self.write_observation(obs);
+        Transition {
             reward,
             terminated,
             truncated,

@@ -6,8 +6,7 @@
 //! lateral wind disturbance — while the default parameter set
 //! reproduces the classic Gym constants bit-identically.
 
-use crate::batch::{BatchEnv, StepBatch};
-use crate::env::{expect_discrete, Action, ActionSpace, Environment, Step};
+use crate::env::{expect_discrete, Action, ActionSpace, Environment, Transition};
 use crate::scenario::ScenarioParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,9 +50,7 @@ impl CartPolePhys {
         }
     }
 
-    /// One Euler step of the cart-pole dynamics. Scalar and batched
-    /// environments both call this, so their floating-point operation
-    /// order is identical by construction.
+    /// One Euler step of the cart-pole dynamics.
     fn advance(&self, state: [f64; 4], a: usize) -> [f64; 4] {
         let force = if a == 1 {
             self.force_mag
@@ -155,14 +152,14 @@ impl Environment for CartPole {
         ActionSpace::Discrete(2)
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         let mut rng = StdRng::seed_from_u64(seed);
         for s in &mut self.state {
             *s = rng.gen_range(-0.05..0.05);
         }
         self.steps = 0;
         self.done = false;
-        self.state.to_vec()
+        obs.copy_from_slice(&self.state);
     }
 
     /// # Panics
@@ -170,7 +167,7 @@ impl Environment for CartPole {
     /// Panics if called after the episode finished (terminated or
     /// truncated) without an intervening reset, or if the action is
     /// not `Discrete(0|1)`.
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         assert!(!self.done, "cartpole: step() called on a finished episode");
         let a = expect_discrete(action, 2, "cartpole");
         self.state = self.phys.advance(self.state, a);
@@ -178,8 +175,8 @@ impl Environment for CartPole {
         let terminated = self.state[0].abs() > X_THRESHOLD || self.state[2].abs() > THETA_THRESHOLD;
         let truncated = !terminated && self.steps >= self.max_steps;
         self.done = terminated || truncated;
-        Step {
-            observation: self.state.to_vec(),
+        obs.copy_from_slice(&self.state);
+        Transition {
             reward: 1.0,
             terminated,
             truncated,
@@ -192,158 +189,6 @@ impl Environment for CartPole {
 
     fn name(&self) -> &'static str {
         "cartpole"
-    }
-}
-
-/// Hand-vectorized struct-of-arrays batch of CartPole episodes.
-///
-/// Keeps `[x, x_dot, theta, theta_dot]` in four lane-indexed arrays
-/// and advances all active lanes per [`BatchEnv::step_batch`] call in
-/// one tight loop — no per-step allocation, no per-lane virtual
-/// dispatch. Each lane performs the exact floating-point operations of
-/// the scalar [`CartPole`] in the same order, so trajectories are
-/// bit-identical to the scalar environment given the same seed and
-/// actions. Lanes may carry heterogeneous scenario physics (see
-/// [`CartPoleBatch::with_scenarios`]).
-#[derive(Debug, Clone)]
-pub struct CartPoleBatch {
-    phys: Vec<CartPolePhys>,
-    x: Vec<f64>,
-    x_dot: Vec<f64>,
-    theta: Vec<f64>,
-    theta_dot: Vec<f64>,
-    steps: Vec<usize>,
-    max_steps: usize,
-}
-
-impl CartPoleBatch {
-    /// Creates `lanes` episodes with the Gym v1 step limit (500).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn new(lanes: usize) -> Self {
-        Self::with_max_steps(lanes, 500)
-    }
-
-    /// Creates `lanes` episodes with a custom step limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn with_max_steps(lanes: usize, max_steps: usize) -> Self {
-        Self::with_scenarios_max_steps(&vec![ScenarioParams::default(); lanes], max_steps)
-    }
-
-    /// Creates one lane per scenario parameter set, with the Gym v1
-    /// step limit (500). Lanes may be heterogeneous.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn with_scenarios(params: &[ScenarioParams]) -> Self {
-        Self::with_scenarios_max_steps(params, 500)
-    }
-
-    /// Creates one lane per scenario parameter set with a custom step
-    /// limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn with_scenarios_max_steps(params: &[ScenarioParams], max_steps: usize) -> Self {
-        assert!(!params.is_empty(), "a batch needs at least one lane");
-        let lanes = params.len();
-        CartPoleBatch {
-            phys: params.iter().map(CartPolePhys::from_params).collect(),
-            x: vec![0.0; lanes],
-            x_dot: vec![0.0; lanes],
-            theta: vec![0.0; lanes],
-            theta_dot: vec![0.0; lanes],
-            steps: vec![0; lanes],
-            max_steps,
-        }
-    }
-}
-
-impl BatchEnv for CartPoleBatch {
-    fn lanes(&self) -> usize {
-        self.x.len()
-    }
-
-    fn observation_size(&self) -> usize {
-        4
-    }
-
-    fn action_space(&self) -> ActionSpace {
-        ActionSpace::Discrete(2)
-    }
-
-    fn max_episode_steps(&self) -> usize {
-        self.max_steps
-    }
-
-    fn name(&self) -> &'static str {
-        "cartpole"
-    }
-
-    fn reset_batch(&mut self, seeds: &[u64], batch: &mut StepBatch) {
-        assert_eq!(seeds.len(), self.lanes(), "one seed per lane");
-        assert_eq!(batch.lanes(), self.lanes(), "batch/env lane mismatch");
-        for (lane, &seed) in seeds.iter().enumerate() {
-            // Same draw order as the scalar reset: x, x_dot, theta,
-            // theta_dot from a fresh StdRng.
-            let mut rng = StdRng::seed_from_u64(seed);
-            self.x[lane] = rng.gen_range(-0.05..0.05);
-            self.x_dot[lane] = rng.gen_range(-0.05..0.05);
-            self.theta[lane] = rng.gen_range(-0.05..0.05);
-            self.theta_dot[lane] = rng.gen_range(-0.05..0.05);
-            self.steps[lane] = 0;
-            batch.obs_row_mut(lane).copy_from_slice(&[
-                self.x[lane],
-                self.x_dot[lane],
-                self.theta[lane],
-                self.theta_dot[lane],
-            ]);
-            batch.rewards[lane] = 0.0;
-            batch.terminated[lane] = false;
-            batch.truncated[lane] = false;
-            batch.active[lane] = true;
-        }
-    }
-
-    fn step_batch(&mut self, actions: &[Action], batch: &mut StepBatch) {
-        assert_eq!(actions.len(), self.lanes(), "one action per lane");
-        assert_eq!(batch.lanes(), self.lanes(), "batch/env lane mismatch");
-        for (lane, action) in actions.iter().enumerate() {
-            if !batch.active[lane] {
-                batch.rewards[lane] = 0.0;
-                continue;
-            }
-            let a = expect_discrete(action, 2, "cartpole");
-            let state = [
-                self.x[lane],
-                self.x_dot[lane],
-                self.theta[lane],
-                self.theta_dot[lane],
-            ];
-            let next = self.phys[lane].advance(state, a);
-            self.x[lane] = next[0];
-            self.x_dot[lane] = next[1];
-            self.theta[lane] = next[2];
-            self.theta_dot[lane] = next[3];
-            self.steps[lane] += 1;
-            let terminated =
-                self.x[lane].abs() > X_THRESHOLD || self.theta[lane].abs() > THETA_THRESHOLD;
-            let truncated = !terminated && self.steps[lane] >= self.max_steps;
-            batch.obs_row_mut(lane).copy_from_slice(&next);
-            batch.rewards[lane] = 1.0;
-            batch.terminated[lane] = terminated;
-            batch.truncated[lane] = truncated;
-            if terminated || truncated {
-                batch.active[lane] = false;
-            }
-        }
     }
 }
 
@@ -498,113 +343,5 @@ mod tests {
             }
         }
         let _ = env.step(&Action::Discrete(1));
-    }
-
-    #[test]
-    fn soa_batch_is_bit_identical_to_scalar() {
-        let lanes = 6;
-        let mut soa = CartPoleBatch::new(lanes);
-        let mut batch = StepBatch::new(lanes, 4);
-        let seeds: Vec<u64> = (0..lanes as u64).map(|s| s * 977 + 11).collect();
-        soa.reset_batch(&seeds, &mut batch);
-
-        let mut scalars: Vec<CartPole> = (0..lanes).map(|_| CartPole::new()).collect();
-        for (lane, env) in scalars.iter_mut().enumerate() {
-            let obs = env.reset(seeds[lane]);
-            assert_eq!(batch.obs_row(lane), obs.as_slice());
-        }
-        let mut done = vec![false; lanes];
-        // A feedback policy on lane parity: some lanes survive long,
-        // some tip early, exercising parked-lane skipping.
-        for _ in 0..600 {
-            let actions: Vec<Action> = (0..lanes)
-                .map(|l| {
-                    let o = batch.obs_row(l);
-                    if l % 2 == 0 {
-                        Action::Discrete(usize::from(o[2] + o[3] > 0.0))
-                    } else {
-                        Action::Discrete(1)
-                    }
-                })
-                .collect();
-            soa.step_batch(&actions, &mut batch);
-            for (lane, env) in scalars.iter_mut().enumerate() {
-                if done[lane] {
-                    continue;
-                }
-                let s = env.step(&actions[lane]);
-                for (a, b) in batch.obs_row(lane).iter().zip(&s.observation) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "lane {lane} diverged");
-                }
-                assert_eq!(batch.terminated[lane], s.terminated);
-                assert_eq!(batch.truncated[lane], s.truncated);
-                done[lane] = s.done();
-            }
-            if batch.all_parked() {
-                break;
-            }
-        }
-        assert!(done.iter().any(|&d| d), "odd lanes tip early");
-    }
-
-    #[test]
-    fn heterogeneous_scenario_lanes_match_their_scalar_twins() {
-        let params = [
-            ScenarioParams::default(),
-            ScenarioParams {
-                gravity_scale: 1.2,
-                ..ScenarioParams::default()
-            },
-            ScenarioParams {
-                mass_scale: 0.8,
-                wind: 0.1,
-                ..ScenarioParams::default()
-            },
-        ];
-        let lanes = params.len();
-        let mut soa = CartPoleBatch::with_scenarios(&params);
-        let mut batch = StepBatch::new(lanes, 4);
-        let seeds: Vec<u64> = (0..lanes as u64).map(|s| s * 31 + 5).collect();
-        soa.reset_batch(&seeds, &mut batch);
-        let mut scalars: Vec<CartPole> = params.iter().map(CartPole::with_scenario).collect();
-        for (lane, env) in scalars.iter_mut().enumerate() {
-            assert_eq!(batch.obs_row(lane), env.reset(seeds[lane]).as_slice());
-        }
-        let mut done = vec![false; lanes];
-        for _ in 0..600 {
-            let actions: Vec<Action> = (0..lanes)
-                .map(|l| {
-                    let o = batch.obs_row(l);
-                    Action::Discrete(usize::from(o[2] + o[3] > 0.0))
-                })
-                .collect();
-            soa.step_batch(&actions, &mut batch);
-            for (lane, env) in scalars.iter_mut().enumerate() {
-                if done[lane] {
-                    continue;
-                }
-                let s = env.step(&actions[lane]);
-                for (a, b) in batch.obs_row(lane).iter().zip(&s.observation) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "scenario lane {lane} diverged");
-                }
-                done[lane] = s.done();
-            }
-            if batch.all_parked() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn soa_batch_truncates_at_step_limit() {
-        let mut soa = CartPoleBatch::with_max_steps(1, 3);
-        let mut batch = StepBatch::new(1, 4);
-        soa.reset_batch(&[3], &mut batch);
-        for i in 0..3 {
-            let a = usize::from(batch.obs_row(0)[2] + batch.obs_row(0)[3] > 0.0);
-            soa.step_batch(&[Action::Discrete(a)], &mut batch);
-            assert_eq!(batch.truncated[0], i == 2);
-        }
-        assert!(batch.all_parked());
     }
 }

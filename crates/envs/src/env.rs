@@ -37,7 +37,7 @@ impl ActionSpace {
     }
 }
 
-/// An action submitted to [`Environment::step`].
+/// An action submitted to [`Environment::step_into`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Action {
     /// Index into a discrete action space.
@@ -46,7 +46,7 @@ pub enum Action {
     Continuous(Vec<f64>),
 }
 
-/// The result of one environment step.
+/// The result of one allocating [`Environment::step`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Step {
     /// Observation after the transition.
@@ -66,12 +66,40 @@ impl Step {
     }
 }
 
+/// What one transition reports besides the observation, which
+/// [`Environment::step_into`] writes into the caller's row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Transition {
+    /// Reward earned by the transition.
+    pub reward: f64,
+    /// The episode reached a terminal state (success or failure).
+    pub terminated: bool,
+    /// The episode hit the step limit without terminating.
+    pub truncated: bool,
+}
+
+impl Transition {
+    /// Whether the episode is over for either reason.
+    pub fn done(&self) -> bool {
+        self.terminated || self.truncated
+    }
+}
+
 /// A sequential decision environment in the OpenAI-gym mould.
 ///
 /// Implementations must be deterministic: the trajectory is a pure
 /// function of the reset seed and the action sequence. This is what
 /// makes E3's experiments reproducible and lets the INAX and CPU
 /// backends be compared on identical episodes.
+///
+/// An environment implements the non-allocating pair
+/// [`reset_into`](Environment::reset_into) /
+/// [`step_into`](Environment::step_into), which write the observation
+/// into a row the caller owns (a [`crate::StepBatch`] lane, for
+/// [`crate::ScalarBatch`]). The allocating
+/// [`reset`](Environment::reset) / [`step`](Environment::step) are
+/// provided on top of that pair and are not meant to be overridden, so
+/// each task has exactly one copy of its physics.
 pub trait Environment {
     /// Length of the observation vector.
     fn observation_size(&self) -> usize;
@@ -80,18 +108,51 @@ pub trait Environment {
     fn action_space(&self) -> ActionSpace;
 
     /// Resets to an initial state drawn deterministically from `seed`
-    /// and returns the first observation.
-    fn reset(&mut self, seed: u64) -> Vec<f64>;
+    /// and writes the first observation into `obs`.
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if `obs.len()` differs from
+    /// [`Environment::observation_size`].
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]);
 
-    /// Advances one timestep.
+    /// Advances one timestep and writes the next observation into
+    /// `obs`.
     ///
     /// # Panics
     ///
     /// Implementations panic if the action variant or dimensionality
-    /// does not match [`Environment::action_space`], or if `step` is
-    /// called after the episode finished without an intervening
-    /// [`Environment::reset`].
-    fn step(&mut self, action: &Action) -> Step;
+    /// does not match [`Environment::action_space`], if called after
+    /// the episode finished without an intervening reset, or if
+    /// `obs.len()` differs from [`Environment::observation_size`].
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition;
+
+    /// [`Environment::reset_into`] a freshly allocated observation.
+    fn reset(&mut self, seed: u64) -> Vec<f64> {
+        let mut observation = vec![0.0; self.observation_size()];
+        self.reset_into(seed, &mut observation);
+        observation
+    }
+
+    /// [`Environment::step_into`] a freshly allocated observation.
+    ///
+    /// # Panics
+    ///
+    /// As [`Environment::step_into`].
+    fn step(&mut self, action: &Action) -> Step {
+        let mut observation = vec![0.0; self.observation_size()];
+        let Transition {
+            reward,
+            terminated,
+            truncated,
+        } = self.step_into(action, &mut observation);
+        Step {
+            observation,
+            reward,
+            terminated,
+            truncated,
+        }
+    }
 
     /// Maximum steps per episode before truncation.
     fn max_episode_steps(&self) -> usize;
@@ -109,6 +170,16 @@ impl<E: Environment + ?Sized> Environment for Box<E> {
         (**self).action_space()
     }
 
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
+        (**self).reset_into(seed, obs)
+    }
+
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
+        (**self).step_into(action, obs)
+    }
+
+    // Forwarded too, so a `Box<dyn Environment>` pays one dispatch per
+    // call instead of the provided body's two.
     fn reset(&mut self, seed: u64) -> Vec<f64> {
         (**self).reset(seed)
     }

@@ -5,7 +5,7 @@
 //! environment, repeat until the episode ends, and report the summed
 //! reward as the genome's fitness.
 
-use crate::env::{Action, ActionSpace, Environment, Step};
+use crate::env::{Action, ActionSpace, Environment};
 
 /// Anything that maps observations to raw network outputs.
 ///
@@ -87,20 +87,14 @@ pub fn run_episode<P: Policy + ?Sized>(
     loop {
         let outputs = policy.act(&obs);
         let action = decode_action(&outputs, &space);
-        let Step {
-            observation,
-            reward,
-            terminated,
-            truncated,
-        } = env.step(&action);
-        total_reward += reward;
+        let transition = env.step_into(&action, &mut obs);
+        total_reward += transition.reward;
         steps += 1;
-        obs = observation;
-        if terminated || truncated {
+        if transition.done() {
             return EpisodeResult {
                 total_reward,
                 steps,
-                terminated,
+                terminated: transition.terminated,
             };
         }
     }

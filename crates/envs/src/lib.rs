@@ -48,10 +48,10 @@ pub mod wrappers;
 pub use acrobot::Acrobot;
 pub use batch::{BatchEnv, ScalarBatch, StepBatch};
 pub use bipedal_walker::BipedalWalker;
-pub use cartpole::{CartPole, CartPoleBatch};
-pub use env::{Action, ActionSpace, Environment, Step};
+pub use cartpole::CartPole;
+pub use env::{Action, ActionSpace, Environment, Step, Transition};
 pub use episode::{decode_action, run_episode, EpisodeResult, Policy};
-pub use lunar_lander::{LunarLander, LunarLanderBatch};
+pub use lunar_lander::LunarLander;
 pub use mountain_car::MountainCar;
 pub use pendulum::Pendulum;
 pub use pong::Pong;

@@ -8,8 +8,7 @@
 //! shaping structure, which is what the evolved controllers and the
 //! accelerator actually see (see DESIGN.md, substitutions).
 
-use crate::batch::{BatchEnv, StepBatch};
-use crate::env::{expect_discrete, Action, ActionSpace, Environment, Step};
+use crate::env::{expect_discrete, Action, ActionSpace, Environment, Transition};
 use crate::scenario::ScenarioParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,9 +109,9 @@ impl LunarLander {
         }
     }
 
-    fn observation(&self) -> Vec<f64> {
+    fn write_observation(&self, obs: &mut [f64]) {
         let (left, right) = self.leg_contacts();
-        vec![
+        obs.copy_from_slice(&[
             self.x,
             self.y,
             self.vx,
@@ -121,7 +120,7 @@ impl LunarLander {
             self.omega,
             f64::from(left),
             f64::from(right),
-        ]
+        ]);
     }
 
     fn leg_contacts(&self) -> (bool, bool) {
@@ -158,7 +157,7 @@ impl Environment for LunarLander {
         ActionSpace::Discrete(4)
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         let mut rng = StdRng::seed_from_u64(seed);
         self.x = rng.gen_range(-0.3..0.3);
         self.y = 1.4;
@@ -169,7 +168,7 @@ impl Environment for LunarLander {
         self.prev_shaping = None;
         self.steps = 0;
         self.done = false;
-        self.observation()
+        self.write_observation(obs);
     }
 
     /// # Panics
@@ -177,7 +176,7 @@ impl Environment for LunarLander {
     /// Panics if called after the episode finished (terminated or
     /// truncated) without an intervening reset, or if the action is
     /// not `Discrete(0..=3)`.
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         assert!(
             !self.done,
             "lunar_lander: step() called on a finished episode"
@@ -246,8 +245,8 @@ impl Environment for LunarLander {
         }
         let truncated = !terminated && self.steps >= self.max_steps;
         self.done = terminated || truncated;
-        Step {
-            observation: self.observation(),
+        self.write_observation(obs);
+        Transition {
             reward,
             terminated,
             truncated,
@@ -260,235 +259,6 @@ impl Environment for LunarLander {
 
     fn name(&self) -> &'static str {
         "lunar_lander"
-    }
-}
-
-/// Hand-vectorized struct-of-arrays batch of LunarLander episodes.
-///
-/// Lane-indexed arrays for the six rigid-body state variables plus the
-/// shaping potential; all active lanes advance per
-/// [`BatchEnv::step_batch`] call with the exact floating-point
-/// operation order of the scalar [`LunarLander`], so trajectories are
-/// bit-identical given the same seed and actions.
-#[derive(Debug, Clone)]
-pub struct LunarLanderBatch {
-    phys: Vec<LanderPhys>,
-    x: Vec<f64>,
-    y: Vec<f64>,
-    vx: Vec<f64>,
-    vy: Vec<f64>,
-    angle: Vec<f64>,
-    omega: Vec<f64>,
-    prev_shaping: Vec<Option<f64>>,
-    steps: Vec<usize>,
-    max_steps: usize,
-}
-
-impl LunarLanderBatch {
-    /// Creates `lanes` episodes with the Gym step limit (1000).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn new(lanes: usize) -> Self {
-        Self::with_max_steps(lanes, 1000)
-    }
-
-    /// Creates one lane per scenario parameter set, with the Gym step
-    /// limit (1000). Lanes may be heterogeneous.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn with_scenarios(params: &[ScenarioParams]) -> Self {
-        Self::with_scenarios_max_steps(params, 1000)
-    }
-
-    /// Creates `lanes` episodes with a custom step limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn with_max_steps(lanes: usize, max_steps: usize) -> Self {
-        Self::with_scenarios_max_steps(&vec![ScenarioParams::default(); lanes], max_steps)
-    }
-
-    /// Creates one lane per scenario parameter set with a custom step
-    /// limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` is empty.
-    pub fn with_scenarios_max_steps(params: &[ScenarioParams], max_steps: usize) -> Self {
-        assert!(!params.is_empty(), "a batch needs at least one lane");
-        let lanes = params.len();
-        LunarLanderBatch {
-            phys: params.iter().map(LanderPhys::from_params).collect(),
-            x: vec![0.0; lanes],
-            y: vec![0.0; lanes],
-            vx: vec![0.0; lanes],
-            vy: vec![0.0; lanes],
-            angle: vec![0.0; lanes],
-            omega: vec![0.0; lanes],
-            prev_shaping: vec![None; lanes],
-            steps: vec![0; lanes],
-            max_steps,
-        }
-    }
-
-    fn leg_contacts(y: f64, angle: f64) -> (bool, bool) {
-        if y > 0.02 {
-            return (false, false);
-        }
-        (angle <= 0.1, angle >= -0.1)
-    }
-
-    fn shaping(x: f64, y: f64, vx: f64, vy: f64, angle: f64) -> f64 {
-        let (left, right) = Self::leg_contacts(y, angle);
-        -100.0 * (x * x + y * y).sqrt() - 100.0 * (vx * vx + vy * vy).sqrt() - 100.0 * angle.abs()
-            + 10.0 * f64::from(left)
-            + 10.0 * f64::from(right)
-    }
-
-    fn write_observation(&self, lane: usize, row: &mut [f64]) {
-        let (left, right) = Self::leg_contacts(self.y[lane], self.angle[lane]);
-        row.copy_from_slice(&[
-            self.x[lane],
-            self.y[lane],
-            self.vx[lane],
-            self.vy[lane],
-            self.angle[lane],
-            self.omega[lane],
-            f64::from(left),
-            f64::from(right),
-        ]);
-    }
-}
-
-impl BatchEnv for LunarLanderBatch {
-    fn lanes(&self) -> usize {
-        self.x.len()
-    }
-
-    fn observation_size(&self) -> usize {
-        8
-    }
-
-    fn action_space(&self) -> ActionSpace {
-        ActionSpace::Discrete(4)
-    }
-
-    fn max_episode_steps(&self) -> usize {
-        self.max_steps
-    }
-
-    fn name(&self) -> &'static str {
-        "lunar_lander"
-    }
-
-    fn reset_batch(&mut self, seeds: &[u64], batch: &mut StepBatch) {
-        assert_eq!(seeds.len(), self.lanes(), "one seed per lane");
-        assert_eq!(batch.lanes(), self.lanes(), "batch/env lane mismatch");
-        for (lane, &seed) in seeds.iter().enumerate() {
-            // Same draw order as the scalar reset.
-            let mut rng = StdRng::seed_from_u64(seed);
-            self.x[lane] = rng.gen_range(-0.3..0.3);
-            self.y[lane] = 1.4;
-            self.vx[lane] = rng.gen_range(-0.3..0.3);
-            self.vy[lane] = rng.gen_range(-0.2..0.0);
-            self.angle[lane] = rng.gen_range(-0.15..0.15);
-            self.omega[lane] = rng.gen_range(-0.1..0.1);
-            self.prev_shaping[lane] = None;
-            self.steps[lane] = 0;
-            self.write_observation(lane, batch.obs_row_mut(lane));
-            batch.rewards[lane] = 0.0;
-            batch.terminated[lane] = false;
-            batch.truncated[lane] = false;
-            batch.active[lane] = true;
-        }
-    }
-
-    fn step_batch(&mut self, actions: &[Action], batch: &mut StepBatch) {
-        assert_eq!(actions.len(), self.lanes(), "one action per lane");
-        assert_eq!(batch.lanes(), self.lanes(), "batch/env lane mismatch");
-        for (lane, action) in actions.iter().enumerate() {
-            if !batch.active[lane] {
-                batch.rewards[lane] = 0.0;
-                continue;
-            }
-            let a = expect_discrete(action, 4, "lunar_lander");
-            let phys = self.phys[lane];
-            let (sin_a, cos_a) = self.angle[lane].sin_cos();
-            let mut fuel_cost = 0.0;
-            let (mut ax, mut ay, mut alpha) =
-                (0.0, -phys.gravity, -ANGULAR_DAMPING * self.omega[lane]);
-            if phys.wind != 0.0 {
-                ax += phys.wind;
-            }
-            match a {
-                0 => {}
-                1 => {
-                    ax += phys.side_accel * cos_a;
-                    ay += phys.side_accel * sin_a;
-                    alpha += phys.side_torque;
-                    fuel_cost = 0.03;
-                }
-                2 => {
-                    ax += -phys.main_accel * sin_a;
-                    ay += phys.main_accel * cos_a;
-                    fuel_cost = 0.3;
-                }
-                3 => {
-                    ax += -phys.side_accel * cos_a;
-                    ay += -phys.side_accel * sin_a;
-                    alpha += -phys.side_torque;
-                    fuel_cost = 0.03;
-                }
-                _ => unreachable!("validated by expect_discrete"),
-            }
-            self.vx[lane] += ax * DT;
-            self.vy[lane] += ay * DT;
-            self.omega[lane] += alpha * DT;
-            self.x[lane] += self.vx[lane] * DT;
-            self.y[lane] += self.vy[lane] * DT;
-            self.angle[lane] += self.omega[lane] * DT;
-            self.steps[lane] += 1;
-
-            let shaping = Self::shaping(
-                self.x[lane],
-                self.y[lane],
-                self.vx[lane],
-                self.vy[lane],
-                self.angle[lane],
-            );
-            let mut reward = match self.prev_shaping[lane] {
-                Some(prev) => shaping - prev,
-                None => 0.0,
-            } - fuel_cost;
-            self.prev_shaping[lane] = Some(shaping);
-
-            let mut terminated = false;
-            if self.x[lane].abs() > X_LIMIT {
-                terminated = true;
-                reward += -100.0;
-            } else if self.y[lane] <= 0.0 {
-                terminated = true;
-                self.y[lane] = 0.0;
-                let gentle = self.vy[lane].abs() <= SAFE_VY
-                    && self.vx[lane].abs() <= SAFE_VX
-                    && self.angle[lane].abs() <= SAFE_ANGLE;
-                let on_pad = self.x[lane].abs() <= 0.25;
-                reward += if gentle && on_pad { 100.0 } else { -100.0 };
-            }
-            let truncated = !terminated && self.steps[lane] >= self.max_steps;
-            self.write_observation(lane, batch.obs_row_mut(lane));
-            batch.rewards[lane] = reward;
-            batch.terminated[lane] = terminated;
-            batch.truncated[lane] = truncated;
-            if terminated || truncated {
-                batch.active[lane] = false;
-            }
-        }
     }
 }
 
@@ -574,115 +344,6 @@ mod tests {
         assert_eq!(obs.len(), 8);
         assert_eq!(obs[6], 0.0, "airborne: no leg contact");
         assert_eq!(obs[7], 0.0);
-    }
-
-    #[test]
-    fn soa_batch_is_bit_identical_to_scalar() {
-        let lanes = 5;
-        let mut soa = LunarLanderBatch::new(lanes);
-        let mut batch = crate::batch::StepBatch::new(lanes, 8);
-        let seeds: Vec<u64> = (0..lanes as u64).map(|s| s * 131 + 2).collect();
-        soa.reset_batch(&seeds, &mut batch);
-
-        let mut scalars: Vec<LunarLander> = (0..lanes).map(|_| LunarLander::new()).collect();
-        for (lane, env) in scalars.iter_mut().enumerate() {
-            let obs = env.reset(seeds[lane]);
-            assert_eq!(batch.obs_row(lane), obs.as_slice());
-        }
-        let mut done = vec![false; lanes];
-        // Mix of policies: free fall, constant burn, suicide burn.
-        let policy = |lane: usize, o: &[f64]| -> usize {
-            match lane % 3 {
-                0 => 0,
-                1 => 2,
-                _ => {
-                    if o[4] > 0.15 {
-                        1
-                    } else if o[4] < -0.15 {
-                        3
-                    } else if o[3] < -0.3 {
-                        2
-                    } else {
-                        0
-                    }
-                }
-            }
-        };
-        for _ in 0..1100 {
-            let actions: Vec<Action> = (0..lanes)
-                .map(|l| Action::Discrete(policy(l, batch.obs_row(l))))
-                .collect();
-            soa.step_batch(&actions, &mut batch);
-            for (lane, env) in scalars.iter_mut().enumerate() {
-                if done[lane] {
-                    assert_eq!(batch.rewards[lane], 0.0);
-                    continue;
-                }
-                let s = env.step(&actions[lane]);
-                for (a, b) in batch.obs_row(lane).iter().zip(&s.observation) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "lane {lane} diverged");
-                }
-                assert_eq!(batch.rewards[lane].to_bits(), s.reward.to_bits());
-                assert_eq!(batch.terminated[lane], s.terminated);
-                assert_eq!(batch.truncated[lane], s.truncated);
-                done[lane] = s.done();
-            }
-            if batch.all_parked() {
-                break;
-            }
-        }
-        assert!(batch.all_parked(), "every lander comes down eventually");
-    }
-
-    #[test]
-    fn heterogeneous_scenario_lanes_match_their_scalar_twins() {
-        let params = [
-            ScenarioParams::default(),
-            ScenarioParams {
-                gravity_scale: 1.3,
-                wind: 0.05,
-                ..ScenarioParams::default()
-            },
-            ScenarioParams {
-                force_scale: 0.8,
-                mass_scale: 1.2,
-                ..ScenarioParams::default()
-            },
-        ];
-        let lanes = params.len();
-        let mut soa = LunarLanderBatch::with_scenarios(&params);
-        let mut batch = crate::batch::StepBatch::new(lanes, 8);
-        let seeds: Vec<u64> = (0..lanes as u64).map(|s| s * 17 + 3).collect();
-        soa.reset_batch(&seeds, &mut batch);
-        let mut scalars: Vec<LunarLander> = params.iter().map(LunarLander::with_scenario).collect();
-        for (lane, env) in scalars.iter_mut().enumerate() {
-            assert_eq!(batch.obs_row(lane), env.reset(seeds[lane]).as_slice());
-        }
-        let mut done = vec![false; lanes];
-        for _ in 0..1100 {
-            let actions: Vec<Action> = (0..lanes)
-                .map(|l| {
-                    let o = batch.obs_row(l);
-                    Action::Discrete(if o[3] < -0.3 { 2 } else { 0 })
-                })
-                .collect();
-            soa.step_batch(&actions, &mut batch);
-            for (lane, env) in scalars.iter_mut().enumerate() {
-                if done[lane] {
-                    continue;
-                }
-                let s = env.step(&actions[lane]);
-                for (a, b) in batch.obs_row(lane).iter().zip(&s.observation) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "scenario lane {lane} diverged");
-                }
-                assert_eq!(batch.rewards[lane].to_bits(), s.reward.to_bits());
-                done[lane] = s.done();
-            }
-            if batch.all_parked() {
-                break;
-            }
-        }
-        assert!(batch.all_parked());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! hill gravity and add a constant lateral wind; the default
 //! parameters reproduce the classic constants bit-identically.
 
-use crate::env::{expect_discrete, Action, ActionSpace, Environment, Step};
+use crate::env::{expect_discrete, Action, ActionSpace, Environment, Transition};
 use crate::scenario::ScenarioParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,13 +101,13 @@ impl Environment for MountainCar {
         ActionSpace::Discrete(3)
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         let mut rng = StdRng::seed_from_u64(seed);
         self.position = rng.gen_range(-0.6..-0.4);
         self.velocity = 0.0;
         self.steps = 0;
         self.done = false;
-        vec![self.position, self.velocity]
+        obs.copy_from_slice(&[self.position, self.velocity]);
     }
 
     /// # Panics
@@ -115,7 +115,7 @@ impl Environment for MountainCar {
     /// Panics if called after the episode finished (terminated or
     /// truncated) without an intervening reset, or if the action is
     /// not `Discrete(0..=2)`.
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         assert!(
             !self.done,
             "mountain_car: step() called on a finished episode"
@@ -135,8 +135,8 @@ impl Environment for MountainCar {
         let terminated = self.position >= GOAL_POSITION;
         let truncated = !terminated && self.steps >= self.max_steps;
         self.done = terminated || truncated;
-        Step {
-            observation: vec![self.position, self.velocity],
+        obs.copy_from_slice(&[self.position, self.velocity]);
+        Transition {
             reward: -1.0,
             terminated,
             truncated,

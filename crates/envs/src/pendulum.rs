@@ -6,7 +6,7 @@
 //! rod length, and torque gain, and add a constant angular wind; the
 //! default parameters reproduce the classic constants bit-identically.
 
-use crate::env::{expect_continuous, Action, ActionSpace, Environment, Step};
+use crate::env::{expect_continuous, Action, ActionSpace, Environment, Transition};
 use crate::scenario::ScenarioParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -89,8 +89,8 @@ impl Pendulum {
         }
     }
 
-    fn observation(&self) -> Vec<f64> {
-        vec![self.theta.cos(), self.theta.sin(), self.theta_dot]
+    fn write_observation(&self, obs: &mut [f64]) {
+        obs.copy_from_slice(&[self.theta.cos(), self.theta.sin(), self.theta_dot]);
     }
 
     /// Angle normalized to `[-π, π]` (0 = upright).
@@ -121,13 +121,13 @@ impl Environment for Pendulum {
         }
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         let mut rng = StdRng::seed_from_u64(seed);
         self.theta = rng.gen_range(-PI..PI);
         self.theta_dot = rng.gen_range(-1.0..1.0);
         self.steps = 0;
         self.done = false;
-        self.observation()
+        self.write_observation(obs);
     }
 
     /// # Panics
@@ -135,7 +135,7 @@ impl Environment for Pendulum {
     /// Panics if called after the episode finished (truncated; this
     /// environment never terminates) without an intervening reset, or
     /// if the action is not a one-dimensional `Continuous` torque.
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         assert!(!self.done, "pendulum: step() called on a finished episode");
         let u = expect_continuous(action, &[-MAX_TORQUE], &[MAX_TORQUE], "pendulum")[0];
         let u = u * self.phys.torque_gain;
@@ -152,8 +152,8 @@ impl Environment for Pendulum {
         self.steps += 1;
         let truncated = self.steps >= self.max_steps;
         self.done = truncated;
-        Step {
-            observation: self.observation(),
+        self.write_observation(obs);
+        Transition {
             reward: -cost,
             terminated: false,
             truncated,

@@ -7,7 +7,7 @@
 //! which is what a NEAT-evolved network would consume on an edge
 //! device (pixel stacks are out of scope for 10-node networks).
 
-use crate::env::{expect_discrete, Action, ActionSpace, Environment, Step};
+use crate::env::{expect_discrete, Action, ActionSpace, Environment, Transition};
 use crate::scenario::ScenarioParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -97,15 +97,15 @@ impl Pong {
         (self.own_score, self.opp_score)
     }
 
-    fn observation(&self) -> Vec<f64> {
-        vec![
+    fn write_observation(&self, obs: &mut [f64]) {
+        obs.copy_from_slice(&[
             self.ball[0],
             self.ball[1],
             self.ball[2] / BALL_SPEED,
             self.ball[3] / BALL_SPEED,
             self.own_y,
             self.opp_y,
-        ]
+        ]);
     }
 
     fn serve(&mut self, toward_own: bool) {
@@ -135,7 +135,7 @@ impl Environment for Pong {
         ActionSpace::Discrete(3)
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         self.rng = StdRng::seed_from_u64(seed);
         self.own_y = 0.0;
         self.opp_y = 0.0;
@@ -144,7 +144,7 @@ impl Environment for Pong {
         self.steps = 0;
         self.done = false;
         self.serve(true);
-        self.observation()
+        self.write_observation(obs);
     }
 
     /// # Panics
@@ -152,7 +152,7 @@ impl Environment for Pong {
     /// Panics if called after the episode finished (terminated or
     /// truncated) without an intervening reset, or if the action is
     /// not `Discrete(0..=2)`.
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         assert!(!self.done, "pong: step() called on a finished episode");
         let a = expect_discrete(action, 3, "pong");
         match a {
@@ -204,8 +204,8 @@ impl Environment for Pong {
         let terminated = self.own_score >= WIN_SCORE || self.opp_score >= WIN_SCORE;
         let truncated = !terminated && self.steps >= self.max_steps;
         self.done = terminated || truncated;
-        Step {
-            observation: self.observation(),
+        self.write_observation(obs);
+        Transition {
             reward,
             terminated,
             truncated,

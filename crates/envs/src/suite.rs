@@ -4,9 +4,7 @@
 //! thresholds.
 
 use crate::batch::{BatchEnv, ScalarBatch};
-use crate::cartpole::CartPoleBatch;
 use crate::env::Environment;
-use crate::lunar_lander::LunarLanderBatch;
 use crate::scenario::ScenarioParams;
 use crate::{Acrobot, BipedalWalker, CartPole, LunarLander, MountainCar, Pendulum, Pong};
 use serde::{Deserialize, Serialize};
@@ -77,41 +75,42 @@ impl EnvId {
         }
     }
 
-    /// Instantiates a lockstep batch of `lanes` episodes.
-    ///
-    /// CartPole and LunarLander — the two scaling workloads — get
-    /// their hand-vectorized struct-of-arrays implementations; the
-    /// rest fall back to the generic [`ScalarBatch`] adapter. Either
-    /// way, every lane's trajectory is bit-identical to the scalar
-    /// [`EnvId::make`] environment given the same seed and actions.
+    /// Instantiates a lockstep batch of `lanes` episodes with default
+    /// (legacy) physics.
     ///
     /// # Panics
     ///
     /// Panics if `lanes == 0`.
     pub fn make_batch(self, lanes: usize) -> Box<dyn BatchEnv> {
-        match self {
-            EnvId::CartPole => Box::new(CartPoleBatch::new(lanes)),
-            EnvId::LunarLander => Box::new(LunarLanderBatch::new(lanes)),
-            other => Box::new(ScalarBatch::from_fn(lanes, |_| other.make())),
-        }
+        self.make_batch_scenarios(&vec![ScenarioParams::default(); lanes])
     }
 
     /// Instantiates a lockstep batch with one lane per scenario
     /// parameter set — how multi-scenario fitness packs heterogeneous
-    /// physics into the SoA stepping path. A lane built from
-    /// [`ScenarioParams::default`] is bit-identical to the matching
-    /// [`EnvId::make_batch`] lane.
+    /// physics into one stepping call. Lane `i` is the
+    /// [`EnvId::make_scenario`] environment of `params[i]`, held by
+    /// value in a [`ScalarBatch`] of the concrete type, so its
+    /// trajectory is that environment's given the same seed and
+    /// actions.
     ///
     /// # Panics
     ///
     /// Panics if `params` is empty.
     pub fn make_batch_scenarios(self, params: &[ScenarioParams]) -> Box<dyn BatchEnv> {
+        fn lanes<E: Environment + 'static>(
+            params: &[ScenarioParams],
+            make: fn(&ScenarioParams) -> E,
+        ) -> Box<dyn BatchEnv> {
+            Box::new(ScalarBatch::new(params.iter().map(make).collect()))
+        }
         match self {
-            EnvId::CartPole => Box::new(CartPoleBatch::with_scenarios(params)),
-            EnvId::LunarLander => Box::new(LunarLanderBatch::with_scenarios(params)),
-            other => Box::new(ScalarBatch::from_fn(params.len(), |i| {
-                other.make_scenario(&params[i])
-            })),
+            EnvId::CartPole => lanes(params, CartPole::with_scenario),
+            EnvId::Acrobot => lanes(params, Acrobot::with_scenario),
+            EnvId::MountainCar => lanes(params, MountainCar::with_scenario),
+            EnvId::Bipedal => lanes(params, BipedalWalker::with_scenario),
+            EnvId::LunarLander => lanes(params, LunarLander::with_scenario),
+            EnvId::Pendulum => lanes(params, Pendulum::with_scenario),
+            EnvId::Pong => lanes(params, Pong::with_scenario),
         }
     }
 

@@ -7,7 +7,7 @@
 //! loops), and tighter time limits — without touching the underlying
 //! physics implementations.
 
-use crate::env::{Action, ActionSpace, Environment, Step};
+use crate::env::{Action, ActionSpace, Environment, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -47,13 +47,12 @@ impl<E: Environment> ObservationNoise<E> {
         }
     }
 
-    fn perturb(&mut self, mut obs: Vec<f64>) -> Vec<f64> {
-        for v in &mut obs {
+    fn perturb(&mut self, obs: &mut [f64]) {
+        for v in obs {
             let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
             let u2: f64 = self.rng.gen_range(0.0..1.0);
             *v += self.sigma * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         }
-        obs
     }
 }
 
@@ -66,16 +65,16 @@ impl<E: Environment> Environment for ObservationNoise<E> {
         self.inner.action_space()
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         self.rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let obs = self.inner.reset(seed);
-        self.perturb(obs)
+        self.inner.reset_into(seed, obs);
+        self.perturb(obs);
     }
 
-    fn step(&mut self, action: &Action) -> Step {
-        let mut step = self.inner.step(action);
-        step.observation = self.perturb(std::mem::take(&mut step.observation));
-        step
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
+        let transition = self.inner.step_into(action, obs);
+        self.perturb(obs);
+        transition
     }
 
     fn max_episode_steps(&self) -> usize {
@@ -116,25 +115,24 @@ impl<E: Environment> Environment for ActionRepeat<E> {
         self.inner.action_space()
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
-        self.inner.reset(seed)
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
+        self.inner.reset_into(seed, obs)
     }
 
-    fn step(&mut self, action: &Action) -> Step {
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         let mut total_reward = 0.0;
         let mut last = None;
         for _ in 0..self.repeat {
-            let step = self.inner.step(action);
-            total_reward += step.reward;
-            let done = step.done();
-            last = Some(step);
-            if done {
+            let transition = self.inner.step_into(action, obs);
+            total_reward += transition.reward;
+            last = Some(transition);
+            if transition.done() {
                 break;
             }
         }
-        let mut step = last.expect("repeat >= 1");
-        step.reward = total_reward;
-        step
+        let mut transition = last.expect("repeat >= 1");
+        transition.reward = total_reward;
+        transition
     }
 
     fn max_episode_steps(&self) -> usize {
@@ -181,10 +179,10 @@ impl<E: Environment> Environment for TimeLimit<E> {
         self.inner.action_space()
     }
 
-    fn reset(&mut self, seed: u64) -> Vec<f64> {
+    fn reset_into(&mut self, seed: u64, obs: &mut [f64]) {
         self.steps = 0;
         self.done = false;
-        self.inner.reset(seed)
+        self.inner.reset_into(seed, obs)
     }
 
     /// # Panics
@@ -192,21 +190,20 @@ impl<E: Environment> Environment for TimeLimit<E> {
     /// Panics if called after the episode finished — including after
     /// the wrapper's *own* truncation, when the inner environment
     /// would still accept steps. This keeps the uniform post-done
-    /// `step` contract of [`Environment::step`] intact under
-    /// wrapping.
-    fn step(&mut self, action: &Action) -> Step {
+    /// contract of [`Environment::step_into`] intact under wrapping.
+    fn step_into(&mut self, action: &Action, obs: &mut [f64]) -> Transition {
         assert!(
             !self.done,
             "{}: step() called on a finished episode (time limit)",
             self.inner.name()
         );
-        let mut step = self.inner.step(action);
+        let mut transition = self.inner.step_into(action, obs);
         self.steps += 1;
-        if !step.terminated && self.steps >= self.limit {
-            step.truncated = true;
+        if !transition.terminated && self.steps >= self.limit {
+            transition.truncated = true;
         }
-        self.done = step.done();
-        step
+        self.done = transition.done();
+        transition
     }
 
     fn max_episode_steps(&self) -> usize {

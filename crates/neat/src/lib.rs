@@ -63,7 +63,6 @@ pub mod config;
 pub mod forward;
 pub mod genome;
 pub mod innovation;
-pub mod lineage;
 pub mod network;
 pub mod plan;
 pub mod plan_batch;
@@ -82,7 +81,6 @@ pub use error::{DecodeError, GenomeError};
 pub use forward::ForwardPass;
 pub use genome::{ConnectionGene, Genome, NodeGene, NodeId, NodeKind};
 pub use innovation::{Innovation, InnovationTracker};
-pub use lineage::SpeciesHistory;
 pub use network::Network;
 pub use plan::NetPlan;
 pub use plan_batch::PlanBatch;

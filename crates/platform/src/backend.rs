@@ -258,11 +258,10 @@ pub(crate) fn run_software_episode(
     loop {
         let outputs = net.activate_into(&obs);
         let action = decode_action(outputs, &space);
-        let step = env.step(&action);
-        fitness += step.reward;
+        let transition = env.step_into(&action, &mut obs);
+        fitness += transition.reward;
         steps += 1;
-        obs = step.observation;
-        if step.terminated || step.truncated {
+        if transition.done() {
             return (fitness, steps);
         }
     }
@@ -872,15 +871,16 @@ fn inax_wave(job: &EvalJob, config: &InaxConfig, wave: usize) -> Result<WaveResu
             for (i, output) in outputs.into_iter().enumerate() {
                 let Some(out) = output else { continue };
                 let action = decode_action(&out, &space);
-                let step = envs[i].step(&action);
-                per_scenario[i * k + s] += step.reward;
+                let obs = observations[i]
+                    .as_mut()
+                    .expect("the accelerator answers only running residents");
+                let transition = envs[i].step_into(&action, obs);
+                per_scenario[i * k + s] += transition.reward;
                 episode_steps[i] += 1;
-                observations[i] = if step.terminated || step.truncated {
+                if transition.done() {
                     finish_episode(&mut timers[i], episode_steps[i]);
-                    None
-                } else {
-                    Some(step.observation)
-                };
+                    observations[i] = None;
+                }
             }
         }
         for (genome_steps, steps) in steps_per_genome.iter_mut().zip(episode_steps) {

@@ -77,7 +77,7 @@ pub fn run_with(
         let summary = capture.summaries().last().expect("run emits a summary");
         rows.push(Fig1bRow {
             env,
-            profile: FunctionProfile::from_split(&summary.split),
+            profile: summary.split,
         });
         for event in capture.events() {
             collector.record(event)?;

@@ -207,7 +207,7 @@ pub fn run_fig9b_with(
             E3Platform::new(config, kind, seed).run_with(&mut capture)?;
             let summary = capture.summaries().last().expect("run emits a summary");
             runtime[i] = summary.modeled_seconds;
-            profiles[i] = FunctionProfile::from_split(&summary.split);
+            profiles[i] = summary.split;
             generations = summary.generations;
             best = best.max(summary.best_fitness);
             if kind == BackendKind::Cpu {

@@ -23,9 +23,9 @@ use e3_neat::stats::ComplexityStats;
 use e3_neat::{NeatConfig, Population};
 use e3_store::{CheckpointPolicy, RunStore, StoreError};
 use e3_telemetry::{
-    CheckpointRecord, Collector, EvalRecord, ExecRecord, FunctionSplit, GeneralizationRecord,
-    GenerationRecord, HwCounters, JitRecord, NullCollector, ResumeRecord, RunSummary,
-    TelemetryError, TelemetryEvent, Tracer,
+    CheckpointRecord, Collector, EvalRecord, ExecRecord, GeneralizationRecord, GenerationRecord,
+    HwCounters, JitRecord, NullCollector, ResumeRecord, RunSummary, TelemetryError, TelemetryEvent,
+    Tracer,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -87,91 +87,9 @@ impl From<StoreError> for RunError {
 }
 
 /// Modeled seconds per NEAT function (the categories of paper
-/// Fig. 1(b) and Fig. 9(d)).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct FunctionProfile {
-    /// NN inference time (SW, GPU, or INAX cycles→seconds).
-    pub evaluate: f64,
-    /// CPU-side environment stepping.
-    pub env: f64,
-    /// Genome → network decoding (CreateNet).
-    pub createnet: f64,
-    /// Mutation during reproduction.
-    pub mutate: f64,
-    /// Crossover during reproduction.
-    pub crossover: f64,
-    /// Species assignment.
-    pub speciate: f64,
-}
-
-impl FunctionProfile {
-    /// Total modeled seconds.
-    pub fn total(&self) -> f64 {
-        self.evaluate + self.env + self.createnet + self.mutate + self.crossover + self.speciate
-    }
-
-    /// The "evolve" share (everything except evaluate + env), as a
-    /// fraction of the total.
-    pub fn evolve_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
-            return 0.0;
-        }
-        (self.createnet + self.mutate + self.crossover + self.speciate) / total
-    }
-
-    /// The "evaluate" share (inference only) as a fraction of total.
-    pub fn evaluate_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.evaluate / total
-    }
-
-    /// `(label, seconds)` pairs for rendering breakdowns.
-    pub fn entries(&self) -> [(&'static str, f64); 6] {
-        [
-            ("evaluate", self.evaluate),
-            ("env", self.env),
-            ("createnet", self.createnet),
-            ("mutate", self.mutate),
-            ("crossover", self.crossover),
-            ("speciate", self.speciate),
-        ]
-    }
-
-    /// This profile as a telemetry [`FunctionSplit`].
-    pub fn to_split(&self) -> FunctionSplit {
-        FunctionSplit {
-            evaluate: self.evaluate,
-            env: self.env,
-            createnet: self.createnet,
-            mutate: self.mutate,
-            crossover: self.crossover,
-            speciate: self.speciate,
-        }
-    }
-
-    /// Rebuilds a profile from a telemetry [`FunctionSplit`] (the
-    /// inverse of [`FunctionProfile::to_split`]).
-    pub fn from_split(split: &FunctionSplit) -> Self {
-        FunctionProfile {
-            evaluate: split.evaluate,
-            env: split.env,
-            createnet: split.createnet,
-            mutate: split.mutate,
-            crossover: split.crossover,
-            speciate: split.speciate,
-        }
-    }
-}
-
-impl From<&FunctionProfile> for FunctionSplit {
-    fn from(profile: &FunctionProfile) -> Self {
-        profile.to_split()
-    }
-}
+/// Fig. 1(b) and Fig. 9(d)): the struct telemetry records carry,
+/// under the platform API's name for it.
+pub use e3_telemetry::FunctionSplit as FunctionProfile;
 
 /// Configuration of one E3 learning run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -748,9 +666,6 @@ impl E3Platform {
         // `self.population` until the fitnesses are assigned.
         let genomes = self.population.genomes();
         eval_span.arg("population", genomes.len() as f64);
-        for genome in genomes {
-            self.profile.createnet += self.config.sw.createnet_seconds_for(genome);
-        }
         // Episode conditions follow a deterministic per-generation
         // schedule: reproducible across backends (identical seeds ⇒
         // identical trajectories) while exposing evolution to varied
@@ -770,10 +685,15 @@ impl E3Platform {
         );
         let outcome = self.backend.evaluate(genomes, self.config.env, &spec)?;
         self.episode_seed = self.episode_seed.wrapping_add(1);
-        // Complexity statistics fold the shapes of the plans the
-        // evaluation compiled — no second CreateNet on this thread —
-        // and a generation whose evaluation failed (the `?` above)
-        // leaves no sample.
+        // Everything a generation records is recorded from here on: a
+        // generation whose evaluation failed (the `?` above) charges no
+        // CreateNet and leaves no complexity sample, so a retry after
+        // the genome is repaired counts once. Complexity statistics
+        // fold the shapes of the plans the evaluation compiled — no
+        // second CreateNet on this thread.
+        for genome in genomes {
+            self.profile.createnet += self.config.sw.createnet_seconds_for(genome);
+        }
         self.complexity.record_shapes(&outcome.shapes);
         self.profile.evaluate += outcome.eval_seconds;
         self.profile.env += outcome.env_seconds;
@@ -966,7 +886,7 @@ impl E3Platform {
             mean_fitness: mean,
             species: species_count,
             modeled_seconds: self.profile.total(),
-            split: self.profile.to_split(),
+            split: self.profile,
         }))?;
         self.generation += 1;
         self.last_step_best = Some(best);
@@ -1048,7 +968,7 @@ impl E3Platform {
             modeled_seconds: self.profile.total(),
             speedup_vs_cpu: None,
             energy_joules: Some(energy.total()),
-            split: self.profile.to_split(),
+            split: self.profile,
         }))?;
         collector.flush()?;
         run_span.finish();
@@ -1106,6 +1026,8 @@ mod tests {
             .expect("self-loop is structurally new");
         platform.apply_state(state);
         let before = platform.complexity.clone();
+        let profile_before = *platform.profile();
+        let episode_seed_before = platform.capture_state().episode_seed;
         assert!(matches!(
             platform.step_generation(),
             Err(RunError::Eval(EvalError::NotFeedForward {
@@ -1116,6 +1038,16 @@ mod tests {
         assert_eq!(
             platform.complexity, before,
             "the mean must not be taken over the genomes that happened to decode"
+        );
+        assert_eq!(
+            *platform.profile(),
+            profile_before,
+            "a failed evaluation charges no modeled seconds, CreateNet included"
+        );
+        assert_eq!(
+            platform.capture_state().episode_seed,
+            episode_seed_before,
+            "a retry sees the episode conditions the failed attempt would have"
         );
     }
 

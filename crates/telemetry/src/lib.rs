@@ -73,8 +73,9 @@ impl From<std::io::Error> for TelemetryError {
     }
 }
 
-/// Per-function share of modeled run time, mirroring the platform's
-/// `FunctionProfile` (Fig. 1(b) categories) as plain seconds.
+/// Modeled seconds per NEAT function (the categories of paper
+/// Fig. 1(b) and Fig. 9(d)); `e3-platform` re-exports it as
+/// `FunctionProfile`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FunctionSplit {
     /// Seconds spent in network inference (`evaluate`).
@@ -95,6 +96,37 @@ impl FunctionSplit {
     /// Total modeled seconds across all functions.
     pub fn total(&self) -> f64 {
         self.evaluate + self.env + self.createnet + self.mutate + self.crossover + self.speciate
+    }
+
+    /// The "evolve" share (everything except evaluate + env), as a
+    /// fraction of the total.
+    pub fn evolve_fraction(&self) -> f64 {
+        let total = self.total();
+        if total == 0.0 {
+            return 0.0;
+        }
+        (self.createnet + self.mutate + self.crossover + self.speciate) / total
+    }
+
+    /// The "evaluate" share (inference only) as a fraction of total.
+    pub fn evaluate_fraction(&self) -> f64 {
+        let total = self.total();
+        if total == 0.0 {
+            return 0.0;
+        }
+        self.evaluate / total
+    }
+
+    /// `(label, seconds)` pairs for rendering breakdowns.
+    pub fn entries(&self) -> [(&'static str, f64); 6] {
+        [
+            ("evaluate", self.evaluate),
+            ("env", self.env),
+            ("createnet", self.createnet),
+            ("mutate", self.mutate),
+            ("crossover", self.crossover),
+            ("speciate", self.speciate),
+        ]
     }
 }
 

@@ -1,8 +1,12 @@
 //! End-to-end integration: the full E3 loop across all crates.
 
-use e3::envs::EnvId;
+use e3::envs::{EnvId, ScenarioDistribution};
 use e3::inax::InaxConfig;
-use e3::platform::{BackendKind, E3Config, E3Platform, EvalBackend, PowerModel, ScenarioSpec};
+use e3::neat::{NeatConfig, Population};
+use e3::platform::{
+    BackendKind, E3Config, E3Platform, EvalBackend, PowerModel, Route, ScenarioConfig,
+    ScenarioSpec, SoftwareBackend, SwCostModel,
+};
 use e3::telemetry::MemoryCollector;
 
 fn quick_config(env: EnvId) -> E3Config {
@@ -166,4 +170,52 @@ fn run_with_telemetry_matches_plain_run() {
     assert_eq!(summary.generations, plain.generations_run);
     assert_eq!(summary.best_fitness, plain.best_fitness);
     assert_eq!(collector.generations().count(), plain.generations_run);
+}
+
+#[test]
+fn lockstep_route_matches_per_genome_route() {
+    // `batch_parity` in e3-platform is the full gate; this is its
+    // smoke at the root, so tier-1 cannot be green while a lane of the
+    // lockstep kernel disagrees with the same episode stepped solo.
+    let sampled = ScenarioConfig::default()
+        .train(ScenarioDistribution::moderate())
+        .scenarios_per_eval(2);
+    for env in [EnvId::CartPole, EnvId::LunarLander, EnvId::Pendulum] {
+        // A few generations under a structural fitness, so the batch
+        // packs heterogeneous topologies.
+        let neat = NeatConfig::builder(env.observation_size(), env.policy_outputs())
+            .population_size(16)
+            .build();
+        let mut population = Population::new(neat, 23);
+        for _ in 0..3 {
+            population.evaluate(|g| (g.num_enabled_connections() + g.nodes().len()) as f64);
+            population.evolve();
+        }
+        let genomes = population.genomes();
+        for spec in [
+            ScenarioSpec::fixed(23, genomes.len()),
+            ScenarioSpec::for_generation(&sampled, 23, 0, genomes.len()),
+        ] {
+            let [solo, lanes] = [Route::PerGenome, Route::Lockstep].map(|route| {
+                SoftwareBackend::cpu(SwCostModel::default())
+                    .with_threads(2)
+                    .evaluate_via(route, genomes, env, &spec)
+                    .expect("evolved populations are feed-forward")
+            });
+            let what = format!("{env} K={}", spec.scenarios());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&solo.fitnesses), bits(&lanes.fitnesses), "{what}");
+            assert_eq!(solo.steps_per_genome, lanes.steps_per_genome, "{what}");
+            assert_eq!(
+                solo.eval_seconds.to_bits(),
+                lanes.eval_seconds.to_bits(),
+                "{what}: modeled eval seconds"
+            );
+            assert_eq!(
+                solo.env_seconds.to_bits(),
+                lanes.env_seconds.to_bits(),
+                "{what}: modeled env seconds"
+            );
+        }
+    }
 }
