@@ -83,6 +83,6 @@ pub use scheduler::{
     IslandProgress, Pickup, Progress, RunOptions, SharedCollector,
 };
 pub use service::{
-    JitSnapshot, RunId, RunManager, RunSnapshot, RunStatus, SubmitOptions, DEFAULT_FLIGHT_RECORDER,
+    RunId, RunManager, RunSnapshot, RunStatus, SubmitOptions, DEFAULT_FLIGHT_RECORDER,
     DEFAULT_SAMPLE_INTERVAL,
 };

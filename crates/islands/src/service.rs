@@ -132,26 +132,6 @@ pub struct SubmitOptions {
     pub sample_interval: Option<Duration>,
 }
 
-/// Cumulative tiered-execution (JIT) counters for one run, read back
-/// from the run-labeled `e3_jit_*` series in the shared metrics
-/// registry. Present on a [`RunSnapshot`] only when the tier actually
-/// engaged (at least one counter nonzero).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct JitSnapshot {
-    /// Plans promoted to native code so far.
-    pub compiled: u64,
-    /// Machine-code bytes emitted so far.
-    pub bytes: u64,
-    /// Compilations that failed and fell back to the interpreter.
-    pub fallbacks: u64,
-    /// Activations served by the native tier so far.
-    pub activations: u64,
-    /// Natively compiled plans resident at the last evaluation.
-    pub resident: u64,
-    /// Total wall-clock seconds spent compiling so far.
-    pub compile_seconds: f64,
-}
-
 /// A point-in-time JSON-friendly view of one run — what a status
 /// endpoint serves for `/runs/{id}`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -176,9 +156,6 @@ pub struct RunSnapshot {
     pub islands: Vec<IslandProgress>,
     /// Live gauges of the executor pool the run evaluates on.
     pub pool: PoolSnapshot,
-    /// Cumulative JIT-tier counters; `None` when the tier never
-    /// engaged (disabled, unsupported target, or nothing hot yet).
-    pub jit: Option<JitSnapshot>,
 }
 
 /// The per-run event hub: a bounded "flight recorder" ring of recent
@@ -449,7 +426,6 @@ impl RunManager {
             .as_ref()
             .map(|(_, genome)| genome.fitness)
             .filter(|fitness| fitness.is_finite());
-        let jit = self.jit_snapshot(&id.to_string());
         Some(RunSnapshot {
             id: id.to_string(),
             status: status.name().to_string(),
@@ -460,28 +436,6 @@ impl RunManager {
             best_fitness,
             islands: run.progress.islands(),
             pool: run.pool.snapshot(),
-            jit,
-        })
-    }
-
-    /// Reads the run-labeled `e3_jit_*` series back out of the shared
-    /// registry; `None` when the tier never engaged for this run.
-    fn jit_snapshot(&self, label: &str) -> Option<JitSnapshot> {
-        let scope = [("run", label)];
-        self.registry.with(|registry| {
-            let snapshot = JitSnapshot {
-                compiled: registry.counter(&labeled("e3_jit_plans_compiled_total", &scope)),
-                bytes: registry.counter(&labeled("e3_jit_bytes_emitted_total", &scope)),
-                fallbacks: registry.counter(&labeled("e3_jit_fallbacks_total", &scope)),
-                activations: registry.counter(&labeled("e3_jit_hot_activations_total", &scope)),
-                resident: registry
-                    .gauge(&labeled("e3_jit_resident_plans", &scope))
-                    .unwrap_or(0.0) as u64,
-                compile_seconds: registry
-                    .histogram(&labeled("e3_jit_compile_seconds", &scope))
-                    .map_or(0.0, |h| h.sum()),
-            };
-            (snapshot != JitSnapshot::default()).then_some(snapshot)
         })
     }
 

@@ -12,8 +12,8 @@
 //! 2. **Scenario determinism** — multi-scenario training is a pure
 //!    function of the config: sampled parameters and final
 //!    populations are bit-identical across thread counts (1/4/8) and
-//!    across the per-genome and lockstep kernels, and each island of an
-//!    archipelago trains on its own deterministic distribution.
+//!    with the tier off or on, and each island of an archipelago
+//!    trains on its own deterministic distribution.
 
 use e3_envs::{EnvId, ScenarioDistribution};
 use e3_islands::island_seed;
@@ -36,7 +36,7 @@ use proptest::prelude::*;
 /// to the pricing fold that produces the modeled-seconds total.
 struct Golden {
     env: EnvId,
-    /// Final population fingerprint (identical on every backend, route
+    /// Final population fingerprint (identical on every backend, tier
     /// and thread count).
     fingerprint: u64,
     /// Best-fitness bits per generation.
@@ -129,23 +129,24 @@ fn fixture_run(
 
 #[test]
 fn default_config_matches_pre_scenario_fixtures() {
-    // A tier policy at `hot_threshold` 1 moves the software backends
-    // onto the per-genome route (and promotes every plan to native
-    // code on first reuse); without one they run lockstep. INAX has no
-    // software route to tier, so it runs once per thread count.
-    let lockstep = JitConfig::default();
-    let per_genome = JitConfig {
+    // A tier policy at `hot_threshold` 1 puts the software backends'
+    // plans behind the tiered cache (and promotes every one to native
+    // code on first use); without one the same kernel decodes afresh.
+    // INAX has no software inference to tier, so it runs once per
+    // thread count.
+    let tier_off = JitConfig::default();
+    let tier_on = JitConfig {
         enabled: true,
         hot_threshold: 1,
     };
     for golden in GOLDEN {
         for (backend, profile) in BackendKind::ALL.into_iter().zip(golden.profile) {
-            let routes: &[JitConfig] = match backend {
-                BackendKind::Inax => &[lockstep],
-                _ => &[lockstep, per_genome],
+            let tiers: &[JitConfig] = match backend {
+                BackendKind::Inax => &[tier_off],
+                _ => &[tier_off, tier_on],
             };
             for threads in [1usize, 4] {
-                for &jit in routes {
+                for &jit in tiers {
                     let env = golden.env;
                     let label = format!("{env:?}/{backend:?}@{threads} jit={}", jit.enabled);
                     let (pop, bests, total) = fixture_run(env, backend, threads, jit);

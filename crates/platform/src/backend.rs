@@ -16,18 +16,17 @@
 //! platform loop, sweeps, long benchmark campaigns) can decide how to
 //! react.
 //!
-//! Behind it sit three K-scenario kernels: the [`SoftwareBackend`]'s
-//! [`Route::PerGenome`] and [`Route::Lockstep`] walks (E3-CPU and
-//! E3-GPU are that one backend under two [`Pricing`]s) and the
-//! [`InaxBackend`]'s wave loop. Backends are constructed either
-//! directly or through the unified [`BackendBuilder`] (mirroring
-//! `InaxConfig::builder()`), which yields the type-erased
-//! [`AnyBackend`].
+//! Behind it sit two K-scenario kernels: the [`SoftwareBackend`]'s
+//! per-genome walk (E3-CPU and E3-GPU are that one backend under two
+//! [`Pricing`]s) and the [`InaxBackend`]'s wave loop. Backends are
+//! constructed either directly or through the unified
+//! [`BackendBuilder`] (mirroring `InaxConfig::builder()`), which
+//! yields the type-erased [`AnyBackend`].
 
 use crate::scenario::{aggregate_fitness, ScenarioSpec};
 use crate::tier::{Tier, TierExec, TierStats};
 use crate::timing::{GpuCostModel, SwCostModel};
-use e3_envs::{decode_action, Action, EnvId, Environment, ScenarioParams, StepBatch};
+use e3_envs::{decode_action, EnvId, Environment};
 use e3_exec::{
     AnyExecutor, ExecError, ExecStats, ExecStatsState, Executor, ShardRun, SharedExecutor,
     WorkerScratch,
@@ -35,7 +34,7 @@ use e3_exec::{
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, IrregularNet, UtilizationBreakdown};
 use e3_jit::JitConfig;
 use e3_neat::stats::PlanShape;
-use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan, PlanBatch};
+use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan};
 use e3_telemetry::{SpanGuard, SpanTimer, Tracer};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -230,9 +229,9 @@ pub trait EvalBackend {
         ExecStatsState::Unavailable
     }
 
-    /// Installs a tracer; subsequent evaluations record `shard` /
-    /// `individual` / `episode` spans into it. The default ignores the
-    /// tracer (backends without instrumentation stay valid). Tracing is
+    /// Installs a tracer; subsequent evaluations record `shard` and
+    /// `episode` spans into it. The default ignores the tracer
+    /// (backends without instrumentation stay valid). Tracing is
     /// write-only: results are bit-identical with any tracer installed.
     fn set_tracer(&mut self, _tracer: Tracer) {}
 }
@@ -346,31 +345,20 @@ impl EvalJob {
         span
     }
 
-    /// Opens one explicit timer per lockstep episode. Episodes stepped
-    /// in lockstep interleave, so their spans cannot nest lexically;
-    /// each timer is closed by [`finish_episode`] when its episode
-    /// ends. Inert (no clock read) when tracing is disabled.
-    fn episode_timers(
-        &self,
-        cells: impl Iterator<Item = (usize, usize)>,
-    ) -> Vec<Option<SpanTimer>> {
-        cells
-            .map(|(genome_index, scenario)| {
-                let mut timer = self.tracer.start("episode", "env");
-                timer.arg("genome_index", genome_index as f64);
-                timer.arg("scenario", scenario as f64);
-                Some(timer)
-            })
-            .collect()
+    /// Opens the span of one `(genome, scenario)` episode. Inert (no
+    /// clock read) when tracing is disabled.
+    fn episode_timer(&self, genome_index: usize, scenario: usize) -> SpanTimer {
+        let mut timer = self.tracer.start("episode", "env");
+        timer.arg("genome_index", genome_index as f64);
+        timer.arg("scenario", scenario as f64);
+        timer
     }
 }
 
-/// Closes a lockstep episode's span, recording its length.
-fn finish_episode(timer: &mut Option<SpanTimer>, steps: u64) {
-    if let Some(mut timer) = timer.take() {
-        timer.arg("steps", steps as f64);
-        timer.finish();
-    }
+/// Closes an episode's span, recording its length.
+fn finish_episode(mut timer: SpanTimer, steps: u64) {
+    timer.arg("steps", steps as f64);
+    timer.finish();
 }
 
 /// Which cost model prices one software inference — the only thing
@@ -402,45 +390,11 @@ impl Pricing {
     }
 }
 
-/// How a [`SoftwareBackend`] walks the `population × K` episode grid.
-/// Both routes produce bit-identical [`EvalOutcome`]s; they differ in
-/// wall-clock and in which execution tiers they can host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Route {
-    /// One genome at a time: the only route that can run JIT-compiled
-    /// plans, so the one a backend built with an enabled tier takes.
-    /// Over-sharded 4× per worker so work stealing absorbs
-    /// episode-length imbalance.
-    PerGenome,
-    /// All of a shard's `genomes × K` episodes in lockstep: plans
-    /// packed into one [`PlanBatch`], environments into one
-    /// [`e3_envs::BatchEnv`], finished lanes parked. Interpreter-only.
-    /// One coarse shard per worker — wider batches amortize more
-    /// per-step overhead, and parking absorbs the imbalance instead.
-    Lockstep,
-}
-
-impl Route {
-    /// Shard size for `items` genomes on `workers` workers. Depends
-    /// only on those two numbers, never on timing, so every run
-    /// produces the same shard plan.
-    fn shard_size(self, items: usize, workers: usize) -> usize {
-        let shards = match self {
-            Route::PerGenome => workers.max(1) * 4,
-            Route::Lockstep => workers.max(1),
-        };
-        items.div_ceil(shards).max(1)
-    }
-}
-
-impl fmt::Display for Route {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Route::PerGenome => "per-genome",
-            Route::Lockstep => "lockstep",
-        })
-    }
-}
+/// Shards per worker of a software evaluation: over-sharded so work
+/// stealing absorbs episode-length imbalance. The shard plan depends
+/// only on this, the population and the worker count, never on timing,
+/// so every run produces the same one.
+const SHARDS_PER_WORKER: usize = 4;
 
 /// One genome's row of a software evaluation.
 struct GenomeRow {
@@ -450,40 +404,18 @@ struct GenomeRow {
     shape: PlanShape,
 }
 
-/// A genome's row, or the decode failure that sank its shard.
-type SoftwareRow = Result<GenomeRow, DecodeFailure>;
-
-/// One genome's row from its plan and its K per-scenario results: the
-/// aggregated fitness, the summed episode lengths, the inference
-/// seconds those steps cost, and the plan's shape (once per genome,
-/// however many lanes ran it). Both software kernels reduce through
-/// this one expression, which is what keeps them bit-identical.
-fn software_row(
-    job: &EvalJob,
-    pricing: Pricing,
-    plan: &NetPlan,
-    fits: &[f64],
-    steps: u64,
-) -> SoftwareRow {
-    Ok(GenomeRow {
-        fitness: aggregate_fitness(fits, job.spec.aggregation()),
-        steps,
-        inference_seconds: pricing.inference_seconds(plan) * steps as f64,
-        shape: PlanShape::of(plan),
-    })
-}
-
-/// [`Route::PerGenome`] kernel for one shard: lower each genome —
-/// through this worker's tiered cache when the backend has a tier,
-/// with a plain [`Genome::decode`] otherwise — then run its K episodes
-/// back to back.
+/// The software kernel for one shard: lower each genome — through this
+/// worker's tiered cache when the backend has a tier, with a plain
+/// [`Genome::decode`] otherwise — then run its K episodes back to
+/// back, one whole individual per worker at a time (the paper's "one
+/// individual NN per PU").
 fn per_genome_shard(
     job: &EvalJob,
     pricing: Pricing,
     tier: Option<&Tier>,
     scratch: &WorkerScratch,
     range: Range<usize>,
-) -> Vec<SoftwareRow> {
+) -> Vec<Result<GenomeRow, DecodeFailure>> {
     let _shard_span = job.shard_span("start", range.start, range.len());
     // One environment per sampled world, built once per shard:
     // `reset` fully re-initialises an episode, so genomes reuse them.
@@ -497,8 +429,6 @@ fn per_genome_shard(
     let mut cache = tier.map(|tier| tier.cache(scratch.worker_index()));
     range
         .map(|i| {
-            let mut individual_span = job.tracer.span("individual", "eval");
-            individual_span.arg("genome_index", i as f64);
             // Tier selection: the interpreted network, or (for hot
             // entries under an enabled JIT policy) its natively
             // compiled twin — bit-identical either way.
@@ -514,93 +444,19 @@ fn per_genome_shard(
             let mut genome_steps = 0u64;
             let seeds = job.spec.episode_seeds(i..i + 1);
             for (s, (env, &seed)) in envs.iter_mut().zip(seeds).enumerate() {
-                let mut episode_span = job.tracer.start("episode", "env");
-                episode_span.arg("scenario", s as f64);
+                let episode_span = job.episode_timer(i, s);
                 let (fitness, steps) = run_software_episode(exec.forward(), env.as_mut(), seed);
-                episode_span.arg("steps", steps as f64);
-                episode_span.finish();
+                finish_episode(episode_span, steps);
                 fits[s] = fitness;
                 genome_steps += steps;
             }
-            software_row(job, pricing, exec.plan(), &fits, genome_steps)
-        })
-        .collect()
-}
-
-/// [`Route::Lockstep`] kernel for one shard: `genomes × K` lanes
-/// (genome-major, each genome's plan replicated K times) stepped
-/// together until every lane has parked.
-///
-/// Plans are compiled here, not fetched from a cache: a lookup costs
-/// a whole-genome fingerprint, about as much as the compile it might
-/// save, and only a generation's few survivors could hit (see
-/// `tier.rs`).
-///
-/// Bit-identical to [`per_genome_shard`]: each lane's FP op order
-/// matches its solo episode, parked lanes contribute nothing, and rows
-/// reduce through the same [`software_row`].
-fn lockstep_shard(job: &EvalJob, pricing: Pricing, range: Range<usize>) -> Vec<SoftwareRow> {
-    let _shard_span = job.shard_span("start", range.start, range.len());
-    let k = job.spec.scenarios();
-    let compiled: Result<Vec<NetPlan>, DecodeFailure> = range
-        .clone()
-        .map(|i| NetPlan::compile(&job.pop[i]).map_err(|reason| (i, reason)))
-        .collect();
-    let plans = match compiled {
-        Ok(plans) => plans,
-        // The executor wants one row per item even on failure: every
-        // row names the shard's first (lowest-indexed) failing genome.
-        Err(failure) => return range.map(|_| Err(failure.clone())).collect(),
-    };
-    // Lane layout: lane = local_genome * K + scenario.
-    let lanes = plans.len() * k;
-    let plan_refs: Vec<&NetPlan> = plans
-        .iter()
-        .flat_map(|plan| std::iter::repeat_n(plan, k))
-        .collect();
-    let batch = PlanBatch::build(&plan_refs);
-    let lane_params: Vec<ScenarioParams> =
-        (0..lanes).map(|lane| job.spec.params()[lane % k]).collect();
-    let mut env = job.env.make_batch_scenarios(&lane_params);
-    let space = env.action_space();
-    let mut sb = StepBatch::new(lanes, env.observation_size());
-    env.reset_batch(job.spec.episode_seeds(range.clone()), &mut sb);
-    let mut values = vec![0.0; batch.value_buffer_slots()];
-    let width = batch.num_outputs();
-    let mut outputs = vec![0.0; lanes * width];
-    let mut actions: Vec<Action> = vec![Action::Discrete(0); lanes];
-    let mut was_active = vec![false; lanes];
-    let mut fitness = vec![0.0f64; lanes];
-    let mut steps = vec![0u64; lanes];
-    let mut timers = job.episode_timers((0..lanes).map(|lane| (range.start + lane / k, lane % k)));
-    while !sb.all_parked() {
-        batch.activate_batch_into(&sb.observations, &sb.active, &mut values, &mut outputs);
-        for lane in 0..lanes {
-            if sb.active[lane] {
-                actions[lane] = decode_action(&outputs[lane * width..(lane + 1) * width], &space);
-                steps[lane] += 1;
-            }
-        }
-        was_active.copy_from_slice(&sb.active);
-        env.step_batch(&actions, &mut sb);
-        for lane in 0..lanes {
-            // Accumulate only lanes that actually stepped, so the sum
-            // is the exact FP sequence of the solo episode.
-            if was_active[lane] {
-                fitness[lane] += sb.rewards[lane];
-                if !sb.active[lane] {
-                    finish_episode(&mut timers[lane], steps[lane]);
-                }
-            }
-        }
-    }
-    plans
-        .iter()
-        .enumerate()
-        .map(|(g, plan)| {
-            let cells = g * k..(g + 1) * k;
-            let genome_steps: u64 = steps[cells.clone()].iter().sum();
-            software_row(job, pricing, plan, &fitness[cells], genome_steps)
+            let plan = exec.plan();
+            Ok(GenomeRow {
+                fitness: aggregate_fitness(&fits, job.spec.aggregation()),
+                steps: genome_steps,
+                inference_seconds: pricing.inference_seconds(plan) * genome_steps as f64,
+                shape: PlanShape::of(plan),
+            })
         })
         .collect()
 }
@@ -617,7 +473,7 @@ pub struct SoftwareBackend {
     sec_per_env_step: f64,
     exec: AnyExecutor,
     /// The tiered plan cache, present iff the backend was built with
-    /// an enabled [`JitConfig`]. Its presence is also the route choice.
+    /// an enabled [`JitConfig`].
     tier: Option<Tier>,
     last_exec: ExecStatsState<EvalStats>,
     tracer: Tracer,
@@ -648,11 +504,11 @@ impl SoftwareBackend {
     }
 
     /// Installs the tiered-execution (JIT) policy. An enabled policy
-    /// gives the backend a tier (`tier.rs`) and with it
-    /// [`Route::PerGenome`], the only kernel that can host per-genome
-    /// native code; a disabled one leaves [`Route::Lockstep`] and no
-    /// cache at all. Both tiers are bit-identical, so the policy moves
-    /// speed and telemetry, never results.
+    /// gives the backend a tier (`tier.rs`): a per-worker plan cache
+    /// whose hot entries run as native code. A disabled one leaves no
+    /// cache at all. The kernel is the same either way and both tiers
+    /// are bit-identical, so the policy moves speed and telemetry,
+    /// never results.
     pub fn with_jit(mut self, config: JitConfig) -> Self {
         self.tier = config.enabled.then(|| Tier::new(config));
         self
@@ -675,20 +531,25 @@ impl SoftwareBackend {
         self.exec = exec;
         self
     }
+}
 
-    /// [`EvalBackend::evaluate`] with the route forced instead of
-    /// chosen — for parity tests and benchmarks that compare the two
-    /// kernels. Same errors and panics.
-    pub fn evaluate_via(
+impl EvalBackend for SoftwareBackend {
+    fn kind(&self) -> BackendKind {
+        self.pricing.kind()
+    }
+
+    fn evaluate(
         &mut self,
-        route: Route,
         genomes: &[Genome],
         env: EnvId,
         spec: &ScenarioSpec,
     ) -> Result<EvalOutcome, EvalError> {
         let pricing = self.pricing;
         let workers = self.exec.workers();
-        let shard_size = route.shard_size(genomes.len(), workers);
+        let shard_size = genomes
+            .len()
+            .div_ceil(workers.max(1) * SHARDS_PER_WORKER)
+            .max(1);
         // The tier's epoch turns and its counters drain around this
         // backend's own evaluations, whoever else shares the pool.
         let tier = self.tier.as_mut().map(|tier| tier.begin_run(workers));
@@ -696,9 +557,8 @@ impl SoftwareBackend {
             &mut self.exec,
             genomes.len(),
             shard_size,
-            move |job, scratch, range| match route {
-                Route::PerGenome => per_genome_shard(job, pricing, tier.as_ref(), scratch, range),
-                Route::Lockstep => lockstep_shard(job, pricing, range),
+            move |job, scratch, range| {
+                per_genome_shard(job, pricing, tier.as_ref(), scratch, range)
             },
         )?;
         let tier_stats = self.tier.as_ref().map(Tier::end_run).unwrap_or_default();
@@ -727,25 +587,6 @@ impl SoftwareBackend {
             hw_report: None,
             hw_utilization: None,
         })
-    }
-}
-
-impl EvalBackend for SoftwareBackend {
-    fn kind(&self) -> BackendKind {
-        self.pricing.kind()
-    }
-
-    fn evaluate(
-        &mut self,
-        genomes: &[Genome],
-        env: EnvId,
-        spec: &ScenarioSpec,
-    ) -> Result<EvalOutcome, EvalError> {
-        let route = match self.tier {
-            Some(_) => Route::PerGenome,
-            None => Route::Lockstep,
-        };
-        self.evaluate_via(route, genomes, env, spec)
     }
 
     fn take_exec_stats(&mut self) -> ExecStatsState<EvalStats> {
@@ -828,7 +669,7 @@ impl InaxBackend {
 /// accelerator instance once, then run the lock-step episode loop once
 /// per scenario against fresh environments — weights stream onto the
 /// PUs a single time however many worlds the wave faces. Per-resident
-/// fitnesses aggregate exactly like the software kernels, so all
+/// fitnesses aggregate exactly like the software kernel's, so all
 /// backends agree bit for bit.
 fn inax_wave(job: &EvalJob, config: &InaxConfig, wave: usize) -> Result<WaveResult, DecodeFailure> {
     let k = job.spec.scenarios();
@@ -864,7 +705,11 @@ fn inax_wave(job: &EvalJob, config: &InaxConfig, wave: usize) -> Result<WaveResu
             .enumerate()
             .map(|(i, e)| Some(e.reset(seeds[i * k + s])))
             .collect();
-        let mut timers = job.episode_timers((base..end).map(|i| (i, s)));
+        // Residents step in lockstep, so their episode spans
+        // interleave and cannot nest lexically: one open timer each,
+        // closed when its episode ends.
+        let mut timers: Vec<Option<SpanTimer>> =
+            (base..end).map(|i| Some(job.episode_timer(i, s))).collect();
         let mut episode_steps = vec![0u64; residents];
         while observations.iter().any(Option::is_some) {
             let outputs = accelerator.step(&observations);
@@ -878,7 +723,9 @@ fn inax_wave(job: &EvalJob, config: &InaxConfig, wave: usize) -> Result<WaveResu
                 per_scenario[i * k + s] += transition.reward;
                 episode_steps[i] += 1;
                 if transition.done() {
-                    finish_episode(&mut timers[i], episode_steps[i]);
+                    if let Some(timer) = timers[i].take() {
+                        finish_episode(timer, episode_steps[i]);
+                    }
                     observations[i] = None;
                 }
             }
@@ -1185,6 +1032,12 @@ mod tests {
         names.iter().filter(|n| *n == name).count()
     }
 
+    /// A tier that promotes every plan on its first decode.
+    const HOT: JitConfig = JitConfig {
+        enabled: true,
+        hot_threshold: 1,
+    };
+
     #[test]
     fn all_backends_agree_on_fitness() {
         let pop = genomes(EnvId::CartPole, 12);
@@ -1319,41 +1172,36 @@ mod tests {
     }
 
     #[test]
-    fn software_routes_trace_their_own_span_shapes() {
+    fn the_software_kernel_traces_one_span_per_shard_and_per_episode() {
         let pop = genomes(EnvId::CartPole, 6);
         let spec = sampled(2, pop.len());
-        for (route, individuals) in [(Route::PerGenome, pop.len()), (Route::Lockstep, 0)] {
-            let mut cpu = cpu();
+        for tier in [JitConfig::default(), HOT] {
+            let mut cpu = cpu().with_jit(tier);
             let tracer = Tracer::enabled();
             cpu.set_tracer(tracer.clone());
-            cpu.evaluate_via(route, &pop, EnvId::CartPole, &spec)
+            cpu.evaluate(&pop, EnvId::CartPole, &spec)
                 .expect("eval succeeds");
-            let names = span_names(&tracer);
-            assert!(count(&names, "shard") > 0, "{route}: shard spans recorded");
-            assert_eq!(count(&names, "individual"), individuals, "{route}");
-            assert_eq!(
-                count(&names, "episode"),
-                pop.len() * 2,
-                "{route}: one episode span per (genome, scenario)"
+            let what = format!("tier enabled = {}", tier.enabled);
+            let spans = tracer.spans();
+            assert!(
+                spans.iter().any(|s| s.name == "shard"),
+                "{what}: shard spans recorded"
             );
-        }
-    }
-
-    #[test]
-    fn a_tier_policy_selects_the_per_genome_route() {
-        let pop = genomes(EnvId::CartPole, 4);
-        for (enabled, individuals) in [(false, 0), (true, pop.len())] {
-            let mut cpu = cpu().with_jit(JitConfig {
-                enabled,
-                ..JitConfig::default()
-            });
-            let tracer = Tracer::enabled();
-            cpu.set_tracer(tracer.clone());
-            let _ = eval(&mut cpu, &pop, EnvId::CartPole, 3);
+            let (episodes, others): (Vec<_>, Vec<_>) = spans
+                .iter()
+                .filter(|s| s.name != "shard")
+                .partition(|s| s.name == "episode");
+            assert!(others.is_empty(), "{what}: unexpected spans {others:?}");
             assert_eq!(
-                count(&span_names(&tracer), "individual"),
-                individuals,
-                "jit.enabled = {enabled}"
+                episodes.len(),
+                pop.len() * 2,
+                "{what}: one episode span per (genome, scenario)"
+            );
+            assert!(
+                episodes
+                    .iter()
+                    .all(|s| s.args.iter().any(|a| a.key == "genome_index")),
+                "{what}: every episode names its genome"
             );
         }
     }
@@ -1394,30 +1242,35 @@ mod tests {
     }
 
     #[test]
-    fn software_routes_and_thread_counts_are_bit_identical() {
+    fn software_thread_counts_and_tiers_are_bit_identical() {
         // Odd population sizes exercise shard remainders; 1/4/8
-        // threads exercise single- and multi-shard lane packing; the
-        // per-genome serial run is the reference for everything.
+        // threads exercise single- and multi-shard plans; the serial
+        // tier-less run is the reference for everything. Each backend
+        // evaluates twice: a tier's second call is served from the
+        // cache its first one filled (native code at threshold 1,
+        // where the target supports it).
         for env in [EnvId::CartPole, EnvId::LunarLander, EnvId::Pendulum] {
             let pop = genomes(env, 13);
             for spec in [ScenarioSpec::fixed(7, pop.len()), sampled(3, pop.len())] {
                 for make in [cpu, gpu] {
                     let reference = make()
-                        .evaluate_via(Route::PerGenome, &pop, env, &spec)
+                        .evaluate(&pop, env, &spec)
                         .expect("reference eval succeeds");
-                    for route in [Route::PerGenome, Route::Lockstep] {
+                    for tier in [JitConfig::default(), HOT] {
                         for threads in [1usize, 4, 8] {
-                            let mut backend = make().with_threads(threads);
+                            let mut backend = make().with_threads(threads).with_jit(tier);
                             let kind = backend.kind();
-                            let outcome = backend
-                                .evaluate_via(route, &pop, env, &spec)
-                                .expect("eval succeeds");
-                            assert_eq!(
-                                outcome,
-                                reference,
-                                "{env:?}/{kind} K={} {route}@{threads} diverged",
-                                spec.scenarios()
-                            );
+                            for call in 0..2 {
+                                let outcome =
+                                    backend.evaluate(&pop, env, &spec).expect("eval succeeds");
+                                assert_eq!(
+                                    outcome,
+                                    reference,
+                                    "{env:?}/{kind} K={} tier={}@{threads} call {call} diverged",
+                                    spec.scenarios(),
+                                    tier.enabled
+                                );
+                            }
                         }
                     }
                 }
@@ -1496,7 +1349,8 @@ mod tests {
     fn recurrent_genomes_are_rejected_lowest_index_first() {
         // A feed-forward decode must fail with a typed error rather
         // than panic, and with two offenders in different shards the
-        // lower index wins on every kernel at any thread count.
+        // lower index wins on every kernel at any thread count, tier
+        // off or on.
         let mut pop = genomes(EnvId::CartPole, 5);
         pop[1] = make_cyclic(&pop[1]);
         pop[3] = make_cyclic(&pop[3]);
@@ -1508,10 +1362,10 @@ mod tests {
         };
         for spec in [ScenarioSpec::fixed(7, pop.len()), sampled(2, pop.len())] {
             for threads in [1usize, 4] {
-                for route in [Route::PerGenome, Route::Lockstep] {
-                    let mut backend = cpu().with_threads(threads);
-                    let result = backend.evaluate_via(route, &pop, EnvId::CartPole, &spec);
-                    check(format!("{route}@{threads}"), result);
+                for tier in [JitConfig::default(), HOT] {
+                    let mut backend = cpu().with_threads(threads).with_jit(tier);
+                    let result = backend.evaluate(&pop, EnvId::CartPole, &spec);
+                    check(format!("tier={}@{threads}", tier.enabled), result);
                 }
                 let mut backend = inax(2, 2).with_threads(threads);
                 let result = backend.evaluate(&pop, EnvId::CartPole, &spec);

@@ -91,7 +91,7 @@ pub mod timing;
 
 pub use backend::{
     AnyBackend, BackendBuilder, BackendKind, EvalBackend, EvalError, EvalOutcome, EvalStats,
-    InaxBackend, ParseBackendKindError, Pricing, Route, SoftwareBackend,
+    InaxBackend, ParseBackendKindError, Pricing, SoftwareBackend,
 };
 pub use checkpoint::{fingerprint, RunState};
 pub use design_space::{sweep_design_space, sweep_design_space_with, DesignPoint, DesignSweep};

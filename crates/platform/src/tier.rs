@@ -1,4 +1,4 @@
-//! The tiered plan cache of the per-genome software kernel.
+//! The tiered plan cache of the software kernel.
 //!
 //! Unchanged elites and champions survive generations verbatim, so
 //! their compiled [`NetPlan`] can be kept: a [`DecodeCache`] is keyed
@@ -16,19 +16,19 @@
 //! (1.84 µs), and only a generation's survivors can hit. So
 //! `fingerprint + (1 − h) · compile` beats plain `compile` only above
 //! h ≈ 0.9, which evolution never reaches, and a kernel that needs
-//! nothing but the plan calls [`NetPlan::compile`]: the **lockstep
-//! kernel** (hit rate 0.01 on LunarLander — EXPERIMENTS.md "Where the
-//! time goes") and the **INAX wave kernel** (0.36 on CartPole;
-//! `cartpole_inax` reads +2 % `env_steps_per_s` without the lookup —
-//! EXPERIMENTS.md "INAX off the cache").
+//! nothing but the plan compiles it afresh: the **software kernel
+//! with the tier off** (hit rate 0.01 on LunarLander — EXPERIMENTS.md
+//! "Where the time goes") and the **INAX wave kernel** (0.36 on
+//! CartPole; `cartpole_inax` reads +2 % `env_steps_per_s` without the
+//! lookup — EXPERIMENTS.md "INAX off the cache").
 //!
 //! That leaves the one caller to whom an entry is worth more than a
-//! recompile, the **tiered per-genome route**: every entry carries a
-//! use counter, and [`DecodeCache::get_or_tiered`] promotes entries
-//! that cross [`JitConfig::hot_threshold`] to a natively compiled
-//! [`CompiledPlan`] (see `e3-jit`) — hotness and native code are state
-//! a recompile cannot rebuild. Both tiers are bit-identical, so
-//! promotion can only change speed and telemetry, never results.
+//! recompile, the **software kernel with the tier on**: every entry
+//! carries a use counter, and [`DecodeCache::get_or_tiered`] promotes
+//! entries that cross [`JitConfig::hot_threshold`] to a natively
+//! compiled [`CompiledPlan`] (see `e3-jit`) — hotness and native code
+//! are state a recompile cannot rebuild. Both tiers are bit-identical,
+//! so promotion can only change speed and telemetry, never results.
 //!
 //! # Who owns it
 //!

@@ -60,7 +60,7 @@ pub struct SwCostModel {
 
 impl SwCostModel {
     /// Modeled software time for one inference of a compiled `plan`.
-    /// Every evaluation route prices the plan, never a decoded
+    /// Every evaluation kernel prices the plan, never a decoded
     /// network, so they all charge bit-identically.
     pub fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
         self.sec_per_inference

@@ -1,8 +1,8 @@
 //! `RunOutcome.complexity` comes from the plans the evaluation kernels
 //! compiled, reported per genome and folded in population order — so
 //! it must not depend on which kernel compiled them, how the
-//! population was sharded, or how many scenario lanes ran each plan.
-//! Every backend/route/thread-count/K combination is held to one
+//! population was sharded, or how many scenarios ran each plan.
+//! Every backend/tier/thread-count/K combination is held to one
 //! independent reference: `ComplexityStats::record_generation` replayed
 //! over the same populations, which compiles every genome itself.
 
@@ -14,8 +14,8 @@ use e3_platform::{BackendKind, E3Config, E3Platform, JitConfig, ScenarioConfig};
 const GENERATIONS: usize = 5;
 const SEED: u64 = 11;
 
-/// Population 26 leaves a remainder at 4 lockstep shards, 16
-/// per-genome shards and 6-PU INAX waves alike.
+/// Population 26 leaves a remainder at 4, 8 and 16 software shards
+/// (1, 2 and 4 threads) and 6-PU INAX waves alike.
 fn config(threads: usize, scenarios: usize, jit: bool) -> E3Config {
     let mut builder = E3Config::builder(EnvId::CartPole)
         .population_size(26)
@@ -29,8 +29,8 @@ fn config(threads: usize, scenarios: usize, jit: bool) -> E3Config {
         );
     }
     if jit {
-        // An enabled tier moves the software backend to the per-genome
-        // route (and, past the threshold, onto native code).
+        // An enabled tier puts the software backend's plans behind its
+        // cache (and, past the threshold, onto native code).
         builder = builder.jit(JitConfig {
             enabled: true,
             hot_threshold: 2,
@@ -60,7 +60,7 @@ fn density_bits(stats: &ComplexityStats) -> Vec<u64> {
 }
 
 #[test]
-fn complexity_is_identical_on_every_backend_route_thread_count_and_k() {
+fn complexity_is_identical_on_every_backend_tier_thread_count_and_k() {
     for scenarios in [1usize, 4] {
         let (reference, replay) = run(config(1, scenarios, false), BackendKind::Cpu);
         assert_eq!(reference.generations(), GENERATIONS);
@@ -68,8 +68,8 @@ fn complexity_is_identical_on_every_backend_route_thread_count_and_k() {
         assert_eq!(reference, replay, "K={scenarios}: platform vs replay");
         assert_eq!(density_bits(&reference), density_bits(&replay));
         let variants = [
-            ("cpu lockstep", BackendKind::Cpu, false),
-            ("cpu per-genome (jit)", BackendKind::Cpu, true),
+            ("cpu tier off", BackendKind::Cpu, false),
+            ("cpu tier on", BackendKind::Cpu, true),
             ("gpu", BackendKind::Gpu, false),
             ("inax", BackendKind::Inax, false),
         ];

@@ -69,6 +69,32 @@ proptest! {
     }
 }
 
+/// The whole platform loop stays bit-identical across worker-thread
+/// counts on every backend kind, including INAX and its wave loop.
+#[test]
+fn platform_runs_are_thread_invariant_through_the_default_route() {
+    for kind in BackendKind::ALL {
+        let mut reference = None;
+        for threads in [1usize, 4, 8] {
+            let outcome = E3Platform::new(config(EnvId::CartPole, threads), kind, 11)
+                .run()
+                .expect("quick populations are feed-forward");
+            let key = (
+                outcome.best_fitness.to_bits(),
+                outcome.generations_run,
+                outcome.solved,
+            );
+            match reference {
+                None => reference = Some(key),
+                Some(want) => assert_eq!(
+                    key, want,
+                    "{kind} at {threads} threads diverged from serial"
+                ),
+            }
+        }
+    }
+}
+
 /// The evolved champion genome (not just its fitness) is identical
 /// whichever executor evaluated the population.
 #[test]

@@ -39,9 +39,9 @@ fn compiles_per_step(config: E3Config, kind: BackendKind) -> Vec<(u64, ExecRecor
 }
 
 #[test]
-fn the_lockstep_route_compiles_each_genome_once_and_never_asks_the_cache() {
-    // ... and so does the INAX wave kernel: every route without a tier
-    // calls `NetPlan::compile` once per genome and owns no cache.
+fn a_tier_less_backend_compiles_each_genome_once_and_never_asks_the_cache() {
+    // The software kernel with the tier off and the INAX wave kernel
+    // alike: `NetPlan::compile` once per genome, and no cache owned.
     let k4 = ScenarioConfig::default()
         .train(ScenarioDistribution::moderate())
         .scenarios_per_eval(4);
@@ -72,7 +72,7 @@ fn the_lockstep_route_compiles_each_genome_once_and_never_asks_the_cache() {
 }
 
 #[test]
-fn cached_routes_compile_exactly_their_misses() {
+fn a_tiered_backend_compiles_exactly_its_misses() {
     let jit = JitConfig {
         enabled: true,
         hot_threshold: 2,

@@ -29,7 +29,6 @@
 
 pub mod a2c;
 pub mod accounting;
-pub mod dqn;
 pub mod head;
 pub mod mlp;
 pub mod ppo;
@@ -37,7 +36,6 @@ pub mod profile;
 
 pub use a2c::{A2c, A2cConfig};
 pub use accounting::{AlgorithmOverhead, NetworkComplexity};
-pub use dqn::{Dqn, DqnConfig};
 pub use head::PolicyHead;
 pub use mlp::{Adam, Mlp};
 pub use ppo::{Ppo, PpoConfig};

@@ -202,8 +202,8 @@ pub struct ExecRecord {
     /// Shards executed by a worker other than their home worker.
     pub steal_count: u64,
     /// Decode-cache hits across all workers. Hits and misses are both
-    /// zero where the kernel compiles its plans without a lookup (every
-    /// route but the software backends' tiered per-genome one).
+    /// zero where the kernel compiles its plans without a lookup
+    /// (everywhere but a software backend with the tier on).
     pub cache_hits: u64,
     /// Decode-cache misses across all workers.
     pub cache_misses: u64,

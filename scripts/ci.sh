@@ -8,13 +8,12 @@ cargo build --release --offline
 
 echo "== test suite: every crate, every target =="
 # One invocation over the whole workspace, so a gate that lives in a
-# crate-level suite (exec_parity, batch_parity, resume_parity,
-# telemetry_parity, scenario_parity, jit_parity, serve_roundtrip, ...)
-# cannot be left off a hand-kept list. ~10 min cold in debug on two
-# cores. Together the suites pin that results depend on nothing but
-# (config, backend, seed): not on thread count, software route, a
-# kill-and-resume, an installed collector or tracer, an attached HTTP
-# server, or the execution tier.
+# crate-level suite (exec_parity, resume_parity, telemetry_parity,
+# scenario_parity, jit_parity, serve_roundtrip, ...) cannot be left off
+# a hand-kept list. ~10 min cold in debug on two cores. Together the
+# suites pin that results depend on nothing but (config, backend,
+# seed): not on thread count, a kill-and-resume, an installed collector
+# or tracer, an attached HTTP server, or the execution tier.
 cargo test --workspace --offline -q
 # The vendored stand-ins sit outside the workspace; `serde_json` is the
 # one with a parser, and every snapshot, config and NDJSON line goes
@@ -108,8 +107,8 @@ fi
 echo "== benchmark/: the instrument still builds and checks out =="
 # benchmark/ is a package of its own that links against the platform
 # API; nothing else in this script compiles it. Build it and run four
-# one-second workloads, one per evaluation kernel: the fixed-env
-# lockstep route, the K=4 scenario route, the tiered per-genome route
+# one-second workloads over the two evaluation kernels: the software
+# kernel on a fixed env, on K=4 sampled scenarios and with the tier on,
 # and the INAX wave kernel. The single-workload form writes neither
 # BENCHMARK.json nor benchmark/history.ndjson; its last stdout line
 # must report every output check passed and no generation failed.

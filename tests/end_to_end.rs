@@ -4,8 +4,8 @@ use e3::envs::{EnvId, ScenarioDistribution};
 use e3::inax::InaxConfig;
 use e3::neat::{NeatConfig, Population};
 use e3::platform::{
-    BackendKind, E3Config, E3Platform, EvalBackend, PowerModel, Route, ScenarioConfig,
-    ScenarioSpec, SoftwareBackend, SwCostModel,
+    BackendKind, E3Config, E3Platform, EvalBackend, GpuCostModel, InaxBackend, JitConfig,
+    PowerModel, ScenarioConfig, ScenarioSpec, SoftwareBackend, SwCostModel,
 };
 use e3::telemetry::MemoryCollector;
 
@@ -173,16 +173,24 @@ fn run_with_telemetry_matches_plain_run() {
 }
 
 #[test]
-fn lockstep_route_matches_per_genome_route() {
-    // `batch_parity` in e3-platform is the full gate; this is its
-    // smoke at the root, so tier-1 cannot be green while a lane of the
-    // lockstep kernel disagrees with the same episode stepped solo.
+fn the_software_kernel_agrees_with_itself_and_with_inax() {
+    // The full gates live in e3-platform and e3-islands (`exec_parity`,
+    // `jit_parity`, `scenario_parity`); this is one fast case per
+    // parity family — threads, tier, backend — at the root, so tier-1
+    // cannot be green while the one software kernel disagrees with
+    // itself.
     let sampled = ScenarioConfig::default()
         .train(ScenarioDistribution::moderate())
         .scenarios_per_eval(2);
+    let sw = SwCostModel::default();
+    let hot = JitConfig {
+        enabled: true,
+        hot_threshold: 1,
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     for env in [EnvId::CartPole, EnvId::LunarLander, EnvId::Pendulum] {
-        // A few generations under a structural fitness, so the batch
-        // packs heterogeneous topologies.
+        // A few generations under a structural fitness, so the
+        // population holds heterogeneous topologies.
         let neat = NeatConfig::builder(env.observation_size(), env.policy_outputs())
             .population_size(16)
             .build();
@@ -196,26 +204,55 @@ fn lockstep_route_matches_per_genome_route() {
             ScenarioSpec::fixed(23, genomes.len()),
             ScenarioSpec::for_generation(&sampled, 23, 0, genomes.len()),
         ] {
-            let [solo, lanes] = [Route::PerGenome, Route::Lockstep].map(|route| {
-                SoftwareBackend::cpu(SwCostModel::default())
-                    .with_threads(2)
-                    .evaluate_via(route, genomes, env, &spec)
-                    .expect("evolved populations are feed-forward")
-            });
             let what = format!("{env} K={}", spec.scenarios());
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&solo.fitnesses), bits(&lanes.fitnesses), "{what}");
-            assert_eq!(solo.steps_per_genome, lanes.steps_per_genome, "{what}");
-            assert_eq!(
-                solo.eval_seconds.to_bits(),
-                lanes.eval_seconds.to_bits(),
-                "{what}: modeled eval seconds"
-            );
-            assert_eq!(
-                solo.env_seconds.to_bits(),
-                lanes.env_seconds.to_bits(),
-                "{what}: modeled env seconds"
-            );
+            let eval = |backend: &mut dyn EvalBackend| {
+                backend
+                    .evaluate(genomes, env, &spec)
+                    .expect("evolved populations are feed-forward")
+            };
+            let serial = eval(&mut SoftwareBackend::cpu(sw));
+            // The tiered backend evaluates twice, so its second call
+            // is served from the cache the first one filled. Legs
+            // under the same pricing must also charge the same
+            // modeled seconds.
+            let mut tiered = SoftwareBackend::cpu(sw).with_jit(hot);
+            let legs = [
+                (
+                    "threads",
+                    true,
+                    eval(&mut SoftwareBackend::cpu(sw).with_threads(2)),
+                ),
+                (
+                    "gpu",
+                    false,
+                    eval(&mut SoftwareBackend::gpu(sw, GpuCostModel::default())),
+                ),
+                (
+                    "inax",
+                    false,
+                    eval(&mut InaxBackend::new(InaxConfig::default(), sw)),
+                ),
+                ("tier, cold cache", true, eval(&mut tiered)),
+                ("tier, warm cache", true, eval(&mut tiered)),
+            ];
+            for (leg, same_pricing, other) in legs {
+                assert_eq!(
+                    bits(&serial.fitnesses),
+                    bits(&other.fitnesses),
+                    "{what} {leg}"
+                );
+                assert_eq!(
+                    serial.steps_per_genome, other.steps_per_genome,
+                    "{what} {leg}"
+                );
+                if same_pricing {
+                    assert_eq!(
+                        (serial.eval_seconds.to_bits(), serial.env_seconds.to_bits()),
+                        (other.eval_seconds.to_bits(), other.env_seconds.to_bits()),
+                        "{what} {leg}: modeled seconds"
+                    );
+                }
+            }
         }
     }
 }
