@@ -48,7 +48,7 @@ mod memory;
 use e3_neat::forward::ForwardPass;
 use e3_neat::{Activation, NetPlan};
 use memory::ExecPage;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 use std::fmt;
 
 /// The C ABI every activation wrapper exports: `f64` in `xmm0`, `f64`
@@ -134,11 +134,11 @@ impl Default for JitConfig {
 // Hand-written (not derived) so configs predating the JIT tier — or
 // omitting either field — still deserialize to the defaults.
 impl Serialize for JitConfig {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("enabled".to_string(), self.enabled.to_value()),
-            ("hot_threshold".to_string(), self.hot_threshold.to_value()),
-        ])
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.record(&["enabled", "hot_threshold"]);
+        self.enabled.stream(sink);
+        self.hot_threshold.stream(sink);
+        sink.end();
     }
 }
 

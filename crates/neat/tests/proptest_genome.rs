@@ -4,6 +4,7 @@ use e3_neat::{Genome, InnovationTracker, NeatConfig, Population};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::{Deserialize, Serialize};
 
 fn evolved_genome(
     num_inputs: usize,
@@ -52,6 +53,25 @@ proptest! {
             prop_assert!(genome.node(c.from).is_some());
             prop_assert!(genome.node(c.to).is_some());
         }
+    }
+
+    /// The two serialization sinks cannot disagree: the binary form a
+    /// snapshot streams decodes to exactly the tree JSON is rendered
+    /// from (floats by bits), and reads back as the same genome.
+    #[test]
+    fn binary_stream_decodes_to_the_json_tree(
+        seed in any::<u64>(),
+        num_inputs in 1usize..6,
+        num_outputs in 1usize..5,
+        mutations in 0usize..60,
+    ) {
+        let (genome, config) = evolved_genome(num_inputs, num_outputs, seed, mutations);
+        let mut bytes = Vec::new();
+        serde::bin::encode_into(&(&genome, &config), &mut bytes).expect("shallow");
+        let decoded = serde::bin::decode(&bytes).expect("own output decodes");
+        prop_assert!(decoded.same_bits(&(&genome, &config).to_value()));
+        let (back, _) = <(Genome, NeatConfig)>::from_value(&decoded).expect("reads back");
+        prop_assert_eq!(back, genome);
     }
 
     /// Decoded networks evaluate every node in topological order:

@@ -15,17 +15,18 @@
 //!   fan-out goes through unbounded channels (send never blocks), and
 //!   every connection has a bounded write timeout, after which the
 //!   connection is dropped.
-//! * **Graceful shutdown** — [`Server::shutdown`] sets a stop flag;
-//!   the acceptor notices within one poll interval, in-flight event
-//!   streams write their terminator chunk and close, and every
-//!   connection thread is joined before `shutdown` returns.
+//! * **Graceful shutdown** — the acceptor blocks in `accept`, so a
+//!   request is picked up the moment it arrives; [`Server::shutdown`]
+//!   sets a stop flag and connects to its own address to wake it.
+//!   In-flight event streams write their terminator chunk and close,
+//!   and every connection thread is joined before `shutdown` returns.
 
 use crate::http;
 use e3_islands::{RunId, RunManager, RunStatus};
 use e3_telemetry::SharedRegistry;
 use serde::{Deserialize, Serialize};
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -36,6 +37,8 @@ pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8
 /// NDJSON event-stream content type.
 pub const EVENTS_CONTENT_TYPE: &str = "application/x-ndjson";
 const JSON: &str = "application/json";
+/// How often an idle `/events` stream looks at the stop flag.
+const EVENTS_POLL: Duration = Duration::from_millis(50);
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -48,8 +51,6 @@ pub struct ServeOptions {
     /// Per-connection write timeout — the bound on how long a stalled
     /// scraper can hold a connection thread.
     pub write_timeout: Duration,
-    /// How often the accept loop polls the stop flag.
-    pub poll_interval: Duration,
 }
 
 impl Default for ServeOptions {
@@ -58,7 +59,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            poll_interval: Duration::from_millis(10),
         }
     }
 }
@@ -105,8 +105,20 @@ impl Server {
     /// Stops accepting, closes in-flight streams cleanly, and joins
     /// every connection thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
+            // The acceptor is blocked in `accept`: a connection to
+            // ourselves returns it to the flag. If the connection
+            // cannot be made (no descriptors left), `accept` is failing
+            // for the same reason and reaches the flag on its own.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
             let _ = acceptor.join();
         }
     }
@@ -140,16 +152,20 @@ impl Drop for Server {
 pub fn serve(manager: Arc<Mutex<RunManager>>, opts: ServeOptions) -> io::Result<Server> {
     let listener = TcpListener::bind(&opts.addr)?;
     let addr = listener.local_addr()?;
-    // Nonblocking accept + stop-flag polling: portable graceful
-    // shutdown without signals or self-pipes.
-    listener.set_nonblocking(true)?;
     let registry = manager.lock().expect("manager lock").registry().clone();
     let stop = Arc::new(AtomicBool::new(false));
     let acceptor_stop = Arc::clone(&stop);
     let acceptor = std::thread::spawn(move || {
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         loop {
-            match listener.accept() {
+            let accepted = listener.accept();
+            if acceptor_stop.load(Ordering::SeqCst) {
+                // `accepted` is `shutdown`'s wake-up call, or a client
+                // that lost the race with it: dropped either way.
+                break;
+            }
+            connections.retain(|handle| !handle.is_finished());
+            match accepted {
                 Ok((stream, _peer)) => {
                     let manager = Arc::clone(&manager);
                     let registry = registry.clone();
@@ -161,21 +177,9 @@ pub fn serve(manager: Arc<Mutex<RunManager>>, opts: ServeOptions) -> io::Result<
                         let _ = handle_connection(stream, &manager, &registry, &stop, &opts);
                     }));
                 }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    if acceptor_stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    connections.retain(|handle| !handle.is_finished());
-                    std::thread::sleep(opts.poll_interval);
-                }
-                Err(_) => {
-                    // Accept errors (EMFILE, aborted handshakes) are
-                    // transient; keep serving unless stopped.
-                    if acceptor_stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    std::thread::sleep(opts.poll_interval);
-                }
+                // Accept errors (EMFILE, aborted handshakes) are
+                // transient; back off instead of spinning on them.
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         }
         for handle in connections {
@@ -250,7 +254,7 @@ fn handle_connection(
                 // Subscribe under the manager lock, stream outside it.
                 let events = manager.lock().expect("manager lock").subscribe(id);
                 match events {
-                    Some(events) => stream_events(&mut writer, &events, &request, stop, opts),
+                    Some(events) => stream_events(&mut writer, &events, &request, stop),
                     None => http::not_found(&mut writer, &id.to_string()),
                 }
             }
@@ -300,7 +304,6 @@ fn stream_events(
     events: &mpsc::Receiver<e3_telemetry::TelemetryEvent>,
     request: &http::Request,
     stop: &Arc<AtomicBool>,
-    opts: &ServeOptions,
 ) -> io::Result<()> {
     let limit: usize = request
         .query_param("limit")
@@ -309,7 +312,7 @@ fn stream_events(
     http::start_chunked(writer, EVENTS_CONTENT_TYPE)?;
     let mut sent = 0usize;
     while sent < limit {
-        match events.recv_timeout(opts.poll_interval.max(Duration::from_millis(50))) {
+        match events.recv_timeout(EVENTS_POLL) {
             Ok(event) => {
                 let mut line = serde_json::to_string(&event).expect("telemetry events serialize");
                 line.push('\n');
@@ -333,4 +336,35 @@ fn parse_run_id(raw: &str) -> Option<RunId> {
 
 fn to_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value).expect("observability types serialize")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// No request ever arrives, so the acceptor sits in `accept` until
+    /// `shutdown` wakes it — also when bound to the wildcard address,
+    /// which cannot be connected to as it stands.
+    #[test]
+    fn shutdown_wakes_an_idle_acceptor() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0", "[::]:0"] {
+            let manager = Arc::new(Mutex::new(RunManager::new()));
+            let opts = ServeOptions {
+                addr: addr.to_string(),
+                ..ServeOptions::default()
+            };
+            let Ok(mut server) = serve(manager, opts) else {
+                assert!(addr.starts_with('['), "{addr} must bind");
+                continue; // host without IPv6
+            };
+            let (done, joined) = mpsc::channel();
+            std::thread::spawn(move || {
+                server.shutdown();
+                done.send(()).ok();
+            });
+            joined
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{addr}: shutdown did not return"));
+        }
+    }
 }

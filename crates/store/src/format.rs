@@ -3,11 +3,19 @@
 //! A snapshot file is three sections, in order:
 //!
 //! ```text
-//! e3snap 1\n                  magic + format version
+//! e3snap 2\n                  magic + format version
 //! {header JSON}\n             SnapshotHeader: fingerprint, generation,
 //!                             payload length, payload checksum
-//! {payload JSON}              the serialized run state
+//! payload                     the serialized run state: `serde::bin`
+//!                             (version 2) or JSON text (version 1)
 //! ```
+//!
+//! The two header lines stay greppable text; the payload is the
+//! compact binary form of the serde data model, streamed straight from
+//! the state's fields (see [`serde::bin`] for its grammar). Version 1
+//! files, whose payload is JSON, are still read — [`payload_value`]
+//! turns either payload into the same `serde::Value` — but never
+//! written; the reader goes one release after the writer did.
 //!
 //! The header carries the payload's byte length and FNV-1a 64
 //! checksum, so every corruption mode a power cut can leave behind is
@@ -22,10 +30,14 @@
 //! Recovery treats any of these as "not a snapshot" and moves on to
 //! the next newest file; see [`crate::RunStore::recover`].
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-/// Current snapshot format version. Bump when the layout changes.
-pub const FORMAT_VERSION: u32 = 1;
+/// Snapshot format version this build writes. Bump when the layout
+/// changes.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// The JSON-payload format this build still reads.
+const JSON_PAYLOAD_VERSION: u32 = 1;
 
 /// Magic line opening every snapshot file.
 pub const MAGIC: &str = "e3snap";
@@ -123,35 +135,42 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Encodes one snapshot file: magic line, header line, payload bytes.
-pub fn encode(
+/// Encodes the two text lines that precede `payload` in a snapshot
+/// file — magic line, header line — and returns them with the payload
+/// checksum the header carries. The file is these bytes followed by
+/// `payload`; the caller writes the two without joining them.
+pub fn encode_head(
     fingerprint: &RunFingerprint,
     generation: usize,
     best_fitness: Option<f64>,
     payload: &[u8],
-) -> Result<Vec<u8>, String> {
+) -> Result<(Vec<u8>, u64), String> {
+    let payload_fnv = fnv1a(payload);
     let header = SnapshotHeader {
         format_version: FORMAT_VERSION,
         fingerprint: fingerprint.clone(),
         generation,
         best_fitness: best_fitness.filter(|f| f.is_finite()),
         payload_len: payload.len() as u64,
-        payload_fnv: fnv1a(payload),
+        payload_fnv,
     };
     let header_json = serde_json::to_string(&header).map_err(|e| e.to_string())?;
-    let mut out = Vec::with_capacity(header_json.len() + payload.len() + 32);
-    out.extend_from_slice(MAGIC.as_bytes());
-    out.push(b' ');
-    out.extend_from_slice(FORMAT_VERSION.to_string().as_bytes());
-    out.push(b'\n');
-    out.extend_from_slice(header_json.as_bytes());
-    out.push(b'\n');
-    out.extend_from_slice(payload);
-    Ok(out)
+    let head = format!("{MAGIC} {FORMAT_VERSION}\n{header_json}\n");
+    Ok((head.into_bytes(), payload_fnv))
+}
+
+/// Decodes a validated payload into the serde data model, by the
+/// format version of the file it came from.
+pub fn payload_value(format_version: u32, payload: &[u8]) -> Result<Value, String> {
+    if format_version == JSON_PAYLOAD_VERSION {
+        let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+        return serde_json::from_str(text).map_err(|e| e.to_string());
+    }
+    serde::bin::decode(payload).map_err(|e| e.to_string())
 }
 
 /// Decodes and fully validates a snapshot file, returning the header
-/// and the payload bytes.
+/// and the payload bytes ([`payload_value`] decodes those).
 pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
     let first_nl = bytes
         .iter()
@@ -163,9 +182,13 @@ pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
         return Err(FormatError::BadMagic);
     }
     let version = parts.next().unwrap_or("");
-    if version.parse::<u32>() != Ok(FORMAT_VERSION) {
+    let Some(version) = version
+        .parse::<u32>()
+        .ok()
+        .filter(|v| [JSON_PAYLOAD_VERSION, FORMAT_VERSION].contains(v))
+    else {
         return Err(FormatError::UnsupportedVersion(version.to_string()));
-    }
+    };
     let rest = &bytes[first_nl + 1..];
     let header_nl = rest
         .iter()
@@ -175,6 +198,12 @@ pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
         .map_err(|_| FormatError::BadHeader("header is not UTF-8".to_string()))?;
     let header: SnapshotHeader =
         serde_json::from_str(header_text).map_err(|e| FormatError::BadHeader(e.to_string()))?;
+    if header.format_version != version {
+        return Err(FormatError::BadHeader(format!(
+            "header says format {}, magic line says {version}",
+            header.format_version
+        )));
+    }
     let payload = &rest[header_nl + 1..];
     if payload.len() as u64 != header.payload_len {
         return Err(FormatError::TruncatedPayload {
@@ -204,10 +233,23 @@ mod tests {
         }
     }
 
+    /// A whole snapshot file, as `RunStore::save` lays it out.
+    fn encode(
+        fingerprint: &RunFingerprint,
+        generation: usize,
+        best_fitness: Option<f64>,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, String> {
+        let (mut bytes, _) = encode_head(fingerprint, generation, best_fitness, payload)?;
+        bytes.extend_from_slice(payload);
+        Ok(bytes)
+    }
+
     #[test]
     fn encode_decode_round_trip() {
         let payload = br#"{"hello":"world"}"#;
         let bytes = encode(&fp(), 12, Some(3.5), payload).unwrap();
+        assert!(bytes.starts_with(b"e3snap 2\n{\"format_version\":2,"));
         let (header, got) = decode(&bytes).unwrap();
         assert_eq!(header.format_version, FORMAT_VERSION);
         assert_eq!(header.generation, 12);
@@ -265,10 +307,46 @@ mod tests {
             decode(b"not a snapshot\n"),
             Err(FormatError::BadMagic)
         ));
+        for magic in ["e3snap 999\n{}\n", "e3snap 0\n{}\n", "e3snap\n{}\n"] {
+            assert!(
+                matches!(
+                    decode(magic.as_bytes()),
+                    Err(FormatError::UnsupportedVersion(_))
+                ),
+                "{magic:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_header_that_contradicts_its_magic_line_is_rejected() {
+        let bytes = encode(&fp(), 3, None, b"{}").unwrap();
+        let relabelled = [b"e3snap 1", &bytes[8..]].concat();
         assert!(matches!(
-            decode(b"e3snap 999\n{}\n"),
-            Err(FormatError::UnsupportedVersion(_))
+            decode(&relabelled),
+            Err(FormatError::BadHeader(_))
         ));
+    }
+
+    #[test]
+    fn payloads_decode_by_format_version() {
+        let state = vec![(1u64, -0.0f64), (u64::MAX, f64::NAN)];
+        let mut binary = Vec::new();
+        serde::bin::encode_into(&state, &mut binary).unwrap();
+        let pair = |a: u64, b: Value| Value::Array(vec![Value::UInt(a), b]);
+        let from_v2 = payload_value(2, &binary).unwrap();
+        assert!(from_v2.same_bits(&Value::Array(vec![
+            pair(1, Value::Float(-0.0)),
+            pair(u64::MAX, Value::Float(f64::NAN)),
+        ])));
+        // JSON could not carry the NaN: a v1 writer stored `null`.
+        let from_v1 = payload_value(1, b"[[1,-0.0],[18446744073709551615,null]]").unwrap();
+        assert!(from_v1.same_bits(&Value::Array(vec![
+            pair(1, Value::Float(-0.0)),
+            pair(u64::MAX, Value::Null),
+        ])));
+        assert!(payload_value(1, &binary).is_err());
+        assert!(payload_value(2, b"[1]").is_err());
     }
 
     #[test]

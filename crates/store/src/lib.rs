@@ -6,8 +6,10 @@
 //! This crate provides the storage half of that contract:
 //!
 //! * **Versioned snapshot format** ([`format`]) — magic + format
-//!   version + run fingerprint + checksummed payload, so torn, short,
-//!   and bit-flipped files are all detectable.
+//!   version + run fingerprint + checksummed binary payload, so torn,
+//!   short, and bit-flipped files are all detectable. The payload is
+//!   streamed from the state's fields into a buffer the store keeps
+//!   across saves; no intermediate tree or text is built.
 //! * **Atomic writes** — each snapshot goes to a temp file, is
 //!   `fsync`ed, and is renamed into place; the directory is synced so
 //!   the rename itself survives a crash.
@@ -197,6 +199,8 @@ pub struct RunStore {
     manifest: Manifest,
     stats: StoreStats,
     pending_fault: Option<StoreFault>,
+    /// The encoded payload of the last save, kept for its capacity.
+    payload: Vec<u8>,
 }
 
 /// Snapshot file name for a generation (`gen-00000042.e3snap`).
@@ -218,20 +222,6 @@ pub(crate) fn io_err(path: &Path, err: std::io::Error) -> StoreError {
         path: path.display().to_string(),
         message: err.to_string(),
     }
-}
-
-/// Offset of the payload section: one past the second newline.
-fn payload_offset(bytes: &[u8]) -> usize {
-    let mut newlines = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'\n' {
-            newlines += 1;
-            if newlines == 2 {
-                return i + 1;
-            }
-        }
-    }
-    bytes.len()
 }
 
 impl RunStore {
@@ -269,6 +259,7 @@ impl RunStore {
             manifest,
             stats: StoreStats::default(),
             pending_fault: None,
+            payload: Vec::new(),
         })
     }
 
@@ -312,37 +303,37 @@ impl RunStore {
         best_fitness: Option<f64>,
         state: &T,
     ) -> Result<PathBuf, StoreError> {
-        let payload =
-            serde_json::to_string(state).map_err(|e| StoreError::Encode(e.to_string()))?;
-        let bytes = format::encode(
-            &self.fingerprint,
-            generation,
-            best_fitness,
-            payload.as_bytes(),
-        )
-        .map_err(StoreError::Encode)?;
+        self.payload.clear();
+        serde::bin::encode_into(state, &mut self.payload)
+            .map_err(|e| StoreError::Encode(e.to_string()))?;
+        let (head, payload_fnv) =
+            format::encode_head(&self.fingerprint, generation, best_fitness, &self.payload)
+                .map_err(StoreError::Encode)?;
         let file = snapshot_file_name(generation);
         let path = self.dir.join(&file);
 
         if let Some(fault) = self.pending_fault.take() {
             // A simulated crash: whatever survives lands directly at
             // the final path, and the manifest never gets updated.
-            let damaged = fault.corrupt(&bytes, payload_offset(&bytes));
+            let bytes = [head.as_slice(), &self.payload].concat();
+            let damaged = fault.corrupt(&bytes, head.len());
             self.stats.bytes_written += damaged.len() as u64;
             fs::write(&path, &damaged).map_err(|e| io_err(&path, e))?;
             return Ok(path);
         }
 
-        self.write_atomic(&file, &bytes)?;
+        write_atomic_in(&self.dir, &file, &[&head, &self.payload])?;
+        let bytes = (head.len() + self.payload.len()) as u64;
         self.stats.snapshots_written += 1;
-        self.stats.bytes_written += bytes.len() as u64;
+        self.stats.bytes_written += bytes;
 
+        self.manifest.format_version = FORMAT_VERSION;
         let evicted = self.manifest.admit(
             ManifestEntry {
                 generation,
                 file,
-                bytes: bytes.len() as u64,
-                payload_fnv: format::fnv1a(payload.as_bytes()),
+                bytes,
+                payload_fnv,
                 best_fitness: best_fitness.filter(|f| f.is_finite()),
             },
             self.keep_last,
@@ -398,10 +389,9 @@ impl RunStore {
                     path: path.display().to_string(),
                 });
             }
-            let text =
-                std::str::from_utf8(payload).map_err(|e| StoreError::Decode(e.to_string()))?;
-            let state: T =
-                serde_json::from_str(text).map_err(|e| StoreError::Decode(e.to_string()))?;
+            let value = format::payload_value(header.format_version, payload)
+                .map_err(StoreError::Decode)?;
+            let state = T::from_value(&value).map_err(|e| StoreError::Decode(e.to_string()))?;
             self.stats.recoveries += 1;
             // Reconcile a possibly-stale manifest with what the scan
             // actually found.
@@ -432,22 +422,21 @@ impl RunStore {
     fn write_manifest(&self) -> Result<(), StoreError> {
         let json = serde_json::to_string_pretty(&self.manifest)
             .map_err(|e| StoreError::Encode(e.to_string()))?;
-        self.write_atomic(MANIFEST_FILE, json.as_bytes())
-    }
-
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
-        write_atomic_in(&self.dir, name, bytes)
+        write_atomic_in(&self.dir, MANIFEST_FILE, &[json.as_bytes()])
     }
 }
 
 /// Temp file + `fsync` + rename + directory sync. After this returns,
 /// either the old file or the complete new file is on disk — never a
-/// mix. Shared by snapshot, manifest, and sidecar writes.
-pub(crate) fn write_atomic_in(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), StoreError> {
+/// mix. Shared by snapshot, manifest, and sidecar writes. The file is
+/// `parts` back to back, so a header and a payload need no joining.
+pub(crate) fn write_atomic_in(dir: &Path, name: &str, parts: &[&[u8]]) -> Result<(), StoreError> {
     let tmp = dir.join(format!(".tmp.{name}"));
     {
         let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(bytes).map_err(|e| io_err(&tmp, e))?;
+        for part in parts {
+            f.write_all(part).map_err(|e| io_err(&tmp, e))?;
+        }
         f.sync_all().map_err(|e| io_err(&tmp, e))?;
     }
     let target = dir.join(name);

@@ -182,7 +182,7 @@ impl MultiStore {
         let dir = self.namespace_dir(namespace);
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         let json = serde_json::to_string(value).map_err(|e| StoreError::Encode(e.to_string()))?;
-        write_atomic_in(&dir, name, json.as_bytes())?;
+        write_atomic_in(&dir, name, &[json.as_bytes()])?;
         Ok(dir.join(name))
     }
 
@@ -232,7 +232,7 @@ impl MultiStore {
     fn write_registry(&self) -> Result<(), StoreError> {
         let json = serde_json::to_string_pretty(&self.registry)
             .map_err(|e| StoreError::Encode(e.to_string()))?;
-        write_atomic_in(&self.parent, NAMESPACE_REGISTRY_FILE, json.as_bytes())
+        write_atomic_in(&self.parent, NAMESPACE_REGISTRY_FILE, &[json.as_bytes()])
     }
 }
 

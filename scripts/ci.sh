@@ -15,10 +15,14 @@ echo "== test suite: every crate, every target =="
 # seed): not on thread count, a kill-and-resume, an installed collector
 # or tracer, an attached HTTP server, or the execution tier.
 cargo test --workspace --offline -q
-# The vendored stand-ins sit outside the workspace; `serde_json` is the
-# one with a parser, and every snapshot, config and NDJSON line goes
-# through it.
+# The vendored stand-ins sit outside the workspace, so nothing above
+# runs their own tests. `serde_json` is the one with a text parser:
+# every config, manifest and NDJSON line goes through it. `serde` holds
+# the binary codec every snapshot payload goes through (its decoder
+# reads bytes from disk); `--features derive` adds the suite that walks
+# every derive shape through both sinks.
 cargo test --offline -q --manifest-path vendor/serde_json/Cargo.toml
+cargo test --offline -q --manifest-path vendor/serde/Cargo.toml --features derive
 
 echo "== examples build =="
 cargo build --release --offline --examples
@@ -103,23 +107,33 @@ if [ "$ref" != "$resumed" ]; then
     echo "error: resumed run diverged from the uninterrupted reference" >&2
     exit 1
 fi
+# The writer emits snapshot format v2 only (v1 is read, never written).
+newest=$(ls "$store_dir"/gen-*.e3snap | sort | tail -n 1)
+if [ "$(head -n 1 "$newest")" != "e3snap 2" ]; then
+    echo "error: $newest does not start with the 'e3snap 2' magic line" >&2
+    exit 1
+fi
 
 echo "== benchmark/: the instrument still builds and checks out =="
 # benchmark/ is a package of its own that links against the platform
-# API; nothing else in this script compiles it. Build it and run four
-# one-second workloads over the two evaluation kernels: the software
-# kernel on a fixed env, on K=4 sampled scenarios and with the tier on,
-# and the INAX wave kernel. The single-workload form writes neither
+# API; nothing else in this script compiles it. Build it and run five
+# one-second workloads: the software kernel on a fixed env, on K=4
+# sampled scenarios and with the tier on, the INAX wave kernel, and the
+# observed run — the only workload that opens a RunStore. Its
+# `newest_snapshot_resumes` check runs only in a traced pass, so that
+# one runs traced as well. The single-workload form writes neither
 # BENCHMARK.json nor benchmark/history.ndjson; its last stdout line
 # must report every output check passed and no generation failed.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
-for workload in cartpole_default lander_k4 lander_jit cartpole_inax; do
+for run in "cartpole_default 0" "lander_k4 0" "lander_jit 0" "cartpole_inax 0" \
+    "lander_observed 0" "lander_observed 1"; do
+    read -r workload trace <<<"$run"
     last=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+        --workload "$workload" --seed 1 --seconds 1 --trace "$trace" | tail -n 1)
     case "$last" in
         *'"correct":true,'*'"failed":0,'*) ;;
         *)
-            echo "error: benchmark workload $workload did not check out: $last" >&2
+            echo "error: benchmark workload $workload (--trace $trace) did not check out: $last" >&2
             exit 1
             ;;
     esac

@@ -4,8 +4,8 @@ use e3::envs::{EnvId, ScenarioDistribution};
 use e3::inax::InaxConfig;
 use e3::neat::{NeatConfig, Population};
 use e3::platform::{
-    BackendKind, E3Config, E3Platform, EvalBackend, GpuCostModel, InaxBackend, JitConfig,
-    PowerModel, ScenarioConfig, ScenarioSpec, SoftwareBackend, SwCostModel,
+    BackendKind, CheckpointPolicy, E3Config, E3Platform, EvalBackend, GpuCostModel, InaxBackend,
+    JitConfig, PowerModel, ScenarioConfig, ScenarioSpec, SoftwareBackend, SwCostModel,
 };
 use e3::telemetry::MemoryCollector;
 
@@ -255,4 +255,43 @@ fn the_software_kernel_agrees_with_itself_and_with_inax() {
             }
         }
     }
+}
+
+#[test]
+fn a_killed_run_resumes_bit_identically_from_a_v2_snapshot() {
+    // The full gates live in e3-platform and e3-store (`resume_parity`,
+    // `fault_injection`, `snapshot_bytes`, `v1_fixture`); this is the
+    // one fast case at the root, so tier-1 cannot be green while a
+    // checkpointed run fails to come back.
+    let dir = std::env::temp_dir().join(format!("e3-root-resume-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut config = quick_config(EnvId::CartPole);
+    config.target_fitness = f64::INFINITY; // every generation runs
+    let reference = E3Platform::new(config.clone(), BackendKind::Cpu, 23)
+        .run()
+        .unwrap();
+
+    config.checkpoint = Some(CheckpointPolicy::new(dir.to_string_lossy().into_owned()).every(1));
+    let state_as_json = {
+        let mut platform = E3Platform::new(config.clone(), BackendKind::Cpu, 23);
+        platform.step_generation().unwrap();
+        platform.step_generation().unwrap();
+        serde_json::to_string(&platform.capture_state()).unwrap()
+        // Killed here: dropped mid-run, no summary, no final snapshot.
+    };
+    let newest = std::fs::read(dir.join("gen-00000002.e3snap")).unwrap();
+    assert!(newest.starts_with(b"e3snap 2\n"), "store writes format v2");
+    assert!(
+        newest.len() * 3 < state_as_json.len(),
+        "{} B snapshot of a state that is {} B as JSON",
+        newest.len(),
+        state_as_json.len()
+    );
+
+    let resumed = E3Platform::resume(config, BackendKind::Cpu, 23)
+        .unwrap()
+        .expect("the snapshot is recoverable");
+    assert_eq!(resumed.generation(), 2);
+    assert_eq!(resumed.run().unwrap(), reference);
+    std::fs::remove_dir_all(&dir).ok();
 }
