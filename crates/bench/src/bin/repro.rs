@@ -6,20 +6,16 @@
 //! ```
 //!
 //! Experiments: table4 table5 fig1b fig2 fig3 fig4 fig6 fig7 fig9a
-//! fig9b fig10a fig10b fig11 ablation islands generalize, plus `run`
+//! fig9b fig10a fig10b fig11 ablation generalize, plus `run`
 //! (a single evolve/evaluate run on one env/backend; `--threads N`
 //! shards the evaluation across N worker threads with bit-identical
 //! results). None of them times anything: speed claims go through
-//! `benchmark/` (see its README). `islands` sweeps the asynchronous
-//! archipelago over island counts and migration intervals and gates
-//! single-island parity against a plain run, determinism across
-//! driver counts and pickup orders, and the run-manager
-//! submit/stream/stop lifecycle; `generalize` evolves on a sampled
+//! `benchmark/` (see its README). `generalize` evolves on a sampled
 //! scenario distribution at K ∈ {1, 4, 8} scenarios per evaluation,
 //! scores champions on a held-out shifted distribution, and gates
 //! thread-schedule determinism and per-generation `Generalization`
-//! telemetry. Both print like every other experiment and exit nonzero
-//! on any gate failure; no command writes into the working directory
+//! telemetry; it prints like every other experiment and exits nonzero
+//! on a gate failure. No command writes into the working directory
 //! unless a flag names the file. `--full` uses paper-scale parameters
 //! (population 200, full step budgets); the default quick scale
 //! finishes in seconds per experiment. `--svg DIR` additionally
@@ -326,8 +322,6 @@ fn run_experiment(name: &str, opts: &Options, collector: &mut dyn Collector) -> 
                 );
             }
             let config = builder.build();
-            let target_fitness = config.target_fitness;
-            let max_generations = config.max_generations;
             let mut platform = if opts.resume {
                 if opts.checkpoint_dir.is_none() {
                     usage("--resume needs --checkpoint-dir");
@@ -351,13 +345,10 @@ fn run_experiment(name: &str, opts: &Options, collector: &mut dyn Collector) -> 
                 // platform without emitting a summary — exactly the
                 // state a killed process leaves behind on disk.
                 for _ in 0..crash_after {
-                    if platform.generation() >= max_generations {
+                    if platform.finished() {
                         break;
                     }
-                    let best = try_run!(platform.step_with(collector));
-                    if best >= target_fitness {
-                        break;
-                    }
+                    try_run!(platform.step_with(collector));
                 }
                 eprintln!(
                     "simulated crash after generation {} (no summary written)",
@@ -521,19 +512,6 @@ fn run_experiment(name: &str, opts: &Options, collector: &mut dyn Collector) -> 
             emit!(result);
         }
         "ablation" => emit!(ablation::run()),
-        "islands" => {
-            let result = try_run!(e3_islands::bench::run(scale, seed));
-            if !result.parity_ok {
-                // A failed gate means the archipelago layer changed
-                // results (vs the plain platform, across schedules, or
-                // through the service boundary) — a correctness bug,
-                // so fail loudly for CI.
-                return Err(format!(
-                    "islands parity/determinism/smoke FAILED:\n{result}"
-                ));
-            }
-            emit!(result);
-        }
         "generalize" => {
             let result = try_run!(generalize::run(scale, seed, collector));
             if !result.parity_ok {

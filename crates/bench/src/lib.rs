@@ -33,7 +33,6 @@ pub const EXPERIMENTS: &[&str] = &[
     "fig10b",
     "fig11",
     "ablation",
-    "islands",
     "generalize",
 ];
 

@@ -3,8 +3,10 @@
 
 use crate::pool::ThreadPoolExecutor;
 use crate::stats::ExecStats;
+use std::any::Any;
 use std::fmt;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// What a shard task learns about the worker running it: its index,
@@ -56,6 +58,24 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+/// Runs one shard body, containing a panic to it: every executor turns
+/// the `Err` (the panic's message) into [`ExecError::ShardPanicked`]
+/// and stays usable.
+pub(crate) fn run_contained<R>(body: impl FnOnce() -> R) -> Result<R, String> {
+    catch_unwind(AssertUnwindSafe(body)).map_err(|panic| panic_message(panic.as_ref()))
+}
+
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(panic: &(dyn Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 /// The results of one sharded run: per-item values in **item-index
 /// order** plus write-only execution stats.
@@ -124,7 +144,9 @@ pub trait Executor {
 
 /// The reference executor: runs every shard on the calling thread, in
 /// shard order. This is by definition the serial semantics the
-/// parallel executors must reproduce bit-for-bit.
+/// parallel executors must reproduce bit-for-bit — including the
+/// failure: a panicking shard task is contained and surfaces as the
+/// same [`ExecError::ShardPanicked`] a pool reports.
 #[derive(Debug, Default)]
 pub struct SerialExecutor;
 
@@ -157,7 +179,14 @@ impl Executor for SerialExecutor {
         let mut shard_seconds = Vec::with_capacity(plan.len());
         for &(start, end) in &plan {
             let shard_t0 = Instant::now();
-            let shard = task(&mut scratch, start..end);
+            // Shards run in index order, so the first panic met is the
+            // lowest-indexed one — the error the pool selects.
+            let shard = run_contained(|| task(&mut scratch, start..end)).map_err(|message| {
+                ExecError::ShardPanicked {
+                    shard_start: start,
+                    message,
+                }
+            })?;
             assert_eq!(
                 shard.len(),
                 end - start,
@@ -184,7 +213,7 @@ impl Executor for SerialExecutor {
 }
 
 /// An executor of any strategy behind one concrete type (enum
-/// dispatch, mirroring `AnyBackend`).
+/// dispatch, so holders stay `Debug` and cheap to construct).
 #[derive(Debug)]
 pub enum AnyExecutor {
     /// Single-threaded reference execution.

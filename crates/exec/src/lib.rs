@@ -46,4 +46,4 @@ pub use executor::{
 };
 pub use pool::ThreadPoolExecutor;
 pub use shared::{PoolSnapshot, SharedExecutor};
-pub use stats::{ExecStats, ExecStatsState};
+pub use stats::ExecStats;

@@ -9,18 +9,17 @@
 //! terminate at different steps) is absorbed without any effect on the
 //! results — reduction is by item index, never by completion order.
 //!
-//! Worker panics inside a shard task are contained with
-//! `catch_unwind` and surface as [`ExecError::ShardPanicked`]; the
-//! pool stays usable afterwards.
+//! Worker panics inside a shard task are contained (`run_contained`,
+//! shared with the serial executor) and surface as
+//! [`ExecError::ShardPanicked`]; the pool stays usable afterwards.
 
-use crate::executor::{shard_plan, ExecError, Executor, ShardRun, WorkerScratch};
+use crate::executor::{run_contained, shard_plan, ExecError, Executor, ShardRun, WorkerScratch};
 use crate::stats::ExecStats;
 use crossbeam::channel::{self, Receiver, Sender};
 use crossbeam::deque::{Injector, Steal};
 use std::any::Any;
 use std::fmt;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -134,8 +133,7 @@ fn worker_main(index: usize, rx: Receiver<WorkerMsg>) {
                 break; // every queue drained: this wave is over for us
             };
             let t0 = Instant::now();
-            let payload = catch_unwind(AssertUnwindSafe(|| (job.task)(&mut scratch, start..end)))
-                .map_err(|panic| panic_message(panic.as_ref()));
+            let payload = run_contained(|| (job.task)(&mut scratch, start..end));
             let seconds = t0.elapsed().as_secs_f64();
             busy_seconds += seconds;
             if job
@@ -155,17 +153,6 @@ fn worker_main(index: usize, rx: Receiver<WorkerMsg>) {
             worker: index,
             busy_seconds,
         });
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(panic: &(dyn Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -290,7 +277,7 @@ impl Executor for ThreadPoolExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::SerialExecutor;
+    use crate::{AnyExecutor, SerialExecutor, SharedExecutor};
 
     #[test]
     fn pool_matches_serial_bit_for_bit() {
@@ -328,30 +315,37 @@ mod tests {
 
     #[test]
     fn shard_panic_is_contained_and_reported_deterministically() {
-        let mut pool = ThreadPoolExecutor::new(4);
-        let err = pool
-            .run_shards(16, 2, |_, range| {
-                range
-                    .inspect(|&i| {
-                        assert!(i != 5 && i != 11, "boom at {i}");
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .expect_err("two shards panic");
-        // Shards [4,6) and [10,12) both die; the lowest-indexed one is
-        // reported regardless of completion order.
-        assert_eq!(
-            err,
-            ExecError::ShardPanicked {
-                shard_start: 4,
-                message: "boom at 5".to_string(),
-            }
-        );
-        // The pool remains usable.
-        let run = pool
-            .run_shards(8, 2, |_, range| range.collect::<Vec<_>>())
-            .expect("pool recovered");
-        assert_eq!(run.results, (0..8).collect::<Vec<_>>());
+        // The same fault is the same typed error at every thread count
+        // and on every strategy, and each executor runs the next job.
+        for mut exec in [
+            AnyExecutor::Serial(SerialExecutor::new()),
+            AnyExecutor::Pool(ThreadPoolExecutor::new(4)),
+            AnyExecutor::Shared(SharedExecutor::new(4)),
+        ] {
+            let err = exec
+                .run_shards(16, 2, |_, range| {
+                    range
+                        .inspect(|&i| {
+                            assert!(i != 5 && i != 11, "boom at {i}");
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .expect_err("two shards panic");
+            // Shards [4,6) and [10,12) both die; the lowest-indexed one
+            // is reported regardless of completion order.
+            assert_eq!(
+                err,
+                ExecError::ShardPanicked {
+                    shard_start: 4,
+                    message: "boom at 5".to_string(),
+                },
+                "{exec:?}"
+            );
+            let run = exec
+                .run_shards(8, 2, |_, range| range.collect::<Vec<_>>())
+                .expect("executor recovered");
+            assert_eq!(run.results, (0..8).collect::<Vec<_>>(), "{exec:?}");
+        }
     }
 
     #[test]

@@ -46,63 +46,9 @@ impl ExecStats {
     }
 }
 
-/// What a backend's `take_exec_stats` call can report.
-///
-/// The old API returned `Option<ExecStats>`, which conflated "this
-/// backend never produces stats" with "no evaluation ran since the
-/// last take" — both came back `None`, silently dropping the
-/// distinction. This enum keeps the three states apart so callers can
-/// tell a misconfigured pipeline from a merely quiet one. `S` is the
-/// producer's per-evaluation record: [`ExecStats`], or one carrying them.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub enum ExecStatsState<S = ExecStats> {
-    /// The backend does not run through an executor at all; it will
-    /// never produce stats. This is the trait default.
-    #[default]
-    Unavailable,
-    /// The backend has an executor but no evaluation completed since
-    /// stats were last taken.
-    Idle,
-    /// Stats from the most recent evaluation; taking them resets the
-    /// backend to [`ExecStatsState::Idle`].
-    Ready(S),
-}
-
-impl<S> ExecStatsState<S> {
-    /// The stats, if ready — the shape most telemetry call sites want.
-    pub fn into_option(self) -> Option<S> {
-        match self {
-            ExecStatsState::Ready(stats) => Some(stats),
-            ExecStatsState::Unavailable | ExecStatsState::Idle => None,
-        }
-    }
-
-    /// True when the producer can never yield stats.
-    pub fn is_unavailable(&self) -> bool {
-        matches!(self, ExecStatsState::Unavailable)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_state_separates_never_from_not_yet() {
-        type State = ExecStatsState; // the default payload, `ExecStats`
-        assert!(State::Unavailable.is_unavailable());
-        assert!(!State::Idle.is_unavailable());
-        assert_eq!(State::Unavailable.into_option(), None);
-        assert_eq!(State::Idle.into_option(), None);
-        let stats = ExecStats {
-            workers: 2,
-            ..ExecStats::default()
-        };
-        assert_eq!(
-            ExecStatsState::Ready(stats.clone()).into_option(),
-            Some(stats)
-        );
-    }
 
     #[test]
     fn utilization_is_bounded() {

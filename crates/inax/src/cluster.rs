@@ -76,7 +76,11 @@ impl From<&EpisodeRunReport> for e3_telemetry::HwCounters {
 /// compiled networks, then call [`InaxAccelerator::step`] once per
 /// environment step with the inputs of the still-alive individuals
 /// until the batch's episodes all finish; repeat for the next batch
-/// and read [`InaxAccelerator::report`].
+/// and read [`InaxAccelerator::report`]. A caller that already knows
+/// how long every resident's episode ran — the E3 platform, whose one
+/// software kernel computes the same outputs bit for bit — replaces
+/// the `step` loop with one [`InaxAccelerator::run_episodes`] call and
+/// reads the same counters.
 ///
 /// # Example
 ///
@@ -192,79 +196,116 @@ impl InaxAccelerator {
             self.pus.len(),
             "one input slot per resident individual"
         );
-        // Input DMA: observations for alive individuals move serially
-        // over the input channel (8 bytes per f64 value).
-        let in_bytes: u64 = inputs.iter().flatten().map(|v| 8 * v.len() as u64).sum();
-        let input_dma = self.traffic.transfer(&self.dma, in_bytes);
+        let outputs = self
+            .pus
+            .iter_mut()
+            .zip(inputs)
+            .map(|(pu, input)| input.as_ref().map(|obs| pu.infer(obs).0))
+            .collect();
+        self.account_waves(|resident| inputs[resident].is_some(), 1);
+        outputs
+    }
 
-        let mut outputs = Vec::with_capacity(self.pus.len());
-        let mut wave_wall = 0u64;
+    /// Accounts one scenario's episodes without executing them:
+    /// resident `i` stays alive for `lengths[i]` lock-step waves, then
+    /// its PU idles until the longest episode ends. The counters are
+    /// exactly what driving [`InaxAccelerator::step`] with that alive
+    /// pattern leaves behind: the inference schedule is
+    /// input-independent, so a wave's cost depends only on *which*
+    /// residents are alive, and every counter is an integer that grows
+    /// linearly in the number of waves sharing one alive set. Waves are
+    /// therefore grouped between consecutive distinct episode lengths
+    /// and each group is accounted once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lengths.len()` differs from the resident batch size.
+    pub fn run_episodes(&mut self, lengths: &[u64]) {
+        assert_eq!(
+            lengths.len(),
+            self.pus.len(),
+            "one episode length per resident individual"
+        );
+        let mut ends = lengths.to_vec();
+        ends.sort_unstable();
+        ends.dedup();
+        let mut done = 0u64;
+        for end in ends {
+            self.account_waves(|resident| lengths[resident] > done, end - done);
+            done = end;
+        }
+    }
+
+    /// Charges `waves` synchronized inference waves in which exactly
+    /// the residents `alive` answers `true` for infer — the one
+    /// accounting path behind [`InaxAccelerator::step`] and
+    /// [`InaxAccelerator::run_episodes`].
+    fn account_waves(&mut self, alive: impl Fn(usize) -> bool, waves: u64) {
+        let running = || {
+            let residents = self.pus.iter().enumerate();
+            residents.filter_map(|(resident, pu)| alive(resident).then_some(pu))
+        };
+        // Observations in and actions out move serially over their
+        // channels, one transaction each per wave (8 bytes per f64).
+        let in_bytes: u64 = running().map(|pu| 8 * pu.net().num_inputs() as u64).sum();
+        let out_bytes: u64 = running()
+            .map(|pu| 8 * pu.net().output_node_indices().len() as u64)
+            .sum();
+        let wave_wall = running()
+            .map(|pu| pu.inference_profile().wall_cycles)
+            .max()
+            .unwrap_or(0);
+        let wall = wave_wall * waves;
+        let dma = self.traffic.transfer_repeated(&self.dma, in_bytes, waves)
+            + self.traffic.transfer_repeated(&self.dma, out_bytes, waves);
+
         let mut pu_active = 0u64;
-        let mut out_bytes = 0u64;
-        let mut pu_walls: Vec<Option<u64>> = Vec::with_capacity(self.pus.len());
-        for (pu, input) in self.pus.iter_mut().zip(inputs) {
-            match input {
-                Some(obs) => {
-                    let (out, profile) = pu.infer(obs);
-                    out_bytes += 8 * out.len() as u64;
-                    outputs.push(Some(out));
-                    wave_wall = wave_wall.max(profile.wall_cycles);
-                    pu_active += profile.wall_cycles;
-                    self.report.breakdown.pe_active += profile.pe_active_cycles;
-                    self.report.breakdown.evaluate_control += profile.control_cycles();
-                    self.report.pe_utilization.merge(profile.pe_utilization());
-                    pu_walls.push(Some(profile.wall_cycles));
-                }
-                None => {
-                    outputs.push(None);
-                    pu_walls.push(None);
-                }
-            }
-        }
-        let output_dma = self.traffic.transfer(&self.dma, out_bytes);
-        let dma = input_dma + output_dma;
-
-        // Per-PE-lane states while each alive PU infers: lane `j` is
-        // busy for its node assignments and idles out the rest of its
-        // PU's wall time, so Σ lane busy reconciles with the aggregate
-        // `pe_active` counter and Σ lane idle with `evaluate_control`.
-        for (pu, wall) in self.pus.iter().zip(&pu_walls) {
-            if let Some(wall) = wall {
-                for (lane, &busy) in pu.per_pe_active().iter().enumerate() {
-                    let cycles = &mut self.util.per_pe[lane];
-                    cycles.busy += busy;
-                    cycles.idle += wall.saturating_sub(busy);
-                }
-            }
-        }
-        // Per-PU states over the wave: an alive PU computes its own
-        // inference, idles at the barrier until the slowest resident
-        // finishes, and stalls on the serial observation/action DMA;
-        // dead and empty PUs idle through the whole wave.
         for (index, cycles) in self.util.per_pu.iter_mut().enumerate() {
-            match pu_walls.get(index).copied().flatten() {
-                Some(wall) => {
-                    cycles.busy += wall;
-                    cycles.idle += wave_wall - wall;
-                    cycles.stall += dma;
+            let pu = match self.pus.get(index) {
+                Some(pu) if alive(index) => pu,
+                // Dead and empty PUs idle through every wave.
+                _ => {
+                    cycles.idle += wall + dma;
+                    continue;
                 }
-                None => cycles.idle += wave_wall + dma,
+            };
+            let profile = pu.inference_profile();
+            pu_active += profile.wall_cycles * waves;
+            self.report.breakdown.pe_active += profile.pe_active_cycles * waves;
+            self.report.breakdown.evaluate_control += profile.control_cycles() * waves;
+            self.report.pe_utilization.merge(UtilizationReport {
+                active: profile.pe_active_cycles * waves,
+                total: profile.pe_total_cycles * waves,
+            });
+            // Per-PE-lane states while the PU infers: lane `j` is busy
+            // for its node assignments and idles out the rest of its
+            // PU's wall time, so Σ lane busy reconciles with the
+            // aggregate `pe_active` counter and Σ lane idle with
+            // `evaluate_control`.
+            for (lane, &busy) in pu.per_pe_active().iter().enumerate() {
+                let lane_cycles = &mut self.util.per_pe[lane];
+                lane_cycles.busy += busy * waves;
+                lane_cycles.idle += profile.wall_cycles.saturating_sub(busy) * waves;
             }
+            // An alive PU computes its own inference, idles at the
+            // barrier until the slowest resident finishes, and stalls
+            // on the serial observation/action DMA.
+            cycles.busy += profile.wall_cycles * waves;
+            cycles.idle += (wave_wall - profile.wall_cycles) * waves;
+            cycles.stall += dma;
         }
 
-        // Idle PU time within the wave (slow-network lag + dead
-        // episodes across the whole provisioned cluster) is charged to
+        // Idle PU time within a wave (slow-network lag + dead episodes
+        // across the whole provisioned cluster) is charged to
         // evaluate-control at PU scope.
-        let provisioned = self.config.num_pu as u64 * wave_wall;
         self.report.pu_utilization.merge(UtilizationReport {
             active: pu_active,
-            total: provisioned,
+            total: self.config.num_pu as u64 * wall,
         });
         self.util.dma_bytes = self.traffic.bytes;
         self.report.dma_cycles += dma;
-        self.report.total_cycles += wave_wall + dma;
-        self.report.steps += 1;
-        outputs
+        self.report.total_cycles += wall + dma;
+        self.report.steps += waves;
     }
 
     /// Clears the resident batch (episodes done); accounting persists.

@@ -56,8 +56,14 @@ impl DmaTraffic {
     /// Accounts one transfer of `bytes` under `model` and returns its
     /// cycle cost (0-byte transfers cost and count nothing).
     pub fn transfer(&mut self, model: &DmaModel, bytes: u64) -> u64 {
-        let cycles = model.transfer_cycles(bytes);
-        self.bytes += bytes;
+        self.transfer_repeated(model, bytes, 1)
+    }
+
+    /// Accounts `count` separate transfers of `bytes` each and returns
+    /// their summed cycle cost.
+    pub(crate) fn transfer_repeated(&mut self, model: &DmaModel, bytes: u64, count: u64) -> u64 {
+        let cycles = model.transfer_cycles(bytes) * count;
+        self.bytes += bytes * count;
         self.cycles += cycles;
         cycles
     }

@@ -24,6 +24,11 @@
 //! The simulator is *functional* as well as timed: it computes exactly
 //! the same outputs as the software reference
 //! ([`e3_neat::Network::activate`]), which the property tests verify.
+//! Because the inference schedule never reads a value, the timed half
+//! also stands alone: [`InaxAccelerator::run_episodes`] accounts a
+//! batch's episodes from their lengths, counter for counter what the
+//! closed [`InaxAccelerator::step`] loop leaves — which is how the E3
+//! platform prices an evaluation its one kernel already ran.
 //!
 //! ## Example
 //!

@@ -1,5 +1,7 @@
 //! Property tests: the INAX simulator is functionally identical to the
-//! software reference, and its cycle accounting is self-consistent.
+//! software reference, its cycle accounting is self-consistent, and
+//! the accounting-only fold over episode lengths leaves the counters of
+//! the closed loop it stands in for.
 
 use e3_inax::synthetic::synthetic_genome_with_mutations;
 use e3_inax::{schedule_inference, InaxAccelerator, InaxConfig, IrregularNet, PuSim};
@@ -135,4 +137,75 @@ proptest! {
         prop_assert!(report.dma_cycles > 0, "input/weight channels moved data");
         prop_assert!(report.total_cycles > report.dma_cycles, "compute takes cycles too");
     }
+
+    /// `run_episodes` is the closed `step` loop minus the values: fed
+    /// the episode lengths, it leaves exactly the counters that driving
+    /// `step` with the same alive pattern leaves — over ragged clusters
+    /// (more PUs than residents), tied lengths, several scenarios per
+    /// load and several loads per accelerator.
+    #[test]
+    fn run_episodes_matches_a_step_driven_loop(
+        seed in any::<u64>(),
+        residents in 1usize..6,
+        spare_pus in 0usize..3,
+        num_pe in 1usize..5,
+        scenarios in 1usize..4,
+        lengths in proptest::collection::vec(1u64..7, 30),
+    ) {
+        let config = InaxConfig::builder()
+            .num_pu(residents + spare_pus)
+            .num_pe(num_pe)
+            .build();
+        let mut folded = InaxAccelerator::new(config.clone());
+        let mut stepped = InaxAccelerator::new(config);
+        // Two loads of `scenarios` batches each: 2 × ≤ 3 × ≤ 5 lengths.
+        let mut lengths = lengths.chunks(residents);
+        for load in 0..2u64 {
+            let nets: Vec<IrregularNet> = (0..residents as u64)
+                .map(|i| {
+                    let hidden = ((seed >> (8 * i)) % 9) as usize;
+                    let genome =
+                        synthetic_genome_with_mutations(3, 2, hidden, 0.5, 2, seed ^ (31 * i + load));
+                    IrregularNet::try_from(&genome).expect("compiles")
+                })
+                .collect();
+            folded.load_batch(nets.clone());
+            stepped.load_batch(nets);
+            for _ in 0..scenarios {
+                let lengths = lengths.next().expect("30 lengths cover every batch");
+                folded.run_episodes(lengths);
+                let longest = lengths.iter().copied().max().unwrap_or(0);
+                for wave in 0..longest {
+                    let inputs: Vec<_> = lengths
+                        .iter()
+                        .map(|&length| (length > wave).then(|| vec![0.1 * wave as f64, -1.0, 0.5]))
+                        .collect();
+                    stepped.step(&inputs);
+                }
+            }
+            folded.unload_batch();
+            stepped.unload_batch();
+        }
+        prop_assert_eq!(folded.report(), stepped.report());
+        prop_assert_eq!(folded.utilization(), stepped.utilization());
+    }
+}
+
+#[test]
+fn run_episodes_on_an_empty_batch_accounts_nothing() {
+    let mut acc = InaxAccelerator::new(InaxConfig::builder().num_pu(3).build());
+    acc.load_batch(Vec::new());
+    let loaded = (acc.report(), acc.utilization().clone());
+    acc.run_episodes(&[]);
+    assert_eq!((acc.report(), acc.utilization().clone()), loaded);
+    assert_eq!(acc.report().steps, 0);
+}
+
+#[test]
+#[should_panic(expected = "one episode length per resident")]
+fn run_episodes_rejects_a_length_count_mismatch() {
+    let mut acc = InaxAccelerator::new(InaxConfig::builder().num_pu(2).build());
+    let genome = synthetic_genome_with_mutations(3, 2, 4, 0.5, 1, 7);
+    acc.load_batch(vec![IrregularNet::try_from(&genome).expect("compiles")]);
+    acc.run_episodes(&[3, 3]);
 }

@@ -70,7 +70,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bench;
 pub mod config;
 pub mod migration;
 pub mod scheduler;

@@ -632,7 +632,7 @@ impl Archipelago {
             // An island resumed from a checkpoint written right after
             // its solving generation is already finished: retire
             // without re-running anything.
-            if Self::island_finished(&state.platform, config) {
+            if state.platform.finished() {
                 let last = state.platform.generation().saturating_sub(1);
                 self.emit_island_record(state, state.platform.last_step_best(), true, collector)?;
                 return Ok(Slice::Retired {
@@ -699,7 +699,7 @@ impl Archipelago {
         if let Some(champion) = state.platform.population().best() {
             self.progress.offer(state.island, champion);
         }
-        let finished = Self::island_finished(&state.platform, config);
+        let finished = state.platform.finished();
         self.emit_island_record(state, Some(best), finished, collector)?;
         if finished {
             return Ok(Slice::Retired {
@@ -707,14 +707,6 @@ impl Archipelago {
             });
         }
         Ok(Slice::Yield)
-    }
-
-    /// The same stop rule as [`E3Platform::run_with`].
-    fn island_finished(platform: &E3Platform, config: &IslandsConfig) -> bool {
-        platform
-            .last_step_best()
-            .is_some_and(|best| best >= config.base.target_fitness)
-            || platform.generation() >= config.base.max_generations
     }
 
     fn emit_island_record(

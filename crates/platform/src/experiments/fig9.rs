@@ -61,11 +61,8 @@ pub fn run_fig9a_with(collector: &mut dyn Collector) -> Result<Fig9aResult, RunE
         let population = nets.len();
         let mut acc = InaxAccelerator::new(config);
         for net in nets {
-            acc.load_batch(vec![net.clone()]);
-            let inputs = vec![Some(vec![0.25; 8]); 1];
-            for _ in 0..100 {
-                let _ = acc.step(&inputs);
-            }
+            acc.load_batch(vec![net]);
+            acc.run_episodes(&[100]);
             acc.unload_batch();
         }
         let report = acc.report();

@@ -1,28 +1,28 @@
 //! # e3-platform — the Eval-Evol-Engine
 //!
 //! The E3 platform (paper §IV-B) runs NEAT's light "evolve" phase on
-//! the CPU and offloads the heavy "evaluate" phase to a pluggable
-//! backend:
+//! the CPU and offloads the heavy "evaluate" phase to a [`Backend`].
+//! There is one backend and one evaluation kernel; the paper's three
+//! settings are the [`Pricing`] it times that kernel with:
 //!
-//! * [`SoftwareBackend`] under [`Pricing::Cpu`] — the paper's E3-CPU
-//!   baseline: software inference with an interpreted-runtime cost
-//!   model (the original system runs `neat-python`);
-//! * [`InaxBackend`] — the paper's E3-INAX: the cycle-level INAX
-//!   simulator behind DMA channels, with cycles converted to seconds
-//!   at the configured clock;
-//! * [`SoftwareBackend`] under [`Pricing::Gpu`] — the paper's E3-GPU
-//!   reference: the same software evaluation timed by an analytical
+//! * [`Pricing::Cpu`] — the paper's E3-CPU baseline: an
+//!   interpreted-runtime cost model (the original system runs
+//!   `neat-python`);
+//! * [`Pricing::Inax`] — the paper's E3-INAX: the cycle-level INAX
+//!   accelerator model behind DMA channels, fed the compiled plans and
+//!   the episode lengths, with cycles converted to seconds at the
+//!   configured clock;
+//! * [`Pricing::Gpu`] — the paper's E3-GPU reference: an analytical
 //!   GPU model dominated by kernel-launch and transfer overheads on
 //!   small, irregular, per-individual workloads.
 //!
 //! All three compute **identical fitness values** for identical seeds
-//! (the environments and networks are deterministic), so
-//! runtime/energy comparisons are apples-to-apples — exactly the
-//! paper's experimental design. They share one entry point,
-//! [`EvalBackend::evaluate`], which takes the population, the
-//! environment, and a [`ScenarioSpec`] naming the worlds and episode
-//! seeds every genome faces; evaluating on the fixed default
-//! environment is the spec [`ScenarioSpec::fixed`].
+//! — by construction: it is the same computation — so runtime/energy
+//! comparisons are apples-to-apples, exactly the paper's experimental
+//! design. The one entry point, [`Backend::evaluate`], takes the
+//! population, the environment, and a [`ScenarioSpec`] naming the
+//! worlds and episode seeds every genome faces; evaluating on the
+//! fixed default environment is the spec [`ScenarioSpec::fixed`].
 //!
 //! The [`experiments`] module contains one driver per table and figure
 //! of the paper's evaluation; the `e3-bench` crate exposes them as a
@@ -56,11 +56,12 @@
 //!
 //! ## Parallel evaluation
 //!
-//! Every backend evaluates its population through the [`exec`]
-//! engine (re-export of `e3-exec`): `E3Config::builder(...)
-//! .threads(n)` shards the population across `n` worker threads
-//! ("virtual PUs") with results bit-identical to the serial reference
-//! at any thread count (see `tests/exec_parity.rs`).
+//! The backend evaluates its population through the [`exec`] engine
+//! (re-export of `e3-exec`): `E3Config::builder(...).threads(n)`
+//! shards the population across `n` worker threads ("virtual PUs")
+//! under every pricing — an E3-INAX run shards exactly like an E3-CPU
+//! one — with results bit-identical to the serial reference at any
+//! thread count (see `tests/exec_parity.rs`).
 //!
 //! ## Checkpointing & resume
 //!
@@ -90,8 +91,8 @@ mod tier;
 pub mod timing;
 
 pub use backend::{
-    AnyBackend, BackendBuilder, BackendKind, EvalBackend, EvalError, EvalOutcome, EvalStats,
-    InaxBackend, ParseBackendKindError, Pricing, SoftwareBackend,
+    Backend, BackendBuilder, BackendKind, EvalError, EvalOutcome, EvalStats, ParseBackendKindError,
+    Pricing,
 };
 pub use checkpoint::{fingerprint, RunState};
 pub use design_space::{sweep_design_space, sweep_design_space_with, DesignPoint, DesignSweep};

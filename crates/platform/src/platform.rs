@@ -9,13 +9,13 @@
 //! results are bit-identical whichever sink is attached (see the
 //! property tests in `tests/telemetry_parity.rs`).
 
-use crate::backend::{run_software_episode, AnyBackend, BackendKind, EvalBackend, EvalError};
+use crate::backend::{run_software_episode, Backend, BackendKind, EvalError};
 use crate::checkpoint::{fingerprint, RunState};
 use crate::energy::PowerModel;
 use crate::scenario::{holdout_plan, ScenarioConfig};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::EnvId;
-use e3_exec::{ExecStatsState, SharedExecutor};
+use e3_exec::SharedExecutor;
 use e3_inax::{EpisodeRunReport, InaxConfig, UtilizationBreakdown};
 use e3_jit::JitConfig;
 use e3_neat::checkpoint::PopulationSnapshot;
@@ -323,7 +323,7 @@ struct PendingEvolve {
 #[derive(Debug)]
 pub struct E3Platform {
     config: E3Config,
-    backend: AnyBackend,
+    backend: Backend,
     population: Population,
     profile: FunctionProfile,
     complexity: ComplexityStats,
@@ -472,7 +472,7 @@ impl E3Platform {
 
     /// Installs a span tracer; the platform records `run` /
     /// `generation` / `eval` / `evolve` spans and the backend records
-    /// `shard` / `individual` / `episode` spans beneath them. Tracing
+    /// `shard` / `episode` spans beneath them. Tracing
     /// is write-only: results are bit-identical with any tracer (see
     /// `tests/telemetry_parity.rs`). Keep a clone of the tracer to
     /// export the trace after the run.
@@ -521,11 +521,24 @@ impl E3Platform {
         &self.profile
     }
 
-    /// Best fitness of the most recently completed step, if any (used
-    /// by external drivers to apply the same stop rule as
-    /// [`E3Platform::run_with`]).
+    /// Best fitness of the most recently completed step, if any.
     pub fn last_step_best(&self) -> Option<f64> {
         self.last_step_best
+    }
+
+    /// The stop rule of every driver of this platform
+    /// ([`E3Platform::run_with`], `repro run --crash-after`, island
+    /// schedulers): the last completed step reached the target fitness,
+    /// or the generation cap is hit. `generation` counts completed
+    /// steps across resume, so a platform resumed from a checkpoint
+    /// written right after its solving generation is already finished.
+    pub fn finished(&self) -> bool {
+        self.solved() || self.generation >= self.config.max_generations
+    }
+
+    fn solved(&self) -> bool {
+        self.last_step_best
+            .is_some_and(|best| best >= self.config.target_fitness)
     }
 
     /// Captures the complete resumable state of this platform. This
@@ -731,11 +744,7 @@ impl E3Platform {
             mean_fitness: mean,
             hw: outcome.hw_report.as_ref().map(HwCounters::from),
         }))?;
-        // `Idle` (nothing ran since the last take) and `Unavailable`
-        // (the backend has no executor) both mean "no record this
-        // generation" — but the states stay distinguishable for
-        // callers that need to know why.
-        if let ExecStatsState::Ready((exec, tier)) = self.backend.take_exec_stats() {
+        if let Some((exec, tier)) = self.backend.take_exec_stats() {
             collector.record(&TelemetryEvent::Exec(ExecRecord {
                 generation: self.generation,
                 backend: self.backend.kind().name().to_string(),
@@ -931,17 +940,10 @@ impl E3Platform {
         if let Some(resume) = self.pending_resume.take() {
             collector.record(&TelemetryEvent::Resume(resume))?;
         }
-        // `generation` counts completed steps across resume, so a
-        // resumed run reports the same totals as an uninterrupted one.
-        let mut solved = self
-            .last_step_best
-            .is_some_and(|best| best >= self.config.target_fitness);
-        while !solved && self.generation < self.config.max_generations {
-            let best = self.step_with(collector)?;
-            if best >= self.config.target_fitness {
-                solved = true;
-            }
+        while !self.finished() {
+            self.step_with(collector)?;
         }
+        let solved = self.solved();
         let generations_run = self.generation;
         let best_fitness = self
             .population

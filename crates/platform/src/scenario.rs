@@ -33,7 +33,7 @@
 //! ## Two seed schedules, one kernel
 //!
 //! Every evaluation — fixed-env or distributional — is a
-//! [`ScenarioSpec`] handed to `EvalBackend::evaluate`; there is no
+//! [`ScenarioSpec`] handed to `Backend::evaluate`; there is no
 //! separate fixed-env kernel. What a config chooses is only *which
 //! spec* a generation resolves to ([`ScenarioConfig::spec_for`]):
 //!

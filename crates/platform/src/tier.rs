@@ -1,4 +1,4 @@
-//! The tiered plan cache of the software kernel.
+//! The tiered plan cache of the evaluation kernel.
 //!
 //! Unchanged elites and champions survive generations verbatim, so
 //! their compiled [`NetPlan`] can be kept: a [`DecodeCache`] is keyed
@@ -15,15 +15,15 @@
 //! LunarLander sizes), compiling the plan afresh costs the same
 //! (1.84 µs), and only a generation's survivors can hit. So
 //! `fingerprint + (1 − h) · compile` beats plain `compile` only above
-//! h ≈ 0.9, which evolution never reaches, and a kernel that needs
-//! nothing but the plan compiles it afresh: the **software kernel
-//! with the tier off** (hit rate 0.01 on LunarLander — EXPERIMENTS.md
-//! "Where the time goes") and the **INAX wave kernel** (0.36 on
-//! CartPole; `cartpole_inax` reads +2 % `env_steps_per_s` without the
-//! lookup — EXPERIMENTS.md "INAX off the cache").
+//! h ≈ 0.9, which evolution never reaches, and a backend that needs
+//! nothing but the plan compiles it afresh: **E3-CPU and E3-GPU with
+//! the tier off** (hit rate 0.01 on LunarLander — EXPERIMENTS.md
+//! "Where the time goes") and **E3-INAX** (0.36 on CartPole;
+//! `cartpole_inax` reads +2 % `env_steps_per_s` without the lookup —
+//! EXPERIMENTS.md "INAX off the cache").
 //!
 //! That leaves the one caller to whom an entry is worth more than a
-//! recompile, the **software kernel with the tier on**: every entry
+//! recompile, the **kernel with the tier on**: every entry
 //! carries a use counter, and [`DecodeCache::get_or_tiered`] promotes
 //! entries that cross [`JitConfig::hot_threshold`] to a natively
 //! compiled [`CompiledPlan`] (see `e3-jit`) — hotness and native code
@@ -32,7 +32,7 @@
 //!
 //! # Who owns it
 //!
-//! A [`Tier`] is construction-time state of one `SoftwareBackend`, which
+//! A [`Tier`] is construction-time state of one `Backend`, which
 //! turns the epoch and drains the counters around its own `run_shards`
 //! call: an entry's lifetime is counted in *this run's* generations
 //! even when many runs alternate on one shared pool. (Hung off the

@@ -4,8 +4,7 @@
 use e3_envs::EnvId;
 use e3_platform::telemetry::{Collector, MemoryCollector, NdjsonWriter, TelemetryEvent, Tracer};
 use e3_platform::{
-    BackendKind, CheckpointPolicy, E3Config, E3Platform, EvalBackend, EvalError, RunError,
-    ScenarioSpec,
+    BackendKind, CheckpointPolicy, E3Config, E3Platform, EvalError, RunError, ScenarioSpec,
 };
 use proptest::prelude::*;
 

@@ -114,7 +114,8 @@ impl Tracer {
 
     /// Opens a span closed explicitly via [`SpanTimer::finish`]. Use
     /// this where span lifetime does not nest lexically (e.g. the
-    /// per-individual spans inside the INAX lock-step wave loop).
+    /// platform's `generation` span, opened by the eval phase and
+    /// finished by the evolve phase).
     pub fn start(&self, name: &str, cat: &str) -> SpanTimer {
         let live = self.shared.as_ref().map(|shared| LiveSpan {
             shared: Arc::clone(shared),

@@ -19,7 +19,7 @@ use e3::inax::IrregularNet;
 use e3::neat::{DecodeError, NeatConfig, Population, PopulationSnapshot};
 
 /// Fallible population evaluation, mirroring the platform's
-/// `EvalBackend::evaluate`: a malformed genome surfaces as a typed
+/// `Backend::evaluate`: a malformed genome surfaces as a typed
 /// error instead of a panic.
 fn evaluate_population(
     population: &mut Population,

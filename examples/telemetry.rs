@@ -7,7 +7,7 @@
 //! ```
 
 use e3::envs::EnvId;
-use e3::platform::{BackendKind, E3Config, E3Platform, EvalBackend, ScenarioSpec};
+use e3::platform::{BackendKind, E3Config, E3Platform, ScenarioSpec};
 use e3::telemetry::{Collector, MemoryCollector, NdjsonWriter};
 
 fn main() {

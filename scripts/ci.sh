@@ -28,20 +28,17 @@ echo "== examples build =="
 cargo build --release --offline --examples
 
 echo "== repro run: --threads does not change results =="
-out1=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend cpu --threads 1 --json)
-out4=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend cpu --threads 4 --json)
-if [ "$out1" != "$out4" ]; then
-    echo "error: repro run differs between --threads 1 and --threads 4" >&2
-    exit 1
-fi
-
-echo "== islands: archipelago sweep, parity/determinism gates, daemon smoke =="
-# `repro islands` sweeps island count x migration interval, gates
-# single-island parity against a plain platform run, determinism across
-# driver counts and pickup orders, and the run-manager daemon lifecycle
-# (start, submit, stream one generation's records, graceful shutdown);
-# the binary exits nonzero on any gate failure.
-cargo run --release --offline -q -p e3-bench --bin repro -- islands >/dev/null
+# E3-INAX shards like a software run (one kernel), so the comparison
+# exercises its shard plan too: fitness, modeled seconds and every
+# accelerator counter in the RunOutcome must match.
+for backend in cpu inax; do
+    out1=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend "$backend" --threads 1 --json)
+    out4=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend "$backend" --threads 4 --json)
+    if [ "$out1" != "$out4" ]; then
+        echo "error: repro run --backend $backend differs between --threads 1 and --threads 4" >&2
+        exit 1
+    fi
+done
 
 echo "== observability: traced run exports valid artifacts =="
 # A short traced run must produce Perfetto-loadable trace JSON
@@ -117,8 +114,8 @@ fi
 echo "== benchmark/: the instrument still builds and checks out =="
 # benchmark/ is a package of its own that links against the platform
 # API; nothing else in this script compiles it. Build it and run five
-# one-second workloads: the software kernel on a fixed env, on K=4
-# sampled scenarios and with the tier on, the INAX wave kernel, and the
+# one-second workloads: the kernel on a fixed env, on K=4 sampled
+# scenarios, with the tier on and under the INAX pricing, and the
 # observed run — the only workload that opens a RunStore. Its
 # `newest_snapshot_resumes` check runs only in a traced pass, so that
 # one runs traced as well. The single-workload form writes neither

@@ -4,8 +4,8 @@ use e3::envs::{EnvId, ScenarioDistribution};
 use e3::inax::InaxConfig;
 use e3::neat::{NeatConfig, Population};
 use e3::platform::{
-    BackendKind, CheckpointPolicy, E3Config, E3Platform, EvalBackend, GpuCostModel, InaxBackend,
-    JitConfig, PowerModel, ScenarioConfig, ScenarioSpec, SoftwareBackend, SwCostModel,
+    Backend, BackendKind, CheckpointPolicy, E3Config, E3Platform, GpuCostModel, JitConfig,
+    PowerModel, ScenarioConfig, ScenarioSpec, SwCostModel,
 };
 use e3::telemetry::MemoryCollector;
 
@@ -205,32 +205,28 @@ fn the_software_kernel_agrees_with_itself_and_with_inax() {
             ScenarioSpec::for_generation(&sampled, 23, 0, genomes.len()),
         ] {
             let what = format!("{env} K={}", spec.scenarios());
-            let eval = |backend: &mut dyn EvalBackend| {
+            let eval = |backend: &mut Backend| {
                 backend
                     .evaluate(genomes, env, &spec)
                     .expect("evolved populations are feed-forward")
             };
-            let serial = eval(&mut SoftwareBackend::cpu(sw));
+            let serial = eval(&mut Backend::cpu(sw));
             // The tiered backend evaluates twice, so its second call
             // is served from the cache the first one filled. Legs
             // under the same pricing must also charge the same
             // modeled seconds.
-            let mut tiered = SoftwareBackend::cpu(sw).with_jit(hot);
+            let mut tiered = Backend::cpu(sw).with_jit(hot);
             let legs = [
-                (
-                    "threads",
-                    true,
-                    eval(&mut SoftwareBackend::cpu(sw).with_threads(2)),
-                ),
+                ("threads", true, eval(&mut Backend::cpu(sw).with_threads(2))),
                 (
                     "gpu",
                     false,
-                    eval(&mut SoftwareBackend::gpu(sw, GpuCostModel::default())),
+                    eval(&mut Backend::gpu(sw, GpuCostModel::default())),
                 ),
                 (
                     "inax",
                     false,
-                    eval(&mut InaxBackend::new(InaxConfig::default(), sw)),
+                    eval(&mut Backend::inax(InaxConfig::default(), sw)),
                 ),
                 ("tier, cold cache", true, eval(&mut tiered)),
                 ("tier, warm cache", true, eval(&mut tiered)),
@@ -294,4 +290,83 @@ fn a_killed_run_resumes_bit_identically_from_a_v2_snapshot() {
     assert_eq!(resumed.generation(), 2);
     assert_eq!(resumed.run().unwrap(), reference);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn inax_cycle_counters_match_the_closed_loop_golden() {
+    // Every literal was captured at the parent commit of PR 19, when
+    // E3-INAX still stepped a lock-step wave loop through the
+    // accelerator's functional model. The platform now runs the one
+    // kernel and hands the accelerator only plans and episode lengths:
+    // no counter may move. Two shapes: one ragged pair of waves on the
+    // default schedule, and K = 3 sampled worlds on 7 PUs × 2 threads.
+    let fnv1a = |bytes: &[u8]| {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let sampled = ScenarioConfig::default()
+        .train(ScenarioDistribution::moderate())
+        .scenarios_per_eval(3);
+    // (scenario, PUs, threads) → [total, setup, pe_active, control,
+    // pu active/total, pe active/total, dma, steps], utilization hash,
+    // modeled-seconds bits.
+    let cases = [
+        (
+            ScenarioConfig::default(),
+            50,
+            1,
+            [
+                326_099, 9_195, 211_577, 94_019, 152_798, 1_462_000, 211_577, 305_596, 296_657,
+                2_955,
+            ],
+            0xbe81_26f4_e5cc_e625u64,
+            4_593_267_412_483_862_192u64,
+        ),
+        (
+            sampled,
+            7,
+            2,
+            [
+                2_089_141, 9_787, 721_355, 418_987, 570_171, 1_747_158, 721_355, 1_140_342,
+                1_838_713, 23_241,
+            ],
+            0xcb36_9af9_74df_abb8,
+            4_599_639_676_743_458_683,
+        ),
+    ];
+    for (scenario, num_pu, threads, counters, utilization_hash, modeled_bits) in cases {
+        let mut config = E3Config::builder(EnvId::CartPole)
+            .population_size(60)
+            .max_generations(4)
+            .threads(threads)
+            .inax(InaxConfig::builder().num_pu(num_pu).num_pe(2).build())
+            .scenario(scenario)
+            .build();
+        config.target_fitness = f64::INFINITY; // every generation runs
+        let outcome = E3Platform::new(config, BackendKind::Inax, 19)
+            .run()
+            .unwrap();
+        let r = outcome.hw_report.expect("INAX reports accounting");
+        assert_eq!(
+            [
+                r.total_cycles,
+                r.breakdown.setup,
+                r.breakdown.pe_active,
+                r.breakdown.evaluate_control,
+                r.pu_utilization.active,
+                r.pu_utilization.total,
+                r.pe_utilization.active,
+                r.pe_utilization.total,
+                r.dma_cycles,
+                r.steps,
+            ],
+            counters,
+            "{num_pu} PUs"
+        );
+        let utilization = outcome.hw_utilization.expect("INAX reports utilization");
+        let json = serde_json::to_string(&utilization).unwrap();
+        assert_eq!(fnv1a(json.as_bytes()), utilization_hash, "{num_pu} PUs");
+        assert_eq!(outcome.modeled_seconds.to_bits(), modeled_bits);
+    }
 }
