@@ -41,6 +41,9 @@ struct Args {
     trace: Option<String>,
 }
 
+/// PU counts the sweep prices, up to the workload population.
+const PU_OPTIONS: [usize; 10] = [5, 10, 20, 25, 40, 50, 67, 100, 150, 200];
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         env: None,
@@ -86,6 +89,16 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
+    // A workload the sweep cannot price is bad input, not a panic.
+    if args.inputs == 0 || args.outputs == 0 {
+        return Err("--inputs and --outputs need positive integers".to_string());
+    }
+    if args.population < PU_OPTIONS[0] {
+        return Err(format!(
+            "--population needs at least {}, the smallest PU count swept",
+            PU_OPTIONS[0]
+        ));
+    }
     Ok(args)
 }
 
@@ -124,7 +137,7 @@ fn main() -> ExitCode {
         0.2,
         42,
     );
-    let pu_options: Vec<usize> = [5usize, 10, 20, 25, 40, 50, 67, 100, 150, 200]
+    let pu_options: Vec<usize> = PU_OPTIONS
         .into_iter()
         .filter(|&p| p <= args.population)
         .collect();

@@ -10,9 +10,9 @@
 
 use crate::config::InaxConfig;
 use crate::dma::{DmaModel, DmaTraffic};
-use crate::net::IrregularNet;
 use crate::profile::{CycleBreakdown, UtilizationBreakdown, UtilizationReport};
-use crate::pu::PuSim;
+use crate::pu::{weight_stream_bytes, PuSim};
+use e3_neat::NetPlan;
 use serde::{Deserialize, Serialize};
 
 /// Aggregate accounting for a run on the accelerator.
@@ -135,7 +135,7 @@ impl InaxAccelerator {
     /// # Panics
     ///
     /// Panics if the batch exceeds `num_pu`.
-    pub fn load_batch(&mut self, nets: Vec<IrregularNet>) {
+    pub fn load_batch(&mut self, nets: Vec<NetPlan>) {
         assert!(
             nets.len() <= self.config.num_pu,
             "batch of {} exceeds {} PUs",
@@ -144,7 +144,7 @@ impl InaxAccelerator {
         );
         let mut dma_cycles = 0u64;
         for net in &nets {
-            let bytes = net.weight_stream_bytes();
+            let bytes = weight_stream_bytes(net);
             dma_cycles += self.traffic.transfer(&self.dma, bytes);
             self.util.weight_buffer_hwm_bytes = self.util.weight_buffer_hwm_bytes.max(bytes);
         }
@@ -157,7 +157,7 @@ impl InaxAccelerator {
             self.util.value_buffer_hwm_slots = self
                 .util
                 .value_buffer_hwm_slots
-                .max(pu.net().value_buffer_slots() as u64);
+                .max(pu.plan().value_buffer_slots() as u64);
         }
         // Per-PU states over the set-up phase: a resident PU computes
         // its own decode, then stalls on the shared weight channel
@@ -247,9 +247,9 @@ impl InaxAccelerator {
         };
         // Observations in and actions out move serially over their
         // channels, one transaction each per wave (8 bytes per f64).
-        let in_bytes: u64 = running().map(|pu| 8 * pu.net().num_inputs() as u64).sum();
+        let in_bytes: u64 = running().map(|pu| 8 * pu.plan().num_inputs() as u64).sum();
         let out_bytes: u64 = running()
-            .map(|pu| 8 * pu.net().output_node_indices().len() as u64)
+            .map(|pu| 8 * pu.plan().outputs().len() as u64)
             .sum();
         let wave_wall = running()
             .map(|pu| pu.inference_profile().wall_cycles)
@@ -466,7 +466,7 @@ mod tests {
         let nets = synthetic_population(3, 4, 2, 6, 0.4, 9);
         let refs: Vec<_> = nets
             .iter()
-            .map(|n| n.evaluate(&[0.1, 0.2, 0.3, 0.4]))
+            .map(|n| n.execute(&[0.1, 0.2, 0.3, 0.4]))
             .collect();
         acc.load_batch(nets);
         let setup = acc.report().breakdown.setup;

@@ -21,27 +21,31 @@
 //!   accounting `U(r) = T_active(r) / T_total(r)` for both resource
 //!   levels.
 //!
-//! The simulator is *functional* as well as timed: it computes exactly
-//! the same outputs as the software reference
-//! ([`e3_neat::Network::activate`]), which the property tests verify.
-//! Because the inference schedule never reads a value, the timed half
-//! also stands alone: [`InaxAccelerator::run_episodes`] accounts a
-//! batch's episodes from their lengths, counter for counter what the
-//! closed [`InaxAccelerator::step`] loop leaves — which is how the E3
-//! platform prices an evaluation its one kernel already ran.
+//! Every view here reads the compiled [`e3_neat::NetPlan`] itself —
+//! the plan *is* the weight-buffer contents (topology + weights) and
+//! fixes the value-buffer layout — so nothing is re-encoded per genome.
+//! The simulator is *functional* as well as timed: [`PuSim::infer`]
+//! runs the plan's own interpreter into the PU's value buffer, so its
+//! outputs are the software executor's by construction, and the timed
+//! half is a function of the plan's shape (in-degrees and level
+//! ranges) alone. Because the inference schedule never reads a value,
+//! the timed half also stands alone: [`InaxAccelerator::run_episodes`]
+//! accounts a batch's episodes from their lengths, counter for counter
+//! what the closed [`InaxAccelerator::step`] loop leaves — which is how
+//! the E3 platform prices an evaluation its one kernel already ran.
 //!
 //! ## Example
 //!
 //! ```
-//! use e3_inax::{InaxConfig, PuSim, IrregularNet};
-//! use e3_neat::{Genome, InnovationTracker};
+//! use e3_inax::{InaxConfig, PuSim};
+//! use e3_neat::{Genome, InnovationTracker, NetPlan};
 //!
 //! let mut tracker = InnovationTracker::with_reserved_nodes(3);
 //! let mut genome = Genome::bare(2, 1);
 //! genome.add_connection(0, 2, 0.5, &mut tracker)?;
-//! let net = IrregularNet::try_from(&genome)?;
+//! let plan = NetPlan::compile(&genome)?;
 //! let config = InaxConfig::builder().num_pe(4).build();
-//! let mut pu = PuSim::new(&config, net);
+//! let mut pu = PuSim::new(&config, plan);
 //! let (outputs, profile) = pu.infer(&[1.0, 0.0]);
 //! assert_eq!(outputs.len(), 1);
 //! assert!(profile.total_cycles() > 0);
@@ -55,7 +59,6 @@ pub mod cluster;
 pub mod config;
 pub mod dma;
 pub mod fpga_cost;
-pub mod net;
 pub mod pe;
 pub mod pipeline;
 pub mod profile;
@@ -68,14 +71,13 @@ pub mod trace;
 pub use cluster::{EpisodeRunReport, InaxAccelerator};
 pub use config::{Dataflow, InaxConfig, InaxConfigBuilder};
 pub use dma::{DmaModel, DmaTraffic};
-pub use net::IrregularNet;
 pub use pipeline::{analyze_double_buffering, BatchWork, PipelineReport};
 pub use profile::{
     CycleBreakdown, PeLaneCycles, PuCycles, UtilizationBreakdown, UtilizationReport,
 };
 pub use pu::{
-    schedule_inference, schedule_inference_detailed, DetailedInferenceProfile, PuInferenceProfile,
-    PuSim,
+    schedule_inference, schedule_inference_detailed, weight_stream_bytes, DetailedInferenceProfile,
+    PuInferenceProfile, PuSim,
 };
 pub use quant::FixedPointFormat;
 pub use sparsity::SparsityReport;

@@ -10,53 +10,27 @@
 //! issue 3).
 
 use crate::config::InaxConfig;
-use crate::net::HwNode;
 
-/// Cycles a single PE needs to compute `node` under the configured
-/// dataflow.
+/// Cycles a single PE needs to compute a node of `in_degree` ingress
+/// edges under the configured dataflow.
 ///
 /// Output stationary: `in_degree × mac + activation` (the bias add is
 /// folded into the activation pipeline stage). A node with no ingress
 /// still pays the activation/commit cost.
-pub fn node_cycles(config: &InaxConfig, node: &HwNode) -> u64 {
-    node.ingress.len() as u64 * config.mac_cycles + config.activation_cycles
-}
-
-/// Cycles to compute `node` if the PE had to pad to a fixed in-degree
-/// `padded_degree` (used by the systolic-array comparison where dummy
-/// nodes force worst-case alignment).
-pub fn padded_node_cycles(config: &InaxConfig, padded_degree: usize) -> u64 {
-    padded_degree as u64 * config.mac_cycles + config.activation_cycles
+pub fn node_cycles(config: &InaxConfig, in_degree: usize) -> u64 {
+    in_degree as u64 * config.mac_cycles + config.activation_cycles
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e3_neat::Activation;
-
-    fn node(in_degree: usize) -> HwNode {
-        HwNode {
-            ingress: (0..in_degree).map(|i| (i, 1.0)).collect(),
-            bias: 0.0,
-            activation: Activation::Relu,
-        }
-    }
 
     #[test]
     fn cycles_scale_with_in_degree() {
         let c = InaxConfig::default();
-        let base = node_cycles(&c, &node(0));
+        let base = node_cycles(&c, 0);
         assert_eq!(base, c.activation_cycles);
-        assert_eq!(
-            node_cycles(&c, &node(5)),
-            5 * c.mac_cycles + c.activation_cycles
-        );
-        assert!(node_cycles(&c, &node(10)) > node_cycles(&c, &node(3)));
-    }
-
-    #[test]
-    fn padding_costs_the_padded_degree() {
-        let c = InaxConfig::default();
-        assert_eq!(padded_node_cycles(&c, 8), node_cycles(&c, &node(8)));
+        assert_eq!(node_cycles(&c, 5), 5 * c.mac_cycles + c.activation_cycles);
+        assert!(node_cycles(&c, 10) > node_cycles(&c, 3));
     }
 }

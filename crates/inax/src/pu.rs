@@ -12,9 +12,9 @@
 //! network and reused every step.
 
 use crate::config::{Dataflow, InaxConfig};
-use crate::net::IrregularNet;
 use crate::pe::node_cycles;
 use crate::profile::{CycleBreakdown, UtilizationReport};
+use e3_neat::NetPlan;
 use serde::{Deserialize, Serialize};
 
 /// Cycle profile of one inference pass on one PU.
@@ -50,20 +50,29 @@ impl PuInferenceProfile {
     }
 }
 
-/// A simulated Processing Unit holding one compiled network.
+/// Bytes shipped over the weight channel to make `plan` resident: one
+/// 32-bit word per connection (packed slot+weight), plus a descriptor
+/// word per node.
+pub fn weight_stream_bytes(plan: &NetPlan) -> u64 {
+    4 * (plan.num_connections() as u64 + plan.num_compute_nodes() as u64)
+}
+
+/// A simulated Processing Unit holding one compiled network: the
+/// [`NetPlan`] is the weight-buffer contents, and the PU's value buffer
+/// is the one the plan's own interpreter fills.
 ///
 /// # Example
 ///
 /// ```
-/// use e3_inax::{InaxConfig, IrregularNet, PuSim};
-/// use e3_neat::{Genome, InnovationTracker};
+/// use e3_inax::{InaxConfig, PuSim};
+/// use e3_neat::{Genome, InnovationTracker, NetPlan};
 ///
 /// let mut tracker = InnovationTracker::with_reserved_nodes(4);
 /// let mut genome = Genome::bare(3, 1);
 /// genome.add_connection(0, 3, 1.0, &mut tracker)?;
 /// genome.add_connection(1, 3, 1.0, &mut tracker)?;
-/// let net = IrregularNet::try_from(&genome)?;
-/// let mut pu = PuSim::new(&InaxConfig::builder().num_pe(2).build(), net);
+/// let plan = NetPlan::compile(&genome)?;
+/// let mut pu = PuSim::new(&InaxConfig::builder().num_pe(2).build(), plan);
 /// let (out, profile) = pu.infer(&[1.0, 2.0, 3.0]);
 /// assert_eq!(out.len(), 1);
 /// assert_eq!(profile.waves, 1);
@@ -72,7 +81,7 @@ impl PuInferenceProfile {
 #[derive(Debug, Clone)]
 pub struct PuSim {
     config: InaxConfig,
-    net: IrregularNet,
+    plan: NetPlan,
     value_buffer: Vec<f64>,
     profile: PuInferenceProfile,
     per_pe_active: Vec<u64>,
@@ -80,16 +89,16 @@ pub struct PuSim {
 }
 
 impl PuSim {
-    /// Creates a PU with `net` resident (the set-up phase cost is
+    /// Creates a PU with `plan` resident (the set-up phase cost is
     /// recorded in [`PuSim::setup_cycles`]).
-    pub fn new(config: &InaxConfig, net: IrregularNet) -> Self {
-        let detailed = schedule_inference_detailed(config, &net);
-        let setup_cycles = net.num_connections() as u64 * config.setup_cycles_per_connection
-            + net.num_compute_nodes() as u64 * config.setup_cycles_per_node;
+    pub fn new(config: &InaxConfig, plan: NetPlan) -> Self {
+        let detailed = schedule_inference_detailed(config, &plan);
+        let setup_cycles = plan.num_connections() as u64 * config.setup_cycles_per_connection
+            + plan.num_compute_nodes() as u64 * config.setup_cycles_per_node;
         PuSim {
             config: config.clone(),
-            value_buffer: vec![0.0; net.value_buffer_slots()],
-            net,
+            value_buffer: vec![0.0; plan.value_buffer_slots()],
+            plan,
             profile: detailed.profile,
             per_pe_active: detailed.per_pe_active,
             setup_cycles,
@@ -97,8 +106,8 @@ impl PuSim {
     }
 
     /// The resident network.
-    pub fn net(&self) -> &IrregularNet {
-        &self.net
+    pub fn plan(&self) -> &NetPlan {
+        &self.plan
     }
 
     /// Cycles the set-up phase (weight-channel decode) took.
@@ -117,14 +126,15 @@ impl PuSim {
         &self.per_pe_active
     }
 
-    /// Runs one inference: returns the outputs (bit-identical to the
-    /// software reference) and the cycle profile.
+    /// Runs one inference — the plan's interpreter into this PU's value
+    /// buffer, so the outputs are the software executor's by
+    /// construction — and returns them with the cycle profile.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from the network's input count.
     pub fn infer(&mut self, inputs: &[f64]) -> (Vec<f64>, PuInferenceProfile) {
-        let outputs = self.net.evaluate_into(inputs, &mut self.value_buffer);
+        let outputs = self.plan.execute_into(inputs, &mut self.value_buffer);
         (outputs, self.profile)
     }
 
@@ -144,8 +154,8 @@ impl PuSim {
     }
 }
 
-/// Computes the inference schedule of `net` on a PE cluster (the heart
-/// of the INAX timing model).
+/// Computes the inference schedule of `plan` on a PE cluster (the
+/// heart of the INAX timing model).
 ///
 /// For every topological level with `m` nodes and `n` PEs the level is
 /// executed in `⌈m/n⌉` waves (paper §V-A issue 2, "PEs alignment").
@@ -153,8 +163,8 @@ impl PuSim {
 /// **maximum** node latency (issue 3, "synchronization"), so degree
 /// variance shows up as idle PE cycles. A level barrier and per-wave
 /// launch overhead are charged on top.
-pub fn schedule_inference(config: &InaxConfig, net: &IrregularNet) -> PuInferenceProfile {
-    schedule_inference_detailed(config, net).profile
+pub fn schedule_inference(config: &InaxConfig, plan: &NetPlan) -> PuInferenceProfile {
+    schedule_inference_detailed(config, plan).profile
 }
 
 /// [`schedule_inference`] plus the per-PE-lane activity it implies.
@@ -168,20 +178,53 @@ pub struct DetailedInferenceProfile {
     pub per_pe_active: Vec<u64>,
 }
 
+/// The wave schedule every node-stationary view folds over: each
+/// `(start, end)` level runs in waves of `num_pe` consecutive nodes,
+/// node `i` keeps its PE busy for `cost(i)` cycles, a wave lasts as
+/// long as its slowest node plus the launch overhead, and a level ends
+/// on a barrier. `on_wave(level, first_node, costs)` sees every wave in
+/// execution order, `costs[j]` being PE lane `j`'s busy cycles on node
+/// `first_node + j`.
+pub(crate) fn walk_waves(
+    config: &InaxConfig,
+    levels: &[(u32, u32)],
+    cost: impl Fn(usize) -> u64,
+    mut on_wave: impl FnMut(usize, usize, &[u64]),
+) -> PuInferenceProfile {
+    let n = config.num_pe.max(1);
+    let (mut wall, mut active, mut waves) = (0u64, 0u64, 0u64);
+    let mut costs = Vec::with_capacity(n);
+    for (level, &(start, end)) in levels.iter().enumerate() {
+        let end = end as usize;
+        for first in (start as usize..end).step_by(n) {
+            costs.clear();
+            costs.extend((first..end.min(first + n)).map(&cost));
+            active += costs.iter().sum::<u64>();
+            wall += costs.iter().max().copied().unwrap_or(0) + config.wave_overhead_cycles;
+            waves += 1;
+            on_wave(level, first, &costs);
+        }
+        wall += config.level_sync_cycles;
+    }
+    PuInferenceProfile {
+        wall_cycles: wall,
+        pe_active_cycles: active,
+        pe_total_cycles: wall * n as u64,
+        waves,
+    }
+}
+
 /// Computes the inference schedule with per-PE-lane cycle attribution:
 /// within each wave, chunk position `j` is executed by PE lane `j`, so
 /// lane occupancy skew (degree variance, ragged last waves) is visible
 /// per lane instead of only as an aggregate idle total.
 pub fn schedule_inference_detailed(
     config: &InaxConfig,
-    net: &IrregularNet,
+    plan: &NetPlan,
 ) -> DetailedInferenceProfile {
     let n = config.num_pe.max(1);
-    let mut wall = 0u64;
-    let mut active = 0u64;
-    let mut waves = 0u64;
     let mut per_pe_active = vec![0u64; n];
-    match config.dataflow {
+    let profile = match config.dataflow {
         Dataflow::OutputStationary | Dataflow::WeightStationary => {
             // WS differs only in the per-node cost: with zero weight
             // reuse in an MLP, pinned weights must still be refetched
@@ -191,30 +234,27 @@ pub fn schedule_inference_detailed(
             } else {
                 1
             };
-            for &(start, end) in net.levels() {
-                for wave in net.nodes()[start..end].chunks(n) {
-                    let mut wave_max = 0u64;
-                    for (lane, node) in wave.iter().enumerate() {
-                        let c = node_cycles(config, node) * penalty;
-                        active += c;
-                        per_pe_active[lane] += c;
-                        wave_max = wave_max.max(c);
+            walk_waves(
+                config,
+                plan.levels(),
+                |node| node_cycles(config, plan.node_edges(node).len()) * penalty,
+                |_, _, costs| {
+                    for (lane_active, cost) in per_pe_active.iter_mut().zip(costs) {
+                        *lane_active += cost;
                     }
-                    wall += wave_max + config.wave_overhead_cycles;
-                    waves += 1;
-                }
-                wall += config.level_sync_cycles;
-            }
+                },
+            )
         }
         Dataflow::InputStationary => {
             // A PE pins one value-buffer slot and walks its egress
             // list; a final pass applies the activations. Egress lists
             // are derived from the ingress lists.
-            let slots = net.value_buffer_slots();
-            let mut egress = vec![0u64; slots];
-            for node in net.nodes() {
-                for &(slot, _) in &node.ingress {
-                    egress[slot] += config.mac_cycles;
+            let (mut wall, mut active, mut waves) = (0u64, 0u64, 0u64);
+            let nodes = plan.num_compute_nodes();
+            let mut egress = vec![0u64; plan.value_buffer_slots()];
+            for node in 0..nodes {
+                for &(slot, _) in plan.node_edges(node) {
+                    egress[slot as usize] += config.mac_cycles;
                 }
             }
             for wave in egress.chunks(n) {
@@ -230,8 +270,8 @@ pub fn schedule_inference_detailed(
                 waves += 1;
             }
             // Activation pass over compute nodes.
-            for wave in net.nodes().chunks(n) {
-                for lane_active in per_pe_active.iter_mut().take(wave.len()) {
+            for first in (0..nodes).step_by(n) {
+                for lane_active in per_pe_active.iter_mut().take(nodes - first) {
                     active += config.activation_cycles;
                     *lane_active += config.activation_cycles;
                 }
@@ -239,15 +279,16 @@ pub fn schedule_inference_detailed(
                 waves += 1;
             }
             wall += config.level_sync_cycles;
+            PuInferenceProfile {
+                wall_cycles: wall,
+                pe_active_cycles: active,
+                pe_total_cycles: wall * n as u64,
+                waves,
+            }
         }
-    }
+    };
     DetailedInferenceProfile {
-        profile: PuInferenceProfile {
-            wall_cycles: wall,
-            pe_active_cycles: active,
-            pe_total_cycles: wall * n as u64,
-            waves,
-        },
+        profile,
         per_pe_active,
     }
 }
@@ -258,7 +299,7 @@ mod tests {
     use crate::synthetic::synthetic_net;
     use e3_neat::{Genome, InnovationTracker};
 
-    fn two_level_net() -> IrregularNet {
+    fn two_level_net() -> NetPlan {
         // 2 inputs; hidden level of 3 nodes (via splits); output.
         let mut tracker = InnovationTracker::with_reserved_nodes(3);
         let mut g = Genome::bare(2, 1);
@@ -274,7 +315,12 @@ mod tests {
         let _ = i3;
         g.add_connection(1, h1, 0.5, &mut tracker).unwrap();
         g.add_connection(0, h2, 0.5, &mut tracker).unwrap();
-        IrregularNet::try_from(&g).unwrap()
+        NetPlan::compile(&g).unwrap()
+    }
+
+    #[test]
+    fn weight_stream_counts_connections_and_nodes() {
+        assert_eq!(weight_stream_bytes(&two_level_net()), 4 * (6 + 3));
     }
 
     #[test]
@@ -370,42 +416,62 @@ mod tests {
 
     #[test]
     fn per_lane_activity_sums_to_aggregate_for_every_dataflow() {
+        use Dataflow::{InputStationary as Is, OutputStationary as Os, WeightStationary as Ws};
+        // (dataflow, PEs, wall, PE-active, PE-total, waves, per-lane
+        // active) at default overheads — literals captured before the
+        // three schedule loops became one walk.
+        type Golden = (Dataflow, usize, u64, u64, u64, u64, &'static [u64]);
+        const GOLDEN: [Golden; 9] = [
+            (Os, 1, 228, 184, 228, 40, &[184]),
+            (Os, 3, 109, 184, 327, 14, &[85, 61, 38]),
+            (Os, 8, 73, 184, 584, 7, &[52, 38, 24, 16, 13, 12, 15, 14]),
+            (Ws, 1, 412, 368, 412, 40, &[368]),
+            (Ws, 3, 200, 368, 600, 14, &[170, 122, 76]),
+            (Ws, 8, 135, 368, 1080, 7, &[104, 76, 48, 32, 26, 24, 30, 28]),
+            (Is, 1, 269, 184, 269, 84, &[184]),
+            (Is, 3, 109, 184, 327, 30, &[64, 60, 60]),
+            (Is, 8, 46, 184, 368, 11, &[27, 22, 26, 20, 26, 26, 16, 21]),
+        ];
         let net = synthetic_net(8, 4, 30, 0.2, 11);
-        for dataflow in [
-            Dataflow::OutputStationary,
-            Dataflow::WeightStationary,
-            Dataflow::InputStationary,
-        ] {
-            for num_pe in [1, 3, 8] {
-                let config = InaxConfig::builder()
-                    .num_pe(num_pe)
-                    .dataflow(dataflow)
-                    .build();
-                let detailed = schedule_inference_detailed(&config, &net);
-                assert_eq!(detailed.per_pe_active.len(), num_pe);
-                assert_eq!(
-                    detailed.per_pe_active.iter().sum::<u64>(),
-                    detailed.profile.pe_active_cycles,
-                    "{dataflow:?} with {num_pe} PEs"
-                );
-                // Chunks fill from lane 0, so lane 0 works whenever
-                // any lane does.
-                if detailed.profile.pe_active_cycles > 0 {
-                    assert!(detailed.per_pe_active[0] > 0);
-                }
-                assert_eq!(
-                    detailed.profile,
-                    schedule_inference(&config, &net),
-                    "the aggregate schedule is the detailed one's summary"
-                );
+        for (dataflow, num_pe, wall, active, total, waves, per_pe_active) in GOLDEN {
+            let config = InaxConfig::builder()
+                .num_pe(num_pe)
+                .dataflow(dataflow)
+                .build();
+            let detailed = schedule_inference_detailed(&config, &net);
+            let golden = DetailedInferenceProfile {
+                profile: PuInferenceProfile {
+                    wall_cycles: wall,
+                    pe_active_cycles: active,
+                    pe_total_cycles: total,
+                    waves,
+                },
+                per_pe_active: per_pe_active.to_vec(),
+            };
+            assert_eq!(detailed, golden, "{dataflow:?} with {num_pe} PEs");
+            assert_eq!(detailed.per_pe_active.len(), num_pe);
+            assert_eq!(
+                detailed.per_pe_active.iter().sum::<u64>(),
+                detailed.profile.pe_active_cycles,
+                "{dataflow:?} with {num_pe} PEs"
+            );
+            // Chunks fill from lane 0, so lane 0 works whenever
+            // any lane does.
+            if detailed.profile.pe_active_cycles > 0 {
+                assert!(detailed.per_pe_active[0] > 0);
             }
+            assert_eq!(
+                detailed.profile,
+                schedule_inference(&config, &net),
+                "the aggregate schedule is the detailed one's summary"
+            );
         }
     }
 
     #[test]
     fn pu_inference_is_functional_and_profiled() {
         let net = two_level_net();
-        let expected = net.evaluate(&[0.5, -0.5]);
+        let expected = net.execute(&[0.5, -0.5]);
         let mut pu = PuSim::new(&InaxConfig::builder().num_pe(2).build(), net);
         let (out, profile) = pu.infer(&[0.5, -0.5]);
         assert_eq!(out, expected);

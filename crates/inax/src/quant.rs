@@ -4,12 +4,11 @@
 //! module models a configurable signed Qm.n format: weights, biases and
 //! activations are quantized on the weight channel, MACs accumulate in
 //! a wide register, and the activation unit applies a piecewise
-//! approximation. The [`crate::IrregularNet`] can be evaluated under a
+//! approximation. A compiled [`NetPlan`] can be evaluated under a
 //! [`FixedPointFormat`] to measure the accuracy cost of narrower
 //! datapaths (the `quantization` ablation experiment).
 
-use crate::net::IrregularNet;
-use e3_neat::Activation;
+use e3_neat::{Activation, NetPlan};
 use serde::{Deserialize, Serialize};
 
 /// A signed fixed-point format with `integer_bits` + `frac_bits` + 1
@@ -67,7 +66,7 @@ impl FixedPointFormat {
     }
 }
 
-/// Evaluates an [`IrregularNet`] under fixed-point arithmetic:
+/// Evaluates a [`NetPlan`] under fixed-point arithmetic:
 /// weights/biases quantized once (weight-buffer contents), every
 /// intermediate activation quantized on write to the value buffer
 /// (MAC accumulation stays wide, like a DSP accumulator).
@@ -79,37 +78,29 @@ impl FixedPointFormat {
 /// use e3_inax::synthetic::synthetic_net;
 ///
 /// let net = synthetic_net(4, 2, 8, 0.5, 1);
-/// let exact = net.evaluate(&[0.1, 0.2, 0.3, 0.4]);
+/// let exact = net.execute(&[0.1, 0.2, 0.3, 0.4]);
 /// let q = evaluate_fixed_point(&net, &[0.1, 0.2, 0.3, 0.4], FixedPointFormat::Q8_16);
 /// assert_eq!(exact.len(), q.len());
 /// for (a, b) in exact.iter().zip(&q) {
 ///     assert!((a - b).abs() < 0.01, "Q8.16 is near-exact here");
 /// }
 /// ```
-pub fn evaluate_fixed_point(
-    net: &IrregularNet,
-    inputs: &[f64],
-    format: FixedPointFormat,
-) -> Vec<f64> {
-    assert_eq!(inputs.len(), net.num_inputs(), "input size mismatch");
-    let mut values = vec![0.0; net.value_buffer_slots()];
+pub fn evaluate_fixed_point(plan: &NetPlan, inputs: &[f64], format: FixedPointFormat) -> Vec<f64> {
+    assert_eq!(inputs.len(), plan.num_inputs(), "input size mismatch");
+    let mut values = vec![0.0; plan.value_buffer_slots()];
     for (slot, &x) in inputs.iter().enumerate() {
         values[slot] = format.quantize(x);
     }
-    let base = net.num_inputs();
-    for (i, node) in net.nodes().iter().enumerate() {
+    let base = plan.num_inputs();
+    for node in 0..plan.num_compute_nodes() {
         // Wide accumulator: sum in f64 over quantized operands.
-        let mut acc = format.quantize(node.bias);
-        for &(slot, weight) in &node.ingress {
-            acc += values[slot] * format.quantize(weight);
+        let mut acc = format.quantize(plan.bias(node));
+        for &(slot, weight) in plan.node_edges(node) {
+            acc += values[slot as usize] * format.quantize(weight);
         }
-        values[base + i] = format.quantize(apply_activation_hw(node.activation, acc));
+        values[base + node] = format.quantize(apply_activation_hw(plan.activation(node), acc));
     }
-    let mut out = Vec::with_capacity(net.num_outputs());
-    for &idx in net.output_node_indices() {
-        out.push(values[base + idx]);
-    }
-    out
+    plan.read_outputs(&values)
 }
 
 /// Hardware activation: identical math to software — the quantization
@@ -121,12 +112,12 @@ fn apply_activation_hw(activation: Activation, x: f64) -> f64 {
 
 /// Mean absolute output error of fixed-point evaluation against the
 /// `f64` reference, over a set of probe inputs.
-pub fn output_error(net: &IrregularNet, probes: &[Vec<f64>], format: FixedPointFormat) -> f64 {
+pub fn output_error(plan: &NetPlan, probes: &[Vec<f64>], format: FixedPointFormat) -> f64 {
     let mut total = 0.0;
     let mut count = 0usize;
     for probe in probes {
-        let exact = net.evaluate(probe);
-        let quantized = evaluate_fixed_point(net, probe, format);
+        let exact = plan.execute(probe);
+        let quantized = evaluate_fixed_point(plan, probe, format);
         for (a, b) in exact.iter().zip(&quantized) {
             total += (a - b).abs();
             count += 1;
@@ -185,7 +176,7 @@ mod tests {
         let total = 20;
         for i in 0..total {
             let probe: Vec<f64> = (0..4).map(|j| ((i * 3 + j) as f64 * 0.37).cos()).collect();
-            let exact = net.evaluate(&probe);
+            let exact = net.execute(&probe);
             let quant = evaluate_fixed_point(&net, &probe, FixedPointFormat::Q8_16);
             let argmax = |v: &[f64]| {
                 v.iter()

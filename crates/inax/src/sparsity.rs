@@ -10,8 +10,9 @@
 //! activity-gated INAX would realize on that input.
 
 use crate::config::InaxConfig;
-use crate::net::IrregularNet;
-use crate::pu::PuInferenceProfile;
+use crate::pe::node_cycles;
+use crate::pu::{schedule_inference, walk_waves, PuInferenceProfile};
+use e3_neat::NetPlan;
 use serde::{Deserialize, Serialize};
 
 /// Result of a sparsity-aware scheduling analysis for one input.
@@ -34,7 +35,7 @@ impl SparsityReport {
     }
 }
 
-/// Evaluates `net` on `inputs` and analyses the activity-gated
+/// Evaluates `plan` on `inputs` and analyses the activity-gated
 /// schedule on `config`'s PE cluster.
 ///
 /// The gated model elides MACs whose source value is exactly zero
@@ -47,80 +48,51 @@ impl SparsityReport {
 /// Panics if `inputs.len()` differs from the network's input count.
 pub fn analyze_activation_sparsity(
     config: &InaxConfig,
-    net: &IrregularNet,
+    plan: &NetPlan,
     inputs: &[f64],
 ) -> SparsityReport {
-    let mut values = vec![0.0; net.value_buffer_slots()];
-    net.evaluate_into(inputs, &mut values);
-    let base = net.num_inputs();
-    let zero_nodes = values[base..].iter().filter(|&&v| v == 0.0).count();
+    let mut values = vec![0.0; plan.value_buffer_slots()];
+    plan.execute_into(inputs, &mut values);
+    let nodes = plan.num_compute_nodes();
+    let zero_nodes = values[plan.num_inputs()..]
+        .iter()
+        .filter(|&&v| v == 0.0)
+        .count();
 
     // Per-node effective in-degree with zero operands skipped.
-    let mut total_macs = 0usize;
-    let mut skippable = 0usize;
-    let mut effective_degrees = Vec::with_capacity(net.num_compute_nodes());
-    for node in net.nodes() {
-        let mut live = 0usize;
-        for &(slot, _) in &node.ingress {
-            total_macs += 1;
-            if values[slot] == 0.0 {
-                skippable += 1;
-            } else {
-                live += 1;
-            }
-        }
-        effective_degrees.push(live);
-    }
+    let effective_degrees: Vec<usize> = (0..nodes)
+        .map(|node| {
+            plan.node_edges(node)
+                .iter()
+                .filter(|&&(slot, _)| values[slot as usize] != 0.0)
+                .count()
+        })
+        .collect();
+    let total_macs = plan.num_connections();
+    let skippable = total_macs - effective_degrees.iter().sum::<usize>();
 
-    let dense = crate::pu::schedule_inference(config, net);
-    let gated = schedule_with_degrees(config, net, &effective_degrees);
+    // The gated schedule is the dense walk with each node's cost taken
+    // from its effective degree.
+    let gated = walk_waves(
+        config,
+        plan.levels(),
+        |node| node_cycles(config, effective_degrees[node]),
+        |_, _, _| {},
+    );
 
     SparsityReport {
-        zero_activation_fraction: if net.num_compute_nodes() == 0 {
+        zero_activation_fraction: if nodes == 0 {
             0.0
         } else {
-            zero_nodes as f64 / net.num_compute_nodes() as f64
+            zero_nodes as f64 / nodes as f64
         },
         skippable_mac_fraction: if total_macs == 0 {
             0.0
         } else {
             skippable as f64 / total_macs as f64
         },
-        dense,
+        dense: schedule_inference(config, plan),
         gated,
-    }
-}
-
-/// Schedules the network's levels with caller-provided per-node MAC
-/// counts (the gated effective degrees).
-fn schedule_with_degrees(
-    config: &InaxConfig,
-    net: &IrregularNet,
-    degrees: &[usize],
-) -> PuInferenceProfile {
-    let n = config.num_pe.max(1);
-    let mut wall = 0u64;
-    let mut active = 0u64;
-    let mut waves = 0u64;
-    for &(start, end) in net.levels() {
-        let level_degrees = &degrees[start..end];
-        for wave in level_degrees.chunks(n) {
-            let mut wave_max = 0u64;
-            for &deg in wave {
-                let cycles = deg as u64 * config.mac_cycles + config.activation_cycles;
-                active += cycles;
-                wave_max = wave_max.max(cycles);
-            }
-            wall += wave_max + config.wave_overhead_cycles;
-            waves += 1;
-        }
-        wall += config.level_sync_cycles;
-    }
-    PuInferenceProfile {
-        wall_cycles: wall,
-        pe_active_cycles: active,
-        pe_total_cycles: wall * n as u64,
-        waves,
     }
 }
 
@@ -128,10 +100,9 @@ fn schedule_with_degrees(
 mod tests {
     use super::*;
     use crate::synthetic::synthetic_genome_with_mutations;
-    use crate::IrregularNet;
     use e3_neat::{Activation, Genome, InnovationTracker};
 
-    fn relu_heavy_net() -> IrregularNet {
+    fn relu_heavy_net() -> NetPlan {
         // Hidden ReLU nodes with negative bias: many outputs are zero.
         let mut tracker = InnovationTracker::with_reserved_nodes(4);
         let mut g = Genome::bare(2, 2);
@@ -142,7 +113,7 @@ mod tests {
                 .unwrap();
             g.set_bias(h, -10.0).unwrap(); // forces ReLU output to 0
         }
-        IrregularNet::try_from(&g).unwrap()
+        NetPlan::compile(&g).unwrap()
     }
 
     #[test]
@@ -163,7 +134,7 @@ mod tests {
     fn gating_never_slows_down() {
         for seed in 0..10 {
             let genome = synthetic_genome_with_mutations(6, 3, 12, 0.4, 2, seed);
-            let net = IrregularNet::try_from(&genome).unwrap();
+            let net = NetPlan::compile(&genome).unwrap();
             let config = InaxConfig::builder().num_pe(3).build();
             let inputs: Vec<f64> = (0..6).map(|i| ((seed + i) as f64 * 0.4).sin()).collect();
             let report = analyze_activation_sparsity(&config, &net, &inputs);
@@ -180,7 +151,7 @@ mod tests {
         let mut g = Genome::bare(2, 1);
         g.add_connection(0, 2, 1.0, &mut tracker).unwrap();
         g.add_connection(1, 2, 1.0, &mut tracker).unwrap();
-        let net = IrregularNet::try_from(&g).unwrap();
+        let net = NetPlan::compile(&g).unwrap();
         let config = InaxConfig::default();
         let report = analyze_activation_sparsity(&config, &net, &[1.0, 2.0]);
         assert_eq!(report.skippable_mac_fraction, 0.0);

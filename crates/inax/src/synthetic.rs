@@ -7,8 +7,7 @@
 //! same genome machinery evolution uses, then apply structural
 //! mutations so connections span levels like real evolved networks.
 
-use crate::net::IrregularNet;
-use e3_neat::{Genome, InnovationTracker, NeatConfig};
+use e3_neat::{Genome, InnovationTracker, NeatConfig, NetPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -22,11 +21,15 @@ pub fn synthetic_net(
     hidden_nodes: usize,
     density: f64,
     seed: u64,
-) -> IrregularNet {
-    synthetic_genome(num_inputs, num_outputs, hidden_nodes, density, seed)
-        .decode()
-        .map(|n| IrregularNet::from_network(&n))
-        .expect("synthetic genomes are feed-forward by construction")
+) -> NetPlan {
+    NetPlan::compile(&synthetic_genome(
+        num_inputs,
+        num_outputs,
+        hidden_nodes,
+        density,
+        seed,
+    ))
+    .expect("synthetic genomes are feed-forward by construction")
 }
 
 /// Builds the genome behind [`synthetic_net`] (useful when the genome
@@ -86,7 +89,7 @@ pub fn synthetic_population_with_mutations(
     density: f64,
     mutation_rounds: usize,
     seed: u64,
-) -> Vec<IrregularNet> {
+) -> Vec<NetPlan> {
     (0..count)
         .map(|i| {
             let genome = synthetic_genome_with_mutations(
@@ -97,14 +100,14 @@ pub fn synthetic_population_with_mutations(
                 mutation_rounds,
                 seed ^ (i as u64 * 97),
             );
-            IrregularNet::from_network(&genome.decode().expect("feed-forward by construction"))
+            NetPlan::compile(&genome).expect("feed-forward by construction")
         })
         .collect()
 }
 
 /// Builds a population of synthetic networks with per-individual
 /// structural variance (different seeds ⇒ different topologies, like a
-/// real NEAT generation).
+/// real NEAT generation), each mutated as [`synthetic_genome`] is.
 pub fn synthetic_population(
     count: usize,
     num_inputs: usize,
@@ -112,18 +115,16 @@ pub fn synthetic_population(
     hidden_nodes: usize,
     density: f64,
     seed: u64,
-) -> Vec<IrregularNet> {
-    (0..count)
-        .map(|i| {
-            synthetic_net(
-                num_inputs,
-                num_outputs,
-                hidden_nodes,
-                density,
-                seed ^ (i as u64 * 97),
-            )
-        })
-        .collect()
+) -> Vec<NetPlan> {
+    synthetic_population_with_mutations(
+        count,
+        num_inputs,
+        num_outputs,
+        hidden_nodes,
+        density,
+        hidden_nodes / 5,
+        seed,
+    )
 }
 
 #[cfg(test)]

@@ -3,15 +3,15 @@
 //! [`trace_inference`] replays the INAX schedule of one inference and
 //! records every wave: which PE computed which node for how many
 //! cycles, and how long each PE idled at the wave barrier. The trace
-//! is exact — its totals reconcile with
-//! [`crate::schedule_inference`]'s profile, which the tests enforce —
+//! is exact — it is the walk [`crate::schedule_inference`] folds into
+//! a profile, recording each wave on the way —
 //! and [`InferenceTrace::render_timeline`] draws an ASCII Gantt chart
 //! of the kind hardware designers eyeball for utilization holes.
 
 use crate::config::{Dataflow, InaxConfig};
-use crate::net::IrregularNet;
 use crate::pe::node_cycles;
-use crate::pu::PuInferenceProfile;
+use crate::pu::{walk_waves, PuInferenceProfile};
+use e3_neat::NetPlan;
 use serde::{Deserialize, Serialize};
 
 /// One PE's assignment within a wave.
@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 pub struct PeAssignment {
     /// PE index within the cluster.
     pub pe: usize,
-    /// Compute-node index (into [`IrregularNet::nodes`]).
+    /// Compute-node index (the [`NetPlan`]'s).
     pub node: usize,
     /// Busy cycles (in-degree × MAC + activation).
     pub busy_cycles: u64,
@@ -86,60 +86,44 @@ impl InferenceTrace {
     }
 }
 
-/// Replays the output-stationary schedule of `net` and records every
+/// Replays the output-stationary schedule of `plan` and records every
 /// wave.
 ///
 /// # Panics
 ///
 /// Panics if the configuration selects a non-output-stationary
 /// dataflow (traces model INAX's deployed dataflow only).
-pub fn trace_inference(config: &InaxConfig, net: &IrregularNet) -> InferenceTrace {
+pub fn trace_inference(config: &InaxConfig, plan: &NetPlan) -> InferenceTrace {
     assert_eq!(
         config.dataflow,
         Dataflow::OutputStationary,
         "traces model the deployed output-stationary dataflow"
     );
-    let n = config.num_pe.max(1);
     let mut waves = Vec::new();
-    let mut wall = 0u64;
-    let mut active = 0u64;
-    for (level_idx, &(start, end)) in net.levels().iter().enumerate() {
-        let nodes: Vec<usize> = (start..end).collect();
-        for chunk in nodes.chunks(n) {
-            let costs: Vec<u64> = chunk
+    let profile = walk_waves(
+        config,
+        plan.levels(),
+        |node| node_cycles(config, plan.node_edges(node).len()),
+        |level, first_node, costs| {
+            let wave_max = costs.iter().max().copied().unwrap_or(0);
+            let assignments = costs
                 .iter()
-                .map(|&node| node_cycles(config, &net.nodes()[node]))
-                .collect();
-            let wave_max = costs.iter().copied().max().unwrap_or(0);
-            let assignments = chunk
-                .iter()
-                .zip(&costs)
                 .enumerate()
-                .map(|(pe, (&node, &busy))| PeAssignment {
+                .map(|(pe, &busy_cycles)| PeAssignment {
                     pe,
-                    node,
-                    busy_cycles: busy,
-                    idle_cycles: wave_max - busy,
-                })
-                .collect();
-            active += costs.iter().sum::<u64>();
-            wall += wave_max + config.wave_overhead_cycles;
+                    node: first_node + pe,
+                    busy_cycles,
+                    idle_cycles: wave_max - busy_cycles,
+                });
             waves.push(Wave {
-                level: level_idx,
+                level,
                 latency_cycles: wave_max + config.wave_overhead_cycles,
-                assignments,
+                assignments: assignments.collect(),
             });
-        }
-        wall += config.level_sync_cycles;
-    }
-    let profile = PuInferenceProfile {
-        wall_cycles: wall,
-        pe_active_cycles: active,
-        pe_total_cycles: wall * n as u64,
-        waves: waves.len() as u64,
-    };
+        },
+    );
     InferenceTrace {
-        num_pe: n,
+        num_pe: config.num_pe.max(1),
         waves,
         profile,
     }
@@ -192,7 +176,10 @@ mod tests {
             prev_level = wave.level;
             for a in &wave.assignments {
                 let (start, end) = net.levels()[wave.level];
-                assert!((start..end).contains(&a.node), "node belongs to its level");
+                assert!(
+                    (start as usize..end as usize).contains(&a.node),
+                    "node belongs to its level"
+                );
                 assert_eq!(
                     a.busy_cycles + a.idle_cycles + config.wave_overhead_cycles,
                     wave.latency_cycles,

@@ -3,16 +3,18 @@
 //! the accounting-only fold over episode lengths leaves the counters of
 //! the closed loop it stands in for.
 
+use e3_inax::sparsity::analyze_activation_sparsity;
 use e3_inax::synthetic::synthetic_genome_with_mutations;
-use e3_inax::{schedule_inference, InaxAccelerator, InaxConfig, IrregularNet, PuSim};
+use e3_inax::{schedule_inference, trace_inference, InaxAccelerator, InaxConfig, PuSim};
 use e3_neat::NetPlan;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// HW functional evaluation equals the SW reference bit-for-bit on
-    /// arbitrary evolved topologies and inputs.
+    /// HW functional evaluation — a PU inferring into its own value
+    /// buffer — equals the SW reference bit-for-bit on arbitrary
+    /// evolved topologies and inputs.
     #[test]
     fn inax_matches_software_reference(
         seed in any::<u64>(),
@@ -24,30 +26,43 @@ proptest! {
     ) {
         let genome = synthetic_genome_with_mutations(4, 3, hidden, density, mutations, seed);
         let mut sw = genome.decode().expect("feed-forward");
-        let hw = IrregularNet::try_from(&genome).expect("compiles");
+        let plan = NetPlan::compile(&genome).expect("compiles");
+        let mut pu = PuSim::new(&InaxConfig::default(), plan);
         let inputs = [x0, x1, x0 * 0.5, x1 - x0];
-        prop_assert_eq!(sw.activate(&inputs), hw.evaluate(&inputs));
+        prop_assert_eq!(sw.activate(&inputs), pu.infer(&inputs).0);
     }
 
-    /// Lowering through the shared [`NetPlan`] IR is lossless: the
-    /// plan's own executor, an `IrregularNet` built from the plan, and
-    /// the genome-level `TryFrom` conversion all agree bit-for-bit.
+    /// The dense schedule, the sparsity-gated schedule and the wave
+    /// trace are three folds of one walk: on arbitrary topologies,
+    /// inputs and PE counts the trace's profile and the sparsity
+    /// report's dense half both equal `schedule_inference`, the trace's
+    /// assignments carry exactly the profile's active cycles, and
+    /// gating an input that leaves no operand zero changes nothing.
     #[test]
-    fn plan_lowering_is_lossless(
+    fn schedule_trace_and_sparsity_agree(
         seed in any::<u64>(),
         hidden in 0usize..25,
         mutations in 0usize..8,
         density in 0.1f64..0.9,
+        num_pe in 1usize..12,
         x0 in -5.0f64..5.0,
         x1 in -5.0f64..5.0,
     ) {
         let genome = synthetic_genome_with_mutations(4, 3, hidden, density, mutations, seed);
-        let plan = NetPlan::compile(&genome).expect("feed-forward");
-        let via_plan = IrregularNet::from_plan(&plan);
-        let via_genome = IrregularNet::try_from(&genome).expect("compiles");
-        prop_assert_eq!(&via_plan, &via_genome, "both lowering routes build the same net");
-        let inputs = [x0, x1, x0 * 0.5, x1 - x0];
-        prop_assert_eq!(plan.execute(&inputs), via_plan.evaluate(&inputs));
+        let plan = NetPlan::compile(&genome).expect("compiles");
+        let config = InaxConfig::builder().num_pe(num_pe).build();
+        let profile = schedule_inference(&config, &plan);
+        let trace = trace_inference(&config, &plan);
+        prop_assert_eq!(trace.profile, profile);
+        prop_assert_eq!(trace.total_busy_cycles(), profile.pe_active_cycles);
+        prop_assert_eq!(trace.waves.len() as u64, profile.waves);
+        let report = analyze_activation_sparsity(&config, &plan, &[x0, x1, x0 * 0.5, x1 - x0]);
+        prop_assert_eq!(report.dense, profile);
+        prop_assert!(report.gated.wall_cycles <= profile.wall_cycles);
+        prop_assert_eq!(report.gated.waves, profile.waves);
+        if report.skippable_mac_fraction == 0.0 {
+            prop_assert_eq!(report.gated, profile);
+        }
     }
 
     /// Cycle accounting: active ≤ total, utilization in (0, 1], and the
@@ -60,7 +75,7 @@ proptest! {
         density in 0.1f64..0.9,
     ) {
         let genome = synthetic_genome_with_mutations(6, 4, hidden, density, 2, seed);
-        let net = IrregularNet::try_from(&genome).expect("compiles");
+        let net = NetPlan::compile(&genome).expect("compiles");
         let config = InaxConfig::builder().num_pe(num_pe).build();
         let a = schedule_inference(&config, &net);
         let b = schedule_inference(&config, &net);
@@ -84,10 +99,10 @@ proptest! {
         hidden in 1usize..25,
     ) {
         let genome = synthetic_genome_with_mutations(6, 4, hidden, 0.3, 2, seed);
-        let net = IrregularNet::try_from(&genome).expect("compiles");
+        let net = NetPlan::compile(&genome).expect("compiles");
         let serial =
             schedule_inference(&InaxConfig::builder().num_pe(1).build(), &net).wall_cycles;
-        let widest = net.levels().iter().map(|&(s, e)| e - s).max().unwrap_or(1);
+        let widest = net.level_widths().into_iter().max().unwrap_or(1);
         let unbounded =
             schedule_inference(&InaxConfig::builder().num_pe(widest).build(), &net).wall_cycles;
         for num_pe in 1..=16 {
@@ -107,11 +122,11 @@ proptest! {
         steps in 1usize..6,
     ) {
         let config = InaxConfig::builder().num_pu(batch).num_pe(2).build();
-        let nets: Vec<IrregularNet> = (0..batch)
+        let nets: Vec<NetPlan> = (0..batch)
             .map(|i| {
                 let genome =
                     synthetic_genome_with_mutations(3, 2, 5, 0.5, 1, seed ^ (i as u64 * 31));
-                IrregularNet::try_from(&genome).expect("compiles")
+                NetPlan::compile(&genome).expect("compiles")
             })
             .collect();
         let mut acc = InaxAccelerator::new(config.clone());
@@ -161,12 +176,12 @@ proptest! {
         // Two loads of `scenarios` batches each: 2 × ≤ 3 × ≤ 5 lengths.
         let mut lengths = lengths.chunks(residents);
         for load in 0..2u64 {
-            let nets: Vec<IrregularNet> = (0..residents as u64)
+            let nets: Vec<NetPlan> = (0..residents as u64)
                 .map(|i| {
                     let hidden = ((seed >> (8 * i)) % 9) as usize;
                     let genome =
                         synthetic_genome_with_mutations(3, 2, hidden, 0.5, 2, seed ^ (31 * i + load));
-                    IrregularNet::try_from(&genome).expect("compiles")
+                    NetPlan::compile(&genome).expect("compiles")
                 })
                 .collect();
             folded.load_batch(nets.clone());
@@ -206,6 +221,6 @@ fn run_episodes_on_an_empty_batch_accounts_nothing() {
 fn run_episodes_rejects_a_length_count_mismatch() {
     let mut acc = InaxAccelerator::new(InaxConfig::builder().num_pu(2).build());
     let genome = synthetic_genome_with_mutations(3, 2, 4, 0.5, 1, 7);
-    acc.load_batch(vec![IrregularNet::try_from(&genome).expect("compiles")]);
+    acc.load_batch(vec![NetPlan::compile(&genome).expect("compiles")]);
     acc.run_episodes(&[3, 3]);
 }

@@ -3,13 +3,16 @@
 //!
 //! A [`NetPlan`] is what genome→phenotype decoding produces — a
 //! single-arena, cache-friendly description of one irregular
-//! feed-forward network. All three execution views are derived from
-//! it without touching the genome again:
+//! feed-forward network. Every consumer reads it without touching the
+//! genome again, and none re-encodes it:
 //!
 //! * [`crate::Network`] — the software executor: a `NetPlan` plus a
 //!   reusable scratch value buffer;
-//! * `e3_inax::IrregularNet` — the hardware-facing view shipped to the
-//!   INAX accelerator over the weight channel;
+//! * `e3_inax` — the accelerator model: the plan is what the weight
+//!   channel ships (topology + weights), a PU's functional half is
+//!   [`NetPlan::execute_into`] into its own value buffer, and the wave
+//!   schedule is a function of [`NetPlan::levels`] and the in-degrees
+//!   alone;
 //! * `e3_systolic`'s dense padding — consumes the plan's level ranges
 //!   to build the dense MLP counterpart.
 //!

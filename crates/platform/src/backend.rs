@@ -30,7 +30,7 @@ use crate::tier::{Tier, TierExec, TierStats};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::{decode_action, EnvId, Environment};
 use e3_exec::{AnyExecutor, ExecError, ExecStats, Executor, SharedExecutor, WorkerScratch};
-use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, IrregularNet, UtilizationBreakdown};
+use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, UtilizationBreakdown};
 use e3_jit::JitConfig;
 use e3_neat::stats::PlanShape;
 use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan};
@@ -285,9 +285,9 @@ enum RowPrice {
     /// Modeled inference seconds of the genome's episodes, summed in
     /// population order (cost-model pricings).
     Seconds(f64),
-    /// The plan's hardware view and its per-scenario episode lengths,
-    /// priced by the accelerator model once every row is in.
-    Resident(IrregularNet, Vec<u64>),
+    /// The plan itself and its per-scenario episode lengths, priced by
+    /// the accelerator model once every row is in.
+    Resident(NetPlan, Vec<u64>),
 }
 
 impl Pricing {
@@ -308,7 +308,7 @@ impl Pricing {
         match self {
             Pricing::Cpu(model) => RowPrice::Seconds(model.inference_seconds_plan(plan) * steps),
             Pricing::Gpu(model) => RowPrice::Seconds(model.inference_seconds_plan(plan) * steps),
-            Pricing::Inax(_) => RowPrice::Resident(IrregularNet::from_plan(plan), lengths.to_vec()),
+            Pricing::Inax(_) => RowPrice::Resident(plan.clone(), lengths.to_vec()),
         }
     }
 }
@@ -391,7 +391,7 @@ fn per_genome_shard(
 /// computes no cycle itself.
 fn run_on_accelerator(
     config: &InaxConfig,
-    nets: Vec<IrregularNet>,
+    nets: Vec<NetPlan>,
     lengths: &[Vec<u64>],
 ) -> (EpisodeRunReport, UtilizationBreakdown) {
     let mut accelerator = InaxAccelerator::new(config.clone());

@@ -10,7 +10,8 @@
 use crate::fpga::{FpgaBudget, FpgaResources};
 use e3_exec::{AnyExecutor, Executor};
 use e3_inax::cluster::{analyze_pu_parallelism, EpisodeWork};
-use e3_inax::{schedule_inference, InaxConfig, IrregularNet};
+use e3_inax::{schedule_inference, InaxConfig};
+use e3_neat::NetPlan;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -93,7 +94,7 @@ impl DesignSweep {
 ///
 /// Panics if any option list is empty or the population is empty.
 pub fn sweep_design_space(
-    nets: &[IrregularNet],
+    nets: &[NetPlan],
     steps: u64,
     pu_options: &[usize],
     pe_options: &[usize],
@@ -118,7 +119,7 @@ pub fn sweep_design_space(
 ///
 /// Panics if any option list is empty or the population is empty.
 pub fn sweep_design_space_with(
-    nets: &[IrregularNet],
+    nets: &[NetPlan],
     steps: u64,
     pu_options: &[usize],
     pe_options: &[usize],
@@ -136,7 +137,7 @@ pub fn sweep_design_space_with(
             .flat_map(|&num_pu| pe_options.iter().map(move |&num_pe| (num_pu, num_pe)))
             .collect(),
     );
-    let nets: Arc<[IrregularNet]> = nets.into();
+    let nets: Arc<[NetPlan]> = nets.into();
     let budget = *budget;
     let run = exec
         .run_shards(grid.len(), 1, move |_scratch, range| {

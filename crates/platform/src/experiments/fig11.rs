@@ -78,7 +78,7 @@ pub fn run() -> Fig11Result {
         ));
     }
     let nets: Vec<_> = populations.into_iter().flatten().collect();
-    let padded: Vec<DensePaddedNet> = nets.iter().map(DensePaddedNet::from_irregular).collect();
+    let padded: Vec<DensePaddedNet> = nets.iter().map(DensePaddedNet::from_plan).collect();
 
     let points = [1usize, 2, 4, 8, 16, 64]
         .into_iter()

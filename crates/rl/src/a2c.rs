@@ -5,13 +5,10 @@
 //! advantage-weighted policy gradient with an entropy bonus, and an
 //! MSE critic loss, optimized with Adam.
 
-use crate::head::PolicyHead;
-use crate::mlp::{Adam, Gradients, Mlp};
-use crate::profile::RlProfile;
+use crate::agent::{Agent, Sample};
+use crate::mlp::Gradients;
 use crate::NetworkSize;
-use e3_envs::{EnvId, Environment};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use e3_envs::EnvId;
 use std::time::Instant;
 
 /// A2C hyperparameters.
@@ -48,16 +45,6 @@ impl A2cConfig {
     }
 }
 
-/// One stored transition of a rollout.
-#[derive(Debug, Clone)]
-struct Transition {
-    obs: Vec<f64>,
-    raw: Vec<f64>,
-    reward: f64,
-    done: bool,
-    value: f64,
-}
-
 /// An A2C agent bound to one environment.
 ///
 /// # Example
@@ -70,143 +57,27 @@ struct Transition {
 /// agent.train_steps(64);
 /// assert!(agent.total_env_steps() >= 64);
 /// ```
-pub struct A2c {
-    config: A2cConfig,
-    actor: Mlp,
-    critic: Mlp,
-    actor_opt: Adam,
-    critic_opt: Adam,
-    head: PolicyHead,
-    env: Box<dyn Environment>,
-    obs: Vec<f64>,
-    rng: StdRng,
-    profile: RlProfile,
-    episode_reward: f64,
-    recent_rewards: Vec<f64>,
-    episode_seed: u64,
-    total_env_steps: u64,
-}
+pub type A2c = Agent<A2cConfig>;
 
-impl std::fmt::Debug for A2c {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("A2c")
-            .field("env", &self.env.name())
-            .field("config", &self.config)
-            .field("total_env_steps", &self.total_env_steps)
-            .finish_non_exhaustive()
-    }
-}
-
-impl A2c {
+impl Agent<A2cConfig> {
     /// Creates an agent with deterministic initialization.
     pub fn new(config: A2cConfig, seed: u64) -> Self {
-        let mut env = config.env.make();
-        let head = PolicyHead::for_space(&env.action_space());
-        let mut actor_sizes = vec![config.env.observation_size()];
-        actor_sizes.extend_from_slice(config.size.hidden_layers());
-        actor_sizes.push(head.input_size());
-        let mut critic_sizes = vec![config.env.observation_size()];
-        critic_sizes.extend_from_slice(config.size.hidden_layers());
-        critic_sizes.push(1);
-        let actor = Mlp::new(&actor_sizes, seed.wrapping_mul(2).wrapping_add(1));
-        let critic = Mlp::new(&critic_sizes, seed.wrapping_mul(2).wrapping_add(2));
-        let actor_opt = Adam::new(&actor, config.learning_rate);
-        let critic_opt = Adam::new(&critic, config.learning_rate);
-        let obs = env.reset(seed);
-        A2c {
-            config,
-            actor,
-            critic,
-            actor_opt,
-            critic_opt,
-            head,
-            env,
-            obs,
-            rng: StdRng::seed_from_u64(seed),
-            profile: RlProfile::new(),
-            episode_reward: 0.0,
-            recent_rewards: Vec::new(),
-            episode_seed: seed,
-            total_env_steps: 0,
-        }
-    }
-
-    /// The actor network (for complexity accounting).
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-
-    /// The critic network (for complexity accounting).
-    pub fn critic(&self) -> &Mlp {
-        &self.critic
-    }
-
-    /// Accumulated Forward/Training runtime split.
-    pub fn profile(&self) -> RlProfile {
-        self.profile
-    }
-
-    /// Environment steps taken so far.
-    pub fn total_env_steps(&self) -> u64 {
-        self.total_env_steps
-    }
-
-    /// Mean reward of the most recent completed episodes (up to 20);
-    /// NaN-free, `NEG_INFINITY` before any episode finishes.
-    pub fn recent_reward(&self) -> f64 {
-        if self.recent_rewards.is_empty() {
-            return f64::NEG_INFINITY;
-        }
-        let tail = &self.recent_rewards[self.recent_rewards.len().saturating_sub(20)..];
-        tail.iter().sum::<f64>() / tail.len() as f64
+        let (env, size, learning_rate) = (config.env, config.size, config.learning_rate);
+        Agent::build(config, env, size, learning_rate, seed, 2)
     }
 
     /// Trains for at least `env_steps` environment steps (whole
-    /// rollouts) and returns [`A2c::recent_reward`].
+    /// rollouts) and returns [`Agent::recent_reward`].
     pub fn train_steps(&mut self, env_steps: u64) -> f64 {
         let target = self.total_env_steps + env_steps;
         while self.total_env_steps < target {
-            let (transitions, bootstrap) = self.rollout();
+            let (transitions, bootstrap) = self.rollout(self.config.n_steps);
             self.update(&transitions, bootstrap);
         }
         self.recent_reward()
     }
 
-    fn rollout(&mut self) -> (Vec<Transition>, f64) {
-        let start = Instant::now();
-        let mut transitions = Vec::with_capacity(self.config.n_steps);
-        for _ in 0..self.config.n_steps {
-            let logits = self.actor.forward(&self.obs);
-            let value = self.critic.forward(&self.obs)[0];
-            let sampled = self.head.sample(&logits, &mut self.rng);
-            let step = self.env.step(&sampled.action);
-            self.episode_reward += step.reward;
-            self.total_env_steps += 1;
-            let done = step.terminated || step.truncated;
-            transitions.push(Transition {
-                obs: std::mem::replace(&mut self.obs, step.observation),
-                raw: sampled.raw,
-                reward: step.reward,
-                done,
-                value,
-            });
-            if done {
-                self.recent_rewards.push(self.episode_reward);
-                self.episode_reward = 0.0;
-                self.episode_seed += 1;
-                self.obs = self.env.reset(self.episode_seed);
-            }
-        }
-        let bootstrap = if transitions.last().is_some_and(|t| t.done) {
-            0.0
-        } else {
-            self.critic.forward(&self.obs)[0]
-        };
-        self.profile.add_forward(start.elapsed());
-        (transitions, bootstrap)
-    }
-
-    fn update(&mut self, transitions: &[Transition], bootstrap: f64) {
+    fn update(&mut self, transitions: &[Sample], bootstrap: f64) {
         let start = Instant::now();
         // Discounted bootstrapped returns, walked backwards.
         let mut returns = vec![0.0; transitions.len()];

@@ -29,6 +29,7 @@
 
 pub mod a2c;
 pub mod accounting;
+mod agent;
 pub mod head;
 pub mod mlp;
 pub mod ppo;

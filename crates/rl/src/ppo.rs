@@ -4,14 +4,11 @@
 //! separate actor/critic MLPs — a from-scratch equivalent of the
 //! stable-baselines PPO2 the paper profiles.
 
-use crate::head::PolicyHead;
-use crate::mlp::{Adam, Gradients, Mlp};
-use crate::profile::RlProfile;
+use crate::agent::{Agent, Sample};
+use crate::mlp::Gradients;
 use crate::NetworkSize;
-use e3_envs::{EnvId, Environment};
-use rand::rngs::StdRng;
+use e3_envs::EnvId;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::time::Instant;
 
 /// PPO hyperparameters.
@@ -60,16 +57,6 @@ impl PpoConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Sample {
-    obs: Vec<f64>,
-    raw: Vec<f64>,
-    log_prob_old: f64,
-    reward: f64,
-    done: bool,
-    value: f64,
-}
-
 /// A PPO agent bound to one environment.
 ///
 /// # Example
@@ -82,140 +69,24 @@ struct Sample {
 /// agent.train_steps(128);
 /// assert!(agent.total_env_steps() >= 128);
 /// ```
-pub struct Ppo {
-    config: PpoConfig,
-    actor: Mlp,
-    critic: Mlp,
-    actor_opt: Adam,
-    critic_opt: Adam,
-    head: PolicyHead,
-    env: Box<dyn Environment>,
-    obs: Vec<f64>,
-    rng: StdRng,
-    profile: RlProfile,
-    episode_reward: f64,
-    recent_rewards: Vec<f64>,
-    episode_seed: u64,
-    total_env_steps: u64,
-}
+pub type Ppo = Agent<PpoConfig>;
 
-impl std::fmt::Debug for Ppo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ppo")
-            .field("env", &self.env.name())
-            .field("config", &self.config)
-            .field("total_env_steps", &self.total_env_steps)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Ppo {
+impl Agent<PpoConfig> {
     /// Creates an agent with deterministic initialization.
     pub fn new(config: PpoConfig, seed: u64) -> Self {
-        let mut env = config.env.make();
-        let head = PolicyHead::for_space(&env.action_space());
-        let mut actor_sizes = vec![config.env.observation_size()];
-        actor_sizes.extend_from_slice(config.size.hidden_layers());
-        actor_sizes.push(head.input_size());
-        let mut critic_sizes = vec![config.env.observation_size()];
-        critic_sizes.extend_from_slice(config.size.hidden_layers());
-        critic_sizes.push(1);
-        let actor = Mlp::new(&actor_sizes, seed.wrapping_mul(3).wrapping_add(1));
-        let critic = Mlp::new(&critic_sizes, seed.wrapping_mul(3).wrapping_add(2));
-        let actor_opt = Adam::new(&actor, config.learning_rate);
-        let critic_opt = Adam::new(&critic, config.learning_rate);
-        let obs = env.reset(seed);
-        Ppo {
-            config,
-            actor,
-            critic,
-            actor_opt,
-            critic_opt,
-            head,
-            env,
-            obs,
-            rng: StdRng::seed_from_u64(seed),
-            profile: RlProfile::new(),
-            episode_reward: 0.0,
-            recent_rewards: Vec::new(),
-            episode_seed: seed,
-            total_env_steps: 0,
-        }
-    }
-
-    /// The actor network (for complexity accounting).
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-
-    /// The critic network (for complexity accounting).
-    pub fn critic(&self) -> &Mlp {
-        &self.critic
-    }
-
-    /// Accumulated Forward/Training runtime split.
-    pub fn profile(&self) -> RlProfile {
-        self.profile
-    }
-
-    /// Environment steps taken so far.
-    pub fn total_env_steps(&self) -> u64 {
-        self.total_env_steps
-    }
-
-    /// Mean reward of the most recent completed episodes (up to 20).
-    pub fn recent_reward(&self) -> f64 {
-        if self.recent_rewards.is_empty() {
-            return f64::NEG_INFINITY;
-        }
-        let tail = &self.recent_rewards[self.recent_rewards.len().saturating_sub(20)..];
-        tail.iter().sum::<f64>() / tail.len() as f64
+        let (env, size, learning_rate) = (config.env, config.size, config.learning_rate);
+        Agent::build(config, env, size, learning_rate, seed, 3)
     }
 
     /// Trains for at least `env_steps` environment steps (whole
-    /// horizons) and returns [`Ppo::recent_reward`].
+    /// rollouts) and returns [`Agent::recent_reward`].
     pub fn train_steps(&mut self, env_steps: u64) -> f64 {
         let target = self.total_env_steps + env_steps;
         while self.total_env_steps < target {
-            let (samples, bootstrap) = self.rollout();
+            let (samples, bootstrap) = self.rollout(self.config.horizon);
             self.update(&samples, bootstrap);
         }
         self.recent_reward()
-    }
-
-    fn rollout(&mut self) -> (Vec<Sample>, f64) {
-        let start = Instant::now();
-        let mut samples = Vec::with_capacity(self.config.horizon);
-        for _ in 0..self.config.horizon {
-            let logits = self.actor.forward(&self.obs);
-            let value = self.critic.forward(&self.obs)[0];
-            let sampled = self.head.sample(&logits, &mut self.rng);
-            let step = self.env.step(&sampled.action);
-            self.episode_reward += step.reward;
-            self.total_env_steps += 1;
-            let done = step.terminated || step.truncated;
-            samples.push(Sample {
-                obs: std::mem::replace(&mut self.obs, step.observation),
-                raw: sampled.raw,
-                log_prob_old: sampled.log_prob,
-                reward: step.reward,
-                done,
-                value,
-            });
-            if done {
-                self.recent_rewards.push(self.episode_reward);
-                self.episode_reward = 0.0;
-                self.episode_seed += 1;
-                self.obs = self.env.reset(self.episode_seed);
-            }
-        }
-        let bootstrap = if samples.last().is_some_and(|s| s.done) {
-            0.0
-        } else {
-            self.critic.forward(&self.obs)[0]
-        };
-        self.profile.add_forward(start.elapsed());
-        (samples, bootstrap)
     }
 
     fn update(&mut self, samples: &[Sample], bootstrap: f64) {

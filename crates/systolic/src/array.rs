@@ -151,7 +151,7 @@ mod tests {
     fn padded(seed: u64) -> (DensePaddedNet, usize) {
         let net = synthetic_net(8, 4, 30, 0.2, seed);
         let real = net.num_connections();
-        (DensePaddedNet::from_irregular(&net), real)
+        (DensePaddedNet::from_plan(&net), real)
     }
 
     #[test]
@@ -181,7 +181,7 @@ mod tests {
         // and dummy padding that INAX avoids.
         for seed in 0..5 {
             let irregular = synthetic_net(8, 4, 30, 0.2, seed);
-            let dense = DensePaddedNet::from_irregular(&irregular);
+            let dense = DensePaddedNet::from_plan(&irregular);
             for pes in [1usize, 4, 16] {
                 let inax =
                     schedule_inference(&InaxConfig::builder().num_pe(pes).build(), &irregular)

@@ -24,7 +24,7 @@
 //! use e3_inax::synthetic::synthetic_net;
 //!
 //! let net = synthetic_net(8, 4, 30, 0.2, 1);
-//! let padded = DensePaddedNet::from_irregular(&net);
+//! let padded = DensePaddedNet::from_plan(&net);
 //! assert!(padded.dense_connections() > net.num_connections());
 //! let sa = SystolicArray::new(SystolicConfig::builder().num_pe(16).build());
 //! assert!(sa.inference_cycles(&padded) > 0);

@@ -15,12 +15,10 @@
 //! counterpart produces bit-identical outputs to the irregular
 //! network, which the tests verify.
 //!
-//! Like every backend view, the lowering starts from the compiled
-//! [`NetPlan`] IR: [`DensePaddedNet::from_plan`] consumes the plan's
-//! level ranges and value-buffer slot convention (via the hardware
-//! view [`IrregularNet`], which is itself a direct copy of the plan).
+//! Like every backend view, the lowering reads the compiled
+//! [`NetPlan`] IR directly: [`DensePaddedNet::from_plan`] consumes the
+//! plan's level ranges and value-buffer slot convention.
 
-use e3_inax::IrregularNet;
 use e3_neat::{Activation, NetPlan};
 use serde::{Deserialize, Serialize};
 
@@ -83,28 +81,23 @@ impl DensePaddedNet {
     /// plan's compute-level ranges become the dense layers, and its
     /// value-buffer slots become the carried values.
     pub fn from_plan(plan: &NetPlan) -> Self {
-        Self::from_irregular(&IrregularNet::from_plan(plan))
-    }
-
-    /// Lowers an irregular network into its dense counterpart.
-    pub fn from_irregular(net: &IrregularNet) -> Self {
-        let num_inputs = net.num_inputs();
-        let num_levels = net.levels().len();
-        let total_slots = net.value_buffer_slots();
+        let num_inputs = plan.num_inputs();
+        let num_levels = plan.levels().len();
+        let total_slots = plan.value_buffer_slots();
 
         // Slot bookkeeping: production level and last level of use.
         let mut produce_level = vec![0usize; total_slots];
-        let mut node_level = vec![0usize; net.num_compute_nodes()];
-        for (level_idx, &(start, end)) in net.levels().iter().enumerate() {
-            for node in start..end {
+        let mut node_level = vec![0usize; plan.num_compute_nodes()];
+        for (level_idx, &(start, end)) in plan.levels().iter().enumerate() {
+            for node in start as usize..end as usize {
                 node_level[node] = level_idx + 1; // compute levels are 1-based
                 produce_level[num_inputs + node] = level_idx + 1;
             }
         }
         let mut last_use = produce_level.clone(); // unused values die immediately
-        for (node, hw) in net.nodes().iter().enumerate() {
-            for &(slot, _) in &hw.ingress {
-                last_use[slot] = last_use[slot].max(node_level[node]);
+        for (node, &level) in node_level.iter().enumerate() {
+            for &(slot, _) in plan.node_edges(node) {
+                last_use[slot as usize] = last_use[slot as usize].max(level);
             }
         }
         // The SA streams the full observation vector, so every input is
@@ -115,8 +108,8 @@ impl DensePaddedNet {
         // The read-out happens after the final layer: outputs must
         // survive to the end.
         let mut output_slots = Vec::new();
-        for &node in net.output_node_indices() {
-            let slot = num_inputs + node;
+        for &node in plan.outputs() {
+            let slot = num_inputs + node as usize;
             // `num_levels + 1` so an early-level output is still carried
             // through (and appears in) the final layer's output vector.
             last_use[slot] = last_use[slot].max(num_levels + 1);
@@ -134,21 +127,20 @@ impl DensePaddedNet {
                     .position(|&s| s == slot)
                     .expect("ingress slot must be alive")
             };
-            let (start, end) = net.levels()[level - 1];
+            let (start, end) = plan.levels()[level - 1];
             let mut out_slots: Vec<usize> = Vec::new();
             let mut weights: Vec<f64> = Vec::new();
             let mut biases = Vec::new();
             let mut activations = Vec::new();
             // Real nodes of this level.
-            for node in start..end {
-                let hw = &net.nodes()[node];
+            for node in start as usize..end as usize {
                 let mut row = vec![0.0; in_slots.len()];
-                for &(slot, w) in &hw.ingress {
-                    row[slot_pos(slot, &in_slots)] += w;
+                for &(slot, w) in plan.node_edges(node) {
+                    row[slot_pos(slot as usize, &in_slots)] += w;
                 }
                 weights.extend_from_slice(&row);
-                biases.push(hw.bias);
-                activations.push(hw.activation);
+                biases.push(plan.bias(node));
+                activations.push(plan.activation(node));
                 out_slots.push(num_inputs + node);
             }
             // Dummy pass-throughs: alive values still needed later.
@@ -190,7 +182,7 @@ impl DensePaddedNet {
             layers,
             output_positions,
             dummy_nodes,
-            real_nodes: net.num_compute_nodes(),
+            real_nodes: plan.num_compute_nodes(),
         }
     }
 
@@ -236,10 +228,9 @@ impl DensePaddedNet {
 mod tests {
     use super::*;
     use e3_inax::synthetic::synthetic_net;
-    use e3_inax::IrregularNet;
     use e3_neat::{Genome, InnovationTracker};
 
-    fn skip_net() -> IrregularNet {
+    fn skip_net() -> NetPlan {
         // 2 inputs -> hidden chain of 2 -> output, with a skip from
         // input 1 straight to the output (spans 3 levels).
         let mut tracker = InnovationTracker::with_reserved_nodes(3);
@@ -253,7 +244,7 @@ mod tests {
             .split_connection(i2, Activation::Tanh, &mut tracker)
             .unwrap();
         g.add_connection(1, 2, -0.5, &mut tracker).unwrap();
-        IrregularNet::try_from(&g).unwrap()
+        NetPlan::compile(&g).unwrap()
     }
 
     #[test]
@@ -266,10 +257,6 @@ mod tests {
         g.add_connection(1, 2, -0.5, &mut tracker).unwrap();
         let plan = NetPlan::compile(&g).unwrap();
         let padded = DensePaddedNet::from_plan(&plan);
-        assert_eq!(
-            padded,
-            DensePaddedNet::from_irregular(&IrregularNet::from_plan(&plan))
-        );
         for input in [[0.0, 0.0], [1.0, -1.0], [0.3, 0.7]] {
             assert_eq!(padded.evaluate(&input), plan.execute(&input));
         }
@@ -278,7 +265,7 @@ mod tests {
     #[test]
     fn skip_links_create_dummies() {
         let net = skip_net();
-        let padded = DensePaddedNet::from_irregular(&net);
+        let padded = DensePaddedNet::from_plan(&net);
         assert!(
             padded.dummy_nodes() > 0,
             "the input-to-output skip needs carrying"
@@ -290,9 +277,9 @@ mod tests {
     #[test]
     fn padding_preserves_semantics_on_skip_net() {
         let net = skip_net();
-        let padded = DensePaddedNet::from_irregular(&net);
+        let padded = DensePaddedNet::from_plan(&net);
         for input in [[0.0, 0.0], [1.0, 1.0], [-0.5, 2.0], [3.0, -3.0]] {
-            let want = net.evaluate(&input);
+            let want = net.execute(&input);
             let got = padded.evaluate(&input);
             for (w, g) in want.iter().zip(&got) {
                 assert!((w - g).abs() < 1e-12, "{w} vs {g}");
@@ -304,9 +291,9 @@ mod tests {
     fn padding_preserves_semantics_on_synthetic_nets() {
         for seed in 0..8 {
             let net = synthetic_net(8, 4, 20, 0.25, seed);
-            let padded = DensePaddedNet::from_irregular(&net);
+            let padded = DensePaddedNet::from_plan(&net);
             let input: Vec<f64> = (0..8).map(|i| ((seed + i) as f64 * 0.61).cos()).collect();
-            let want = net.evaluate(&input);
+            let want = net.execute(&input);
             let got = padded.evaluate(&input);
             assert_eq!(want.len(), got.len());
             for (w, g) in want.iter().zip(&got) {
@@ -343,8 +330,8 @@ mod tests {
                 }
             }
         }
-        let net = IrregularNet::try_from(&g).unwrap();
-        let padded = DensePaddedNet::from_irregular(&net);
+        let net = NetPlan::compile(&g).unwrap();
+        let padded = DensePaddedNet::from_plan(&net);
         assert_eq!(
             padded.dummy_nodes(),
             0,
@@ -356,7 +343,7 @@ mod tests {
     #[test]
     fn layer_evaluate_checks_width() {
         let net = skip_net();
-        let padded = DensePaddedNet::from_irregular(&net);
+        let padded = DensePaddedNet::from_plan(&net);
         let layer = &padded.layers()[0];
         let err = std::panic::catch_unwind(|| layer.evaluate(&[0.0]));
         assert!(err.is_err() || layer.in_width == 1);

@@ -2,7 +2,7 @@
 //! SA cycle model behaves sanely on arbitrary evolved topologies.
 
 use e3_inax::synthetic::synthetic_genome_with_mutations;
-use e3_inax::IrregularNet;
+use e3_neat::NetPlan;
 use e3_systolic::{DensePaddedNet, SystolicArray, SystolicConfig};
 use proptest::prelude::*;
 
@@ -19,9 +19,9 @@ proptest! {
         x in proptest::collection::vec(-4.0f64..4.0, 5),
     ) {
         let genome = synthetic_genome_with_mutations(5, 3, hidden, density, mutations, seed);
-        let net = IrregularNet::try_from(&genome).expect("feed-forward");
-        let padded = DensePaddedNet::from_irregular(&net);
-        let want = net.evaluate(&x);
+        let net = NetPlan::compile(&genome).expect("feed-forward");
+        let padded = DensePaddedNet::from_plan(&net);
+        let want = net.execute(&x);
         let got = padded.evaluate(&x);
         prop_assert_eq!(want.len(), got.len());
         for (w, g) in want.iter().zip(&got) {
@@ -38,8 +38,8 @@ proptest! {
         mutations in 0usize..8,
     ) {
         let genome = synthetic_genome_with_mutations(5, 3, hidden, 0.4, mutations, seed);
-        let net = IrregularNet::try_from(&genome).expect("feed-forward");
-        let padded = DensePaddedNet::from_irregular(&net);
+        let net = NetPlan::compile(&genome).expect("feed-forward");
+        let padded = DensePaddedNet::from_plan(&net);
         prop_assert!(padded.dense_connections() >= net.num_connections());
         prop_assert_eq!(padded.real_nodes(), net.num_compute_nodes());
         let total_outputs: usize = padded.layers().iter().map(|l| l.out_width()).sum();
@@ -57,8 +57,8 @@ proptest! {
         hidden in 1usize..20,
     ) {
         let genome = synthetic_genome_with_mutations(5, 3, hidden, 0.4, 2, seed);
-        let net = IrregularNet::try_from(&genome).expect("feed-forward");
-        let padded = DensePaddedNet::from_irregular(&net);
+        let net = NetPlan::compile(&genome).expect("feed-forward");
+        let padded = DensePaddedNet::from_plan(&net);
         let sweep = [1usize, 2, 4, 8, 16, 64];
         let cycles: Vec<u64> = sweep
             .iter()

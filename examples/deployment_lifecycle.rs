@@ -15,8 +15,8 @@
 use e3::envs::wrappers::{ActionRepeat, ObservationNoise};
 use e3::envs::{run_episode, CartPole, Environment};
 use e3::inax::quant::{evaluate_fixed_point, FixedPointFormat};
-use e3::inax::IrregularNet;
-use e3::neat::{DecodeError, NeatConfig, Population, PopulationSnapshot};
+use e3::inax::weight_stream_bytes;
+use e3::neat::{DecodeError, NeatConfig, NetPlan, Population, PopulationSnapshot};
 
 /// Fallible population evaluation, mirroring the platform's
 /// `Backend::evaluate`: a malformed genome surfaces as a typed
@@ -76,9 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 4. quantize the champion for the PE datapath ----------------------
     let champion = tuned.best().expect("evaluated").genome.clone();
-    let hw = IrregularNet::try_from(&champion)?;
+    let hw = NetPlan::compile(&champion)?;
     let probe = vec![0.01, -0.02, 0.03, 0.0];
-    let exact = hw.evaluate(&probe);
+    let exact = hw.execute(&probe);
     for format in [
         FixedPointFormat::Q4_4,
         FixedPointFormat::Q8_8,
@@ -99,9 +99,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "champion: {} nodes, {} connections — small enough for a {}-byte weight stream",
-        hw.num_compute_nodes() + hw.num_inputs(),
+        hw.num_nodes(),
         hw.num_connections(),
-        hw.weight_stream_bytes()
+        weight_stream_bytes(&hw)
     );
     Ok(())
 }

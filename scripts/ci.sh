@@ -24,8 +24,14 @@ cargo test --workspace --offline -q
 cargo test --offline -q --manifest-path vendor/serde_json/Cargo.toml
 cargo test --offline -q --manifest-path vendor/serde/Cargo.toml --features derive
 
-echo "== examples build =="
+echo "== examples build and run =="
+# Every shipped example must exit 0 — an example that builds and then
+# panics is a broken front door. None takes arguments or writes into
+# the checkout (the clean-tree stage below would catch one that did).
 cargo build --release --offline --examples
+for example in examples/*.rs; do
+    cargo run --release --offline -q --example "$(basename "$example" .rs)" >/dev/null
+done
 
 echo "== repro run: --threads does not change results =="
 # E3-INAX shards like a software run (one kernel), so the comparison

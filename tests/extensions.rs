@@ -9,8 +9,8 @@ use e3::envs::{run_episode, CartPole, EnvId, Environment};
 use e3::inax::pipeline::{analyze_double_buffering, BatchWork};
 use e3::inax::quant::{evaluate_fixed_point, FixedPointFormat};
 use e3::inax::sparsity::analyze_activation_sparsity;
-use e3::inax::{trace_inference, InaxConfig, IrregularNet};
-use e3::neat::{NeatConfig, Population, PopulationSnapshot, RecurrentNetwork};
+use e3::inax::{trace_inference, InaxConfig};
+use e3::neat::{NeatConfig, NetPlan, Population, PopulationSnapshot, RecurrentNetwork};
 
 #[test]
 fn checkpointed_run_can_be_deployed_after_restore() {
@@ -107,9 +107,9 @@ fn quantized_deployment_of_an_evolved_champion_is_accurate() {
     }
     pop.evaluate(|_| 0.0);
     let champion = &pop.best().expect("evaluated").genome;
-    let hw = IrregularNet::try_from(champion).expect("compiles");
+    let hw = NetPlan::compile(champion).expect("compiles");
     let probe = vec![0.01, -0.03, 0.02, 0.0];
-    let exact = hw.evaluate(&probe);
+    let exact = hw.execute(&probe);
     let quant = evaluate_fixed_point(&hw, &probe, FixedPointFormat::Q8_16);
     for (a, b) in exact.iter().zip(&quant) {
         assert!((a - b).abs() < 1e-3, "Q8.16 deployment error {a} vs {b}");

@@ -1,10 +1,16 @@
 //! Cross-crate functional-equivalence tests: software NEAT inference,
 //! the INAX simulator, and the systolic-array lowering must all
 //! compute the same function for networks evolved in real runs.
+//!
+//! The three paths are the decoded `Network`, a `PuSim` inferring into
+//! its own value buffer, and the dense padded counterpart. A fourth —
+//! `e3-inax`'s second interpreter over its per-node copy of the plan —
+//! went with the copy: the accelerator model reads the compiled
+//! `NetPlan` itself.
 
 use e3::envs::EnvId;
-use e3::inax::{InaxConfig, IrregularNet, PuSim};
-use e3::neat::{NeatConfig, Population};
+use e3::inax::{InaxConfig, PuSim};
+use e3::neat::{NeatConfig, NetPlan, Population};
 use e3::systolic::DensePaddedNet;
 
 /// Evolve a real population for a few generations and return its
@@ -38,13 +44,12 @@ fn evolved_nets_agree_across_all_three_execution_paths() {
             let mut sw = genome.decode().expect("feed-forward");
             let want = sw.activate(&probe);
 
-            let hw = IrregularNet::try_from(genome).expect("compiles");
-            assert_eq!(hw.evaluate(&probe), want, "{env}: INAX diverged");
+            let plan = NetPlan::compile(genome).expect("compiles");
+            let padded = DensePaddedNet::from_plan(&plan);
 
-            let mut pu = PuSim::new(&InaxConfig::builder().num_pe(3).build(), hw.clone());
+            let mut pu = PuSim::new(&InaxConfig::builder().num_pe(3).build(), plan);
             assert_eq!(pu.infer(&probe).0, want, "{env}: PU diverged");
 
-            let padded = DensePaddedNet::from_irregular(&hw);
             let sa = padded.evaluate(&probe);
             assert_eq!(sa.len(), want.len());
             for (a, b) in sa.iter().zip(&want) {
@@ -62,8 +67,7 @@ fn evolved_nets_show_the_irregularity_inax_targets() {
     for genome in pop.genomes() {
         let net = genome.decode().expect("feed-forward");
         degrees.extend(net.in_degrees());
-        let hw = IrregularNet::try_from(genome).expect("compiles");
-        let padded = DensePaddedNet::from_irregular(&hw);
+        let padded = DensePaddedNet::from_plan(net.plan());
         if padded.dummy_nodes() > 0 {
             any_skip = true;
         }
