@@ -217,15 +217,18 @@ pub(crate) fn expect_discrete(action: &Action, n: usize, env: &str) -> usize {
 /// # Panics
 ///
 /// Panics when the action is discrete or has the wrong dimension.
-pub(crate) fn expect_continuous(action: &Action, low: &[f64], high: &[f64], env: &str) -> Vec<f64> {
+pub(crate) fn expect_continuous<const N: usize>(
+    action: &Action,
+    low: &[f64; N],
+    high: &[f64; N],
+    env: &str,
+) -> [f64; N] {
     match action {
-        Action::Continuous(v) if v.len() == low.len() => v
-            .iter()
-            .zip(low.iter().zip(high))
-            .map(|(&x, (&lo, &hi))| x.clamp(lo, hi))
-            .collect(),
+        Action::Continuous(v) if v.len() == N => {
+            std::array::from_fn(|i| v[i].clamp(low[i], high[i]))
+        }
         Action::Continuous(v) => {
-            panic!("{env}: expected {} action dims, got {}", low.len(), v.len())
+            panic!("{env}: expected {N} action dims, got {}", v.len())
         }
         Action::Discrete(_) => panic!("{env}: expected a continuous action"),
     }
@@ -261,7 +264,7 @@ mod tests {
     fn expect_continuous_clamps_to_bounds() {
         let a = Action::Continuous(vec![5.0, -5.0]);
         let v = expect_continuous(&a, &[-1.0, -1.0], &[1.0, 1.0], "test");
-        assert_eq!(v, vec![1.0, -1.0]);
+        assert_eq!(v, [1.0, -1.0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! environment, repeat until the episode ends, and report the summed
 //! reward as the genome's fitness.
 
-use crate::env::{Action, ActionSpace, Environment};
+use crate::env::{Action, ActionSpace, Environment, Transition};
 
 /// Anything that maps observations to raw network outputs.
 ///
@@ -42,6 +42,19 @@ pub struct EpisodeResult {
 /// Panics if `outputs.len()` differs from
 /// [`ActionSpace::policy_outputs`].
 pub fn decode_action(outputs: &[f64], space: &ActionSpace) -> Action {
+    let mut action = Action::Discrete(0);
+    decode_action_into(outputs, space, &mut action);
+    action
+}
+
+/// [`decode_action`] into an existing action. A continuous action
+/// reuses its vector, so decoding allocates only the first time it
+/// meets a continuous space.
+///
+/// # Panics
+///
+/// As [`decode_action`].
+pub fn decode_action_into(outputs: &[f64], space: &ActionSpace, action: &mut Action) {
     assert_eq!(
         outputs.len(),
         space.policy_outputs(),
@@ -57,7 +70,7 @@ pub fn decode_action(outputs: &[f64], space: &ActionSpace) -> Action {
                 .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(i, _)| i)
                 .expect("policy_outputs >= 1");
-            Action::Discrete(best)
+            *action = Action::Discrete(best);
         }
         ActionSpace::Continuous { low, high } => {
             let values = outputs
@@ -66,10 +79,63 @@ pub fn decode_action(outputs: &[f64], space: &ActionSpace) -> Action {
                 .map(|(&x, (&lo, &hi))| {
                     let unit = x.clamp(-1.0, 1.0);
                     lo + (unit + 1.0) / 2.0 * (hi - lo)
-                })
-                .collect();
-            Action::Continuous(values)
+                });
+            match action {
+                Action::Continuous(reused) => {
+                    reused.clear();
+                    reused.extend(values);
+                }
+                other => *other = Action::Continuous(values.collect()),
+            }
         }
+    }
+}
+
+/// The per-environment state an episode loop keeps outside the
+/// environment — its action space, read once, the observation row and
+/// the decoded action — reused across steps and episodes, so that a step
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub struct Episode {
+    space: ActionSpace,
+    observation: Vec<f64>,
+    action: Action,
+}
+
+impl Episode {
+    /// Buffers sized for `env`.
+    pub fn new(env: &dyn Environment) -> Self {
+        Episode {
+            space: env.action_space(),
+            observation: vec![0.0; env.observation_size()],
+            action: Action::Discrete(0),
+        }
+    }
+
+    /// Starts an episode of `env` from `seed`; its first observation is
+    /// [`Episode::observation`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `env`'s observation size is not the one the buffers
+    /// were built for.
+    pub fn reset(&mut self, env: &mut dyn Environment, seed: u64) {
+        env.reset_into(seed, &mut self.observation);
+    }
+
+    /// The current observation.
+    pub fn observation(&self) -> &[f64] {
+        &self.observation
+    }
+
+    /// Decodes `outputs` into an action and steps `env` with it.
+    ///
+    /// # Panics
+    ///
+    /// As [`decode_action`] and [`Environment::step_into`].
+    pub fn step(&mut self, env: &mut dyn Environment, outputs: &[f64]) -> Transition {
+        decode_action_into(outputs, &self.space, &mut self.action);
+        env.step_into(&self.action, &mut self.observation)
     }
 }
 
@@ -80,14 +146,13 @@ pub fn run_episode<P: Policy + ?Sized>(
     policy: &mut P,
     seed: u64,
 ) -> EpisodeResult {
-    let space = env.action_space();
-    let mut obs = env.reset(seed);
+    let mut episode = Episode::new(env);
+    episode.reset(env, seed);
     let mut total_reward = 0.0;
     let mut steps = 0;
     loop {
-        let outputs = policy.act(&obs);
-        let action = decode_action(&outputs, &space);
-        let transition = env.step_into(&action, &mut obs);
+        let outputs = policy.act(episode.observation());
+        let transition = episode.step(env, &outputs);
         total_reward += transition.reward;
         steps += 1;
         if transition.done() {
@@ -132,6 +197,25 @@ mod tests {
     #[should_panic(expected = "policy produced")]
     fn decode_checks_output_count() {
         let _ = decode_action(&[0.1], &ActionSpace::Discrete(3));
+    }
+
+    #[test]
+    fn decode_into_reuses_a_continuous_vector() {
+        let space = ActionSpace::symmetric(2, 2.0);
+        let mut action = Action::Discrete(0);
+        decode_action_into(&[0.5, -0.5], &space, &mut action);
+        let Action::Continuous(first) = &action else {
+            panic!("decoded {action:?}");
+        };
+        let buffer = first.as_ptr();
+        decode_action_into(&[1.0, 7.0], &space, &mut action);
+        assert_eq!(action, Action::Continuous(vec![2.0, 2.0]));
+        let Action::Continuous(second) = &action else {
+            unreachable!()
+        };
+        assert_eq!(second.as_ptr(), buffer, "the vector was reallocated");
+        decode_action_into(&[0.1, 0.9, -0.5], &ActionSpace::Discrete(3), &mut action);
+        assert_eq!(action, Action::Discrete(1));
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub use batch::{BatchEnv, ScalarBatch, StepBatch};
 pub use bipedal_walker::BipedalWalker;
 pub use cartpole::CartPole;
 pub use env::{Action, ActionSpace, Environment, Step, Transition};
-pub use episode::{decode_action, run_episode, EpisodeResult, Policy};
+pub use episode::{decode_action, decode_action_into, run_episode, Episode, EpisodeResult, Policy};
 pub use lunar_lander::LunarLander;
 pub use mountain_car::MountainCar;
 pub use pendulum::Pendulum;

@@ -22,8 +22,11 @@
 //! the CSR edges in sorted order, one `mulsd`+`addsd` pair each), and
 //! activations are dispatched through [`ACTIVATION_TABLE`] — thin
 //! `extern "C"` wrappers over [`Activation::apply`] — so even
-//! transcendental results (`tanh`, `exp`, `sin`) come from the very
-//! same routines. Only `Identity` is inlined, by skipping the call.
+//! transcendental results come from the very same routines. Only
+//! `Identity` is inlined, by skipping the call. For `Sigmoid`, `Tanh`
+//! and `Gauss` those routines are `e3-neat`'s own exponential core, not
+//! the host's libm, so both tiers give the same bits on every host; only
+//! `Sin` still calls the host's `sin`.
 //!
 //! ## Fallback semantics
 //!

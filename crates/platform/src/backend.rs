@@ -28,7 +28,7 @@
 use crate::scenario::{aggregate_fitness, ScenarioSpec};
 use crate::tier::{Tier, TierExec, TierStats};
 use crate::timing::{GpuCostModel, SwCostModel};
-use e3_envs::{decode_action, EnvId, Environment};
+use e3_envs::{EnvId, Environment, Episode};
 use e3_exec::{AnyExecutor, ExecError, ExecStats, Executor, SharedExecutor, WorkerScratch};
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, UtilizationBreakdown};
 use e3_jit::JitConfig;
@@ -184,24 +184,23 @@ pub struct EvalOutcome {
 /// executor's statistics and the tier's.
 pub type EvalStats = (ExecStats, TierStats);
 
-/// Runs one network's episode in software, returning
-/// `(fitness, steps)`. Generic over the [`ForwardPass`] seam so the
-/// same kernel drives the interpreted network and the JIT tier's
+/// Runs one network's episode in software from `episode_seed`,
+/// returning `(fitness, steps)`. Generic over the [`ForwardPass`] seam
+/// so the same kernel drives the interpreted network and the JIT tier's
 /// `CompiledPlan` — which are bit-identical by contract, so the episode
-/// trajectory cannot depend on the tier.
-pub(crate) fn run_software_episode(
+/// trajectory cannot depend on the tier. `episode` holds `env`'s
+/// buffers ([`Episode::new`]); no step allocates.
+pub fn run_software_episode(
     net: &mut dyn ForwardPass,
     env: &mut dyn Environment,
+    episode: &mut Episode,
     episode_seed: u64,
 ) -> (f64, u64) {
-    let space = env.action_space();
-    let mut obs = env.reset(episode_seed);
+    episode.reset(env, episode_seed);
     let mut fitness = 0.0;
     let mut steps = 0u64;
     loop {
-        let outputs = net.activate_into(&obs);
-        let action = decode_action(outputs, &space);
-        let transition = env.step_into(&action, &mut obs);
+        let transition = episode.step(env, net.activate_into(episode.observation()));
         fitness += transition.reward;
         steps += 1;
         if transition.done() {
@@ -340,13 +339,18 @@ fn per_genome_shard(
     range: Range<usize>,
 ) -> Vec<Result<GenomeRow, DecodeFailure>> {
     let _shard_span = job.shard_span(range.start, range.len());
-    // One environment per sampled world, built once per shard:
-    // `reset` fully re-initialises an episode, so genomes reuse them.
-    let mut envs: Vec<Box<dyn Environment>> = job
+    // One environment and its episode buffers per sampled world, built
+    // once per shard: `reset` fully re-initialises an episode, so
+    // genomes reuse them.
+    let mut envs: Vec<(Box<dyn Environment>, Episode)> = job
         .spec
         .params()
         .iter()
-        .map(|params| job.env.make_scenario(params))
+        .map(|params| {
+            let env = job.env.make_scenario(params);
+            let episode = Episode::new(env.as_ref());
+            (env, episode)
+        })
         .collect();
     let mut fits = vec![0.0; envs.len()];
     let mut lengths = vec![0u64; envs.len()];
@@ -366,9 +370,10 @@ fn per_genome_shard(
                 }
             };
             let seeds = job.spec.episode_seeds(i..i + 1);
-            for (s, (env, &seed)) in envs.iter_mut().zip(seeds).enumerate() {
+            for (s, ((env, episode), &seed)) in envs.iter_mut().zip(seeds).enumerate() {
                 let episode_span = job.episode_timer(i, s);
-                let (fitness, steps) = run_software_episode(exec.forward(), env.as_mut(), seed);
+                let (fitness, steps) =
+                    run_software_episode(exec.forward(), env.as_mut(), episode, seed);
                 finish_episode(episode_span, steps);
                 fits[s] = fitness;
                 lengths[s] = steps;

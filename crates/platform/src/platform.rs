@@ -14,7 +14,7 @@ use crate::checkpoint::{fingerprint, RunState};
 use crate::energy::PowerModel;
 use crate::scenario::{holdout_plan, ScenarioConfig};
 use crate::timing::{GpuCostModel, SwCostModel};
-use e3_envs::EnvId;
+use e3_envs::{EnvId, Episode};
 use e3_exec::SharedExecutor;
 use e3_inax::{EpisodeRunReport, InaxConfig, UtilizationBreakdown};
 use e3_jit::JitConfig;
@@ -808,7 +808,8 @@ impl E3Platform {
                     .iter()
                     .map(|(params, seed)| {
                         let mut env = self.config.env.make_scenario(params);
-                        run_software_episode(&mut net, env.as_mut(), *seed).0
+                        let mut episode = Episode::new(env.as_ref());
+                        run_software_episode(&mut net, env.as_mut(), &mut episode, *seed).0
                     })
                     .collect();
                 let count = per_scenario.len();

@@ -15,6 +15,10 @@ echo "== test suite: every crate, every target =="
 # seed): not on thread count, a kill-and-resume, an installed collector
 # or tracer, an attached HTTP server, or the execution tier.
 cargo test --workspace --offline -q
+# The ten-million-point accuracy survey of the activation core against
+# the host's libm (DESIGN.md records its histograms); about a second in
+# release.
+cargo test --release --offline -q -p e3-neat --test activation_accuracy -- --ignored
 # The vendored stand-ins sit outside the workspace, so nothing above
 # runs their own tests. `serde_json` is the one with a text parser:
 # every config, manifest and NDJSON line goes through it. `serde` holds
