@@ -15,8 +15,6 @@
 
 pub mod svg;
 
-pub use e3_platform::experiments::Scale;
-
 /// The experiment names `repro` accepts, in paper order.
 pub const EXPERIMENTS: &[&str] = &[
     "table4",

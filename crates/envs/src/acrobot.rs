@@ -60,7 +60,7 @@ impl AcrobotPhys {
 /// the tip crosses the target height. Uses the "book" dynamics with
 /// RK4 integration like Gym.
 #[derive(Debug, Clone)]
-pub struct Acrobot {
+pub(crate) struct Acrobot {
     phys: AcrobotPhys,
     /// `[θ1, θ2, ω1, ω2]`
     state: [f64; 4],
@@ -71,24 +71,24 @@ pub struct Acrobot {
 
 impl Acrobot {
     /// Creates the environment with the Gym step limit (500).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_max_steps(500)
     }
 
     /// Creates the environment with a custom step limit.
-    pub fn with_max_steps(max_steps: usize) -> Self {
+    pub(crate) fn with_max_steps(max_steps: usize) -> Self {
         Self::with_scenario_max_steps(&ScenarioParams::default(), max_steps)
     }
 
     /// Creates the environment with scenario physics and the Gym step
     /// limit (500).
-    pub fn with_scenario(params: &ScenarioParams) -> Self {
+    pub(crate) fn with_scenario(params: &ScenarioParams) -> Self {
         Self::with_scenario_max_steps(params, 500)
     }
 
     /// Creates the environment with scenario physics and a custom step
     /// limit.
-    pub fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
+    pub(crate) fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
         Acrobot {
             phys: AcrobotPhys::from_params(params),
             state: [0.0; 4],
@@ -104,7 +104,7 @@ impl Acrobot {
     }
 
     /// Height of the tip above the pivot: `-cos θ1 - cos(θ1 + θ2)`.
-    pub fn tip_height(&self) -> f64 {
+    pub(crate) fn tip_height(&self) -> f64 {
         -self.state[0].cos() - (self.state[0] + self.state[1]).cos()
     }
 

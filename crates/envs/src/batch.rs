@@ -76,13 +76,8 @@ impl StepBatch {
     }
 
     /// Number of lanes.
-    pub fn lanes(&self) -> usize {
+    pub(crate) fn lanes(&self) -> usize {
         self.rewards.len()
-    }
-
-    /// Observation length per lane.
-    pub fn obs_size(&self) -> usize {
-        self.obs_size
     }
 
     /// The observation row of `lane`.
@@ -92,7 +87,7 @@ impl StepBatch {
 
     /// The mutable observation row of `lane` (for [`BatchEnv`]
     /// implementations).
-    pub fn obs_row_mut(&mut self, lane: usize) -> &mut [f64] {
+    pub(crate) fn obs_row_mut(&mut self, lane: usize) -> &mut [f64] {
         &mut self.observations[lane * self.obs_size..(lane + 1) * self.obs_size]
     }
 
@@ -119,7 +114,7 @@ impl StepBatch {
 /// A batch of environments stepped in lockstep.
 ///
 /// Mirrors [`Environment`], lifted to a fixed number of lanes. See the
-/// [module docs](self) for lane parking and the determinism contract.
+/// module docs for lane parking and the determinism contract.
 pub trait BatchEnv {
     /// Number of lanes (episodes per batch).
     fn lanes(&self) -> usize;
@@ -189,7 +184,7 @@ impl<E: Environment> ScalarBatch<E> {
     /// # Panics
     ///
     /// Panics if `envs` is empty.
-    pub fn new(envs: Vec<E>) -> Self {
+    pub(crate) fn new(envs: Vec<E>) -> Self {
         assert!(!envs.is_empty(), "a batch needs at least one lane");
         ScalarBatch { envs }
     }
@@ -357,7 +352,6 @@ mod tests {
     fn step_batch_rows_index_lane_major() {
         let batch = StepBatch::new(3, 4);
         assert_eq!(batch.lanes(), 3);
-        assert_eq!(batch.obs_size(), 4);
         assert_eq!(batch.obs_row(2).len(), 4);
         assert_eq!(batch.observations.len(), 12);
         assert!(batch.all_parked(), "lanes start parked until reset");

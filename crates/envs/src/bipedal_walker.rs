@@ -62,7 +62,7 @@ impl WalkerPhys {
 /// contact, and 10 lidar distances to the (flat) terrain. Actions (4):
 /// hip and knee torques for both legs in `[-1, 1]`.
 #[derive(Debug, Clone)]
-pub struct BipedalWalker {
+pub(crate) struct BipedalWalker {
     phys: WalkerPhys,
     hull_angle: f64,
     hull_omega: f64,
@@ -80,24 +80,24 @@ pub struct BipedalWalker {
 
 impl BipedalWalker {
     /// Creates the environment with the Gym step limit (1600).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_max_steps(1600)
     }
 
     /// Creates the environment with a custom step limit.
-    pub fn with_max_steps(max_steps: usize) -> Self {
+    pub(crate) fn with_max_steps(max_steps: usize) -> Self {
         Self::with_scenario_max_steps(&ScenarioParams::default(), max_steps)
     }
 
     /// Creates the environment with scenario physics and the Gym step
     /// limit (1600).
-    pub fn with_scenario(params: &ScenarioParams) -> Self {
+    pub(crate) fn with_scenario(params: &ScenarioParams) -> Self {
         Self::with_scenario_max_steps(params, 1600)
     }
 
     /// Creates the environment with scenario physics and a custom step
     /// limit.
-    pub fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
+    pub(crate) fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
         BipedalWalker {
             phys: WalkerPhys::from_params(params),
             hull_angle: 0.0,
@@ -111,11 +111,6 @@ impl BipedalWalker {
             done: true,
             max_steps,
         }
-    }
-
-    /// Distance travelled so far (for tests/tools).
-    pub fn position(&self) -> f64 {
-        self.position
     }
 
     /// Leg extension toward the ground: larger = foot lower. The foot
@@ -302,7 +297,7 @@ mod tests {
                 break;
             }
         }
-        (total, env.position())
+        (total, env.position)
     }
 
     #[test]
@@ -440,7 +435,7 @@ mod tests {
                     break;
                 }
             }
-            env.position()
+            env.position
         };
         let smooth_pos = run(&ScenarioParams::default());
         let rough_pos = run(&rough);

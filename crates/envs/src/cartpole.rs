@@ -109,19 +109,19 @@ impl CartPole {
     }
 
     /// Creates the environment with a custom step limit.
-    pub fn with_max_steps(max_steps: usize) -> Self {
+    pub(crate) fn with_max_steps(max_steps: usize) -> Self {
         Self::with_scenario_max_steps(&ScenarioParams::default(), max_steps)
     }
 
     /// Creates the environment with scenario physics and the Gym v1
     /// step limit (500).
-    pub fn with_scenario(params: &ScenarioParams) -> Self {
+    pub(crate) fn with_scenario(params: &ScenarioParams) -> Self {
         Self::with_scenario_max_steps(params, 500)
     }
 
     /// Creates the environment with scenario physics and a custom step
     /// limit.
-    pub fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
+    pub(crate) fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
         CartPole {
             phys: CartPolePhys::from_params(params),
             state: [0.0; 4],
@@ -129,11 +129,6 @@ impl CartPole {
             done: true,
             max_steps,
         }
-    }
-
-    /// Raw state `[x, x_dot, theta, theta_dot]` (for tests/tools).
-    pub fn state(&self) -> [f64; 4] {
-        self.state
     }
 }
 

@@ -19,7 +19,7 @@ pub enum ActionSpace {
 impl ActionSpace {
     /// Convenience constructor for a symmetric continuous box
     /// `[-bound, bound]^dims`.
-    pub fn symmetric(dims: usize, bound: f64) -> Self {
+    pub(crate) fn symmetric(dims: usize, bound: f64) -> Self {
         ActionSpace::Continuous {
             low: vec![-bound; dims],
             high: vec![bound; dims],
@@ -29,7 +29,7 @@ impl ActionSpace {
     /// Number of values a policy network must output to drive this
     /// space: the action count for discrete spaces (one logit per
     /// action), the dimension count for continuous spaces.
-    pub fn policy_outputs(&self) -> usize {
+    pub(crate) fn policy_outputs(&self) -> usize {
         match self {
             ActionSpace::Discrete(n) => *n,
             ActionSpace::Continuous { low, .. } => low.len(),

@@ -40,7 +40,7 @@ pub struct EpisodeResult {
 /// # Panics
 ///
 /// Panics if `outputs.len()` differs from
-/// [`ActionSpace::policy_outputs`].
+/// `ActionSpace::policy_outputs`.
 pub fn decode_action(outputs: &[f64], space: &ActionSpace) -> Action {
     let mut action = Action::Discrete(0);
     decode_action_into(outputs, space, &mut action);
@@ -54,7 +54,7 @@ pub fn decode_action(outputs: &[f64], space: &ActionSpace) -> Action {
 /// # Panics
 ///
 /// As [`decode_action`].
-pub fn decode_action_into(outputs: &[f64], space: &ActionSpace, action: &mut Action) {
+pub(crate) fn decode_action_into(outputs: &[f64], space: &ActionSpace, action: &mut Action) {
     assert_eq!(
         outputs.len(),
         space.policy_outputs(),

@@ -5,9 +5,9 @@
 //! Env4 bipedal, Env5 lunar lander, Env6 pendulum. This crate ports
 //! those environments so the whole platform is self-contained Rust:
 //!
-//! * [`CartPole`], [`Acrobot`], [`MountainCar`], [`Pendulum`] follow
+//! * [`CartPole`], `Acrobot`, `MountainCar`, [`Pendulum`] follow
 //!   the published Gym classic-control dynamics equations;
-//! * [`LunarLander`] and [`BipedalWalker`] are simplified rigid-body
+//! * `LunarLander` and `BipedalWalker` are simplified rigid-body
 //!   reimplementations (Gym uses Box2D) with **identical observation
 //!   and action spaces** and comparable reward shaping — see DESIGN.md
 //!   for the substitution rationale.
@@ -31,29 +31,23 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod acrobot;
-pub mod batch;
-pub mod bipedal_walker;
-pub mod cartpole;
-pub mod env;
-pub mod episode;
-pub mod lunar_lander;
-pub mod mountain_car;
-pub mod pendulum;
-pub mod pong;
-pub mod scenario;
-pub mod suite;
-pub mod wrappers;
+mod acrobot;
+mod batch;
+mod bipedal_walker;
+mod cartpole;
+mod env;
+mod episode;
+mod lunar_lander;
+mod mountain_car;
+mod pendulum;
+mod pong;
+mod scenario;
+mod suite;
 
-pub use acrobot::Acrobot;
 pub use batch::{BatchEnv, ScalarBatch, StepBatch};
-pub use bipedal_walker::BipedalWalker;
 pub use cartpole::CartPole;
-pub use env::{Action, ActionSpace, Environment, Step, Transition};
-pub use episode::{decode_action, decode_action_into, run_episode, Episode, EpisodeResult, Policy};
-pub use lunar_lander::LunarLander;
-pub use mountain_car::MountainCar;
+pub use env::{Action, ActionSpace, Environment};
+pub use episode::{decode_action, run_episode, Episode};
 pub use pendulum::Pendulum;
-pub use pong::Pong;
-pub use scenario::{ParamRange, ScenarioDistribution, ScenarioParams};
-pub use suite::{EnvId, ParseEnvIdError};
+pub use scenario::{ScenarioDistribution, ScenarioParams};
+pub use suite::EnvId;

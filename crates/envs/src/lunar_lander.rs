@@ -60,7 +60,7 @@ impl LanderPhys {
 /// fuel; touchdown ends the episode with +100 (gentle, upright, on
 /// pad) or −100 (crash or drifting off-screen).
 #[derive(Debug, Clone)]
-pub struct LunarLander {
+pub(crate) struct LunarLander {
     phys: LanderPhys,
     x: f64,
     y: f64,
@@ -76,24 +76,24 @@ pub struct LunarLander {
 
 impl LunarLander {
     /// Creates the environment with the Gym step limit (1000).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_max_steps(1000)
     }
 
     /// Creates the environment with scenario physics and the Gym step
     /// limit (1000).
-    pub fn with_scenario(params: &ScenarioParams) -> Self {
+    pub(crate) fn with_scenario(params: &ScenarioParams) -> Self {
         Self::with_scenario_max_steps(params, 1000)
     }
 
     /// Creates the environment with a custom step limit.
-    pub fn with_max_steps(max_steps: usize) -> Self {
+    pub(crate) fn with_max_steps(max_steps: usize) -> Self {
         Self::with_scenario_max_steps(&ScenarioParams::default(), max_steps)
     }
 
     /// Creates the environment with scenario physics and a custom step
     /// limit.
-    pub fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
+    pub(crate) fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
         LunarLander {
             phys: LanderPhys::from_params(params),
             x: 0.0,

@@ -41,7 +41,7 @@ impl MountainCarPhys {
 /// Observation: `[position, velocity]`. Actions: 0 push left, 1 coast,
 /// 2 push right. Reward −1 per step; terminates at the goal position.
 #[derive(Debug, Clone)]
-pub struct MountainCar {
+pub(crate) struct MountainCar {
     phys: MountainCarPhys,
     position: f64,
     velocity: f64,
@@ -52,24 +52,24 @@ pub struct MountainCar {
 
 impl MountainCar {
     /// Creates the environment with the Gym step limit (200).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_max_steps(200)
     }
 
     /// Creates the environment with a custom step limit.
-    pub fn with_max_steps(max_steps: usize) -> Self {
+    pub(crate) fn with_max_steps(max_steps: usize) -> Self {
         Self::with_scenario_max_steps(&ScenarioParams::default(), max_steps)
     }
 
     /// Creates the environment with scenario physics and the Gym step
     /// limit (200).
-    pub fn with_scenario(params: &ScenarioParams) -> Self {
+    pub(crate) fn with_scenario(params: &ScenarioParams) -> Self {
         Self::with_scenario_max_steps(params, 200)
     }
 
     /// Creates the environment with scenario physics and a custom step
     /// limit.
-    pub fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
+    pub(crate) fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
         MountainCar {
             phys: MountainCarPhys::from_params(params),
             position: 0.0,
@@ -78,11 +78,6 @@ impl MountainCar {
             done: true,
             max_steps,
         }
-    }
-
-    /// Current position (for tests/tools).
-    pub fn position(&self) -> f64 {
-        self.position
     }
 }
 

@@ -61,7 +61,7 @@ pub struct Pendulum {
 
 impl Pendulum {
     /// Creates the environment with the Gym step limit (200).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_max_steps(200)
     }
 
@@ -72,13 +72,13 @@ impl Pendulum {
 
     /// Creates the environment with scenario physics and the Gym step
     /// limit (200).
-    pub fn with_scenario(params: &ScenarioParams) -> Self {
+    pub(crate) fn with_scenario(params: &ScenarioParams) -> Self {
         Self::with_scenario_max_steps(params, 200)
     }
 
     /// Creates the environment with scenario physics and a custom step
     /// limit.
-    pub fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
+    pub(crate) fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
         Pendulum {
             phys: PendulumPhys::from_params(params),
             theta: 0.0,
@@ -94,7 +94,7 @@ impl Pendulum {
     }
 
     /// Angle normalized to `[-π, π]` (0 = upright).
-    pub fn normalized_angle(&self) -> f64 {
+    pub(crate) fn normalized_angle(&self) -> f64 {
         let mut a = (self.theta + PI) % (2.0 * PI);
         if a < 0.0 {
             a += 2.0 * PI;

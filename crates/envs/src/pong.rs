@@ -45,7 +45,7 @@ impl PongPhys {
 /// point scored, −1 per point conceded, +0.01 per own-paddle hit
 /// (shaping). The episode ends at 5 points either way.
 #[derive(Debug, Clone)]
-pub struct Pong {
+pub(crate) struct Pong {
     phys: PongPhys,
     ball: [f64; 4],
     own_y: f64,
@@ -60,24 +60,24 @@ pub struct Pong {
 
 impl Pong {
     /// Creates the environment with a 3000-step limit.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_max_steps(3000)
     }
 
     /// Creates the environment with a custom step limit.
-    pub fn with_max_steps(max_steps: usize) -> Self {
+    pub(crate) fn with_max_steps(max_steps: usize) -> Self {
         Self::with_scenario_max_steps(&ScenarioParams::default(), max_steps)
     }
 
     /// Creates the environment with scenario physics and the default
     /// 3000-step limit.
-    pub fn with_scenario(params: &ScenarioParams) -> Self {
+    pub(crate) fn with_scenario(params: &ScenarioParams) -> Self {
         Self::with_scenario_max_steps(params, 3000)
     }
 
     /// Creates the environment with scenario physics and a custom step
     /// limit.
-    pub fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
+    pub(crate) fn with_scenario_max_steps(params: &ScenarioParams, max_steps: usize) -> Self {
         Pong {
             phys: PongPhys::from_params(params),
             ball: [0.0; 4],
@@ -90,11 +90,6 @@ impl Pong {
             max_steps,
             rng: StdRng::seed_from_u64(0),
         }
-    }
-
-    /// Current score `(own, opponent)`.
-    pub fn score(&self) -> (i32, i32) {
-        (self.own_score, self.opp_score)
     }
 
     fn write_observation(&self, obs: &mut [f64]) {
@@ -234,7 +229,7 @@ mod tests {
             total += s.reward;
             obs = s.observation.clone();
             if s.done() {
-                let (own, opp) = env.score();
+                let (own, opp) = (env.own_score, env.opp_score);
                 return (total, own, opp);
             }
         }

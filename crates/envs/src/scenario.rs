@@ -77,14 +77,6 @@ impl Default for ScenarioParams {
     }
 }
 
-impl ScenarioParams {
-    /// `true` when every field holds its default — the bit-identical
-    /// legacy physics.
-    pub fn is_default(&self) -> bool {
-        *self == ScenarioParams::default()
-    }
-}
-
 /// An inclusive-exclusive sampling range for one scenario field.
 /// A degenerate range (`lo == hi`) is *fixed*: sampling returns `lo`
 /// exactly and draws nothing from the RNG.
@@ -98,7 +90,7 @@ pub struct ParamRange {
 
 impl ParamRange {
     /// A range pinned to a single value.
-    pub fn fixed(value: f64) -> Self {
+    pub(crate) fn fixed(value: f64) -> Self {
         ParamRange {
             lo: value,
             hi: value,
@@ -110,7 +102,7 @@ impl ParamRange {
     /// # Panics
     ///
     /// If either bound is non-finite or `lo > hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
+    pub(crate) fn new(lo: f64, hi: f64) -> Self {
         assert!(
             lo.is_finite() && hi.is_finite() && lo <= hi,
             "invalid scenario range [{lo}, {hi})"
@@ -119,13 +111,13 @@ impl ParamRange {
     }
 
     /// `true` when the range is pinned to a single value.
-    pub fn is_fixed(&self) -> bool {
+    pub(crate) fn is_fixed(&self) -> bool {
         self.lo == self.hi
     }
 
     /// One value from the range: `lo` exactly when fixed, otherwise a
     /// uniform draw from `[lo, hi)`.
-    pub fn sample(&self, rng: &mut StdRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> f64 {
         if self.is_fixed() {
             self.lo
         } else {
@@ -217,42 +209,6 @@ impl ScenarioDistribution {
             roughness: ParamRange::new(0.1, 0.2),
         }
     }
-
-    /// Builder-style override of the gravity range.
-    pub fn with_gravity_scale(mut self, range: ParamRange) -> Self {
-        self.gravity_scale = range;
-        self
-    }
-
-    /// Builder-style override of the mass range.
-    pub fn with_mass_scale(mut self, range: ParamRange) -> Self {
-        self.mass_scale = range;
-        self
-    }
-
-    /// Builder-style override of the length range.
-    pub fn with_length_scale(mut self, range: ParamRange) -> Self {
-        self.length_scale = range;
-        self
-    }
-
-    /// Builder-style override of the force range.
-    pub fn with_force_scale(mut self, range: ParamRange) -> Self {
-        self.force_scale = range;
-        self
-    }
-
-    /// Builder-style override of the wind range.
-    pub fn with_wind(mut self, range: ParamRange) -> Self {
-        self.wind = range;
-        self
-    }
-
-    /// Builder-style override of the roughness range.
-    pub fn with_roughness(mut self, range: ParamRange) -> Self {
-        self.roughness = range;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -268,7 +224,6 @@ mod tests {
         assert_eq!(p.force_scale, 1.0);
         assert_eq!(p.wind, 0.0);
         assert_eq!(p.roughness, 0.0);
-        assert!(p.is_default());
     }
 
     #[test]
@@ -276,7 +231,7 @@ mod tests {
         let dist = ScenarioDistribution::default();
         assert!(dist.is_default());
         for seed in [0u64, 1, 42, u64::MAX] {
-            assert!(dist.sample(seed).is_default());
+            assert_eq!(dist.sample(seed), ScenarioParams::default());
         }
     }
 

@@ -3,10 +3,15 @@
 //! with their observation/action dimensions and required-fitness
 //! thresholds.
 
+use crate::acrobot::Acrobot;
 use crate::batch::{BatchEnv, ScalarBatch};
+use crate::bipedal_walker::BipedalWalker;
 use crate::env::Environment;
+use crate::lunar_lander::LunarLander;
+use crate::mountain_car::MountainCar;
+use crate::pong::Pong;
 use crate::scenario::ScenarioParams;
-use crate::{Acrobot, BipedalWalker, CartPole, LunarLander, MountainCar, Pendulum, Pong};
+use crate::{CartPole, Pendulum};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -174,7 +179,7 @@ impl EnvId {
     /// A fitness floor used to normalize achieved fitness into
     /// `[0, 1]` for Fig. 2 (normalized = (f - floor) / (required -
     /// floor), clamped).
-    pub fn fitness_floor(self) -> f64 {
+    pub(crate) fn fitness_floor(self) -> f64 {
         match self {
             EnvId::CartPole => 0.0,
             EnvId::Acrobot => -500.0,

@@ -91,7 +91,7 @@ pub struct ShardRun<T> {
 /// `shard_size` items. Shard boundaries depend only on the two
 /// arguments, never on worker count or timing, so every executor
 /// produces the same plan.
-pub fn shard_plan(num_items: usize, shard_size: usize) -> Vec<(usize, usize)> {
+pub(crate) fn shard_plan(num_items: usize, shard_size: usize) -> Vec<(usize, usize)> {
     assert!(shard_size > 0, "shard size must be positive");
     (0..num_items)
         .step_by(shard_size)
@@ -102,7 +102,7 @@ pub fn shard_plan(num_items: usize, shard_size: usize) -> Vec<(usize, usize)> {
 /// An execution strategy for embarrassingly parallel per-item work.
 ///
 /// `run_shards` splits `0..num_items` into contiguous shards (see
-/// [`shard_plan`]), evaluates `task` once per shard, and returns the
+/// `shard_plan`), evaluates `task` once per shard, and returns the
 /// per-item results in index order. The task receives the shard's item
 /// range plus the executing worker's [`WorkerScratch`] and must return
 /// exactly one value per item in the range.
@@ -110,7 +110,7 @@ pub fn shard_plan(num_items: usize, shard_size: usize) -> Vec<(usize, usize)> {
 /// # Determinism contract
 ///
 /// Implementations guarantee the returned `results` vector is
-/// identical to what [`SerialExecutor`] produces **provided the task
+/// identical to what `SerialExecutor` produces **provided the task
 /// closure is itself deterministic in the item index** (no
 /// worker-identity inputs, no shared mutable state, RNG derived via
 /// [`crate::rng`]). The [`ExecStats`] are exempt: they describe the
@@ -152,7 +152,7 @@ pub struct SerialExecutor;
 
 impl SerialExecutor {
     /// Creates the serial executor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SerialExecutor
     }
 }
@@ -238,18 +238,6 @@ impl AnyExecutor {
             AnyExecutor::Serial(SerialExecutor::new())
         } else {
             AnyExecutor::Pool(ThreadPoolExecutor::new(threads))
-        }
-    }
-
-    /// An executor for a sibling run: exclusive executors fork into a
-    /// *fresh* pool of the same width (worker pools are never shared
-    /// implicitly), while [`AnyExecutor::Shared`] forks into another
-    /// handle to the *same* pool — that sharing is the handle's whole
-    /// point.
-    pub fn fork(&self) -> Self {
-        match self {
-            AnyExecutor::Shared(e) => AnyExecutor::Shared(e.clone()),
-            other => AnyExecutor::new(other.workers()),
         }
     }
 }

@@ -25,8 +25,8 @@
 //!    fed back into the computation.
 //!
 //! The entry point is the [`Executor`] trait with two implementations:
-//! [`SerialExecutor`] (the reference — runs shards in order on the
-//! calling thread) and [`ThreadPoolExecutor`] (a persistent
+//! `SerialExecutor` (the reference — runs shards in order on the
+//! calling thread) and `ThreadPoolExecutor` (a persistent
 //! work-stealing pool built on `crossbeam` deques/channels and
 //! `parking_lot`). [`AnyExecutor`] is the enum-dispatch wrapper the
 //! platform backends hold, and [`SharedExecutor`] clones one pool
@@ -41,9 +41,6 @@ pub mod rng;
 mod shared;
 mod stats;
 
-pub use executor::{
-    shard_plan, AnyExecutor, ExecError, Executor, SerialExecutor, ShardRun, WorkerScratch,
-};
-pub use pool::ThreadPoolExecutor;
+pub use executor::{AnyExecutor, ExecError, Executor, WorkerScratch};
 pub use shared::{PoolSnapshot, SharedExecutor};
 pub use stats::ExecStats;

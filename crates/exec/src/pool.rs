@@ -68,7 +68,7 @@ impl ThreadPoolExecutor {
     /// # Panics
     ///
     /// Panics if `threads == 0` or the OS refuses to spawn a thread.
-    pub fn new(threads: usize) -> Self {
+    pub(crate) fn new(threads: usize) -> Self {
         assert!(threads > 0, "need at least one worker thread");
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
@@ -277,7 +277,8 @@ impl Executor for ThreadPoolExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnyExecutor, SerialExecutor, SharedExecutor};
+    use crate::executor::SerialExecutor;
+    use crate::{AnyExecutor, SharedExecutor};
 
     #[test]
     fn pool_matches_serial_bit_for_bit() {

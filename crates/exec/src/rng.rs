@@ -7,9 +7,6 @@
 //! the same stream no matter which worker evaluates it or how the
 //! population is sharded.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 /// Mixes `(run_seed, generation, genome_index)` into a single 64-bit
 /// stream seed (SplitMix64 finalization per word, XOR-combined with
 /// distinct round constants so permuting the arguments changes the
@@ -24,13 +21,6 @@ pub fn stream_seed(run_seed: u64, generation: u64, genome_index: u64) -> u64 {
     let b = mix(generation.wrapping_add(0x3c6e_f372_fe94_f82b));
     let c = mix(genome_index.wrapping_add(0x6135_2469_2d51_8b41));
     mix(a ^ b.rotate_left(21) ^ c.rotate_left(42))
-}
-
-/// The RNG stream for one individual of one generation: a [`StdRng`]
-/// seeded from [`stream_seed`]. Identical regardless of worker
-/// identity, shard layout, or thread count.
-pub fn genome_rng(run_seed: u64, generation: u64, genome_index: u64) -> StdRng {
-    StdRng::seed_from_u64(stream_seed(run_seed, generation, genome_index))
 }
 
 /// Mixes the four scenario-evaluation coordinates
@@ -57,40 +47,9 @@ pub fn scenario_seed(
     mix(a ^ b.rotate_left(17) ^ c.rotate_left(34) ^ d.rotate_left(51))
 }
 
-/// The RNG stream for one scenario of one individual of one
-/// generation: a [`StdRng`] seeded from [`scenario_seed`]. Identical
-/// regardless of worker identity, shard layout, or thread count.
-pub fn scenario_rng(
-    run_seed: u64,
-    generation: u64,
-    genome_index: u64,
-    scenario_index: u64,
-) -> StdRng {
-    StdRng::seed_from_u64(scenario_seed(
-        run_seed,
-        generation,
-        genome_index,
-        scenario_index,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
-
-    #[test]
-    fn streams_are_independent_of_worker_and_order() {
-        // Drawing the streams in any order, interleaved or not, gives
-        // the same per-individual sequences.
-        let forward: Vec<u64> = (0..16).map(|i| genome_rng(7, 3, i).gen::<u64>()).collect();
-        let mut backward: Vec<u64> = (0..16)
-            .rev()
-            .map(|i| genome_rng(7, 3, i).gen::<u64>())
-            .collect();
-        backward.reverse();
-        assert_eq!(forward, backward);
-    }
 
     #[test]
     fn coordinates_are_not_interchangeable() {
@@ -115,19 +74,6 @@ mod tests {
         assert_ne!(scenario_seed(1, 2, 3, 4), scenario_seed(1, 2, 4, 3));
         assert_ne!(scenario_seed(1, 2, 3, 4), scenario_seed(2, 1, 3, 4));
         assert_ne!(scenario_seed(1, 2, 3, 4), scenario_seed(1, 3, 2, 4));
-    }
-
-    #[test]
-    fn scenario_streams_are_order_independent() {
-        let forward: Vec<u64> = (0..8)
-            .map(|s| scenario_rng(7, 3, 5, s).gen::<u64>())
-            .collect();
-        let mut backward: Vec<u64> = (0..8)
-            .rev()
-            .map(|s| scenario_rng(7, 3, 5, s).gen::<u64>())
-            .collect();
-        backward.reverse();
-        assert_eq!(forward, backward);
     }
 
     #[test]

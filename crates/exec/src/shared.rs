@@ -90,7 +90,7 @@ impl SharedExecutor {
     }
 
     /// Wraps an existing executor for sharing.
-    pub fn from_executor(exec: AnyExecutor) -> Self {
+    pub(crate) fn from_executor(exec: AnyExecutor) -> Self {
         let workers = exec.workers();
         SharedExecutor {
             inner: Arc::new(Mutex::new(exec)),
@@ -101,7 +101,7 @@ impl SharedExecutor {
 
     /// How many runs currently hold a handle to this pool (including
     /// this one). Observability only.
-    pub fn handles(&self) -> usize {
+    pub(crate) fn handles(&self) -> usize {
         Arc::strong_count(&self.inner)
     }
 

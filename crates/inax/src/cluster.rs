@@ -177,11 +177,6 @@ impl InaxAccelerator {
         self.report.total_cycles += decode + dma_cycles;
     }
 
-    /// Number of currently resident individuals.
-    pub fn resident(&self) -> usize {
-        self.pus.len()
-    }
-
     /// Runs one synchronized inference wave. `inputs[i]` carries the
     /// observation for resident individual `i`, or `None` if its
     /// episode already terminated (its PU idles through the wave).
@@ -325,13 +320,6 @@ impl InaxAccelerator {
     pub fn utilization(&self) -> &UtilizationBreakdown {
         &self.util
     }
-
-    /// Resets the cumulative accounting (e.g. between experiments).
-    pub fn reset_report(&mut self) {
-        self.report = EpisodeRunReport::default();
-        self.traffic = DmaTraffic::default();
-        self.util = UtilizationBreakdown::new(self.config.num_pu.max(1), self.config.num_pe.max(1));
-    }
 }
 
 /// Work description of one individual's full episode, used by the
@@ -346,7 +334,7 @@ pub struct EpisodeWork {
 
 impl EpisodeWork {
     /// Total busy cycles of this individual's episode.
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.inference_cycles * self.steps
     }
 }
@@ -608,7 +596,7 @@ mod tests {
         acc.load_batch(synthetic_population(2, 4, 2, 4, 0.4, 2));
         let before = acc.report().total_cycles;
         acc.unload_batch();
-        assert_eq!(acc.resident(), 0);
+        assert!(acc.pus.is_empty());
         assert_eq!(acc.report().total_cycles, before);
     }
 }

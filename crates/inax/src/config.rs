@@ -125,21 +125,9 @@ impl InaxConfigBuilder {
         self
     }
 
-    /// Sets the accelerator clock in Hz.
-    pub fn clock_hz(mut self, hz: f64) -> Self {
-        self.config.clock_hz = hz;
-        self
-    }
-
     /// Sets the dataflow variant.
     pub fn dataflow(mut self, dataflow: Dataflow) -> Self {
         self.config.dataflow = dataflow;
-        self
-    }
-
-    /// Sets the per-wave control overhead in cycles.
-    pub fn wave_overhead_cycles(mut self, cycles: u64) -> Self {
-        self.config.wave_overhead_cycles = cycles;
         self
     }
 
@@ -172,7 +160,10 @@ mod tests {
 
     #[test]
     fn cycles_convert_to_seconds() {
-        let c = InaxConfig::builder().clock_hz(100.0e6).build();
+        let c = InaxConfig {
+            clock_hz: 100.0e6,
+            ..InaxConfig::default()
+        };
         assert!((c.cycles_to_seconds(100_000_000) - 1.0).abs() < 1e-12);
     }
 

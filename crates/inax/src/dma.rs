@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// Bandwidth + latency model of one DMA channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DmaModel {
+pub(crate) struct DmaModel {
     /// Payload bytes moved per accelerator cycle once streaming.
     pub bytes_per_cycle: u64,
     /// Fixed transaction setup latency in cycles.
@@ -18,7 +18,7 @@ pub struct DmaModel {
 
 impl DmaModel {
     /// Creates a model from the accelerator configuration's DMA fields.
-    pub fn new(bytes_per_cycle: u64, latency_cycles: u64) -> Self {
+    pub(crate) fn new(bytes_per_cycle: u64, latency_cycles: u64) -> Self {
         assert!(bytes_per_cycle > 0, "DMA bandwidth must be positive");
         DmaModel {
             bytes_per_cycle,
@@ -28,7 +28,7 @@ impl DmaModel {
 
     /// Cycles to move `bytes` in one transaction (0 bytes costs
     /// nothing — no transaction is issued).
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;
         }
@@ -45,7 +45,7 @@ impl Default for DmaModel {
 /// Running byte/cycle totals for a set of DMA channels — the source of
 /// the `dma_bytes` utilization counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DmaTraffic {
+pub(crate) struct DmaTraffic {
     /// Payload bytes moved so far.
     pub bytes: u64,
     /// Cycles spent on transfers so far.
@@ -55,7 +55,7 @@ pub struct DmaTraffic {
 impl DmaTraffic {
     /// Accounts one transfer of `bytes` under `model` and returns its
     /// cycle cost (0-byte transfers cost and count nothing).
-    pub fn transfer(&mut self, model: &DmaModel, bytes: u64) -> u64 {
+    pub(crate) fn transfer(&mut self, model: &DmaModel, bytes: u64) -> u64 {
         self.transfer_repeated(model, bytes, 1)
     }
 

@@ -6,4 +6,4 @@
 
 /// Extra 36Kb BRAM banks one PU's second (double-buffer) weight buffer
 /// costs.
-pub const DOUBLE_BUFFER_BRAM_PER_PU: u64 = 2;
+pub(crate) const DOUBLE_BUFFER_BRAM_PER_PU: u64 = 2;

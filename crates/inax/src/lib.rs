@@ -6,7 +6,7 @@
 //! **cycle-level simulator** of INAX (the reproduction's substitute for
 //! the Xilinx ZCU104 prototype — see DESIGN.md):
 //!
-//! * a [`pe`] (Processing Element) computes one node end-to-end with an
+//! * a `pe` (Processing Element) computes one node end-to-end with an
 //!   **output-stationary** dataflow: it accumulates the node's MACs
 //!   locally, adds the bias, applies the activation, and writes the
 //!   result into the PU's value buffer;
@@ -56,29 +56,20 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cluster;
-pub mod config;
-pub mod dma;
-pub mod fpga_cost;
-pub mod pe;
+mod config;
+mod dma;
+mod fpga_cost;
+mod pe;
 pub mod pipeline;
-pub mod profile;
-pub mod pu;
+mod profile;
+mod pu;
 pub mod quant;
 pub mod sparsity;
 pub mod synthetic;
-pub mod trace;
+mod trace;
 
 pub use cluster::{EpisodeRunReport, InaxAccelerator};
-pub use config::{Dataflow, InaxConfig, InaxConfigBuilder};
-pub use dma::{DmaModel, DmaTraffic};
-pub use pipeline::{analyze_double_buffering, BatchWork, PipelineReport};
-pub use profile::{
-    CycleBreakdown, PeLaneCycles, PuCycles, UtilizationBreakdown, UtilizationReport,
-};
-pub use pu::{
-    schedule_inference, schedule_inference_detailed, weight_stream_bytes, DetailedInferenceProfile,
-    PuInferenceProfile, PuSim,
-};
-pub use quant::FixedPointFormat;
-pub use sparsity::SparsityReport;
-pub use trace::{trace_inference, InferenceTrace};
+pub use config::{Dataflow, InaxConfig};
+pub use profile::UtilizationBreakdown;
+pub use pu::{schedule_inference, weight_stream_bytes, PuSim};
+pub use trace::trace_inference;

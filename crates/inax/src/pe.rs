@@ -17,7 +17,7 @@ use crate::config::InaxConfig;
 /// Output stationary: `in_degree × mac + activation` (the bias add is
 /// folded into the activation pipeline stage). A node with no ingress
 /// still pays the activation/commit cost.
-pub fn node_cycles(config: &InaxConfig, in_degree: usize) -> u64 {
+pub(crate) fn node_cycles(config: &InaxConfig, in_degree: usize) -> u64 {
     in_degree as u64 * config.mac_cycles + config.activation_cycles
 }
 

@@ -40,15 +40,6 @@ impl PipelineReport {
         self.serial_cycles as f64 / self.pipelined_cycles.max(1) as f64
     }
 
-    /// Cycles the compute pipeline still stalls on set-up even with
-    /// double buffering: the pipelined total minus `compute_sum`
-    /// (batch 0's unhidden set-up plus any DMA-bound stages). This is
-    /// the stall term the utilization counters attribute to the weight
-    /// channel.
-    pub fn exposed_setup_cycles(&self, compute_sum: u64) -> u64 {
-        self.pipelined_cycles.saturating_sub(compute_sum)
-    }
-
     /// Extra BRAM banks the second weight buffer costs for `num_pu`
     /// PUs (feeds the FPGA resource model).
     pub fn extra_bram(num_pu: usize) -> u64 {
@@ -143,7 +134,7 @@ mod tests {
             assert!(report.pipelined_cycles >= setup_sum.max(compute_sum));
             // Exposed set-up shrinks (or holds) under pipelining, and
             // never exceeds the total set-up.
-            let exposed = report.exposed_setup_cycles(compute_sum);
+            let exposed = report.pipelined_cycles.saturating_sub(compute_sum);
             assert!(exposed <= setup_sum);
             assert!(exposed <= report.serial_cycles - compute_sum);
         }

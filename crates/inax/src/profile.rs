@@ -23,7 +23,7 @@ pub struct CycleBreakdown {
 
 impl CycleBreakdown {
     /// Total accounted cycles.
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.setup + self.pe_active + self.evaluate_control
     }
 
@@ -74,7 +74,7 @@ impl UtilizationReport {
     }
 
     /// Merges another report into this one.
-    pub fn merge(&mut self, other: UtilizationReport) {
+    pub(crate) fn merge(&mut self, other: UtilizationReport) {
         self.active += other.active;
         self.total += other.total;
     }
@@ -148,7 +148,7 @@ pub struct UtilizationBreakdown {
 impl UtilizationBreakdown {
     /// An all-zero breakdown for a cluster of `num_pu` PUs with
     /// `num_pe` PE lanes each.
-    pub fn new(num_pu: usize, num_pe: usize) -> Self {
+    pub(crate) fn new(num_pu: usize, num_pe: usize) -> Self {
         UtilizationBreakdown {
             per_pu: vec![PuCycles::default(); num_pu],
             per_pe: vec![PeLaneCycles::default(); num_pe],

@@ -13,7 +13,7 @@
 
 use crate::config::{Dataflow, InaxConfig};
 use crate::pe::node_cycles;
-use crate::profile::{CycleBreakdown, UtilizationReport};
+use crate::profile::UtilizationReport;
 use e3_neat::NetPlan;
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +40,7 @@ impl PuInferenceProfile {
     }
 
     /// Control (non-useful) cycles: idle PEs + wave/sync overheads.
-    pub fn control_cycles(&self) -> u64 {
+    pub(crate) fn control_cycles(&self) -> u64 {
         self.pe_total_cycles - self.pe_active_cycles
     }
 
@@ -80,7 +80,6 @@ pub fn weight_stream_bytes(plan: &NetPlan) -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PuSim {
-    config: InaxConfig,
     plan: NetPlan,
     value_buffer: Vec<f64>,
     profile: PuInferenceProfile,
@@ -96,7 +95,6 @@ impl PuSim {
         let setup_cycles = plan.num_connections() as u64 * config.setup_cycles_per_connection
             + plan.num_compute_nodes() as u64 * config.setup_cycles_per_node;
         PuSim {
-            config: config.clone(),
             value_buffer: vec![0.0; plan.value_buffer_slots()],
             plan,
             profile: detailed.profile,
@@ -106,7 +104,7 @@ impl PuSim {
     }
 
     /// The resident network.
-    pub fn plan(&self) -> &NetPlan {
+    pub(crate) fn plan(&self) -> &NetPlan {
         &self.plan
     }
 
@@ -122,7 +120,7 @@ impl PuSim {
 
     /// Active cycles of each PE lane for one inference; sums to
     /// [`PuInferenceProfile::pe_active_cycles`].
-    pub fn per_pe_active(&self) -> &[u64] {
+    pub(crate) fn per_pe_active(&self) -> &[u64] {
         &self.per_pe_active
     }
 
@@ -136,21 +134,6 @@ impl PuSim {
     pub fn infer(&mut self, inputs: &[f64]) -> (Vec<f64>, PuInferenceProfile) {
         let outputs = self.plan.execute_into(inputs, &mut self.value_buffer);
         (outputs, self.profile)
-    }
-
-    /// Full-phase breakdown for `steps` inferences including the
-    /// one-time set-up (Fig. 9(a) categories).
-    pub fn episode_breakdown(&self, steps: u64) -> CycleBreakdown {
-        CycleBreakdown {
-            setup: self.setup_cycles,
-            pe_active: self.profile.pe_active_cycles * steps,
-            evaluate_control: self.profile.control_cycles() * steps,
-        }
-    }
-
-    /// The configuration this PU was built with.
-    pub fn config(&self) -> &InaxConfig {
-        &self.config
     }
 }
 
@@ -169,7 +152,7 @@ pub fn schedule_inference(config: &InaxConfig, plan: &NetPlan) -> PuInferencePro
 
 /// [`schedule_inference`] plus the per-PE-lane activity it implies.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DetailedInferenceProfile {
+pub(crate) struct DetailedInferenceProfile {
     /// The aggregate profile (what [`schedule_inference`] returns).
     pub profile: PuInferenceProfile,
     /// Active cycles of each PE lane (`num_pe` entries); lane `j`
@@ -218,7 +201,7 @@ pub(crate) fn walk_waves(
 /// within each wave, chunk position `j` is executed by PE lane `j`, so
 /// lane occupancy skew (degree variance, ragged last waves) is visible
 /// per lane instead of only as an aggregate idle total.
-pub fn schedule_inference_detailed(
+pub(crate) fn schedule_inference_detailed(
     config: &InaxConfig,
     plan: &NetPlan,
 ) -> DetailedInferenceProfile {
@@ -325,11 +308,8 @@ mod tests {
 
     #[test]
     fn single_pe_has_full_utilization_modulo_overhead() {
-        let config = InaxConfig::builder()
-            .num_pe(1)
-            .wave_overhead_cycles(0)
-            .build();
-        let mut config = config;
+        let mut config = InaxConfig::builder().num_pe(1).build();
+        config.wave_overhead_cycles = 0;
         config.level_sync_cycles = 0;
         let net = two_level_net();
         let p = schedule_inference(&config, &net);
@@ -477,15 +457,5 @@ mod tests {
         assert_eq!(out, expected);
         assert!(profile.wall_cycles > 0);
         assert!(pu.setup_cycles() > 0);
-    }
-
-    #[test]
-    fn episode_breakdown_scales_compute_not_setup() {
-        let net = two_level_net();
-        let pu = PuSim::new(&InaxConfig::default(), net);
-        let b1 = pu.episode_breakdown(1);
-        let b10 = pu.episode_breakdown(10);
-        assert_eq!(b1.setup, b10.setup, "set-up happens once per episode");
-        assert_eq!(b10.pe_active, 10 * b1.pe_active);
     }
 }

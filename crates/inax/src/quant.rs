@@ -44,25 +44,20 @@ impl FixedPointFormat {
     }
 
     /// Smallest representable increment.
-    pub fn resolution(&self) -> f64 {
+    pub(crate) fn resolution(&self) -> f64 {
         2.0f64.powi(-(self.frac_bits as i32))
     }
 
     /// Largest representable magnitude.
-    pub fn max_value(&self) -> f64 {
+    pub(crate) fn max_value(&self) -> f64 {
         2.0f64.powi(self.integer_bits as i32) - self.resolution()
     }
 
     /// Quantizes a value: round-to-nearest then saturate.
-    pub fn quantize(&self, x: f64) -> f64 {
+    pub(crate) fn quantize(&self, x: f64) -> f64 {
         let scale = 2.0f64.powi(self.frac_bits as i32);
         let q = (x * scale).round() / scale;
         q.clamp(-self.max_value(), self.max_value())
-    }
-
-    /// Quantization error for a value.
-    pub fn error(&self, x: f64) -> f64 {
-        (x - self.quantize(x)).abs()
     }
 }
 
@@ -142,8 +137,8 @@ mod tests {
         assert_eq!(q.resolution(), 1.0 / 256.0);
         assert!(q.max_value() < 256.0);
         assert_eq!(q.quantize(0.0), 0.0);
-        assert!(q.error(0.001) > 0.0);
-        assert_eq!(q.error(0.25), 0.0, "exactly representable");
+        assert_ne!(q.quantize(0.001), 0.001);
+        assert_eq!(q.quantize(0.25), 0.25, "exactly representable");
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub fn synthetic_net(
 
 /// Builds the genome behind [`synthetic_net`] (useful when the genome
 /// itself is needed, e.g. for weight-channel size accounting).
-pub fn synthetic_genome(
+pub(crate) fn synthetic_genome(
     num_inputs: usize,
     num_outputs: usize,
     hidden_nodes: usize,
@@ -53,7 +53,7 @@ pub fn synthetic_genome(
     )
 }
 
-/// Like [`synthetic_genome`] but with an explicit number of structural
+/// Like `synthetic_genome` but with an explicit number of structural
 /// mutation rounds. `0` keeps the exact two-level shape (`hidden_nodes`
 /// wide hidden level, `num_outputs` wide output level) — the fixed
 /// geometry the paper's PE-alignment study assumes.
@@ -107,7 +107,7 @@ pub fn synthetic_population_with_mutations(
 
 /// Builds a population of synthetic networks with per-individual
 /// structural variance (different seeds ⇒ different topologies, like a
-/// real NEAT generation), each mutated as [`synthetic_genome`] is.
+/// real NEAT generation), each mutated as `synthetic_genome` is.
 pub fn synthetic_population(
     count: usize,
     num_inputs: usize,

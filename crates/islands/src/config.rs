@@ -27,7 +27,7 @@ impl Topology {
     /// order (the merge order of the deterministic integration).
     /// Empty for a single-island archipelago: an island never sources
     /// from itself.
-    pub fn sources(self, island: usize, islands: usize) -> Vec<usize> {
+    pub(crate) fn sources(self, island: usize, islands: usize) -> Vec<usize> {
         assert!(island < islands, "island index out of range");
         if islands <= 1 {
             return Vec::new();
@@ -35,14 +35,6 @@ impl Topology {
         match self {
             Topology::Ring => vec![(island + islands - 1) % islands],
             Topology::FullyConnected => (0..islands).filter(|&s| s != island).collect(),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Topology::Ring => "ring",
-            Topology::FullyConnected => "fully-connected",
         }
     }
 }
@@ -62,7 +54,7 @@ pub fn island_seed(base_seed: u64, island: usize) -> u64 {
 }
 
 /// The checkpoint namespace (subdirectory) of one island.
-pub fn namespace(island: usize) -> String {
+pub(crate) fn namespace(island: usize) -> String {
     format!("island-{island:04}")
 }
 
@@ -112,20 +104,20 @@ impl IslandsConfig {
     }
 
     /// The sources of one island under this config's topology.
-    pub fn sources(&self, island: usize) -> Vec<usize> {
+    pub(crate) fn sources(&self, island: usize) -> Vec<usize> {
         self.topology.sources(island, self.islands)
     }
 
     /// Whether the boundary after evaluating generation `g` is a
     /// migration boundary (only meaningful with more than one island).
-    pub fn is_boundary(&self, generation: usize) -> bool {
+    pub(crate) fn is_boundary(&self, generation: usize) -> bool {
         self.islands > 1 && (generation + 1).is_multiple_of(self.migration_interval.max(1))
     }
 
     /// The platform config island `island` runs: the base config with
     /// the checkpoint policy re-pointed at the island's namespace
     /// subdirectory.
-    pub fn island_config(&self, island: usize) -> E3Config {
+    pub(crate) fn island_config(&self, island: usize) -> E3Config {
         assert!(island < self.islands, "island index out of range");
         let mut config = self.base.clone();
         config.checkpoint = self.checkpoint.as_ref().map(|policy| {

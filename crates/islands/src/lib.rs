@@ -65,23 +65,19 @@
 //! [`RunManager`] wraps the scheduler in a daemon-shaped API: submit a
 //! config, stream per-island NDJSON telemetry (flushed per record for
 //! `tail -f`), poll the best genome, stop gracefully. See the
-//! [`service`] module docs.
+//! `service` module docs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod config;
-pub mod migration;
+mod config;
+mod migration;
 pub mod scheduler;
-pub mod service;
+mod service;
 
-pub use config::{island_seed, namespace, IslandsConfig, IslandsConfigBuilder, Topology};
-pub use migration::{Exchange, MigrationPacket, PacketState, Retirement};
+pub use config::{island_seed, IslandsConfig, Topology};
 pub use scheduler::{
-    population_fingerprint, run_islands, Archipelago, ArchipelagoOutcome, IslandOutcome,
-    IslandProgress, Pickup, Progress, RunOptions, SharedCollector,
+    population_fingerprint, run_islands, Archipelago, ArchipelagoOutcome, Pickup, RunOptions,
+    SharedCollector,
 };
-pub use service::{
-    RunId, RunManager, RunSnapshot, RunStatus, SubmitOptions, DEFAULT_FLIGHT_RECORDER,
-    DEFAULT_SAMPLE_INTERVAL,
-};
+pub use service::{RunId, RunManager, RunSnapshot, RunStatus, SubmitOptions};

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 /// The emigrants one island published at one migration boundary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MigrationPacket {
+pub(crate) struct MigrationPacket {
     /// Island that published the packet.
     pub source: usize,
     /// Generation whose evaluation produced the emigrants (the
@@ -41,26 +41,18 @@ pub struct MigrationPacket {
     pub emigrants: Vec<EvaluatedGenome>,
 }
 
-impl MigrationPacket {
-    /// Sidecar file name for this packet inside the source island's
-    /// checkpoint namespace.
-    pub fn sidecar_name(&self) -> String {
-        packet_sidecar_name(self.generation)
-    }
-}
-
 /// Sidecar file name of the packet a source published at `generation`.
-pub fn packet_sidecar_name(generation: usize) -> String {
+pub(crate) fn packet_sidecar_name(generation: usize) -> String {
     format!("mig-{generation:08}.json")
 }
 
 /// Sidecar file name of an island's retirement marker.
-pub const RETIREMENT_SIDECAR: &str = "retired.json";
+pub(crate) const RETIREMENT_SIDECAR: &str = "retired.json";
 
 /// Persistent form of a retirement: the island will never publish a
 /// packet for any boundary past `last_generation`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Retirement {
+pub(crate) struct Retirement {
     /// The retired island.
     pub island: usize,
     /// Highest generation the island evaluated before retiring.
@@ -71,7 +63,7 @@ pub struct Retirement {
 /// `(source, generation)`. Purely a data structure — locking and
 /// waiter bookkeeping belong to the scheduler that owns it.
 #[derive(Debug, Default)]
-pub struct Exchange {
+pub(crate) struct Exchange {
     packets: BTreeMap<(usize, usize), MigrationPacket>,
     retired: BTreeMap<usize, usize>,
 }
@@ -79,7 +71,7 @@ pub struct Exchange {
 /// What a consumer finds when asking for a source's packet at a
 /// boundary.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PacketState {
+pub(crate) enum PacketState {
     /// The packet is available.
     Ready(MigrationPacket),
     /// The source retired before reaching this boundary; it
@@ -91,7 +83,7 @@ pub enum PacketState {
 
 impl Exchange {
     /// Creates an empty exchange.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Exchange::default()
     }
 
@@ -99,7 +91,7 @@ impl Exchange {
     /// replaying a boundary after crash-resume) is idempotent — the
     /// replayed packet is bit-identical by the determinism contract,
     /// so the first copy is kept.
-    pub fn publish(&mut self, packet: MigrationPacket) {
+    pub(crate) fn publish(&mut self, packet: MigrationPacket) {
         self.packets
             .entry((packet.source, packet.generation))
             .or_insert(packet);
@@ -107,7 +99,7 @@ impl Exchange {
 
     /// Marks `island` retired after evaluating `last_generation`.
     /// Keeps the highest marker on repeated calls.
-    pub fn retire(&mut self, island: usize, last_generation: usize) {
+    pub(crate) fn retire(&mut self, island: usize, last_generation: usize) {
         self.retired
             .entry(island)
             .and_modify(|g| *g = (*g).max(last_generation))
@@ -115,7 +107,7 @@ impl Exchange {
     }
 
     /// The state of `source`'s packet for boundary `generation`.
-    pub fn packet(&self, source: usize, generation: usize) -> PacketState {
+    pub(crate) fn packet(&self, source: usize, generation: usize) -> PacketState {
         if let Some(packet) = self.packets.get(&(source, generation)) {
             return PacketState::Ready(packet.clone());
         }
@@ -130,7 +122,7 @@ impl Exchange {
     /// sources skipped. Returns `None` (and nothing else) if any
     /// source is still pending — collection is all-or-nothing so the
     /// merge is a single deterministic `integrate_immigrants` call.
-    pub fn try_collect(
+    pub(crate) fn try_collect(
         &self,
         sources: &[usize],
         generation: usize,
@@ -148,17 +140,12 @@ impl Exchange {
 
     /// The sources in `sources` whose packet for `generation` is still
     /// pending (what a parked island is waiting on).
-    pub fn pending_sources(&self, sources: &[usize], generation: usize) -> Vec<usize> {
+    pub(crate) fn pending_sources(&self, sources: &[usize], generation: usize) -> Vec<usize> {
         sources
             .iter()
             .copied()
             .filter(|&s| self.packet(s, generation) == PacketState::Pending)
             .collect()
-    }
-
-    /// Number of packets on the board.
-    pub fn packets_published(&self) -> usize {
-        self.packets.len()
     }
 }
 
@@ -231,6 +218,6 @@ mod tests {
     #[test]
     fn sidecar_names_sort_with_generations() {
         assert!(packet_sidecar_name(2) < packet_sidecar_name(10));
-        assert_eq!(packet(3, 7).sidecar_name(), "mig-00000007.json");
+        assert_eq!(packet_sidecar_name(7), "mig-00000007.json");
     }
 }

@@ -155,7 +155,7 @@ pub struct IslandProgress {
 /// Live progress shared between the scheduler and a service front-end:
 /// safe to poll from any thread while the run is in flight.
 #[derive(Debug, Default)]
-pub struct Progress {
+pub(crate) struct Progress {
     best: Mutex<Option<(usize, EvaluatedGenome)>>,
     generations: AtomicUsize,
     migrations: AtomicUsize,
@@ -165,7 +165,7 @@ pub struct Progress {
 impl Progress {
     /// Progress for an archipelago of `islands` islands, all rows at
     /// generation zero.
-    pub fn new(islands: usize) -> Self {
+    pub(crate) fn new(islands: usize) -> Self {
         Progress {
             islands: Mutex::new(
                 (0..islands)
@@ -180,23 +180,23 @@ impl Progress {
     }
 
     /// The best individual seen so far and its home island.
-    pub fn best(&self) -> Option<(usize, EvaluatedGenome)> {
+    pub(crate) fn best(&self) -> Option<(usize, EvaluatedGenome)> {
         self.best.lock().expect("progress lock").clone()
     }
 
     /// Total generations completed across all islands.
-    pub fn generations(&self) -> usize {
+    pub(crate) fn generations(&self) -> usize {
         self.generations.load(Ordering::Relaxed)
     }
 
     /// Migration merges performed so far.
-    pub fn migrations(&self) -> usize {
+    pub(crate) fn migrations(&self) -> usize {
         self.migrations.load(Ordering::Relaxed)
     }
 
     /// A copy of every island's last reported position,
     /// island-indexed.
-    pub fn islands(&self) -> Vec<IslandProgress> {
+    pub(crate) fn islands(&self) -> Vec<IslandProgress> {
         self.islands.lock().expect("progress lock").clone()
     }
 
@@ -252,13 +252,6 @@ impl SharedCollector {
     /// A collector that discards everything.
     pub fn null() -> Self {
         SharedCollector::new(e3_telemetry::NullCollector)
-    }
-
-    /// Runs a closure against the wrapped collector (e.g. to inspect a
-    /// `MemoryCollector` after the run).
-    pub fn with_inner<R>(&self, f: impl FnOnce(&mut (dyn Collector + Send)) -> R) -> R {
-        let mut guard = self.inner.lock().expect("collector lock");
-        f(guard.as_mut())
     }
 }
 
@@ -447,20 +440,15 @@ impl Archipelago {
 
     /// A pollable progress handle (cheap to clone, safe from any
     /// thread, live for the duration of [`Archipelago::run`]).
-    pub fn progress(&self) -> Arc<Progress> {
+    pub(crate) fn progress(&self) -> Arc<Progress> {
         Arc::clone(&self.progress)
     }
 
     /// A handle to the shared worker pool every island evaluates on —
     /// cheap to clone, and its [`e3_exec::SharedExecutor::snapshot`]
     /// gauges stay live for the duration of [`Archipelago::run`].
-    pub fn pool(&self) -> e3_exec::SharedExecutor {
+    pub(crate) fn pool(&self) -> e3_exec::SharedExecutor {
         self.pool.clone()
-    }
-
-    /// The configuration this archipelago was built from.
-    pub fn config(&self) -> &IslandsConfig {
-        &self.config
     }
 
     /// Runs the archipelago to completion (or graceful stop),

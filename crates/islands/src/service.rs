@@ -37,7 +37,6 @@ use crate::scheduler::{
     Archipelago, ArchipelagoOutcome, IslandProgress, Pickup, Progress, RunOptions, SharedCollector,
 };
 use e3_exec::{PoolSnapshot, SharedExecutor};
-use e3_neat::population::EvaluatedGenome;
 use e3_platform::RunError;
 use e3_telemetry::{
     labeled, Collector, NdjsonWriter, SharedRegistry, TelemetryError, TelemetryEvent,
@@ -53,10 +52,10 @@ use std::time::Duration;
 
 /// Default capacity of the per-run flight recorder (events replayed
 /// to late subscribers).
-pub const DEFAULT_FLIGHT_RECORDER: usize = 256;
+pub(crate) const DEFAULT_FLIGHT_RECORDER: usize = 256;
 
 /// Default interval between live pool-gauge samples.
-pub const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
+pub(crate) const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Handle to a submitted run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,7 +104,7 @@ impl RunStatus {
     }
 
     /// The failure message, for [`RunStatus::Failed`].
-    pub fn error(&self) -> Option<&str> {
+    pub(crate) fn error(&self) -> Option<&str> {
         match self {
             RunStatus::Failed(message) => Some(message),
             _ => None,
@@ -124,11 +123,11 @@ pub struct SubmitOptions {
     /// record for live tailing.
     pub ndjson: Option<String>,
     /// Flight-recorder capacity (events kept for replay to late
-    /// subscribers); [`DEFAULT_FLIGHT_RECORDER`] when `None`, 0
+    /// subscribers); `DEFAULT_FLIGHT_RECORDER` when `None`, 0
     /// disables replay.
     pub flight_recorder: Option<usize>,
     /// Interval between live pool-gauge samples;
-    /// [`DEFAULT_SAMPLE_INTERVAL`] when `None`.
+    /// `DEFAULT_SAMPLE_INTERVAL` when `None`.
     pub sample_interval: Option<Duration>,
 }
 
@@ -405,17 +404,6 @@ impl RunManager {
         Some(self.runs.get(&id)?.hub.subscribe())
     }
 
-    /// The best individual seen so far and its home island — safe to
-    /// poll while the run is in flight.
-    pub fn best(&self, id: RunId) -> Option<(usize, EvaluatedGenome)> {
-        self.runs.get(&id)?.progress.best()
-    }
-
-    /// Total generations completed across all islands so far.
-    pub fn generations(&self, id: RunId) -> Option<usize> {
-        self.runs.get(&id).map(|run| run.progress.generations())
-    }
-
     /// A point-in-time JSON-friendly view of the run: status,
     /// per-island positions, migration count, and live pool gauges.
     pub fn snapshot(&self, id: RunId) -> Option<RunSnapshot> {
@@ -638,7 +626,11 @@ mod tests {
                 .any(|e| matches!(e, TelemetryEvent::Island(_))),
             "stream must carry island records"
         );
-        assert!(manager.best(id).is_some());
+        assert!(manager
+            .snapshot(id)
+            .expect("known run")
+            .best_fitness
+            .is_some());
         // The channel is closed after join.
         assert!(stream.recv().is_err());
     }
@@ -664,7 +656,6 @@ mod tests {
         let ghost = RunId(99);
         assert!(manager.status(ghost).is_none());
         assert!(manager.subscribe(ghost).is_none());
-        assert!(manager.best(ghost).is_none());
         assert!(manager.join(ghost).is_none());
         assert!(manager.snapshot(ghost).is_none());
     }

@@ -20,7 +20,7 @@
 //! [`e3_neat::Network::activate_into`] on every input. The emitted
 //! code replays the interpreter's exact FP sequence (bias first, then
 //! the CSR edges in sorted order, one `mulsd`+`addsd` pair each), and
-//! activations are dispatched through [`ACTIVATION_TABLE`] — thin
+//! activations are dispatched through `ACTIVATION_TABLE` — thin
 //! `extern "C"` wrappers over [`Activation::apply`] — so even
 //! transcendental results come from the very same routines. Only
 //! `Identity` is inlined, by skipping the call. For `Sigmoid`, `Tanh`
@@ -56,7 +56,7 @@ use std::fmt;
 
 /// The C ABI every activation wrapper exports: `f64` in `xmm0`, `f64`
 /// out in `xmm0` — exactly what the emitted `call` expects.
-pub type ActivationFn = extern "C" fn(f64) -> f64;
+pub(crate) type ActivationFn = extern "C" fn(f64) -> f64;
 
 /// The emitted function: `(inputs, values, activation_table)`.
 type EntryFn = unsafe extern "C" fn(*const f64, *mut f64, *const ActivationFn);
@@ -91,7 +91,7 @@ extern "C" fn act_clamped(x: f64) -> f64 {
 /// [`Activation::ALL`]. Each entry is a thin `extern "C"` wrapper over
 /// the exact [`Activation::apply`] — this is what keeps transcendental
 /// activations bit-identical between the tiers.
-pub static ACTIVATION_TABLE: [ActivationFn; 8] = [
+pub(crate) static ACTIVATION_TABLE: [ActivationFn; 8] = [
     act_sigmoid,
     act_tanh,
     act_relu,
@@ -170,15 +170,6 @@ impl Deserialize for JitConfig {
             enabled,
             hot_threshold,
         })
-    }
-}
-
-impl JitConfig {
-    /// Whether this is the default (disabled) policy — used by config
-    /// serialization to keep JIT-less configs byte-identical to
-    /// pre-JIT ones.
-    pub fn is_default(&self) -> bool {
-        *self == JitConfig::default()
     }
 }
 
@@ -335,16 +326,6 @@ impl CompiledPlan {
         self.activate_into(inputs).to_vec()
     }
 
-    /// Number of input nodes.
-    pub fn num_inputs(&self) -> usize {
-        self.num_inputs
-    }
-
-    /// Number of output nodes.
-    pub fn num_outputs(&self) -> usize {
-        self.num_outputs
-    }
-
     /// Size of the emitted buffer (code + constant pool) in bytes.
     pub fn code_bytes(&self) -> usize {
         self.code_bytes
@@ -403,16 +384,10 @@ mod tests {
     }
 
     #[test]
-    fn config_default_is_disabled_and_skippable() {
+    fn config_default_is_disabled() {
         let config = JitConfig::default();
         assert!(!config.enabled);
         assert_eq!(config.hot_threshold, 3);
-        assert!(config.is_default());
-        assert!(!JitConfig {
-            enabled: true,
-            ..config
-        }
-        .is_default());
         let json = serde_json::to_string(&config).unwrap();
         let back: JitConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, config);

@@ -79,7 +79,7 @@ impl Activation {
     }
 
     /// Short lowercase name, matching `neat-python` conventions.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Activation::Sigmoid => "sigmoid",
             Activation::Tanh => "tanh",

@@ -114,11 +114,11 @@ impl NeatConfig {
         Self::builder(num_inputs, num_outputs).build()
     }
 
-    /// Starts a [`NeatConfigBuilder`] with paper defaults.
+    /// Starts a `NeatConfigBuilder` with paper defaults.
     ///
     /// # Panics
     ///
-    /// The terminal [`NeatConfigBuilder::build`] panics if
+    /// The terminal `NeatConfigBuilder::build` panics if
     /// `num_inputs == 0` or `num_outputs == 0`.
     pub fn builder(num_inputs: usize, num_outputs: usize) -> NeatConfigBuilder {
         NeatConfigBuilder {
@@ -154,21 +154,6 @@ impl NeatConfig {
                 min_species_size: 2,
             },
         }
-    }
-
-    /// Number of connections in the *dense MLP counterpart* of an
-    /// evolved network with `hidden` hidden nodes, used as the
-    /// denominator of the paper's density metric (Fig. 4 caption).
-    ///
-    /// The dense counterpart is a layered MLP with the same number of
-    /// hidden nodes arranged in the same number of levels, with full
-    /// connectivity between adjacent levels.
-    pub fn dense_counterpart_connections(&self, hidden_per_level: &[usize]) -> usize {
-        let mut widths = Vec::with_capacity(hidden_per_level.len() + 2);
-        widths.push(self.num_inputs);
-        widths.extend_from_slice(hidden_per_level);
-        widths.push(self.num_outputs);
-        widths.windows(2).map(|w| w[0] * w[1]).sum()
     }
 }
 
@@ -314,15 +299,5 @@ mod tests {
     #[should_panic(expected = "must be in [0, 1]")]
     fn out_of_range_probability_rejected() {
         let _ = NeatConfig::builder(2, 1).crossover_rate(1.5).build();
-    }
-
-    #[test]
-    fn dense_counterpart_matches_fig4_example() {
-        // Fig. 4(a): 3 inputs, 3 hidden in one level, 3 outputs
-        // => dense counterpart has 3*3 + 3*3 = 18 connections.
-        let c = NeatConfig::new(3, 3);
-        assert_eq!(c.dense_counterpart_connections(&[3]), 18);
-        // No hidden nodes: direct input->output.
-        assert_eq!(c.dense_counterpart_connections(&[]), 9);
     }
 }

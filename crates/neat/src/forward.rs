@@ -8,7 +8,7 @@
 //! `CompiledPlan`) — the execution *tiers* — interchangeably.
 //!
 //! Every implementation must be **bit-identical** to
-//! [`NetPlan::execute_into_buf`](crate::NetPlan::execute_into_buf) on
+//! `NetPlan::execute_into_buf` on
 //! the same plan and inputs: the interpreter is the permanent oracle,
 //! and tiers may only differ in speed, never in results.
 

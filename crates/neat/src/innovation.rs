@@ -67,7 +67,7 @@ impl InnovationTracker {
 
     /// Returns the innovation number for a connection `from -> to`,
     /// allocating a fresh one only if this pair has not been seen since
-    /// the last [`InnovationTracker::begin_generation`].
+    /// the last `InnovationTracker::begin_generation`.
     pub fn connection_innovation(&mut self, from: usize, to: usize) -> Innovation {
         if let Some(&innovation) = self.connection_cache.get(&(from, to)) {
             return innovation;
@@ -81,7 +81,11 @@ impl InnovationTracker {
     /// Returns `(new_node_id, in_innovation, out_innovation)` for
     /// splitting connection `from -> to` with a new node, deduplicated
     /// within the current generation.
-    pub fn split_innovation(&mut self, from: usize, to: usize) -> (usize, Innovation, Innovation) {
+    pub(crate) fn split_innovation(
+        &mut self,
+        from: usize,
+        to: usize,
+    ) -> (usize, Innovation, Innovation) {
         if let Some(&hit) = self.split_cache.get(&(from, to)) {
             return hit;
         }
@@ -97,7 +101,7 @@ impl InnovationTracker {
 
     /// Allocates a fresh node id without caching (used when building
     /// initial genomes).
-    pub fn fresh_node_id(&mut self) -> usize {
+    pub(crate) fn fresh_node_id(&mut self) -> usize {
         let id = self.next_node_id;
         self.next_node_id += 1;
         id
@@ -106,14 +110,9 @@ impl InnovationTracker {
     /// Clears the per-generation deduplication caches. Innovation and
     /// node-id counters keep increasing monotonically for the lifetime
     /// of the tracker.
-    pub fn begin_generation(&mut self) {
+    pub(crate) fn begin_generation(&mut self) {
         self.connection_cache.clear();
         self.split_cache.clear();
-    }
-
-    /// Number of innovations allocated so far.
-    pub fn innovations_allocated(&self) -> u64 {
-        self.next_innovation
     }
 
     /// Raises the innovation and node-id counters to at least the
@@ -126,7 +125,7 @@ impl InnovationTracker {
     /// an id the immigrant already carries — two distinct structures
     /// sharing one historical marking, which corrupts crossover
     /// alignment and node identity.
-    pub fn absorb(&mut self, next_innovation: u64, next_node_id: usize) {
+    pub(crate) fn absorb(&mut self, next_innovation: u64, next_node_id: usize) {
         self.next_innovation = self.next_innovation.max(next_innovation);
         self.next_node_id = self.next_node_id.max(next_node_id);
     }
@@ -172,11 +171,11 @@ mod tests {
     #[test]
     fn split_is_deduplicated_and_allocates_two_innovations() {
         let mut t = InnovationTracker::with_reserved_nodes(5);
-        let before = t.innovations_allocated();
+        let before = t.next_innovation;
         let (node_a, in_a, out_a) = t.split_innovation(0, 4);
         let (node_b, in_b, out_b) = t.split_innovation(0, 4);
         assert_eq!((node_a, in_a, out_a), (node_b, in_b, out_b));
-        assert_eq!(t.innovations_allocated(), before + 2);
+        assert_eq!(t.next_innovation, before + 2);
         assert!(node_a >= 5, "split node ids start after reserved range");
         assert_ne!(in_a, out_a);
     }
@@ -186,11 +185,11 @@ mod tests {
         let mut t = InnovationTracker::with_reserved_nodes(4);
         let _ = t.connection_innovation(0, 1);
         t.absorb(100, 50);
-        assert_eq!(t.innovations_allocated(), 100);
+        assert_eq!(t.next_innovation, 100);
         assert_eq!(t.fresh_node_id(), 50);
         // Absorbing something already covered changes nothing.
         t.absorb(10, 5);
-        assert_eq!(t.innovations_allocated(), 100);
+        assert_eq!(t.next_innovation, 100);
         assert_eq!(t.fresh_node_id(), 51);
         let next = t.connection_innovation(2, 3);
         assert!(

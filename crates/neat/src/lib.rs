@@ -21,7 +21,7 @@
 //!   IR with nodes in topological order grouped into *levels*, which
 //!   is exactly the schedulable unit the INAX accelerator consumes —
 //!   and a [`Network`] executes that plan in software with a reusable
-//!   value buffer (see [`plan`] for the layout and slot convention).
+//!   value buffer (see `plan` for the layout and slot convention).
 //!
 //! The networks NEAT evolves are **irregular**: connections may skip
 //! levels and fan in from any earlier node, which is the central
@@ -57,34 +57,30 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod activation;
-pub mod checkpoint;
-pub mod config;
+mod activation;
+mod config;
 pub mod forward;
-pub mod genome;
-pub mod innovation;
-pub mod network;
-pub mod plan;
-pub mod plan_batch;
+mod genome;
+mod innovation;
+mod network;
+mod plan;
+mod plan_batch;
 pub mod population;
-pub mod recurrent;
-pub mod reference;
-pub mod species;
+mod reference;
+mod species;
 pub mod stats;
 
 mod error;
 
 pub use activation::Activation;
-pub use checkpoint::PopulationSnapshot;
-pub use config::{NeatConfig, NeatConfigBuilder};
-pub use error::{DecodeError, GenomeError};
+pub use config::NeatConfig;
+pub use error::DecodeError;
 pub use forward::ForwardPass;
-pub use genome::{ConnectionGene, Genome, NodeGene, NodeId, NodeKind};
-pub use innovation::{Innovation, InnovationTracker};
+pub use genome::{Genome, NodeKind};
+pub use innovation::InnovationTracker;
 pub use network::Network;
 pub use plan::NetPlan;
 pub use plan_batch::PlanBatch;
-pub use population::{EvaluatedGenome, Population};
-pub use recurrent::RecurrentNetwork;
+pub use population::{Population, PopulationSnapshot};
 pub use reference::ReferenceNetwork;
 pub use species::Species;

@@ -83,11 +83,6 @@ impl Network {
         &self.plan
     }
 
-    /// Unwraps the executor back into its plan.
-    pub fn into_plan(self) -> NetPlan {
-        self.plan
-    }
-
     /// Runs one forward pass and returns the output node values in
     /// genome id order. Reuses the internal value buffer — no per-call
     /// allocation beyond the returned vector.
@@ -124,41 +119,11 @@ impl Network {
         self.plan.num_outputs()
     }
 
-    /// Number of *compute* levels (levels excluding the input level).
-    pub fn num_compute_levels(&self) -> usize {
-        self.plan.num_compute_levels()
-    }
-
-    /// Total number of enabled connections (MACs per inference).
-    pub fn num_connections(&self) -> usize {
-        self.plan.num_connections()
-    }
-
-    /// Total number of nodes (including inputs).
-    pub fn num_nodes(&self) -> usize {
-        self.plan.num_nodes()
-    }
-
-    /// The paper's density metric: enabled connections divided by the
-    /// connections of the *dense MLP counterpart* — a layered MLP with
-    /// the same per-level widths and full adjacent-level connectivity.
-    /// Irregular nets with long skip connections can exceed 1.0
-    /// (Fig. 4(c)).
-    pub fn density(&self) -> f64 {
-        self.plan.density()
-    }
-
     /// In-degree ("degree of node") for each non-input node, the
     /// statistic of Fig. 4(e). Variable in-degree is what makes PE
     /// execution time variable in INAX.
     pub fn in_degrees(&self) -> Vec<usize> {
         self.plan.in_degrees()
-    }
-
-    /// Nodes per compute level, the statistic of Fig. 4(f) and the
-    /// quantity that bounds useful PE parallelism.
-    pub fn level_widths(&self) -> Vec<usize> {
-        self.plan.level_widths()
     }
 }
 
@@ -187,9 +152,9 @@ mod tests {
         // inputs at level 0, hidden at 1, output at 2 (longest path
         // through the hidden node wins over the direct skip).
         assert_eq!(net.plan().levels(), &[(0, 1), (1, 2)]);
-        assert_eq!(net.level_widths(), vec![1, 1]);
-        assert_eq!(net.num_compute_levels(), 2);
-        assert_eq!(net.num_nodes(), 4);
+        assert_eq!(net.plan().level_widths(), vec![1, 1]);
+        assert_eq!(net.plan().num_compute_levels(), 2);
+        assert_eq!(net.plan().num_nodes(), 4);
     }
 
     #[test]
@@ -248,9 +213,9 @@ mod tests {
         g2.add_connection(h2, 5, 1.0, &mut tracker).unwrap();
         g2.add_connection(h3, 3, 1.0, &mut tracker).unwrap();
         let net = g2.decode().unwrap();
-        assert_eq!(net.num_connections(), 9);
-        assert_eq!(net.level_widths(), vec![3, 3]);
-        assert!((net.density() - 0.5).abs() < 1e-12);
+        assert_eq!(net.plan().num_connections(), 9);
+        assert_eq!(net.plan().level_widths(), vec![3, 3]);
+        assert!((net.plan().density() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -307,6 +272,5 @@ mod tests {
         assert_eq!(net.plan(), &plan);
         let out = net.activate(&[0.3, -0.7]);
         assert_eq!(out, plan.execute(&[0.3, -0.7]));
-        assert_eq!(net.into_plan(), plan);
     }
 }

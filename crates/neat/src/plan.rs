@@ -26,8 +26,7 @@
 //!   sorted within a node by `(slot, weight)`;
 //! * `edge_ranges[i]` — the `(offset, len)` window of compute node
 //!   `i`'s edges inside the arena;
-//! * `biases[i]` / `activations[i]` / `node_ids[i]` — the node's
-//!   parameters and originating genome id;
+//! * `biases[i]` / `activations[i]` — the node's parameters;
 //! * `levels` — per compute level, the `(start, end)` compute-node
 //!   index range (level `k` holds all nodes whose longest path from a
 //!   source is `k + 1`);
@@ -58,7 +57,7 @@ use serde::{Deserialize, Serialize};
 /// A compiled irregular feed-forward network in flat CSR form.
 ///
 /// Produced by [`NetPlan::compile`]; executed in place by
-/// [`NetPlan::execute_into`]. See the [module docs](self) for the
+/// [`NetPlan::execute_into`]. See the module docs for the
 /// layout and the value-buffer slot convention.
 ///
 /// # Example
@@ -90,8 +89,6 @@ pub struct NetPlan {
     biases: Vec<f64>,
     /// Per compute node: activation function.
     activations: Vec<Activation>,
-    /// Per compute node: originating genome node id.
-    node_ids: Vec<NodeId>,
     /// Per compute level: `(start, end)` compute-node index range.
     levels: Vec<(u32, u32)>,
     /// Compute-node indices of the outputs, in genome id order.
@@ -205,7 +202,6 @@ impl NetPlan {
         let mut edge_ranges: Vec<(u32, u32)> = Vec::with_capacity(num_compute);
         let mut biases: Vec<f64> = Vec::with_capacity(num_compute);
         let mut activations: Vec<Activation> = Vec::with_capacity(num_compute);
-        let mut node_ids: Vec<NodeId> = Vec::with_capacity(num_compute);
         let mut levels: Vec<(u32, u32)> = Vec::new();
         let mut outputs_with_ids: Vec<(NodeId, u32)> = Vec::new();
         let mut current_level = usize::MAX;
@@ -224,7 +220,6 @@ impl NetPlan {
             edge_ranges.push((offset, edges.len() as u32 - offset));
             biases.push(g.bias);
             activations.push(g.activation);
-            node_ids.push(g.id);
             if level[old_i] != current_level {
                 levels.push((compute_idx, compute_idx + 1));
                 current_level = level[old_i];
@@ -245,7 +240,6 @@ impl NetPlan {
             edge_ranges,
             biases,
             activations,
-            node_ids,
             levels,
             outputs,
         })
@@ -278,7 +272,12 @@ impl NetPlan {
     /// # Panics
     ///
     /// Panics if `inputs` or `values` have the wrong length.
-    pub fn execute_into_buf(&self, inputs: &[f64], values: &mut [f64], outputs: &mut Vec<f64>) {
+    pub(crate) fn execute_into_buf(
+        &self,
+        inputs: &[f64],
+        values: &mut [f64],
+        outputs: &mut Vec<f64>,
+    ) {
         self.fill(inputs, values);
         outputs.clear();
         outputs.extend(
@@ -409,11 +408,6 @@ impl NetPlan {
         self.activations[i]
     }
 
-    /// Genome node id each compute node was compiled from.
-    pub fn node_ids(&self) -> &[NodeId] {
-        &self.node_ids
-    }
-
     /// Compute-node indices of the output nodes, in genome id order.
     pub fn outputs(&self) -> &[u32] {
         &self.outputs
@@ -431,7 +425,7 @@ impl NetPlan {
     /// In-degree ("degree of node") for each compute node, the
     /// statistic of Fig. 4(e). Variable in-degree is what makes PE
     /// execution time variable in INAX.
-    pub fn in_degrees(&self) -> Vec<usize> {
+    pub(crate) fn in_degrees(&self) -> Vec<usize> {
         self.edge_ranges
             .iter()
             .map(|&(_, len)| len as usize)
@@ -443,7 +437,7 @@ impl NetPlan {
     /// the same per-level widths and full adjacent-level connectivity.
     /// Irregular nets with long skip connections can exceed 1.0
     /// (Fig. 4(c)).
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         let widths: Vec<usize> = std::iter::once(self.num_inputs)
             .chain(self.level_widths())
             .collect();

@@ -170,7 +170,7 @@ impl PlanBatch {
     /// output rows keep whatever they held before the call.
     ///
     /// Per lane, results are bit-identical to running that lane's
-    /// [`NetPlan::execute_into`] alone (see the [module docs](self)).
+    /// [`NetPlan::execute_into`] alone (see the module docs).
     ///
     /// # Panics
     ///
@@ -242,11 +242,6 @@ impl PlanBatch {
         self.lanes
     }
 
-    /// Inputs per lane.
-    pub fn num_inputs(&self) -> usize {
-        self.num_inputs
-    }
-
     /// Outputs per lane.
     pub fn num_outputs(&self) -> usize {
         self.num_outputs
@@ -256,21 +251,6 @@ impl PlanBatch {
     /// individual buffers).
     pub fn value_buffer_slots(&self) -> usize {
         self.value_slots
-    }
-
-    /// Total compute nodes across all lanes.
-    pub fn num_compute_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Total enabled connections (MACs per batched inference).
-    pub fn num_connections(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Number of merged compute levels (the deepest lane's depth).
-    pub fn num_compute_levels(&self) -> usize {
-        self.levels.len()
     }
 }
 
@@ -310,7 +290,7 @@ mod tests {
         let refs: Vec<&NetPlan> = plans.iter().collect();
         let batch = PlanBatch::build(&refs);
         assert_eq!(batch.lanes(), 3);
-        assert_eq!(batch.num_compute_levels(), 2, "deepest lane wins");
+        assert_eq!(batch.levels.len(), 2, "deepest lane wins");
 
         let inputs = [0.8, 0.4, -0.3, 1.1, 0.05, -2.0];
         let mut values = vec![0.0; batch.value_buffer_slots()];
@@ -361,8 +341,8 @@ mod tests {
         let plan = diamond_plan(0.75);
         let batch = PlanBatch::build(&[&plan]);
         assert_eq!(batch.value_buffer_slots(), plan.value_buffer_slots());
-        assert_eq!(batch.num_compute_nodes(), plan.num_compute_nodes());
-        assert_eq!(batch.num_connections(), plan.num_connections());
+        assert_eq!(batch.nodes.len(), plan.num_compute_nodes());
+        assert_eq!(batch.edges.len(), plan.num_connections());
         let mut values = vec![0.0; batch.value_buffer_slots()];
         let mut outputs = vec![0.0; 1];
         batch.activate_batch_into(&[0.6, -0.9], &[true], &mut values, &mut outputs);

@@ -23,6 +23,52 @@ pub struct EvaluatedGenome {
     pub fitness: f64,
 }
 
+/// Serializable state of a [`Population`] — genomes, species,
+/// innovation bookkeeping, generation counter, all-time best *and the
+/// evolve-phase RNG stream* — taken by [`Population::snapshot`].
+/// Because the RNG state rides along, [`Population::from_snapshot`]
+/// continues evolution **bit-identically**; the `e3-store` crash-safe
+/// run store builds on this.
+///
+/// # Example
+///
+/// ```
+/// use e3_neat::{NeatConfig, Population, PopulationSnapshot};
+///
+/// let mut pop = Population::new(NeatConfig::builder(2, 1).population_size(10).build(), 1);
+/// pop.evaluate(|g| g.num_enabled_connections() as f64);
+/// let json = serde_json::to_string(&pop.snapshot())?;
+/// let restored: PopulationSnapshot = serde_json::from_str(&json)?;
+/// let mut resumed = Population::from_snapshot(restored, 7); // seed ignored: RNG state is captured
+/// resumed.evolve();
+/// pop.evolve();
+/// assert_eq!(resumed.genomes(), pop.genomes());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct PopulationSnapshot {
+    /// The NEAT configuration.
+    pub config: NeatConfig,
+    /// Current-generation genomes.
+    pub genomes: Vec<Genome>,
+    /// Fitness values, if the generation was evaluated.
+    pub fitnesses: Vec<Option<f64>>,
+    /// Species (with representatives and stagnation records).
+    pub species: Vec<Species>,
+    /// Generation counter.
+    pub generation: usize,
+    /// Next species id to allocate.
+    pub next_species_id: usize,
+    /// All-time best genome, if any evaluation happened.
+    pub best: Option<EvaluatedGenome>,
+    /// Innovation bookkeeping (counters and per-generation caches).
+    pub tracker: InnovationTracker,
+    /// Evolve-phase RNG state (xoshiro256++ words). `None` only in
+    /// `v0` snapshots serialized before RNG capture; restoring those
+    /// reseeds instead of resuming the stream.
+    pub rng_state: Option<[u64; 4]>,
+}
+
 /// A NEAT population: the full state of an evolutionary run.
 ///
 /// # Example
@@ -73,11 +119,6 @@ impl Population {
         }
     }
 
-    /// The configuration this population runs with.
-    pub fn config(&self) -> &NeatConfig {
-        &self.config
-    }
-
     /// Current generation number (0 for the initial population).
     pub fn generation(&self) -> usize {
         self.generation
@@ -109,19 +150,6 @@ impl Population {
     /// (sequentially) and speciates the population.
     pub fn evaluate<F: FnMut(&Genome) -> f64>(&mut self, mut fitness: F) {
         let values: Vec<f64> = self.genomes.iter().map(&mut fitness).collect();
-        self.assign_fitnesses(values);
-    }
-
-    /// Evaluates the whole generation at once — the entry point used by
-    /// accelerator backends, which batch the entire population onto the
-    /// hardware (one individual per PU).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the returned vector's length differs from the
-    /// population size.
-    pub fn evaluate_batch<F: FnOnce(&[Genome]) -> Vec<f64>>(&mut self, fitness: F) {
-        let values = fitness(&self.genomes);
         self.assign_fitnesses(values);
     }
 
@@ -435,10 +463,9 @@ impl Population {
     }
 
     /// Captures the population's full state — including the evolve-
-    /// phase RNG stream — for
-    /// [`crate::checkpoint::PopulationSnapshot`] serialization.
-    pub(crate) fn snapshot(&self) -> crate::checkpoint::PopulationSnapshot {
-        crate::checkpoint::PopulationSnapshot {
+    /// phase RNG stream — as a serializable [`PopulationSnapshot`].
+    pub fn snapshot(&self) -> PopulationSnapshot {
+        PopulationSnapshot {
             config: self.config.clone(),
             genomes: self.genomes.clone(),
             fitnesses: self.fitnesses.clone(),
@@ -459,10 +486,7 @@ impl Population {
     /// bit-identical to an uninterrupted run; `seed` is ignored. For
     /// `v0` snapshots without RNG state, the RNG is reseeded from
     /// `seed` and the continuation is valid but not bit-identical.
-    pub(crate) fn from_snapshot(
-        snapshot: crate::checkpoint::PopulationSnapshot,
-        seed: u64,
-    ) -> Self {
+    pub fn from_snapshot(snapshot: PopulationSnapshot, seed: u64) -> Self {
         let rng = match snapshot.rng_state {
             Some(state) => StdRng::from_state(state),
             None => StdRng::seed_from_u64(seed),
@@ -502,13 +526,6 @@ impl Population {
             }
         }
         self.species.retain(|s| !s.is_empty());
-    }
-}
-
-#[cfg(test)]
-impl Genome {
-    fn num_nodes_for_test(&self) -> f64 {
-        self.nodes().len() as f64
     }
 }
 
@@ -563,9 +580,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "one fitness per genome")]
-    fn batch_fitness_length_is_checked() {
+    fn fitness_length_is_checked() {
         let mut pop = Population::new(small_config(), 1);
-        pop.evaluate_batch(|_| vec![0.0; 3]);
+        pop.assign_fitnesses(vec![0.0; 3]);
     }
 
     #[test]
@@ -581,7 +598,7 @@ mod tests {
             pop.evaluate(|g| g.num_hidden() as f64);
         }
         assert!(!pop.species().is_empty());
-        let total_members: usize = pop.species().iter().map(|s| s.len()).sum();
+        let total_members: usize = pop.species().iter().map(|s| s.members.len()).sum();
         assert_eq!(
             total_members, 30,
             "every genome belongs to exactly one species"
@@ -688,14 +705,61 @@ mod tests {
         assert_eq!(run(template.clone()), run(template));
     }
 
+    fn evolved() -> Population {
+        let mut pop = Population::new(NeatConfig::builder(3, 2).population_size(20).build(), 5);
+        for _ in 0..5 {
+            pop.evaluate(|g| g.num_enabled_connections() as f64);
+            pop.evolve();
+        }
+        pop.evaluate(|g| g.num_hidden() as f64);
+        pop
+    }
+
     #[test]
-    fn batch_evaluation_matches_sequential() {
-        let mut a = Population::new(small_config(), 13);
-        let mut b = Population::new(small_config(), 13);
-        a.evaluate(|g| g.num_nodes_for_test());
-        b.evaluate_batch(|gs| gs.iter().map(|g| g.num_nodes_for_test()).collect());
-        let fa: Vec<_> = a.fitnesses().to_vec();
-        let fb: Vec<_> = b.fitnesses().to_vec();
-        assert_eq!(fa, fb);
+    fn restored_population_continues_bit_identically() {
+        // The captured RNG state makes the snapshot+restore path
+        // indistinguishable from never snapshotting: every subsequent
+        // generation is genome-for-genome identical.
+        let mut pop = evolved();
+        let mut resumed = Population::from_snapshot(pop.snapshot(), 12345);
+        for _ in 0..4 {
+            pop.evolve();
+            resumed.evolve();
+            assert_eq!(pop.genomes(), resumed.genomes());
+            pop.evaluate(|g| g.num_hidden() as f64);
+            resumed.evaluate(|g| g.num_hidden() as f64);
+            assert_eq!(pop.fitnesses(), resumed.fitnesses());
+        }
+        assert_eq!(
+            pop.best().map(|b| b.fitness),
+            resumed.best().map(|b| b.fitness)
+        );
+    }
+
+    #[test]
+    fn v0_snapshot_without_rng_state_still_restores() {
+        // Old JSON snapshots predate the `rng_state` field; they must
+        // keep deserializing and restoring (reseeded, not
+        // bit-identical). A v0 file simply lacks the field entirely —
+        // strip it from the serialized object to reproduce one.
+        let pop = evolved();
+        let serde_json::Value::Object(fields) = serde_json::to_value(&pop.snapshot()).unwrap()
+        else {
+            panic!("snapshot serializes as an object");
+        };
+        let v0 = serde_json::Value::Object(
+            fields
+                .into_iter()
+                .filter(|(k, _)| k != "rng_state")
+                .collect(),
+        );
+        let json = serde_json::to_string(&v0).unwrap();
+        assert!(!json.contains("rng_state"));
+        let back: PopulationSnapshot = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.rng_state, None);
+        let mut resumed = Population::from_snapshot(back, 17);
+        assert_eq!(resumed.generation(), pop.generation());
+        resumed.evolve();
+        assert_eq!(resumed.genomes().len(), pop.genomes().len());
     }
 }

@@ -32,7 +32,7 @@ pub struct Species {
 
 impl Species {
     /// Creates a species seeded from a representative.
-    pub fn new(id: usize, representative: Genome) -> Self {
+    pub(crate) fn new(id: usize, representative: Genome) -> Self {
         Species {
             id,
             representative,
@@ -45,7 +45,7 @@ impl Species {
 
     /// Records the generation's best raw member fitness, updating the
     /// stagnation counter.
-    pub fn record_fitness(&mut self, best_member_fitness: f64) {
+    pub(crate) fn record_fitness(&mut self, best_member_fitness: f64) {
         if self
             .best_fitness
             .is_none_or(|best| best_member_fitness > best)
@@ -57,13 +57,8 @@ impl Species {
         }
     }
 
-    /// Number of members this generation.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
     /// Whether the species has no members this generation.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 }
@@ -90,6 +85,6 @@ mod tests {
     fn empty_species_reports_empty() {
         let s = Species::new(3, Genome::bare(1, 1));
         assert!(s.is_empty());
-        assert_eq!(s.len(), 0);
+        assert_eq!(s.members.len(), 0);
     }
 }

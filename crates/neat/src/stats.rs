@@ -10,7 +10,7 @@ use crate::genome::Genome;
 use crate::plan::NetPlan;
 use serde::{Deserialize, Serialize};
 
-/// A simple integer histogram with mean/max accessors.
+/// A simple integer histogram.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Histogram {
     counts: Vec<u64>,
@@ -35,27 +35,13 @@ impl Histogram {
     }
 
     /// Count of observations equal to `value`.
-    pub fn count(&self, value: usize) -> u64 {
+    pub(crate) fn count(&self, value: usize) -> u64 {
         self.counts.get(value).copied().unwrap_or(0)
     }
 
     /// Number of observations recorded.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.total as f64
-        }
-    }
-
-    /// Largest observed value, if any.
-    pub fn max(&self) -> Option<usize> {
-        self.counts.iter().rposition(|&c| c > 0)
     }
 
     /// `(value, count)` pairs for non-zero buckets.
@@ -236,7 +222,7 @@ mod tests {
     use crate::{NeatConfig, Population};
 
     #[test]
-    fn histogram_counts_and_mean() {
+    fn histogram_counts_and_fractions() {
         let mut h = Histogram::new();
         for v in [1, 1, 2, 5] {
             h.record(v);
@@ -244,8 +230,6 @@ mod tests {
         assert_eq!(h.count(1), 2);
         assert_eq!(h.count(3), 0);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.max(), Some(5));
-        assert!((h.mean() - 2.25).abs() < 1e-12);
         assert!((h.fraction(1) - 0.5).abs() < 1e-12);
         let buckets: Vec<_> = h.buckets().collect();
         assert_eq!(buckets, vec![(1, 2), (2, 1), (5, 1)]);
@@ -254,8 +238,6 @@ mod tests {
     #[test]
     fn empty_histogram_is_well_behaved() {
         let h = Histogram::new();
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.max(), None);
         assert_eq!(h.fraction(3), 0.0);
     }
 

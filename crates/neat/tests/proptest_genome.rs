@@ -146,7 +146,7 @@ proptest! {
         let mut pop = Population::new(config, seed);
         for gen in 0..4u64 {
             pop.evaluate(|g| fitness_scale * (g.num_enabled_connections() as f64 + gen as f64));
-            let members: usize = pop.species().iter().map(|s| s.len()).sum();
+            let members: usize = pop.species().iter().map(|s| s.members.len()).sum();
             prop_assert_eq!(members, pop_size, "species partition covers population");
             pop.evolve();
             prop_assert_eq!(pop.genomes().len(), pop_size);

@@ -5,7 +5,6 @@
 //! code verbatim as an oracle), and cyclic genomes must fail plan
 //! compilation with the same [`DecodeError`] the legacy decode raised.
 
-use e3_neat::recurrent::RecurrentNetwork;
 use e3_neat::{
     DecodeError, Genome, InnovationTracker, NeatConfig, NetPlan, Network, ReferenceNetwork,
 };
@@ -83,8 +82,7 @@ proptest! {
 
     /// A cycle injected anywhere into an evolved genome makes plan
     /// compilation fail with [`DecodeError::Cycle`], exactly like the
-    /// legacy decode — while the recurrent decoder (which permits
-    /// cycles by design, see `recurrent.rs`) still accepts the genome.
+    /// legacy decode.
     #[test]
     fn cyclic_genomes_fail_plan_compilation(
         seed in any::<u64>(),
@@ -101,13 +99,9 @@ proptest! {
         let decode_err = genome.decode().expect_err("legacy decode must also reject");
         prop_assert_eq!(plan_err, decode_err, "plan and decode report the same error");
         prop_assert!(Network::from_genome(&genome).is_err());
-        // The recurrent path is the documented escape hatch for cycles.
-        let mut recurrent = RecurrentNetwork::from_genome(&genome);
-        prop_assert_eq!(recurrent.activate(&[0.1, -0.2, 0.3]).len(), 2);
     }
 
-    /// A longer cycle (through a split hidden node, the `recurrent.rs`
-    /// test-case shape) is also rejected through the plan path. The
+    /// A longer cycle (through a split hidden node) is also rejected through the plan path. The
     /// reported node id is a node stuck behind the cycle, and the plan
     /// error is identical to the legacy decode's.
     #[test]

@@ -11,8 +11,7 @@
 //!    snapshot would change its checksum and defeat torn-write
 //!    detection by content comparison.
 
-use e3_neat::checkpoint::PopulationSnapshot;
-use e3_neat::{Genome, InnovationTracker, NeatConfig, Population, Species};
+use e3_neat::{Genome, InnovationTracker, NeatConfig, Population, PopulationSnapshot, Species};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,7 +76,7 @@ proptest! {
         generations in 0usize..5,
     ) {
         let pop = evolved_population(seed, pop_size, generations);
-        let snapshot = PopulationSnapshot::capture(&pop);
+        let snapshot = pop.snapshot();
         let json = serde_json::to_string(&snapshot).unwrap();
         let back: PopulationSnapshot = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(&back.genomes, &snapshot.genomes);
@@ -96,10 +95,10 @@ proptest! {
         pop_size in 5usize..20,
     ) {
         let pop = evolved_population(seed, pop_size, 2);
-        let first = PopulationSnapshot::capture(&pop);
+        let first = pop.snapshot();
         let json_first = serde_json::to_string(&first).unwrap();
-        let restored = first.restore(seed);
-        let second = PopulationSnapshot::capture(&restored);
+        let restored = Population::from_snapshot(first, seed);
+        let second = restored.snapshot();
         let json_second = serde_json::to_string(&second).unwrap();
         prop_assert_eq!(json_second, json_first);
     }

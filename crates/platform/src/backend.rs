@@ -7,7 +7,7 @@
 //! long it takes, so there is **one** [`Backend`] with one kernel — each
 //! worker takes whole genomes and runs their K episodes back to back
 //! through the plan interpreter — and the setting is data: a
-//! [`Pricing`]. `Cpu` and `Gpu` price every inference with a cost
+//! `Pricing`. `Cpu` and `Gpu` price every inference with a cost
 //! model; `Inax` hands the compiled plans and the episode lengths the
 //! kernel observed to the cycle-level accelerator model
 //! (`e3_inax::InaxAccelerator::run_episodes`), whose schedule depends
@@ -21,15 +21,16 @@
 //! that cannot be lowered to a feed-forward network surfaces as
 //! [`EvalError::NotFeedForward`] instead of a panic, so callers (the
 //! platform loop, sweeps, long benchmark campaigns) can decide how to
-//! react. Backends are constructed either directly
-//! ([`Backend::cpu`], [`Backend::gpu`], [`Backend::inax`]) or through
-//! the unified [`BackendBuilder`] (mirroring `InaxConfig::builder()`).
+//! react. A backend is built by one constructor per setting
+//! ([`Backend::cpu`], [`Backend::gpu`], [`Backend::inax`]) and then
+//! given a tier, workers or a shared pool with [`Backend::with_jit`],
+//! [`Backend::with_threads`] or `Backend::with_executor`.
 
 use crate::scenario::{aggregate_fitness, ScenarioSpec};
 use crate::tier::{Tier, TierExec, TierStats};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::{EnvId, Environment, Episode};
-use e3_exec::{AnyExecutor, ExecError, ExecStats, Executor, SharedExecutor, WorkerScratch};
+use e3_exec::{AnyExecutor, ExecError, ExecStats, Executor, WorkerScratch};
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, UtilizationBreakdown};
 use e3_jit::JitConfig;
 use e3_neat::stats::PlanShape;
@@ -63,12 +64,6 @@ impl BackendKind {
             BackendKind::Gpu => "E3-GPU",
             BackendKind::Inax => "E3-INAX",
         }
-    }
-
-    /// Starts a [`BackendBuilder`] for this kind with default cost
-    /// models.
-    pub fn builder(self) -> BackendBuilder {
-        BackendBuilder::new(self)
     }
 }
 
@@ -182,7 +177,7 @@ pub struct EvalOutcome {
 
 /// What [`Backend::take_exec_stats`] yields per evaluation: the
 /// executor's statistics and the tier's.
-pub type EvalStats = (ExecStats, TierStats);
+pub(crate) type EvalStats = (ExecStats, TierStats);
 
 /// Runs one network's episode in software from `episode_seed`,
 /// returning `(fitness, steps)`. Generic over the [`ForwardPass`] seam
@@ -270,7 +265,7 @@ fn finish_episode(mut timer: SpanTimer, steps: u64) {
 /// every pricing (E3-GPU is an analytical model of it, E3-INAX a
 /// cycle-level one, see DESIGN.md).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Pricing {
+pub(crate) enum Pricing {
     /// Interpreted-runtime cost model (paper: E3-CPU).
     Cpu(SwCostModel),
     /// Launch-bound GPU offload model (paper: E3-GPU).
@@ -291,7 +286,7 @@ enum RowPrice {
 
 impl Pricing {
     /// The paper backend this pricing stands for.
-    pub fn kind(&self) -> BackendKind {
+    pub(crate) fn kind(&self) -> BackendKind {
         match self {
             Pricing::Cpu(_) => BackendKind::Cpu,
             Pricing::Gpu(_) => BackendKind::Gpu,
@@ -413,7 +408,7 @@ fn run_on_accelerator(
 }
 
 /// The "evaluate" phase executor: one kernel on host worker threads,
-/// timed by a [`Pricing`]. Host parallelism — NE's embarrassing
+/// timed by a `Pricing`. Host parallelism — NE's embarrassing
 /// parallelism is one of the properties the paper cites ([35], [43]) —
 /// never changes the *modeled* time, so comparisons stay faithful to
 /// the baseline platforms; fitness values and accelerator counters are
@@ -486,13 +481,13 @@ impl Backend {
     /// [`AnyExecutor::Shared`] handle so many concurrent runs (islands)
     /// time-slice one worker pool. Results are bit-identical to an
     /// exclusive executor of the same width.
-    pub fn with_executor(mut self, exec: AnyExecutor) -> Self {
+    pub(crate) fn with_executor(mut self, exec: AnyExecutor) -> Self {
         self.exec = exec;
         self
     }
 
     /// Backend identity.
-    pub fn kind(&self) -> BackendKind {
+    pub(crate) fn kind(&self) -> BackendKind {
         self.pricing.kind()
     }
 
@@ -594,133 +589,15 @@ impl Backend {
     /// Stats are observability only: they describe the nondeterministic
     /// execution schedule (wall times, steals, cache hits), never the
     /// results, which are bit-identical across thread counts.
-    pub fn take_exec_stats(&mut self) -> Option<EvalStats> {
+    pub(crate) fn take_exec_stats(&mut self) -> Option<EvalStats> {
         self.last_exec.take()
     }
 
     /// Installs a tracer; subsequent evaluations record `shard` and
     /// `episode` spans into it. Tracing is write-only: results are
     /// bit-identical with any tracer installed.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-}
-
-/// Unified builder for a backend of any kind, mirroring
-/// `InaxConfig::builder()`.
-///
-/// # Example
-///
-/// ```
-/// use e3_platform::{BackendBuilder, BackendKind};
-/// use e3_inax::InaxConfig;
-///
-/// let mut backend = BackendBuilder::new(BackendKind::Inax)
-///     .inax(InaxConfig::builder().num_pu(8).num_pe(2).build())
-///     .build();
-/// assert_eq!(backend.kind(), BackendKind::Inax);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BackendBuilder {
-    kind: BackendKind,
-    sw: SwCostModel,
-    gpu: GpuCostModel,
-    inax: InaxConfig,
-    threads: usize,
-    executor: Option<SharedExecutor>,
-    jit: JitConfig,
-    tracer: Tracer,
-}
-
-impl BackendBuilder {
-    /// Starts a builder for `kind` with default cost models and
-    /// single-threaded host execution.
-    pub fn new(kind: BackendKind) -> Self {
-        BackendBuilder {
-            kind,
-            sw: SwCostModel::default(),
-            gpu: GpuCostModel::default(),
-            inax: InaxConfig::default(),
-            threads: 1,
-            executor: None,
-            jit: JitConfig::default(),
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Sets the software cost model (used by every backend for the
-    /// CPU-side env stepping).
-    pub fn sw(mut self, model: SwCostModel) -> Self {
-        self.sw = model;
-        self
-    }
-
-    /// Sets the GPU cost model (E3-GPU only).
-    pub fn gpu(mut self, model: GpuCostModel) -> Self {
-        self.gpu = model;
-        self
-    }
-
-    /// Sets the INAX hardware configuration (E3-INAX only).
-    pub fn inax(mut self, config: InaxConfig) -> Self {
-        self.inax = config;
-        self
-    }
-
-    /// Sets the number of host worker threads ("virtual PUs") the
-    /// backend evaluates on. Applies to every backend kind; results
-    /// are bit-identical to `threads = 1`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Evaluates on a caller-supplied shared pool instead of a private
-    /// executor — many concurrent runs (islands) time-slice one pool
-    /// at population-evaluation granularity. Overrides
-    /// [`BackendBuilder::threads`]. Results are bit-identical to a
-    /// private executor of the same width.
-    pub fn executor(mut self, shared: SharedExecutor) -> Self {
-        self.executor = Some(shared);
-        self
-    }
-
-    /// Sets the tiered-execution (JIT) policy of E3-CPU and E3-GPU
-    /// (see [`Backend::with_jit`]; disabled by default). The builder
-    /// gives E3-INAX no tier: it models inference on the accelerator,
-    /// not on a host that could run native code.
-    pub fn jit(mut self, config: JitConfig) -> Self {
-        self.jit = config;
-        self
-    }
-
-    /// Installs a span tracer on the built backend (defaults to the
-    /// zero-cost disabled tracer). Tracing is write-only: results are
-    /// bit-identical with any tracer.
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Builds the backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn build(self) -> Backend {
-        assert!(self.threads > 0, "need at least one worker thread");
-        let exec = match self.executor {
-            Some(shared) => AnyExecutor::Shared(shared),
-            None => AnyExecutor::new(self.threads),
-        };
-        let mut backend = match self.kind {
-            BackendKind::Cpu => Backend::cpu(self.sw).with_jit(self.jit),
-            BackendKind::Gpu => Backend::gpu(self.sw, self.gpu).with_jit(self.jit),
-            BackendKind::Inax => Backend::inax(self.inax, self.sw),
-        }
-        .with_executor(exec);
-        backend.set_tracer(self.tracer);
-        backend
     }
 }
 
@@ -1027,25 +904,8 @@ mod tests {
         assert!(err.to_string().contains("tpu"));
     }
 
-    #[test]
-    fn builder_constructs_each_kind() {
-        for kind in BackendKind::ALL {
-            let backend = kind.builder().build();
-            assert_eq!(backend.kind(), kind);
-        }
-    }
-
-    #[test]
-    fn builder_backends_match_direct_construction() {
-        let pop = genomes(EnvId::CartPole, 8);
-        let mut built = BackendKind::Cpu.builder().threads(2).build();
-        let a = eval(&mut cpu(), &pop, EnvId::CartPole, 5);
-        let b = eval(&mut built, &pop, EnvId::CartPole, 5);
-        assert_eq!(a, b);
-    }
-
     /// Adds a recurrent self-loop on an output node, producing a
-    /// genome only `RecurrentNetwork` could execute.
+    /// genome no backend can lower.
     fn make_cyclic(genome: &Genome) -> Genome {
         use e3_neat::{InnovationTracker, NodeKind};
         let mut cyclic = genome.clone();

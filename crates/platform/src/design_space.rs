@@ -45,11 +45,6 @@ impl DesignSweep {
         self.points.iter().filter(|p| p.fits)
     }
 
-    /// The fastest feasible point.
-    pub fn fastest(&self) -> Option<&DesignPoint> {
-        self.feasible().min_by_key(|p| p.total_cycles)
-    }
-
     /// The Pareto frontier over (total_cycles ↓, lut ↓) among feasible
     /// points, sorted by cycles.
     pub fn pareto_frontier(&self) -> Vec<&DesignPoint> {
@@ -201,7 +196,10 @@ mod tests {
     #[test]
     fn fastest_point_uses_maximum_feasible_parallelism() {
         let result = sweep();
-        let fastest = result.fastest().expect("some config fits");
+        let fastest = result
+            .feasible()
+            .min_by_key(|p| p.total_cycles)
+            .expect("some config fits");
         assert!(fastest.num_pu >= 50, "more PUs are faster while they fit");
         assert!(fastest.fits);
     }

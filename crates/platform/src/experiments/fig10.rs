@@ -30,7 +30,7 @@ impl Fig10aRow {
     }
 
     /// Fraction of CPU energy saved by INAX.
-    pub fn inax_reduction(&self) -> f64 {
+    pub(crate) fn inax_reduction(&self) -> f64 {
         1.0 - self.energy[2].total() / self.energy[0].total()
     }
 }
@@ -164,45 +164,5 @@ impl fmt::Display for Fig10bResult {
             )?;
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::experiments::fig9::run_fig9b_on;
-    use crate::experiments::Scale;
-
-    #[test]
-    fn energy_shape_matches_paper() {
-        let fig9b = run_fig9b_on(&[EnvId::CartPole], Scale::Quick, 5);
-        let result = run_fig10a(&fig9b, &PowerModel::default());
-        let row = &result.rows[0];
-        assert!(
-            row.gpu_ratio() > 10.0,
-            "GPU energy ratio {} (paper: 71x)",
-            row.gpu_ratio()
-        );
-        assert!(
-            row.inax_reduction() > 0.8,
-            "INAX reduction {} (paper: 97%)",
-            row.inax_reduction()
-        );
-    }
-
-    #[test]
-    fn fig10b_configs_fit_and_order() {
-        let result = run_fig10b();
-        assert_eq!(result.rows.len(), 2);
-        let (a, b) = (&result.rows[0], &result.rows[1]);
-        assert!(
-            a.utilization.0 < 1.0 && b.utilization.0 < 1.0,
-            "both fit the device"
-        );
-        assert!(
-            b.resources.lut > a.resources.lut,
-            "E3_b uses more resources"
-        );
-        assert!(b.resources.dsp > a.resources.dsp);
     }
 }

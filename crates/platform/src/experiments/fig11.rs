@@ -41,7 +41,7 @@ pub struct Fig11Result {
 
 impl Fig11Result {
     /// Best (minimum-cycle) SA point.
-    pub fn best_sa(&self) -> &Fig11Point {
+    pub(crate) fn best_sa(&self) -> &Fig11Point {
         self.points
             .iter()
             .min_by(|a, b| a.sa_cycles.total_cmp(&b.sa_cycles))
@@ -49,7 +49,7 @@ impl Fig11Result {
     }
 
     /// Best (minimum-cycle) INAX point.
-    pub fn best_inax_cycles(&self) -> f64 {
+    pub(crate) fn best_inax_cycles(&self) -> f64 {
         self.points
             .iter()
             .map(|p| p.inax_cycles)
@@ -128,58 +128,5 @@ impl fmt::Display for Fig11Result {
             self.points.iter().map(Fig11Point::speedup).fold(f64::INFINITY, f64::min),
             self.points.iter().map(Fig11Point::speedup).fold(0.0, f64::max)
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn inax_beats_sa_at_every_pe_count() {
-        let result = run();
-        for p in &result.points {
-            assert!(
-                p.speedup() > 1.0,
-                "{} PEs: speedup {}",
-                p.num_pe,
-                p.speedup()
-            );
-        }
-    }
-
-    #[test]
-    fn speedup_range_matches_paper_class() {
-        let result = run();
-        let max = result
-            .points
-            .iter()
-            .map(Fig11Point::speedup)
-            .fold(0.0, f64::max);
-        let best_vs_best = result.best_vs_best_speedup();
-        assert!(max > 3.0, "max speedup {max} (paper up to 12.6x)");
-        assert!(
-            best_vs_best > 1.5,
-            "best-vs-best {best_vs_best} (paper ~3x)"
-        );
-    }
-
-    #[test]
-    fn overprovisioning_inax_past_heuristic_buys_little() {
-        // §VI-F: PEs beyond the output width only idle.
-        let result = run();
-        let at_16 = result
-            .points
-            .iter()
-            .find(|p| p.num_pe == 16)
-            .unwrap()
-            .inax_cycles;
-        let at_64 = result
-            .points
-            .iter()
-            .find(|p| p.num_pe == 64)
-            .unwrap()
-            .inax_cycles;
-        assert!(at_64 > 0.85 * at_16, "64 PEs ({at_64}) ≈ 16 PEs ({at_16})");
     }
 }

@@ -92,11 +92,6 @@ pub fn run_on(envs: &[EnvId], scale: Scale, seed: u64) -> Fig1bResult {
     run_with(envs, scale, seed, &mut NullCollector).expect("suite populations are feed-forward")
 }
 
-/// Runs the full suite.
-pub fn run(scale: Scale, seed: u64) -> Fig1bResult {
-    run_on(&EnvId::ALL, scale, seed)
-}
-
 impl fmt::Display for Fig1bResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Fig. 1(b) — NEAT timing profile on CPU")?;
@@ -126,25 +121,5 @@ impl fmt::Display for Fig1bResult {
             crate::experiments::pct(self.mean_evaluate_fraction()),
             crate::experiments::pct(self.mean_evolve_fraction())
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn evaluate_dominates_and_evolve_is_light() {
-        let result = run_on(&[EnvId::CartPole, EnvId::Pendulum], Scale::Quick, 2);
-        assert!(
-            result.mean_evaluate_fraction() > 0.85,
-            "evaluate phase {} should dominate",
-            result.mean_evaluate_fraction()
-        );
-        assert!(
-            result.mean_evolve_fraction() < 0.1,
-            "evolve {} should be light",
-            result.mean_evolve_fraction()
-        );
     }
 }

@@ -37,7 +37,7 @@ pub enum Fig2Algo {
 
 impl Fig2Algo {
     /// All panels in paper order.
-    pub const ALL: [Fig2Algo; 4] = [
+    pub(crate) const ALL: [Fig2Algo; 4] = [
         Fig2Algo::A2cSmall,
         Fig2Algo::Ppo2Small,
         Fig2Algo::Ppo2Large,
@@ -45,7 +45,7 @@ impl Fig2Algo {
     ];
 
     /// Display label.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Fig2Algo::A2cSmall => "A2C-small",
             Fig2Algo::Ppo2Small => "PPO2-small",
@@ -71,7 +71,7 @@ pub struct Fig2Trace {
 
 impl Fig2Trace {
     /// Best normalized fitness along the trace.
-    pub fn best(&self) -> f64 {
+    pub(crate) fn best(&self) -> f64 {
         self.points.iter().map(|p| p.1).fold(0.0, f64::max)
     }
 }
@@ -85,13 +85,8 @@ pub struct Fig2Result {
 
 impl Fig2Result {
     /// Traces of one panel.
-    pub fn panel(&self, algo: Fig2Algo) -> impl Iterator<Item = &Fig2Trace> {
+    pub(crate) fn panel(&self, algo: Fig2Algo) -> impl Iterator<Item = &Fig2Trace> {
         self.traces.iter().filter(move |t| t.algo == algo)
-    }
-
-    /// Number of tasks an algorithm finished.
-    pub fn tasks_finished(&self, algo: Fig2Algo) -> usize {
-        self.panel(algo).filter(|t| t.reached_required).count()
     }
 }
 
@@ -130,7 +125,7 @@ fn rl_trace<F: FnMut(u64) -> f64>(
 /// quarter of the step budget: its per-step cost is ~20× the Small
 /// network's, and the paper's point for PPO2-large is only that more
 /// capacity needs more runtime.
-pub fn run_one(env: EnvId, algo: Fig2Algo, scale: Scale, seed: u64) -> Fig2Trace {
+pub(crate) fn run_one(env: EnvId, algo: Fig2Algo, scale: Scale, seed: u64) -> Fig2Trace {
     let budget = match algo {
         Fig2Algo::Ppo2Large => scale.rl_steps() / 4,
         _ => scale.rl_steps(),
@@ -186,11 +181,6 @@ pub fn run_on(envs: &[EnvId], scale: Scale, seed: u64) -> Fig2Result {
         }
     }
     Fig2Result { traces }
-}
-
-/// Runs the full suite.
-pub fn run(scale: Scale, seed: u64) -> Fig2Result {
-    run_on(&EnvId::ALL, scale, seed)
 }
 
 impl fmt::Display for Fig2Result {

@@ -72,11 +72,6 @@ pub fn run_on(envs: &[EnvId], scale: Scale, seed: u64) -> Fig4Result {
     }
 }
 
-/// Runs the full suite.
-pub fn run(scale: Scale, seed: u64) -> Fig4Result {
-    run_on(&EnvId::ALL, scale, seed)
-}
-
 impl fmt::Display for Fig4Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Fig. 4(e) — node in-degree distribution")?;
@@ -113,27 +108,5 @@ impl fmt::Display for Fig4Result {
             )?;
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn statistics_show_irregularity() {
-        let result = run_on(&[EnvId::CartPole], Scale::Quick, 13);
-        // Variable in-degree: more than one distinct degree observed.
-        let distinct_degrees = result.degree_histogram.buckets().count();
-        assert!(
-            distinct_degrees > 1,
-            "evolved nets must have degree variance"
-        );
-        // Density trace exists and stays positive.
-        assert!(!result.density.is_empty());
-        for d in &result.density {
-            assert!(!d.trace.is_empty());
-            assert!(d.trace.iter().all(|&x| x > 0.0));
-        }
     }
 }

@@ -112,44 +112,3 @@ impl fmt::Display for Fig6Result {
         Ok(())
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn runtime_decreases_and_utilization_trends_down() {
-        let result = run();
-        for panel in &result.panels {
-            let first = &panel.points[0];
-            let last = panel.points.last().unwrap();
-            assert!(
-                last.mean_cycles < first.mean_cycles,
-                "more PEs must reduce runtime"
-            );
-            assert!(
-                last.utilization < first.utilization,
-                "more PEs must idle more"
-            );
-            for p in &panel.points {
-                assert!(p.utilization > 0.0 && p.utilization <= 1.0);
-            }
-        }
-    }
-
-    #[test]
-    fn utilization_peaks_near_divisors_of_output_width() {
-        // The paper's heuristic: peaks at k and ⌈k/2⌉. The output
-        // layer is the widest stable layer, so those PE counts divide
-        // its waves evenly.
-        let result = run();
-        for panel in &result.panels {
-            let k = panel.num_outputs;
-            let half = k.div_ceil(2);
-            assert!(
-                panel.has_local_peak_at(k) || panel.has_local_peak_at(half),
-                "no utilization peak at {k} or {half}"
-            );
-        }
-    }
-}

@@ -110,48 +110,3 @@ impl fmt::Display for Fig7Result {
         Ok(())
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn divisors_of_population_peak_utilization() {
-        let result = run();
-        for panel in &result.panels {
-            let p = panel.num_individuals;
-            // Paper example: p/2 beats p/2 - 1.
-            let at_half = panel.utilization_at(p / 2).expect("swept");
-            let just_below = panel.utilization_at(p / 2 - 1).expect("swept");
-            assert!(
-                at_half > just_below,
-                "p={p}: U({}) = {at_half} should beat U({}) = {just_below}",
-                p / 2,
-                p / 2 - 1
-            );
-            // Divisors are near-fully utilized.
-            for d in [p, p / 2, p / 4] {
-                if let Some(u) = panel.utilization_at(d) {
-                    assert!(u > 0.9, "p={p}: divisor {d} utilization {u}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn full_parallelism_minimizes_runtime() {
-        let result = run();
-        for panel in &result.panels {
-            let full = panel
-                .points
-                .iter()
-                .find(|pt| pt.num_pu == panel.num_individuals);
-            let serial = panel.points.iter().find(|pt| pt.num_pu == 1);
-            let (full, serial) = (full.expect("swept"), serial.expect("swept"));
-            assert!(
-                full.total_cycles < serial.total_cycles / 50,
-                "huge parallel win"
-            );
-        }
-    }
-}

@@ -160,13 +160,6 @@ impl Fig9bResult {
     }
 }
 
-/// Runs the suite comparison at the given scale and seed. All three
-/// backends follow identical evolutionary trajectories (same seed, same
-/// fitnesses), so runtime differences are purely the evaluate path.
-pub fn run_fig9b(scale: Scale, seed: u64) -> Fig9bResult {
-    run_fig9b_on(&EnvId::ALL, scale, seed)
-}
-
 /// Runs the comparison on a chosen subset of environments.
 pub fn run_fig9b_on(envs: &[EnvId], scale: Scale, seed: u64) -> Fig9bResult {
     run_fig9b_with(envs, scale, seed, &mut NullCollector)
@@ -300,46 +293,5 @@ impl fmt::Display for Fig9bResult {
             )?;
         }
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fig9a_utilization_rises_with_network_size() {
-        let result = run_fig9a();
-        let first = result.points.first().unwrap();
-        let last = result.points.last().unwrap();
-        assert!(
-            last.pe_active_fraction > first.pe_active_fraction,
-            "bigger nets hide control overhead: {} -> {}",
-            first.pe_active_fraction,
-            last.pe_active_fraction
-        );
-        for p in &result.points {
-            let sum = p.setup_fraction + p.pe_active_fraction + p.control_fraction;
-            assert!((sum - 1.0).abs() < 1e-9, "fractions partition the total");
-        }
-    }
-
-    #[test]
-    fn fig9b_quick_shape_holds_on_two_envs() {
-        let result = run_fig9b_on(&[EnvId::CartPole, EnvId::MountainCar], Scale::Quick, 3);
-        for row in &result.rows {
-            assert!(
-                row.inax_speedup() > 2.0,
-                "{}: speedup {}",
-                row.env,
-                row.inax_speedup()
-            );
-            assert!(row.gpu_slowdown() > 1.0, "{}: GPU must be slower", row.env);
-            // Fig. 9(d): the INAX profile is balanced — evaluate no
-            // longer dominates.
-            let inax_profile = &row.profiles[2];
-            let cpu_profile = &row.profiles[0];
-            assert!(inax_profile.evaluate_fraction() < cpu_profile.evaluate_fraction());
-        }
     }
 }

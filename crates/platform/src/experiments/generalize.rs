@@ -29,10 +29,10 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scenarios-per-evaluation counts the sweep visits.
-pub const K_SWEEP: [usize; 3] = [1, 4, 8];
+pub(crate) const K_SWEEP: [usize; 3] = [1, 4, 8];
 
 /// Held-out scenarios scored per generalization pass.
-pub const HOLDOUT_SCENARIOS: usize = 8;
+pub(crate) const HOLDOUT_SCENARIOS: usize = 8;
 
 /// One `K` configuration's generalization report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,7 +71,7 @@ pub struct GeneralizeResult {
     pub max_generations: usize,
     /// Held-out scenarios per generalization pass.
     pub holdout_scenarios: usize,
-    /// One row per K in [`K_SWEEP`].
+    /// One row per K in `K_SWEEP`.
     pub rows: Vec<GeneralizeRow>,
     /// Every row was deterministic across thread counts and emitted
     /// the expected generalization telemetry.
@@ -104,7 +104,7 @@ fn config(env: EnvId, scale: Scale, k: usize, threads: usize) -> E3Config {
 ///
 /// Returns [`RunError`] if an evaluation fails (seeded populations are
 /// feed-forward, so this only fires on executor loss).
-pub fn run_on(
+pub(crate) fn run_on(
     env: EnvId,
     scale: Scale,
     seed: u64,
@@ -172,7 +172,7 @@ pub fn run_on(
 ///
 /// # Errors
 ///
-/// See [`run_on`].
+/// See `run_on`.
 pub fn run(
     scale: Scale,
     seed: u64,

@@ -75,7 +75,7 @@ impl Scale {
     /// whole suite regenerates on one laptop-class core — enough for
     /// the qualitative Fig. 2/3 claims (which tasks converge, where the
     /// runtime goes).
-    pub fn rl_steps(self) -> u64 {
+    pub(crate) fn rl_steps(self) -> u64 {
         match self {
             Scale::Quick => 3_000,
             Scale::Full => 40_000,

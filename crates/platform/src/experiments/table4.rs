@@ -86,11 +86,6 @@ pub fn run_on(envs: &[EnvId], scale: Scale, seed: u64) -> Table4Result {
     }
 }
 
-/// Runs on the full suite.
-pub fn run(scale: Scale, seed: u64) -> Table4Result {
-    run_on(&EnvId::ALL, scale, seed)
-}
-
 impl fmt::Display for Table4Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -131,21 +126,5 @@ impl fmt::Display for Table4Result {
             "  (NEAT column from evolved avg: {} nodes, {} connections)",
             self.neat_complexity.nodes, self.neat_complexity.connections
         )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ordering_matches_paper() {
-        let result = run_on(&[EnvId::CartPole], Scale::Quick, 6);
-        assert!(result.rl.ops_backward > 0);
-        assert_eq!(result.ea.ops_backward, 0);
-        assert_eq!(result.neat.ops_backward, 0);
-        assert!(result.rl.ops_forward > 50 * result.neat.ops_forward);
-        assert!(result.rl.local_memory_bytes > result.ea.local_memory_bytes);
-        assert!(result.ea.local_memory_bytes > 20 * result.neat.local_memory_bytes);
     }
 }

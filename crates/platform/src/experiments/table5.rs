@@ -67,11 +67,6 @@ pub fn run_on(envs: &[EnvId], scale: Scale, seed: u64) -> Table5Result {
     Table5Result { rows }
 }
 
-/// Runs on the full suite.
-pub fn run(scale: Scale, seed: u64) -> Table5Result {
-    run_on(&EnvId::ALL, scale, seed)
-}
-
 impl fmt::Display for Table5Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Table V — network complexity (nodes / connections)")?;
@@ -100,20 +95,6 @@ impl fmt::Display for Table5Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn neat_networks_are_orders_of_magnitude_smaller() {
-        let result = run_on(&[EnvId::CartPole, EnvId::Pendulum], Scale::Quick, 8);
-        for row in &result.rows {
-            assert!(row.small.connections as f64 > 20.0 * row.neat_avg_connections);
-            assert!(row.large.connections > 200 * row.small.connections / 10);
-            assert!(
-                row.neat_avg_nodes < 60.0,
-                "NEAT stays tiny: {}",
-                row.neat_avg_nodes
-            );
-        }
-    }
 
     #[test]
     fn small_network_counts_match_paper() {

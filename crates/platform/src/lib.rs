@@ -3,16 +3,16 @@
 //! The E3 platform (paper §IV-B) runs NEAT's light "evolve" phase on
 //! the CPU and offloads the heavy "evaluate" phase to a [`Backend`].
 //! There is one backend and one evaluation kernel; the paper's three
-//! settings are the [`Pricing`] it times that kernel with:
+//! settings are the `Pricing` it times that kernel with:
 //!
-//! * [`Pricing::Cpu`] — the paper's E3-CPU baseline: an
+//! * `Pricing::Cpu` — the paper's E3-CPU baseline: an
 //!   interpreted-runtime cost model (the original system runs
 //!   `neat-python`);
-//! * [`Pricing::Inax`] — the paper's E3-INAX: the cycle-level INAX
+//! * `Pricing::Inax` — the paper's E3-INAX: the cycle-level INAX
 //!   accelerator model behind DMA channels, fed the compiled plans and
 //!   the episode lengths, with cycles converted to seconds at the
 //!   configured clock;
-//! * [`Pricing::Gpu`] — the paper's E3-GPU reference: an analytical
+//! * `Pricing::Gpu` — the paper's E3-GPU reference: an analytical
 //!   GPU model dominated by kernel-launch and transfer overheads on
 //!   small, irregular, per-individual workloads.
 //!
@@ -52,7 +52,7 @@
 //! per-generation, and per-run records, in memory or as NDJSON.
 //! Evaluation is fallible — a malformed (non-feed-forward) genome
 //! surfaces as [`EvalError::NotFeedForward`] through
-//! [`platform::RunError`] instead of a panic.
+//! [`RunError`] instead of a panic.
 //!
 //! ## Parallel evaluation
 //!
@@ -66,11 +66,11 @@
 //! ## Checkpointing & resume
 //!
 //! `E3Config::builder(...).checkpoint(CheckpointPolicy::new(dir))`
-//! snapshots the full run state into a crash-safe [`store`] directory
-//! (re-export of `e3-store`) every N generations;
+//! snapshots the full run state (a [`RunState`]) into a crash-safe
+//! `e3-store` directory every N generations;
 //! [`E3Platform::resume`] recovers the newest intact snapshot and the
 //! resumed run reproduces the uninterrupted run **bit-identically** —
-//! same fitness trajectory, [`platform::RunOutcome`], and telemetry
+//! same fitness trajectory, [`RunOutcome`], and telemetry
 //! `Summary`, on every backend and at any thread count (see
 //! `tests/resume_parity.rs`). A config/backend/seed fingerprint
 //! embedded in each snapshot makes resuming the wrong run a typed
@@ -80,33 +80,26 @@
 #![warn(missing_debug_implementations)]
 
 pub mod backend;
-pub mod checkpoint;
 pub mod design_space;
-pub mod energy;
+mod energy;
 pub mod experiments;
-pub mod fpga;
-pub mod platform;
-pub mod scenario;
+mod fpga;
+mod platform;
+mod scenario;
 mod tier;
-pub mod timing;
+mod timing;
 
-pub use backend::{
-    Backend, BackendBuilder, BackendKind, EvalError, EvalOutcome, EvalStats, ParseBackendKindError,
-    Pricing,
-};
-pub use checkpoint::{fingerprint, RunState};
-pub use design_space::{sweep_design_space, sweep_design_space_with, DesignPoint, DesignSweep};
+pub use backend::{Backend, BackendKind, EvalError};
+pub use design_space::{sweep_design_space, DesignPoint};
 pub use e3_exec as exec;
 pub use e3_jit::JitConfig;
-pub use e3_store as store;
 pub use e3_store::CheckpointPolicy;
 pub use e3_telemetry as telemetry;
-pub use energy::{EnergyReport, PowerModel};
+pub use energy::PowerModel;
 pub use fpga::{FpgaBudget, FpgaResources};
-pub use platform::{E3Config, E3ConfigBuilder, E3Platform, FunctionProfile, RunError, RunOutcome};
-pub use scenario::{
-    aggregate_fitness, holdout_plan, FitnessAggregation, HoldoutConfig, ScenarioConfig,
-    ScenarioSpec, SpecError, HOLDOUT_EPISODE_STREAM, HOLDOUT_PARAM_STREAM, PARAM_STREAM,
+pub use platform::{
+    fingerprint, E3Config, E3ConfigBuilder, E3Platform, FunctionProfile, RunError, RunOutcome,
+    RunState,
 };
-pub use tier::TierStats;
+pub use scenario::{FitnessAggregation, HoldoutConfig, ScenarioConfig, ScenarioSpec};
 pub use timing::{GpuCostModel, SwCostModel};

@@ -10,18 +10,17 @@
 //! property tests in `tests/telemetry_parity.rs`).
 
 use crate::backend::{run_software_episode, Backend, BackendKind, EvalError};
-use crate::checkpoint::{fingerprint, RunState};
 use crate::energy::PowerModel;
 use crate::scenario::{holdout_plan, ScenarioConfig};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::{EnvId, Episode};
-use e3_exec::SharedExecutor;
+use e3_exec::{AnyExecutor, SharedExecutor};
 use e3_inax::{EpisodeRunReport, InaxConfig, UtilizationBreakdown};
 use e3_jit::JitConfig;
-use e3_neat::checkpoint::PopulationSnapshot;
 use e3_neat::stats::ComplexityStats;
-use e3_neat::{NeatConfig, Population};
-use e3_store::{CheckpointPolicy, RunStore, StoreError};
+use e3_neat::{NeatConfig, Population, PopulationSnapshot};
+use e3_store::format::fnv1a;
+use e3_store::{CheckpointPolicy, RunFingerprint, RunStore, StoreError};
 use e3_telemetry::{
     CheckpointRecord, Collector, EvalRecord, ExecRecord, GeneralizationRecord, GenerationRecord,
     HwCounters, JitRecord, NullCollector, ResumeRecord, RunSummary, TelemetryError, TelemetryEvent,
@@ -200,12 +199,6 @@ impl E3ConfigBuilder {
         self
     }
 
-    /// Overrides the NEAT hyperparameters (env dimensions must match).
-    pub fn neat(mut self, neat: NeatConfig) -> Self {
-        self.config.neat = neat;
-        self
-    }
-
     /// Sets the number of evaluation worker threads (must be ≥ 1).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
@@ -237,20 +230,10 @@ impl E3ConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the NEAT input/output sizes disagree with the
-    /// environment.
+    /// Panics if the generation cap, the thread count or the scenarios
+    /// per evaluation is zero.
     pub fn build(self) -> E3Config {
         let c = self.config;
-        assert_eq!(
-            c.neat.num_inputs,
-            c.env.observation_size(),
-            "NEAT inputs must match env"
-        );
-        assert_eq!(
-            c.neat.num_outputs,
-            c.env.policy_outputs(),
-            "NEAT outputs must match env"
-        );
         assert!(c.max_generations > 0, "need at least one generation");
         assert!(c.threads > 0, "need at least one evaluation thread");
         assert!(
@@ -340,6 +323,62 @@ pub struct E3Platform {
     pending_evolve: Option<PendingEvolve>,
 }
 
+/// Complete resumable state of an [`E3Platform`] between two
+/// generations — what [`E3Platform::capture_state`] returns and a
+/// checkpoint persists. Restoring one into a fresh platform makes the
+/// continuation **bit-identical** to a run that was never interrupted:
+/// same fitness trajectory, same modeled seconds, same end-of-run
+/// telemetry `Summary`, at any thread count.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct RunState {
+    /// Population, species, innovation counters, and the evolve-phase
+    /// RNG stream.
+    pub population: PopulationSnapshot,
+    /// Accumulated per-function modeled seconds.
+    pub profile: FunctionProfile,
+    /// Accumulated structural statistics.
+    pub complexity: ComplexityStats,
+    /// Accumulated accelerator cycle accounting (INAX runs).
+    pub hw_report: Option<EpisodeRunReport>,
+    /// Accumulated per-PU/per-PE utilization accounting (INAX runs).
+    pub hw_utilization: Option<UtilizationBreakdown>,
+    /// Convergence trace so far.
+    pub trace: Vec<(f64, f64)>,
+    /// Next value of the deterministic episode-seed schedule.
+    pub episode_seed: u64,
+    /// Generations completed.
+    pub generation: usize,
+    /// Best fitness returned by the most recent step, used to decide
+    /// whether a resumed run already hit its target.
+    pub last_step_best: Option<f64>,
+}
+
+/// The identity a checkpoint directory is bound to, so a snapshot can
+/// never be resumed into a different run.
+///
+/// Hashes the canonical configuration JSON with the
+/// result-irrelevant fields neutralized: `threads` (results are
+/// bit-identical at any thread count), the checkpoint policy itself
+/// (tuning retention or cadence must not orphan existing snapshots),
+/// and the held-out scenario pass (strictly read-only telemetry —
+/// toggling it must not orphan snapshots either). Everything else —
+/// env, NEAT hyperparameters, cost models, INAX geometry, generation
+/// cap, target, the *train* scenario distribution — participates, so
+/// a snapshot from a differently configured run is refused at
+/// recovery.
+pub fn fingerprint(config: &E3Config, backend: BackendKind, seed: u64) -> RunFingerprint {
+    let mut canonical = config.clone();
+    canonical.threads = 1;
+    canonical.checkpoint = None;
+    canonical.scenario.holdout = None;
+    let json = serde_json::to_string(&canonical).expect("E3Config serializes");
+    RunFingerprint {
+        config_hash: fnv1a(json.as_bytes()),
+        backend: backend.name().to_string(),
+        seed,
+    }
+}
+
 impl E3Platform {
     /// Creates a platform with the chosen backend and seed.
     pub fn new(config: E3Config, backend: BackendKind, seed: u64) -> Self {
@@ -366,17 +405,17 @@ impl E3Platform {
         seed: u64,
         pool: Option<SharedExecutor>,
     ) -> Self {
-        let mut builder = backend
-            .builder()
-            .sw(config.sw)
-            .gpu(config.gpu)
-            .inax(config.inax.clone())
-            .threads(config.threads)
-            .jit(config.jit);
-        if let Some(pool) = pool {
-            builder = builder.executor(pool);
+        // E3-INAX gets no tier: it models inference on the accelerator,
+        // not on a host that could run native code.
+        let backend = match backend {
+            BackendKind::Cpu => Backend::cpu(config.sw).with_jit(config.jit),
+            BackendKind::Gpu => Backend::gpu(config.sw, config.gpu).with_jit(config.jit),
+            BackendKind::Inax => Backend::inax(config.inax.clone(), config.sw),
         }
-        let backend = builder.build();
+        .with_executor(match pool {
+            Some(pool) => AnyExecutor::Shared(pool),
+            None => AnyExecutor::new(config.threads),
+        });
         let population = Population::new(config.neat.clone(), seed);
         E3Platform {
             config,
@@ -486,11 +525,6 @@ impl E3Platform {
         self.backend.kind()
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &E3Config {
-        &self.config
-    }
-
     /// The evolving population.
     pub fn population(&self) -> &Population {
         &self.population
@@ -503,12 +537,6 @@ impl E3Platform {
     /// deterministic to restore it.
     pub fn population_mut(&mut self) -> &mut Population {
         &mut self.population
-    }
-
-    /// `true` between [`E3Platform::eval_phase_with`] and the matching
-    /// [`E3Platform::evolve_phase_with`].
-    pub fn mid_generation(&self) -> bool {
-        self.pending_evolve.is_some()
     }
 
     /// Generations completed so far (continues across resume).
@@ -551,7 +579,7 @@ impl E3Platform {
              not between eval and evolve phases"
         );
         RunState {
-            population: PopulationSnapshot::capture(&self.population),
+            population: self.population.snapshot(),
             profile: self.profile,
             complexity: self.complexity.clone(),
             hw_report: self.hw_report,
@@ -564,9 +592,9 @@ impl E3Platform {
     }
 
     fn apply_state(&mut self, state: RunState) {
-        // The snapshot carries the RNG stream, so the seed argument to
-        // `restore` is only the v0-compatibility fallback.
-        self.population = state.population.restore(self.seed);
+        // The snapshot carries the RNG stream, so the seed argument is
+        // only the v0-compatibility fallback.
+        self.population = Population::from_snapshot(state.population, self.seed);
         self.profile = state.profile;
         self.complexity = state.complexity;
         self.hw_report = state.hw_report;
@@ -1055,6 +1083,31 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_ignores_threads_and_checkpoint_policy() {
+        let base = fingerprint(&small(EnvId::CartPole), BackendKind::Cpu, 7);
+        let mut threaded = small(EnvId::CartPole);
+        threaded.threads = 8;
+        threaded.checkpoint = Some(CheckpointPolicy::new("/tmp/ckpt").every(5));
+        assert_eq!(fingerprint(&threaded, BackendKind::Cpu, 7), base);
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_run_identity() {
+        let base = fingerprint(&small(EnvId::CartPole), BackendKind::Cpu, 7);
+        assert_ne!(
+            fingerprint(&small(EnvId::CartPole), BackendKind::Cpu, 8),
+            base
+        );
+        assert_ne!(
+            fingerprint(&small(EnvId::CartPole), BackendKind::Inax, 7),
+            base
+        );
+        let mut bigger = small(EnvId::CartPole);
+        bigger.neat.population_size = 21;
+        assert_ne!(fingerprint(&bigger, BackendKind::Cpu, 7), base);
+    }
+
+    #[test]
     fn trace_runtime_is_monotone_and_fitness_nondecreasing() {
         let config = E3Config::builder(EnvId::MountainCar)
             .population_size(30)
@@ -1099,9 +1152,9 @@ mod tests {
         let mut split = E3Platform::new(config, BackendKind::Cpu, 11);
         for _ in 0..4 {
             let a = whole.step_with(&mut NullCollector).unwrap();
-            assert!(!split.mid_generation());
+            assert!(split.pending_evolve.is_none());
             let eval_best = split.eval_phase_with(&mut NullCollector).unwrap();
-            assert!(split.mid_generation());
+            assert!(split.pending_evolve.is_some());
             let b = split.evolve_phase_with(&mut NullCollector).unwrap();
             assert_eq!(a, b);
             assert_eq!(a, eval_best);
@@ -1225,13 +1278,6 @@ mod tests {
         let outcome = E3Platform::new(config, BackendKind::Cpu, 11).run().unwrap();
         assert!(outcome.solved, "cartpole should be solved");
         assert!(outcome.generations_run < 30);
-    }
-
-    #[test]
-    #[should_panic(expected = "NEAT inputs must match env")]
-    fn mismatched_neat_config_is_rejected() {
-        let neat = NeatConfig::new(3, 2);
-        let _ = E3Config::builder(EnvId::CartPole).neat(neat).build();
     }
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -1422,8 +1468,10 @@ mod tests {
         let mut config = small(EnvId::CartPole);
         config.max_generations = 4;
         config.target_fitness = f64::INFINITY;
-        config.scenario = ScenarioConfig::default()
-            .holdout(HoldoutConfig::new(ScenarioDistribution::moderate()).every(2));
+        config.scenario = ScenarioConfig::default().holdout(HoldoutConfig {
+            every: 2,
+            ..HoldoutConfig::new(ScenarioDistribution::moderate())
+        });
         let mut collector = MemoryCollector::new();
         E3Platform::new(config, BackendKind::Cpu, 5)
             .run_with(&mut collector)

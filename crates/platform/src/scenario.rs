@@ -57,18 +57,17 @@
 use e3_envs::{ScenarioDistribution, ScenarioParams};
 use e3_exec::rng::scenario_seed;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::sync::Arc;
 
 /// Genome-coordinate salt for sampling *training* scenario parameters
 /// (shared by the whole population).
-pub const PARAM_STREAM: u64 = u64::MAX;
+pub(crate) const PARAM_STREAM: u64 = u64::MAX;
 
 /// Genome-coordinate salt for sampling *held-out* scenario parameters.
-pub const HOLDOUT_PARAM_STREAM: u64 = u64::MAX - 1;
+pub(crate) const HOLDOUT_PARAM_STREAM: u64 = u64::MAX - 1;
 
 /// Genome-coordinate salt for *held-out* episode seeds.
-pub const HOLDOUT_EPISODE_STREAM: u64 = u64::MAX - 2;
+pub(crate) const HOLDOUT_EPISODE_STREAM: u64 = u64::MAX - 2;
 
 /// How per-scenario fitnesses collapse into one genome fitness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -98,7 +97,7 @@ pub enum FitnessAggregation {
 /// # Panics
 ///
 /// Panics if `per_scenario` is empty.
-pub fn aggregate_fitness(per_scenario: &[f64], aggregation: FitnessAggregation) -> f64 {
+pub(crate) fn aggregate_fitness(per_scenario: &[f64], aggregation: FitnessAggregation) -> f64 {
     assert!(
         !per_scenario.is_empty(),
         "cannot aggregate zero scenario fitnesses"
@@ -179,12 +178,6 @@ impl HoldoutConfig {
         self.scenarios = scenarios;
         self
     }
-
-    /// Sets the generation cadence.
-    pub fn every(mut self, every: usize) -> Self {
-        self.every = every;
-        self
-    }
 }
 
 /// Scenario-distribution configuration of one run.
@@ -254,7 +247,7 @@ impl ScenarioConfig {
     /// [`ScenarioSpec::fixed`] (see [`ScenarioConfig::spec_for`]).
     /// Holdout is deliberately not consulted: the held-out pass is
     /// read-only, so it never moves training off the fixed schedule.
-    pub fn is_vanilla(&self) -> bool {
+    pub(crate) fn is_vanilla(&self) -> bool {
         self.scenarios_per_eval <= 1
             && self.train.is_default()
             && self.aggregation == FitnessAggregation::Mean
@@ -265,7 +258,7 @@ impl ScenarioConfig {
     /// `episode_seed` (the platform's per-generation counter) for every
     /// genome in the default world; any other config samples its worlds
     /// and seeds from `(run_seed, generation)`.
-    pub fn spec_for(
+    pub(crate) fn spec_for(
         &self,
         run_seed: u64,
         generation: u64,
@@ -308,7 +301,7 @@ impl ScenarioConfig {
 impl ScenarioConfig {
     /// Sampled training parameters for one generation: K worlds shared
     /// by every genome, drawn from the reserved [`PARAM_STREAM`].
-    pub fn train_params(&self, run_seed: u64, generation: u64) -> Vec<ScenarioParams> {
+    pub(crate) fn train_params(&self, run_seed: u64, generation: u64) -> Vec<ScenarioParams> {
         (0..self.scenarios_per_eval.max(1))
             .map(|s| {
                 self.train
@@ -317,34 +310,6 @@ impl ScenarioConfig {
             .collect()
     }
 }
-
-/// Why a [`ScenarioSpec`] could not be built.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecError {
-    /// No scenario parameters: every genome needs at least one world.
-    NoScenarios,
-    /// The episode-seed matrix is not a whole number of `K`-wide rows.
-    RaggedSeeds {
-        /// Episode seeds supplied.
-        seeds: usize,
-        /// Scenarios per genome (`K`).
-        scenarios: usize,
-    },
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpecError::NoScenarios => f.write_str("a scenario spec needs at least one scenario"),
-            SpecError::RaggedSeeds { seeds, scenarios } => write!(
-                f,
-                "{seeds} episode seeds do not form genome-major rows of {scenarios} scenarios"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
 
 /// One fully resolved evaluation request: the K worlds every genome
 /// faces, the genome-major episode-seed matrix, and the aggregation —
@@ -360,35 +325,6 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Builds a spec from explicit parts: one parameter set per
-    /// scenario (shared across genomes) and episode seeds in
-    /// genome-major order (`episode_seeds[genome * K + scenario]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] if `params` is empty or `episode_seeds`
-    /// is not a multiple of `params.len()` long.
-    pub fn new(
-        params: Vec<ScenarioParams>,
-        episode_seeds: Vec<u64>,
-        aggregation: FitnessAggregation,
-    ) -> Result<Self, SpecError> {
-        if params.is_empty() {
-            return Err(SpecError::NoScenarios);
-        }
-        if !episode_seeds.len().is_multiple_of(params.len()) {
-            return Err(SpecError::RaggedSeeds {
-                seeds: episode_seeds.len(),
-                scenarios: params.len(),
-            });
-        }
-        Ok(ScenarioSpec {
-            params: params.into(),
-            episode_seeds: episode_seeds.into(),
-            aggregation,
-        })
-    }
-
     /// The fixed-env request: every one of `population` genomes runs a
     /// single episode of the default world from `episode_seed`.
     pub fn fixed(episode_seed: u64, population: usize) -> Self {
@@ -447,14 +383,14 @@ impl ScenarioSpec {
     }
 
     /// How per-scenario fitnesses collapse per genome.
-    pub fn aggregation(&self) -> FitnessAggregation {
+    pub(crate) fn aggregation(&self) -> FitnessAggregation {
         self.aggregation
     }
 }
 
 /// Sampled held-out worlds and episode seeds for one generalization
 /// pass, from the reserved holdout streams.
-pub fn holdout_plan(
+pub(crate) fn holdout_plan(
     holdout: &HoldoutConfig,
     run_seed: u64,
     generation: u64,
@@ -556,14 +492,6 @@ mod tests {
         assert_eq!(spec.params(), &[ScenarioParams::default()]);
         assert_eq!(spec.episode_seeds(0..4), &[7; 4]);
         assert_eq!(spec.aggregation(), FitnessAggregation::Mean);
-        assert_eq!(
-            ScenarioSpec::new(
-                vec![ScenarioParams::default()],
-                vec![7; 4],
-                FitnessAggregation::Mean
-            ),
-            Ok(spec)
-        );
         // Only a vanilla config resolves to it; holdout does not count.
         let vanilla =
             ScenarioConfig::default().holdout(HoldoutConfig::new(ScenarioDistribution::shifted()));
@@ -573,27 +501,6 @@ mod tests {
             k2.spec_for(42, 3, 7, 4),
             ScenarioSpec::for_generation(&k2, 42, 3, 4)
         );
-    }
-
-    #[test]
-    fn malformed_specs_are_rejected() {
-        let world = ScenarioParams::default();
-        assert_eq!(
-            ScenarioSpec::new(Vec::new(), Vec::new(), FitnessAggregation::Mean),
-            Err(SpecError::NoScenarios)
-        );
-        let ragged = ScenarioSpec::new(vec![world; 3], vec![1; 7], FitnessAggregation::Mean);
-        assert_eq!(
-            ragged,
-            Err(SpecError::RaggedSeeds {
-                seeds: 7,
-                scenarios: 3
-            })
-        );
-        assert!(ragged.unwrap_err().to_string().contains("7 episode seeds"));
-        // An empty population is a valid (if idle) request.
-        let empty = ScenarioSpec::new(vec![world; 3], Vec::new(), FitnessAggregation::Mean);
-        assert_eq!(empty.map(|spec| spec.population()), Ok(0));
     }
 
     #[test]
@@ -629,9 +536,10 @@ mod tests {
 
     #[test]
     fn holdout_plan_is_deterministic() {
-        let holdout = HoldoutConfig::new(ScenarioDistribution::shifted())
-            .scenarios(6)
-            .every(3);
+        let holdout = HoldoutConfig {
+            every: 3,
+            ..HoldoutConfig::new(ScenarioDistribution::shifted()).scenarios(6)
+        };
         let a = holdout_plan(&holdout, 1, 2);
         let b = holdout_plan(&holdout, 1, 2);
         assert_eq!(a, b);

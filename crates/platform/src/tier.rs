@@ -119,7 +119,7 @@ pub(crate) enum TierExec<'a> {
 impl TierExec<'_> {
     /// The compiled plan backing either tier (for costing and
     /// complexity metrics).
-    pub fn plan(&self) -> &NetPlan {
+    pub(crate) fn plan(&self) -> &NetPlan {
         match self {
             TierExec::Interpreted(net) => net.plan(),
             TierExec::Compiled { net, .. } => net.plan(),
@@ -127,7 +127,7 @@ impl TierExec<'_> {
     }
 
     /// The selected tier as the episode-kernel execution seam.
-    pub fn forward(&mut self) -> &mut dyn ForwardPass {
+    pub(crate) fn forward(&mut self) -> &mut dyn ForwardPass {
         match self {
             TierExec::Interpreted(net) => *net,
             TierExec::Compiled { jit, .. } => *jit,
@@ -137,7 +137,7 @@ impl TierExec<'_> {
 
 impl DecodeCache {
     /// Creates an empty cache promoting under `policy`.
-    pub fn new(policy: JitConfig) -> Self {
+    pub(crate) fn new(policy: JitConfig) -> Self {
         DecodeCache {
             jit: policy,
             ..DecodeCache::default()
@@ -148,7 +148,7 @@ impl DecodeCache {
     /// every entry not used in the previous job. Evicted native-tier
     /// plans have their activation counters drained first so no
     /// telemetry is lost with them.
-    pub fn begin_job(&mut self) {
+    pub(crate) fn begin_job(&mut self) {
         self.epoch += 1;
         let horizon = self.epoch.saturating_sub(1);
         let counters = &mut self.counters;
@@ -178,7 +178,7 @@ impl DecodeCache {
     /// # Errors
     ///
     /// Returns [`DecodeError`] if the genome is not feed-forward.
-    pub fn get_or_tiered(&mut self, genome: &Genome) -> Result<TierExec<'_>, DecodeError> {
+    pub(crate) fn get_or_tiered(&mut self, genome: &Genome) -> Result<TierExec<'_>, DecodeError> {
         self.lookup(genome.fingerprint(), genome)
     }
 
@@ -228,13 +228,13 @@ impl DecodeCache {
     }
 
     /// Number of cached plans.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Number of entries currently holding a native-tier plan — a
     /// gauge, like [`DecodeCache::len`].
-    pub fn jit_resident(&self) -> usize {
+    pub(crate) fn jit_resident(&self) -> usize {
         self.entries.values().filter(|e| e.jit.is_some()).count()
     }
 
@@ -243,7 +243,7 @@ impl DecodeCache {
     /// along the way. The current entry counts are *not* reset — they
     /// are gauges, read via [`DecodeCache::len`] and
     /// [`DecodeCache::jit_resident`].
-    pub fn take_counters(&mut self) -> TierStats {
+    pub(crate) fn take_counters(&mut self) -> TierStats {
         for entry in self.entries.values_mut() {
             if let Some(jit) = entry.jit.as_mut() {
                 self.counters.jit_activations += jit.take_activations();
@@ -257,7 +257,7 @@ impl DecodeCache {
 /// per-worker caches — the `cache_*`/`jit_*` values of the `Exec` and
 /// `Jit` telemetry records. All zero for a backend with no tier.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct TierStats {
+pub(crate) struct TierStats {
     /// Lookups served from a cache.
     pub cache_hits: u64,
     /// Lookups that compiled a fresh plan.
@@ -287,7 +287,7 @@ pub struct TierStats {
 impl TierStats {
     /// Fraction of lookups served from cache (0 when no lookups
     /// happened).
-    pub fn cache_hit_rate(&self) -> f64 {
+    pub(crate) fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
             0.0
@@ -309,7 +309,7 @@ pub(crate) struct Tier {
 
 impl Tier {
     /// A tier promoting under `policy`, empty until its first run.
-    pub fn new(policy: JitConfig) -> Self {
+    pub(crate) fn new(policy: JitConfig) -> Self {
         Tier {
             policy,
             slots: Arc::new([]),
@@ -321,7 +321,7 @@ impl Tier {
     /// backend did not use, and returns the handle its shard tasks
     /// share. (A backend moved to an executor of another width starts
     /// over with empty caches.)
-    pub fn begin_run(&mut self, workers: usize) -> Tier {
+    pub(crate) fn begin_run(&mut self, workers: usize) -> Tier {
         if self.slots.len() != workers {
             self.slots = (0..workers)
                 .map(|_| Mutex::new(DecodeCache::new(self.policy)))
@@ -336,7 +336,7 @@ impl Tier {
     /// The cache of worker `worker`, held for one shard. A shard that
     /// panicked mid-lookup leaves at worst a stale entry behind, so a
     /// poisoned lock is still good.
-    pub fn cache(&self, worker: usize) -> MutexGuard<'_, DecodeCache> {
+    pub(crate) fn cache(&self, worker: usize) -> MutexGuard<'_, DecodeCache> {
         self.slots[worker]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -344,7 +344,7 @@ impl Tier {
 
     /// Ends one evaluation: drains every cache's counters and reads
     /// its gauges.
-    pub fn end_run(&self) -> TierStats {
+    pub(crate) fn end_run(&self) -> TierStats {
         let mut stats = TierStats::default();
         for worker in 0..self.slots.len() {
             let mut cache = self.cache(worker);

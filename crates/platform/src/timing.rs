@@ -62,7 +62,7 @@ impl SwCostModel {
     /// Modeled software time for one inference of a compiled `plan`.
     /// Every evaluation kernel prices the plan, never a decoded
     /// network, so they all charge bit-identically.
-    pub fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
+    pub(crate) fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
         self.sec_per_inference
             + plan.num_nodes() as f64 * self.sec_per_node_eval
             + plan.num_connections() as f64 * self.sec_per_conn_eval
@@ -75,7 +75,7 @@ impl SwCostModel {
     /// linear in `nodes + connections`. The model is therefore affine
     /// in total gene count — a fixed per-genome dispatch term plus a
     /// per-gene term (see the field docs for constant provenance).
-    pub fn createnet_seconds(&self, nodes: usize, connections: usize) -> f64 {
+    pub(crate) fn createnet_seconds(&self, nodes: usize, connections: usize) -> f64 {
         self.sec_createnet_per_genome + (nodes + connections) as f64 * self.sec_createnet_per_gene
     }
 
@@ -87,7 +87,7 @@ impl SwCostModel {
     /// the genome (enabled or not, the sort still visits them), so the
     /// cost is charged on the full gene counts, not the decoded
     /// network's.
-    pub fn createnet_seconds_for(&self, genome: &Genome) -> f64 {
+    pub(crate) fn createnet_seconds_for(&self, genome: &Genome) -> f64 {
         self.createnet_seconds(genome.nodes().len(), genome.connections().len())
     }
 }
@@ -133,7 +133,7 @@ pub struct GpuCostModel {
 impl GpuCostModel {
     /// Modeled GPU time for one inference of a compiled `plan`: the
     /// irregular network executes as its dense per-level counterpart.
-    pub fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
+    pub(crate) fn inference_seconds_plan(&self, plan: &NetPlan) -> f64 {
         let levels = plan.num_compute_levels() as f64;
         let widths = plan.level_widths();
         let mut dense_macs = 0.0;

@@ -7,50 +7,19 @@
 //! multiple of its length. The tests take a lock: the counters are
 //! process-wide.
 
+mod common;
+
+use common::counted;
 use e3_envs::EnvId;
 use e3_platform::{fingerprint, BackendKind, E3Config, E3Platform, RunState};
 use e3_store::{format, RunStore, StoreError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static LARGEST: AtomicUsize = AtomicUsize::new(0);
 static SERIAL: Mutex<()> = Mutex::new(());
-
-struct Counting;
-
-// SAFETY: every request is forwarded unchanged to the system allocator
-// (the default `realloc` goes through `alloc`, so growth is counted
-// too); the counters are plain atomics and allocate nothing.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
-        // SAFETY: the caller's contract is `System.alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// `(allocations made, largest single allocation)` while `f` ran.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
-    LARGEST.store(0, Ordering::Relaxed);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let result = f();
-    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    (result, made, LARGEST.load(Ordering::Relaxed))
-}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("e3-snapshot-bytes-{}-{tag}", std::process::id()));

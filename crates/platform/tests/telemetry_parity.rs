@@ -4,7 +4,8 @@
 use e3_envs::EnvId;
 use e3_platform::telemetry::{Collector, MemoryCollector, NdjsonWriter, TelemetryEvent, Tracer};
 use e3_platform::{
-    BackendKind, CheckpointPolicy, E3Config, E3Platform, EvalError, RunError, ScenarioSpec,
+    Backend, BackendKind, CheckpointPolicy, E3Config, E3Platform, EvalError, RunError,
+    ScenarioSpec, SwCostModel,
 };
 use proptest::prelude::*;
 
@@ -435,7 +436,7 @@ fn recurrent_genome_surfaces_as_run_error() {
         .add_connection_unchecked(output, output, 0.5, &mut tracker)
         .expect("self-loop is structurally new");
 
-    let mut backend = BackendKind::Cpu.builder().build();
+    let mut backend = Backend::cpu(SwCostModel::default());
     let err = backend
         .evaluate(&[cyclic], EnvId::CartPole, &ScenarioSpec::fixed(0, 1))
         .expect_err("cycle must be rejected");

@@ -19,14 +19,6 @@ pub struct NetworkComplexity {
 }
 
 impl NetworkComplexity {
-    /// Complexity of an MLP.
-    pub fn of_mlp(net: &Mlp) -> Self {
-        NetworkComplexity {
-            nodes: net.num_nodes(),
-            connections: net.num_connections(),
-        }
-    }
-
     /// Complexity of a layered MLP described by its sizes (input
     /// first), without building it.
     pub fn of_sizes(sizes: &[usize]) -> Self {

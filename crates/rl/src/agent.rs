@@ -94,16 +94,6 @@ impl<C> Agent<C> {
         }
     }
 
-    /// The actor network (for complexity accounting).
-    pub fn actor(&self) -> &Mlp {
-        &self.actor
-    }
-
-    /// The critic network (for complexity accounting).
-    pub fn critic(&self) -> &Mlp {
-        &self.critic
-    }
-
     /// Accumulated Forward/Training runtime split.
     pub fn profile(&self) -> RlProfile {
         self.profile
@@ -116,7 +106,7 @@ impl<C> Agent<C> {
 
     /// Mean reward of the most recent completed episodes (up to 20);
     /// NaN-free, `NEG_INFINITY` before any episode finishes.
-    pub fn recent_reward(&self) -> f64 {
+    pub(crate) fn recent_reward(&self) -> f64 {
         if self.recent_rewards.is_empty() {
             return f64::NEG_INFINITY;
         }

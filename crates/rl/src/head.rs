@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 /// A stochastic policy head over an environment's action space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum PolicyHead {
+pub(crate) enum PolicyHead {
     /// Softmax over `n` logits.
     Categorical {
         /// Number of actions.
@@ -29,7 +29,7 @@ pub enum PolicyHead {
 
 /// A sampled action together with the statistics the losses need.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SampledAction {
+pub(crate) struct SampledAction {
     /// The environment action.
     pub action: Action,
     /// `log π(a | s)`.
@@ -41,7 +41,7 @@ pub struct SampledAction {
 
 impl PolicyHead {
     /// Builds the natural head for an action space.
-    pub fn for_space(space: &ActionSpace) -> Self {
+    pub(crate) fn for_space(space: &ActionSpace) -> Self {
         match space {
             ActionSpace::Discrete(n) => PolicyHead::Categorical { n: *n },
             ActionSpace::Continuous { low, high } => PolicyHead::Gaussian {
@@ -53,7 +53,7 @@ impl PolicyHead {
     }
 
     /// Number of network outputs the head consumes.
-    pub fn input_size(&self) -> usize {
+    pub(crate) fn input_size(&self) -> usize {
         match self {
             PolicyHead::Categorical { n } => *n,
             PolicyHead::Gaussian { low, .. } => low.len(),
@@ -61,7 +61,7 @@ impl PolicyHead {
     }
 
     /// Samples an action from the head applied to `outputs`.
-    pub fn sample<R: Rng + ?Sized>(&self, outputs: &[f64], rng: &mut R) -> SampledAction {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, outputs: &[f64], rng: &mut R) -> SampledAction {
         match self {
             PolicyHead::Categorical { n } => {
                 let probs = softmax(outputs);
@@ -104,7 +104,7 @@ impl PolicyHead {
     }
 
     /// `log π(raw | outputs)` for a previously sampled raw action.
-    pub fn log_prob(&self, outputs: &[f64], raw: &[f64]) -> f64 {
+    pub(crate) fn log_prob(&self, outputs: &[f64], raw: &[f64]) -> f64 {
         match self {
             PolicyHead::Categorical { .. } => {
                 let probs = softmax(outputs);
@@ -118,24 +118,8 @@ impl PolicyHead {
         }
     }
 
-    /// Policy entropy at `outputs`.
-    pub fn entropy(&self, outputs: &[f64]) -> f64 {
-        match self {
-            PolicyHead::Categorical { .. } => {
-                let probs = softmax(outputs);
-                -probs.iter().map(|p| p * p.max(1e-12).ln()).sum::<f64>()
-            }
-            PolicyHead::Gaussian { sigma, low, .. } => {
-                // Entropy of an isotropic Gaussian is constant in the
-                // mean: d/2 · ln(2πeσ²).
-                0.5 * low.len() as f64
-                    * (2.0 * std::f64::consts::PI * std::f64::consts::E * sigma * sigma).ln()
-            }
-        }
-    }
-
     /// Gradient of `log π(raw)` with respect to the network outputs.
-    pub fn grad_log_prob(&self, outputs: &[f64], raw: &[f64]) -> Vec<f64> {
+    pub(crate) fn grad_log_prob(&self, outputs: &[f64], raw: &[f64]) -> Vec<f64> {
         match self {
             PolicyHead::Categorical { .. } => {
                 // d log π(a) / d logit_i = 1[i == a] - π_i.
@@ -159,7 +143,7 @@ impl PolicyHead {
 
     /// Gradient of the entropy with respect to the network outputs
     /// (zero for the fixed-σ Gaussian head).
-    pub fn grad_entropy(&self, outputs: &[f64]) -> Vec<f64> {
+    pub(crate) fn grad_entropy(&self, outputs: &[f64]) -> Vec<f64> {
         match self {
             PolicyHead::Categorical { .. } => {
                 // dH/dlogit_i = -π_i (log π_i + H).
@@ -176,7 +160,7 @@ impl PolicyHead {
 }
 
 /// Numerically stable softmax.
-pub fn softmax(logits: &[f64]) -> Vec<f64> {
+pub(crate) fn softmax(logits: &[f64]) -> Vec<f64> {
     let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
     let sum: f64 = exps.iter().sum();
@@ -252,11 +236,15 @@ mod tests {
         let head = PolicyHead::Categorical { n: 3 };
         let logits = [0.1, 0.5, -0.4];
         let grad = head.grad_entropy(&logits);
+        let entropy = |x: &[f64]| -> f64 {
+            let probs = softmax(x);
+            -probs.iter().map(|p| p * p.max(1e-12).ln()).sum::<f64>()
+        };
         let eps = 1e-6;
         for i in 0..3 {
             let mut plus = logits;
             plus[i] += eps;
-            let numeric = (head.entropy(&plus) - head.entropy(&logits)) / eps;
+            let numeric = (entropy(&plus) - entropy(&logits)) / eps;
             assert!((numeric - grad[i]).abs() < 1e-5);
         }
     }

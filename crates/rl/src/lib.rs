@@ -27,20 +27,18 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod a2c;
-pub mod accounting;
+mod a2c;
+mod accounting;
 mod agent;
-pub mod head;
-pub mod mlp;
-pub mod ppo;
-pub mod profile;
+mod head;
+mod mlp;
+mod ppo;
+mod profile;
 
 pub use a2c::{A2c, A2cConfig};
 pub use accounting::{AlgorithmOverhead, NetworkComplexity};
-pub use head::PolicyHead;
-pub use mlp::{Adam, Mlp};
+pub use mlp::Mlp;
 pub use ppo::{Ppo, PpoConfig};
-pub use profile::RlProfile;
 
 use serde::{Deserialize, Serialize};
 

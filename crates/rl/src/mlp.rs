@@ -31,7 +31,7 @@ pub struct Mlp {
 /// Cached per-layer values from [`Mlp::forward_cached`], needed by the
 /// backward pass.
 #[derive(Debug, Clone)]
-pub struct ForwardCache {
+pub(crate) struct ForwardCache {
     /// Layer inputs: `activations[0]` is the network input,
     /// `activations[l]` the post-activation output of layer `l-1`.
     activations: Vec<Vec<f64>>,
@@ -41,7 +41,7 @@ pub struct ForwardCache {
 
 /// Gradients with the same shapes as the network parameters.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Gradients {
+pub(crate) struct Gradients {
     /// Weight gradients per layer (row-major, like [`Mlp`]'s weights).
     pub weights: Vec<Vec<f64>>,
     /// Bias gradients per layer.
@@ -50,7 +50,7 @@ pub struct Gradients {
 
 impl Gradients {
     /// Zero gradients shaped for `net`.
-    pub fn zeros_like(net: &Mlp) -> Self {
+    pub(crate) fn zeros_like(net: &Mlp) -> Self {
         Gradients {
             weights: net.weights.iter().map(|w| vec![0.0; w.len()]).collect(),
             biases: net.biases.iter().map(|b| vec![0.0; b.len()]).collect(),
@@ -58,7 +58,7 @@ impl Gradients {
     }
 
     /// Accumulates `other` into `self`.
-    pub fn accumulate(&mut self, other: &Gradients) {
+    pub(crate) fn accumulate(&mut self, other: &Gradients) {
         for (a, b) in self.weights.iter_mut().zip(&other.weights) {
             for (x, y) in a.iter_mut().zip(b) {
                 *x += y;
@@ -72,7 +72,7 @@ impl Gradients {
     }
 
     /// Scales every gradient by `factor` (e.g. `1/batch`).
-    pub fn scale(&mut self, factor: f64) {
+    pub(crate) fn scale(&mut self, factor: f64) {
         for w in &mut self.weights {
             for x in w {
                 *x *= factor;
@@ -116,29 +116,24 @@ impl Mlp {
         }
     }
 
-    /// Layer sizes, input first.
-    pub fn sizes(&self) -> &[usize] {
-        &self.sizes
-    }
-
     /// Number of layers with parameters.
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.weights.len()
     }
 
     /// Total parameter count (weights + biases).
-    pub fn num_params(&self) -> usize {
+    pub(crate) fn num_params(&self) -> usize {
         self.weights.iter().map(Vec::len).sum::<usize>()
             + self.biases.iter().map(Vec::len).sum::<usize>()
     }
 
     /// Total connection count (Table V's "connections": weights only).
-    pub fn num_connections(&self) -> usize {
+    pub(crate) fn num_connections(&self) -> usize {
         self.weights.iter().map(Vec::len).sum()
     }
 
     /// Total node count including inputs (Table V's "nodes").
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.sizes.iter().sum()
     }
 
@@ -153,7 +148,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the input size.
-    pub fn forward_cached(&self, input: &[f64]) -> (Vec<f64>, ForwardCache) {
+    pub(crate) fn forward_cached(&self, input: &[f64]) -> (Vec<f64>, ForwardCache) {
         assert_eq!(input.len(), self.sizes[0], "input size mismatch");
         let mut activations = vec![input.to_vec()];
         let mut pre_activations = Vec::with_capacity(self.num_layers());
@@ -190,7 +185,7 @@ impl Mlp {
 
     /// Backward pass: given `grad_output = dL/d(output)`, computes
     /// parameter gradients (and discards the input gradient).
-    pub fn backward(&self, cache: &ForwardCache, grad_output: &[f64]) -> Gradients {
+    pub(crate) fn backward(&self, cache: &ForwardCache, grad_output: &[f64]) -> Gradients {
         assert_eq!(
             grad_output.len(),
             *self.sizes.last().expect("non-empty"),
@@ -228,26 +223,11 @@ impl Mlp {
         }
         grads
     }
-
-    /// Applies a raw gradient-descent step (used by tests; training
-    /// uses [`Adam`]).
-    pub fn apply_sgd(&mut self, grads: &Gradients, lr: f64) {
-        for (w, g) in self.weights.iter_mut().zip(&grads.weights) {
-            for (x, y) in w.iter_mut().zip(g) {
-                *x -= lr * y;
-            }
-        }
-        for (b, g) in self.biases.iter_mut().zip(&grads.biases) {
-            for (x, y) in b.iter_mut().zip(g) {
-                *x -= lr * y;
-            }
-        }
-    }
 }
 
 /// Adam optimizer state for one [`Mlp`].
 #[derive(Debug, Clone)]
-pub struct Adam {
+pub(crate) struct Adam {
     lr: f64,
     beta1: f64,
     beta2: f64,
@@ -259,7 +239,7 @@ pub struct Adam {
 
 impl Adam {
     /// Creates an optimizer for `net` with the given learning rate.
-    pub fn new(net: &Mlp, lr: f64) -> Self {
+    pub(crate) fn new(net: &Mlp, lr: f64) -> Self {
         Adam {
             lr,
             beta1: 0.9,
@@ -272,7 +252,7 @@ impl Adam {
     }
 
     /// Applies one Adam update of `grads` to `net`.
-    pub fn step(&mut self, net: &mut Mlp, grads: &Gradients) {
+    pub(crate) fn step(&mut self, net: &mut Mlp, grads: &Gradients) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
@@ -305,6 +285,21 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plain gradient descent, the baseline the optimizer tests train
+    /// with.
+    fn apply_sgd(net: &mut Mlp, grads: &Gradients, lr: f64) {
+        for (w, g) in net.weights.iter_mut().zip(&grads.weights) {
+            for (x, y) in w.iter_mut().zip(g) {
+                *x -= lr * y;
+            }
+        }
+        for (b, g) in net.biases.iter_mut().zip(&grads.biases) {
+            for (x, y) in b.iter_mut().zip(g) {
+                *x -= lr * y;
+            }
+        }
+    }
 
     #[test]
     fn shapes_and_param_counts() {
@@ -372,7 +367,7 @@ mod tests {
                 grads.accumulate(&g);
             }
             grads.scale(1.0 / data.len() as f64);
-            net.apply_sgd(&grads, 0.1);
+            apply_sgd(&mut net, &grads, 0.1);
         }
         let after = loss_of(&net);
         assert!(after < before * 0.2, "XOR loss {before} -> {after}");
@@ -395,7 +390,7 @@ mod tests {
                 if use_adam {
                     adam.step(&mut net, &grads);
                 } else {
-                    net.apply_sgd(&grads, 0.0001);
+                    apply_sgd(&mut net, &grads, 0.0001);
                 }
             }
             (0..8)

@@ -16,32 +16,22 @@ pub struct RlProfile {
 
 impl RlProfile {
     /// Creates an empty profile.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds time spent in the Forward (rollout/predict) phase.
-    pub fn add_forward(&mut self, d: Duration) {
+    pub(crate) fn add_forward(&mut self, d: Duration) {
         self.forward += d;
     }
 
     /// Adds time spent in the Training (backprop/update) phase.
-    pub fn add_training(&mut self, d: Duration) {
+    pub(crate) fn add_training(&mut self, d: Duration) {
         self.training += d;
     }
 
-    /// Total Forward time.
-    pub fn forward(&self) -> Duration {
-        self.forward
-    }
-
-    /// Total Training time.
-    pub fn training(&self) -> Duration {
-        self.training
-    }
-
     /// Total profiled time.
-    pub fn total(&self) -> Duration {
+    pub(crate) fn total(&self) -> Duration {
         self.forward + self.training
     }
 

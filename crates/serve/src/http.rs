@@ -10,7 +10,7 @@ use std::io::{self, BufRead, Read, Write};
 /// part after `?`, if any). Headers are drained but ignored — no
 /// endpoint here needs them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// The HTTP method verbatim (`GET`, `HEAD`, ...).
     pub method: String,
     /// The decoded-enough path: everything before `?`.
@@ -22,7 +22,7 @@ pub struct Request {
 impl Request {
     /// The value of `key` in the query string (`k=v` pairs joined by
     /// `&`; no percent-decoding — the values used here are numbers).
-    pub fn query_param(&self, key: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, key: &str) -> Option<&str> {
         self.query.as_deref()?.split('&').find_map(|pair| {
             let (k, v) = pair.split_once('=')?;
             (k == key).then_some(v)
@@ -57,7 +57,7 @@ fn read_bounded_line(reader: &mut impl BufRead, line: &mut String) -> io::Result
 /// I/O errors from the underlying stream (including read timeouts),
 /// or [`io::ErrorKind::InvalidData`] for a malformed request line or
 /// any line longer than 8 KiB.
-pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
+pub(crate) fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
     let mut line = String::new();
     if read_bounded_line(reader, &mut line)? == 0 {
         return Err(io::Error::new(
@@ -96,7 +96,7 @@ pub fn read_request(reader: &mut impl BufRead) -> io::Result<Request> {
 /// # Errors
 ///
 /// I/O errors from the stream (including write timeouts).
-pub fn write_response(
+pub(crate) fn write_response(
     stream: &mut impl Write,
     status: u16,
     reason: &str,
@@ -113,12 +113,12 @@ pub fn write_response(
 }
 
 /// Convenience: a `200 OK` response.
-pub fn ok(stream: &mut impl Write, content_type: &str, body: &[u8]) -> io::Result<()> {
+pub(crate) fn ok(stream: &mut impl Write, content_type: &str, body: &[u8]) -> io::Result<()> {
     write_response(stream, 200, "OK", content_type, body)
 }
 
 /// Convenience: a plain-text `404 Not Found`.
-pub fn not_found(stream: &mut impl Write, what: &str) -> io::Result<()> {
+pub(crate) fn not_found(stream: &mut impl Write, what: &str) -> io::Result<()> {
     write_response(
         stream,
         404,
@@ -129,7 +129,7 @@ pub fn not_found(stream: &mut impl Write, what: &str) -> io::Result<()> {
 }
 
 /// Convenience: a plain-text `405 Method Not Allowed`.
-pub fn method_not_allowed(stream: &mut impl Write) -> io::Result<()> {
+pub(crate) fn method_not_allowed(stream: &mut impl Write) -> io::Result<()> {
     write_response(
         stream,
         405,
@@ -140,7 +140,7 @@ pub fn method_not_allowed(stream: &mut impl Write) -> io::Result<()> {
 }
 
 /// Convenience: a plain-text `500 Internal Server Error`.
-pub fn server_error(stream: &mut impl Write, what: &str) -> io::Result<()> {
+pub(crate) fn server_error(stream: &mut impl Write, what: &str) -> io::Result<()> {
     write_response(
         stream,
         500,
@@ -156,7 +156,7 @@ pub fn server_error(stream: &mut impl Write, what: &str) -> io::Result<()> {
 /// # Errors
 ///
 /// I/O errors from the stream.
-pub fn start_chunked(stream: &mut impl Write, content_type: &str) -> io::Result<()> {
+pub(crate) fn start_chunked(stream: &mut impl Write, content_type: &str) -> io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
@@ -170,7 +170,7 @@ pub fn start_chunked(stream: &mut impl Write, content_type: &str) -> io::Result<
 /// # Errors
 ///
 /// I/O errors from the stream.
-pub fn write_chunk(stream: &mut impl Write, data: &[u8]) -> io::Result<()> {
+pub(crate) fn write_chunk(stream: &mut impl Write, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         // An empty chunk would terminate the stream early.
         return Ok(());
@@ -186,7 +186,7 @@ pub fn write_chunk(stream: &mut impl Write, data: &[u8]) -> io::Result<()> {
 /// # Errors
 ///
 /// I/O errors from the stream.
-pub fn finish_chunks(stream: &mut impl Write) -> io::Result<()> {
+pub(crate) fn finish_chunks(stream: &mut impl Write) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }

@@ -22,20 +22,18 @@
 //! versus a server-less run); `tests/serve_roundtrip.rs` is the gate
 //! that enforces this.
 //!
-//! * [`server`] — the accept loop, routing, and graceful shutdown.
-//! * [`client`] — a matching minimal blocking client used by the
+//! * `server` — the accept loop, routing, and graceful shutdown.
+//! * `client` — a matching minimal blocking client used by the
 //!   tests and `benchmark/`.
-//! * [`http`] — shared HTTP/1.1 plumbing (request parsing, chunked
+//! * `http` — shared HTTP/1.1 plumbing (request parsing, chunked
 //!   transfer encoding).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod client;
-pub mod http;
-pub mod server;
+mod client;
+mod http;
+mod server;
 
-pub use client::{http_get, http_request, tail_events, HttpResponse};
-pub use server::{
-    serve, Health, RunHealth, ServeOptions, Server, EVENTS_CONTENT_TYPE, METRICS_CONTENT_TYPE,
-};
+pub use client::{http_get, http_request, tail_events};
+pub use server::{serve, Health, ServeOptions};

@@ -33,9 +33,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Prometheus text exposition content type.
-pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+pub(crate) const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 /// NDJSON event-stream content type.
-pub const EVENTS_CONTENT_TYPE: &str = "application/x-ndjson";
+pub(crate) const EVENTS_CONTENT_TYPE: &str = "application/x-ndjson";
 const JSON: &str = "application/json";
 /// How often an idle `/events` stream looks at the stop flag.
 const EVENTS_POLL: Duration = Duration::from_millis(50);
@@ -44,7 +44,7 @@ const EVENTS_POLL: Duration = Duration::from_millis(50);
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind address; port 0 picks a free port (see
-    /// [`Server::local_addr`]).
+    /// `Server::local_addr`).
     pub addr: String,
     /// Per-connection read timeout (time to produce a request line).
     pub read_timeout: Duration,

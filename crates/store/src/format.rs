@@ -40,7 +40,7 @@ pub const FORMAT_VERSION: u32 = 2;
 const JSON_PAYLOAD_VERSION: u32 = 1;
 
 /// Magic line opening every snapshot file.
-pub const MAGIC: &str = "e3snap";
+pub(crate) const MAGIC: &str = "e3snap";
 
 /// Identity of the run a snapshot belongs to. Snapshots from a
 /// different configuration, backend, or seed must never be resumed

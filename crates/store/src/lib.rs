@@ -13,13 +13,13 @@
 //! * **Atomic writes** — each snapshot goes to a temp file, is
 //!   `fsync`ed, and is renamed into place; the directory is synced so
 //!   the rename itself survives a crash.
-//! * **Manifest + recovery** ([`manifest`]) — `manifest.json` points
+//! * **Manifest + recovery** (`manifest`) — `manifest.json` points
 //!   at the latest generation, but recovery never trusts it blindly:
 //!   it scans the directory newest-first and resumes from the newest
 //!   snapshot that validates, skipping torn ones.
 //! * **Retention** — keep the last *N* snapshots plus the best-so-far
 //!   generation; everything else is pruned after each save.
-//! * **Fault injection** ([`fault`]) — a [`StoreFault`] armed on the
+//! * **Fault injection** (`fault`) — a [`StoreFault`] armed on the
 //!   store sabotages the next save, so crash recovery is testable
 //!   without actually cutting power.
 //!
@@ -42,16 +42,16 @@
 //! # Ok::<(), e3_store::StoreError>(())
 //! ```
 
-pub mod fault;
+mod fault;
 pub mod format;
-pub mod manifest;
-pub mod multi;
+mod manifest;
+mod multi;
 
 pub use fault::StoreFault;
-pub use format::{FormatError, RunFingerprint, SnapshotHeader, FORMAT_VERSION};
-pub use manifest::{Manifest, ManifestEntry, MANIFEST_FILE};
-pub use multi::{MultiStore, NAMESPACE_REGISTRY_FILE};
+pub use format::{RunFingerprint, FORMAT_VERSION};
+pub use multi::MultiStore;
 
+use manifest::{Manifest, ManifestEntry, MANIFEST_FILE};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::Write as _;
@@ -205,7 +205,7 @@ pub struct RunStore {
 
 /// Snapshot file name for a generation (`gen-00000042.e3snap`).
 /// Zero-padded so lexical and numeric order agree.
-pub fn snapshot_file_name(generation: usize) -> String {
+pub(crate) fn snapshot_file_name(generation: usize) -> String {
     format!("gen-{generation:08}.e3snap")
 }
 
@@ -261,11 +261,6 @@ impl RunStore {
             pending_fault: None,
             payload: Vec::new(),
         })
-    }
-
-    /// The checkpoint directory this store writes into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The run identity snapshots are stamped with.

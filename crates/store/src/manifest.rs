@@ -16,11 +16,11 @@ use crate::format::{RunFingerprint, FORMAT_VERSION};
 use serde::{Deserialize, Serialize};
 
 /// File name of the manifest inside a checkpoint directory.
-pub const MANIFEST_FILE: &str = "manifest.json";
+pub(crate) const MANIFEST_FILE: &str = "manifest.json";
 
 /// One retained snapshot, as the manifest records it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ManifestEntry {
+pub(crate) struct ManifestEntry {
     /// Generation the snapshot captured.
     pub generation: usize,
     /// Snapshot file name (relative to the checkpoint directory).
@@ -35,7 +35,7 @@ pub struct ManifestEntry {
 
 /// The manifest document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// Snapshot format version the directory was written with.
     pub format_version: u32,
     /// Which run this directory belongs to.
@@ -50,7 +50,7 @@ pub struct Manifest {
 
 impl Manifest {
     /// An empty manifest for a fresh run directory.
-    pub fn new(fingerprint: RunFingerprint) -> Self {
+    pub(crate) fn new(fingerprint: RunFingerprint) -> Self {
         Manifest {
             format_version: FORMAT_VERSION,
             fingerprint,
@@ -63,7 +63,7 @@ impl Manifest {
     /// Records a newly written snapshot and returns the entries that
     /// fall outside the retention set (keep-last-`keep_last` plus the
     /// best-so-far snapshot) — the caller deletes those files.
-    pub fn admit(&mut self, entry: ManifestEntry, keep_last: usize) -> Vec<ManifestEntry> {
+    pub(crate) fn admit(&mut self, entry: ManifestEntry, keep_last: usize) -> Vec<ManifestEntry> {
         self.entries.retain(|e| e.generation != entry.generation);
         self.entries.push(entry);
         self.entries.sort_by_key(|e| e.generation);

@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 
 /// Registry file at the parent root mapping namespaces to the run
 /// fingerprints they are bound to.
-pub const NAMESPACE_REGISTRY_FILE: &str = "namespaces.json";
+pub(crate) const NAMESPACE_REGISTRY_FILE: &str = "namespaces.json";
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct NamespaceRegistry {
@@ -91,23 +91,9 @@ impl MultiStore {
         Ok(MultiStore { parent, registry })
     }
 
-    /// The shared parent directory.
-    pub fn parent(&self) -> &Path {
-        &self.parent
-    }
-
-    /// The namespaces the registry knows about, with their bound
-    /// fingerprints, in lexical order.
-    pub fn namespaces(&self) -> impl Iterator<Item = (&str, &RunFingerprint)> {
-        self.registry
-            .namespaces
-            .iter()
-            .map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Absolute path of a namespace's subdirectory (which may not
     /// exist yet).
-    pub fn namespace_dir(&self, namespace: &str) -> PathBuf {
+    pub(crate) fn namespace_dir(&self, namespace: &str) -> PathBuf {
         validate_namespace(namespace);
         self.parent.join(namespace)
     }
@@ -126,7 +112,7 @@ impl MultiStore {
     /// # Panics
     ///
     /// Panics if `namespace` is not a plain directory name (see
-    /// [`MultiStore::namespace_dir`]).
+    /// `MultiStore::namespace_dir`).
     pub fn store_for(
         &mut self,
         namespace: &str,
@@ -266,7 +252,7 @@ mod tests {
         let rb = b.recover::<String>().unwrap().unwrap();
         assert_eq!((ra.generation, ra.state.as_str()), (0, "a-state"));
         assert_eq!((rb.generation, rb.state.as_str()), (5, "b-state"));
-        assert_eq!(multi.namespaces().count(), 2);
+        assert_eq!(multi.registry.namespaces.len(), 2);
         fs::remove_dir_all(&dir).ok();
     }
 

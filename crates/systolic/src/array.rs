@@ -68,12 +68,6 @@ impl SystolicConfigBuilder {
         self
     }
 
-    /// Sets the per-layer alignment cost per input value.
-    pub fn alignment_cycles_per_input(mut self, c: u64) -> Self {
-        self.config.alignment_cycles_per_input = c;
-        self
-    }
-
     /// Finalizes the configuration.
     ///
     /// # Panics
@@ -98,11 +92,6 @@ impl SystolicArray {
         SystolicArray { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &SystolicConfig {
-        &self.config
-    }
-
     /// Cycles for one inference of the padded network.
     pub fn inference_cycles(&self, net: &DensePaddedNet) -> u64 {
         let n = self.config.num_pe as u64;
@@ -117,28 +106,6 @@ impl SystolicArray {
                 m_out * self.config.activation_cycles / n.max(1) + self.config.activation_cycles;
         }
         cycles
-    }
-
-    /// Useful MAC cycles per inference: only the real (non-dummy,
-    /// non-zero-filled) connections do useful work. Everything else in
-    /// [`SystolicArray::inference_cycles`] is padding/zero-fill loss.
-    pub fn useful_mac_cycles(&self, real_connections: usize) -> u64 {
-        real_connections as u64 * self.config.mac_cycles
-    }
-
-    /// Set-up cycles: loading the full dense weight matrices.
-    pub fn setup_cycles(&self, net: &DensePaddedNet) -> u64 {
-        net.dense_connections() as u64 * self.config.setup_cycles_per_weight
-    }
-
-    /// Utilization proxy: useful MACs over total inference
-    /// PE-cycles.
-    pub fn efficiency(&self, net: &DensePaddedNet, real_connections: usize) -> f64 {
-        let total = self.inference_cycles(net) * self.config.num_pe as u64;
-        if total == 0 {
-            return 1.0;
-        }
-        self.useful_mac_cycles(real_connections) as f64 / total as f64
     }
 }
 
@@ -197,24 +164,11 @@ mod tests {
     }
 
     #[test]
-    fn setup_loads_dense_matrices() {
+    fn zero_filling_inflates_the_dense_matrices() {
         let (net, real) = padded(2);
-        let sa = SystolicArray::new(SystolicConfig::default());
-        assert_eq!(sa.setup_cycles(&net), net.dense_connections() as u64);
         assert!(
             net.dense_connections() > real,
             "zero-filling inflates the load"
         );
-    }
-
-    #[test]
-    fn efficiency_decreases_with_overprovisioning() {
-        let (net, real) = padded(3);
-        let e1 =
-            SystolicArray::new(SystolicConfig::builder().num_pe(1).build()).efficiency(&net, real);
-        let e64 =
-            SystolicArray::new(SystolicConfig::builder().num_pe(64).build()).efficiency(&net, real);
-        assert!(e1 > e64);
-        assert!(e1 <= 1.0);
     }
 }

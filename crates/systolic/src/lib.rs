@@ -33,8 +33,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod array;
-pub mod padding;
+mod array;
+mod padding;
 
-pub use array::{SystolicArray, SystolicConfig, SystolicConfigBuilder};
-pub use padding::{DenseLayer, DensePaddedNet};
+pub use array::{SystolicArray, SystolicConfig};
+pub use padding::DensePaddedNet;

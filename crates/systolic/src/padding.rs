@@ -48,7 +48,7 @@ impl DenseLayer {
     /// # Panics
     ///
     /// Panics if `inputs.len() != self.in_width`.
-    pub fn evaluate(&self, inputs: &[f64]) -> Vec<f64> {
+    pub(crate) fn evaluate(&self, inputs: &[f64]) -> Vec<f64> {
         assert_eq!(inputs.len(), self.in_width, "layer input width mismatch");
         (0..self.out_width())
             .map(|row| {

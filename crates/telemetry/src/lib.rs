@@ -24,13 +24,11 @@
 //! ([`HwCounters`], [`FunctionSplit`]) so that `e3-inax` and
 //! `e3-platform` can both depend on it without a cycle.
 
-pub mod metrics;
-pub mod span;
+mod metrics;
+mod span;
 
-pub use metrics::{
-    escape_label_value, labeled, Histogram, MeteredCollector, MetricsRegistry, SharedRegistry,
-};
-pub use span::{SpanArg, SpanGuard, SpanRecord, SpanTimer, Tracer};
+pub use metrics::{labeled, MeteredCollector, MetricsRegistry, SharedRegistry};
+pub use span::{SpanGuard, SpanTimer, Tracer};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -635,14 +633,6 @@ impl MemoryCollector {
         })
     }
 
-    /// The buffered utilization reports.
-    pub fn utilizations(&self) -> impl Iterator<Item = &UtilizationReport> {
-        self.events.iter().filter_map(|event| match event {
-            TelemetryEvent::Utilization(record) => Some(record),
-            _ => None,
-        })
-    }
-
     /// The buffered checkpoint records.
     pub fn checkpoints(&self) -> impl Iterator<Item = &CheckpointRecord> {
         self.events.iter().filter_map(|event| match event {
@@ -655,22 +645,6 @@ impl MemoryCollector {
     pub fn resumes(&self) -> impl Iterator<Item = &ResumeRecord> {
         self.events.iter().filter_map(|event| match event {
             TelemetryEvent::Resume(record) => Some(record),
-            _ => None,
-        })
-    }
-
-    /// The buffered island progress records.
-    pub fn islands(&self) -> impl Iterator<Item = &IslandRecord> {
-        self.events.iter().filter_map(|event| match event {
-            TelemetryEvent::Island(record) => Some(record),
-            _ => None,
-        })
-    }
-
-    /// The buffered migration records.
-    pub fn migrations(&self) -> impl Iterator<Item = &MigrationRecord> {
-        self.events.iter().filter_map(|event| match event {
-            TelemetryEvent::Migration(record) => Some(record),
             _ => None,
         })
     }
@@ -689,11 +663,6 @@ impl MemoryCollector {
             TelemetryEvent::Summary(record) => Some(record),
             _ => None,
         })
-    }
-
-    /// Drops all buffered events.
-    pub fn clear(&mut self) {
-        self.events.clear();
     }
 }
 
@@ -976,16 +945,6 @@ mod tests {
             let back: TelemetryEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(back, event);
         }
-
-        let mut collector = MemoryCollector::new();
-        collector.record(&TelemetryEvent::Island(island)).unwrap();
-        collector
-            .record(&TelemetryEvent::Migration(migration))
-            .unwrap();
-        assert_eq!(collector.islands().count(), 1);
-        assert_eq!(collector.migrations().count(), 1);
-        assert_eq!(collector.islands().next().unwrap().island, 2);
-        assert_eq!(collector.migrations().next().unwrap().sources, vec![1]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 /// backslash, double quote, and line feed become `\\`, `\"`, and `\n`
 /// so any string — paths, error messages, env names — is safe inside
 /// the `label="value"` quotes of a metric name.
-pub fn escape_label_value(value: &str) -> String {
+pub(crate) fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -38,7 +38,7 @@ pub fn escape_label_value(value: &str) -> String {
 
 /// Builds a metric name with an inline label set,
 /// `base{key="value",...}`, escaping every value via
-/// [`escape_label_value`]. With no labels the base name is returned
+/// `escape_label_value`. With no labels the base name is returned
 /// unchanged. This is the one sanctioned way to construct labeled
 /// metric names — values that bypass it and carry raw `"`/`\`/newline
 /// would corrupt the exposition dump.
@@ -71,7 +71,7 @@ const NUM_BUCKETS: usize = (MAX_EXP - MIN_EXP + 1) as usize + 1;
 /// A log2-bucketed histogram: bucket `i` counts observations `v` with
 /// `v <= 2^(MIN_EXP + i)`, plus a `+Inf` overflow bucket.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: Vec<u64>,
     count: u64,
     sum: f64,
@@ -91,7 +91,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         let index = if !value.is_finite() {
             NUM_BUCKETS - 1
         } else if value <= 2f64.powi(MIN_EXP) {
@@ -113,17 +113,17 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -132,7 +132,7 @@ impl Histogram {
     }
 
     /// Largest observation, or 0 when empty.
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -172,12 +172,12 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MetricsRegistry::default()
     }
 
     /// Adds `delta` to the counter `name` (created at 0).
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
@@ -187,26 +187,11 @@ impl MetricsRegistry {
     }
 
     /// Records `value` into the histogram `name`.
-    pub fn histogram_observe(&mut self, name: &str, value: f64) {
+    pub(crate) fn histogram_observe(&mut self, name: &str, value: f64) {
         self.histograms
             .entry(name.to_string())
             .or_default()
             .observe(value);
-    }
-
-    /// Current value of a counter (0 if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// A histogram by name, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// True when no metric has been touched.
@@ -215,7 +200,7 @@ impl MetricsRegistry {
     }
 
     /// The canonical [`TelemetryEvent`] → metrics mapping.
-    pub fn observe(&mut self, event: &TelemetryEvent) {
+    pub(crate) fn observe(&mut self, event: &TelemetryEvent) {
         self.observe_scoped(&[], event);
     }
 
@@ -225,7 +210,7 @@ impl MetricsRegistry {
     /// `scope = [("run", "run-0003")]` turns `e3_evals_total` into
     /// `e3_evals_total{run="run-0003"}`). Scope labels come first;
     /// event-intrinsic labels (island, pu, pe) are appended after.
-    pub fn observe_scoped(&mut self, scope: &[(&str, &str)], event: &TelemetryEvent) {
+    pub(crate) fn observe_scoped(&mut self, scope: &[(&str, &str)], event: &TelemetryEvent) {
         // Name builders: `plain` applies only the scope, `with` appends
         // one event-intrinsic label after the scope labels.
         let plain = |base: &str| labeled(base, scope);
@@ -505,11 +490,6 @@ impl<C> MeteredCollector<C> {
         }
     }
 
-    /// The accumulated metrics.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
     /// Unwraps into the inner collector and the registry.
     pub fn into_parts(self) -> (C, MetricsRegistry) {
         (self.inner, self.registry)
@@ -547,13 +527,7 @@ impl SharedRegistry {
         SharedRegistry::default()
     }
 
-    /// Applies the canonical event → metrics mapping
-    /// ([`MetricsRegistry::observe`]) under the lock.
-    pub fn observe(&self, event: &TelemetryEvent) {
-        self.lock().observe(event);
-    }
-
-    /// [`MetricsRegistry::observe_scoped`] under the lock.
+    /// `MetricsRegistry::observe_scoped` under the lock.
     pub fn observe_scoped(&self, scope: &[(&str, &str)], event: &TelemetryEvent) {
         self.lock().observe_scoped(scope, event);
     }
@@ -565,19 +539,9 @@ impl SharedRegistry {
         f(&mut self.lock())
     }
 
-    /// A point-in-time copy of the whole registry.
-    pub fn snapshot(&self) -> MetricsRegistry {
-        self.lock().clone()
-    }
-
     /// Prometheus text exposition of the current state.
     pub fn prometheus_text(&self) -> String {
         self.lock().prometheus_text()
-    }
-
-    /// True when no metric has been touched yet.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
@@ -593,6 +557,23 @@ impl SharedRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MetricsRegistry {
+        /// Current value of a counter (0 if never touched).
+        fn counter(&self, name: &str) -> u64 {
+            self.counters.get(name).copied().unwrap_or(0)
+        }
+
+        /// Current value of a gauge, if set.
+        fn gauge(&self, name: &str) -> Option<f64> {
+            self.gauges.get(name).copied()
+        }
+
+        /// A histogram by name, if any observation was recorded.
+        fn histogram(&self, name: &str) -> Option<&Histogram> {
+            self.histograms.get(name)
+        }
+    }
     use crate::{
         CheckpointRecord, EvalRecord, ExecRecord, HwCounters, MemoryCollector, PeCycleRow,
         PuCycleRow, ResumeRecord, RunSummary, UtilizationReport,
@@ -817,11 +798,11 @@ mod tests {
     #[test]
     fn shared_registry_clones_point_at_one_registry() {
         let shared = SharedRegistry::new();
-        assert!(shared.is_empty());
+        assert!(shared.with(|registry| registry.is_empty()));
         let clone = shared.clone();
-        clone.observe(&TelemetryEvent::Summary(RunSummary::default()));
+        clone.observe_scoped(&[], &TelemetryEvent::Summary(RunSummary::default()));
         shared.with(|registry| registry.gauge_set("e3_pool_evals_in_flight", 3.0));
-        let snapshot = shared.snapshot();
+        let snapshot = shared.with(|registry| registry.clone());
         assert_eq!(snapshot.counter("e3_runs_total"), 1);
         assert_eq!(snapshot.gauge("e3_pool_evals_in_flight"), Some(3.0));
         assert!(shared.prometheus_text().contains("e3_runs_total 1"));

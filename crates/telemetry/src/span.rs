@@ -100,11 +100,6 @@ impl Tracer {
         }
     }
 
-    /// Whether spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// Opens a span closed automatically when the guard drops.
     pub fn span(&self, name: &str, cat: &str) -> SpanGuard {
         SpanGuard {
@@ -145,7 +140,7 @@ impl Tracer {
 
     /// Renders every completed span as Chrome trace-event JSON
     /// (`{"traceEvents": [...]}`), loadable in Perfetto.
-    pub fn chrome_trace_json(&self) -> String {
+    pub(crate) fn chrome_trace_json(&self) -> String {
         let spans = self.spans();
         let mut out = String::from("{\"traceEvents\":[");
         for (i, span) in spans.iter().enumerate() {
@@ -177,7 +172,7 @@ impl Tracer {
         out
     }
 
-    /// Writes [`Tracer::chrome_trace_json`] to `path`.
+    /// Writes `Tracer::chrome_trace_json` to `path`.
     ///
     /// # Errors
     ///
@@ -303,7 +298,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let tracer = Tracer::disabled();
-        assert!(!tracer.is_enabled());
+        assert!(tracer.shared.is_none());
         {
             let _guard = tracer.span("run", "platform");
             let timer = tracer.start("eval", "platform");

@@ -1,13 +1,14 @@
 //! Telemetry walk-through: instrument a run with an in-memory
 //! collector, stream another as NDJSON, and drive a backend directly
-//! through `BackendBuilder`.
+//! through `Backend::inax`.
 //!
 //! ```text
 //! cargo run --release --example telemetry
 //! ```
 
 use e3::envs::EnvId;
-use e3::platform::{BackendKind, E3Config, E3Platform, ScenarioSpec};
+use e3::inax::InaxConfig;
+use e3::platform::{Backend, BackendKind, E3Config, E3Platform, ScenarioSpec, SwCostModel};
 use e3::telemetry::{Collector, MemoryCollector, NdjsonWriter};
 
 fn main() {
@@ -57,10 +58,10 @@ fn main() {
     }
     println!();
 
-    // 3. Backends can be built and driven without a platform: the
-    //    builder mirrors `InaxConfig::builder()`, and evaluation is
-    //    fallible instead of panicking on malformed genomes.
-    let mut backend = BackendKind::Inax.builder().build();
+    // 3. Backends can be built and driven without a platform: one
+    //    constructor per paper setting, and evaluation is fallible
+    //    instead of panicking on malformed genomes.
+    let mut backend = Backend::inax(InaxConfig::default(), SwCostModel::default());
     let genomes = E3Platform::new(config(()), BackendKind::Inax, 42)
         .population()
         .genomes()
@@ -69,7 +70,7 @@ fn main() {
         Ok(eval) => {
             let best = eval.fitnesses.iter().cloned().fold(f64::MIN, f64::max);
             println!(
-                "direct evaluation via BackendBuilder: {} genomes, best fitness {:.2}, {:.5} modeled s",
+                "direct evaluation via Backend::inax: {} genomes, best fitness {:.2}, {:.5} modeled s",
                 genomes.len(),
                 best,
                 eval.eval_seconds + eval.env_seconds

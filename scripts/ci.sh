@@ -3,6 +3,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== size (informational: never fails the build) =="
+# The three numbers the ROADMAP tracks; compare against the parent's.
+bash scripts/loc.sh || true
+
 echo "== tier-1: release build =="
 cargo build --release --offline
 

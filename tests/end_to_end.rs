@@ -130,17 +130,12 @@ fn custom_inax_configs_flow_through() {
 }
 
 #[test]
-fn backend_builder_matches_platform_backends() {
-    // A builder-constructed backend evaluates the same population to
-    // the same fitnesses the full platform computes on its first
-    // generation.
+fn a_hand_built_backend_matches_platform_backends() {
+    // A backend built from the platform's cost models evaluates the
+    // same population to the same fitnesses the full platform computes
+    // on its first generation.
     let config = quick_config(EnvId::CartPole);
-    let mut backend = BackendKind::Inax
-        .builder()
-        .sw(config.sw)
-        .gpu(config.gpu)
-        .inax(config.inax.clone())
-        .build();
+    let mut backend = Backend::inax(config.inax.clone(), config.sw);
     let mut platform = E3Platform::new(config, BackendKind::Inax, 9);
     let genomes = platform.population().genomes().to_vec();
     // The platform derives its first episode seed as `seed + 1000`.
@@ -152,7 +147,7 @@ fn backend_builder_matches_platform_backends() {
     let best_platform = platform.step_generation().unwrap();
     assert_eq!(
         best_direct, best_platform,
-        "builder backend diverged from platform"
+        "hand-built backend diverged from platform"
     );
 }
 

@@ -1,16 +1,14 @@
 //! Integration tests for the reproduction's extension features
-//! (DESIGN.md §7): recurrent networks, checkpointing, environment
-//! wrappers, fixed-point quantization, activation-sparsity gating,
-//! double buffering, and the wave tracer — exercised together through
-//! the facade crate.
+//! (DESIGN.md §7): population checkpointing, fixed-point quantization,
+//! activation-sparsity gating, double buffering, and the wave tracer —
+//! exercised together through the facade crate.
 
-use e3::envs::wrappers::{ActionRepeat, ObservationNoise, TimeLimit};
-use e3::envs::{run_episode, CartPole, EnvId, Environment};
+use e3::envs::{run_episode, CartPole, EnvId};
 use e3::inax::pipeline::{analyze_double_buffering, BatchWork};
 use e3::inax::quant::{evaluate_fixed_point, FixedPointFormat};
 use e3::inax::sparsity::analyze_activation_sparsity;
 use e3::inax::{trace_inference, InaxConfig};
-use e3::neat::{NeatConfig, NetPlan, Population, PopulationSnapshot, RecurrentNetwork};
+use e3::neat::{NeatConfig, NetPlan, Population, PopulationSnapshot};
 
 #[test]
 fn checkpointed_run_can_be_deployed_after_restore() {
@@ -34,10 +32,11 @@ fn checkpointed_run_can_be_deployed_after_restore() {
     });
     let before = pop.best().expect("evaluated").clone();
 
-    let json = serde_json::to_string(&PopulationSnapshot::capture(&pop)).expect("serializes");
-    let restored = serde_json::from_str::<PopulationSnapshot>(&json)
-        .expect("parses")
-        .restore(7);
+    let json = serde_json::to_string(&pop.snapshot()).expect("serializes");
+    let restored = Population::from_snapshot(
+        serde_json::from_str::<PopulationSnapshot>(&json).expect("parses"),
+        7,
+    );
     let champion = restored.best().expect("snapshot keeps the champion");
     assert_eq!(champion.fitness, before.fitness);
 
@@ -48,43 +47,6 @@ fn checkpointed_run_can_be_deployed_after_restore() {
         replay.total_reward, before.fitness,
         "deployment is reproducible"
     );
-}
-
-#[test]
-fn recurrent_decode_accepts_what_feed_forward_rejects() {
-    let mut tracker = e3::neat::InnovationTracker::with_reserved_nodes(3);
-    let mut genome = e3::neat::Genome::bare(2, 1);
-    genome.add_connection(0, 2, 1.0, &mut tracker).unwrap();
-    genome
-        .add_connection_unchecked(2, 2, 0.5, &mut tracker)
-        .unwrap(); // self-loop
-    assert!(
-        genome.decode().is_err(),
-        "feed-forward decode rejects the loop"
-    );
-    let mut recurrent = RecurrentNetwork::from_genome(&genome);
-    let a = recurrent.activate(&[1.0, 0.0])[0];
-    let b = recurrent.activate(&[1.0, 0.0])[0];
-    assert_ne!(a, b, "the loop carries state");
-}
-
-#[test]
-fn wrapped_envs_compose_and_stay_deterministic() {
-    let build = || {
-        TimeLimit::new(
-            ActionRepeat::new(ObservationNoise::new(CartPole::new(), 0.05), 2),
-            50,
-        )
-    };
-    let mut a = build();
-    let mut b = build();
-    assert_eq!(a.reset(5), b.reset(5));
-    assert_eq!(a.max_episode_steps(), 50);
-    let mut policy = |obs: &[f64]| vec![-(obs[2] + obs[3]), obs[2] + obs[3]];
-    let ra = run_episode(&mut a, &mut policy, 5);
-    let rb = run_episode(&mut b, &mut policy, 5);
-    assert_eq!(ra, rb);
-    assert!(ra.steps <= 50);
 }
 
 #[test]
