@@ -102,10 +102,61 @@ const GOLDEN: &[Golden] = &[
     },
 ];
 
+/// Golden fixtures for K > 1: population 24, seed 42, five stepped
+/// generations on worlds drawn from the moderate distribution, under
+/// the scenario count and aggregation beside each row. Captured on
+/// `a4c1dbf`, whose kernel ran a genome's K episodes back to back;
+/// they pin that walking the K episodes together in lanes — four wide,
+/// three live lanes with one idle, narrowing as episodes finish —
+/// changes no result.
+const SCENARIO_GOLDEN: &[(usize, FitnessAggregation, Golden)] = &[
+    (
+        4,
+        FitnessAggregation::CVaR { alpha: 0.5 },
+        Golden {
+            env: EnvId::LunarLander,
+            fingerprint: 0xbc55_811e_840f_8873,
+            bests: [
+                0xc055_db14_d7f4_f202,
+                0xc054_716d_4d4d_4342,
+                0xc054_6744_e2c0_9cf8,
+                0xc051_3d8c_937c_c1fa,
+                0xc050_2b85_46dd_3f01,
+            ],
+            profile: [
+                0x402c_f92c_f0f9_d2bf,
+                0x4070_2d46_84ee_b420,
+                0x3fd5_054e_839b_ab6d,
+            ],
+        },
+    ),
+    (
+        3,
+        FitnessAggregation::Mean,
+        Golden {
+            env: EnvId::CartPole,
+            fingerprint: 0xce28_31f3_10e0_b6ff,
+            bests: [
+                0x406b_d555_5555_5555,
+                0x407d_f555_5555_5555,
+                0x407f_4000_0000_0000,
+                0x407f_4000_0000_0000,
+                0x407f_4000_0000_0000,
+            ],
+            profile: [
+                0x4020_03fa_6def_c7a4,
+                0x406f_02b7_830c_6cfe,
+                0x3fd5_09a5_352e_351d,
+            ],
+        },
+    ),
+];
+
 /// One fixture run; returns the population fingerprint, the
 /// per-generation best-fitness bits and the modeled-seconds total bits.
 fn fixture_run(
     env: EnvId,
+    scenario: ScenarioConfig,
     backend: BackendKind,
     threads: usize,
     jit: JitConfig,
@@ -115,6 +166,7 @@ fn fixture_run(
         .max_generations(5)
         .threads(threads)
         .jit(jit)
+        .scenario(scenario)
         .build();
     let mut platform = E3Platform::new(config, backend, 42);
     let mut bests = Vec::new();
@@ -131,42 +183,60 @@ fn fixture_run(
     )
 }
 
-#[test]
-fn default_config_matches_pre_scenario_fixtures() {
-    // A tier policy at `hot_threshold` 1 puts the software backends'
-    // plans behind the tiered cache (and promotes every one to native
-    // code on first use); without one the same kernel decodes afresh.
-    // INAX has no software inference to tier, so it runs once per
-    // thread count.
+/// Runs `golden`'s fixture on every backend, at 1 and 4 threads, and
+/// with the tier off and on, and asserts every run reproduces it.
+///
+/// A tier policy at `hot_threshold` 1 puts the software backends'
+/// plans behind the tiered cache (and promotes every one to native
+/// code on first use); without one the same kernel decodes afresh.
+/// INAX has no software inference to tier, so it runs once per thread
+/// count.
+fn assert_fixture(golden: &Golden, scenario: &ScenarioConfig) {
     let tier_off = JitConfig::default();
     let tier_on = JitConfig {
         enabled: true,
         hot_threshold: 1,
     };
-    for golden in GOLDEN {
-        for (backend, profile) in BackendKind::ALL.into_iter().zip(golden.profile) {
-            let tiers: &[JitConfig] = match backend {
-                BackendKind::Inax => &[tier_off],
-                _ => &[tier_off, tier_on],
-            };
-            for threads in [1usize, 4] {
-                for &jit in tiers {
-                    let env = golden.env;
-                    let label = format!("{env:?}/{backend:?}@{threads} jit={}", jit.enabled);
-                    let (pop, bests, total) = fixture_run(env, backend, threads, jit);
-                    assert_eq!(
-                        pop, golden.fingerprint,
-                        "{label}: population diverged from the fixture"
-                    );
-                    assert_eq!(
-                        bests,
-                        golden.bests.to_vec(),
-                        "{label}: fitness trajectory diverged"
-                    );
-                    assert_eq!(total, profile, "{label}: modeled seconds diverged");
-                }
+    for (backend, profile) in BackendKind::ALL.into_iter().zip(golden.profile) {
+        let tiers: &[JitConfig] = match backend {
+            BackendKind::Inax => &[tier_off],
+            _ => &[tier_off, tier_on],
+        };
+        for threads in [1usize, 4] {
+            for &jit in tiers {
+                let env = golden.env;
+                let label = format!("{env:?}/{backend:?}@{threads} jit={}", jit.enabled);
+                let (pop, bests, total) = fixture_run(env, scenario.clone(), backend, threads, jit);
+                assert_eq!(
+                    pop, golden.fingerprint,
+                    "{label}: population diverged from the fixture"
+                );
+                assert_eq!(
+                    bests,
+                    golden.bests.to_vec(),
+                    "{label}: fitness trajectory diverged"
+                );
+                assert_eq!(total, profile, "{label}: modeled seconds diverged");
             }
         }
+    }
+}
+
+#[test]
+fn default_config_matches_pre_scenario_fixtures() {
+    for golden in GOLDEN {
+        assert_fixture(golden, &ScenarioConfig::default());
+    }
+}
+
+#[test]
+fn multi_scenario_configs_match_their_fixtures() {
+    for (k, aggregation, golden) in SCENARIO_GOLDEN {
+        let scenario = ScenarioConfig::default()
+            .train(ScenarioDistribution::moderate())
+            .scenarios_per_eval(*k)
+            .aggregation(*aggregation);
+        assert_fixture(golden, &scenario);
     }
 }
 

@@ -48,7 +48,6 @@
 mod emitter;
 mod memory;
 
-use e3_neat::forward::ForwardPass;
 use e3_neat::{Activation, NetPlan};
 use memory::ExecPage;
 use serde::{DeError, Deserialize, Serialize, Sink, Value};
@@ -335,20 +334,6 @@ impl CompiledPlan {
     /// last drain) — how the tiered cache aggregates JIT telemetry.
     pub fn take_activations(&mut self) -> u64 {
         std::mem::take(&mut self.activations)
-    }
-}
-
-impl ForwardPass for CompiledPlan {
-    fn activate_into(&mut self, inputs: &[f64]) -> &[f64] {
-        CompiledPlan::activate_into(self, inputs)
-    }
-
-    fn num_inputs(&self) -> usize {
-        self.num_inputs
-    }
-
-    fn num_outputs(&self) -> usize {
-        self.num_outputs
     }
 }
 

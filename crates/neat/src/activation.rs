@@ -65,16 +65,27 @@ impl Activation {
     /// Applies the activation function to `x`.
     #[inline]
     pub fn apply(self, x: f64) -> f64 {
+        let [y] = self.apply_lanes([x]);
+        y
+    }
+
+    /// Applies the activation function to every lane of `x`: one
+    /// dispatch, then the same scalar formula per lane, so lane `l` of
+    /// the result is `self.apply(x[l])` bit for bit. The lanes are
+    /// independent chains, which is what a multi-lane network walk
+    /// overlaps.
+    #[inline]
+    pub(crate) fn apply_lanes<const L: usize>(self, x: [f64; L]) -> [f64; L] {
         match self {
-            Activation::Sigmoid => 1.0 / (1.0 + exp(-4.9 * x.clamp(-60.0, 60.0))),
-            Activation::Tanh => tanh(x),
-            Activation::Relu => x.max(0.0),
+            Activation::Sigmoid => lanes(x, |x| 1.0 / (1.0 + exp(-4.9 * x.clamp(-60.0, 60.0)))),
+            Activation::Tanh => lanes(x, tanh),
+            Activation::Relu => lanes(x, |x| x.max(0.0)),
             Activation::Identity => x,
             // `clamp`, unlike `min`, keeps a NaN.
-            Activation::Gauss => exp(-(x * x).clamp(0.0, 60.0)),
-            Activation::Sin => x.sin(),
-            Activation::Abs => x.abs(),
-            Activation::Clamped => x.clamp(-1.0, 1.0),
+            Activation::Gauss => lanes(x, |x| exp(-(x * x).clamp(0.0, 60.0))),
+            Activation::Sin => lanes(x, f64::sin),
+            Activation::Abs => lanes(x, f64::abs),
+            Activation::Clamped => lanes(x, |x| x.clamp(-1.0, 1.0)),
         }
     }
 
@@ -91,6 +102,16 @@ impl Activation {
             Activation::Clamped => "clamped",
         }
     }
+}
+
+/// `f` on every lane, inlined in place (`array::map` leaves each lane a
+/// call).
+#[inline(always)]
+fn lanes<const L: usize>(mut x: [f64; L], f: impl Fn(f64) -> f64) -> [f64; L] {
+    for x in &mut x {
+        *x = f(*x);
+    }
+    x
 }
 
 /// `1.5·2⁵²`: adding it to a double below `2⁵¹` in magnitude rounds that

@@ -59,7 +59,6 @@
 
 mod activation;
 mod config;
-pub mod forward;
 mod genome;
 mod innovation;
 mod network;
@@ -75,7 +74,6 @@ mod error;
 pub use activation::Activation;
 pub use config::NeatConfig;
 pub use error::DecodeError;
-pub use forward::ForwardPass;
 pub use genome::{Genome, NodeKind};
 pub use innovation::InnovationTracker;
 pub use network::Network;

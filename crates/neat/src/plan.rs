@@ -287,8 +287,8 @@ impl NetPlan {
         );
     }
 
-    /// The forward-pass kernel: validates buffer sizes and overwrites
-    /// every slot of `values` in level order.
+    /// The scalar forward pass: validates `inputs`, copies them into the
+    /// input slots and runs [`NetPlan::fill_lanes`] one lane wide.
     fn fill(&self, inputs: &[f64], values: &mut [f64]) {
         assert_eq!(
             inputs.len(),
@@ -297,12 +297,30 @@ impl NetPlan {
             self.num_inputs,
             inputs.len()
         );
+        values[..self.num_inputs].copy_from_slice(inputs);
+        self.fill_lanes(values.as_chunks_mut::<1>().0);
+    }
+
+    /// The forward-pass kernel, over `L` independent lanes: row `j` of
+    /// `values` is value-buffer slot `j` of every lane. The first
+    /// [`NetPlan::num_inputs`] rows hold the lanes' inputs; every other
+    /// row is overwritten in level order. Each lane sees exactly the
+    /// scalar operation sequence — bias first, then the sorted edges,
+    /// then the activation, no fused multiply-add — so lane `l` is
+    /// bit-identical to [`NetPlan::execute_into`] on lane `l`'s inputs,
+    /// whatever the other lanes hold. The weights are read once per
+    /// step for all lanes, and the lanes' chains overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not have [`NetPlan::value_buffer_slots`]
+    /// rows.
+    pub fn fill_lanes<const L: usize>(&self, values: &mut [[f64; L]]) {
         assert_eq!(
             values.len(),
             self.value_buffer_slots(),
             "value buffer size mismatch"
         );
-        values[..self.num_inputs].copy_from_slice(inputs);
         let node = self
             .edge_ranges
             .iter()
@@ -313,12 +331,15 @@ impl NetPlan {
             // then the sorted edges in order: the exact FP accumulation
             // order of the legacy per-node executor.
             let slot = self.num_inputs + i;
-            let mut acc = bias;
+            let mut acc = [bias; L];
             for &(source, weight) in &self.edges[offset as usize..(offset + len) as usize] {
                 debug_assert!((source as usize) < slot, "forward-only slots");
-                acc += values[source as usize] * weight;
+                let value = values[source as usize];
+                for (acc, value) in acc.iter_mut().zip(value) {
+                    *acc += value * weight;
+                }
             }
-            values[slot] = activation.apply(acc);
+            values[slot] = activation.apply_lanes(acc);
         }
     }
 

@@ -5,8 +5,9 @@
 //! modeled time. The paper's three settings (§VI-A) compute the same
 //! fitness and differ only in where inference runs and therefore how
 //! long it takes, so there is **one** [`Backend`] with one kernel — each
-//! worker takes whole genomes and runs their K episodes back to back
-//! through the plan interpreter — and the setting is data: a
+//! worker takes whole genomes and runs their K episodes together, up to
+//! four lanes of one plan walk per step ([`Worlds::run`]) — and the
+//! setting is data: a
 //! `Pricing`. `Cpu` and `Gpu` price every inference with a cost
 //! model; `Inax` hands the compiled plans and the episode lengths the
 //! kernel observed to the cycle-level accelerator model
@@ -32,9 +33,9 @@ use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::{EnvId, Environment, Episode};
 use e3_exec::{AnyExecutor, ExecError, ExecStats, Executor, WorkerScratch};
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, UtilizationBreakdown};
-use e3_jit::JitConfig;
+use e3_jit::{CompiledPlan, JitConfig};
 use e3_neat::stats::PlanShape;
-use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan};
+use e3_neat::{DecodeError, Genome, NetPlan};
 use e3_telemetry::{SpanGuard, SpanTimer, Tracer};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -179,29 +180,192 @@ pub struct EvalOutcome {
 /// executor's statistics and the tier's.
 pub(crate) type EvalStats = (ExecStats, TierStats);
 
-/// Runs one network's episode in software from `episode_seed`,
-/// returning `(fitness, steps)`. Generic over the [`ForwardPass`] seam
-/// so the same kernel drives the interpreted network and the JIT tier's
-/// `CompiledPlan` — which are bit-identical by contract, so the episode
-/// trajectory cannot depend on the tier. `episode` holds `env`'s
-/// buffers ([`Episode::new`]); no step allocates.
-pub fn run_software_episode(
-    net: &mut dyn ForwardPass,
-    env: &mut dyn Environment,
-    episode: &mut Episode,
-    episode_seed: u64,
-) -> (f64, u64) {
-    episode.reset(env, episode_seed);
-    let mut fitness = 0.0;
-    let mut steps = 0u64;
-    loop {
-        let transition = episode.step(env, net.activate_into(episode.observation()));
-        fitness += transition.reward;
-        steps += 1;
-        if transition.done() {
-            return (fitness, steps);
+/// Widest lane group of the episode kernel: a genome's worlds run in
+/// chunks of this many episodes, and one plan walk per step serves
+/// every live episode of a chunk.
+const LANES: usize = 4;
+
+/// The worlds one genome's episodes run in — an environment and its
+/// episode buffers per scenario — with the lane buffers of the episode
+/// kernel, [`Worlds::run`]. Built once per evaluation shard (and once
+/// per held-out pass) and reused by every genome it runs: `reset`
+/// fully re-initialises an episode, and the lane buffers only grow to
+/// the largest plan seen, so neither a step nor a genome allocates.
+pub struct Worlds {
+    worlds: Vec<(Box<dyn Environment>, Episode)>,
+    /// Lane-major value rows of the plan walk: value-buffer slot `j`
+    /// of lane `l` at `values[j * width + l]`.
+    values: Vec<f64>,
+    /// One lane's outputs, gathered for its environment step.
+    outputs: Vec<f64>,
+    /// Per world: the last episode's summed reward.
+    fitness: Vec<f64>,
+    /// Per world: the last episode's length.
+    steps: Vec<u64>,
+}
+
+impl fmt::Debug for Worlds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Worlds")
+            .field("worlds", &self.worlds.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Worlds {
+    /// One world per environment, in scenario order.
+    pub fn new(envs: impl IntoIterator<Item = Box<dyn Environment>>) -> Self {
+        let worlds: Vec<_> = envs
+            .into_iter()
+            .map(|env| {
+                let episode = Episode::new(env.as_ref());
+                (env, episode)
+            })
+            .collect();
+        let k = worlds.len();
+        Worlds {
+            worlds,
+            values: Vec::new(),
+            outputs: Vec::new(),
+            fitness: vec![0.0; k],
+            steps: vec![0; k],
         }
     }
+
+    /// The episode kernel: runs one episode of `plan` per world, world
+    /// `s` from `seeds[s]`, and leaves each world's summed reward in
+    /// [`Worlds::fitness`] and its length in [`Worlds::steps`].
+    ///
+    /// The worlds run in chunks of up to four, in lock step: each step
+    /// gathers the live episodes' observations into lanes, walks the
+    /// plan once for all of them ([`NetPlan::fill_lanes`]), then steps
+    /// each live world in scenario order. A finished episode leaves its
+    /// lane and the walk narrows to the live count — four lanes (three
+    /// live run four wide, one lane idle), then two, then one. A
+    /// `native` twin of the plan (the JIT tier, bit-identical by
+    /// contract) is scalar: it runs the same loop with one call per live
+    /// lane. Every lane performs exactly the scalar operation sequence,
+    /// so each world's trajectory and reward are bit-identical to
+    /// running its episode alone, at any K and on either tier.
+    ///
+    /// Each `(genome_index, scenario)` episode records an `episode`
+    /// span in `tracer`, from its reset to its last step.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one seed per world and the plan's inputs
+    /// and outputs fit the worlds' observations and action spaces.
+    pub fn run(
+        &mut self,
+        plan: &NetPlan,
+        mut native: Option<&mut CompiledPlan>,
+        seeds: &[u64],
+        tracer: &Tracer,
+        genome_index: usize,
+    ) {
+        assert_eq!(seeds.len(), self.worlds.len(), "one episode seed per world");
+        let inputs = plan.num_inputs();
+        self.values.resize(plan.value_buffer_slots() * LANES, 0.0);
+        self.fitness.fill(0.0);
+        self.steps.fill(0);
+        for first in (0..self.worlds.len()).step_by(LANES) {
+            // `live[..count]` are the chunk's running worlds in scenario
+            // order; the episode in `live[p]` walks lane `p`.
+            let chunk = first..self.worlds.len().min(first + LANES);
+            let mut count = chunk.len();
+            let mut live = [0; LANES];
+            let mut spans: [Option<SpanTimer>; LANES] = Default::default();
+            for (lane, s) in chunk.enumerate() {
+                let (env, episode) = &mut self.worlds[s];
+                spans[lane] = Some(episode_timer(tracer, genome_index, s));
+                episode.reset(env.as_mut(), seeds[s]);
+                assert_eq!(
+                    episode.observation().len(),
+                    inputs,
+                    "expected {inputs} inputs, got {}",
+                    episode.observation().len()
+                );
+                live[lane] = s;
+            }
+            while count > 0 {
+                let width = match count {
+                    1 => 1,
+                    2 => 2,
+                    _ => LANES,
+                };
+                if native.is_none() {
+                    let values = &mut self.values;
+                    let worlds = &self.worlds;
+                    match width {
+                        1 => walk::<1>(plan, values, worlds, &live[..count]),
+                        2 => walk::<2>(plan, values, worlds, &live[..count]),
+                        _ => walk::<LANES>(plan, values, worlds, &live[..count]),
+                    }
+                }
+                let mut kept = 0;
+                for lane in 0..count {
+                    let s = live[lane];
+                    let (env, episode) = &mut self.worlds[s];
+                    let outputs = match native.as_deref_mut() {
+                        Some(net) => net.activate_into(episode.observation()),
+                        None => {
+                            self.outputs.clear();
+                            self.outputs.extend(
+                                plan.outputs()
+                                    .iter()
+                                    .map(|&i| self.values[(inputs + i as usize) * width + lane]),
+                            );
+                            &self.outputs
+                        }
+                    };
+                    let transition = episode.step(env.as_mut(), outputs);
+                    self.fitness[s] += transition.reward;
+                    self.steps[s] += 1;
+                    if transition.done() {
+                        let span = spans[lane].take().expect("a live lane's span is open");
+                        finish_episode(span, self.steps[s]);
+                    } else {
+                        live[kept] = s;
+                        spans.swap(kept, lane);
+                        kept += 1;
+                    }
+                }
+                count = kept;
+            }
+        }
+    }
+
+    /// Per world, in scenario order: the last episode's summed reward.
+    pub fn fitness(&self) -> &[f64] {
+        &self.fitness
+    }
+
+    /// Per world, in scenario order: the last episode's length.
+    pub fn steps(&self) -> &[u64] {
+        &self.steps
+    }
+}
+
+/// One plan walk `L` lanes wide: lane `p` reads the observation of
+/// world `live[p]`; lanes past `live.len()` are idle and repeat lane
+/// 0's inputs, so they compute nothing a live lane does not.
+fn walk<const L: usize>(
+    plan: &NetPlan,
+    values: &mut [f64],
+    worlds: &[(Box<dyn Environment>, Episode)],
+    live: &[usize],
+) {
+    let rows = values[..plan.value_buffer_slots() * L]
+        .as_chunks_mut::<L>()
+        .0;
+    for lane in 0..L {
+        let world = live.get(lane).copied().unwrap_or(live[0]);
+        let observation = worlds[world].1.observation();
+        for (row, &x) in rows.iter_mut().zip(observation) {
+            row[lane] = x;
+        }
+    }
+    plan.fill_lanes(rows);
 }
 
 /// A genome that failed to decode: its population index and why.
@@ -243,15 +407,15 @@ impl EvalJob {
         span.arg("items", items as f64);
         span
     }
+}
 
-    /// Opens the span of one `(genome, scenario)` episode. Inert (no
-    /// clock read) when tracing is disabled.
-    fn episode_timer(&self, genome_index: usize, scenario: usize) -> SpanTimer {
-        let mut timer = self.tracer.start("episode", "env");
-        timer.arg("genome_index", genome_index as f64);
-        timer.arg("scenario", scenario as f64);
-        timer
-    }
+/// Opens the span of one `(genome, scenario)` episode. Inert (no clock
+/// read) when tracing is disabled.
+fn episode_timer(tracer: &Tracer, genome_index: usize, scenario: usize) -> SpanTimer {
+    let mut timer = tracer.start("episode", "env");
+    timer.arg("genome_index", genome_index as f64);
+    timer.arg("scenario", scenario as f64);
+    timer
 }
 
 /// Closes an episode's span, recording its length.
@@ -323,9 +487,10 @@ struct GenomeRow {
 
 /// The kernel for one shard: lower each genome — through this worker's
 /// tiered cache when the backend has a tier, with a plain
-/// [`Genome::decode`] otherwise — then run its K episodes back to
-/// back, one whole individual per worker at a time (the paper's "one
-/// individual NN per PU").
+/// [`Genome::decode`] otherwise — then run its K episodes together
+/// ([`Worlds::run`]), one whole individual per worker at a time (the
+/// paper's "one individual NN per PU", its weights read once per step
+/// for every world it faces).
 fn per_genome_shard(
     job: &EvalJob,
     pricing: &Pricing,
@@ -334,21 +499,13 @@ fn per_genome_shard(
     range: Range<usize>,
 ) -> Vec<Result<GenomeRow, DecodeFailure>> {
     let _shard_span = job.shard_span(range.start, range.len());
-    // One environment and its episode buffers per sampled world, built
-    // once per shard: `reset` fully re-initialises an episode, so
-    // genomes reuse them.
-    let mut envs: Vec<(Box<dyn Environment>, Episode)> = job
-        .spec
-        .params()
-        .iter()
-        .map(|params| {
-            let env = job.env.make_scenario(params);
-            let episode = Episode::new(env.as_ref());
-            (env, episode)
-        })
-        .collect();
-    let mut fits = vec![0.0; envs.len()];
-    let mut lengths = vec![0u64; envs.len()];
+    // One world per sampled scenario, built once per shard.
+    let mut worlds = Worlds::new(
+        job.spec
+            .params()
+            .iter()
+            .map(|params| job.env.make_scenario(params)),
+    );
     let mut cache = tier.map(|tier| tier.cache(scratch.worker_index()));
     range
         .map(|i| {
@@ -364,21 +521,15 @@ fn per_genome_shard(
                     TierExec::Interpreted(&mut decoded)
                 }
             };
+            let (plan, native) = exec.split();
             let seeds = job.spec.episode_seeds(i..i + 1);
-            for (s, ((env, episode), &seed)) in envs.iter_mut().zip(seeds).enumerate() {
-                let episode_span = job.episode_timer(i, s);
-                let (fitness, steps) =
-                    run_software_episode(exec.forward(), env.as_mut(), episode, seed);
-                finish_episode(episode_span, steps);
-                fits[s] = fitness;
-                lengths[s] = steps;
-            }
-            let plan = exec.plan();
+            worlds.run(plan, native, seeds, &job.tracer, i);
             Ok(GenomeRow {
-                fitness: aggregate_fitness(&fits, job.spec.aggregation()),
-                steps: lengths.iter().sum(),
-                price: pricing.price(plan, &lengths),
+                steps: worlds.steps.iter().sum(),
+                price: pricing.price(plan, &worlds.steps),
                 shape: PlanShape::of(plan),
+                // Last: a CVaR sorts the per-world fitnesses in place.
+                fitness: aggregate_fitness(&mut worlds.fitness, job.spec.aggregation()),
             })
         })
         .collect()

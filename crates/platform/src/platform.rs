@@ -9,11 +9,11 @@
 //! results are bit-identical whichever sink is attached (see the
 //! property tests in `tests/telemetry_parity.rs`).
 
-use crate::backend::{run_software_episode, Backend, BackendKind, EvalError};
+use crate::backend::{Backend, BackendKind, EvalError, Worlds};
 use crate::energy::PowerModel;
 use crate::scenario::{holdout_plan, ScenarioConfig};
 use crate::timing::{GpuCostModel, SwCostModel};
-use e3_envs::{EnvId, Episode};
+use e3_envs::EnvId;
 use e3_exec::{AnyExecutor, SharedExecutor};
 use e3_inax::{EpisodeRunReport, InaxConfig, UtilizationBreakdown};
 use e3_jit::JitConfig;
@@ -824,7 +824,7 @@ impl E3Platform {
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(b.1))
                     .map_or(0, |(i, _)| i);
-                let mut net =
+                let net =
                     genomes[best_index]
                         .decode()
                         .map_err(|reason| EvalError::NotFeedForward {
@@ -832,14 +832,13 @@ impl E3Platform {
                             reason,
                         })?;
                 let plan = holdout_plan(holdout, self.seed, self.generation as u64);
-                let per_scenario: Vec<f64> = plan
-                    .iter()
-                    .map(|(params, seed)| {
-                        let mut env = self.config.env.make_scenario(params);
-                        let mut episode = Episode::new(env.as_ref());
-                        run_software_episode(&mut net, env.as_mut(), &mut episode, *seed).0
-                    })
-                    .collect();
+                let mut worlds = Worlds::new(
+                    plan.iter()
+                        .map(|(params, _)| self.config.env.make_scenario(params)),
+                );
+                let seeds: Vec<u64> = plan.iter().map(|&(_, seed)| seed).collect();
+                worlds.run(net.plan(), None, &seeds, &Tracer::disabled(), best_index);
+                let per_scenario = worlds.fitness();
                 let count = per_scenario.len();
                 let holdout_fitness = per_scenario.iter().sum::<f64>() / count as f64;
                 let holdout_min = per_scenario.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -1450,7 +1449,22 @@ mod tests {
             outcome.generations_run,
             "one pass per generation"
         );
-        for record in records {
+        // (mean, min, max, std) bits per generation, captured while the
+        // pass ran its worlds one after another.
+        #[rustfmt::skip]
+        let golden: [[u64; 4]; 3] = [
+            [0x4055800000000000, 0x404c000000000000, 0x405d400000000000, 0x40388686f79df7d4],
+            [0x4059100000000000, 0x4054000000000000, 0x4060c00000000000, 0x4034eed468b9d25b],
+            [0x4066b00000000000, 0x4061200000000000, 0x406f200000000000, 0x4044a4f171aa8e7f],
+        ];
+        for (record, golden) in records.into_iter().zip(golden) {
+            let stats = [
+                record.holdout_fitness,
+                record.holdout_min,
+                record.holdout_max,
+                record.holdout_std,
+            ];
+            assert_eq!(stats.map(f64::to_bits), golden, "{stats:?}");
             assert_eq!(record.holdout_scenarios, 4);
             assert!(record.holdout_fitness.is_finite());
             assert!(record.holdout_min <= record.holdout_fitness);

@@ -88,16 +88,17 @@ pub enum FitnessAggregation {
 /// Collapses per-scenario fitnesses into one value.
 ///
 /// `Mean` sums in scenario order (the exact FP sequence every
-/// kernel produces). `CVaR` sorts a copy ascending
-/// by `total_cmp` and averages the worst `ceil(alpha * K)` entries
-/// (at least one). A lone fitness (`K = 1`) is returned as is under
+/// kernel produces). `CVaR` sorts `per_scenario` in place, ascending
+/// by `total_cmp` (a caller's scratch row, so no aggregation
+/// allocates), and averages the worst `ceil(alpha * K)` entries (at
+/// least one). A lone fitness (`K = 1`) is returned as is under
 /// either aggregation — bit for bit, which is what lets a
 /// [`ScenarioSpec::fixed`] evaluation stand in for a fixed-env one.
 ///
 /// # Panics
 ///
 /// Panics if `per_scenario` is empty.
-pub(crate) fn aggregate_fitness(per_scenario: &[f64], aggregation: FitnessAggregation) -> f64 {
+pub(crate) fn aggregate_fitness(per_scenario: &mut [f64], aggregation: FitnessAggregation) -> f64 {
     assert!(
         !per_scenario.is_empty(),
         "cannot aggregate zero scenario fitnesses"
@@ -108,11 +109,10 @@ pub(crate) fn aggregate_fitness(per_scenario: &[f64], aggregation: FitnessAggreg
     match aggregation {
         FitnessAggregation::Mean => per_scenario.iter().sum::<f64>() / per_scenario.len() as f64,
         FitnessAggregation::CVaR { alpha } => {
-            let mut sorted = per_scenario.to_vec();
-            sorted.sort_by(f64::total_cmp);
+            per_scenario.sort_by(f64::total_cmp);
             let tail =
                 ((alpha * per_scenario.len() as f64).ceil() as usize).clamp(1, per_scenario.len());
-            sorted[..tail].iter().sum::<f64>() / tail as f64
+            per_scenario[..tail].iter().sum::<f64>() / tail as f64
         }
     }
 }
@@ -445,7 +445,7 @@ mod tests {
         let fits = [3.0, 1.0, 2.0];
         let expected: f64 = (3.0 + 1.0 + 2.0) / 3.0;
         assert_eq!(
-            aggregate_fitness(&fits, FitnessAggregation::Mean).to_bits(),
+            aggregate_fitness(&mut fits.clone(), FitnessAggregation::Mean).to_bits(),
             expected.to_bits()
         );
     }
@@ -454,13 +454,13 @@ mod tests {
     fn cvar_averages_the_worst_tail() {
         let fits = [10.0, -5.0, 3.0, 0.0];
         // alpha 0.5 ⇒ worst 2 of 4: -5 and 0.
-        let half = aggregate_fitness(&fits, FitnessAggregation::CVaR { alpha: 0.5 });
+        let half = aggregate_fitness(&mut fits.clone(), FitnessAggregation::CVaR { alpha: 0.5 });
         assert_eq!(half, -2.5);
         // alpha 0.1 ⇒ ceil(0.4) = 1: the single worst.
-        let worst = aggregate_fitness(&fits, FitnessAggregation::CVaR { alpha: 0.1 });
+        let worst = aggregate_fitness(&mut fits.clone(), FitnessAggregation::CVaR { alpha: 0.1 });
         assert_eq!(worst, -5.0);
         // alpha 1.0 degenerates to the mean.
-        let all = aggregate_fitness(&fits, FitnessAggregation::CVaR { alpha: 1.0 });
+        let all = aggregate_fitness(&mut fits.clone(), FitnessAggregation::CVaR { alpha: 1.0 });
         assert_eq!(all, fits.iter().sum::<f64>() / 4.0);
     }
 
@@ -511,7 +511,7 @@ mod tests {
                 FitnessAggregation::CVaR { alpha: 0.25 },
             ] {
                 assert_eq!(
-                    aggregate_fitness(&[fitness], aggregation).to_bits(),
+                    aggregate_fitness(&mut [fitness], aggregation).to_bits(),
                     fitness.to_bits()
                 );
             }

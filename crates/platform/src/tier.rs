@@ -45,7 +45,7 @@
 //! executor carries no hidden episode state.
 
 use e3_jit::{CompiledPlan, JitConfig};
-use e3_neat::{DecodeError, ForwardPass, Genome, NetPlan, Network};
+use e3_neat::{DecodeError, Genome, NetPlan, Network};
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -117,20 +117,13 @@ pub(crate) enum TierExec<'a> {
 }
 
 impl TierExec<'_> {
-    /// The compiled plan backing either tier (for costing and
-    /// complexity metrics).
-    pub(crate) fn plan(&self) -> &NetPlan {
+    /// The compiled plan backing either tier (for the lane walk,
+    /// costing and complexity metrics) and, on the native tier, its
+    /// scalar twin.
+    pub(crate) fn split(&mut self) -> (&NetPlan, Option<&mut CompiledPlan>) {
         match self {
-            TierExec::Interpreted(net) => net.plan(),
-            TierExec::Compiled { net, .. } => net.plan(),
-        }
-    }
-
-    /// The selected tier as the episode-kernel execution seam.
-    pub(crate) fn forward(&mut self) -> &mut dyn ForwardPass {
-        match self {
-            TierExec::Interpreted(net) => *net,
-            TierExec::Compiled { jit, .. } => *jit,
+            TierExec::Interpreted(net) => (net.plan(), None),
+            TierExec::Compiled { net, jit } => (net.plan(), Some(*jit)),
         }
     }
 }
@@ -388,10 +381,18 @@ mod tests {
         (g, config, tracker, rng)
     }
 
+    /// One forward pass through the tier `tier` selected.
+    fn forward(tier: &mut TierExec, inputs: &[f64]) -> Vec<f64> {
+        match tier.split() {
+            (_, Some(native)) => native.activate_into(inputs).to_vec(),
+            (plan, None) => plan.execute(inputs),
+        }
+    }
+
     /// One forward pass through whichever tier the lookup selected.
     fn activate(cache: &mut DecodeCache, genome: &Genome, inputs: &[f64]) -> Vec<f64> {
         let mut tier = cache.get_or_tiered(genome).expect("decodes");
-        tier.forward().activate_into(inputs).to_vec()
+        forward(&mut tier, inputs)
     }
 
     #[test]
@@ -399,7 +400,7 @@ mod tests {
         let (g, _, _, _) = genome();
         let mut cache = DecodeCache::new(JitConfig::default());
         cache.begin_job();
-        let plan = cache.get_or_tiered(&g).expect("compiles").plan().clone();
+        let plan = cache.get_or_tiered(&g).expect("compiles").split().0.clone();
         assert_eq!(plan, *g.decode().expect("decodes").plan());
         cache.get_or_tiered(&g).expect("decodes");
         assert_eq!(cache.take_counters(), counters(1, 1, 0));
@@ -449,7 +450,7 @@ mod tests {
         // its own network, the second by evicting the first.
         let mut served = |genome: &Genome| {
             let mut tier = cache.lookup(7, genome).expect("decodes");
-            tier.forward().activate_into(&inputs).to_vec()
+            forward(&mut tier, &inputs)
         };
         assert_eq!(served(&g), fresh(&g));
         assert_eq!(served(&other), fresh(&other), "a collision must miss");

@@ -1,21 +1,44 @@
 //! Counts, not clocks: an environment step in the evaluation kernel
-//! allocates nothing.
+//! allocates nothing, and a genome allocates only its own copy, plan
+//! and shape.
 //!
 //! This binary installs a counting allocator and runs the platform's
-//! episode kernel over a fixed Pendulum population — continuous
-//! actions, the case that once built an action vector on every step —
-//! on episodes of three lengths. The allocation count may depend on the
-//! population, never on how many steps its episodes take. It is a count
-//! of the whole process, so the binary holds a single test.
+//! episode kernel on episodes of several lengths: a fixed Pendulum
+//! population — continuous actions, the case that once built an action
+//! vector on every step — in one world, and whole K = 4 evaluations,
+//! whose lane buffers belong to the shard. The allocation count may
+//! depend on the population, never on how many steps its episodes take.
+//! It is a count of the whole process, so the binary holds a single
+//! test.
 
 mod common;
 
-use e3_envs::{EnvId, Episode, Pendulum};
-use e3_platform::backend::run_software_episode;
-use e3_platform::{BackendKind, E3Config, E3Platform};
+use e3_envs::{EnvId, Environment, Pendulum, ScenarioDistribution};
+use e3_neat::stats::PlanShape;
+use e3_neat::{Genome, InnovationTracker};
+use e3_platform::backend::Worlds;
+use e3_platform::telemetry::Tracer;
+use e3_platform::{
+    Backend, BackendKind, E3Config, E3Platform, FitnessAggregation, ScenarioConfig, ScenarioSpec,
+    SwCostModel,
+};
+
+/// `n` CartPole genomes of one shape, each pushing the cart toward the
+/// pole's lean (`sign` 1.0: episodes last hundreds of steps) or away
+/// from it (`sign` −1.0: the pole falls within a few dozen).
+fn cartpole_genomes(n: usize, sign: f64) -> Vec<Genome> {
+    let mut tracker = InnovationTracker::with_reserved_nodes(6);
+    let mut genome = Genome::bare(4, 2);
+    for (from, to, weight) in [(2, 4, -1.0), (3, 4, -1.0), (2, 5, 1.0), (3, 5, 1.0)] {
+        genome
+            .add_connection(from, to, sign * weight, &mut tracker)
+            .expect("a fresh connection");
+    }
+    vec![genome; n]
+}
 
 #[test]
-fn evaluating_a_pendulum_population_allocates_independently_of_episode_length() {
+fn evaluating_allocates_independently_of_episode_length() {
     // Two evolved generations, so the networks have hidden nodes.
     let config = E3Config::builder(EnvId::Pendulum)
         .population_size(24)
@@ -27,14 +50,13 @@ fn evaluating_a_pendulum_population_allocates_independently_of_episode_length() 
     let genomes = platform.population().genomes().to_vec();
 
     let counts = [10usize, 200, 2_000].map(|length| {
-        let mut env = Pendulum::with_max_steps(length);
         let ((), made, _) = common::counted(|| {
-            let mut episode = Episode::new(&env);
+            let env: Box<dyn Environment> = Box::new(Pendulum::with_max_steps(length));
+            let mut worlds = Worlds::new([env]);
             for (seed, genome) in genomes.iter().enumerate() {
-                let mut net = genome.decode().expect("a feed-forward genome");
-                let (_, steps) =
-                    run_software_episode(&mut net, &mut env, &mut episode, seed as u64);
-                assert_eq!(steps, length as u64);
+                let net = genome.decode().expect("a feed-forward genome");
+                worlds.run(net.plan(), None, &[seed as u64], &Tracer::disabled(), seed);
+                assert_eq!(worlds.steps(), [length as u64]);
             }
         });
         made
@@ -43,5 +65,44 @@ fn evaluating_a_pendulum_population_allocates_independently_of_episode_length() 
     assert_eq!(
         counts, [counts[0]; 3],
         "allocations for 10-, 200- and 2000-step episodes"
+    );
+
+    // K = 4 evaluations under CVaR: the lanes run four wide and narrow
+    // as episodes end, and the aggregation sorts the shard's row. One
+    // worker, so 8 and 16 genomes both make four shards and differ only
+    // in genomes.
+    let scenarios = ScenarioConfig::default()
+        .train(ScenarioDistribution::moderate())
+        .scenarios_per_eval(4)
+        .aggregation(FitnessAggregation::CVaR { alpha: 0.5 });
+    let evaluate = |genomes: &[Genome]| {
+        let spec = ScenarioSpec::for_generation(&scenarios, 7, 0, genomes.len());
+        let mut backend = Backend::cpu(SwCostModel::default());
+        let (outcome, made, _) = common::counted(|| {
+            backend
+                .evaluate(genomes, EnvId::CartPole, &spec)
+                .expect("feed-forward genomes")
+        });
+        (outcome.total_steps, made)
+    };
+    let (short_steps, short) = evaluate(&cartpole_genomes(8, -1.0));
+    let (long_steps, long) = evaluate(&cartpole_genomes(8, 1.0));
+    assert!(
+        long_steps > 10 * short_steps,
+        "{long_steps} steps are not much longer than {short_steps}"
+    );
+    assert_eq!(short, long, "allocations for short and long K = 4 episodes");
+    // Per genome, an evaluation allocates what copying the genome into
+    // the job, decoding it and reading its shape do — nothing for its
+    // lanes.
+    let (_, double) = evaluate(&cartpole_genomes(16, 1.0));
+    let genome = &cartpole_genomes(1, 1.0)[0];
+    let (_, copy, _) = common::counted(|| genome.clone());
+    let (net, decode, _) = common::counted(|| genome.decode().expect("feed-forward"));
+    let (_, shape, _) = common::counted(|| PlanShape::of(net.plan()));
+    assert_eq!(
+        double - long,
+        8 * (copy + decode + shape),
+        "allocations per extra genome"
     );
 }

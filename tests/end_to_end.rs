@@ -1,13 +1,16 @@
 //! End-to-end integration: the full E3 loop across all crates.
 
-use e3::envs::{EnvId, ScenarioDistribution};
+use e3::envs::{EnvId, Environment, Pendulum, ScenarioDistribution};
 use e3::inax::InaxConfig;
+use e3::islands::scheduler::population_fingerprint;
+use e3::jit::CompiledPlan;
 use e3::neat::{NeatConfig, Population};
+use e3::platform::backend::Worlds;
 use e3::platform::{
-    Backend, BackendKind, CheckpointPolicy, E3Config, E3Platform, GpuCostModel, JitConfig,
-    PowerModel, ScenarioConfig, ScenarioSpec, SwCostModel,
+    Backend, BackendKind, CheckpointPolicy, E3Config, E3Platform, FitnessAggregation, GpuCostModel,
+    JitConfig, PowerModel, ScenarioConfig, ScenarioSpec, SwCostModel,
 };
-use e3::telemetry::MemoryCollector;
+use e3::telemetry::{MemoryCollector, Tracer};
 
 fn quick_config(env: EnvId) -> E3Config {
     E3Config::builder(env)
@@ -245,6 +248,97 @@ fn the_software_kernel_agrees_with_itself_and_with_inax() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn k4_lanes_agree_across_threads_and_with_the_scalar_tier() {
+    // At K = 4 a genome's episodes walk its plan together in lanes —
+    // four wide, then two and one as they end — while the tier at
+    // `hot_threshold` 1 runs every genome as scalar native code, one
+    // call per lane. Tier-1 cannot be green while the two routes, or
+    // two thread counts, disagree on a LunarLander run.
+    let run = |threads: usize, jit: JitConfig| {
+        let config = E3Config::builder(EnvId::LunarLander)
+            .population_size(24)
+            .threads(threads)
+            .jit(jit)
+            .scenario(
+                ScenarioConfig::default()
+                    .train(ScenarioDistribution::moderate())
+                    .scenarios_per_eval(4)
+                    .aggregation(FitnessAggregation::CVaR { alpha: 0.5 }),
+            )
+            .build();
+        let mut platform = E3Platform::new(config, BackendKind::Cpu, 11);
+        let mut collector = MemoryCollector::new();
+        let bests: Vec<u64> = (0..3)
+            .map(|_| {
+                let best = platform.step_with(&mut collector).expect("feed-forward");
+                best.to_bits()
+            })
+            .collect();
+        let native: u64 = collector.jits().map(|jit| jit.activations).sum();
+        (population_fingerprint(platform.population()), bests, native)
+    };
+    let lanes = run(1, JitConfig::default());
+    assert_eq!(lanes.2, 0, "the tier is off");
+    let hot = JitConfig {
+        enabled: true,
+        hot_threshold: 1,
+    };
+    for (threads, jit) in [(2, JitConfig::default()), (1, hot), (2, hot)] {
+        let other = run(threads, jit);
+        let leg = format!("threads {threads}, tier {}", jit.enabled);
+        assert_eq!(other.0, lanes.0, "{leg}: population fingerprint");
+        assert_eq!(other.1, lanes.1, "{leg}: best-fitness bits");
+        assert_eq!(other.2 > 0, jit.enabled, "{leg}: native activations");
+    }
+}
+
+#[test]
+fn narrowing_lanes_match_each_world_run_alone() {
+    // Pendulum's torques carry every output bit into the reward, and
+    // four horizons make the walk run four wide, four wide with three
+    // live lanes, two wide and one wide: each world's reward must be
+    // the bits of its episode run alone, interpreted or native.
+    let horizons = [40, 90, 150, 200];
+    let pendulum = |steps| -> Box<dyn Environment> { Box::new(Pendulum::with_max_steps(steps)) };
+    let mut together = Worlds::new(horizons.map(pendulum));
+    let mut alone = horizons.map(|steps| Worlds::new([pendulum(steps)]));
+    let bits = |worlds: &Worlds| {
+        worlds
+            .fitness()
+            .iter()
+            .map(|f| f.to_bits())
+            .collect::<Vec<_>>()
+    };
+    let config = E3Config::builder(EnvId::Pendulum)
+        .population_size(16)
+        .build();
+    let mut platform = E3Platform::new(config, BackendKind::Cpu, 5);
+    platform.step_generation().expect("feed-forward");
+    platform.step_generation().expect("feed-forward");
+    let seeds = [11, 12, 13, 14];
+    let off = Tracer::disabled();
+    for (i, genome) in platform.population().genomes().iter().enumerate() {
+        let net = genome.decode().expect("feed-forward");
+        let plan = net.plan();
+        let mut want = Vec::new();
+        for (s, world) in alone.iter_mut().enumerate() {
+            world.run(plan, None, &seeds[s..=s], &off, i);
+            want.extend(bits(world));
+        }
+        together.run(plan, None, &seeds, &off, i);
+        assert_eq!(together.steps(), horizons.map(|h| h as u64));
+        assert_eq!(bits(&together), want, "genome {i}: interpreted lanes");
+        let mut native = CompiledPlan::compile(plan).expect("an x86-64 host");
+        together.run(plan, Some(&mut native), &seeds, &off, i);
+        assert_eq!(
+            bits(&together),
+            want,
+            "genome {i}: native, one call per lane"
+        );
     }
 }
 
