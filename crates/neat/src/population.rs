@@ -342,7 +342,7 @@ impl Population {
         }
         next.truncate(pop_size);
 
-        // New representatives: a random current member of each species.
+        // New representatives: the first current member of each species.
         for s in &mut self.species {
             if let Some(&rep) = s.members.first() {
                 s.representative = self.genomes[rep].clone();
@@ -511,10 +511,10 @@ impl Population {
             s.members.clear();
         }
         for (idx, genome) in self.genomes.iter().enumerate() {
-            let found = self.species.iter_mut().find(|s| {
-                genome.compatibility_distance(&s.representative, &self.config)
-                    < self.config.compatibility_threshold
-            });
+            let found = self
+                .species
+                .iter_mut()
+                .find(|s| genome.is_compatible(&s.representative, &self.config));
             match found {
                 Some(s) => s.members.push(idx),
                 None => {

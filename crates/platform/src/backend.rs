@@ -28,7 +28,7 @@
 //! [`Backend::with_threads`] or `Backend::with_executor`.
 
 use crate::scenario::{aggregate_fitness, ScenarioSpec};
-use crate::tier::{Tier, TierExec, TierStats};
+use crate::tier::{Tier, TierStats};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::{EnvId, Environment, Episode};
 use e3_exec::{AnyExecutor, ExecError, ExecStats, Executor, WorkerScratch};
@@ -38,6 +38,7 @@ use e3_neat::stats::PlanShape;
 use e3_neat::{DecodeError, Genome, NetPlan};
 use e3_telemetry::{SpanGuard, SpanTimer, Tracer};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
@@ -460,13 +461,14 @@ impl Pricing {
 
     /// Prices — or, for the accelerator, records what pricing will
     /// need from — one genome whose episodes ran `lengths` steps, one
-    /// entry per scenario.
-    fn price(&self, plan: &NetPlan, lengths: &[u64]) -> RowPrice {
+    /// entry per scenario. The accelerator keeps the plan itself: a
+    /// shard-owned plan moves into the row, only a cached one is copied.
+    fn price(&self, plan: Cow<'_, NetPlan>, lengths: &[u64]) -> RowPrice {
         let steps = lengths.iter().sum::<u64>() as f64;
         match self {
-            Pricing::Cpu(model) => RowPrice::Seconds(model.inference_seconds_plan(plan) * steps),
-            Pricing::Gpu(model) => RowPrice::Seconds(model.inference_seconds_plan(plan) * steps),
-            Pricing::Inax(_) => RowPrice::Resident(plan.clone(), lengths.to_vec()),
+            Pricing::Cpu(model) => RowPrice::Seconds(model.inference_seconds_plan(&plan) * steps),
+            Pricing::Gpu(model) => RowPrice::Seconds(model.inference_seconds_plan(&plan) * steps),
+            Pricing::Inax(_) => RowPrice::Resident(plan.into_owned(), lengths.to_vec()),
         }
     }
 }
@@ -487,7 +489,7 @@ struct GenomeRow {
 
 /// The kernel for one shard: lower each genome — through this worker's
 /// tiered cache when the backend has a tier, with a plain
-/// [`Genome::decode`] otherwise — then run its K episodes together
+/// [`NetPlan::compile`] otherwise — then run its K episodes together
 /// ([`Worlds::run`]), one whole individual per worker at a time (the
 /// paper's "one individual NN per PU", its weights read once per step
 /// for every world it faces).
@@ -513,21 +515,24 @@ fn per_genome_shard(
             // entries under an enabled JIT policy) its natively
             // compiled twin — bit-identical either way.
             let failed = |reason| (i, reason);
-            let mut decoded;
-            let mut exec = match cache.as_deref_mut() {
-                Some(cache) => cache.get_or_tiered(&job.pop[i]).map_err(failed)?,
-                None => {
-                    decoded = job.pop[i].decode().map_err(failed)?;
-                    TierExec::Interpreted(&mut decoded)
+            let mut exec;
+            let (plan, native) = match cache.as_deref_mut() {
+                Some(cache) => {
+                    exec = cache.get_or_tiered(&job.pop[i]).map_err(failed)?;
+                    let (plan, native) = exec.split();
+                    (Cow::Borrowed(plan), native)
                 }
+                None => (
+                    Cow::Owned(NetPlan::compile(&job.pop[i]).map_err(failed)?),
+                    None,
+                ),
             };
-            let (plan, native) = exec.split();
             let seeds = job.spec.episode_seeds(i..i + 1);
-            worlds.run(plan, native, seeds, &job.tracer, i);
+            worlds.run(&plan, native, seeds, &job.tracer, i);
             Ok(GenomeRow {
                 steps: worlds.steps.iter().sum(),
+                shape: PlanShape::of(&plan),
                 price: pricing.price(plan, &worlds.steps),
-                shape: PlanShape::of(plan),
                 // Last: a CVaR sorts the per-world fitnesses in place.
                 fitness: aggregate_fitness(&mut worlds.fitness, job.spec.aggregation()),
             })

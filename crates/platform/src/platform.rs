@@ -18,7 +18,7 @@ use e3_exec::{AnyExecutor, SharedExecutor};
 use e3_inax::{EpisodeRunReport, InaxConfig, UtilizationBreakdown};
 use e3_jit::JitConfig;
 use e3_neat::stats::ComplexityStats;
-use e3_neat::{NeatConfig, Population, PopulationSnapshot};
+use e3_neat::{NeatConfig, NetPlan, Population, PopulationSnapshot};
 use e3_store::format::fnv1a;
 use e3_store::{CheckpointPolicy, RunFingerprint, RunStore, StoreError};
 use e3_telemetry::{
@@ -824,20 +824,20 @@ impl E3Platform {
                     .enumerate()
                     .max_by(|a, b| a.1.total_cmp(b.1))
                     .map_or(0, |(i, _)| i);
-                let net =
-                    genomes[best_index]
-                        .decode()
-                        .map_err(|reason| EvalError::NotFeedForward {
-                            genome_index: best_index,
-                            reason,
-                        })?;
-                let plan = holdout_plan(holdout, self.seed, self.generation as u64);
+                let plan = NetPlan::compile(&genomes[best_index]).map_err(|reason| {
+                    EvalError::NotFeedForward {
+                        genome_index: best_index,
+                        reason,
+                    }
+                })?;
+                let scenarios = holdout_plan(holdout, self.seed, self.generation as u64);
                 let mut worlds = Worlds::new(
-                    plan.iter()
+                    scenarios
+                        .iter()
                         .map(|(params, _)| self.config.env.make_scenario(params)),
                 );
-                let seeds: Vec<u64> = plan.iter().map(|&(_, seed)| seed).collect();
-                worlds.run(net.plan(), None, &seeds, &Tracer::disabled(), best_index);
+                let seeds: Vec<u64> = scenarios.iter().map(|&(_, seed)| seed).collect();
+                worlds.run(&plan, None, &seeds, &Tracer::disabled(), best_index);
                 let per_scenario = worlds.fitness();
                 let count = per_scenario.len();
                 let holdout_fitness = per_scenario.iter().sum::<f64>() / count as f64;

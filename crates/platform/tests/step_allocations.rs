@@ -1,6 +1,6 @@
 //! Counts, not clocks: an environment step in the evaluation kernel
-//! allocates nothing, and a genome allocates only its own copy, plan
-//! and shape.
+//! allocates nothing, and a genome allocates only its own copy, compiled
+//! plan and shape.
 //!
 //! This binary installs a counting allocator and runs the platform's
 //! episode kernel on episodes of several lengths: a fixed Pendulum
@@ -15,7 +15,7 @@ mod common;
 
 use e3_envs::{EnvId, Environment, Pendulum, ScenarioDistribution};
 use e3_neat::stats::PlanShape;
-use e3_neat::{Genome, InnovationTracker};
+use e3_neat::{Genome, InnovationTracker, NetPlan};
 use e3_platform::backend::Worlds;
 use e3_platform::telemetry::Tracer;
 use e3_platform::{
@@ -54,14 +54,14 @@ fn evaluating_allocates_independently_of_episode_length() {
             let env: Box<dyn Environment> = Box::new(Pendulum::with_max_steps(length));
             let mut worlds = Worlds::new([env]);
             for (seed, genome) in genomes.iter().enumerate() {
-                let net = genome.decode().expect("a feed-forward genome");
-                worlds.run(net.plan(), None, &[seed as u64], &Tracer::disabled(), seed);
+                let plan = NetPlan::compile(genome).expect("a feed-forward genome");
+                worlds.run(&plan, None, &[seed as u64], &Tracer::disabled(), seed);
                 assert_eq!(worlds.steps(), [length as u64]);
             }
         });
         made
     });
-    assert!(counts[0] > 0, "decoding a population allocates");
+    assert!(counts[0] > 0, "compiling a population allocates");
     assert_eq!(
         counts, [counts[0]; 3],
         "allocations for 10-, 200- and 2000-step episodes"
@@ -93,16 +93,16 @@ fn evaluating_allocates_independently_of_episode_length() {
     );
     assert_eq!(short, long, "allocations for short and long K = 4 episodes");
     // Per genome, an evaluation allocates what copying the genome into
-    // the job, decoding it and reading its shape do — nothing for its
-    // lanes.
+    // the job, compiling its plan and reading its shape do — nothing for
+    // its lanes, and no executor around the plan.
     let (_, double) = evaluate(&cartpole_genomes(16, 1.0));
     let genome = &cartpole_genomes(1, 1.0)[0];
     let (_, copy, _) = common::counted(|| genome.clone());
-    let (net, decode, _) = common::counted(|| genome.decode().expect("feed-forward"));
-    let (_, shape, _) = common::counted(|| PlanShape::of(net.plan()));
+    let (plan, compile, _) = common::counted(|| NetPlan::compile(genome).expect("feed-forward"));
+    let (_, shape, _) = common::counted(|| PlanShape::of(&plan));
     assert_eq!(
         double - long,
-        8 * (copy + decode + shape),
+        8 * (copy + compile + shape),
         "allocations per extra genome"
     );
 }
