@@ -59,10 +59,10 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Runs one shard body, containing a panic to it: every executor turns
-/// the `Err` (the panic's message) into [`ExecError::ShardPanicked`]
-/// and stays usable.
-pub(crate) fn run_contained<R>(body: impl FnOnce() -> R) -> Result<R, String> {
+/// Runs `body`, containing a panic to it: the `Err` is the panic's
+/// message. Every executor turns it into [`ExecError::ShardPanicked`]
+/// and stays usable; the island scheduler fails the run with it.
+pub fn run_contained<R>(body: impl FnOnce() -> R) -> Result<R, String> {
     catch_unwind(AssertUnwindSafe(body)).map_err(|panic| panic_message(panic.as_ref()))
 }
 

@@ -41,6 +41,6 @@ pub mod rng;
 mod shared;
 mod stats;
 
-pub use executor::{AnyExecutor, ExecError, Executor, WorkerScratch};
+pub use executor::{run_contained, AnyExecutor, ExecError, Executor, WorkerScratch};
 pub use shared::{PoolSnapshot, SharedExecutor};
 pub use stats::ExecStats;

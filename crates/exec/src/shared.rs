@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Live pool gauges every clone of a [`SharedExecutor`] updates —
-/// what an observability plane samples on a ticker to see queue
+/// what an observability plane reads at scrape time to see queue
 /// pressure while evaluations are in flight, without waiting for the
 /// post-hoc [`crate::stats::ExecStats`] record.
 #[derive(Debug, Default)]

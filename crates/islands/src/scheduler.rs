@@ -41,10 +41,11 @@ use e3_neat::Population;
 use e3_platform::{fingerprint, E3Platform, RunError};
 use e3_store::MultiStore;
 use e3_telemetry::{Collector, IslandRecord, MigrationRecord, TelemetryError, TelemetryEvent};
+use parking_lot::{Condvar, Mutex};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Queue discipline for picking the next runnable island.
@@ -181,7 +182,7 @@ impl Progress {
 
     /// The best individual seen so far and its home island.
     pub(crate) fn best(&self) -> Option<(usize, EvaluatedGenome)> {
-        self.best.lock().expect("progress lock").clone()
+        self.best.lock().clone()
     }
 
     /// Total generations completed across all islands.
@@ -197,13 +198,13 @@ impl Progress {
     /// A copy of every island's last reported position,
     /// island-indexed.
     pub(crate) fn islands(&self) -> Vec<IslandProgress> {
-        self.islands.lock().expect("progress lock").clone()
+        self.islands.lock().clone()
     }
 
     /// Overwrites one island's row (no-op for an out-of-range index,
     /// which only an inconsistent caller could produce).
     fn update_island(&self, row: IslandProgress) {
-        let mut islands = self.islands.lock().expect("progress lock");
+        let mut islands = self.islands.lock();
         if let Some(slot) = islands.get_mut(row.island) {
             *slot = row;
         }
@@ -212,7 +213,7 @@ impl Progress {
     /// Offers a candidate champion; kept if strictly fitter, or
     /// equally fit from a lower island index.
     fn offer(&self, island: usize, candidate: &EvaluatedGenome) {
-        let mut best = self.best.lock().expect("progress lock");
+        let mut best = self.best.lock();
         let replace = match &*best {
             None => true,
             Some((held_island, held)) => {
@@ -257,11 +258,11 @@ impl SharedCollector {
 
 impl Collector for SharedCollector {
     fn record(&mut self, event: &TelemetryEvent) -> Result<(), TelemetryError> {
-        self.inner.lock().expect("collector lock").record(event)
+        self.inner.lock().record(event)
     }
 
     fn flush(&mut self) -> Result<(), TelemetryError> {
-        self.inner.lock().expect("collector lock").flush()
+        self.inner.lock().flush()
     }
 }
 
@@ -471,7 +472,7 @@ impl Archipelago {
                 scope.spawn(move || archipelago.drive(opts, &mut driver_collector));
             }
         });
-        let mut core = self.core.into_inner().expect("scheduler lock");
+        let mut core = self.core.into_inner();
         if let Some(err) = core.failure.take() {
             return Err(err);
         }
@@ -513,7 +514,7 @@ impl Archipelago {
     fn drive(&self, opts: &RunOptions, collector: &mut SharedCollector) {
         loop {
             let (island, mut state) = {
-                let mut core = self.core.lock().expect("scheduler lock");
+                let mut core = self.core.lock();
                 loop {
                     if core.active == 0 || core.failure.is_some() || core.stopped {
                         return;
@@ -539,16 +540,20 @@ impl Archipelago {
                     }
                     // Timed wait so a stop flag set while everything
                     // is parked or busy still gets noticed.
-                    core = self
-                        .runnable
-                        .wait_timeout(core, Duration::from_millis(25))
-                        .expect("scheduler lock")
-                        .0;
+                    self.runnable.wait_for(&mut core, Duration::from_millis(25));
                 }
             };
-            match self.step_island(&mut state, collector) {
+            // A panicking island fails the run like an island error
+            // would, instead of leaving its migration partners parked.
+            let slice = e3_exec::run_contained(|| self.step_island(&mut state, collector))
+                .unwrap_or_else(|message| {
+                    Err(RunError::Service(format!(
+                        "island {island} panicked: {message}"
+                    )))
+                });
+            match slice {
                 Ok(Slice::Yield) => {
-                    let mut core = self.core.lock().expect("scheduler lock");
+                    let mut core = self.core.lock();
                     core.states[island] = Some(state);
                     core.ready.push_back(island);
                     drop(core);
@@ -556,7 +561,7 @@ impl Archipelago {
                 }
                 Ok(Slice::Parked { generation }) => {
                     let sources = state.sources.clone();
-                    let mut core = self.core.lock().expect("scheduler lock");
+                    let mut core = self.core.lock();
                     core.states[island] = Some(state);
                     // Re-check under the lock: the packets may have
                     // landed between the slice's peek and now — the
@@ -582,7 +587,7 @@ impl Archipelago {
                         return;
                     }
                     let outcome = Self::island_outcome(&self.config, &state, true);
-                    let mut core = self.core.lock().expect("scheduler lock");
+                    let mut core = self.core.lock();
                     core.exchange.retire(island, last_generation);
                     let later_keys: Vec<(usize, usize)> = core
                         .waiters
@@ -638,7 +643,7 @@ impl Archipelago {
                     emigrants: state.platform.population().emigrants(config.emigrants),
                 };
                 self.persist_packet(&packet)?;
-                let mut core = self.core.lock().expect("scheduler lock");
+                let mut core = self.core.lock();
                 let key = (state.island, generation);
                 core.exchange.publish(packet);
                 Self::wake_locked(&mut core, key);
@@ -649,7 +654,7 @@ impl Archipelago {
         }
         if let Some(generation) = state.awaiting {
             let wave = {
-                let core = self.core.lock().expect("scheduler lock");
+                let core = self.core.lock();
                 core.exchange.try_collect(&state.sources, generation)
             };
             let Some(wave) = wave else {
@@ -752,7 +757,7 @@ impl Archipelago {
 
     fn persist_packet(&self, packet: &MigrationPacket) -> Result<(), RunError> {
         if let Some(store) = &self.store {
-            let store = store.lock().expect("store lock");
+            let store = store.lock();
             store.save_sidecar(
                 &namespace(packet.source),
                 &packet_sidecar_name(packet.generation),
@@ -764,7 +769,7 @@ impl Archipelago {
 
     fn persist_retirement(&self, island: usize, last_generation: usize) -> Result<(), RunError> {
         if let Some(store) = &self.store {
-            let store = store.lock().expect("store lock");
+            let store = store.lock();
             store.save_sidecar(
                 &namespace(island),
                 RETIREMENT_SIDECAR,
@@ -779,7 +784,7 @@ impl Archipelago {
 
     /// Records the first failure and stops every driver.
     fn fail(&self, err: RunError) {
-        let mut core = self.core.lock().expect("scheduler lock");
+        let mut core = self.core.lock();
         if core.failure.is_none() {
             core.failure = Some(err);
         }
@@ -934,7 +939,7 @@ mod tests {
 
     impl Collector for Tap {
         fn record(&mut self, event: &TelemetryEvent) -> Result<(), TelemetryError> {
-            self.0.lock().expect("tap lock").push(event.clone());
+            self.0.lock().push(event.clone());
             Ok(())
         }
     }
@@ -953,7 +958,7 @@ mod tests {
             &collector,
         )
         .unwrap();
-        let events = tap.0.lock().expect("tap lock");
+        let events = tap.0.lock();
         let islands = events
             .iter()
             .filter(|e| matches!(e, TelemetryEvent::Island(_)))

@@ -16,9 +16,9 @@
 //! 3. Poll [`RunManager::status`] / [`RunManager::best`] /
 //!    [`RunManager::snapshot`] for live progress without blocking.
 //!    Every event also updates the manager's shared
-//!    [`SharedRegistry`] under a `run="run-NNNN"` label, and a
-//!    per-run sampler thread mirrors live executor-pool gauges into
-//!    it — a Prometheus endpoint can scrape one registry for all
+//!    [`SharedRegistry`] under a `run="run-NNNN"` label, and a live
+//!    source there reads the run's progress and pool gauges at scrape
+//!    time — a Prometheus endpoint can scrape one registry for all
 //!    runs.
 //! 4. [`RunManager::stop`] for a graceful shutdown (islands finish the
 //!    generation in hand; checkpoints and migration sidecars make the
@@ -34,28 +34,25 @@
 
 use crate::config::IslandsConfig;
 use crate::scheduler::{
-    Archipelago, ArchipelagoOutcome, IslandProgress, Pickup, Progress, RunOptions, SharedCollector,
+    Archipelago, ArchipelagoOutcome, IslandProgress, Progress, RunOptions, SharedCollector,
 };
 use e3_exec::{PoolSnapshot, SharedExecutor};
 use e3_platform::RunError;
 use e3_telemetry::{
     labeled, Collector, NdjsonWriter, SharedRegistry, TelemetryError, TelemetryEvent,
 };
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::BufWriter;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// Default capacity of the per-run flight recorder (events replayed
-/// to late subscribers).
-pub(crate) const DEFAULT_FLIGHT_RECORDER: usize = 256;
-
-/// Default interval between live pool-gauge samples.
-pub(crate) const DEFAULT_SAMPLE_INTERVAL: Duration = Duration::from_millis(200);
+/// Capacity of the per-run flight recorder (events replayed to late
+/// subscribers).
+const DEFAULT_FLIGHT_RECORDER: usize = 256;
 
 /// Handle to a submitted run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,18 +114,9 @@ impl RunStatus {
 pub struct SubmitOptions {
     /// Driver threads (see [`RunOptions::drivers`]).
     pub drivers: usize,
-    /// Queue discipline (wall-clock only, never results).
-    pub pickup: Pickup,
     /// Append every telemetry record to this NDJSON file, flushed per
     /// record for live tailing.
     pub ndjson: Option<String>,
-    /// Flight-recorder capacity (events kept for replay to late
-    /// subscribers); `DEFAULT_FLIGHT_RECORDER` when `None`, 0
-    /// disables replay.
-    pub flight_recorder: Option<usize>,
-    /// Interval between live pool-gauge samples;
-    /// `DEFAULT_SAMPLE_INTERVAL` when `None`.
-    pub sample_interval: Option<Duration>,
 }
 
 /// A point-in-time JSON-friendly view of one run — what a status
@@ -178,7 +166,7 @@ impl StreamHub {
         StreamHub {
             capacity,
             state: Mutex::new(HubState {
-                ring: VecDeque::with_capacity(capacity.min(DEFAULT_FLIGHT_RECORDER)),
+                ring: VecDeque::with_capacity(capacity),
                 subscribers: Vec::new(),
                 closed: false,
             }),
@@ -190,13 +178,11 @@ impl StreamHub {
     /// the channels are unbounded — so a stalled consumer can never
     /// back-pressure the scheduler.
     fn record(&self, event: &TelemetryEvent) {
-        let mut state = self.state.lock().expect("hub lock");
-        if self.capacity > 0 {
-            if state.ring.len() == self.capacity {
-                state.ring.pop_front();
-            }
-            state.ring.push_back(event.clone());
+        let mut state = self.state.lock();
+        if state.ring.len() == self.capacity {
+            state.ring.pop_front();
         }
+        state.ring.push_back(event.clone());
         state
             .subscribers
             .retain(|tx| tx.send(event.clone()).is_ok());
@@ -207,7 +193,7 @@ impl StreamHub {
     /// yields the replay and then disconnects.
     fn subscribe(&self) -> mpsc::Receiver<TelemetryEvent> {
         let (tx, rx) = mpsc::channel();
-        let mut state = self.state.lock().expect("hub lock");
+        let mut state = self.state.lock();
         for event in &state.ring {
             let _ = tx.send(event.clone());
         }
@@ -220,7 +206,7 @@ impl StreamHub {
     /// Ends the stream: live subscribers see their channel close, and
     /// future subscribers get replay-then-disconnect.
     fn close(&self) {
-        let mut state = self.state.lock().expect("hub lock");
+        let mut state = self.state.lock();
         state.closed = true;
         state.subscribers.clear();
     }
@@ -263,7 +249,6 @@ struct RunHandle {
     status: Arc<Mutex<RunStatus>>,
     pool: SharedExecutor,
     worker: Option<JoinHandle<Result<ArchipelagoOutcome, RunError>>>,
-    sampler: Option<JoinHandle<()>>,
     /// The joined worker's result, kept so `stop`/`join` are
     /// idempotent (errors cached by display string — `RunError` holds
     /// non-clonable sources).
@@ -332,46 +317,59 @@ impl RunManager {
         let stop = Arc::new(AtomicBool::new(false));
         let progress = archipelago.progress();
         let pool = archipelago.pool();
-        let hub = Arc::new(StreamHub::new(
-            opts.flight_recorder.unwrap_or(DEFAULT_FLIGHT_RECORDER),
-        ));
+        let hub = Arc::new(StreamHub::new(DEFAULT_FLIGHT_RECORDER));
         let status = Arc::new(Mutex::new(RunStatus::Running));
         let run_opts = RunOptions {
             drivers: opts.drivers,
-            pickup: opts.pickup,
             stop: Some(Arc::clone(&stop)),
+            ..RunOptions::default()
         };
+        // Read at scrape time from atomics and the pool snapshot — never
+        // the status or manager lock. The worker drops the handle when
+        // the run returns or unwinds, writing the final values once.
+        let gauges = self.registry.live_source(&label, {
+            let (label, progress, pool) = (label.clone(), Arc::clone(&progress), pool.clone());
+            move |metrics, live| {
+                let scope = [("run", label.as_str())];
+                let snapshot = pool.snapshot();
+                for (name, value) in [
+                    ("e3_run_up", if live { 1.0 } else { 0.0 }),
+                    ("e3_run_generations", progress.generations() as f64),
+                    ("e3_run_migrations", progress.migrations() as f64),
+                    ("e3_pool_workers", snapshot.workers as f64),
+                    ("e3_pool_evals_in_flight", snapshot.evals_in_flight as f64),
+                    ("e3_pool_evals_total", snapshot.evals_total as f64),
+                ] {
+                    metrics.gauge_set(&labeled(name, &scope), value);
+                }
+                for (worker, depth) in snapshot.last_queue_depths.iter().enumerate() {
+                    let worker = worker.to_string();
+                    let scope = [("run", label.as_str()), ("worker", worker.as_str())];
+                    metrics.gauge_set(&labeled("e3_exec_queue_depth", &scope), *depth as f64);
+                }
+            }
+        });
         let collector = SharedCollector::new(FanOut {
             ndjson,
             registry: self.registry.clone(),
-            label: label.clone(),
+            label,
             hub: Arc::clone(&hub),
         });
         let worker_status = Arc::clone(&status);
         let worker_hub = Arc::clone(&hub);
         let worker = std::thread::spawn(move || {
             let result = archipelago.run(&run_opts, &collector);
-            {
-                let mut status = worker_status.lock().expect("status lock");
-                *status = match &result {
-                    Ok(outcome) if outcome.completed => RunStatus::Finished,
-                    Ok(_) => RunStatus::Stopped,
-                    Err(err) => RunStatus::Failed(err.to_string()),
-                };
-            }
+            drop(gauges);
+            *worker_status.lock() = match &result {
+                Ok(outcome) if outcome.completed => RunStatus::Finished,
+                Ok(_) => RunStatus::Stopped,
+                Err(err) => RunStatus::Failed(err.to_string()),
+            };
             // Close the stream as soon as the run ends — subscribers
             // see end-of-stream without waiting for a join.
             worker_hub.close();
             result
         });
-        let sampler = Self::spawn_sampler(
-            self.registry.clone(),
-            label,
-            pool.clone(),
-            Arc::clone(&progress),
-            Arc::clone(&status),
-            opts.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL),
-        );
         self.runs.insert(
             id,
             RunHandle {
@@ -381,7 +379,6 @@ impl RunManager {
                 status,
                 pool,
                 worker: Some(worker),
-                sampler: Some(sampler),
                 outcome: None,
             },
         );
@@ -390,9 +387,7 @@ impl RunManager {
 
     /// The run's current status, or `None` for an unknown id.
     pub fn status(&self, id: RunId) -> Option<RunStatus> {
-        self.runs
-            .get(&id)
-            .map(|run| run.status.lock().expect("status lock").clone())
+        self.runs.get(&id).map(|run| run.status.lock().clone())
     }
 
     /// Subscribes to the run's live telemetry stream. The receiver is
@@ -408,7 +403,7 @@ impl RunManager {
     /// per-island positions, migration count, and live pool gauges.
     pub fn snapshot(&self, id: RunId) -> Option<RunSnapshot> {
         let run = self.runs.get(&id)?;
-        let status = run.status.lock().expect("status lock").clone();
+        let status = run.status.lock().clone();
         let best = run.progress.best();
         let best_fitness = best
             .as_ref()
@@ -471,102 +466,21 @@ impl RunManager {
     }
 
     fn finish(run: &mut RunHandle) -> Result<ArchipelagoOutcome, RunError> {
-        if let Some(worker) = run.worker.take() {
-            let result = worker.join().expect("archipelago thread panicked");
-            run.hub.close();
-            if let Some(sampler) = run.sampler.take() {
-                let _ = sampler.join();
-            }
-            // Cache for idempotent repeats, return the typed original.
-            return match result {
-                Ok(outcome) => {
-                    run.outcome = Some(Ok(outcome.clone()));
-                    Ok(outcome)
-                }
-                Err(err) => {
-                    run.outcome = Some(Err(err.to_string()));
-                    Err(err)
-                }
-            };
-        }
-        match run
-            .outcome
-            .as_ref()
-            .expect("a joined run caches its outcome")
-        {
-            Ok(outcome) => Ok(outcome.clone()),
-            Err(message) => Err(RunError::Service(message.clone())),
-        }
-    }
-
-    /// A per-run ticker mirroring live pool and progress gauges into
-    /// the shared registry. Pure observation: it reads atomics and
-    /// never touches the scheduler, so sampling cannot perturb
-    /// results. Exits one sample after the run leaves `Running`
-    /// (final gauge values stay scrapeable).
-    fn spawn_sampler(
-        registry: SharedRegistry,
-        label: String,
-        pool: SharedExecutor,
-        progress: Arc<Progress>,
-        status: Arc<Mutex<RunStatus>>,
-        interval: Duration,
-    ) -> JoinHandle<()> {
-        std::thread::spawn(move || loop {
-            let running = matches!(*status.lock().expect("status lock"), RunStatus::Running);
-            let scope = [("run", label.as_str())];
-            let pool_snapshot = pool.snapshot();
-            registry.with(|metrics| {
-                metrics.gauge_set(
-                    &labeled("e3_run_up", &scope),
-                    if running { 1.0 } else { 0.0 },
-                );
-                metrics.gauge_set(
-                    &labeled("e3_run_generations", &scope),
-                    progress.generations() as f64,
-                );
-                metrics.gauge_set(
-                    &labeled("e3_run_migrations", &scope),
-                    progress.migrations() as f64,
-                );
-                metrics.gauge_set(
-                    &labeled("e3_pool_workers", &scope),
-                    pool_snapshot.workers as f64,
-                );
-                metrics.gauge_set(
-                    &labeled("e3_pool_evals_in_flight", &scope),
-                    pool_snapshot.evals_in_flight as f64,
-                );
-                metrics.gauge_set(
-                    &labeled("e3_pool_evals_total", &scope),
-                    pool_snapshot.evals_total as f64,
-                );
-                for (worker, depth) in pool_snapshot.last_queue_depths.iter().enumerate() {
-                    let worker = worker.to_string();
-                    metrics.gauge_set(
-                        &labeled(
-                            "e3_exec_queue_depth",
-                            &[("run", label.as_str()), ("worker", worker.as_str())],
-                        ),
-                        *depth as f64,
-                    );
-                }
-            });
-            if !running {
-                return;
-            }
-            // Sleep in short slices so the sampler notices the run
-            // ending within ~25 ms instead of a full interval.
-            let mut remaining = interval;
-            while !remaining.is_zero() {
-                let slice = remaining.min(Duration::from_millis(25));
-                std::thread::sleep(slice);
-                remaining = remaining.saturating_sub(slice);
-                if !matches!(*status.lock().expect("status lock"), RunStatus::Running) {
-                    break;
-                }
-            }
-        })
+        let Some(worker) = run.worker.take() else {
+            let cached = run
+                .outcome
+                .clone()
+                .expect("a joined run caches its outcome");
+            return cached.map_err(RunError::Service);
+        };
+        // Not a panic: callers may hold a lock (e3-serve's manager).
+        let result = worker
+            .join()
+            .unwrap_or_else(|_| Err(RunError::Service("archipelago thread panicked".to_string())));
+        run.hub.close();
+        // Cache for idempotent repeats, return the typed original.
+        run.outcome = Some(result.as_ref().cloned().map_err(|err| err.to_string()));
+        result
     }
 }
 
@@ -577,10 +491,6 @@ impl Drop for RunManager {
             run.stop.store(true, Ordering::Relaxed);
             if let Some(worker) = run.worker.take() {
                 let _ = worker.join();
-            }
-            run.hub.close();
-            if let Some(sampler) = run.sampler.take() {
-                let _ = sampler.join();
             }
         }
     }
@@ -606,7 +516,6 @@ mod tests {
 
     fn fast_opts() -> SubmitOptions {
         SubmitOptions {
-            sample_interval: Some(Duration::from_millis(10)),
             ..SubmitOptions::default()
         }
     }
@@ -691,18 +600,15 @@ mod tests {
     #[test]
     fn flight_recorder_is_bounded_and_keeps_the_newest_records() {
         let mut manager = RunManager::new();
-        let id = manager
-            .submit(
-                config(4),
-                SubmitOptions {
-                    flight_recorder: Some(3),
-                    ..fast_opts()
-                },
-            )
-            .unwrap();
+        let id = manager.submit(config(4), fast_opts()).unwrap();
         manager.join(id).expect("known run").expect("clean run");
-        let events: Vec<TelemetryEvent> =
-            manager.subscribe(id).expect("known run").iter().collect();
+        // Replay the whole run through a 3-record ring.
+        let hub = StreamHub::new(3);
+        for event in manager.subscribe(id).expect("known run").iter() {
+            hub.record(&event);
+        }
+        hub.close();
+        let events: Vec<TelemetryEvent> = hub.subscribe().iter().collect();
         assert_eq!(events.len(), 3, "replay is capped at the ring capacity");
         // A 2-island x 4-generation run ends with island records; the
         // newest records survive eviction.
@@ -768,9 +674,37 @@ mod tests {
         );
         assert!(text.contains("e3_island_best_fitness{run=\"run-0000\",island=\"1\"}"));
         assert!(text.contains("e3_migrations_total{run=\"run-0000\",island=\"0\"}"));
-        // The sampler mirrored pool gauges (final sample has up=0).
+        // The run's live source left its final gauges (up=0).
         assert!(text.contains("e3_run_up{run=\"run-0000\"} 0"));
         assert!(text.contains("e3_pool_workers{run=\"run-0000\"}"));
         assert!(text.contains("e3_pool_evals_total{run=\"run-0000\"}"));
+    }
+
+    #[test]
+    fn run_gauges_are_read_at_scrape_time_and_go_final_when_the_run_ends() {
+        let registry = SharedRegistry::new();
+        let mut manager = RunManager::with_registry(registry.clone());
+        let id = manager.submit(config(500), fast_opts()).unwrap();
+        let stream = manager.subscribe(id).expect("known run");
+        stream
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("some record arrives");
+        assert!(registry
+            .prometheus_text()
+            .contains("e3_run_up{run=\"run-0000\"} 1\n"));
+        manager.stop(id).expect("known run").expect("clean stop");
+        manager.join(id).expect("known run").expect("cached");
+        let text = registry.prometheus_text();
+        assert!(text.contains("e3_run_up{run=\"run-0000\"} 0\n"));
+        let snapshot = manager.snapshot(id).expect("known run");
+        let generations = snapshot.generations;
+        assert!(text.contains(&format!(
+            "e3_run_generations{{run=\"run-0000\"}} {generations}\n"
+        )));
+        assert_eq!(registry.prometheus_text(), text, "no live source remains");
+        assert_eq!(
+            snapshot.pool.handles, 1,
+            "only the run handle keeps the pool"
+        );
     }
 }

@@ -4,9 +4,9 @@
 //! runtime, no vendored HTTP crates) mounted on an
 //! [`e3_islands::RunManager`]. It turns the in-process telemetry this
 //! workspace already produces — the shared Prometheus registry, the
-//! per-run flight recorder, per-island progress rows, and live
-//! executor pool gauges — into something an operator can point `curl`
-//! or a Prometheus scraper at while runs are in flight:
+//! per-run flight recorder, per-island progress rows, and run and pool
+//! gauges read at scrape time — into something an operator can point
+//! `curl` or a Prometheus scraper at while runs are in flight:
 //!
 //! | Endpoint | What it serves |
 //! |----------|----------------|

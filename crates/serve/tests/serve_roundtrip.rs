@@ -4,7 +4,7 @@
 //! with the populations and NDJSON bytes of a server-less run.
 
 use e3_envs::EnvId;
-use e3_islands::{IslandsConfig, Pickup, RunManager, RunSnapshot, RunStatus, SubmitOptions};
+use e3_islands::{IslandsConfig, RunManager, RunSnapshot, RunStatus, SubmitOptions};
 use e3_platform::{BackendKind, E3Config};
 use e3_serve::{http_get, http_request, serve, tail_events, Health, ServeOptions};
 use e3_telemetry::SharedRegistry;
@@ -37,10 +37,7 @@ fn config(seed: u64, population: usize, generations: usize) -> IslandsConfig {
 fn submit_options() -> SubmitOptions {
     SubmitOptions {
         drivers: 1,
-        pickup: Pickup::Fifo,
         ndjson: None,
-        flight_recorder: None,
-        sample_interval: Some(Duration::from_millis(10)),
     }
 }
 

@@ -513,12 +513,28 @@ impl<C: Collector> Collector for MeteredCollector<C> {
 /// same registry; updates are visible to all holders immediately.
 ///
 /// Lock discipline: every method takes the lock for one short,
-/// non-blocking operation (a map update or a text render), so a slow
-/// scraper can never hold up a recording run for longer than one
-/// exposition dump.
-#[derive(Debug, Clone, Default)]
+/// non-blocking operation (a map update, the live sources, or a text
+/// render), so a slow scraper can never hold up a recording run for
+/// longer than one exposition dump.
+#[derive(Clone, Default)]
 pub struct SharedRegistry {
-    inner: Arc<Mutex<MetricsRegistry>>,
+    inner: Arc<Mutex<Shared>>,
+}
+
+/// Writes gauges into the registry; the flag is `false` on the last
+/// call, when its [`LiveSource`] handle drops.
+type Source = Box<dyn Fn(&mut MetricsRegistry, bool) + Send>;
+
+#[derive(Default)]
+struct Shared {
+    metrics: MetricsRegistry,
+    sources: BTreeMap<String, Source>,
+}
+
+impl std::fmt::Debug for SharedRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedRegistry").finish_non_exhaustive()
+    }
 }
 
 impl SharedRegistry {
@@ -529,27 +545,63 @@ impl SharedRegistry {
 
     /// `MetricsRegistry::observe_scoped` under the lock.
     pub fn observe_scoped(&self, scope: &[(&str, &str)], event: &TelemetryEvent) {
-        self.lock().observe_scoped(scope, event);
+        self.lock().metrics.observe_scoped(scope, event);
     }
 
-    /// Runs `f` with exclusive access to the registry — for direct
-    /// gauge/counter updates that have no [`TelemetryEvent`] shape
-    /// (e.g. sampled pool queue depths).
-    pub fn with<T>(&self, f: impl FnOnce(&mut MetricsRegistry) -> T) -> T {
-        f(&mut self.lock())
+    /// Registers `source` under `key` (replacing any source there) so
+    /// that gauges mirroring live state are read at scrape time:
+    /// [`SharedRegistry::prometheus_text`] calls `source(metrics, true)`
+    /// under the registry lock before it renders, so it must not block.
+    /// Dropping the returned handle calls `source(metrics, false)` once
+    /// and drops the source with everything it captured.
+    pub fn live_source(
+        &self,
+        key: &str,
+        source: impl Fn(&mut MetricsRegistry, bool) + Send + 'static,
+    ) -> LiveSource {
+        self.lock()
+            .sources
+            .insert(key.to_string(), Box::new(source));
+        LiveSource {
+            registry: self.clone(),
+            key: key.to_string(),
+        }
     }
 
-    /// Prometheus text exposition of the current state.
+    /// Prometheus text exposition of the current state, after every
+    /// live source has written its gauges.
     pub fn prometheus_text(&self) -> String {
-        self.lock().prometheus_text()
+        let mut shared = self.lock();
+        let Shared { metrics, sources } = &mut *shared;
+        for source in sources.values() {
+            source(metrics, true);
+        }
+        metrics.prometheus_text()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Shared> {
         // A poisoned registry still holds valid metric maps (every
         // update is a single map operation), so keep serving.
         match self.inner.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+}
+
+/// Keeps a [`SharedRegistry::live_source`] registered; see there.
+#[derive(Debug)]
+#[must_use = "dropping the handle removes the live source"]
+pub struct LiveSource {
+    registry: SharedRegistry,
+    key: String,
+}
+
+impl Drop for LiveSource {
+    fn drop(&mut self) {
+        let mut shared = self.registry.lock();
+        if let Some(source) = shared.sources.remove(&self.key) {
+            source(&mut shared.metrics, false);
         }
     }
 }
@@ -572,6 +624,13 @@ mod tests {
         /// A histogram by name, if any observation was recorded.
         fn histogram(&self, name: &str) -> Option<&Histogram> {
             self.histograms.get(name)
+        }
+    }
+
+    impl SharedRegistry {
+        /// Runs `f` with exclusive access to the registry.
+        fn with<T>(&self, f: impl FnOnce(&mut MetricsRegistry) -> T) -> T {
+            f(&mut self.lock().metrics)
         }
     }
     use crate::{

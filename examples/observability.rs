@@ -14,7 +14,7 @@
 //! (for leisurely curling); default is a 3-second grace period.
 
 use e3::envs::EnvId;
-use e3::islands::{IslandsConfig, Pickup, RunManager, SubmitOptions};
+use e3::islands::{IslandsConfig, RunManager, SubmitOptions};
 use e3::platform::{BackendKind, E3Config};
 use e3::serve::{serve, ServeOptions};
 use e3::telemetry::SharedRegistry;
@@ -48,10 +48,7 @@ fn main() {
             config,
             SubmitOptions {
                 drivers: 2,
-                pickup: Pickup::Fifo,
                 ndjson: None,
-                flight_recorder: None,
-                sample_interval: None,
             },
         )
         .expect("submit run");

@@ -28,9 +28,12 @@ cargo test --release --offline -q -p e3-neat --test activation_accuracy -- --ign
 # every config, manifest and NDJSON line goes through it. `serde` holds
 # the binary codec every snapshot payload goes through (its decoder
 # reads bytes from disk); `--features derive` adds the suite that walks
-# every derive shape through both sinks.
+# every derive shape through both sinks. `parking_lot` is the one lock
+# type of the executor pool and the island scheduler (its timed
+# `Condvar::wait_for` wakes idle drivers).
 cargo test --offline -q --manifest-path vendor/serde_json/Cargo.toml
 cargo test --offline -q --manifest-path vendor/serde/Cargo.toml --features derive
+cargo test --offline -q --manifest-path vendor/parking_lot/Cargo.toml
 
 echo "== examples build and run =="
 # Every shipped example must exit 0 — an example that builds and then
