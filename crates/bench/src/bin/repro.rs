@@ -38,7 +38,9 @@ use e3_platform::experiments::{
     ablation, fig10, fig11, fig1b, fig2, fig3, fig4, fig6, fig7, fig9, generalize, table4, table5,
     Scale,
 };
-use e3_platform::telemetry::{Collector, MeteredCollector, NdjsonWriter, NullCollector, Tracer};
+use e3_platform::telemetry::{
+    Collector, MeteredCollector, NdjsonWriter, NullCollector, Tracer, UtilizationRecord,
+};
 use e3_platform::{BackendKind, CheckpointPolicy, E3Config, E3Platform, PowerModel};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -371,10 +373,14 @@ fn run_experiment(name: &str, opts: &Options, collector: &mut dyn Collector) -> 
                     outcome.best_fitness,
                     outcome.modeled_seconds
                 );
-                if let Some(util) = &outcome.hw_utilization {
-                    let total_cycles = outcome.hw_report.map_or(0, |r| r.total_cycles);
-                    let report = util.to_telemetry(opts.backend.name(), env.name(), total_cycles);
-                    print!("{}", report.summary_table());
+                if let Some(breakdown) = outcome.hw_utilization {
+                    let record = UtilizationRecord {
+                        backend: opts.backend.name().to_string(),
+                        env: env.name().to_string(),
+                        total_cycles: outcome.hw_report.map_or(0, |r| r.total_cycles),
+                        breakdown,
+                    };
+                    print!("{}", record.summary_table());
                 }
             }
         }

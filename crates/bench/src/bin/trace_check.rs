@@ -27,13 +27,14 @@
 //! `e3_telemetry::TelemetryEvent` — the schema is the type, so an
 //! unknown record kind or a dropped key is a parse error — and the
 //! values types cannot express must hold: finite `Generalization`
-//! fitness numbers, a positive held-out scenario count, no all-zero
-//! `Jit` record.
+//! fitness numbers, a positive held-out scenario count, no empty `Jit`
+//! record, and in every `Utilization` record each PU's
+//! `busy + idle + stall` equal to the run's `total_cycles`.
 //!
 //! Exits 0 when everything holds, 1 with a diagnostic on stderr
 //! otherwise. CI runs this after a short traced `repro` run.
 
-use e3_telemetry::TelemetryEvent;
+use e3_telemetry::{PuCycles, TelemetryEvent, JIT_SERIES};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -76,17 +77,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `e3_jit_*` series a scrape must carry as a set: seeing one of
-/// them without the others means the exporter dropped counters.
-const JIT_METRICS: &[&str] = &[
-    "e3_jit_plans_compiled_total",
-    "e3_jit_bytes_emitted_total",
-    "e3_jit_fallbacks_total",
-    "e3_jit_hot_activations_total",
-    "e3_jit_resident_plans",
-    "e3_jit_compile_seconds",
-];
-
 /// Validates an NDJSON telemetry export; returns a diagnostic on the
 /// first violation.
 fn check_ndjson(path: &str) -> Result<(), String> {
@@ -125,9 +115,27 @@ fn check_ndjson(path: &str) -> Result<(), String> {
                     ));
                 }
                 // The platform only emits a Jit record when the tier
-                // did work, so an all-zero one is itself a violation.
-                if jit.compiled + jit.bytes + jit.fallbacks + jit.activations + jit.resident == 0 {
-                    return Err(at("all-zero Jit record"));
+                // did work, so an empty one is itself a violation.
+                if jit.is_empty() {
+                    return Err(at("Jit record with every count zero"));
+                }
+            }
+            TelemetryEvent::Utilization(util) => {
+                // Summed with overflow checks: a wrapped sum could
+                // reconcile by accident.
+                let reconciles = |row: &PuCycles| {
+                    row.busy
+                        .checked_add(row.idle)
+                        .and_then(|sum| sum.checked_add(row.stall))
+                        == Some(util.total_cycles)
+                };
+                let per_pu = &util.breakdown.per_pu;
+                if let Some(pu) = per_pu.iter().position(|row| !reconciles(row)) {
+                    let row = per_pu[pu];
+                    return Err(at(&format!(
+                        "Utilization PU {pu}: busy {} + idle {} + stall {} is not total_cycles {}",
+                        row.busy, row.idle, row.stall, util.total_cycles
+                    )));
                 }
             }
             _ => {}
@@ -258,8 +266,8 @@ fn check_metrics(path: &str) -> Result<(), String> {
                 lineno + 1
             ));
         }
-        for series in JIT_METRICS {
-            if name.starts_with(series) && !jit_seen.contains(series) {
+        for series in JIT_SERIES {
+            if name.starts_with(series) && !jit_seen.contains(&series) {
                 jit_seen.push(series);
             }
         }
@@ -270,11 +278,10 @@ fn check_metrics(path: &str) -> Result<(), String> {
     }
     // The JIT series travel as a set: one of them without the rest
     // means the exporter dropped counters mid-family.
-    if !jit_seen.is_empty() && jit_seen.len() != JIT_METRICS.len() {
-        let missing: Vec<&str> = JIT_METRICS
-            .iter()
+    if !jit_seen.is_empty() && jit_seen.len() != JIT_SERIES.len() {
+        let missing: Vec<&str> = JIT_SERIES
+            .into_iter()
             .filter(|series| !jit_seen.contains(series))
-            .copied()
             .collect();
         return Err(format!(
             "scrape carries some e3_jit_* series but is missing {}",

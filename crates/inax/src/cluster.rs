@@ -10,9 +10,10 @@
 
 use crate::config::InaxConfig;
 use crate::dma::{DmaModel, DmaTraffic};
-use crate::profile::{CycleBreakdown, UtilizationBreakdown, UtilizationReport};
+use crate::profile::{CycleBreakdown, UtilizationReport};
 use crate::pu::{weight_stream_bytes, PuSim};
 use e3_neat::NetPlan;
+use e3_telemetry::UtilizationBreakdown;
 use serde::{Deserialize, Serialize};
 
 /// Aggregate accounting for a run on the accelerator.
@@ -43,9 +44,7 @@ impl EpisodeRunReport {
     /// on for bit-identical results.
     pub fn merge(&mut self, other: &EpisodeRunReport) {
         self.total_cycles += other.total_cycles;
-        self.breakdown.setup += other.breakdown.setup;
-        self.breakdown.pe_active += other.breakdown.pe_active;
-        self.breakdown.evaluate_control += other.breakdown.evaluate_control;
+        self.breakdown += other.breakdown;
         self.pu_utilization.merge(other.pu_utilization);
         self.pe_utilization.merge(other.pe_utilization);
         self.dma_cycles += other.dma_cycles;

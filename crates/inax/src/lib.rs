@@ -70,6 +70,5 @@ mod trace;
 
 pub use cluster::{EpisodeRunReport, InaxAccelerator};
 pub use config::{Dataflow, InaxConfig};
-pub use profile::UtilizationBreakdown;
 pub use pu::{schedule_inference, weight_stream_bytes, PuSim};
 pub use trace::trace_inference;

@@ -32,11 +32,11 @@ use crate::tier::{Tier, TierStats};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::{EnvId, Environment, Episode};
 use e3_exec::{AnyExecutor, ExecError, ExecStats, Executor, WorkerScratch};
-use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig, UtilizationBreakdown};
+use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig};
 use e3_jit::{CompiledPlan, JitConfig};
 use e3_neat::stats::PlanShape;
 use e3_neat::{DecodeError, Genome, NetPlan};
-use e3_telemetry::{SpanGuard, SpanTimer, Tracer};
+use e3_telemetry::{SpanGuard, SpanTimer, Tracer, UtilizationBreakdown};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;

@@ -15,7 +15,7 @@ use crate::scenario::{holdout_plan, ScenarioConfig};
 use crate::timing::{GpuCostModel, SwCostModel};
 use e3_envs::EnvId;
 use e3_exec::{AnyExecutor, SharedExecutor};
-use e3_inax::{EpisodeRunReport, InaxConfig, UtilizationBreakdown};
+use e3_inax::{EpisodeRunReport, InaxConfig};
 use e3_jit::JitConfig;
 use e3_neat::stats::ComplexityStats;
 use e3_neat::{NeatConfig, NetPlan, Population, PopulationSnapshot};
@@ -24,7 +24,7 @@ use e3_store::{CheckpointPolicy, RunFingerprint, RunStore, StoreError};
 use e3_telemetry::{
     CheckpointRecord, Collector, EvalRecord, ExecRecord, GeneralizationRecord, GenerationRecord,
     HwCounters, JitRecord, NullCollector, ResumeRecord, RunSummary, TelemetryError, TelemetryEvent,
-    Tracer,
+    Tracer, UtilizationBreakdown, UtilizationRecord,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -360,17 +360,20 @@ pub struct RunState {
 /// result-irrelevant fields neutralized: `threads` (results are
 /// bit-identical at any thread count), the checkpoint policy itself
 /// (tuning retention or cadence must not orphan existing snapshots),
-/// and the held-out scenario pass (strictly read-only telemetry —
-/// toggling it must not orphan snapshots either). Everything else —
-/// env, NEAT hyperparameters, cost models, INAX geometry, generation
-/// cap, target, the *train* scenario distribution — participates, so
-/// a snapshot from a differently configured run is refused at
-/// recovery.
+/// the held-out scenario pass (strictly read-only telemetry —
+/// toggling it must not orphan snapshots either), and the execution
+/// tier (native code is bit-identical to the interpreter, so a run
+/// checkpointed with `--jit` off may resume with it on). Everything
+/// else — env, NEAT hyperparameters, cost models, INAX geometry,
+/// generation cap, target, the *train* scenario distribution —
+/// participates, so a snapshot from a differently configured run is
+/// refused at recovery.
 pub fn fingerprint(config: &E3Config, backend: BackendKind, seed: u64) -> RunFingerprint {
     let mut canonical = config.clone();
     canonical.threads = 1;
     canonical.checkpoint = None;
     canonical.scenario.holdout = None;
+    canonical.jit = JitConfig::default();
     let json = serde_json::to_string(&canonical).expect("E3Config serializes");
     RunFingerprint {
         config_hash: fnv1a(json.as_bytes()),
@@ -793,22 +796,18 @@ impl E3Platform {
             // did something this evaluation — disabled (or
             // unsupported-target) runs emit no `Jit` events, keeping
             // their NDJSON byte-identical to pre-tier runs.
-            let jit_active = tier.jit_compiled != 0
-                || tier.jit_bytes != 0
-                || tier.jit_fallbacks != 0
-                || tier.jit_activations != 0
-                || tier.jit_resident != 0;
-            if jit_active {
-                collector.record(&TelemetryEvent::Jit(JitRecord {
-                    generation: self.generation,
-                    backend: self.backend.kind().name().to_string(),
-                    compiled: tier.jit_compiled,
-                    bytes: tier.jit_bytes,
-                    compile_seconds: tier.jit_compile_seconds,
-                    fallbacks: tier.jit_fallbacks,
-                    activations: tier.jit_activations,
-                    resident: tier.jit_resident,
-                }))?;
+            let jit = JitRecord {
+                generation: self.generation,
+                backend: self.backend.kind().name().to_string(),
+                compiled: tier.jit_compiled,
+                bytes: tier.jit_bytes,
+                compile_seconds: tier.jit_compile_seconds,
+                fallbacks: tier.jit_fallbacks,
+                activations: tier.jit_activations,
+                resident: tier.jit_resident,
+            };
+            if !jit.is_empty() {
+                collector.record(&TelemetryEvent::Jit(jit))?;
             }
         }
         // --- Held-out generalization pass (read-only). ---
@@ -981,13 +980,13 @@ impl E3Platform {
         let energy = PowerModel::default().energy(kind, &self.profile);
         // One utilization record per run, before the summary, and only
         // when the backend produced cycle-level accounting (INAX).
-        if let Some(util) = &self.hw_utilization {
-            let total_cycles = self.hw_report.map_or(0, |r| r.total_cycles);
-            collector.record(&TelemetryEvent::Utilization(util.to_telemetry(
-                kind.name(),
-                self.config.env.name(),
-                total_cycles,
-            )))?;
+        if let Some(breakdown) = &self.hw_utilization {
+            collector.record(&TelemetryEvent::Utilization(UtilizationRecord {
+                backend: kind.name().to_string(),
+                env: self.config.env.name().to_string(),
+                total_cycles: self.hw_report.map_or(0, |r| r.total_cycles),
+                breakdown: breakdown.clone(),
+            }))?;
         }
         collector.record(&TelemetryEvent::Summary(RunSummary {
             backend: kind.name().to_string(),
@@ -1087,6 +1086,10 @@ mod tests {
         let mut threaded = small(EnvId::CartPole);
         threaded.threads = 8;
         threaded.checkpoint = Some(CheckpointPolicy::new("/tmp/ckpt").every(5));
+        threaded.jit = JitConfig {
+            enabled: true,
+            hot_threshold: 1,
+        };
         assert_eq!(fingerprint(&threaded, BackendKind::Cpu, 7), base);
     }
 

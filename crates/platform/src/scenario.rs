@@ -247,7 +247,7 @@ impl ScenarioConfig {
     /// [`ScenarioSpec::fixed`] (see [`ScenarioConfig::spec_for`]).
     /// Holdout is deliberately not consulted: the held-out pass is
     /// read-only, so it never moves training off the fixed schedule.
-    pub(crate) fn is_vanilla(&self) -> bool {
+    pub fn is_vanilla(&self) -> bool {
         self.scenarios_per_eval <= 1
             && self.train.is_default()
             && self.aggregation == FitnessAggregation::Mean

@@ -5,7 +5,7 @@
 
 use e3_envs::EnvId;
 use e3_platform::telemetry::{MemoryCollector, RunSummary, TelemetryEvent};
-use e3_platform::{BackendKind, CheckpointPolicy, E3Config, E3Platform};
+use e3_platform::{BackendKind, CheckpointPolicy, E3Config, E3Platform, JitConfig};
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -131,6 +131,41 @@ fn resume_across_thread_counts_is_bit_identical() {
         .run()
         .unwrap();
     assert_eq!(resumed, reference);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The execution tier is not part of a run's identity: a run
+/// checkpointed with the tier off resumes with it on, and the
+/// continuation still reproduces the uninterrupted run bit for bit.
+#[test]
+fn a_run_checkpointed_without_the_tier_resumes_with_it() {
+    let dir = scratch("tier-on");
+    let reference = E3Platform::new(base_config(1), BackendKind::Cpu, 21)
+        .run()
+        .unwrap();
+
+    let mut config = base_config(1);
+    config.checkpoint = Some(CheckpointPolicy::new(dir.to_string_lossy().into_owned()));
+    {
+        let mut platform = E3Platform::new(config.clone(), BackendKind::Cpu, 21);
+        platform.step_generation().unwrap();
+        platform.step_generation().unwrap();
+    }
+    config.jit = JitConfig {
+        enabled: true,
+        hot_threshold: 1,
+    };
+    let mut telemetry = MemoryCollector::new();
+    let resumed = E3Platform::resume(config, BackendKind::Cpu, 21)
+        .expect("toggling the tier must not orphan the checkpoint")
+        .expect("checkpoint recoverable with the tier on")
+        .run_with(&mut telemetry)
+        .unwrap();
+    assert_eq!(resumed, reference);
+    assert!(
+        telemetry.jits().count() > 0,
+        "the resumed portion ran with the tier on"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -179,21 +179,23 @@ fn validate_ndjson_stream(text: &str) -> Vec<&'static str> {
             }
             kinds.push("Exec");
         } else if let Some(util) = value.get("Utilization") {
+            for key in ["backend", "env", "total_cycles", "breakdown"] {
+                assert!(
+                    util.get(key).is_some(),
+                    "Utilization record missing {key}: {line}"
+                );
+            }
+            let util = util.get("breakdown").unwrap();
             for key in [
-                "backend",
-                "env",
-                "num_pu",
-                "num_pe",
                 "per_pu",
                 "per_pe",
                 "weight_buffer_hwm_bytes",
                 "value_buffer_hwm_slots",
                 "dma_bytes",
-                "total_cycles",
             ] {
                 assert!(
                     util.get(key).is_some(),
-                    "Utilization record missing {key}: {line}"
+                    "Utilization breakdown missing {key}: {line}"
                 );
             }
             let row = util
@@ -203,8 +205,8 @@ fn validate_ndjson_stream(text: &str) -> Vec<&'static str> {
                 .expect("per_pu is an array")
                 .first()
                 .expect("at least one PU row");
-            for key in ["pu", "busy_cycles", "idle_cycles", "stall_cycles"] {
-                assert!(row.get(key).is_some(), "PuCycleRow missing {key}");
+            for key in ["busy", "idle", "stall"] {
+                assert!(row.get(key).is_some(), "PuCycles missing {key}");
             }
             let row = util
                 .get("per_pe")
@@ -213,8 +215,8 @@ fn validate_ndjson_stream(text: &str) -> Vec<&'static str> {
                 .expect("per_pe is an array")
                 .first()
                 .expect("at least one PE row");
-            for key in ["pe", "busy_cycles", "idle_cycles"] {
-                assert!(row.get(key).is_some(), "PeCycleRow missing {key}");
+            for key in ["busy", "idle"] {
+                assert!(row.get(key).is_some(), "PeLaneCycles missing {key}");
             }
             kinds.push("Utilization");
         } else if let Some(checkpoint) = value.get("Checkpoint") {

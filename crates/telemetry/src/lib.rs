@@ -19,15 +19,22 @@
 //! Every collector method is fallible: a sink that cannot accept a
 //! record reports [`TelemetryError`] instead of panicking, and the
 //! platform surfaces that as `RunError::Telemetry`. This crate
-//! deliberately depends only on `serde`/`serde_json`; hardware- and
-//! platform-specific types are mirrored here as plain data
-//! ([`HwCounters`], [`FunctionSplit`]) so that `e3-inax` and
-//! `e3-platform` can both depend on it without a cycle.
+//! deliberately depends only on `serde`/`serde_json`, so that `e3-inax`
+//! and `e3-platform` can both depend on it without a cycle. It owns the
+//! per-function time split ([`FunctionSplit`], which `e3-platform`
+//! re-exports as `FunctionProfile`) and the accelerator's per-unit
+//! accounting ([`UtilizationBreakdown`], [`PuCycles`],
+//! [`PeLaneCycles`]): `e3-inax` counts into these types and the
+//! [`UtilizationRecord`] carries them as they are. The one accelerator
+//! type still mirrored is [`HwCounters`], a flat copy of `e3-inax`'s
+//! `EpisodeRunReport` with its utilization reports reduced to rates:
+//! the instrument under `benchmark/` reads its fields by name, so it
+//! can fold only together with a change to that package.
 
 mod metrics;
 mod span;
 
-pub use metrics::{labeled, MeteredCollector, MetricsRegistry, SharedRegistry};
+pub use metrics::{labeled, MeteredCollector, MetricsRegistry, SharedRegistry, JIT_SERIES};
 pub use span::{SpanGuard, SpanTimer, Tracer};
 
 use serde::{Deserialize, Serialize};
@@ -225,8 +232,8 @@ pub struct ExecRecord {
 }
 
 /// Tiered-execution (JIT) counters for one population evaluation,
-/// mirrored from the backend's `TierStats`. Emitted **only** when at
-/// least one counter is nonzero — disabled or unsupported-target runs
+/// mirrored from the backend's `TierStats`. Emitted **only** when it
+/// is not [`JitRecord::is_empty`] — disabled or unsupported-target runs
 /// produce no `Jit` events, so their NDJSON streams stay byte-identical
 /// to runs that predate the tier.
 ///
@@ -255,98 +262,176 @@ pub struct JitRecord {
     pub resident: u64,
 }
 
-/// Cycle accounting for one processing unit over a whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PuCycleRow {
-    /// PU index within the cluster.
-    pub pu: usize,
-    /// Cycles the PU spent computing its own inference waves.
-    pub busy_cycles: u64,
-    /// Cycles the PU sat idle (no resident individual, or waiting on
-    /// slower PUs at a wave barrier).
-    pub idle_cycles: u64,
-    /// Cycles the PU was blocked on shared resources (weight decode
-    /// for other PUs, DMA transfers).
-    pub stall_cycles: u64,
-}
-
-impl PuCycleRow {
-    /// Total accounted cycles (`busy + idle + stall`).
-    pub fn total_cycles(&self) -> u64 {
-        self.busy_cycles + self.idle_cycles + self.stall_cycles
+impl JitRecord {
+    /// True when the tier did nothing during the call: every count is
+    /// zero. The platform emits no such record, and `trace_check`
+    /// rejects one.
+    pub fn is_empty(&self) -> bool {
+        self.compiled == 0
+            && self.bytes == 0
+            && self.fallbacks == 0
+            && self.activations == 0
+            && self.resident == 0
     }
 }
 
-/// Cycle accounting for one processing element lane (aggregated over
-/// every PU, since all PUs share the PE-array shape).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PeCycleRow {
-    /// PE lane index within a PU.
-    pub pe: usize,
-    /// Cycles this lane spent on MACs/activations.
-    pub busy_cycles: u64,
-    /// Cycles this lane idled while its PU was busy (short waves,
-    /// level syncs).
-    pub idle_cycles: u64,
+/// Where one PU's cycles went over a run.
+///
+/// The three states partition every accelerator wall cycle:
+/// **busy** (computing its own decode or inference waves), **idle**
+/// (no resident individual, a dead episode, or waiting at a wave
+/// barrier for slower PUs), and **stall** (blocked on shared
+/// resources: the weight channel while other PUs decode, and DMA
+/// transfers). `busy + idle + stall` equals the accelerator's total
+/// wall cycles for every PU.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PuCycles {
+    /// Cycles spent computing (own decode + own inference waves).
+    pub busy: u64,
+    /// Cycles with nothing to do (empty, dead, or barrier lag).
+    pub idle: u64,
+    /// Cycles blocked on shared resources (peer decode, DMA).
+    pub stall: u64,
 }
 
-/// Cycle-level utilization breakdown for a whole run on the INAX
-/// accelerator: where every cycle of every PU went, per-PE-lane
-/// activity, buffer high-water marks, and DMA traffic. Emitted once
-/// per run, just before [`RunSummary`]. The per-PU rows reconcile with
-/// the aggregate counters: `busy + idle + stall` of each PU equals
-/// [`UtilizationReport::total_cycles`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct UtilizationReport {
-    /// Backend name (currently always `"E3-INAX"`).
-    pub backend: String,
-    /// Environment name.
-    pub env: String,
-    /// Number of PUs in the cluster.
-    pub num_pu: usize,
-    /// Number of PE lanes per PU.
-    pub num_pe: usize,
-    /// Per-PU busy/idle/stall cycles, indexed by PU.
-    pub per_pu: Vec<PuCycleRow>,
-    /// Per-PE-lane busy/idle cycles, aggregated across PUs.
-    pub per_pe: Vec<PeCycleRow>,
+impl PuCycles {
+    /// Total accounted cycles.
+    pub fn total(&self) -> u64 {
+        self.busy + self.idle + self.stall
+    }
+}
+
+/// Where one PE lane's cycles went while its PU was busy inferring.
+///
+/// Lane accounting is PU-scoped: a lane is **busy** for the cycles its
+/// node assignments take and **idle** for the rest of its PU's
+/// inference wall time (short waves, degree variance, level syncs).
+/// Cycles where the whole PU idles or stalls are charged to the PU,
+/// not its lanes, so `Σ busy` over lanes equals the aggregate
+/// `pe_active` breakdown counter exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PeLaneCycles {
+    /// Cycles spent on MACs and activations.
+    pub busy: u64,
+    /// Cycles idled within the PU's inference wall time.
+    pub idle: u64,
+}
+
+/// Cycle-level utilization accounting for a whole accelerator run:
+/// per-PU busy/idle/stall, per-PE-lane busy/idle (aggregated over
+/// PUs), buffer high-water marks, and DMA traffic. `e3-inax` counts
+/// it; the run reports it in a [`UtilizationRecord`].
+///
+/// Mergeable in wave order exactly like `e3-inax`'s
+/// `EpisodeRunReport::merge`: cycle vectors add elementwise,
+/// high-water marks take the max, DMA bytes add — so per-wave
+/// breakdowns from independent accelerator instances reduce to the
+/// accounting a single accelerator would produce.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct UtilizationBreakdown {
+    /// Per-PU cycle states, indexed by PU.
+    pub per_pu: Vec<PuCycles>,
+    /// Per-PE-lane cycle states, aggregated across PUs.
+    pub per_pe: Vec<PeLaneCycles>,
     /// Largest weight-stream footprint loaded onto any PU, in bytes.
     pub weight_buffer_hwm_bytes: u64,
     /// Largest value-buffer occupancy on any PU, in slots.
     pub value_buffer_hwm_slots: u64,
-    /// Total bytes moved by DMA (weights in, observations in, actions
-    /// out).
+    /// Total bytes moved over the DMA channels.
     pub dma_bytes: u64,
-    /// Total accelerator wall cycles over the run.
-    pub total_cycles: u64,
 }
 
-impl UtilizationReport {
+impl UtilizationBreakdown {
+    /// An all-zero breakdown for a cluster of `num_pu` PUs with
+    /// `num_pe` PE lanes each.
+    pub fn new(num_pu: usize, num_pe: usize) -> Self {
+        UtilizationBreakdown {
+            per_pu: vec![PuCycles::default(); num_pu],
+            per_pe: vec![PeLaneCycles::default(); num_pe],
+            ..UtilizationBreakdown::default()
+        }
+    }
+
+    /// Accumulates another breakdown (see the type docs for the merge
+    /// semantics). Shorter cycle vectors are widened, so merging into
+    /// a default-constructed breakdown is the identity.
+    pub fn merge(&mut self, other: &UtilizationBreakdown) {
+        if self.per_pu.len() < other.per_pu.len() {
+            self.per_pu.resize(other.per_pu.len(), PuCycles::default());
+        }
+        for (mine, theirs) in self.per_pu.iter_mut().zip(&other.per_pu) {
+            mine.busy += theirs.busy;
+            mine.idle += theirs.idle;
+            mine.stall += theirs.stall;
+        }
+        if self.per_pe.len() < other.per_pe.len() {
+            self.per_pe
+                .resize(other.per_pe.len(), PeLaneCycles::default());
+        }
+        for (mine, theirs) in self.per_pe.iter_mut().zip(&other.per_pe) {
+            mine.busy += theirs.busy;
+            mine.idle += theirs.idle;
+        }
+        self.weight_buffer_hwm_bytes = self
+            .weight_buffer_hwm_bytes
+            .max(other.weight_buffer_hwm_bytes);
+        self.value_buffer_hwm_slots = self
+            .value_buffer_hwm_slots
+            .max(other.value_buffer_hwm_slots);
+        self.dma_bytes += other.dma_bytes;
+    }
+}
+
+/// Cycle-level utilization for a whole run on the INAX accelerator:
+/// the run's [`UtilizationBreakdown`] stamped with its backend,
+/// environment and wall-cycle total. Emitted once per run, just before
+/// [`RunSummary`]. PU `i` is `breakdown.per_pu[i]`, PE lane `j` is
+/// `breakdown.per_pe[j]`, and every PU row reconciles with the total:
+/// `busy + idle + stall == total_cycles`.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct UtilizationRecord {
+    /// Backend name (currently always `"E3-INAX"`).
+    pub backend: String,
+    /// Environment name.
+    pub env: String,
+    /// Total accelerator wall cycles over the run.
+    pub total_cycles: u64,
+    /// Per-PU / per-PE cycle accounting, buffer high-water marks and
+    /// DMA traffic.
+    pub breakdown: UtilizationBreakdown,
+}
+
+impl UtilizationRecord {
     /// A human-readable per-PU / per-PE utilization table (the
     /// end-of-run dump `repro run` prints for INAX runs).
     pub fn summary_table(&self) -> String {
         use std::fmt::Write as _;
+        let util = &self.breakdown;
         let mut out = String::new();
         let _ = writeln!(
             out,
             "INAX utilization — {} on {} ({} PU × {} PE, {} wall cycles)",
-            self.backend, self.env, self.num_pu, self.num_pe, self.total_cycles
+            self.backend,
+            self.env,
+            util.per_pu.len(),
+            util.per_pe.len(),
+            self.total_cycles
         );
         let _ = writeln!(
             out,
             "{:>4}  {:>12}  {:>12}  {:>12}  {:>6}",
             "PU", "busy", "idle", "stall", "busy%"
         );
-        for row in &self.per_pu {
-            let total = row.total_cycles().max(1) as f64;
+        for (pu, row) in util.per_pu.iter().enumerate() {
+            let total = row.total().max(1) as f64;
             let _ = writeln!(
                 out,
                 "{:>4}  {:>12}  {:>12}  {:>12}  {:>5.1}%",
-                row.pu,
-                row.busy_cycles,
-                row.idle_cycles,
-                row.stall_cycles,
-                100.0 * row.busy_cycles as f64 / total
+                pu,
+                row.busy,
+                row.idle,
+                row.stall,
+                100.0 * row.busy as f64 / total
             );
         }
         let _ = writeln!(
@@ -354,21 +439,21 @@ impl UtilizationReport {
             "{:>4}  {:>12}  {:>12}  {:>6}",
             "PE", "busy", "idle", "busy%"
         );
-        for row in &self.per_pe {
-            let total = (row.busy_cycles + row.idle_cycles).max(1) as f64;
+        for (pe, row) in util.per_pe.iter().enumerate() {
+            let total = (row.busy + row.idle).max(1) as f64;
             let _ = writeln!(
                 out,
                 "{:>4}  {:>12}  {:>12}  {:>5.1}%",
-                row.pe,
-                row.busy_cycles,
-                row.idle_cycles,
-                100.0 * row.busy_cycles as f64 / total
+                pe,
+                row.busy,
+                row.idle,
+                100.0 * row.busy as f64 / total
             );
         }
         let _ = writeln!(
             out,
             "weight buffer HWM {} B, value buffer HWM {} slots, DMA {} B",
-            self.weight_buffer_hwm_bytes, self.value_buffer_hwm_slots, self.dma_bytes
+            util.weight_buffer_hwm_bytes, util.value_buffer_hwm_slots, util.dma_bytes
         );
         out
     }
@@ -542,7 +627,7 @@ pub enum TelemetryEvent {
     /// A generation finished.
     Generation(GenerationRecord),
     /// Cycle-level accelerator utilization for a whole run.
-    Utilization(UtilizationReport),
+    Utilization(UtilizationRecord),
     /// A snapshot was durably written by the run store.
     Checkpoint(CheckpointRecord),
     /// The run resumed from a store snapshot.
@@ -975,6 +1060,31 @@ mod tests {
         let seen = collector.generalizations().next().unwrap();
         assert_eq!(seen.holdout_scenarios, 8);
         assert_eq!(seen.gap, 70.0);
+    }
+
+    #[test]
+    fn breakdown_merge_is_elementwise_with_max_hwm() {
+        let mut a = UtilizationBreakdown::new(2, 2);
+        a.per_pu[0].busy = 10;
+        a.per_pu[1].idle = 5;
+        a.per_pe[0].busy = 7;
+        a.weight_buffer_hwm_bytes = 100;
+        a.dma_bytes = 40;
+        let mut b = UtilizationBreakdown::new(2, 2);
+        b.per_pu[0].stall = 3;
+        b.per_pe[1].idle = 2;
+        b.weight_buffer_hwm_bytes = 60;
+        b.dma_bytes = 10;
+        a.merge(&b);
+        assert_eq!(a.per_pu[0].busy, 10);
+        assert_eq!(a.per_pu[0].stall, 3);
+        assert_eq!(a.per_pe[1].idle, 2);
+        assert_eq!(a.weight_buffer_hwm_bytes, 100, "HWMs take the max");
+        assert_eq!(a.dma_bytes, 50, "bytes add");
+
+        let mut empty = UtilizationBreakdown::default();
+        empty.merge(&a);
+        assert_eq!(empty, a, "merging into default is the identity");
     }
 
     /// A writer that only exposes bytes written before the last flush,

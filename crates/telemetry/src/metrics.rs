@@ -19,6 +19,21 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
+/// The Prometheus series a [`crate::JitRecord`] feeds, in the order
+/// `observe` writes them: the plans-compiled, bytes-emitted, fallbacks
+/// and hot-activations counters, the resident-plans gauge and the
+/// compile-seconds histogram. They travel as a set — a scrape that
+/// carries one of them carries all six — which is what `trace_check`
+/// checks against this same list.
+pub const JIT_SERIES: [&str; 6] = [
+    "e3_jit_plans_compiled_total",
+    "e3_jit_bytes_emitted_total",
+    "e3_jit_fallbacks_total",
+    "e3_jit_hot_activations_total",
+    "e3_jit_resident_plans",
+    "e3_jit_compile_seconds",
+];
+
 /// Escapes a label value per the Prometheus text exposition format:
 /// backslash, double quote, and line feed become `\\`, `\"`, and `\n`
 /// so any string — paths, error messages, env names — is safe inside
@@ -263,12 +278,14 @@ impl MetricsRegistry {
                 self.histogram_observe(&plain("e3_exec_wall_seconds"), exec.wall_seconds);
             }
             TelemetryEvent::Jit(jit) => {
-                self.counter_add(&plain("e3_jit_plans_compiled_total"), jit.compiled);
-                self.counter_add(&plain("e3_jit_bytes_emitted_total"), jit.bytes);
-                self.counter_add(&plain("e3_jit_fallbacks_total"), jit.fallbacks);
-                self.counter_add(&plain("e3_jit_hot_activations_total"), jit.activations);
-                self.gauge_set(&plain("e3_jit_resident_plans"), jit.resident as f64);
-                self.histogram_observe(&plain("e3_jit_compile_seconds"), jit.compile_seconds);
+                let [compiled, bytes, fallbacks, activations, resident, compile_seconds] =
+                    JIT_SERIES;
+                self.counter_add(&plain(compiled), jit.compiled);
+                self.counter_add(&plain(bytes), jit.bytes);
+                self.counter_add(&plain(fallbacks), jit.fallbacks);
+                self.counter_add(&plain(activations), jit.activations);
+                self.gauge_set(&plain(resident), jit.resident as f64);
+                self.histogram_observe(&plain(compile_seconds), jit.compile_seconds);
             }
             TelemetryEvent::Generation(generation) => {
                 self.counter_add(&plain("e3_generations_total"), 1);
@@ -335,41 +352,29 @@ impl MetricsRegistry {
                     self.gauge_set(&plain("e3_energy_joules"), joules);
                 }
             }
-            TelemetryEvent::Utilization(report) => {
-                self.counter_add(&plain("e3_inax_dma_bytes_total"), report.dma_bytes);
+            TelemetryEvent::Utilization(record) => {
+                let util = &record.breakdown;
+                self.counter_add(&plain("e3_inax_dma_bytes_total"), util.dma_bytes);
                 self.gauge_set(
                     &plain("e3_inax_weight_buffer_hwm_bytes"),
-                    report.weight_buffer_hwm_bytes as f64,
+                    util.weight_buffer_hwm_bytes as f64,
                 );
                 self.gauge_set(
                     &plain("e3_inax_value_buffer_hwm_slots"),
-                    report.value_buffer_hwm_slots as f64,
+                    util.value_buffer_hwm_slots as f64,
                 );
-                for row in &report.per_pu {
-                    let index = row.pu.to_string();
-                    self.counter_add(
-                        &with("e3_pu_busy_cycles_total", "pu", &index),
-                        row.busy_cycles,
-                    );
-                    self.counter_add(
-                        &with("e3_pu_idle_cycles_total", "pu", &index),
-                        row.idle_cycles,
-                    );
-                    self.counter_add(
-                        &with("e3_pu_stall_cycles_total", "pu", &index),
-                        row.stall_cycles,
-                    );
+                // Rows are labeled by their position: PU `i` is
+                // `per_pu[i]`, PE lane `j` is `per_pe[j]`.
+                for (pu, row) in util.per_pu.iter().enumerate() {
+                    let index = pu.to_string();
+                    self.counter_add(&with("e3_pu_busy_cycles_total", "pu", &index), row.busy);
+                    self.counter_add(&with("e3_pu_idle_cycles_total", "pu", &index), row.idle);
+                    self.counter_add(&with("e3_pu_stall_cycles_total", "pu", &index), row.stall);
                 }
-                for row in &report.per_pe {
-                    let index = row.pe.to_string();
-                    self.counter_add(
-                        &with("e3_pe_busy_cycles_total", "pe", &index),
-                        row.busy_cycles,
-                    );
-                    self.counter_add(
-                        &with("e3_pe_idle_cycles_total", "pe", &index),
-                        row.idle_cycles,
-                    );
+                for (pe, row) in util.per_pe.iter().enumerate() {
+                    let index = pe.to_string();
+                    self.counter_add(&with("e3_pe_busy_cycles_total", "pe", &index), row.busy);
+                    self.counter_add(&with("e3_pe_idle_cycles_total", "pe", &index), row.idle);
                 }
             }
         }
@@ -634,8 +639,8 @@ mod tests {
         }
     }
     use crate::{
-        CheckpointRecord, EvalRecord, ExecRecord, HwCounters, MemoryCollector, PeCycleRow,
-        PuCycleRow, ResumeRecord, RunSummary, UtilizationReport,
+        CheckpointRecord, EvalRecord, ExecRecord, HwCounters, MemoryCollector, PeLaneCycles,
+        PuCycles, ResumeRecord, RunSummary, UtilizationBreakdown, UtilizationRecord,
     };
 
     #[test]
@@ -710,19 +715,20 @@ mod tests {
             resident: 5,
             ..Default::default()
         }));
-        registry.observe(&TelemetryEvent::Utilization(UtilizationReport {
-            per_pu: vec![PuCycleRow {
-                pu: 0,
-                busy_cycles: 600,
-                idle_cycles: 300,
-                stall_cycles: 100,
-            }],
-            per_pe: vec![PeCycleRow {
-                pe: 0,
-                busy_cycles: 400,
-                idle_cycles: 200,
-            }],
-            dma_bytes: 4096,
+        registry.observe(&TelemetryEvent::Utilization(UtilizationRecord {
+            breakdown: UtilizationBreakdown {
+                per_pu: vec![PuCycles {
+                    busy: 600,
+                    idle: 300,
+                    stall: 100,
+                }],
+                per_pe: vec![PeLaneCycles {
+                    busy: 400,
+                    idle: 200,
+                }],
+                dma_bytes: 4096,
+                ..Default::default()
+            },
             ..Default::default()
         }));
         registry.observe(&TelemetryEvent::Checkpoint(CheckpointRecord {

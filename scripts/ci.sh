@@ -107,10 +107,20 @@ echo "== crash-safe store: kill-and-resume reproduces the uninterrupted run =="
 # A seeded CartPole run is checkpointed every generation and killed
 # after two; resuming from the newest intact snapshot must produce the
 # exact RunOutcome JSON of the uninterrupted reference run
-# (bit-identical resume contract, see crates/store).
+# (bit-identical resume contract, see crates/store). The reference run
+# also writes its NDJSON telemetry, which must parse and carry an INAX
+# Utilization record whose every PU row reconciles with the run's
+# total cycles (trace_check checks busy + idle + stall per PU).
 store_dir="$trace_tmp/store"
 ref=$(cargo run --release --offline -q -p e3-bench --bin repro -- \
-    run --env cartpole --backend inax --seed 7 --json)
+    run --env cartpole --backend inax --seed 7 --json \
+    --telemetry "$trace_tmp/inax.ndjson")
+cargo run --release --offline -q -p e3-bench --bin trace_check -- \
+    --ndjson "$trace_tmp/inax.ndjson"
+if ! grep -q '"Utilization"' "$trace_tmp/inax.ndjson"; then
+    echo "error: INAX telemetry carries no Utilization record" >&2
+    exit 1
+fi
 cargo run --release --offline -q -p e3-bench --bin repro -- \
     run --env cartpole --backend inax --seed 7 \
     --checkpoint-dir "$store_dir" --crash-after 2 >/dev/null
@@ -139,6 +149,8 @@ echo "== benchmark/: the instrument still builds and checks out =="
 # BENCHMARK.json nor benchmark/history.ndjson; its last stdout line
 # must report every output check passed and no generation failed.
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+# Its own unit tests link against the platform's public API too.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 for run in "cartpole_default 0" "lander_k4 0" "lander_jit 0" "cartpole_inax 0" \
     "lander_observed 0" "lander_observed 1"; do
     read -r workload trace <<<"$run"

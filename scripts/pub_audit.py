@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Checks that every `pub` item in crates/*/src has a user outside its
 crate: another crate, a `tests/` or `examples/` target, a binary, a
-doc-test, or `benchmark/src`.
+doc-test, or `benchmark/` (its own tests included).
 
 It demotes every `pub` item and every `pub use` re-export in
-crates/*/src to `pub(crate)`, then compiles the workspace (all
-targets), `benchmark/` and the doc-tests, and gives `pub` back to
-exactly what the compiler reports as used from outside (a private
+crates/*/src to `pub(crate)`, then compiles the workspace and
+`benchmark/` (all targets of each) and the doc-tests, and gives `pub`
+back to exactly what the compiler reports as used from outside (a private
 item, method or re-export; a private type in a public signature).
 It repeats until nothing more fails. Whatever is still demoted then has
 no outside user: the script prints it and exits 1. Every source file is
@@ -180,7 +180,8 @@ class Audit:
         """One compile of the workspace and `benchmark/`; returns
         (items made public, errors seen)."""
         changed = errors = 0
-        for cmd in (['--workspace', '--all-targets'], ['--manifest-path', 'benchmark/Cargo.toml']):
+        for cmd in (['--workspace', '--all-targets'],
+                    ['--manifest-path', 'benchmark/Cargo.toml', '--all-targets']):
             out = subprocess.run(['cargo', 'check', '--offline', '--keep-going',
                                   '--message-format=json'] + cmd,
                                  cwd=ROOT, capture_output=True, text=True).stdout
