@@ -204,7 +204,7 @@ fn main() -> ExitCode {
         );
     }
     if let Some(path) = &args.telemetry {
-        let _span = tracer.span("write_telemetry", "platform");
+        let _span = tracer.start("write_telemetry", "platform");
         match write_telemetry(path, &args, &workload, &sweep.points) {
             Ok(()) => println!("wrote telemetry to {path}"),
             Err(e) => {
@@ -214,7 +214,7 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &args.csv {
-        let _span = tracer.span("write_csv", "platform");
+        let _span = tracer.start("write_csv", "platform");
         match std::fs::write(path, sweep.to_csv()) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => {

@@ -46,7 +46,6 @@ use serde::{Deserialize, Serialize};
 /// with. `Default` reproduces the classic hard-coded constants
 /// bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
 pub struct ScenarioParams {
     /// Multiplies the environment's gravitational constant.
     pub gravity_scale: f64,
@@ -130,7 +129,6 @@ impl ParamRange {
 /// every field to its default value, so the default distribution
 /// samples exactly the legacy physics no matter the seed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
 pub struct ScenarioDistribution {
     /// Range for [`ScenarioParams::gravity_scale`].
     pub gravity_scale: ParamRange,

@@ -50,7 +50,7 @@ mod memory;
 
 use e3_neat::{Activation, NetPlan};
 use memory::ExecPage;
-use serde::{DeError, Deserialize, Serialize, Sink, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The C ABI every activation wrapper exports: `f64` in `xmm0`, `f64`
@@ -113,8 +113,9 @@ pub(crate) fn activation_index(activation: Activation) -> usize {
 /// software backend's tiered plan cache when it is built.
 ///
 /// Disabled by default: a run with the default config is byte-identical
-/// to one predating the JIT tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// to one predating the JIT tier. Decoding expects both fields, as
+/// encoding writes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JitConfig {
     /// Whether hot plans are promoted to native code at all.
     pub enabled: bool,
@@ -130,45 +131,6 @@ impl Default for JitConfig {
             enabled: false,
             hot_threshold: 3,
         }
-    }
-}
-
-// Hand-written (not derived) so configs predating the JIT tier — or
-// omitting either field — still deserialize to the defaults.
-impl Serialize for JitConfig {
-    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
-        sink.record(&["enabled", "hot_threshold"]);
-        self.enabled.stream(sink);
-        self.hot_threshold.stream(sink);
-        sink.end();
-    }
-}
-
-impl Deserialize for JitConfig {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        // A missing `jit` field in an embedding struct surfaces here
-        // as `Null` — configs predating the tier mean "disabled".
-        if matches!(value, Value::Null) {
-            return Ok(JitConfig::default());
-        }
-        if !matches!(value, Value::Object(_)) {
-            return Err(DeError::expected("object (JitConfig)", value));
-        }
-        let defaults = JitConfig::default();
-        let enabled = match serde::field_or_null(value, "enabled") {
-            Value::Null => defaults.enabled,
-            v => Deserialize::from_value(v)
-                .map_err(|e| DeError::new(format!("field `enabled`: {e}")))?,
-        };
-        let hot_threshold = match serde::field_or_null(value, "hot_threshold") {
-            Value::Null => defaults.hot_threshold,
-            v => Deserialize::from_value(v)
-                .map_err(|e| DeError::new(format!("field `hot_threshold`: {e}")))?,
-        };
-        Ok(JitConfig {
-            enabled,
-            hot_threshold,
-        })
     }
 }
 
@@ -376,13 +338,6 @@ mod tests {
         let json = serde_json::to_string(&config).unwrap();
         let back: JitConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, config);
-        // Old configs without the field still deserialize.
-        let old: JitConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(old, JitConfig::default());
-        // A wholly missing field (Null through an embedding struct's
-        // derived Deserialize) means "disabled" too.
-        let null: JitConfig = serde::Deserialize::from_value(&serde::Value::Null).unwrap();
-        assert_eq!(null, JitConfig::default());
     }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]

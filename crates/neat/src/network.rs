@@ -43,7 +43,6 @@ pub struct Network {
     /// Scratch activation values (the "value buffer").
     values: Vec<f64>,
     /// Scratch output vector for [`Network::activate_into`].
-    #[serde(default)]
     outputs: Vec<f64>,
 }
 

@@ -39,7 +39,7 @@ pub struct EvaluatedGenome {
 /// pop.evaluate(|g| g.num_enabled_connections() as f64);
 /// let json = serde_json::to_string(&pop.snapshot())?;
 /// let restored: PopulationSnapshot = serde_json::from_str(&json)?;
-/// let mut resumed = Population::from_snapshot(restored, 7); // seed ignored: RNG state is captured
+/// let mut resumed = Population::from_snapshot(restored);
 /// resumed.evolve();
 /// pop.evolve();
 /// assert_eq!(resumed.genomes(), pop.genomes());
@@ -63,10 +63,8 @@ pub struct PopulationSnapshot {
     pub best: Option<EvaluatedGenome>,
     /// Innovation bookkeeping (counters and per-generation caches).
     pub tracker: InnovationTracker,
-    /// Evolve-phase RNG state (xoshiro256++ words). `None` only in
-    /// `v0` snapshots serialized before RNG capture; restoring those
-    /// reseeds instead of resuming the stream.
-    pub rng_state: Option<[u64; 4]>,
+    /// Evolve-phase RNG state (xoshiro256++ words).
+    pub rng_state: [u64; 4],
 }
 
 /// A NEAT population: the full state of an evolutionary run.
@@ -474,27 +472,18 @@ impl Population {
             next_species_id: self.next_species_id,
             best: self.best_ever.clone(),
             tracker: self.tracker.clone(),
-            rng_state: Some(self.rng.state()),
+            rng_state: self.rng.state(),
         }
     }
 
-    /// Rebuilds a population from a snapshot.
-    ///
-    /// When the snapshot carries the captured RNG state (every
-    /// snapshot written since RNG capture landed), the restored
-    /// population continues the exact random stream and evolution is
-    /// bit-identical to an uninterrupted run; `seed` is ignored. For
-    /// `v0` snapshots without RNG state, the RNG is reseeded from
-    /// `seed` and the continuation is valid but not bit-identical.
-    pub fn from_snapshot(snapshot: PopulationSnapshot, seed: u64) -> Self {
-        let rng = match snapshot.rng_state {
-            Some(state) => StdRng::from_state(state),
-            None => StdRng::seed_from_u64(seed),
-        };
+    /// Rebuilds a population from a snapshot. The restored population
+    /// continues the captured RNG stream, so evolution is
+    /// bit-identical to an uninterrupted run.
+    pub fn from_snapshot(snapshot: PopulationSnapshot) -> Self {
         Population {
             config: snapshot.config,
             tracker: snapshot.tracker,
-            rng,
+            rng: StdRng::from_state(snapshot.rng_state),
             genomes: snapshot.genomes,
             fitnesses: snapshot.fitnesses,
             species: snapshot.species,
@@ -721,7 +710,7 @@ mod tests {
         // indistinguishable from never snapshotting: every subsequent
         // generation is genome-for-genome identical.
         let mut pop = evolved();
-        let mut resumed = Population::from_snapshot(pop.snapshot(), 12345);
+        let mut resumed = Population::from_snapshot(pop.snapshot());
         for _ in 0..4 {
             pop.evolve();
             resumed.evolve();
@@ -734,32 +723,5 @@ mod tests {
             pop.best().map(|b| b.fitness),
             resumed.best().map(|b| b.fitness)
         );
-    }
-
-    #[test]
-    fn v0_snapshot_without_rng_state_still_restores() {
-        // Old JSON snapshots predate the `rng_state` field; they must
-        // keep deserializing and restoring (reseeded, not
-        // bit-identical). A v0 file simply lacks the field entirely —
-        // strip it from the serialized object to reproduce one.
-        let pop = evolved();
-        let serde_json::Value::Object(fields) = serde_json::to_value(&pop.snapshot()).unwrap()
-        else {
-            panic!("snapshot serializes as an object");
-        };
-        let v0 = serde_json::Value::Object(
-            fields
-                .into_iter()
-                .filter(|(k, _)| k != "rng_state")
-                .collect(),
-        );
-        let json = serde_json::to_string(&v0).unwrap();
-        assert!(!json.contains("rng_state"));
-        let back: PopulationSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.rng_state, None);
-        let mut resumed = Population::from_snapshot(back, 17);
-        assert_eq!(resumed.generation(), pop.generation());
-        resumed.evolve();
-        assert_eq!(resumed.genomes().len(), pop.genomes().len());
     }
 }

@@ -97,7 +97,7 @@ proptest! {
         let pop = evolved_population(seed, pop_size, 2);
         let first = pop.snapshot();
         let json_first = serde_json::to_string(&first).unwrap();
-        let restored = Population::from_snapshot(first, seed);
+        let restored = Population::from_snapshot(first);
         let second = restored.snapshot();
         let json_second = serde_json::to_string(&second).unwrap();
         prop_assert_eq!(json_second, json_first);

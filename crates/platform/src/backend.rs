@@ -36,7 +36,7 @@ use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig};
 use e3_jit::{CompiledPlan, JitConfig};
 use e3_neat::stats::PlanShape;
 use e3_neat::{DecodeError, Genome, NetPlan};
-use e3_telemetry::{SpanGuard, SpanTimer, Tracer, UtilizationBreakdown};
+use e3_telemetry::{SpanTimer, Tracer, UtilizationBreakdown};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
@@ -402,8 +402,8 @@ impl EvalJob {
 
     /// Opens the span covering one shard (`items` genomes from
     /// `start`).
-    fn shard_span(&self, start: usize, items: usize) -> SpanGuard {
-        let mut span = self.tracer.span("shard", "exec");
+    fn shard_span(&self, start: usize, items: usize) -> SpanTimer {
+        let mut span = self.tracer.start("shard", "exec");
         span.arg("start", start as f64);
         span.arg("items", items as f64);
         span
@@ -565,7 +565,7 @@ fn run_on_accelerator(
 
 /// The "evaluate" phase executor: one kernel on host worker threads,
 /// timed by a `Pricing`. Host parallelism — NE's embarrassing
-/// parallelism is one of the properties the paper cites ([35], [43]) —
+/// parallelism is one of the properties the paper cites (\[35\], \[43\]) —
 /// never changes the *modeled* time, so comparisons stay faithful to
 /// the baseline platforms; fitness values and accelerator counters are
 /// bit-identical at every thread count (see `e3-exec`).

@@ -123,18 +123,13 @@ pub struct E3Config {
     /// held-out generalization pass. The default is *vanilla* —
     /// `K = 1` with default [`e3_envs::ScenarioParams`] — which
     /// evaluates under [`crate::ScenarioSpec::fixed`] and is
-    /// bit-identical to configurations that predate this field (old
-    /// JSON deserializes via `serde(default)`).
-    #[serde(default)]
+    /// bit-identical to runs that predate this field.
     pub scenario: ScenarioConfig,
     /// Tiered-execution policy: when enabled, genomes that stay hot in
     /// the decode cache are promoted to natively compiled code
     /// (`e3-jit`), with the interpreter as the bit-exact oracle and
     /// permanent fallback. Never affects results — only speed and
-    /// telemetry. The default is disabled, and configs predating this
-    /// field deserialize to the default (`JitConfig::from_value`
-    /// accepts a missing field).
-    #[serde(default)]
+    /// telemetry. The default is disabled.
     pub jit: JitConfig,
 }
 
@@ -595,9 +590,7 @@ impl E3Platform {
     }
 
     fn apply_state(&mut self, state: RunState) {
-        // The snapshot carries the RNG stream, so the seed argument is
-        // only the v0-compatibility fallback.
-        self.population = Population::from_snapshot(state.population, self.seed);
+        self.population = Population::from_snapshot(state.population);
         self.profile = state.profile;
         self.complexity = state.complexity;
         self.hw_report = state.hw_report;
@@ -1511,14 +1504,5 @@ mod tests {
         let json = serde_json::to_string(&config).unwrap();
         let back: E3Config = serde_json::from_str(&json).unwrap();
         assert_eq!(back, config);
-        // A pre-scenario config JSON (no `scenario` key at all) loads
-        // as vanilla.
-        let mut value = small(EnvId::Pendulum).to_value();
-        if let serde::Value::Object(fields) = &mut value {
-            fields.retain(|(key, _)| key != "scenario");
-        }
-        let legacy: E3Config = Deserialize::from_value(&value).unwrap();
-        assert!(legacy.scenario.is_vanilla());
-        assert_eq!(legacy, small(EnvId::Pendulum));
     }
 }

@@ -120,7 +120,7 @@ pub(crate) fn aggregate_fitness(per_scenario: &mut [f64], aggregation: FitnessAg
 /// Held-out generalization probing: every `every` generations the
 /// incumbent best genome is evaluated on `scenarios` worlds sampled
 /// from a distribution the training loop never sees.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HoldoutConfig {
     /// The held-out scenario distribution.
     pub distribution: ScenarioDistribution,
@@ -131,45 +131,14 @@ pub struct HoldoutConfig {
     pub every: usize,
 }
 
-// Manual impl: `scenarios` and `every` fall back to their defaults
-// when omitted (the derive has no notion of field defaults).
-impl serde::Deserialize for HoldoutConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        if !matches!(value, serde::Value::Object(_)) {
-            return Err(serde::DeError::expected("object (HoldoutConfig)", value));
-        }
-        let mut config = HoldoutConfig::new(serde::Deserialize::from_value(serde::field_or_null(
-            value,
-            "distribution",
-        ))?);
-        let scenarios = serde::field_or_null(value, "scenarios");
-        if !matches!(scenarios, serde::Value::Null) {
-            config.scenarios = serde::Deserialize::from_value(scenarios)?;
-        }
-        let every = serde::field_or_null(value, "every");
-        if !matches!(every, serde::Value::Null) {
-            config.every = serde::Deserialize::from_value(every)?;
-        }
-        Ok(config)
-    }
-}
-
-fn default_holdout_scenarios() -> usize {
-    8
-}
-
-fn default_holdout_every() -> usize {
-    1
-}
-
 impl HoldoutConfig {
     /// A pass over `distribution` with the default cadence (8 worlds,
     /// every generation).
     pub fn new(distribution: ScenarioDistribution) -> Self {
         HoldoutConfig {
             distribution,
-            scenarios: default_holdout_scenarios(),
-            every: default_holdout_every(),
+            scenarios: 8,
+            every: 1,
         }
     }
 
@@ -181,7 +150,7 @@ impl HoldoutConfig {
 }
 
 /// Scenario-distribution configuration of one run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
     /// The training distribution scenario parameters are sampled from.
     pub train: ScenarioDistribution,
@@ -193,48 +162,13 @@ pub struct ScenarioConfig {
     pub holdout: Option<HoldoutConfig>,
 }
 
-// Manual impl: every field falls back to its vanilla default when
-// omitted, and `Null` (a containing struct that predates scenario
-// distributions, e.g. an old `E3Config` JSON) deserializes to the
-// vanilla default wholesale — old configs load unchanged.
-impl serde::Deserialize for ScenarioConfig {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        if matches!(value, serde::Value::Null) {
-            return Ok(ScenarioConfig::default());
-        }
-        if !matches!(value, serde::Value::Object(_)) {
-            return Err(serde::DeError::expected("object (ScenarioConfig)", value));
-        }
-        let mut config = ScenarioConfig::default();
-        let train = serde::field_or_null(value, "train");
-        if !matches!(train, serde::Value::Null) {
-            config.train = serde::Deserialize::from_value(train)?;
-        }
-        let k = serde::field_or_null(value, "scenarios_per_eval");
-        if !matches!(k, serde::Value::Null) {
-            config.scenarios_per_eval = serde::Deserialize::from_value(k)?;
-        }
-        let aggregation = serde::field_or_null(value, "aggregation");
-        if !matches!(aggregation, serde::Value::Null) {
-            config.aggregation = serde::Deserialize::from_value(aggregation)?;
-        }
-        config.holdout = serde::Deserialize::from_value(serde::field_or_null(value, "holdout"))?;
-        Ok(config)
-    }
-}
-
-fn default_scenarios_per_eval() -> usize {
-    1
-}
-
 impl Default for ScenarioConfig {
     /// The vanilla contract: one scenario, default train parameters,
-    /// mean aggregation, no holdout (matches the serde field
-    /// defaults, so `{}` deserializes to this).
+    /// mean aggregation, no holdout.
     fn default() -> Self {
         ScenarioConfig {
             train: ScenarioDistribution::default(),
-            scenarios_per_eval: default_scenarios_per_eval(),
+            scenarios_per_eval: 1,
             aggregation: FitnessAggregation::default(),
             holdout: None,
         }
@@ -244,7 +178,7 @@ impl Default for ScenarioConfig {
 impl ScenarioConfig {
     /// The fixed-env contract: one scenario, default train
     /// parameters, mean aggregation. Such a config evaluates under
-    /// [`ScenarioSpec::fixed`] (see [`ScenarioConfig::spec_for`]).
+    /// [`ScenarioSpec::fixed`] (see `ScenarioConfig::spec_for`).
     /// Holdout is deliberately not consulted: the held-out pass is
     /// read-only, so it never moves training off the fixed schedule.
     pub fn is_vanilla(&self) -> bool {
@@ -414,16 +348,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_config_is_vanilla_and_matches_serde_defaults() {
+    fn default_config_is_vanilla() {
         let config = ScenarioConfig::default();
         assert!(config.is_vanilla());
         assert_eq!(config.scenarios_per_eval, 1);
         assert_eq!(config.aggregation, FitnessAggregation::Mean);
         assert!(config.holdout.is_none());
-        // An empty JSON object deserializes to the same config, so
-        // pre-scenario configs load unchanged.
-        let from_empty: ScenarioConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(from_empty, config);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 
 use e3_envs::EnvId;
 use e3_platform::telemetry::{MemoryCollector, RunSummary, TelemetryEvent};
-use e3_platform::{BackendKind, CheckpointPolicy, E3Config, E3Platform, JitConfig};
+use e3_platform::{
+    fingerprint, BackendKind, CheckpointPolicy, E3Config, E3Platform, JitConfig, RunError,
+};
+use e3_store::{RunStore, StoreError};
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -216,5 +220,47 @@ fn checkpoint_events_are_purely_additive() {
         normalize(plain_collector.events())
     );
     assert_eq!(checkpointed_collector.checkpoints().count(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The value of `key` in the object `value`.
+fn field<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Object(fields) = value else {
+        panic!("the parent of `{key}` is not an object");
+    };
+    fields
+        .iter_mut()
+        .find(|(name, _)| name == key)
+        .map(|(_, found)| found)
+        .unwrap_or_else(|| panic!("no field `{key}`"))
+}
+
+/// The store decodes only the shape it writes: a snapshot whose
+/// population lacks its RNG state cannot continue the run's random
+/// stream, so resuming from it is a typed decode error rather than a
+/// run on a reseeded stream.
+#[test]
+fn a_snapshot_without_rng_state_fails_to_resume() {
+    let dir = scratch("no-rng-state");
+    let mut config = base_config(1);
+    config.checkpoint = Some(CheckpointPolicy::new(dir.to_string_lossy().into_owned()));
+    let mut platform = E3Platform::new(config.clone(), BackendKind::Cpu, 5);
+    platform.step_generation().unwrap();
+    platform.step_generation().unwrap();
+
+    let mut state = platform.capture_state().to_value();
+    *field(field(&mut state, "population"), "rng_state") = Value::Null;
+    let mut store = RunStore::open(&dir, fingerprint(&config, BackendKind::Cpu, 5), 3).unwrap();
+    store.save(platform.generation() + 1, None, &state).unwrap();
+    drop(platform);
+
+    match E3Platform::resume(config, BackendKind::Cpu, 5) {
+        Err(RunError::Store(StoreError::Decode(_))) => {}
+        Err(other) => panic!("expected a decode error, got {other}"),
+        Ok(resumed) => panic!(
+            "a snapshot without rng_state resumed (at generation {:?})",
+            resumed.map(|p| p.generation())
+        ),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

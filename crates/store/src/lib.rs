@@ -5,7 +5,7 @@
 //! resumed run must be indistinguishable from one that never stopped.
 //! This crate provides the storage half of that contract:
 //!
-//! * **Versioned snapshot format** ([`format`]) — magic + format
+//! * **Versioned snapshot format** ([`format`](mod@format)) — magic + format
 //!   version + run fingerprint + checksummed binary payload, so torn,
 //!   short, and bit-flipped files are all detectable. The payload is
 //!   streamed from the state's fields into a buffer the store keeps

@@ -35,7 +35,7 @@ mod metrics;
 mod span;
 
 pub use metrics::{labeled, MeteredCollector, MetricsRegistry, SharedRegistry, JIT_SERIES};
-pub use span::{SpanGuard, SpanTimer, Tracer};
+pub use span::{SpanTimer, Tracer};
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -214,10 +214,8 @@ pub struct ExecRecord {
     pub cache_misses: u64,
     /// Compiled plans resident across all workers' decode caches at
     /// the end of the call (a gauge).
-    #[serde(default)]
     pub cache_entries: u64,
     /// Decode-cache entries evicted by epoch turnover during the call.
-    #[serde(default)]
     pub cache_evictions: u64,
     /// Fraction of decode lookups served from cache, in `[0, 1]`.
     pub cache_hit_rate: f64,
@@ -564,7 +562,7 @@ pub struct MigrationRecord {
 /// scenario distributions (`e3-platform`'s generalization harness).
 /// Emitted once per holdout pass, after the generation's [`EvalRecord`]
 /// and before its [`GenerationRecord`], when the run is configured
-/// with a held-out [`ScenarioDistribution`] — never for vanilla
+/// with a held-out `e3_envs::ScenarioDistribution` — never for vanilla
 /// fixed-env runs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct GeneralizationRecord {

@@ -9,7 +9,7 @@
 //! # Zero cost when disabled
 //!
 //! [`Tracer::disabled`] carries no allocation and no clock: every
-//! `span`/`start` call on a disabled tracer returns an inert guard
+//! [`Tracer::start`] on a disabled tracer returns an inert timer
 //! without ever touching [`Instant::now`], so instrumented hot paths
 //! pay a single branch. The tracer is write-only either way — results
 //! must be bit-identical with tracing on or off (enforced by the
@@ -100,17 +100,11 @@ impl Tracer {
         }
     }
 
-    /// Opens a span closed automatically when the guard drops.
-    pub fn span(&self, name: &str, cat: &str) -> SpanGuard {
-        SpanGuard {
-            timer: self.start(name, cat),
-        }
-    }
-
-    /// Opens a span closed explicitly via [`SpanTimer::finish`]. Use
-    /// this where span lifetime does not nest lexically (e.g. the
-    /// platform's `generation` span, opened by the eval phase and
-    /// finished by the evolve phase).
+    /// Opens a span, closed by [`SpanTimer::finish`] or when the
+    /// timer drops — whichever comes first. `finish` serves spans whose
+    /// lifetime does not nest lexically (e.g. the platform's
+    /// `generation` span, opened by the eval phase and finished by the
+    /// evolve phase).
     pub fn start(&self, name: &str, cat: &str) -> SpanTimer {
         let live = self.shared.as_ref().map(|shared| LiveSpan {
             shared: Arc::clone(shared),
@@ -239,9 +233,9 @@ impl LiveSpan {
     }
 }
 
-/// An open span finished explicitly; inert when the tracer is
-/// disabled. Dropping an unfinished timer records the span too, so a
-/// panic unwind still closes it.
+/// An open span, returned by [`Tracer::start`]; inert when the tracer
+/// is disabled. [`SpanTimer::finish`] closes it, and so does dropping
+/// it unfinished (at the end of a scope, or in a panic unwind).
 #[derive(Debug)]
 #[must_use = "a span timer measures until finished or dropped"]
 pub struct SpanTimer {
@@ -276,21 +270,6 @@ impl Drop for SpanTimer {
     }
 }
 
-/// RAII span guard returned by [`Tracer::span`]; closes on drop.
-#[derive(Debug)]
-#[must_use = "a span guard measures until dropped"]
-pub struct SpanGuard {
-    timer: SpanTimer,
-}
-
-impl SpanGuard {
-    /// Attaches a numeric annotation to the span (no-op when
-    /// disabled).
-    pub fn arg(&mut self, key: &str, value: f64) {
-        self.timer.arg(key, value);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +279,7 @@ mod tests {
         let tracer = Tracer::disabled();
         assert!(tracer.shared.is_none());
         {
-            let _guard = tracer.span("run", "platform");
+            let _run = tracer.start("run", "platform");
             let timer = tracer.start("eval", "platform");
             timer.finish();
         }
@@ -312,10 +291,10 @@ mod tests {
     fn spans_nest_and_complete_in_leaf_first_order() {
         let tracer = Tracer::enabled();
         {
-            let _run = tracer.span("run", "platform");
+            let _run = tracer.start("run", "platform");
             {
-                let _gen = tracer.span("generation", "platform");
-                let _eval = tracer.span("eval", "platform");
+                let _gen = tracer.start("generation", "platform");
+                let _eval = tracer.start("eval", "platform");
             }
         }
         let spans = tracer.spans();
@@ -370,11 +349,11 @@ mod tests {
         let tracer = Tracer::enabled();
         let clone = tracer.clone();
         let handle = std::thread::spawn(move || {
-            let _span = clone.span("shard", "exec");
+            let _span = clone.start("shard", "exec");
         });
         handle.join().unwrap();
         {
-            let _span = tracer.span("eval", "platform");
+            let _span = tracer.start("eval", "platform");
         }
         assert_eq!(tracer.span_count(), 2);
         let spans = tracer.spans();

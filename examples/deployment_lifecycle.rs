@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- 3. power-cycle, then tune under shifted conditions ----------------
     let restored: PopulationSnapshot = serde_json::from_str(&json).expect("snapshots parse");
-    let mut tuned = Population::from_snapshot(restored, 99);
+    let mut tuned = Population::from_snapshot(restored);
     // The deployed plant differs: one draw of the shifted distribution.
     let mut shifted = EnvId::CartPole.make_scenario(&ScenarioDistribution::shifted().sample(7));
     let before = evaluate_population(&mut tuned, shifted.as_mut(), 900)?;

@@ -168,6 +168,11 @@ done
 echo "== clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (warnings are errors) =="
+# A broken intra-doc link is a doc that points nowhere; keep the API
+# docs building clean.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== rustfmt =="
 cargo fmt --check
 

@@ -138,7 +138,7 @@ fn a_cyclic_parent_passes_only_acyclic_genes_on() {
         NetPlan::compile(genome),
         Err(DecodeError::Cycle(_))
     ));
-    let mut population = Population::from_snapshot(snapshot, 0);
+    let mut population = Population::from_snapshot(snapshot);
     let values = (0..40)
         .map(|i| if i == 0 { 1e6 } else { i as f64 })
         .collect();

@@ -35,7 +35,6 @@ fn checkpointed_run_can_be_deployed_after_restore() {
     let json = serde_json::to_string(&pop.snapshot()).expect("serializes");
     let restored = Population::from_snapshot(
         serde_json::from_str::<PopulationSnapshot>(&json).expect("parses"),
-        7,
     );
     let champion = restored.best().expect("snapshot keeps the champion");
     assert_eq!(champion.fitness, before.fitness);

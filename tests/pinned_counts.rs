@@ -3,7 +3,10 @@
 //! than a drift a benchmark may or may not resolve.
 
 use e3::envs::{EnvId, ScenarioDistribution};
-use e3::platform::{BackendKind, E3Config, E3Platform, ScenarioConfig};
+use e3::platform::{
+    fingerprint, BackendKind, CheckpointPolicy, E3Config, E3Platform, FitnessAggregation,
+    HoldoutConfig, JitConfig, ScenarioConfig,
+};
 use e3::telemetry::{MemoryCollector, Tracer};
 
 /// Shards of one evaluation of `n` genomes on `workers` workers: four
@@ -66,4 +69,38 @@ fn a_traced_generation_records_a_span_per_phase_shard_and_episode() {
         spans_of_one_generation(scenarios),
         3 + shards(30, 2) + 30 * 3
     );
+}
+
+#[test]
+fn the_run_fingerprint_of_a_config_is_pinned() {
+    // A checkpoint directory is bound to the hash of its run's
+    // canonical config JSON; a drift in how any part of `E3Config`
+    // serializes would orphan every existing directory with
+    // `FingerprintMismatch`.
+    let config_hash = |config: E3Config| fingerprint(&config, BackendKind::Cpu, 7).config_hash;
+    assert_eq!(
+        config_hash(E3Config::builder(EnvId::CartPole).build()),
+        0x705e_864b_f514_3013
+    );
+    let scenarios = E3Config::builder(EnvId::LunarLander)
+        .population_size(24)
+        .scenario(
+            ScenarioConfig::default()
+                .train(ScenarioDistribution::moderate())
+                .scenarios_per_eval(4)
+                .aggregation(FitnessAggregation::CVaR { alpha: 0.5 })
+                .holdout(HoldoutConfig::new(ScenarioDistribution::shifted()).scenarios(3)),
+        )
+        .build();
+    assert_eq!(config_hash(scenarios), 0xea32_24fb_7756_bd60);
+    // The tier and the checkpoint policy never change results, so they
+    // are neutralized before hashing.
+    let tiered = E3Config::builder(EnvId::LunarLander)
+        .jit(JitConfig {
+            enabled: true,
+            hot_threshold: 1,
+        })
+        .checkpoint(CheckpointPolicy::new("runs/lander").every(5))
+        .build();
+    assert_eq!(config_hash(tiered), 0x031b_cc7e_ebb9_2131);
 }
