@@ -10,10 +10,12 @@
 //! (the `{"traceEvents": [...]}` shape `repro --trace` and
 //! `sweep --trace` emit): the event array is non-empty, every event is
 //! a complete-phase (`"ph": "X"`) slice with `name`, `cat`, `ts`,
-//! `dur`, `pid`, and `tid`, and end times (`ts + dur`) are
-//! monotonically nondecreasing in array order — the tracer records
-//! spans in completion order, so a violation means the export is
-//! broken, not merely reordered.
+//! `dur`, `pid`, and `tid`, end times (`ts + dur`) are monotonically
+//! nondecreasing in array order — the tracer records spans in
+//! completion order, so a violation means the export is broken, not
+//! merely reordered — and the slices of one `(pid, tid)` track nest:
+//! two that overlap in time must hold one inside the other, or
+//! Perfetto cannot draw the track.
 //!
 //! With a second argument, also checks that `METRICS.prom` parses as
 //! Prometheus text exposition: every line is either a `# TYPE`/`# HELP`
@@ -164,6 +166,7 @@ fn check_trace(path: &str) -> Result<(), String> {
         return Err("traceEvents is empty — the tracer recorded no spans".to_string());
     }
     let mut prev_end = 0u64;
+    let mut slices = Vec::with_capacity(events.len());
     for (i, event) in events.iter().enumerate() {
         let context = |key: &str| format!("event {i}: missing or malformed {key}");
         event
@@ -191,17 +194,23 @@ fn check_trace(path: &str) -> Result<(), String> {
             .get("dur")
             .and_then(|v| v.as_u64())
             .ok_or_else(|| context("dur"))?;
-        event
+        let pid = event
             .get("pid")
             .and_then(|v| v.as_u64())
             .ok_or_else(|| context("pid"))?;
-        event
+        let tid = event
             .get("tid")
             .and_then(|v| v.as_u64())
             .ok_or_else(|| context("tid"))?;
         let end = ts
             .checked_add(dur)
             .ok_or_else(|| format!("event {i}: ts + dur overflows"))?;
+        slices.push(Slice {
+            track: (pid, tid),
+            ts,
+            end,
+            index: i,
+        });
         if end < prev_end {
             return Err(format!(
                 "event {i}: end time {end}us precedes previous end {prev_end}us — \
@@ -210,10 +219,49 @@ fn check_trace(path: &str) -> Result<(), String> {
         }
         prev_end = end;
     }
+    check_nesting(&mut slices)?;
     println!(
-        "  {} spans, completion-ordered, {prev_end}us total",
+        "  {} spans, completion-ordered and nested per track, {prev_end}us total",
         events.len()
     );
+    Ok(())
+}
+
+/// One complete slice of a trace: its `(pid, tid)` track, start and
+/// end in microseconds, and its index in the event array.
+struct Slice {
+    track: (u64, u64),
+    ts: u64,
+    end: u64,
+    index: usize,
+}
+
+/// Checks that the slices of each track nest: per track, in start
+/// order (a longer slice before a shorter one that starts with it),
+/// every slice ends within each open slice it starts inside. Slices
+/// that only touch — one ends as the next starts — do not overlap.
+fn check_nesting(slices: &mut [Slice]) -> Result<(), String> {
+    slices.sort_by_key(|s| (s.track, s.ts, std::cmp::Reverse(s.end)));
+    let mut open: Vec<&Slice> = Vec::new();
+    for slice in slices.iter() {
+        while open
+            .last()
+            .is_some_and(|top| top.track != slice.track || top.end <= slice.ts)
+        {
+            open.pop();
+        }
+        if let Some(top) = open.last() {
+            if slice.end > top.end {
+                let (pid, tid) = slice.track;
+                return Err(format!(
+                    "event {} [{}, {}]us partially overlaps event {} [{}, {}]us \
+                     on pid {pid} tid {tid} — the spans of one track must nest",
+                    slice.index, slice.ts, slice.end, top.index, top.ts, top.end
+                ));
+            }
+        }
+        open.push(slice);
+    }
     Ok(())
 }
 

@@ -2,7 +2,9 @@
 //! `error: …` and the usage line on stderr and exits 2 — never a panic —
 //! and a small valid sweep prints its Pareto table. `trace_check
 //! --ndjson` accepts a real INAX telemetry stream and exits 1 with a
-//! diagnostic on a record that breaks the schema's rules.
+//! diagnostic on a record that breaks the schema's rules, and
+//! `trace_check` rejects a trace whose spans on one track partially
+//! overlap.
 
 use e3_telemetry::{JitRecord, PuCycles, TelemetryEvent, UtilizationBreakdown, UtilizationRecord};
 use std::path::PathBuf;
@@ -172,4 +174,40 @@ fn trace_check_rejects_a_pu_row_that_does_not_reconcile() {
     let line = serde_json::to_string(&TelemetryEvent::Utilization(record)).unwrap();
     let output = trace_check_lines("unreconciled", &[line]);
     assert_flagged(&output, "line 1: Utilization PU 1");
+}
+
+/// Runs `trace_check` on a Chrome trace of complete slices, each
+/// `(ts, dur, tid)` on pid 1, listed in completion order.
+fn trace_check_slices(tag: &str, slices: &[(u64, u64, u64)]) -> Output {
+    let events: Vec<String> = slices
+        .iter()
+        .map(|(ts, dur, tid)| {
+            format!(
+                "{{\"name\":\"episode\",\"cat\":\"env\",\"ph\":\"X\",\
+                 \"ts\":{ts},\"dur\":{dur},\"pid\":1,\"tid\":{tid}}}"
+            )
+        })
+        .collect();
+    let path = std::env::temp_dir().join(format!("e3-cli-{}-{tag}.json", std::process::id()));
+    let trace = format!("{{\"traceEvents\":[{}]}}", events.join(","));
+    std::fs::write(&path, trace).expect("temp file writable");
+    let output = run(env!("CARGO_BIN_EXE_trace_check"), &[path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    output
+}
+
+#[test]
+fn trace_check_rejects_spans_that_partially_overlap_on_one_track() {
+    // [0, 10] and [5, 15] overlap without nesting: on one track
+    // Perfetto cannot draw them, on two tracks they are fine.
+    let output = trace_check_slices("overlap", &[(0, 10, 1), (5, 10, 1)]);
+    assert_flagged(
+        &output,
+        "event 1 [5, 15]us partially overlaps event 0 [0, 10]us",
+    );
+    let output = trace_check_slices("two-tracks", &[(0, 10, 1), (5, 10, 2)]);
+    assert!(output.status.success(), "{output:?}");
+    // Nested, and back to back on one track.
+    let output = trace_check_slices("nested", &[(2, 3, 1), (5, 5, 1), (0, 10, 1)]);
+    assert!(output.status.success(), "{output:?}");
 }

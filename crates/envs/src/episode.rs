@@ -43,18 +43,23 @@ pub struct EpisodeResult {
 /// `ActionSpace::policy_outputs`.
 pub fn decode_action(outputs: &[f64], space: &ActionSpace) -> Action {
     let mut action = Action::Discrete(0);
-    decode_action_into(outputs, space, &mut action);
+    decode_action_into(outputs.iter().copied(), space, &mut action);
     action
 }
 
-/// [`decode_action`] into an existing action. A continuous action
-/// reuses its vector, so decoding allocates only the first time it
-/// meets a continuous space.
+/// [`decode_action`] into an existing action, reading the outputs from
+/// an iterator — a network's output slots read in place, with no row
+/// gathered first. A continuous action reuses its vector, so decoding
+/// allocates only the first time it meets a continuous space.
 ///
 /// # Panics
 ///
 /// As [`decode_action`].
-pub(crate) fn decode_action_into(outputs: &[f64], space: &ActionSpace, action: &mut Action) {
+pub(crate) fn decode_action_into(
+    outputs: impl ExactSizeIterator<Item = f64>,
+    space: &ActionSpace,
+    action: &mut Action,
+) {
     assert_eq!(
         outputs.len(),
         space.policy_outputs(),
@@ -65,21 +70,17 @@ pub(crate) fn decode_action_into(outputs: &[f64], space: &ActionSpace, action: &
     match space {
         ActionSpace::Discrete(_) => {
             let best = outputs
-                .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
+                .max_by(|a, b| a.1.total_cmp(&b.1))
                 .map(|(i, _)| i)
                 .expect("policy_outputs >= 1");
             *action = Action::Discrete(best);
         }
         ActionSpace::Continuous { low, high } => {
-            let values = outputs
-                .iter()
-                .zip(low.iter().zip(high))
-                .map(|(&x, (&lo, &hi))| {
-                    let unit = x.clamp(-1.0, 1.0);
-                    lo + (unit + 1.0) / 2.0 * (hi - lo)
-                });
+            let values = outputs.zip(low.iter().zip(high)).map(|(x, (&lo, &hi))| {
+                let unit = x.clamp(-1.0, 1.0);
+                lo + (unit + 1.0) / 2.0 * (hi - lo)
+            });
             match action {
                 Action::Continuous(reused) => {
                     reused.clear();
@@ -128,12 +129,17 @@ impl Episode {
         &self.observation
     }
 
-    /// Decodes `outputs` into an action and steps `env` with it.
+    /// Decodes `outputs` — the network's outputs in genome id order —
+    /// into an action and steps `env` with it.
     ///
     /// # Panics
     ///
     /// As [`decode_action`] and [`Environment::step_into`].
-    pub fn step(&mut self, env: &mut dyn Environment, outputs: &[f64]) -> Transition {
+    pub fn step(
+        &mut self,
+        env: &mut dyn Environment,
+        outputs: impl ExactSizeIterator<Item = f64>,
+    ) -> Transition {
         decode_action_into(outputs, &self.space, &mut self.action);
         env.step_into(&self.action, &mut self.observation)
     }
@@ -152,7 +158,7 @@ pub fn run_episode<P: Policy + ?Sized>(
     let mut steps = 0;
     loop {
         let outputs = policy.act(episode.observation());
-        let transition = episode.step(env, &outputs);
+        let transition = episode.step(env, outputs.into_iter());
         total_reward += transition.reward;
         steps += 1;
         if transition.done() {
@@ -203,18 +209,22 @@ mod tests {
     fn decode_into_reuses_a_continuous_vector() {
         let space = ActionSpace::symmetric(2, 2.0);
         let mut action = Action::Discrete(0);
-        decode_action_into(&[0.5, -0.5], &space, &mut action);
+        decode_action_into([0.5, -0.5].into_iter(), &space, &mut action);
         let Action::Continuous(first) = &action else {
             panic!("decoded {action:?}");
         };
         let buffer = first.as_ptr();
-        decode_action_into(&[1.0, 7.0], &space, &mut action);
+        decode_action_into([1.0, 7.0].into_iter(), &space, &mut action);
         assert_eq!(action, Action::Continuous(vec![2.0, 2.0]));
         let Action::Continuous(second) = &action else {
             unreachable!()
         };
         assert_eq!(second.as_ptr(), buffer, "the vector was reallocated");
-        decode_action_into(&[0.1, 0.9, -0.5], &ActionSpace::Discrete(3), &mut action);
+        decode_action_into(
+            [0.1, 0.9, -0.5].into_iter(),
+            &ActionSpace::Discrete(3),
+            &mut action,
+        );
         assert_eq!(action, Action::Discrete(1));
     }
 

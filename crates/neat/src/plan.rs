@@ -383,31 +383,81 @@ impl NetPlan {
     /// Panics if `values` does not have [`NetPlan::value_buffer_slots`]
     /// rows.
     pub fn fill_lanes<const L: usize>(&self, values: &mut [[f64; L]]) {
+        self.check_rows(values);
+        for node in self.nodes() {
+            self.fill_node(node, values);
+        }
+    }
+
+    /// Two one-lane forward passes, of two plans, walked together node
+    /// by node: `a`'s compute node `i`, then `b`'s node `i`, then the
+    /// longer plan's tail. The two activation chains are independent,
+    /// so the core overlaps them. Each node runs the body
+    /// [`NetPlan::fill_lanes`] runs, so `a_rows` and `b_rows` come out
+    /// bit-identical to a `fill_lanes::<1>` walk of each plan alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either buffer does not have its plan's
+    /// [`NetPlan::value_buffer_slots`] rows.
+    pub fn fill_pair(a: &NetPlan, a_rows: &mut [[f64; 1]], b: &NetPlan, b_rows: &mut [[f64; 1]]) {
+        a.check_rows(a_rows);
+        b.check_rows(b_rows);
+        for (a_node, b_node) in a.nodes().zip(b.nodes()) {
+            a.fill_node(a_node, a_rows);
+            b.fill_node(b_node, b_rows);
+        }
+        let shared = a.num_compute_nodes().min(b.num_compute_nodes());
+        for node in a.nodes().skip(shared) {
+            a.fill_node(node, a_rows);
+        }
+        for node in b.nodes().skip(shared) {
+            b.fill_node(node, b_rows);
+        }
+    }
+
+    fn check_rows<const L: usize>(&self, values: &[[f64; L]]) {
         assert_eq!(
             values.len(),
             self.value_buffer_slots(),
             "value buffer size mismatch"
         );
-        let node = self
+    }
+
+    /// Per compute node in walk order: its slot, edge window, bias and
+    /// activation.
+    fn nodes(&self) -> impl Iterator<Item = (usize, (u32, u32), f64, Activation)> + '_ {
+        let params = self
             .edge_ranges
             .iter()
             .zip(&self.biases)
             .zip(&self.activations);
-        for (i, ((&(offset, len), &bias), activation)) in node.enumerate() {
-            // Compute node `i` writes slot `num_inputs + i`. Bias first,
-            // then the sorted edges in order: the exact FP accumulation
-            // order of the legacy per-node executor.
-            let slot = self.num_inputs + i;
-            let mut acc = [bias; L];
-            for &(source, weight) in &self.edges[offset as usize..(offset + len) as usize] {
-                debug_assert!((source as usize) < slot, "forward-only slots");
-                let value = values[source as usize];
-                for (acc, value) in acc.iter_mut().zip(value) {
-                    *acc += value * weight;
-                }
+        params
+            .enumerate()
+            .map(|(i, ((&edges, &bias), &activation))| {
+                (self.num_inputs + i, edges, bias, activation)
+            })
+    }
+
+    /// The per-node body of every walk: compute node `slot -
+    /// num_inputs` writes `slot` — bias first, then the sorted edges in
+    /// order, then the activation, no fused multiply-add: the exact FP
+    /// accumulation order of the legacy per-node executor.
+    #[inline(always)]
+    fn fill_node<const L: usize>(
+        &self,
+        (slot, (offset, len), bias, activation): (usize, (u32, u32), f64, Activation),
+        values: &mut [[f64; L]],
+    ) {
+        let mut acc = [bias; L];
+        for &(source, weight) in &self.edges[offset as usize..(offset + len) as usize] {
+            debug_assert!((source as usize) < slot, "forward-only slots");
+            let value = values[source as usize];
+            for (acc, value) in acc.iter_mut().zip(value) {
+                *acc += value * weight;
             }
-            values[slot] = activation.apply_lanes(acc);
         }
+        values[slot] = activation.apply_lanes(acc);
     }
 
     /// Reads the output activations out of a value buffer previously

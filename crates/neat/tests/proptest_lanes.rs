@@ -1,10 +1,11 @@
 //! The lane walk against the scalar one: for L ∈ {1, 2, 4}, lane `l` of
 //! [`NetPlan::fill_lanes`] holds, in every value-buffer slot, the bits
 //! [`NetPlan::execute_into`] computes from lane `l`'s inputs alone (a
-//! NaN as a NaN, see `same`) — on
-//! evolved plans over all eight activations, and on inputs that mix
-//! NaN, infinities, subnormals, signed zeros and values that saturate
-//! every activation.
+//! NaN as a NaN, see `same`); and the fused walk of two plans,
+//! [`NetPlan::fill_pair`], leaves each plan's rows as a one-lane walk of
+//! that plan alone does, whichever plan is longer — on evolved plans
+//! over all eight activations, and on inputs that mix NaN, infinities,
+//! subnormals, signed zeros and values that saturate every activation.
 
 use e3_neat::{Activation, Genome, InnovationTracker, NeatConfig, NetPlan};
 use proptest::prelude::*;
@@ -87,8 +88,57 @@ fn lanes_match_scalar<const L: usize>(plan: &NetPlan, draws: &[(usize, f64)]) {
     }
 }
 
+/// One-lane rows of `plan` with inputs picked by `draws` from `at`.
+fn input_rows(plan: &NetPlan, draws: &[(usize, f64)], at: usize) -> Vec<[f64; 1]> {
+    let mut rows = vec![[0.0]; plan.value_buffer_slots()];
+    for (i, row) in rows[..plan.num_inputs()].iter_mut().enumerate() {
+        let (pick, x) = draws[(at + i) % draws.len()];
+        row[0] = SPECIAL.get(pick).copied().unwrap_or(x);
+    }
+    rows
+}
+
+/// Walks `a` and `b` fused and compares every slot of each with a
+/// `fill_lanes::<1>` walk of that plan alone on the same inputs.
+fn pair_matches_lanes(a: &NetPlan, b: &NetPlan, draws: &[(usize, f64)]) {
+    let (mut a_rows, mut b_rows) = (input_rows(a, draws, 0), input_rows(b, draws, 7));
+    let (mut a_alone, mut b_alone) = (a_rows.clone(), b_rows.clone());
+    NetPlan::fill_pair(a, &mut a_rows, b, &mut b_rows);
+    a.fill_lanes(&mut a_alone);
+    b.fill_lanes(&mut b_alone);
+    for (side, fused, alone) in [("a", &a_rows, &a_alone), ("b", &b_rows, &b_alone)] {
+        for (slot, (got, want)) in fused.iter().zip(alone.iter()).enumerate() {
+            assert!(
+                same(got[0], want[0]),
+                "plan {side} of {} and {} nodes, slot {slot}: {:#x} vs {:#x}",
+                a.num_compute_nodes(),
+                b.num_compute_nodes(),
+                got[0].to_bits(),
+                want[0].to_bits()
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_fused_pair_walk_is_each_plan_alone_bit_for_bit(
+        seeds in (any::<u64>(), any::<u64>()),
+        mutations in (0usize..80, 0usize..80),
+        num_inputs in 1usize..7,
+        num_outputs in 1usize..4,
+        draws in proptest::collection::vec((0usize..28, -8.0f64..8.0), 24),
+    ) {
+        let a = evolved_plan(seeds.0, mutations.0, num_inputs, num_outputs);
+        let b = evolved_plan(seeds.1, mutations.1, num_inputs + 1, num_outputs);
+        // Each order, so either plan is the longer one, and a plan
+        // paired with itself: equal lengths.
+        pair_matches_lanes(&a, &b, &draws);
+        pair_matches_lanes(&b, &a, &draws);
+        pair_matches_lanes(&a, &a, &draws);
+    }
 
     #[test]
     fn every_lane_is_the_scalar_walk_bit_for_bit(
@@ -117,4 +167,16 @@ fn evolved_plans_cover_every_activation() {
     for activation in Activation::ALL {
         assert!(seen.contains(&activation), "no {activation} node drawn");
     }
+}
+
+/// The pair property meets both orders of unequal lengths: over its
+/// mutation counts, plans differ in size.
+#[test]
+fn paired_plans_differ_in_length() {
+    let short = evolved_plan(1, 0, 4, 2);
+    let long = evolved_plan(2, 60, 4, 2);
+    assert!(long.num_compute_nodes() > short.num_compute_nodes());
+    let draws: Vec<(usize, f64)> = (0..24).map(|i| (99, i as f64 * 0.37 - 4.0)).collect();
+    pair_matches_lanes(&short, &long, &draws);
+    pair_matches_lanes(&long, &short, &draws);
 }

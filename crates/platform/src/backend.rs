@@ -6,8 +6,9 @@
 //! fitness and differ only in where inference runs and therefore how
 //! long it takes, so there is **one** [`Backend`] with one kernel — each
 //! worker takes whole genomes and runs their K episodes together, up to
-//! four lanes of one plan walk per step ([`Worlds::run`]) — and the
-//! setting is data: a
+//! four lanes of one plan walk per step ([`Worlds::run`]), or at K = 1
+//! two genomes in flight whose walks fuse ([`NetPlan::fill_pair`]) — and
+//! the setting is data: a
 //! `Pricing`. `Cpu` and `Gpu` price every inference with a cost
 //! model; `Inax` hands the compiled plans and the episode lengths the
 //! kernel observed to the cycle-level accelerator model
@@ -188,17 +189,16 @@ const LANES: usize = 4;
 
 /// The worlds one genome's episodes run in — an environment and its
 /// episode buffers per scenario — with the lane buffers of the episode
-/// kernel, [`Worlds::run`]. Built once per evaluation shard (and once
-/// per held-out pass) and reused by every genome it runs: `reset`
-/// fully re-initialises an episode, and the lane buffers only grow to
-/// the largest plan seen, so neither a step nor a genome allocates.
+/// kernel, [`Worlds::run`]. Built once per evaluation shard (one per
+/// genome the shard keeps in flight) and once per held-out pass, and
+/// reused by every genome it runs: `reset` fully re-initialises an
+/// episode, and the lane buffers only grow to the largest plan seen, so
+/// neither a step nor a genome allocates.
 pub struct Worlds {
     worlds: Vec<(Box<dyn Environment>, Episode)>,
     /// Lane-major value rows of the plan walk: value-buffer slot `j`
     /// of lane `l` at `values[j * width + l]`.
     values: Vec<f64>,
-    /// One lane's outputs, gathered for its environment step.
-    outputs: Vec<f64>,
     /// Per world: the last episode's summed reward.
     fitness: Vec<f64>,
     /// Per world: the last episode's length.
@@ -211,6 +211,20 @@ impl fmt::Debug for Worlds {
             .field("worlds", &self.worlds.len())
             .finish_non_exhaustive()
     }
+}
+
+/// The running chunk of genome `genome_index`'s episodes: the up to
+/// [`LANES`] worlds from `first`, of which `live[..count]` are still
+/// running in scenario order (the episode in `live[p]` walks lane `p`).
+/// World `s`'s episode span sits at `spans[s - first]` for its whole
+/// episode, on trace track `track + s - first`.
+struct Chunk {
+    genome_index: usize,
+    track: usize,
+    first: usize,
+    live: [usize; LANES],
+    count: usize,
+    spans: [Option<SpanTimer>; LANES],
 }
 
 impl Worlds {
@@ -227,7 +241,6 @@ impl Worlds {
         Worlds {
             worlds,
             values: Vec::new(),
-            outputs: Vec::new(),
             fitness: vec![0.0; k],
             steps: vec![0; k],
         }
@@ -250,7 +263,8 @@ impl Worlds {
     /// running its episode alone, at any K and on either tier.
     ///
     /// Each `(genome_index, scenario)` episode records an `episode`
-    /// span in `tracer`, from its reset to its last step.
+    /// span in `tracer`, from its reset to its last step, on the
+    /// calling thread's trace track of its lane.
     ///
     /// # Panics
     ///
@@ -259,81 +273,13 @@ impl Worlds {
     pub fn run(
         &mut self,
         plan: &NetPlan,
-        mut native: Option<&mut CompiledPlan>,
+        native: Option<&mut CompiledPlan>,
         seeds: &[u64],
         tracer: &Tracer,
         genome_index: usize,
     ) {
-        assert_eq!(seeds.len(), self.worlds.len(), "one episode seed per world");
-        let inputs = plan.num_inputs();
-        self.values.resize(plan.value_buffer_slots() * LANES, 0.0);
-        self.fitness.fill(0.0);
-        self.steps.fill(0);
-        for first in (0..self.worlds.len()).step_by(LANES) {
-            // `live[..count]` are the chunk's running worlds in scenario
-            // order; the episode in `live[p]` walks lane `p`.
-            let chunk = first..self.worlds.len().min(first + LANES);
-            let mut count = chunk.len();
-            let mut live = [0; LANES];
-            let mut spans: [Option<SpanTimer>; LANES] = Default::default();
-            for (lane, s) in chunk.enumerate() {
-                let (env, episode) = &mut self.worlds[s];
-                spans[lane] = Some(episode_timer(tracer, genome_index, s));
-                episode.reset(env.as_mut(), seeds[s]);
-                assert_eq!(
-                    episode.observation().len(),
-                    inputs,
-                    "expected {inputs} inputs, got {}",
-                    episode.observation().len()
-                );
-                live[lane] = s;
-            }
-            while count > 0 {
-                let width = match count {
-                    1 => 1,
-                    2 => 2,
-                    _ => LANES,
-                };
-                if native.is_none() {
-                    let values = &mut self.values;
-                    let worlds = &self.worlds;
-                    match width {
-                        1 => walk::<1>(plan, values, worlds, &live[..count]),
-                        2 => walk::<2>(plan, values, worlds, &live[..count]),
-                        _ => walk::<LANES>(plan, values, worlds, &live[..count]),
-                    }
-                }
-                let mut kept = 0;
-                for lane in 0..count {
-                    let s = live[lane];
-                    let (env, episode) = &mut self.worlds[s];
-                    let outputs = match native.as_deref_mut() {
-                        Some(net) => net.activate_into(episode.observation()),
-                        None => {
-                            self.outputs.clear();
-                            self.outputs.extend(
-                                plan.outputs()
-                                    .iter()
-                                    .map(|&i| self.values[(inputs + i as usize) * width + lane]),
-                            );
-                            &self.outputs
-                        }
-                    };
-                    let transition = episode.step(env.as_mut(), outputs);
-                    self.fitness[s] += transition.reward;
-                    self.steps[s] += 1;
-                    if transition.done() {
-                        let span = spans[lane].take().expect("a live lane's span is open");
-                        finish_episode(span, self.steps[s]);
-                    } else {
-                        live[kept] = s;
-                        spans.swap(kept, lane);
-                        kept += 1;
-                    }
-                }
-                count = kept;
-            }
-        }
+        let mut chunk = self.start(plan, seeds, tracer, genome_index, 0);
+        self.finish(plan, native, &mut chunk, seeds, tracer);
     }
 
     /// Per world, in scenario order: the last episode's summed reward.
@@ -345,28 +291,172 @@ impl Worlds {
     pub fn steps(&self) -> &[u64] {
         &self.steps
     }
-}
 
-/// One plan walk `L` lanes wide: lane `p` reads the observation of
-/// world `live[p]`; lanes past `live.len()` are idle and repeat lane
-/// 0's inputs, so they compute nothing a live lane does not.
-fn walk<const L: usize>(
-    plan: &NetPlan,
-    values: &mut [f64],
-    worlds: &[(Box<dyn Environment>, Episode)],
-    live: &[usize],
-) {
-    let rows = values[..plan.value_buffer_slots() * L]
-        .as_chunks_mut::<L>()
-        .0;
-    for lane in 0..L {
-        let world = live.get(lane).copied().unwrap_or(live[0]);
-        let observation = worlds[world].1.observation();
-        for (row, &x) in rows.iter_mut().zip(observation) {
-            row[lane] = x;
+    /// Starts a genome: clears the per-world results, sizes the lane
+    /// rows for `plan` and opens its first chunk.
+    fn start(
+        &mut self,
+        plan: &NetPlan,
+        seeds: &[u64],
+        tracer: &Tracer,
+        genome_index: usize,
+        track: usize,
+    ) -> Chunk {
+        assert_eq!(seeds.len(), self.worlds.len(), "one episode seed per world");
+        self.values.resize(plan.value_buffer_slots() * LANES, 0.0);
+        self.fitness.fill(0.0);
+        self.steps.fill(0);
+        self.open(plan, 0, seeds, tracer, genome_index, track)
+    }
+
+    /// Resets the chunk of worlds from `first`, each from its seed.
+    fn open(
+        &mut self,
+        plan: &NetPlan,
+        first: usize,
+        seeds: &[u64],
+        tracer: &Tracer,
+        genome_index: usize,
+        track: usize,
+    ) -> Chunk {
+        let inputs = plan.num_inputs();
+        let worlds = first..self.worlds.len().min(first + LANES);
+        let mut chunk = Chunk {
+            genome_index,
+            track,
+            first,
+            live: [0; LANES],
+            count: worlds.len(),
+            spans: Default::default(),
+        };
+        for (lane, s) in worlds.enumerate() {
+            let (env, episode) = &mut self.worlds[s];
+            chunk.spans[lane] = Some(episode_timer(tracer, genome_index, s, track + lane));
+            episode.reset(env.as_mut(), seeds[s]);
+            assert_eq!(
+                episode.observation().len(),
+                inputs,
+                "expected {inputs} inputs, got {}",
+                episode.observation().len()
+            );
+            chunk.live[lane] = s;
+        }
+        chunk
+    }
+
+    /// Runs `chunk`, then every later chunk of its genome, to the end of
+    /// the genome's episodes.
+    fn finish(
+        &mut self,
+        plan: &NetPlan,
+        mut native: Option<&mut CompiledPlan>,
+        chunk: &mut Chunk,
+        seeds: &[u64],
+        tracer: &Tracer,
+    ) {
+        loop {
+            while chunk.count > 0 {
+                let width = match chunk.count {
+                    1 => 1,
+                    2 => 2,
+                    _ => LANES,
+                };
+                if native.is_none() {
+                    let live = &chunk.live[..chunk.count];
+                    match width {
+                        1 => plan.fill_lanes(self.rows::<1>(plan, live)),
+                        2 => plan.fill_lanes(self.rows::<2>(plan, live)),
+                        _ => plan.fill_lanes(self.rows::<LANES>(plan, live)),
+                    }
+                }
+                self.advance(plan, native.as_deref_mut(), chunk, width);
+            }
+            let first = chunk.first + LANES;
+            if first >= self.worlds.len() {
+                return;
+            }
+            *chunk = self.open(plan, first, seeds, tracer, chunk.genome_index, chunk.track);
         }
     }
-    plan.fill_lanes(rows);
+
+    /// The lane rows of one walk `L` lanes wide, inputs filled: lane `p`
+    /// reads the observation of world `live[p]`; lanes past
+    /// `live.len()` are idle and repeat lane 0's inputs, so they compute
+    /// nothing a live lane does not.
+    fn rows<const L: usize>(&mut self, plan: &NetPlan, live: &[usize]) -> &mut [[f64; L]] {
+        let rows = self.values[..plan.value_buffer_slots() * L]
+            .as_chunks_mut::<L>()
+            .0;
+        for lane in 0..L {
+            let world = live.get(lane).copied().unwrap_or(live[0]);
+            let observation = self.worlds[world].1.observation();
+            for (row, &x) in rows.iter_mut().zip(observation) {
+                row[lane] = x;
+            }
+        }
+        rows
+    }
+
+    /// The environment half of a step, after a walk `width` lanes wide
+    /// (or none, on the native tier): each live world, in scenario
+    /// order, decodes its action straight from its lane's output rows —
+    /// or from its native call — and steps. A finished episode closes
+    /// its span and leaves the chunk.
+    fn advance(
+        &mut self,
+        plan: &NetPlan,
+        mut native: Option<&mut CompiledPlan>,
+        chunk: &mut Chunk,
+        width: usize,
+    ) {
+        let inputs = plan.num_inputs();
+        let mut kept = 0;
+        for lane in 0..chunk.count {
+            let s = chunk.live[lane];
+            let (env, episode) = &mut self.worlds[s];
+            let transition = match native.as_deref_mut() {
+                Some(net) => {
+                    let outputs = net.activate_into(episode.observation());
+                    episode.step(env.as_mut(), outputs.iter().copied())
+                }
+                None => {
+                    let values = &self.values;
+                    let outputs = plan
+                        .outputs()
+                        .iter()
+                        .map(|&i| values[(inputs + i as usize) * width + lane]);
+                    episode.step(env.as_mut(), outputs)
+                }
+            };
+            self.fitness[s] += transition.reward;
+            self.steps[s] += 1;
+            if transition.done() {
+                let span = chunk.spans[s - chunk.first].take();
+                finish_episode(span.expect("a live world's span is open"), self.steps[s]);
+            } else {
+                chunk.live[kept] = s;
+                kept += 1;
+            }
+        }
+        chunk.count = kept;
+    }
+}
+
+/// Steps two genomes in flight, each running one world, until either
+/// episode ends: per step one fused walk of both plans
+/// ([`NetPlan::fill_pair`]), then each world's environment step. Each
+/// episode stays bit-identical to running alone.
+fn run_pair(
+    (a_worlds, a_plan, a_chunk): (&mut Worlds, &NetPlan, &mut Chunk),
+    (b_worlds, b_plan, b_chunk): (&mut Worlds, &NetPlan, &mut Chunk),
+) {
+    while a_chunk.count > 0 && b_chunk.count > 0 {
+        let a_rows = a_worlds.rows::<1>(a_plan, &a_chunk.live[..1]);
+        let b_rows = b_worlds.rows::<1>(b_plan, &b_chunk.live[..1]);
+        NetPlan::fill_pair(a_plan, a_rows, b_plan, b_rows);
+        a_worlds.advance(a_plan, None, a_chunk, 1);
+        b_worlds.advance(b_plan, None, b_chunk, 1);
+    }
 }
 
 /// A genome that failed to decode: its population index and why.
@@ -410,10 +500,10 @@ impl EvalJob {
     }
 }
 
-/// Opens the span of one `(genome, scenario)` episode. Inert (no clock
-/// read) when tracing is disabled.
-fn episode_timer(tracer: &Tracer, genome_index: usize, scenario: usize) -> SpanTimer {
-    let mut timer = tracer.start("episode", "env");
+/// Opens the span of one `(genome, scenario)` episode on trace track
+/// `track`. Inert (no clock read) when tracing is disabled.
+fn episode_timer(tracer: &Tracer, genome_index: usize, scenario: usize, track: usize) -> SpanTimer {
+    let mut timer = tracer.start_on_track("episode", "env", track);
     timer.arg("genome_index", genome_index as f64);
     timer.arg("scenario", scenario as f64);
     timer
@@ -479,6 +569,14 @@ impl Pricing {
 /// run produces the same one.
 const SHARDS_PER_WORKER: usize = 4;
 
+/// Genomes a worker keeps in flight when each faces one world and the
+/// backend has no tier: their one-lane walks fuse node by node
+/// ([`NetPlan::fill_pair`]), so the core overlaps two dependent
+/// activation chains. K ≥ 2 episodes already overlap in lanes, and a
+/// tier's cache lends one entry at a time, so both keep one genome in
+/// flight. Three or four in flight measured no faster than two.
+const MAX_IN_FLIGHT: usize = 2;
+
 /// One genome's row of an evaluation.
 struct GenomeRow {
     fitness: f64,
@@ -487,56 +585,141 @@ struct GenomeRow {
     shape: PlanShape,
 }
 
+/// A shard's rows, in population order.
+type ShardRows = Vec<Result<GenomeRow, DecodeFailure>>;
+
+impl GenomeRow {
+    /// The row of the genome whose episodes `worlds` just ran.
+    fn of(job: &EvalJob, pricing: &Pricing, plan: Cow<'_, NetPlan>, worlds: &mut Worlds) -> Self {
+        GenomeRow {
+            steps: worlds.steps.iter().sum(),
+            shape: PlanShape::of(&plan),
+            price: pricing.price(plan, &worlds.steps),
+            // Last: a CVaR sorts the per-world fitnesses in place.
+            fitness: aggregate_fitness(&mut worlds.fitness, job.spec.aggregation()),
+        }
+    }
+}
+
 /// The kernel for one shard: lower each genome — through this worker's
 /// tiered cache when the backend has a tier, with a plain
 /// [`NetPlan::compile`] otherwise — then run its K episodes together
-/// ([`Worlds::run`]), one whole individual per worker at a time (the
-/// paper's "one individual NN per PU", its weights read once per step
-/// for every world it faces).
+/// ([`Worlds::run`]), one whole individual per slot (the paper's "one
+/// individual NN per PU", its weights read once per step for every
+/// world it faces). Without a tier and at K = 1 the worker keeps
+/// [`MAX_IN_FLIGHT`] genomes in flight, as E3 keeps many PUs busy at
+/// once: a slot whose episode ends records its row and admits the
+/// shard's next genome.
 fn per_genome_shard(
     job: &EvalJob,
     pricing: &Pricing,
     tier: Option<&Tier>,
     scratch: &WorkerScratch,
     range: Range<usize>,
-) -> Vec<Result<GenomeRow, DecodeFailure>> {
+) -> ShardRows {
     let _shard_span = job.shard_span(range.start, range.len());
-    // One world per sampled scenario, built once per shard.
-    let mut worlds = Worlds::new(
-        job.spec
-            .params()
-            .iter()
-            .map(|params| job.env.make_scenario(params)),
-    );
-    let mut cache = tier.map(|tier| tier.cache(scratch.worker_index()));
+    // One world per sampled scenario, built once per shard and slot.
+    let worlds = || {
+        Worlds::new(
+            job.spec
+                .params()
+                .iter()
+                .map(|params| job.env.make_scenario(params)),
+        )
+    };
+    let Some(tier) = tier else {
+        return in_flight_shard(job, pricing, worlds, range);
+    };
+    // Tier selection: the interpreted network, or (for hot entries
+    // under an enabled JIT policy) its natively compiled twin —
+    // bit-identical either way.
+    let mut worlds = worlds();
+    let mut cache = tier.cache(scratch.worker_index());
     range
         .map(|i| {
-            // Tier selection: the interpreted network, or (for hot
-            // entries under an enabled JIT policy) its natively
-            // compiled twin — bit-identical either way.
-            let failed = |reason| (i, reason);
-            let mut exec;
-            let (plan, native) = match cache.as_deref_mut() {
-                Some(cache) => {
-                    exec = cache.get_or_tiered(&job.pop[i]).map_err(failed)?;
-                    let (plan, native) = exec.split();
-                    (Cow::Borrowed(plan), native)
-                }
-                None => (
-                    Cow::Owned(NetPlan::compile(&job.pop[i]).map_err(failed)?),
-                    None,
-                ),
-            };
-            let seeds = job.spec.episode_seeds(i..i + 1);
-            worlds.run(&plan, native, seeds, &job.tracer, i);
-            Ok(GenomeRow {
-                steps: worlds.steps.iter().sum(),
-                shape: PlanShape::of(&plan),
-                price: pricing.price(plan, &worlds.steps),
-                // Last: a CVaR sorts the per-world fitnesses in place.
-                fitness: aggregate_fitness(&mut worlds.fitness, job.spec.aggregation()),
-            })
+            let mut exec = cache.get_or_tiered(&job.pop[i]).map_err(|e| (i, e))?;
+            let (plan, native) = exec.split();
+            worlds.run(
+                plan,
+                native,
+                job.spec.episode_seeds(i..i + 1),
+                &job.tracer,
+                i,
+            );
+            Ok(GenomeRow::of(
+                job,
+                pricing,
+                Cow::Borrowed(plan),
+                &mut worlds,
+            ))
         })
+        .collect()
+}
+
+/// [`per_genome_shard`] without a tier: up to [`MAX_IN_FLIGHT`] slots
+/// (one unless every genome faces a single world), each holding a
+/// genome, its plan and its running chunk. While two slots are live,
+/// they step together ([`run_pair`]); a lone slot (a shard's last genome,
+/// or any genome at K ≥ 2) runs to its end on its own. Rows land at
+/// their genome's index, so they fold in population order whatever
+/// order the episodes end in, and a decode failure is a row like any
+/// other.
+fn in_flight_shard(
+    job: &EvalJob,
+    pricing: &Pricing,
+    worlds: impl Fn() -> Worlds,
+    range: Range<usize>,
+) -> ShardRows {
+    let limit = if job.spec.scenarios() == 1 {
+        MAX_IN_FLIGHT
+    } else {
+        1
+    };
+    let mut slots: Vec<Worlds> = (0..limit).map(|_| worlds()).collect();
+    let mut flights: [Option<(usize, NetPlan, Chunk)>; MAX_IN_FLIGHT] = Default::default();
+    let mut rows: Vec<Option<Result<GenomeRow, DecodeFailure>>> =
+        range.clone().map(|_| None).collect();
+    let mut next = range.clone();
+    loop {
+        for (track, (flight, worlds)) in flights.iter_mut().zip(&mut slots).enumerate() {
+            while flight.is_none() {
+                let Some(i) = next.next() else { break };
+                match NetPlan::compile(&job.pop[i]) {
+                    Ok(plan) => {
+                        let seeds = job.spec.episode_seeds(i..i + 1);
+                        let chunk = worlds.start(&plan, seeds, &job.tracer, i, track);
+                        *flight = Some((i, plan, chunk));
+                    }
+                    Err(reason) => rows[i - range.start] = Some(Err((i, reason))),
+                }
+            }
+        }
+        match (&mut flights, slots.as_mut_slice()) {
+            ([Some((_, a_plan, a_chunk)), Some((_, b_plan, b_chunk))], [a, b]) => {
+                run_pair((a, a_plan, a_chunk), (b, b_plan, b_chunk));
+            }
+            (flights, slots) => {
+                let mut live = flights.iter_mut().zip(slots).filter(|(f, _)| f.is_some());
+                let Some((Some((i, plan, chunk)), worlds)) = live.next() else {
+                    break;
+                };
+                let seeds = job.spec.episode_seeds(*i..*i + 1);
+                worlds.finish(plan, None, chunk, seeds, &job.tracer);
+            }
+        }
+        for (flight, worlds) in flights.iter_mut().zip(&mut slots) {
+            if flight
+                .as_ref()
+                .is_some_and(|(_, _, chunk)| chunk.count == 0)
+            {
+                let (i, plan, _) = flight.take().expect("checked");
+                let row = GenomeRow::of(job, pricing, Cow::Owned(plan), worlds);
+                rows[i - range.start] = Some(Ok(row));
+            }
+        }
+    }
+    rows.into_iter()
+        .map(|row| row.expect("every genome of the shard ran"))
         .collect()
 }
 

@@ -491,7 +491,7 @@ impl E3Platform {
         };
         let fp = fingerprint(&config, backend, seed);
         let mut store = RunStore::open(&policy.dir, fp, policy.keep_last)?;
-        let Some(recovered) = store.recover::<RunState>()? else {
+        let Some(recovered) = store.recover_with(|state: &RunState| state.generation)? else {
             return Ok(None);
         };
         let mut platform = E3Platform::construct(config, backend, seed, pool);

@@ -264,3 +264,45 @@ fn a_snapshot_without_rng_state_fails_to_resume() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A snapshot whose file name and header say one generation and whose
+/// payload says another is corrupt: resume skips it, counts it, and
+/// falls back to the next older snapshot — and the `Resume` record
+/// names the generation that actually resumes.
+#[test]
+fn a_snapshot_named_for_another_generation_is_skipped() {
+    let dir = scratch("misnamed");
+    let mut config = base_config(1);
+    config.checkpoint = Some(CheckpointPolicy::new(dir.to_string_lossy().into_owned()).every(1));
+    let reference = E3Platform::new(base_config(1), BackendKind::Cpu, 5)
+        .run()
+        .unwrap();
+    {
+        let mut platform = E3Platform::new(config.clone(), BackendKind::Cpu, 5);
+        platform.step_generation().unwrap();
+        platform.step_generation().unwrap();
+        // gen-2 is intact; a copy of its state lands as gen-3.
+        let state = platform.capture_state();
+        assert_eq!(state.generation, 2);
+        let mut store = RunStore::open(&dir, fingerprint(&config, BackendKind::Cpu, 5), 3).unwrap();
+        store.save(3, None, &state).unwrap();
+    }
+
+    let mut collector = MemoryCollector::new();
+    let resumed = E3Platform::resume(config, BackendKind::Cpu, 5)
+        .unwrap()
+        .expect("the gen-2 snapshot is intact");
+    assert_eq!(resumed.generation(), 2);
+    let outcome = resumed.run_with(&mut collector).unwrap();
+    let record = collector.resumes().next().expect("a Resume record");
+    assert_eq!(
+        record.generation, 2,
+        "Resume names the generation that resumes"
+    );
+    assert_eq!(
+        record.skipped_corrupt, 1,
+        "the misnamed snapshot is counted"
+    );
+    assert_eq!(outcome, reference, "the fallback resumes bit-identically");
+    std::fs::remove_dir_all(&dir).ok();
+}

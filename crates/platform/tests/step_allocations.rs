@@ -5,8 +5,9 @@
 //! This binary installs a counting allocator and runs the platform's
 //! episode kernel on episodes of several lengths: a fixed Pendulum
 //! population — continuous actions, the case that once built an action
-//! vector on every step — in one world, and whole K = 4 evaluations,
-//! whose lane buffers belong to the shard. The allocation count may
+//! vector on every step — in one world, whole K = 4 evaluations, whose
+//! lane buffers belong to the shard, and K = 1 evaluations, whose
+//! workers keep two genomes in flight. The allocation count may
 //! depend on the population, never on how many steps its episodes take.
 //! It is a count of the whole process, so the binary holds a single
 //! test.
@@ -92,6 +93,7 @@ fn evaluating_allocates_independently_of_episode_length() {
         "{long_steps} steps are not much longer than {short_steps}"
     );
     assert_eq!(short, long, "allocations for short and long K = 4 episodes");
+
     // Per genome, an evaluation allocates what copying the genome into
     // the job, compiling its plan and reading its shape do — nothing for
     // its lanes, and no executor around the plan.
@@ -104,5 +106,30 @@ fn evaluating_allocates_independently_of_episode_length() {
         double - long,
         8 * (copy + compile + shape),
         "allocations per extra genome"
+    );
+
+    // K = 1: each worker keeps two genomes in flight and walks their
+    // plans fused, a slot admitting the shard's next genome when its
+    // episode ends. Nine genomes make shards of three, so each shard
+    // also runs its last genome alone.
+    let evaluate_fixed = |genomes: &[Genome]| {
+        let spec = ScenarioSpec::fixed(5, genomes.len());
+        let mut backend = Backend::cpu(SwCostModel::default());
+        let (outcome, made, _) = common::counted(|| {
+            backend
+                .evaluate(genomes, EnvId::CartPole, &spec)
+                .expect("feed-forward genomes")
+        });
+        (outcome.total_steps, made)
+    };
+    let (short_steps, short) = evaluate_fixed(&cartpole_genomes(9, -1.0));
+    let (long_steps, long) = evaluate_fixed(&cartpole_genomes(9, 1.0));
+    assert!(
+        long_steps > 10 * short_steps,
+        "{long_steps} steps are not much longer than {short_steps}"
+    );
+    assert_eq!(
+        short, long,
+        "allocations for short and long paired episodes"
     );
 }

@@ -352,9 +352,35 @@ impl RunStore {
     /// place for post-mortems; the next save at that generation
     /// overwrites them.
     ///
+    /// A file whose name and header name different generations is
+    /// corrupt too: resuming it would report one generation and run
+    /// another.
+    ///
     /// Returns `Ok(None)` when no intact snapshot exists. An intact
     /// snapshot from a *different* run is an error, not a skip.
     pub fn recover<T: Deserialize>(&mut self) -> Result<Option<Recovered<T>>, StoreError> {
+        self.scan(|_: &T| None)
+    }
+
+    /// [`RunStore::recover`] for a state that records its own
+    /// generation, which `generation_of` reads: a file whose payload's
+    /// generation disagrees with its name and header is skipped as
+    /// corrupt as well, so [`Recovered::generation`] is the generation
+    /// the state resumes at. A payload that does not decode as `T` is
+    /// still an error: the typed decode comes first.
+    pub fn recover_with<T: Deserialize>(
+        &mut self,
+        generation_of: impl Fn(&T) -> usize,
+    ) -> Result<Option<Recovered<T>>, StoreError> {
+        self.scan(|state| Some(generation_of(state)))
+    }
+
+    /// The newest-first scan behind both recoveries; `generation_of`
+    /// reads a decoded payload's own generation, if it has one.
+    fn scan<T: Deserialize>(
+        &mut self,
+        generation_of: impl Fn(&T) -> Option<usize>,
+    ) -> Result<Option<Recovered<T>>, StoreError> {
         let mut generations: Vec<(usize, String)> = Vec::new();
         let entries = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
         for entry in entries {
@@ -387,6 +413,12 @@ impl RunStore {
             let value = format::payload_value(header.format_version, payload)
                 .map_err(StoreError::Decode)?;
             let state = T::from_value(&value).map_err(|e| StoreError::Decode(e.to_string()))?;
+            let payload_generation = generation_of(&state).unwrap_or(generation);
+            if header.generation != generation || payload_generation != generation {
+                skipped += 1;
+                self.stats.corrupt_skipped += 1;
+                continue;
+            }
             self.stats.recoveries += 1;
             // Reconcile a possibly-stale manifest with what the scan
             // actually found.
@@ -569,6 +601,28 @@ mod tests {
         assert_eq!(parse_snapshot_file_name("manifest.json"), None);
         assert_eq!(parse_snapshot_file_name(".tmp.gen-00000001.e3snap"), None);
         assert!(snapshot_file_name(9) < snapshot_file_name(10));
+    }
+
+    #[test]
+    fn a_snapshot_renamed_to_another_generation_is_skipped() {
+        let dir = scratch("renamed");
+        let mut store = RunStore::open(&dir, fp(), 3).unwrap();
+        store.save(1, None, &1u32).unwrap();
+        store.save(2, None, &2u32).unwrap();
+        fs::rename(
+            dir.join(snapshot_file_name(2)),
+            dir.join(snapshot_file_name(5)),
+        )
+        .unwrap();
+        let recovered = store.recover::<u32>().unwrap().unwrap();
+        assert_eq!((recovered.generation, recovered.state), (1, 1));
+        assert_eq!(recovered.skipped_corrupt, 1);
+        assert_eq!(store.stats().corrupt_skipped, 1);
+        // A payload that names its own generation is checked too.
+        store.save(3, None, &2u32).unwrap();
+        let recovered = store.recover_with(|state: &u32| *state as usize).unwrap();
+        assert_eq!(recovered.map(|r| r.generation), Some(1));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

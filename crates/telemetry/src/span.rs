@@ -20,11 +20,15 @@
 //! A [`Tracer`] is a cheap [`Clone`] (an `Arc` under the hood) and is
 //! `Send + Sync`; exec-pool workers clone it into shard closures. Each
 //! OS thread is assigned a stable small `tid` on first use so Perfetto
-//! renders one track per worker. Span *end* timestamps are taken under
+//! renders one track per worker; a thread that keeps several spans of
+//! one kind open at once (a worker's episodes in flight) puts each on
+//! a track of its own ([`Tracer::start_on_track`]), because Perfetto
+//! needs the spans of one track to nest. Span *end* timestamps are taken under
 //! the tracer's lock, so the recorded span list is globally ordered by
 //! completion time — `trace_check` relies on this monotonicity.
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,11 +41,23 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static THREAD_TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    /// The thread's extra tracks 1, 2, …, numbered on first use.
+    static EXTRA_TIDS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The small per-thread track id used in trace output.
-fn current_tid() -> u64 {
-    THREAD_TID.with(|tid| *tid)
+/// The small id of the calling thread's track `track` in trace output:
+/// track 0 is the thread's own.
+fn track_tid(track: usize) -> u64 {
+    if track == 0 {
+        return THREAD_TID.with(|tid| *tid);
+    }
+    EXTRA_TIDS.with(|tids| {
+        let mut tids = tids.borrow_mut();
+        while tids.len() < track {
+            tids.push(NEXT_TID.fetch_add(1, Ordering::Relaxed));
+        }
+        tids[track - 1]
+    })
 }
 
 /// One key/value annotation attached to a span (rendered in the
@@ -106,11 +122,20 @@ impl Tracer {
     /// `generation` span, opened by the eval phase and finished by the
     /// evolve phase).
     pub fn start(&self, name: &str, cat: &str) -> SpanTimer {
+        self.start_on_track(name, cat, 0)
+    }
+
+    /// [`Tracer::start`] on the calling thread's track `track`: 0 is
+    /// the thread's own track, every other number a track of the
+    /// thread's beside it. Spans that overlap in time without nesting —
+    /// two episodes in flight on one worker — go on different tracks.
+    pub fn start_on_track(&self, name: &str, cat: &str, track: usize) -> SpanTimer {
         let live = self.shared.as_ref().map(|shared| LiveSpan {
             shared: Arc::clone(shared),
             start: Instant::now(),
             name: name.to_string(),
             cat: cat.to_string(),
+            track,
             args: Vec::new(),
         });
         SpanTimer { live }
@@ -203,6 +228,7 @@ struct LiveSpan {
     start: Instant,
     name: String,
     cat: String,
+    track: usize,
     args: Vec<SpanArg>,
 }
 
@@ -227,7 +253,7 @@ impl LiveSpan {
             cat: self.cat,
             start_us,
             dur_us: end_us.saturating_sub(start_us),
-            tid: current_tid(),
+            tid: track_tid(self.track),
             args: self.args,
         });
     }
@@ -358,6 +384,20 @@ mod tests {
         assert_eq!(tracer.span_count(), 2);
         let spans = tracer.spans();
         assert_ne!(spans[0].tid, spans[1].tid, "worker got its own track");
+    }
+
+    #[test]
+    fn extra_tracks_are_stable_per_thread_and_distinct() {
+        let tracer = Tracer::enabled();
+        for _ in 0..2 {
+            for track in [2, 0, 1] {
+                tracer.start_on_track("episode", "env", track).finish();
+            }
+        }
+        let tids: Vec<u64> = tracer.spans().iter().map(|span| span.tid).collect();
+        assert_eq!(tids[..3], tids[3..], "a track keeps its id");
+        assert_eq!(tids[1], track_tid(0), "track 0 is the thread's own");
+        assert!(tids[0] != tids[1] && tids[0] != tids[2] && tids[1] != tids[2]);
     }
 
     #[test]

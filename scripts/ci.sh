@@ -44,23 +44,35 @@ for example in examples/*.rs; do
     cargo run --release --offline -q --example "$(basename "$example" .rs)" >/dev/null
 done
 
-echo "== repro run: --threads does not change results =="
-# E3-INAX shards like a software run (one kernel), so the comparison
-# exercises its shard plan too: fitness, modeled seconds and every
-# accelerator counter in the RunOutcome must match.
+echo "== repro run: --threads and the tier do not change results =="
+# MountainCar never solves at quick scale, so all eight generations run
+# and every one is compared. E3-INAX shards like a software run (one
+# kernel), so the comparison exercises its shard plan too: fitness,
+# modeled seconds and every accelerator counter in the RunOutcome must
+# match. Without a tier a worker keeps two genomes in flight; the
+# tier-on run (every genome native from its first use) keeps one, so
+# CI covers both admission limits end to end.
+repro_run() {
+    cargo run --release --offline -q -p e3-bench --bin repro -- run --env mountain_car --json "$@"
+}
 for backend in cpu inax; do
-    out1=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend "$backend" --threads 1 --json)
-    out4=$(cargo run --release --offline -q -p e3-bench --bin repro -- run --env cartpole --backend "$backend" --threads 4 --json)
-    if [ "$out1" != "$out4" ]; then
-        echo "error: repro run --backend $backend differs between --threads 1 and --threads 4" >&2
-        exit 1
-    fi
+    reference=$(repro_run --backend "$backend" --threads 1)
+    variants=("--threads 4")
+    if [ "$backend" = cpu ]; then variants+=("--jit --jit-threshold 1"); fi
+    for flags in "${variants[@]}"; do
+        # shellcheck disable=SC2086 # the flags split into words
+        if [ "$(repro_run --backend "$backend" $flags)" != "$reference" ]; then
+            echo "error: repro run --backend $backend $flags differs from --threads 1" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "== observability: traced run exports valid artifacts =="
 # A short traced run must produce Perfetto-loadable trace JSON
-# (well-formed, non-empty, monotonic span end times) and a parseable
-# Prometheus metrics dump; trace_check exits nonzero otherwise.
+# (well-formed, non-empty, monotonic span end times, spans nested per
+# track) and a parseable Prometheus metrics dump; trace_check exits
+# nonzero otherwise.
 trace_tmp=$(mktemp -d)
 trap 'rm -rf "$trace_tmp"' EXIT
 cargo run --release --offline -q -p e3-bench --bin repro -- \
@@ -68,6 +80,12 @@ cargo run --release --offline -q -p e3-bench --bin repro -- \
     --metrics "$trace_tmp/metrics.prom" >/dev/null
 cargo run --release --offline -q -p e3-bench --bin trace_check -- \
     "$trace_tmp/trace.json" "$trace_tmp/metrics.prom"
+# Two workers with two episodes in flight each: trace_check also
+# rejects spans that partially overlap on one track, which Perfetto
+# cannot draw.
+cargo run --release --offline -q -p e3-bench --bin repro -- \
+    run --env lunar_lander --threads 2 --trace "$trace_tmp/lander.json" >/dev/null
+cargo run --release --offline -q -p e3-bench --bin trace_check -- "$trace_tmp/lander.json"
 # A jit-enabled run must export the full e3_jit_* series set (counters,
 # resident gauge, compile-time histogram) and well-formed Jit telemetry
 # records; trace_check rejects a partial series set or malformed

@@ -4,11 +4,12 @@ use e3::envs::{EnvId, Environment, Pendulum, ScenarioDistribution};
 use e3::inax::InaxConfig;
 use e3::islands::scheduler::population_fingerprint;
 use e3::jit::CompiledPlan;
-use e3::neat::{NeatConfig, Population};
+use e3::neat::stats::PlanShape;
+use e3::neat::{Genome, InnovationTracker, NeatConfig, NetPlan, NodeKind, Population};
 use e3::platform::backend::Worlds;
 use e3::platform::{
-    Backend, BackendKind, CheckpointPolicy, E3Config, E3Platform, FitnessAggregation, GpuCostModel,
-    JitConfig, PowerModel, ScenarioConfig, ScenarioSpec, SwCostModel,
+    Backend, BackendKind, CheckpointPolicy, E3Config, E3Platform, EvalError, FitnessAggregation,
+    GpuCostModel, JitConfig, PowerModel, ScenarioConfig, ScenarioSpec, SwCostModel,
 };
 use e3::telemetry::{MemoryCollector, Tracer};
 
@@ -340,6 +341,94 @@ fn narrowing_lanes_match_each_world_run_alone() {
             "genome {i}: native, one call per lane"
         );
     }
+}
+
+#[test]
+fn two_genomes_in_flight_match_one_genome_at_a_time() {
+    // At K = 1 without a tier a worker keeps two genomes in flight and
+    // walks their plans fused; odd shards leave a last genome running
+    // alone. Every genome's fitness, episode length and shape, and the
+    // modeled seconds folded in population order, must be the bits of
+    // running each genome alone, at one worker and at two; and a
+    // non-feed-forward genome inside a shard must surface as the
+    // lowest-indexed failure.
+    for env in [EnvId::CartPole, EnvId::LunarLander] {
+        let config = E3Config::builder(env).population_size(41).build();
+        let mut platform = E3Platform::new(config, BackendKind::Cpu, 9);
+        platform.step_generation().expect("feed-forward");
+        platform.step_generation().expect("feed-forward");
+        let genomes = platform.population().genomes().to_vec();
+        let spec = ScenarioSpec::fixed(77, genomes.len());
+        let model = SwCostModel::default();
+
+        let mut alone = Worlds::new([env.make()]);
+        let (mut fitness, mut steps, mut shapes, mut seconds) = (vec![], vec![], vec![], 0.0);
+        for (i, genome) in genomes.iter().enumerate() {
+            let plan = NetPlan::compile(genome).expect("feed-forward");
+            alone.run(
+                &plan,
+                None,
+                spec.episode_seeds(i..i + 1),
+                &Tracer::disabled(),
+                i,
+            );
+            let length = alone.steps()[0];
+            fitness.push(alone.fitness()[0].to_bits());
+            steps.push(length);
+            shapes.push(PlanShape::of(&plan));
+            seconds += (model.sec_per_inference
+                + plan.num_nodes() as f64 * model.sec_per_node_eval
+                + plan.num_connections() as f64 * model.sec_per_conn_eval)
+                * length as f64;
+        }
+        assert!(
+            steps.iter().any(|&s| s != steps[0]),
+            "{env}: episodes of one length never end out of order"
+        );
+
+        for threads in [1, 2] {
+            let mut backend = Backend::cpu(model).with_threads(threads);
+            let outcome = backend
+                .evaluate(&genomes, env, &spec)
+                .expect("feed-forward");
+            let bits: Vec<u64> = outcome.fitnesses.iter().map(|f| f.to_bits()).collect();
+            assert_eq!(bits, fitness, "{env}, {threads} threads: fitness bits");
+            assert_eq!(outcome.steps_per_genome, steps, "{env}, {threads} threads");
+            assert_eq!(outcome.shapes, shapes, "{env}, {threads} threads");
+            assert_eq!(
+                outcome.eval_seconds.to_bits(),
+                seconds.to_bits(),
+                "{env}, {threads} threads: modeled seconds"
+            );
+
+            let mut broken = genomes.clone();
+            for i in [30, 13] {
+                broken[i] = make_cyclic(&broken[i]);
+            }
+            match backend.evaluate(&broken, env, &spec) {
+                Err(EvalError::NotFeedForward { genome_index, .. }) => {
+                    assert_eq!(genome_index, 13, "{env}, {threads} threads")
+                }
+                other => panic!("{env}, {threads} threads: {other:?}"),
+            }
+        }
+    }
+}
+
+/// `genome` with a self-loop on its first output: not feed-forward.
+fn make_cyclic(genome: &Genome) -> Genome {
+    let mut cyclic = genome.clone();
+    let mut tracker = InnovationTracker::with_reserved_nodes(cyclic.nodes().len());
+    let output = cyclic
+        .nodes()
+        .iter()
+        .find(|n| n.kind == NodeKind::Output)
+        .expect("genome has an output node")
+        .id;
+    cyclic
+        .add_connection_unchecked(output, output, 0.5, &mut tracker)
+        .expect("a self-loop is structurally new");
+    cyclic
 }
 
 #[test]
