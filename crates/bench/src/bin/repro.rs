@@ -73,7 +73,7 @@ struct Options {
     /// bit-identical to the interpreter, off by default.
     jit: bool,
     /// Promotion threshold for `--jit` (`--jit-threshold`, default 3):
-    /// decode-cache uses before a plan compiles to native code.
+    /// plan-cache uses before a plan compiles to native code.
     jit_threshold: u64,
 }
 
@@ -564,7 +564,7 @@ fn print_usage() {
     eprintln!("  --crash-after      stop `run` after N generations without a summary");
     eprintln!("  --jit              enable tiered native execution for `run` (cpu/gpu software");
     eprintln!("                     eval; bit-identical to the interpreter, off by default)");
-    eprintln!("  --jit-threshold    decode-cache uses before a plan compiles natively (default 3)");
+    eprintln!("  --jit-threshold    plan-cache uses before a plan compiles natively (default 3)");
 }
 
 fn usage(msg: &str) -> ! {

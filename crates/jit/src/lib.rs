@@ -119,7 +119,7 @@ pub(crate) fn activation_index(activation: Activation) -> usize {
 pub struct JitConfig {
     /// Whether hot plans are promoted to native code at all.
     pub enabled: bool,
-    /// Decode-cache uses after which a plan is compiled. Elites and
+    /// Plan-cache uses after which a plan is compiled. Elites and
     /// champions cross this within a few generations; one-generation
     /// genomes never pay a compile.
     pub hot_threshold: u64,

@@ -385,16 +385,18 @@ impl NetPlan {
     pub fn fill_lanes<const L: usize>(&self, values: &mut [[f64; L]]) {
         self.check_rows(values);
         for node in self.nodes() {
-            self.fill_node(node, values);
+            values[node.0] = node.3.apply_lanes(self.sum_node(node, values));
         }
     }
 
     /// Two one-lane forward passes, of two plans, walked together node
-    /// by node: `a`'s compute node `i`, then `b`'s node `i`, then the
+    /// by node: `a`'s compute node `i` and `b`'s node `i`, then the
     /// longer plan's tail. The two activation chains are independent,
-    /// so the core overlaps them. Each node runs the body
-    /// [`NetPlan::fill_lanes`] runs, so `a_rows` and `b_rows` come out
-    /// bit-identical to a `fill_lanes::<1>` walk of each plan alone.
+    /// so the core overlaps them; where both nodes share an activation,
+    /// one two-lane [`Activation`] call computes both. Each node sums
+    /// as [`NetPlan::fill_lanes`] does and every lane runs the scalar
+    /// activation, so `a_rows` and `b_rows` come out bit-identical to a
+    /// `fill_lanes::<1>` walk of each plan alone.
     ///
     /// # Panics
     ///
@@ -404,15 +406,23 @@ impl NetPlan {
         a.check_rows(a_rows);
         b.check_rows(b_rows);
         for (a_node, b_node) in a.nodes().zip(b.nodes()) {
-            a.fill_node(a_node, a_rows);
-            b.fill_node(b_node, b_rows);
+            let ([x], [y]) = (a.sum_node(a_node, a_rows), b.sum_node(b_node, b_rows));
+            (a_rows[a_node.0], b_rows[b_node.0]) = if a_node.3 == b_node.3 {
+                let [x, y] = a_node.3.apply_lanes([x, y]);
+                ([x], [y])
+            } else {
+                (a_node.3.apply_lanes([x]), b_node.3.apply_lanes([y]))
+            };
         }
         let shared = a.num_compute_nodes().min(b.num_compute_nodes());
-        for node in a.nodes().skip(shared) {
-            a.fill_node(node, a_rows);
-        }
-        for node in b.nodes().skip(shared) {
-            b.fill_node(node, b_rows);
+        a.fill_tail(shared, a_rows);
+        b.fill_tail(shared, b_rows);
+    }
+
+    /// The one-lane walk of compute nodes `from..`.
+    fn fill_tail(&self, from: usize, values: &mut [[f64; 1]]) {
+        for node in self.nodes().skip(from) {
+            values[node.0] = node.3.apply_lanes(self.sum_node(node, values));
         }
     }
 
@@ -439,16 +449,16 @@ impl NetPlan {
             })
     }
 
-    /// The per-node body of every walk: compute node `slot -
-    /// num_inputs` writes `slot` — bias first, then the sorted edges in
-    /// order, then the activation, no fused multiply-add: the exact FP
-    /// accumulation order of the legacy per-node executor.
+    /// The sum every walk feeds compute node `slot - num_inputs`'s
+    /// activation — bias first, then the sorted edges in order, no fused
+    /// multiply-add: the exact FP accumulation order of the legacy
+    /// per-node executor.
     #[inline(always)]
-    fn fill_node<const L: usize>(
+    fn sum_node<const L: usize>(
         &self,
-        (slot, (offset, len), bias, activation): (usize, (u32, u32), f64, Activation),
-        values: &mut [[f64; L]],
-    ) {
+        (slot, (offset, len), bias, _): (usize, (u32, u32), f64, Activation),
+        values: &[[f64; L]],
+    ) -> [f64; L] {
         let mut acc = [bias; L];
         for &(source, weight) in &self.edges[offset as usize..(offset + len) as usize] {
             debug_assert!((source as usize) < slot, "forward-only slots");
@@ -457,7 +467,48 @@ impl NetPlan {
                 *acc += value * weight;
             }
         }
-        values[slot] = activation.apply_lanes(acc);
+        acc
+    }
+
+    /// A word-wise hash of every field, weights and biases by their
+    /// bits: what a plan cache files the plan under. Plans that are
+    /// [`NetPlan::same_bits`] have one key; a key alone proves nothing.
+    pub fn key(&self) -> u64 {
+        let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.words().fold(0, mix)
+    }
+
+    /// Whether `self` and `other` agree in every field bit for bit — a
+    /// weight of −0.0 is not one of +0.0, and a NaN matches its own
+    /// bits — so either computes exactly what the other does.
+    pub fn same_bits(&self, other: &NetPlan) -> bool {
+        self.words().eq(other.words())
+    }
+
+    /// Every field as a stream of words, lengths first.
+    fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        let lengths = [
+            self.num_inputs,
+            self.num_outputs,
+            self.edges.len(),
+            self.biases.len(),
+            self.levels.len(),
+            self.outputs.len(),
+        ];
+        let pair = |(a, b): (u32, u32)| (u64::from(a) << 32) | u64::from(b);
+        lengths
+            .into_iter()
+            .map(|n| n as u64)
+            .chain(
+                self.edges
+                    .iter()
+                    .flat_map(|&(s, w)| [s.into(), w.to_bits()]),
+            )
+            .chain(self.edge_ranges.iter().copied().map(pair))
+            .chain(self.biases.iter().map(|b| b.to_bits()))
+            .chain(self.activations.iter().map(|&a| a as u64))
+            .chain(self.levels.iter().copied().map(pair))
+            .chain(self.outputs.iter().map(|&o| u64::from(o)))
     }
 
     /// Reads the output activations out of a value buffer previously

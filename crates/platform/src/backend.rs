@@ -7,8 +7,10 @@
 //! long it takes, so there is **one** [`Backend`] with one kernel — each
 //! worker takes whole genomes and runs their K episodes together, up to
 //! four lanes of one plan walk per step ([`Worlds::run`]), or at K = 1
-//! two genomes in flight whose walks fuse ([`NetPlan::fill_pair`]) — and
-//! the setting is data: a
+//! two genomes in flight whose walks fuse ([`NetPlan::fill_pair`]). A
+//! tier, when the backend has one, is asked only about each compiled
+//! plan, and a plan it holds native code for runs alone on that code —
+//! and the setting is data: a
 //! `Pricing`. `Cpu` and `Gpu` price every inference with a cost
 //! model; `Inax` hands the compiled plans and the episode lengths the
 //! kernel observed to the cycle-level accelerator model
@@ -39,7 +41,6 @@ use e3_neat::stats::PlanShape;
 use e3_neat::{DecodeError, Genome, NetPlan};
 use e3_telemetry::{SpanTimer, Tracer, UtilizationBreakdown};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
 use std::str::FromStr;
@@ -551,14 +552,14 @@ impl Pricing {
 
     /// Prices — or, for the accelerator, records what pricing will
     /// need from — one genome whose episodes ran `lengths` steps, one
-    /// entry per scenario. The accelerator keeps the plan itself: a
-    /// shard-owned plan moves into the row, only a cached one is copied.
-    fn price(&self, plan: Cow<'_, NetPlan>, lengths: &[u64]) -> RowPrice {
+    /// entry per scenario. The accelerator keeps the plan itself: it
+    /// moves into the row.
+    fn price(&self, plan: NetPlan, lengths: &[u64]) -> RowPrice {
         let steps = lengths.iter().sum::<u64>() as f64;
         match self {
             Pricing::Cpu(model) => RowPrice::Seconds(model.inference_seconds_plan(&plan) * steps),
             Pricing::Gpu(model) => RowPrice::Seconds(model.inference_seconds_plan(&plan) * steps),
-            Pricing::Inax(_) => RowPrice::Resident(plan.into_owned(), lengths.to_vec()),
+            Pricing::Inax(_) => RowPrice::Resident(plan, lengths.to_vec()),
         }
     }
 }
@@ -569,12 +570,12 @@ impl Pricing {
 /// run produces the same one.
 const SHARDS_PER_WORKER: usize = 4;
 
-/// Genomes a worker keeps in flight when each faces one world and the
-/// backend has no tier: their one-lane walks fuse node by node
-/// ([`NetPlan::fill_pair`]), so the core overlaps two dependent
-/// activation chains. K ≥ 2 episodes already overlap in lanes, and a
-/// tier's cache lends one entry at a time, so both keep one genome in
-/// flight. Three or four in flight measured no faster than two.
+/// Genomes a worker keeps in flight when each faces one world: their
+/// one-lane walks fuse node by node ([`NetPlan::fill_pair`]), so the
+/// core overlaps two dependent activation chains. K ≥ 2 episodes
+/// already overlap in lanes and keep one genome in flight. A plan with
+/// a native twin never waits in a slot: it runs its episodes at once.
+/// Three or four in flight measured no faster than two.
 const MAX_IN_FLIGHT: usize = 2;
 
 /// One genome's row of an evaluation.
@@ -590,7 +591,7 @@ type ShardRows = Vec<Result<GenomeRow, DecodeFailure>>;
 
 impl GenomeRow {
     /// The row of the genome whose episodes `worlds` just ran.
-    fn of(job: &EvalJob, pricing: &Pricing, plan: Cow<'_, NetPlan>, worlds: &mut Worlds) -> Self {
+    fn of(job: &EvalJob, pricing: &Pricing, plan: NetPlan, worlds: &mut Worlds) -> Self {
         GenomeRow {
             steps: worlds.steps.iter().sum(),
             shape: PlanShape::of(&plan),
@@ -601,15 +602,21 @@ impl GenomeRow {
     }
 }
 
-/// The kernel for one shard: lower each genome — through this worker's
-/// tiered cache when the backend has a tier, with a plain
-/// [`NetPlan::compile`] otherwise — then run its K episodes together
-/// ([`Worlds::run`]), one whole individual per slot (the paper's "one
-/// individual NN per PU", its weights read once per step for every
-/// world it faces). Without a tier and at K = 1 the worker keeps
+/// The kernel for one shard: compile each genome's plan once, then run
+/// its K episodes together ([`Worlds::run`]), one whole individual per
+/// slot (the paper's "one individual NN per PU", its weights read once
+/// per step for every world it faces). At K = 1 the worker keeps
 /// [`MAX_IN_FLIGHT`] genomes in flight, as E3 keeps many PUs busy at
-/// once: a slot whose episode ends records its row and admits the
-/// shard's next genome.
+/// once: while two slots are live they step together ([`run_pair`]),
+/// and a slot whose episode ends records its row and admits the
+/// shard's next genome. A lone slot (a shard's last genome, or any
+/// genome at K ≥ 2) runs to its end on its own. With a tier, each
+/// compiled plan is looked up in this worker's
+/// [`PlanCache`](crate::tier::PlanCache); a plan
+/// with a native twin runs its episodes at once in the free slot, on
+/// that twin. Rows land at their genome's index, so they fold in
+/// population order whatever order the episodes end in, and a decode
+/// failure is a row like any other.
 fn per_genome_shard(
     job: &EvalJob,
     pricing: &Pricing,
@@ -618,64 +625,19 @@ fn per_genome_shard(
     range: Range<usize>,
 ) -> ShardRows {
     let _shard_span = job.shard_span(range.start, range.len());
-    // One world per sampled scenario, built once per shard and slot.
-    let worlds = || {
-        Worlds::new(
-            job.spec
-                .params()
-                .iter()
-                .map(|params| job.env.make_scenario(params)),
-        )
-    };
-    let Some(tier) = tier else {
-        return in_flight_shard(job, pricing, worlds, range);
-    };
-    // Tier selection: the interpreted network, or (for hot entries
-    // under an enabled JIT policy) its natively compiled twin —
-    // bit-identical either way.
-    let mut worlds = worlds();
-    let mut cache = tier.cache(scratch.worker_index());
-    range
-        .map(|i| {
-            let mut exec = cache.get_or_tiered(&job.pop[i]).map_err(|e| (i, e))?;
-            let (plan, native) = exec.split();
-            worlds.run(
-                plan,
-                native,
-                job.spec.episode_seeds(i..i + 1),
-                &job.tracer,
-                i,
-            );
-            Ok(GenomeRow::of(
-                job,
-                pricing,
-                Cow::Borrowed(plan),
-                &mut worlds,
-            ))
-        })
-        .collect()
-}
-
-/// [`per_genome_shard`] without a tier: up to [`MAX_IN_FLIGHT`] slots
-/// (one unless every genome faces a single world), each holding a
-/// genome, its plan and its running chunk. While two slots are live,
-/// they step together ([`run_pair`]); a lone slot (a shard's last genome,
-/// or any genome at K ≥ 2) runs to its end on its own. Rows land at
-/// their genome's index, so they fold in population order whatever
-/// order the episodes end in, and a decode failure is a row like any
-/// other.
-fn in_flight_shard(
-    job: &EvalJob,
-    pricing: &Pricing,
-    worlds: impl Fn() -> Worlds,
-    range: Range<usize>,
-) -> ShardRows {
+    let mut cache = tier.map(|tier| tier.cache(scratch.worker_index()));
     let limit = if job.spec.scenarios() == 1 {
         MAX_IN_FLIGHT
     } else {
         1
     };
-    let mut slots: Vec<Worlds> = (0..limit).map(|_| worlds()).collect();
+    // One world per sampled scenario, built once per shard and slot.
+    let mut slots: Vec<Worlds> = (0..limit)
+        .map(|_| {
+            let params = job.spec.params().iter();
+            Worlds::new(params.map(|params| job.env.make_scenario(params)))
+        })
+        .collect();
     let mut flights: [Option<(usize, NetPlan, Chunk)>; MAX_IN_FLIGHT] = Default::default();
     let mut rows: Vec<Option<Result<GenomeRow, DecodeFailure>>> =
         range.clone().map(|_| None).collect();
@@ -684,13 +646,22 @@ fn in_flight_shard(
         for (track, (flight, worlds)) in flights.iter_mut().zip(&mut slots).enumerate() {
             while flight.is_none() {
                 let Some(i) = next.next() else { break };
-                match NetPlan::compile(&job.pop[i]) {
-                    Ok(plan) => {
-                        let seeds = job.spec.episode_seeds(i..i + 1);
-                        let chunk = worlds.start(&plan, seeds, &job.tracer, i, track);
-                        *flight = Some((i, plan, chunk));
+                let seeds = job.spec.episode_seeds(i..i + 1);
+                let plan = match NetPlan::compile(&job.pop[i]) {
+                    Ok(plan) => plan,
+                    Err(reason) => {
+                        rows[i - range.start] = Some(Err((i, reason)));
+                        continue;
                     }
-                    Err(reason) => rows[i - range.start] = Some(Err((i, reason))),
+                };
+                let mut chunk = worlds.start(&plan, seeds, &job.tracer, i, track);
+                match cache.as_mut().and_then(|cache| cache.native(&plan)) {
+                    Some(native) => {
+                        worlds.finish(&plan, Some(native), &mut chunk, seeds, &job.tracer);
+                        let row = GenomeRow::of(job, pricing, plan, worlds);
+                        rows[i - range.start] = Some(Ok(row));
+                    }
+                    None => *flight = Some((i, plan, chunk)),
                 }
             }
         }
@@ -713,8 +684,7 @@ fn in_flight_shard(
                 .is_some_and(|(_, _, chunk)| chunk.count == 0)
             {
                 let (i, plan, _) = flight.take().expect("checked");
-                let row = GenomeRow::of(job, pricing, Cow::Owned(plan), worlds);
-                rows[i - range.start] = Some(Ok(row));
+                rows[i - range.start] = Some(Ok(GenomeRow::of(job, pricing, plan, worlds)));
             }
         }
     }

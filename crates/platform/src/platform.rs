@@ -125,8 +125,8 @@ pub struct E3Config {
     /// evaluates under [`crate::ScenarioSpec::fixed`] and is
     /// bit-identical to runs that predate this field.
     pub scenario: ScenarioConfig,
-    /// Tiered-execution policy: when enabled, genomes that stay hot in
-    /// the decode cache are promoted to natively compiled code
+    /// Tiered-execution policy: when enabled, compiled plans that stay
+    /// hot in the plan cache are promoted to natively compiled code
     /// (`e3-jit`), with the interpreter as the bit-exact oracle and
     /// permanent fallback. Never affects results — only speed and
     /// telemetry. The default is disabled.

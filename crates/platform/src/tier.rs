@@ -1,33 +1,25 @@
 //! The tiered plan cache of the evaluation kernel.
 //!
-//! Unchanged elites and champions survive generations verbatim, so
-//! their compiled [`NetPlan`] can be kept: a [`DecodeCache`] is keyed
-//! by [`Genome::fingerprint`] and a lookup for an unchanged genome
-//! returns the previously compiled plan. The 64-bit key is only a hint: every entry keeps its
-//! genome and a hit is served only after `Genome: PartialEq` confirms
-//! it, so a collision is a miss that replaces the entry, never another
-//! genome's phenotype.
+//! The kernel compiles every genome to its own [`NetPlan`], tier or no
+//! tier, and a [`PlanCache`] is asked only about that plan. It counts
+//! how often each distinct plan is met and, once a plan crosses
+//! [`JitConfig::hot_threshold`], keeps its natively compiled twin
+//! ([`CompiledPlan`], see `e3-jit`). A plan is filed under
+//! [`NetPlan::key`], a word-wise hash, and a hit is served only after
+//! [`NetPlan::same_bits`] confirms the stored plan bit for bit, so a
+//! collision is a miss that replaces the entry, never another plan's
+//! native code. Both tiers are bit-identical, so promotion can only
+//! change speed and telemetry, never results.
 //!
 //! # Who consults it, and why nobody else
 //!
-//! A lookup costs a byte-wise hash over the whole genome (1.84 µs at
-//! LunarLander sizes), more than compiling the plan afresh (1.0–1.2 µs),
-//! and only a generation's survivors can hit. So
-//! `fingerprint + (1 − h) · compile` never beats a plain `compile`, and
-//! a backend that needs nothing but the plan compiles it afresh:
-//! **E3-CPU and E3-GPU with
-//! the tier off** (hit rate 0.01 on LunarLander — EXPERIMENTS.md
-//! "Where the time goes") and **E3-INAX** (0.36 on CartPole;
-//! `cartpole_inax` reads +2 % `env_steps_per_s` without the lookup —
-//! EXPERIMENTS.md "INAX off the cache").
-//!
-//! That leaves the one caller to whom an entry is worth more than a
-//! recompile, the **kernel with the tier on**: every entry
-//! carries a use counter, and [`DecodeCache::get_or_tiered`] promotes
-//! entries that cross [`JitConfig::hot_threshold`] to a natively
-//! compiled [`CompiledPlan`] (see `e3-jit`) — hotness and native code
-//! are state a recompile cannot rebuild. Both tiers are bit-identical,
-//! so promotion can only change speed and telemetry, never results.
+//! A lookup costs one hash of a plan every genome compiles anyway, one
+//! comparison on a hit and one plan copy on a miss — far less than the
+//! compile itself, which no lookup can save: hashing the genome instead
+//! costs about 2.5× a compile (EXPERIMENTS.md). Only the kernel with the tier
+//! on pays it: use counts and native code are state a recompile cannot
+//! rebuild, and they are all an entry is for. A backend without a tier
+//! — E3-CPU and E3-GPU by default, E3-INAX always — owns no cache.
 //!
 //! # Who owns it
 //!
@@ -43,19 +35,18 @@
 //! walk belong to the shard, so an entry carries no episode state.
 
 use e3_jit::{CompiledPlan, JitConfig};
-use e3_neat::{DecodeError, Genome, NetPlan};
+use e3_neat::NetPlan;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 #[derive(Debug)]
 struct CacheEntry {
-    /// The genome `plan` was compiled from: what a hit is confirmed
-    /// against, since the 64-bit key alone can collide.
-    genome: Genome,
+    /// A copy of the plan first filed under this entry's key: what a
+    /// hit is confirmed against, since the 64-bit key alone can collide.
     plan: NetPlan,
     last_used: u64,
-    /// Lookups that returned this entry since it was decoded — the
+    /// Lookups that returned this entry since it was filed — the
     /// hotness signal tier promotion reads.
     uses: u64,
     /// Native tier, present once the entry crossed the hot threshold
@@ -66,72 +57,27 @@ struct CacheEntry {
     jit_failed: bool,
 }
 
-impl CacheEntry {
-    fn new(genome: &Genome) -> Result<Self, DecodeError> {
-        Ok(CacheEntry {
-            plan: NetPlan::compile(genome)?,
-            genome: genome.clone(),
-            last_used: 0,
-            uses: 0,
-            jit: None,
-            jit_failed: false,
-        })
-    }
-}
-
-/// A genome-fingerprint-keyed cache of compiled network plans.
+/// A plan-keyed cache of use counts and native twins.
 ///
 /// Entries not used for two consecutive jobs (generations) are evicted
-/// at the next [`DecodeCache::begin_job`], bounding the cache to the
+/// at the next [`PlanCache::begin_job`], bounding the cache to the
 /// working set of the current population.
 #[derive(Debug, Default)]
-pub(crate) struct DecodeCache {
+pub(crate) struct PlanCache {
     entries: HashMap<u64, CacheEntry>,
     epoch: u64,
     jit: JitConfig,
-    /// Accumulated since the last [`DecodeCache::take_counters`]; the
+    /// Accumulated since the last [`PlanCache::take_counters`]; the
     /// two gauges stay zero here.
     counters: TierStats,
 }
 
-/// The execution tier [`DecodeCache::get_or_tiered`] selected for a
-/// genome: the interpreted [`NetPlan`], or (for hot entries under an
-/// enabled [`JitConfig`]) its natively compiled twin plus a shared
-/// borrow of the plan for inspection (costing, metrics).
-///
-/// Both tiers are bit-identical by `e3-jit`'s contract, so the choice
-/// may only affect speed and telemetry, never results.
-#[derive(Debug)]
-pub(crate) enum TierExec<'a> {
-    /// The plan interpreter — always available.
-    Interpreted(&'a NetPlan),
-    /// The native tier, with the backing plan alongside.
-    Compiled {
-        /// The interpreted twin (for inspection).
-        plan: &'a NetPlan,
-        /// The natively compiled executor.
-        jit: &'a mut CompiledPlan,
-    },
-}
-
-impl TierExec<'_> {
-    /// The compiled plan backing either tier (for the lane walk,
-    /// costing and complexity metrics) and, on the native tier, its
-    /// scalar twin.
-    pub(crate) fn split(&mut self) -> (&NetPlan, Option<&mut CompiledPlan>) {
-        match self {
-            TierExec::Interpreted(plan) => (plan, None),
-            TierExec::Compiled { plan, jit } => (plan, Some(*jit)),
-        }
-    }
-}
-
-impl DecodeCache {
+impl PlanCache {
     /// Creates an empty cache promoting under `policy`.
     pub(crate) fn new(policy: JitConfig) -> Self {
-        DecodeCache {
+        PlanCache {
             jit: policy,
-            ..DecodeCache::default()
+            ..PlanCache::default()
         }
     }
 
@@ -155,37 +101,39 @@ impl DecodeCache {
         });
     }
 
-    /// The cache's one lookup: returns the selected execution tier for
-    /// `genome`, compiling its plan (and counting a miss) on first sight
-    /// of the genome, then promoting the entry to the native tier
-    /// once its use count crosses the configured hot threshold. With
-    /// a disabled [`JitConfig`] nothing is ever promoted and every
-    /// lookup yields [`TierExec::Interpreted`].
+    /// The cache's one lookup: counts a use of `plan` — a miss files a
+    /// copy of it on first sight — promotes its entry to the native
+    /// tier once the uses cross the configured hot threshold, and
+    /// returns the native twin if the entry has one. With a disabled
+    /// [`JitConfig`] nothing is ever promoted.
     ///
     /// A failed compilation is counted as a fallback, marks the entry
     /// so it is never retried, and keeps the interpreter — promotion
     /// is an optimization, never a requirement.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] if the genome is not feed-forward.
-    pub(crate) fn get_or_tiered(&mut self, genome: &Genome) -> Result<TierExec<'_>, DecodeError> {
-        self.lookup(genome.fingerprint(), genome)
+    pub(crate) fn native(&mut self, plan: &NetPlan) -> Option<&mut CompiledPlan> {
+        self.lookup(plan.key(), plan)
     }
 
-    /// [`DecodeCache::get_or_tiered`] under a caller-supplied key. An
-    /// entry is a hit only if it was decoded from an equal genome; another
-    /// genome under the same key is a miss whose fresh decode replaces the
-    /// entry, unreported native activations and all.
-    fn lookup(&mut self, key: u64, genome: &Genome) -> Result<TierExec<'_>, DecodeError> {
+    /// [`PlanCache::native`] under a caller-supplied key. An entry is a
+    /// hit only if its plan has `plan`'s bits; another plan under the
+    /// same key is a miss whose copy replaces the entry, unreported
+    /// native activations and all.
+    fn lookup(&mut self, key: u64, plan: &NetPlan) -> Option<&mut CompiledPlan> {
         let entry = match self.entries.entry(key) {
-            Entry::Occupied(slot) if slot.get().genome == *genome => {
+            Entry::Occupied(slot) if slot.get().plan.same_bits(plan) => {
                 self.counters.cache_hits += 1;
                 slot.into_mut()
             }
             slot => {
                 self.counters.cache_misses += 1;
-                slot.insert_entry(CacheEntry::new(genome)?).into_mut()
+                let entry = CacheEntry {
+                    plan: plan.clone(),
+                    last_used: 0,
+                    uses: 0,
+                    jit: None,
+                    jit_failed: false,
+                };
+                slot.insert_entry(entry).into_mut()
             }
         };
         entry.last_used = self.epoch;
@@ -209,13 +157,7 @@ impl DecodeCache {
                 }
             }
         }
-        match entry.jit.as_mut() {
-            Some(jit) => Ok(TierExec::Compiled {
-                plan: &entry.plan,
-                jit,
-            }),
-            None => Ok(TierExec::Interpreted(&entry.plan)),
-        }
+        entry.jit.as_mut()
     }
 
     /// Number of cached plans.
@@ -224,7 +166,7 @@ impl DecodeCache {
     }
 
     /// Number of entries currently holding a native-tier plan — a
-    /// gauge, like [`DecodeCache::len`].
+    /// gauge, like [`PlanCache::len`].
     pub(crate) fn jit_resident(&self) -> usize {
         self.entries.values().filter(|e| e.jit.is_some()).count()
     }
@@ -232,8 +174,8 @@ impl DecodeCache {
     /// Takes and resets the hit/miss/eviction and JIT counters,
     /// draining every resident [`CompiledPlan`]'s activation count
     /// along the way. The current entry counts are *not* reset — they
-    /// are gauges, read via [`DecodeCache::len`] and
-    /// [`DecodeCache::jit_resident`].
+    /// are gauges, read via [`PlanCache::len`] and
+    /// [`PlanCache::jit_resident`].
     pub(crate) fn take_counters(&mut self) -> TierStats {
         for entry in self.entries.values_mut() {
             if let Some(jit) = entry.jit.as_mut() {
@@ -251,13 +193,13 @@ impl DecodeCache {
 pub(crate) struct TierStats {
     /// Lookups served from a cache.
     pub cache_hits: u64,
-    /// Lookups that compiled a fresh plan.
+    /// Lookups that filed a plan not seen before.
     pub cache_misses: u64,
     /// Compiled plans resident at the end of the evaluation (a gauge,
     /// not a rate).
     pub cache_entries: u64,
     /// Entries evicted by this evaluation's epoch turnover
-    /// ([`DecodeCache::begin_job`]).
+    /// ([`PlanCache::begin_job`]).
     pub cache_evictions: u64,
     /// Plans promoted to the native (JIT) tier.
     pub jit_compiled: u64,
@@ -288,14 +230,14 @@ impl TierStats {
     }
 }
 
-/// One backend's tier: a [`DecodeCache`] per executor worker index.
+/// One backend's tier: a [`PlanCache`] per executor worker index.
 /// Shard tasks hold a clone, which shares the caches; the locks are
 /// uncontended — a backend has one evaluation in flight and a worker
 /// runs one shard at a time.
 #[derive(Debug, Clone)]
 pub(crate) struct Tier {
     policy: JitConfig,
-    slots: Arc<[Mutex<DecodeCache>]>,
+    slots: Arc<[Mutex<PlanCache>]>,
 }
 
 impl Tier {
@@ -315,7 +257,7 @@ impl Tier {
     pub(crate) fn begin_run(&mut self, workers: usize) -> Tier {
         if self.slots.len() != workers {
             self.slots = (0..workers)
-                .map(|_| Mutex::new(DecodeCache::new(self.policy)))
+                .map(|_| Mutex::new(PlanCache::new(self.policy)))
                 .collect();
         }
         for worker in 0..workers {
@@ -327,7 +269,7 @@ impl Tier {
     /// The cache of worker `worker`, held for one shard. A shard that
     /// panicked mid-lookup leaves at worst a stale entry behind, so a
     /// poisoned lock is still good.
-    pub(crate) fn cache(&self, worker: usize) -> MutexGuard<'_, DecodeCache> {
+    pub(crate) fn cache(&self, worker: usize) -> MutexGuard<'_, PlanCache> {
         self.slots[worker]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -362,6 +304,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Whether this target has a native tier to promote to.
+    const NATIVE: bool = cfg!(all(target_arch = "x86_64", target_os = "linux"));
+
+    /// Promotes every plan on its first use.
+    const HOT: JitConfig = JitConfig {
+        enabled: true,
+        hot_threshold: 1,
+    };
+
     fn counters(cache_hits: u64, cache_misses: u64, cache_evictions: u64) -> TierStats {
         TierStats {
             cache_hits,
@@ -379,83 +330,173 @@ mod tests {
         (g, config, tracker, rng)
     }
 
-    /// One forward pass through the tier `tier` selected.
-    fn forward(tier: &mut TierExec, inputs: &[f64]) -> Vec<f64> {
-        match tier.split() {
-            (_, Some(native)) => native.activate_into(inputs).to_vec(),
-            (plan, None) => plan.execute(inputs),
-        }
+    fn plan(genome: &Genome) -> NetPlan {
+        NetPlan::compile(genome).expect("feed-forward")
     }
 
-    /// One forward pass through whichever tier the lookup selected.
-    fn activate(cache: &mut DecodeCache, genome: &Genome, inputs: &[f64]) -> Vec<f64> {
-        let mut tier = cache.get_or_tiered(genome).expect("decodes");
-        forward(&mut tier, inputs)
+    /// A genome's plan and a differently behaving mutant's.
+    fn two_plans() -> (NetPlan, NetPlan) {
+        let (g, config, mut tracker, mut rng) = genome();
+        let inputs = [0.25, -0.5, 1.0];
+        let mut other = g.clone();
+        while plan(&other).execute(&inputs) == plan(&g).execute(&inputs) {
+            other.mutate(&config, &mut tracker, &mut rng);
+        }
+        (plan(&g), plan(&other))
+    }
+
+    /// The one-input plan `bias + x · weight` with an `Identity` output.
+    fn linear(weight: f64, bias: f64) -> NetPlan {
+        let mut tracker = InnovationTracker::with_reserved_nodes(2);
+        let mut genome = Genome::bare(1, 1);
+        genome
+            .add_connection(0, 1, weight, &mut tracker)
+            .expect("a fresh connection");
+        genome.set_bias(1, bias).expect("the output exists");
+        let tanh = serde_json::to_string(&plan(&genome)).expect("serializes");
+        let identity: NetPlan =
+            serde_json::from_str(&tanh.replace("Tanh", "Identity")).expect("parses");
+        assert_eq!(identity.node_edges(0)[0].1.to_bits(), weight.to_bits());
+        assert_eq!(identity.bias(0).to_bits(), bias.to_bits());
+        identity
+    }
+
+    /// One forward pass through the native twin the lookup returned —
+    /// which must exist exactly where the target has a native tier —
+    /// or, where it has none, through `plan` itself.
+    fn served(cache: &mut PlanCache, key: u64, plan: &NetPlan, inputs: &[f64]) -> Vec<u64> {
+        let native = cache.lookup(key, plan);
+        assert_eq!(native.is_some(), NATIVE, "a hot plan has a native twin");
+        let out = match native {
+            Some(native) => native.activate(inputs),
+            None => plan.execute(inputs),
+        };
+        out.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn bits(plan: &NetPlan, inputs: &[f64]) -> Vec<u64> {
+        plan.execute(inputs).iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn second_lookup_hits_the_first_one_s_plan() {
+    fn a_second_compile_of_one_genome_hits_the_first_one_s_entry() {
         let (g, _, _, _) = genome();
-        let mut cache = DecodeCache::new(JitConfig::default());
+        let mut cache = PlanCache::new(JitConfig::default());
         cache.begin_job();
-        let plan = cache.get_or_tiered(&g).expect("compiles").split().0.clone();
-        assert_eq!(plan, *g.decode().expect("decodes").plan());
-        cache.get_or_tiered(&g).expect("decodes");
+        let first = plan(&g);
+        assert!(cache.native(&first).is_none());
+        let second = plan(&g);
+        assert_eq!(second.key(), first.key());
+        assert!(cache.native(&second).is_none());
         assert_eq!(cache.take_counters(), counters(1, 1, 0));
         assert_eq!(cache.len(), 1);
+        assert!(cache.entries[&first.key()].plan.same_bits(&first));
     }
 
     #[test]
-    fn mutated_genome_never_served_stale_network() {
+    fn a_changed_plan_is_never_served_stale_native_code() {
         let (mut g, config, mut tracker, mut rng) = genome();
-        let mut cache = DecodeCache::new(JitConfig::default());
+        let mut cache = PlanCache::new(HOT);
         cache.begin_job();
-        let inputs = vec![0.25, -0.5, 1.0];
-        let before = activate(&mut cache, &g, &inputs);
+        let inputs = [0.25, -0.5, 1.0];
+        let before = plan(&g);
+        assert_eq!(
+            served(&mut cache, before.key(), &before, &inputs),
+            bits(&before, &inputs)
+        );
         // Mutate until the phenotype output actually changes.
         let mut after = before.clone();
         for _ in 0..100 {
             g.mutate(&config, &mut tracker, &mut rng);
-            after = activate(&mut cache, &g, &inputs);
-            if after != before {
+            after = plan(&g);
+            let out = served(&mut cache, after.key(), &after, &inputs);
+            assert_eq!(out, bits(&after, &inputs), "a mutant runs its own code");
+            if out != bits(&before, &inputs) {
                 break;
             }
         }
-        assert_ne!(
-            before, after,
-            "mutated genome decoded fresh, not from cache"
+        assert_ne!(bits(&before, &inputs), bits(&after, &inputs));
+        // The unmutated plan's entry still runs the unmutated network.
+        assert_eq!(
+            served(&mut cache, before.key(), &before, &inputs),
+            bits(&before, &inputs)
         );
-        // The cached entry for the pre-mutation genome must equal a
-        // fresh decode of it too (the entry itself is never mutated).
-        let unmutated = genome().0;
-        let cached = activate(&mut cache, &unmutated, &inputs);
-        let fresh = unmutated.decode().expect("decodes").activate(&inputs);
-        assert_eq!(cached, fresh);
     }
 
     #[test]
-    fn a_colliding_key_is_a_miss_that_replaces_the_entry() {
-        let (g, config, mut tracker, mut rng) = genome();
+    fn under_one_key_two_plans_each_get_their_own_native_twin() {
+        let (a, b) = two_plans();
         let inputs = [0.25, -0.5, 1.0];
-        let fresh = |genome: &Genome| genome.decode().expect("decodes").activate(&inputs);
-        let mut other = g.clone();
-        while fresh(&other) == fresh(&g) {
-            other.mutate(&config, &mut tracker, &mut rng);
-        }
-        let mut cache = DecodeCache::new(JitConfig::default());
+        let mut cache = PlanCache::new(HOT);
         cache.begin_job();
-        // Two different genomes forced under one key: each is served
-        // its own network, the second by evicting the first.
-        let mut served = |genome: &Genome| {
-            let mut tier = cache.lookup(7, genome).expect("decodes");
-            forward(&mut tier, &inputs)
-        };
-        assert_eq!(served(&g), fresh(&g));
-        assert_eq!(served(&other), fresh(&other), "a collision must miss");
-        assert_eq!(served(&other), fresh(&other), "the replacement hits");
-        assert_eq!(served(&g), fresh(&g), "and is replaced in turn");
-        assert_eq!(cache.take_counters(), counters(1, 3, 0));
+        // Two different plans forced under one key: each is served its
+        // own network, the second by replacing the first.
+        let mut run = |plan: &NetPlan| served(&mut cache, 7, plan, &inputs);
+        assert_eq!(run(&a), bits(&a, &inputs));
+        assert_eq!(run(&b), bits(&b, &inputs), "a collision must miss");
+        assert_eq!(run(&b), bits(&b, &inputs), "the replacement hits");
+        assert_eq!(run(&a), bits(&a, &inputs), "and is replaced in turn");
+        let c = cache.take_counters();
+        assert_eq!((c.cache_hits, c.cache_misses), (1, 3));
+        assert_eq!(c.jit_compiled + c.jit_fallbacks, 3, "one twin per miss");
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn plans_that_differ_only_in_a_zero_s_sign_are_two_entries() {
+        // −0.0 + 1·(±0.0) is ±0.0, and `Identity` passes the sign on:
+        // f64 `==` calls the two plans equal, their outputs are not.
+        let (positive, negative) = (linear(0.0, -0.0), linear(-0.0, -0.0));
+        assert_ne!(bits(&positive, &[1.0]), bits(&negative, &[1.0]));
+        let mut cache = PlanCache::new(HOT);
+        cache.begin_job();
+        for key in [None, Some(7)] {
+            for plan in [&positive, &negative] {
+                let key = key.unwrap_or_else(|| plan.key());
+                assert_eq!(served(&mut cache, key, plan, &[1.0]), bits(plan, &[1.0]));
+            }
+        }
+        let c = cache.take_counters();
+        assert_eq!((c.cache_hits, c.cache_misses), (0, 4));
+        assert_eq!(c.jit_compiled + c.jit_fallbacks, 4, "one twin per miss");
+        assert_eq!(cache.len(), 3, "two keyed entries and the forced one");
+    }
+
+    #[test]
+    fn a_plan_with_a_nan_weight_hits_its_own_entry() {
+        let mut tracker = InnovationTracker::with_reserved_nodes(2);
+        let mut genome = Genome::bare(1, 1);
+        genome
+            .add_connection(0, 1, f64::NAN, &mut tracker)
+            .expect("a fresh connection");
+        let mut cache = PlanCache::new(JitConfig::default());
+        cache.begin_job();
+        for _ in 0..3 {
+            cache.native(&plan(&genome));
+        }
+        assert_eq!(cache.take_counters(), counters(2, 1, 0));
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn the_hot_threshold_counts_uses_per_distinct_plan() {
+        let (a, b) = two_plans();
+        let mut cache = PlanCache::new(JitConfig {
+            enabled: true,
+            hot_threshold: 2,
+        });
+        cache.begin_job();
+        let promoted: Vec<bool> = [&a, &b, &a, &b, &a]
+            .map(|plan| cache.native(plan).is_some())
+            .into();
+        assert_eq!(promoted, [false, false, NATIVE, NATIVE, NATIVE]);
+        let c = cache.take_counters();
+        assert_eq!((c.cache_hits, c.cache_misses), (3, 2));
+        assert_eq!(
+            c.jit_compiled + c.jit_fallbacks,
+            2,
+            "one promotion per plan"
+        );
     }
 
     #[test]
@@ -469,19 +510,15 @@ mod tests {
 
     #[test]
     fn eviction_drops_entries_unused_for_two_jobs() {
-        let (g, config, mut tracker, mut rng) = genome();
-        let mut other = g.clone();
-        for _ in 0..20 {
-            other.mutate(&config, &mut tracker, &mut rng);
-        }
-        assert_ne!(g.fingerprint(), other.fingerprint());
-        let mut cache = DecodeCache::new(JitConfig::default());
+        let (g, other) = two_plans();
+        assert_ne!(g.key(), other.key());
+        let mut cache = PlanCache::new(JitConfig::default());
         cache.begin_job(); // epoch 1
-        cache.get_or_tiered(&g).expect("decodes");
-        cache.get_or_tiered(&other).expect("decodes");
+        cache.native(&g);
+        cache.native(&other);
         assert_eq!(cache.len(), 2);
         cache.begin_job(); // epoch 2: both used at epoch 1, kept
-        cache.get_or_tiered(&g).expect("decodes");
+        cache.native(&g);
         assert_eq!(cache.len(), 2);
         cache.begin_job(); // epoch 3: `other` last used at epoch 1, evicted
         assert_eq!(cache.len(), 1);
@@ -490,23 +527,22 @@ mod tests {
             counters(1, 2, 1),
             "the epoch turnover is counted as one eviction"
         );
-        cache.get_or_tiered(&other).expect("decodes");
+        cache.native(&other);
         assert_eq!(
             cache.take_counters(),
             counters(0, 1, 0),
-            "evicted entry re-decodes"
+            "an evicted plan is filed afresh"
         );
     }
 
     #[test]
     fn a_disabled_policy_never_promotes() {
         let (g, _, _, _) = genome();
-        let mut cache = DecodeCache::new(JitConfig::default());
+        let mut cache = PlanCache::new(JitConfig::default());
         cache.begin_job();
         for _ in 0..10 {
-            let tier = cache.get_or_tiered(&g).expect("decodes");
             assert!(
-                !matches!(tier, TierExec::Compiled { .. }),
+                cache.native(&plan(&g)).is_none(),
                 "disabled config must never promote an entry"
             );
         }
@@ -518,27 +554,27 @@ mod tests {
     #[test]
     fn hot_entries_promote_and_stay_bit_identical() {
         let (g, _, _, _) = genome();
-        let inputs = vec![0.25, -0.5, 1.0];
-        let reference = g.decode().expect("decodes").activate(&inputs);
-        let mut cache = DecodeCache::new(JitConfig {
+        let inputs = [0.25, -0.5, 1.0];
+        let plan = plan(&g);
+        let mut cache = PlanCache::new(JitConfig {
             enabled: true,
             hot_threshold: 3,
         });
         cache.begin_job();
         for use_count in 1..=5u64 {
-            let mut tier = cache.get_or_tiered(&g).expect("decodes");
-            assert_eq!(
-                matches!(tier, TierExec::Compiled { .. }),
-                use_count >= 3,
-                "promotion happens exactly at the threshold"
-            );
-            let out = match &mut tier {
-                TierExec::Interpreted(plan) => plan.execute(&inputs),
-                TierExec::Compiled { jit, .. } => jit.activate(&inputs),
+            let out = match cache.native(&plan) {
+                Some(native) => {
+                    assert!(use_count >= 3, "promoted before the threshold");
+                    native.activate(&inputs)
+                }
+                None => {
+                    assert!(use_count < 3, "not promoted at the threshold");
+                    plan.execute(&inputs)
+                }
             };
             assert_eq!(
                 out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<u64>>(),
+                bits(&plan, &inputs),
                 "tiers drifted at use {use_count}"
             );
         }
@@ -550,10 +586,10 @@ mod tests {
         assert_eq!(c.jit_fallbacks, 0);
         assert_eq!(c.jit_activations, 3, "uses 3..=5 ran on the native tier");
         // Drained counters reset; the resident plan keeps executing.
-        let TierExec::Compiled { jit, .. } = cache.get_or_tiered(&g).expect("decodes") else {
-            panic!("entry stays promoted");
-        };
-        jit.activate(&inputs);
+        cache
+            .native(&plan)
+            .expect("the entry stays promoted")
+            .activate(&inputs);
         assert_eq!(cache.take_counters().jit_activations, 1);
     }
 
@@ -561,17 +597,12 @@ mod tests {
     #[test]
     fn eviction_drains_native_tier_activations() {
         let (g, _, _, _) = genome();
-        let mut cache = DecodeCache::new(JitConfig {
-            enabled: true,
-            hot_threshold: 1,
-        });
+        let mut cache = PlanCache::new(HOT);
         cache.begin_job(); // epoch 1
-        let mut tier = cache.get_or_tiered(&g).expect("decodes");
-        if let TierExec::Compiled { jit, .. } = &mut tier {
-            jit.activate(&[0.1, 0.2, 0.3]);
-        } else {
-            panic!("threshold 1 promotes on first use");
-        }
+        cache
+            .native(&plan(&g))
+            .expect("threshold 1 promotes on first use")
+            .activate(&[0.1, 0.2, 0.3]);
         cache.begin_job(); // epoch 2: kept (used at epoch 1)
         cache.begin_job(); // epoch 3: evicted, activation drained
         assert_eq!(cache.len(), 0);
@@ -587,15 +618,11 @@ mod tests {
     #[test]
     fn unsupported_targets_fall_back_to_the_interpreter() {
         let (g, _, _, _) = genome();
-        let mut cache = DecodeCache::new(JitConfig {
-            enabled: true,
-            hot_threshold: 1,
-        });
+        let mut cache = PlanCache::new(HOT);
         cache.begin_job();
         for _ in 0..3 {
-            let tier = cache.get_or_tiered(&g).expect("decodes");
             assert!(
-                !matches!(tier, TierExec::Compiled { .. }),
+                cache.native(&plan(&g)).is_none(),
                 "no native tier off x86-64 Linux"
             );
         }

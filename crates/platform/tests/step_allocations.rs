@@ -7,7 +7,8 @@
 //! population — continuous actions, the case that once built an action
 //! vector on every step — in one world, whole K = 4 evaluations, whose
 //! lane buffers belong to the shard, and K = 1 evaluations, whose
-//! workers keep two genomes in flight. The allocation count may
+//! workers keep two genomes in flight, with the tier off and on. The
+//! allocation count may
 //! depend on the population, never on how many steps its episodes take.
 //! It is a count of the whole process, so the binary holds a single
 //! test.
@@ -20,8 +21,8 @@ use e3_neat::{Genome, InnovationTracker, NetPlan};
 use e3_platform::backend::Worlds;
 use e3_platform::telemetry::Tracer;
 use e3_platform::{
-    Backend, BackendKind, E3Config, E3Platform, FitnessAggregation, ScenarioConfig, ScenarioSpec,
-    SwCostModel,
+    Backend, BackendKind, E3Config, E3Platform, FitnessAggregation, JitConfig, ScenarioConfig,
+    ScenarioSpec, SwCostModel,
 };
 
 /// `n` CartPole genomes of one shape, each pushing the cart toward the
@@ -131,5 +132,39 @@ fn evaluating_allocates_independently_of_episode_length() {
     assert_eq!(
         short, long,
         "allocations for short and long paired episodes"
+    );
+
+    // The same with the tier on, a plan promoted at its second use. The
+    // nine genomes share one plan: a first call files it, pairs genome 0
+    // and runs every later genome alone on the native twin; a second
+    // call hits on every genome. Episode length moves neither count, and
+    // a hit copies nothing, so a call of hits allocates no more than the
+    // tier-less call did (less: its genomes all run in a shard's first
+    // slot, and the second slot's lane buffer is never sized).
+    let evaluate_tiered = |genomes: &[Genome]| {
+        let spec = ScenarioSpec::fixed(5, genomes.len());
+        let mut backend = Backend::cpu(SwCostModel::default()).with_jit(JitConfig {
+            enabled: true,
+            hot_threshold: 2,
+        });
+        [(); 2].map(|()| {
+            let (_, made, _) = common::counted(|| {
+                backend
+                    .evaluate(genomes, EnvId::CartPole, &spec)
+                    .expect("feed-forward genomes")
+            });
+            made
+        })
+    };
+    let [short_first, short_hits] = evaluate_tiered(&cartpole_genomes(9, -1.0));
+    let [long_first, long_hits] = evaluate_tiered(&cartpole_genomes(9, 1.0));
+    assert_eq!(
+        short_first, long_first,
+        "allocations for short and long tiered episodes"
+    );
+    assert_eq!(short_hits, long_hits, "allocations for short and long hits");
+    assert!(
+        long_hits <= long,
+        "a call of cache hits allocates {long_hits} times, a tier-less one {long}"
     );
 }

@@ -206,18 +206,18 @@ pub struct ExecRecord {
     pub shard_seconds: Vec<f64>,
     /// Shards executed by a worker other than their home worker.
     pub steal_count: u64,
-    /// Decode-cache hits across all workers. Hits and misses are both
-    /// zero where the kernel compiles its plans without a lookup
-    /// (everywhere but a software backend with the tier on).
+    /// Plan-cache hits across all workers. Hits and misses are both
+    /// zero where the kernel looks no plan up (everywhere but a
+    /// software backend with the tier on).
     pub cache_hits: u64,
-    /// Decode-cache misses across all workers.
+    /// Plan-cache misses across all workers.
     pub cache_misses: u64,
-    /// Compiled plans resident across all workers' decode caches at
+    /// Compiled plans resident across all workers' plan caches at
     /// the end of the call (a gauge).
     pub cache_entries: u64,
-    /// Decode-cache entries evicted by epoch turnover during the call.
+    /// Plan-cache entries evicted by epoch turnover during the call.
     pub cache_evictions: u64,
-    /// Fraction of decode lookups served from cache, in `[0, 1]`.
+    /// Fraction of plan lookups served from cache, in `[0, 1]`.
     pub cache_hit_rate: f64,
     /// Mean fraction of the wall-clock each worker spent busy,
     /// in `[0, 1]`.

@@ -46,25 +46,30 @@ done
 
 echo "== repro run: --threads and the tier do not change results =="
 # MountainCar never solves at quick scale, so all eight generations run
-# and every one is compared. E3-INAX shards like a software run (one
-# kernel), so the comparison exercises its shard plan too: fitness,
-# modeled seconds and every accelerator counter in the RunOutcome must
-# match. Without a tier a worker keeps two genomes in flight; the
-# tier-on run (every genome native from its first use) keeps one, so
-# CI covers both admission limits end to end.
+# and every one is compared; but every episode there hits the 200-step
+# cap, so a worker's two genomes in flight always end together.
+# LunarLander's six generations have episodes of many lengths, so slots
+# end out of order and admit the next genome mid-shard. E3-INAX shards
+# like a software run (one kernel), so the comparison exercises its
+# shard plan too: fitness, modeled seconds and every accelerator counter
+# in the RunOutcome must match. The tier-on run (every plan native from
+# its first use) runs each genome alone on its native twin, beside the
+# tier-off runs' fused pairs.
 repro_run() {
-    cargo run --release --offline -q -p e3-bench --bin repro -- run --env mountain_car --json "$@"
+    cargo run --release --offline -q -p e3-bench --bin repro -- run --json "$@"
 }
-for backend in cpu inax; do
-    reference=$(repro_run --backend "$backend" --threads 1)
-    variants=("--threads 4")
-    if [ "$backend" = cpu ]; then variants+=("--jit --jit-threshold 1"); fi
-    for flags in "${variants[@]}"; do
-        # shellcheck disable=SC2086 # the flags split into words
-        if [ "$(repro_run --backend "$backend" $flags)" != "$reference" ]; then
-            echo "error: repro run --backend $backend $flags differs from --threads 1" >&2
-            exit 1
-        fi
+for env in mountain_car lunar_lander; do
+    for backend in cpu inax; do
+        reference=$(repro_run --env "$env" --backend "$backend" --threads 1)
+        variants=("--threads 4")
+        if [ "$backend" = cpu ]; then variants+=("--jit --jit-threshold 1"); fi
+        for flags in "${variants[@]}"; do
+            # shellcheck disable=SC2086 # the flags split into words
+            if [ "$(repro_run --env "$env" --backend "$backend" $flags)" != "$reference" ]; then
+                echo "error: repro run --env $env --backend $backend $flags differs from --threads 1" >&2
+                exit 1
+            fi
+        done
     done
 done
 

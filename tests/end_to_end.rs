@@ -345,13 +345,14 @@ fn narrowing_lanes_match_each_world_run_alone() {
 
 #[test]
 fn two_genomes_in_flight_match_one_genome_at_a_time() {
-    // At K = 1 without a tier a worker keeps two genomes in flight and
-    // walks their plans fused; odd shards leave a last genome running
-    // alone. Every genome's fitness, episode length and shape, and the
+    // At K = 1 a worker keeps two genomes in flight and walks their
+    // plans fused; odd shards leave a last genome running alone, and
+    // with the tier on a plan with a native twin runs alone in a free
+    // slot. Every genome's fitness, episode length and shape, and the
     // modeled seconds folded in population order, must be the bits of
-    // running each genome alone, at one worker and at two; and a
-    // non-feed-forward genome inside a shard must surface as the
-    // lowest-indexed failure.
+    // running each genome alone, at one worker and at two, tier off and
+    // on; and a non-feed-forward genome inside a shard must surface as
+    // the lowest-indexed failure.
     for env in [EnvId::CartPole, EnvId::LunarLander] {
         let config = E3Config::builder(env).population_size(41).build();
         let mut platform = E3Platform::new(config, BackendKind::Cpu, 9);
@@ -386,31 +387,52 @@ fn two_genomes_in_flight_match_one_genome_at_a_time() {
             "{env}: episodes of one length never end out of order"
         );
 
-        for threads in [1, 2] {
-            let mut backend = Backend::cpu(model).with_threads(threads);
-            let outcome = backend
-                .evaluate(&genomes, env, &spec)
-                .expect("feed-forward");
-            let bits: Vec<u64> = outcome.fitnesses.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(bits, fitness, "{env}, {threads} threads: fitness bits");
-            assert_eq!(outcome.steps_per_genome, steps, "{env}, {threads} threads");
-            assert_eq!(outcome.shapes, shapes, "{env}, {threads} threads");
-            assert_eq!(
-                outcome.eval_seconds.to_bits(),
-                seconds.to_bits(),
-                "{env}, {threads} threads: modeled seconds"
-            );
-
+        // Three calls per backend. The first meets every odd genome
+        // cyclic, so it files only the even genomes' plans; at threshold
+        // 2 the second then runs each even genome on its native twin
+        // while the odd ones pair in the fused walk, so a shard mixes
+        // both, and the third runs all natively.
+        let broken = |indices: &mut dyn Iterator<Item = usize>| {
             let mut broken = genomes.clone();
-            for i in [30, 13] {
+            for i in indices {
                 broken[i] = make_cyclic(&broken[i]);
             }
-            match backend.evaluate(&broken, env, &spec) {
+            broken
+        };
+        let odd_broken = broken(&mut (1..genomes.len()).step_by(2));
+        let tiers = [0, 1, 2].map(|hot_threshold| JitConfig {
+            enabled: hot_threshold > 0,
+            hot_threshold,
+        });
+        for (jit, threads) in tiers.into_iter().flat_map(|jit| [(jit, 1), (jit, 2)]) {
+            let tier = jit.enabled.then_some(jit.hot_threshold);
+            let what = format!("{env}, tier {tier:?}, {threads} threads");
+            let mut backend = Backend::cpu(model).with_threads(threads).with_jit(jit);
+            let fails_at = |backend: &mut Backend, genomes: &[Genome], lowest: usize| match backend
+                .evaluate(genomes, env, &spec)
+            {
                 Err(EvalError::NotFeedForward { genome_index, .. }) => {
-                    assert_eq!(genome_index, 13, "{env}, {threads} threads")
+                    assert_eq!(genome_index, lowest, "{what}")
                 }
-                other => panic!("{env}, {threads} threads: {other:?}"),
+                other => panic!("{what}: {other:?}"),
+            };
+            fails_at(&mut backend, &odd_broken, 1);
+            for call in 2..=3 {
+                let outcome = backend
+                    .evaluate(&genomes, env, &spec)
+                    .expect("feed-forward");
+                let what = format!("{what}, call {call}");
+                let bits: Vec<u64> = outcome.fitnesses.iter().map(|f| f.to_bits()).collect();
+                assert_eq!(bits, fitness, "{what}: fitness bits");
+                assert_eq!(outcome.steps_per_genome, steps, "{what}");
+                assert_eq!(outcome.shapes, shapes, "{what}");
+                assert_eq!(
+                    outcome.eval_seconds.to_bits(),
+                    seconds.to_bits(),
+                    "{what}: modeled seconds"
+                );
             }
+            fails_at(&mut backend, &broken(&mut [30, 13].into_iter()), 13);
         }
     }
 }
