@@ -6,38 +6,37 @@
 //! e3snap 2\n                  magic + format version
 //! {header JSON}\n             SnapshotHeader: fingerprint, generation,
 //!                             payload length, payload checksum
-//! payload                     the serialized run state: `serde::bin`
-//!                             (version 2) or JSON text (version 1)
+//! payload                     the serialized run state (`serde::bin`)
 //! ```
 //!
 //! The two header lines stay greppable text; the payload is the
 //! compact binary form of the serde data model, streamed straight from
-//! the state's fields (see [`serde::bin`] for its grammar). Version 1
-//! files, whose payload is JSON, are still read — [`payload_value`]
-//! turns either payload into the same `serde::Value` — but never
-//! written; the reader goes one release after the writer did.
+//! the state's fields (see [`serde::bin`] for its grammar). Only
+//! version 2 is read: a version 1 file (JSON payload) is
+//! [`FormatError::UnsupportedVersion`], which recovery skips as
+//! corrupt.
 //!
-//! The header carries the payload's byte length and FNV-1a 64
-//! checksum, so every corruption mode a power cut can leave behind is
+//! A power cut cannot leave a damaged snapshot behind: the store
+//! writes a temp file, syncs it and only then renames it into place
+//! (the root test `crash_points` resumes from every state the protocol
+//! can leave). What the format guards against is the damage that
+//! happens to a file *after* it landed — media corruption. The header
+//! carries the payload's byte length and FNV-1a 64 checksum, so it is
 //! detectable without trusting anything beyond the first line:
 //!
-//! * a *short write* truncates inside the magic or header — the file
-//!   fails to parse;
-//! * a *torn write* truncates inside the payload — `payload_len`
-//!   disagrees with the bytes actually present;
-//! * silent *bit corruption* in the payload — the checksum disagrees.
+//! * a file cut inside the magic or header fails to parse;
+//! * a file cut inside the payload — `payload_len` disagrees with the
+//!   bytes actually present;
+//! * a flipped bit in the payload — the checksum disagrees.
 //!
 //! Recovery treats any of these as "not a snapshot" and moves on to
 //! the next newest file; see [`crate::RunStore::recover`].
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Snapshot format version this build writes. Bump when the layout
 /// changes.
 pub const FORMAT_VERSION: u32 = 2;
-
-/// The JSON-payload format this build still reads.
-const JSON_PAYLOAD_VERSION: u32 = 1;
 
 /// Magic line opening every snapshot file.
 pub(crate) const MAGIC: &str = "e3snap";
@@ -159,18 +158,8 @@ pub fn encode_head(
     Ok((head.into_bytes(), payload_fnv))
 }
 
-/// Decodes a validated payload into the serde data model, by the
-/// format version of the file it came from.
-pub fn payload_value(format_version: u32, payload: &[u8]) -> Result<Value, String> {
-    if format_version == JSON_PAYLOAD_VERSION {
-        let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-        return serde_json::from_str(text).map_err(|e| e.to_string());
-    }
-    serde::bin::decode(payload).map_err(|e| e.to_string())
-}
-
 /// Decodes and fully validates a snapshot file, returning the header
-/// and the payload bytes ([`payload_value`] decodes those).
+/// and the payload bytes (`serde::bin::decode` decodes those).
 pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
     let first_nl = bytes
         .iter()
@@ -182,11 +171,7 @@ pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
         return Err(FormatError::BadMagic);
     }
     let version = parts.next().unwrap_or("");
-    let Some(version) = version
-        .parse::<u32>()
-        .ok()
-        .filter(|v| [JSON_PAYLOAD_VERSION, FORMAT_VERSION].contains(v))
-    else {
+    let Some(version) = version.parse::<u32>().ok().filter(|&v| v == FORMAT_VERSION) else {
         return Err(FormatError::UnsupportedVersion(version.to_string()));
     };
     let rest = &bytes[first_nl + 1..];
@@ -224,6 +209,7 @@ pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn fp() -> RunFingerprint {
         RunFingerprint {
@@ -307,7 +293,12 @@ mod tests {
             decode(b"not a snapshot\n"),
             Err(FormatError::BadMagic)
         ));
-        for magic in ["e3snap 999\n{}\n", "e3snap 0\n{}\n", "e3snap\n{}\n"] {
+        for magic in [
+            "e3snap 999\n{}\n",
+            "e3snap 0\n{}\n",
+            "e3snap\n{}\n",
+            "e3snap 1\n{}\n",
+        ] {
             assert!(
                 matches!(
                     decode(magic.as_bytes()),
@@ -321,32 +312,27 @@ mod tests {
     #[test]
     fn a_header_that_contradicts_its_magic_line_is_rejected() {
         let bytes = encode(&fp(), 3, None, b"{}").unwrap();
-        let relabelled = [b"e3snap 1", &bytes[8..]].concat();
+        let text = String::from_utf8(bytes).unwrap();
+        let relabelled = text.replace("\"format_version\":2", "\"format_version\":1");
+        assert!(relabelled.starts_with("e3snap 2\n{\"format_version\":1,"));
         assert!(matches!(
-            decode(&relabelled),
+            decode(relabelled.as_bytes()),
             Err(FormatError::BadHeader(_))
         ));
     }
 
     #[test]
-    fn payloads_decode_by_format_version() {
+    fn payloads_keep_every_float_bit() {
         let state = vec![(1u64, -0.0f64), (u64::MAX, f64::NAN)];
         let mut binary = Vec::new();
         serde::bin::encode_into(&state, &mut binary).unwrap();
         let pair = |a: u64, b: Value| Value::Array(vec![Value::UInt(a), b]);
-        let from_v2 = payload_value(2, &binary).unwrap();
-        assert!(from_v2.same_bits(&Value::Array(vec![
+        let value = serde::bin::decode(&binary).unwrap();
+        assert!(value.same_bits(&Value::Array(vec![
             pair(1, Value::Float(-0.0)),
             pair(u64::MAX, Value::Float(f64::NAN)),
         ])));
-        // JSON could not carry the NaN: a v1 writer stored `null`.
-        let from_v1 = payload_value(1, b"[[1,-0.0],[18446744073709551615,null]]").unwrap();
-        assert!(from_v1.same_bits(&Value::Array(vec![
-            pair(1, Value::Float(-0.0)),
-            pair(u64::MAX, Value::Null),
-        ])));
-        assert!(payload_value(1, &binary).is_err());
-        assert!(payload_value(2, b"[1]").is_err());
+        assert!(serde::bin::decode(b"[1]").is_err());
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //!   it scans the directory newest-first and resumes from the newest
 //!   snapshot that validates, skipping torn ones.
 //! * **Retention** — keep the last *N* snapshots plus the best-so-far
-//!   generation; everything else is pruned after each save.
-//! * **Fault injection** (`fault`) — a [`StoreFault`] armed on the
-//!   store sabotages the next save, so crash recovery is testable
-//!   without actually cutting power.
+//!   generation; everything else is pruned after each save, and again
+//!   after a recovery, for what a crash left unpruned.
+//! * **One I/O seam** ([`Disk`]) — every filesystem call goes through
+//!   it. [`StdDisk`] is `std::fs`; the root test `crash_points`
+//!   records a run's calls through it and resumes from every state a
+//!   crash between two of them can leave.
 //!
 //! The store is generic over the payload: it persists any
 //! `Serialize`/`Deserialize` state and leaves *what* to capture to
@@ -42,20 +44,19 @@
 //! # Ok::<(), e3_store::StoreError>(())
 //! ```
 
-mod fault;
+mod disk;
 pub mod format;
 mod manifest;
 mod multi;
 
-pub use fault::StoreFault;
+pub use disk::{Disk, StdDisk};
 pub use format::{RunFingerprint, FORMAT_VERSION};
 pub use multi::MultiStore;
 
 use manifest::{Manifest, ManifestEntry, MANIFEST_FILE};
 use serde::{Deserialize, Serialize};
-use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// When and where the platform checkpoints a run.
 ///
@@ -161,9 +162,9 @@ impl std::error::Error for StoreError {}
 /// `MetricsRegistry` as `e3_store_*` metrics by the platform.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Intact snapshots written (faulted writes do not count).
+    /// Snapshots written.
     pub snapshots_written: u64,
-    /// Bytes of snapshot data written, including faulted writes.
+    /// Bytes of snapshot data written.
     pub bytes_written: u64,
     /// Successful recoveries (a `recover` call that found a snapshot).
     pub recoveries: u64,
@@ -198,7 +199,7 @@ pub struct RunStore {
     keep_last: usize,
     manifest: Manifest,
     stats: StoreStats,
-    pending_fault: Option<StoreFault>,
+    disk: Arc<dyn Disk>,
     /// The encoded payload of the last save, kept for its capacity.
     payload: Vec<u8>,
 }
@@ -236,11 +237,23 @@ impl RunStore {
         fingerprint: RunFingerprint,
         keep_last: usize,
     ) -> Result<Self, StoreError> {
+        RunStore::open_on(dir, fingerprint, keep_last, Arc::new(StdDisk))
+    }
+
+    /// [`RunStore::open`] on the given disk: every filesystem call the
+    /// store makes goes through `disk`.
+    pub fn open_on(
+        dir: impl AsRef<Path>,
+        fingerprint: RunFingerprint,
+        keep_last: usize,
+        disk: Arc<dyn Disk>,
+    ) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
+        disk.create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
         let manifest_path = dir.join(MANIFEST_FILE);
-        let manifest = match fs::read_to_string(&manifest_path) {
-            Ok(text) => match serde_json::from_str::<Manifest>(&text) {
+        let text = disk.read(&manifest_path).map(String::from_utf8);
+        let manifest = match text {
+            Ok(Ok(text)) => match serde_json::from_str::<Manifest>(&text) {
                 Ok(m) if m.fingerprint == fingerprint => m,
                 Ok(_) => {
                     return Err(StoreError::FingerprintMismatch {
@@ -250,7 +263,7 @@ impl RunStore {
                 // A torn manifest is recoverable state, not an error.
                 Err(_) => Manifest::new(fingerprint.clone()),
             },
-            Err(_) => Manifest::new(fingerprint.clone()),
+            _ => Manifest::new(fingerprint.clone()),
         };
         Ok(RunStore {
             dir,
@@ -258,7 +271,7 @@ impl RunStore {
             keep_last: keep_last.max(1),
             manifest,
             stats: StoreStats::default(),
-            pending_fault: None,
+            disk,
             payload: Vec::new(),
         })
     }
@@ -273,25 +286,9 @@ impl RunStore {
         self.stats
     }
 
-    /// Newest generation the manifest knows about. Prefer
-    /// [`RunStore::recover`], which validates against the directory.
-    pub fn latest_generation(&self) -> Option<usize> {
-        self.manifest.latest_generation
-    }
-
-    /// Arms a fault for the next [`RunStore::save`] call. The fault
-    /// fires once and disarms itself.
-    pub fn inject_fault(&mut self, fault: StoreFault) {
-        self.pending_fault = Some(fault);
-    }
-
     /// Serializes `state` and writes the generation snapshot
     /// atomically: temp file, `fsync`, rename, directory sync, then
     /// the manifest (same protocol) and retention pruning.
-    ///
-    /// If a fault is armed, the write is sabotaged instead: the
-    /// (possibly corrupted) bytes land at the final path and the
-    /// manifest is left untouched, modelling a crash mid-protocol.
     pub fn save<T: Serialize>(
         &mut self,
         generation: usize,
@@ -306,18 +303,7 @@ impl RunStore {
                 .map_err(StoreError::Encode)?;
         let file = snapshot_file_name(generation);
         let path = self.dir.join(&file);
-
-        if let Some(fault) = self.pending_fault.take() {
-            // A simulated crash: whatever survives lands directly at
-            // the final path, and the manifest never gets updated.
-            let bytes = [head.as_slice(), &self.payload].concat();
-            let damaged = fault.corrupt(&bytes, head.len());
-            self.stats.bytes_written += damaged.len() as u64;
-            fs::write(&path, &damaged).map_err(|e| io_err(&path, e))?;
-            return Ok(path);
-        }
-
-        write_atomic_in(&self.dir, &file, &[&head, &self.payload])?;
+        write_atomic_in(&*self.disk, &self.dir, &file, &[&head, &self.payload])?;
         let bytes = (head.len() + self.payload.len()) as u64;
         self.stats.snapshots_written += 1;
         self.stats.bytes_written += bytes;
@@ -336,7 +322,7 @@ impl RunStore {
         self.write_manifest()?;
         for entry in evicted {
             // Pruning is best-effort; a leftover snapshot is harmless.
-            fs::remove_file(self.dir.join(&entry.file)).ok();
+            self.disk.remove(&self.dir.join(&entry.file)).ok();
         }
         Ok(path)
     }
@@ -348,7 +334,9 @@ impl RunStore {
     /// length, checksum) — torn, short, and corrupt files are counted
     /// and skipped, never fatal. The manifest is only bookkeeping, so
     /// a stale one (crash between snapshot and manifest writes) is
-    /// corrected here rather than trusted. Corrupt files are left in
+    /// corrected here rather than trusted, and older snapshots outside
+    /// its retention set (evicted by a save the crash cut short) are
+    /// pruned. Corrupt files newer than the one recovered are left in
     /// place for post-mortems; the next save at that generation
     /// overwrites them.
     ///
@@ -381,22 +369,22 @@ impl RunStore {
         &mut self,
         generation_of: impl Fn(&T) -> Option<usize>,
     ) -> Result<Option<Recovered<T>>, StoreError> {
-        let mut generations: Vec<(usize, String)> = Vec::new();
-        let entries = fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err(&self.dir, e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(generation) = parse_snapshot_file_name(&name) {
-                generations.push((generation, name));
-            }
-        }
+        let names = self
+            .disk
+            .read_dir(&self.dir)
+            .map_err(|e| io_err(&self.dir, e))?;
+        let mut generations: Vec<(usize, String)> = names
+            .into_iter()
+            .filter_map(|name| Some((parse_snapshot_file_name(&name)?, name)))
+            .collect();
         generations.sort();
         generations.reverse();
 
         let mut skipped = 0usize;
-        for (generation, name) in generations {
-            let path = self.dir.join(&name);
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+        for (i, (generation, name)) in generations.iter().enumerate() {
+            let generation = *generation;
+            let path = self.dir.join(name);
+            let bytes = self.disk.read(&path).map_err(|e| io_err(&path, e))?;
             let (header, payload) = match format::decode(&bytes) {
                 Ok(parts) => parts,
                 Err(_) => {
@@ -410,8 +398,8 @@ impl RunStore {
                     path: path.display().to_string(),
                 });
             }
-            let value = format::payload_value(header.format_version, payload)
-                .map_err(StoreError::Decode)?;
+            let value =
+                serde::bin::decode(payload).map_err(|e| StoreError::Decode(e.to_string()))?;
             let state = T::from_value(&value).map_err(|e| StoreError::Decode(e.to_string()))?;
             let payload_generation = generation_of(&state).unwrap_or(generation);
             if header.generation != generation || payload_generation != generation {
@@ -421,12 +409,15 @@ impl RunStore {
             }
             self.stats.recoveries += 1;
             // Reconcile a possibly-stale manifest with what the scan
-            // actually found.
+            // actually found. A manifest read from disk then holds the
+            // retention set the interrupted save would have left; one
+            // rebuilt from nothing holds none, so it prunes nothing.
+            let known = self.manifest.latest_generation.is_some();
             if self.manifest.latest_generation != Some(generation) {
                 self.manifest.admit(
                     ManifestEntry {
                         generation,
-                        file: name,
+                        file: name.clone(),
                         bytes: bytes.len() as u64,
                         payload_fnv: header.payload_fnv,
                         best_fitness: header.best_fitness,
@@ -434,6 +425,13 @@ impl RunStore {
                     self.keep_last,
                 );
                 self.write_manifest()?;
+            }
+            if known {
+                for (older, name) in &generations[i + 1..] {
+                    if !self.manifest.entries.iter().any(|e| e.generation == *older) {
+                        self.disk.remove(&self.dir.join(name)).ok();
+                    }
+                }
             }
             return Ok(Some(Recovered {
                 generation,
@@ -449,7 +447,7 @@ impl RunStore {
     fn write_manifest(&self) -> Result<(), StoreError> {
         let json = serde_json::to_string_pretty(&self.manifest)
             .map_err(|e| StoreError::Encode(e.to_string()))?;
-        write_atomic_in(&self.dir, MANIFEST_FILE, &[json.as_bytes()])
+        write_atomic_in(&*self.disk, &self.dir, MANIFEST_FILE, &[json.as_bytes()])
     }
 }
 
@@ -457,28 +455,26 @@ impl RunStore {
 /// either the old file or the complete new file is on disk — never a
 /// mix. Shared by snapshot, manifest, and sidecar writes. The file is
 /// `parts` back to back, so a header and a payload need no joining.
-pub(crate) fn write_atomic_in(dir: &Path, name: &str, parts: &[&[u8]]) -> Result<(), StoreError> {
+pub(crate) fn write_atomic_in(
+    disk: &dyn Disk,
+    dir: &Path,
+    name: &str,
+    parts: &[&[u8]],
+) -> Result<(), StoreError> {
     let tmp = dir.join(format!(".tmp.{name}"));
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        for part in parts {
-            f.write_all(part).map_err(|e| io_err(&tmp, e))?;
-        }
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
-    }
+    disk.write_synced(&tmp, parts)
+        .map_err(|e| io_err(&tmp, e))?;
     let target = dir.join(name);
-    fs::rename(&tmp, &target).map_err(|e| io_err(&target, e))?;
+    disk.rename(&tmp, &target).map_err(|e| io_err(&target, e))?;
     // Sync the directory so the rename survives a crash too.
-    // Best-effort: not every filesystem supports opening a dir.
-    if let Ok(d) = fs::File::open(dir) {
-        d.sync_all().ok();
-    }
+    disk.sync_dir(dir);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn fp() -> RunFingerprint {
         RunFingerprint {
@@ -542,18 +538,6 @@ mod tests {
                 snapshot_file_name(4)
             ]
         );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reopened_store_sees_the_manifest() {
-        let dir = scratch("reopen");
-        {
-            let mut store = RunStore::open(&dir, fp(), 3).unwrap();
-            store.save(5, Some(1.5), &"state".to_string()).unwrap();
-        }
-        let store = RunStore::open(&dir, fp(), 3).unwrap();
-        assert_eq!(store.latest_generation(), Some(5));
         fs::remove_dir_all(&dir).ok();
     }
 

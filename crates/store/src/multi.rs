@@ -24,11 +24,11 @@
 //! migration packets this way so a killed daemon can replay exchanges
 //! whose source islands have already moved past them.
 
-use crate::{io_err, write_atomic_in, RunFingerprint, RunStore, StoreError};
+use crate::{io_err, write_atomic_in, Disk, RunFingerprint, RunStore, StdDisk, StoreError};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Registry file at the parent root mapping namespaces to the run
 /// fingerprints they are bound to.
@@ -58,6 +58,7 @@ struct NamespaceRegistry {
 pub struct MultiStore {
     parent: PathBuf,
     registry: NamespaceRegistry,
+    disk: Arc<dyn Disk>,
 }
 
 /// A namespace must be a plain directory name: no separators, no
@@ -81,14 +82,25 @@ impl MultiStore {
     /// manifests and per-snapshot fingerprints keep every individual
     /// namespace self-validating regardless.
     pub fn open(parent: impl AsRef<Path>) -> Result<Self, StoreError> {
+        MultiStore::open_on(parent, Arc::new(StdDisk))
+    }
+
+    /// [`MultiStore::open`] on the given disk, which every namespace's
+    /// [`RunStore`] shares.
+    pub fn open_on(parent: impl AsRef<Path>, disk: Arc<dyn Disk>) -> Result<Self, StoreError> {
         let parent = parent.as_ref().to_path_buf();
-        fs::create_dir_all(&parent).map_err(|e| io_err(&parent, e))?;
+        disk.create_dir_all(&parent)
+            .map_err(|e| io_err(&parent, e))?;
         let path = parent.join(NAMESPACE_REGISTRY_FILE);
-        let registry = match fs::read_to_string(&path) {
-            Ok(text) => serde_json::from_str(&text).unwrap_or_default(),
-            Err(_) => NamespaceRegistry::default(),
+        let registry = match disk.read(&path).map(String::from_utf8) {
+            Ok(Ok(text)) => serde_json::from_str(&text).unwrap_or_default(),
+            _ => NamespaceRegistry::default(),
         };
-        Ok(MultiStore { parent, registry })
+        Ok(MultiStore {
+            parent,
+            registry,
+            disk,
+        })
     }
 
     /// Absolute path of a namespace's subdirectory (which may not
@@ -144,7 +156,8 @@ impl MultiStore {
         // Translate that lower-level refusal into the namespace-typed
         // error: at this layer the caller knows *which island* it was
         // opening, and the distinction is the whole point.
-        RunStore::open(&dir, fingerprint, keep_last).map_err(|err| match err {
+        let store = RunStore::open_on(&dir, fingerprint, keep_last, self.disk.clone());
+        store.map_err(|err| match err {
             StoreError::FingerprintMismatch { path } => StoreError::NamespaceMismatch {
                 namespace: namespace.to_string(),
                 path,
@@ -166,9 +179,11 @@ impl MultiStore {
     ) -> Result<PathBuf, StoreError> {
         validate_namespace(name);
         let dir = self.namespace_dir(namespace);
-        fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
+        self.disk
+            .create_dir_all(&dir)
+            .map_err(|e| io_err(&dir, e))?;
         let json = serde_json::to_string(value).map_err(|e| StoreError::Encode(e.to_string()))?;
-        write_atomic_in(&dir, name, &[json.as_bytes()])?;
+        write_atomic_in(&*self.disk, &dir, name, &[json.as_bytes()])?;
         Ok(dir.join(name))
     }
 
@@ -182,13 +197,14 @@ impl MultiStore {
     ) -> Result<Option<T>, StoreError> {
         validate_namespace(name);
         let path = self.namespace_dir(namespace).join(name);
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match self.disk.read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(io_err(&path, e)),
         };
         // A torn sidecar cannot happen under the atomic-write protocol,
         // but a decode failure (schema drift) is a real error.
+        let text = String::from_utf8(bytes).map_err(|e| StoreError::Decode(e.to_string()))?;
         serde_json::from_str(&text)
             .map(Some)
             .map_err(|e| StoreError::Decode(e.to_string()))
@@ -198,19 +214,12 @@ impl MultiStore {
     /// with `prefix`, in lexical order.
     pub fn list_sidecars(&self, namespace: &str, prefix: &str) -> Result<Vec<String>, StoreError> {
         let dir = self.namespace_dir(namespace);
-        let mut names = Vec::new();
-        let entries = match fs::read_dir(&dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(names),
+        let mut names = match self.disk.read_dir(&dir) {
+            Ok(names) => names,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(io_err(&dir, e)),
         };
-        for entry in entries {
-            let entry = entry.map_err(|e| io_err(&dir, e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if name.starts_with(prefix) && !name.starts_with('.') {
-                names.push(name);
-            }
-        }
+        names.retain(|name| name.starts_with(prefix) && !name.starts_with('.'));
         names.sort();
         Ok(names)
     }
@@ -218,13 +227,19 @@ impl MultiStore {
     fn write_registry(&self) -> Result<(), StoreError> {
         let json = serde_json::to_string_pretty(&self.registry)
             .map_err(|e| StoreError::Encode(e.to_string()))?;
-        write_atomic_in(&self.parent, NAMESPACE_REGISTRY_FILE, &[json.as_bytes()])
+        write_atomic_in(
+            &*self.disk,
+            &self.parent,
+            NAMESPACE_REGISTRY_FILE,
+            &[json.as_bytes()],
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn fp(seed: u64) -> RunFingerprint {
         RunFingerprint {

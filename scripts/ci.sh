@@ -154,7 +154,7 @@ if [ "$ref" != "$resumed" ]; then
     echo "error: resumed run diverged from the uninterrupted reference" >&2
     exit 1
 fi
-# The writer emits snapshot format v2 only (v1 is read, never written).
+# The writer emits snapshot format v2, the only one the reader accepts.
 newest=$(ls "$store_dir"/gen-*.e3snap | sort | tail -n 1)
 if [ "$(head -n 1 "$newest")" != "e3snap 2" ]; then
     echo "error: $newest does not start with the 'e3snap 2' magic line" >&2

@@ -8,6 +8,9 @@
 #   before tests       lines before each file's first `#[cfg(test)]`
 #   pub declarations   `pub` fn/struct/enum/trait/const/type/static items
 #                      in crates/*/src (fields and re-exports not counted)
+#
+# Then counted source per crate (same rules), one row per crates/* and
+# one for src/, so a per-crate gate reads off the same run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,3 +28,9 @@ pub_decls=$(grep -rE '^\s*pub (fn|struct|enum|trait|const|type|static|unsafe fn|
 printf 'counted source:    %6d lines\n' "$counted"
 printf 'before tests:      %6d lines\n' "$before_tests"
 printf 'pub declarations:  %6d\n' "$pub_decls"
+echo 'counted source by crate:'
+for dir in crates/*/ src/; do
+    dir=${dir%/}
+    lines=$(echo "$sources" | { grep "^$dir/" || true; } | xargs -r cat | wc -l)
+    printf '  %-20s %6d lines\n' "$dir" "$lines"
+done

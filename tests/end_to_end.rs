@@ -456,9 +456,9 @@ fn make_cyclic(genome: &Genome) -> Genome {
 #[test]
 fn a_killed_run_resumes_bit_identically_from_a_v2_snapshot() {
     // The full gates live in e3-platform and e3-store (`resume_parity`,
-    // `fault_injection`, `snapshot_bytes`, `v1_fixture`); this is the
-    // one fast case at the root, so tier-1 cannot be green while a
-    // checkpointed run fails to come back.
+    // `snapshot_bytes`, `recovery`) and in the root `crash_points`,
+    // which resumes from every state a crash can leave; this is the
+    // plain kill-and-resume case.
     let dir = std::env::temp_dir().join(format!("e3-root-resume-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut config = quick_config(EnvId::CartPole);
