@@ -341,11 +341,13 @@ impl Archipelago {
     /// Builds (or resumes) every island.
     ///
     /// With checkpointing configured, each island namespace is bound
-    /// in the shared registry (a cross-island directory mixup is a
-    /// typed [`e3_store::StoreError::NamespaceMismatch`]), islands
-    /// resume from their newest intact snapshot, and previously
-    /// persisted migration packets and retirement markers are loaded
-    /// back onto the exchange.
+    /// in the shared registry, and opening it checks the fingerprint in
+    /// every snapshot header (a cross-island directory mixup that
+    /// either exposes is a typed
+    /// [`e3_store::StoreError::NamespaceMismatch`]); islands resume
+    /// from their newest intact snapshot, and previously persisted
+    /// migration packets and retirement markers are loaded back onto
+    /// the exchange.
     ///
     /// # Errors
     ///

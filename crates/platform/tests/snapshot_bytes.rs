@@ -55,7 +55,7 @@ fn a_save_streams_the_state_without_building_a_tree() {
     drop(tree);
     // The tree costs at least one allocation per struct in the state;
     // a save costs its buffer's growth, the encoder's small tables and
-    // the two text documents beside the payload.
+    // the two text lines before the payload.
     let (first, first_allocations, _) = counted(|| store.save(2, None, &state));
     first.unwrap();
     let (second, _, second_largest) = counted(|| store.save(3, None, &state));
@@ -126,7 +126,7 @@ fn hostile_bytes_are_typed_errors_and_never_balloon() {
     // A hostile writer can checksum too: payload mutations are sealed
     // under a fresh header so they reach the payload decoder.
     let seal = |payload: &[u8]| {
-        let (mut sealed, _) = format::encode_head(&fp, 2, Some(1.0), payload).unwrap();
+        let mut sealed = format::encode_head(&fp, 2, Some(1.0), payload).unwrap();
         sealed.extend_from_slice(payload);
         sealed
     };

@@ -11,8 +11,9 @@ use std::path::Path;
 
 /// The filesystem calls the store makes, one method each.
 pub trait Disk: Send + Sync + std::fmt::Debug {
-    /// Creates a directory and its missing parents.
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
+    /// Creates one directory; its parent must exist. An existing
+    /// directory is an [`io::ErrorKind::AlreadyExists`] error.
+    fn create_dir(&self, dir: &Path) -> io::Result<()>;
     /// Reads a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
     /// Names of the entries of a directory, in the order it lists them.
@@ -22,8 +23,9 @@ pub trait Disk: Send + Sync + std::fmt::Debug {
     fn write_synced(&self, path: &Path, parts: &[&[u8]]) -> io::Result<()>;
     /// Renames `from` over `to`.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Syncs a directory, so the renames and removals in it survive a
-    /// crash. Best-effort: not every filesystem opens a directory.
+    /// Syncs a directory, so the entries created, renamed and removed
+    /// in it survive a crash. Best-effort: not every filesystem opens
+    /// a directory.
     fn sync_dir(&self, dir: &Path);
     /// Removes a file.
     fn remove(&self, path: &Path) -> io::Result<()>;
@@ -34,8 +36,8 @@ pub trait Disk: Send + Sync + std::fmt::Debug {
 pub struct StdDisk;
 
 impl Disk for StdDisk {
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        fs::create_dir_all(dir)
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        fs::create_dir(dir)
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {

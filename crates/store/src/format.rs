@@ -3,16 +3,21 @@
 //! A snapshot file is three sections, in order:
 //!
 //! ```text
-//! e3snap 2\n                  magic + format version
+//! e3snap 3 <checksum>\n       magic, format version, and the FNV-1a 64
+//!                             (16 hex digits) of every byte after this line
 //! {header JSON}\n             SnapshotHeader: fingerprint, generation,
-//!                             payload length, payload checksum
+//!                             best fitness, payload length
 //! payload                     the serialized run state (`serde::bin`)
 //! ```
 //!
-//! The two header lines stay greppable text; the payload is the
-//! compact binary form of the serde data model, streamed straight from
-//! the state's fields (see [`serde::bin`] for its grammar). Only
-//! version 2 is read: a version 1 file (JSON payload) is
+//! The two text lines stay greppable; the payload is the compact
+//! binary form of the serde data model, streamed straight from the
+//! state's fields (see [`serde::bin`] for its grammar). One checksum
+//! covers the header and the payload, so every fact a snapshot states
+//! about itself — which run, which generation, how fit — is validated
+//! with the state it describes; the directory needs no other index.
+//! Only version 3 is read: a version 1 file (JSON payload) or a
+//! version 2 file (checksum over the payload only) is
 //! [`FormatError::UnsupportedVersion`], which recovery skips as
 //! corrupt.
 //!
@@ -20,14 +25,14 @@
 //! writes a temp file, syncs it and only then renames it into place
 //! (the root test `crash_points` resumes from every state the protocol
 //! can leave). What the format guards against is the damage that
-//! happens to a file *after* it landed — media corruption. The header
-//! carries the payload's byte length and FNV-1a 64 checksum, so it is
-//! detectable without trusting anything beyond the first line:
+//! happens to a file *after* it landed — media corruption:
 //!
-//! * a file cut inside the magic or header fails to parse;
+//! * a file cut inside the magic or header line fails to parse;
 //! * a file cut inside the payload — `payload_len` disagrees with the
 //!   bytes actually present;
-//! * a flipped bit in the payload — the checksum disagrees.
+//! * a flipped bit anywhere after the magic line — the checksum
+//!   disagrees; one inside the magic line breaks its syntax or its
+//!   checksum.
 //!
 //! Recovery treats any of these as "not a snapshot" and moves on to
 //! the next newest file; see [`crate::RunStore::recover`].
@@ -36,14 +41,15 @@ use serde::{Deserialize, Serialize};
 
 /// Snapshot format version this build writes. Bump when the layout
 /// changes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic line opening every snapshot file.
 pub(crate) const MAGIC: &str = "e3snap";
 
 /// Identity of the run a snapshot belongs to. Snapshots from a
 /// different configuration, backend, or seed must never be resumed
-/// into the wrong run — the store refuses them at recovery time.
+/// into the wrong run — the store refuses them when it opens the
+/// directory.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunFingerprint {
     /// FNV-1a 64 hash of the canonical run-configuration JSON
@@ -56,11 +62,9 @@ pub struct RunFingerprint {
     pub seed: u64,
 }
 
-/// Parsed first-section metadata of a snapshot file.
+/// The header line of a snapshot file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotHeader {
-    /// Format version the file was written with.
-    pub format_version: u32,
     /// Which run this snapshot belongs to.
     pub fingerprint: RunFingerprint,
     /// Generation the captured state had completed.
@@ -70,14 +74,13 @@ pub struct SnapshotHeader {
     pub best_fitness: Option<f64>,
     /// Exact byte length of the payload section.
     pub payload_len: u64,
-    /// FNV-1a 64 checksum of the payload bytes.
-    pub payload_fnv: u64,
 }
 
 /// Why a snapshot file failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormatError {
-    /// The file does not begin with the `e3snap` magic line.
+    /// The file does not begin with an `e3snap` magic line, or that
+    /// line carries no well-formed checksum.
     BadMagic,
     /// The magic line carries an unsupported format version.
     UnsupportedVersion(String),
@@ -90,9 +93,10 @@ pub enum FormatError {
         /// Bytes actually present.
         found: u64,
     },
-    /// The payload bytes hash to a different checksum (corruption).
+    /// The header and payload bytes hash to a different checksum than
+    /// the magic line carries (corruption).
     ChecksumMismatch {
-        /// Checksum the header declared.
+        /// Checksum the magic line declared.
         expected: u64,
         /// Checksum of the bytes actually present.
         found: u64,
@@ -114,7 +118,7 @@ impl std::fmt::Display for FormatError {
             FormatError::ChecksumMismatch { expected, found } => {
                 write!(
                     f,
-                    "payload checksum mismatch: header {expected:#018x}, computed {found:#018x}"
+                    "checksum mismatch: magic line {expected:#018x}, computed {found:#018x}"
                 )
             }
         }
@@ -126,7 +130,12 @@ impl std::error::Error for FormatError {}
 /// FNV-1a 64-bit hash — the same cheap, dependency-free fingerprint
 /// the tiered plan cache keys on.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_from(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 hash over `bytes`, so one checksum can span
+/// two buffers.
+fn fnv1a_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -135,27 +144,23 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Encodes the two text lines that precede `payload` in a snapshot
-/// file — magic line, header line — and returns them with the payload
-/// checksum the header carries. The file is these bytes followed by
+/// file — magic line, header line. The file is these bytes followed by
 /// `payload`; the caller writes the two without joining them.
 pub fn encode_head(
     fingerprint: &RunFingerprint,
     generation: usize,
     best_fitness: Option<f64>,
     payload: &[u8],
-) -> Result<(Vec<u8>, u64), String> {
-    let payload_fnv = fnv1a(payload);
+) -> Result<Vec<u8>, String> {
     let header = SnapshotHeader {
-        format_version: FORMAT_VERSION,
         fingerprint: fingerprint.clone(),
         generation,
         best_fitness: best_fitness.filter(|f| f.is_finite()),
         payload_len: payload.len() as u64,
-        payload_fnv,
     };
-    let header_json = serde_json::to_string(&header).map_err(|e| e.to_string())?;
-    let head = format!("{MAGIC} {FORMAT_VERSION}\n{header_json}\n");
-    Ok((head.into_bytes(), payload_fnv))
+    let header_line = serde_json::to_string(&header).map_err(|e| e.to_string())? + "\n";
+    let checksum = fnv1a_from(fnv1a(header_line.as_bytes()), payload);
+    Ok(format!("{MAGIC} {FORMAT_VERSION} {checksum:016x}\n{header_line}").into_bytes())
 }
 
 /// Decodes and fully validates a snapshot file, returning the header
@@ -171,9 +176,14 @@ pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
         return Err(FormatError::BadMagic);
     }
     let version = parts.next().unwrap_or("");
-    let Some(version) = version.parse::<u32>().ok().filter(|&v| v == FORMAT_VERSION) else {
+    if version.parse::<u32>().ok() != Some(FORMAT_VERSION) {
         return Err(FormatError::UnsupportedVersion(version.to_string()));
-    };
+    }
+    let expected = match (parts.next(), parts.next()) {
+        (Some(hex), None) if hex.len() == 16 => u64::from_str_radix(hex, 16).ok(),
+        _ => None,
+    }
+    .ok_or(FormatError::BadMagic)?;
     let rest = &bytes[first_nl + 1..];
     let header_nl = rest
         .iter()
@@ -183,12 +193,6 @@ pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
         .map_err(|_| FormatError::BadHeader("header is not UTF-8".to_string()))?;
     let header: SnapshotHeader =
         serde_json::from_str(header_text).map_err(|e| FormatError::BadHeader(e.to_string()))?;
-    if header.format_version != version {
-        return Err(FormatError::BadHeader(format!(
-            "header says format {}, magic line says {version}",
-            header.format_version
-        )));
-    }
     let payload = &rest[header_nl + 1..];
     if payload.len() as u64 != header.payload_len {
         return Err(FormatError::TruncatedPayload {
@@ -196,12 +200,9 @@ pub fn decode(bytes: &[u8]) -> Result<(SnapshotHeader, &[u8]), FormatError> {
             found: payload.len() as u64,
         });
     }
-    let found = fnv1a(payload);
-    if found != header.payload_fnv {
-        return Err(FormatError::ChecksumMismatch {
-            expected: header.payload_fnv,
-            found,
-        });
+    let found = fnv1a(rest);
+    if found != expected {
+        return Err(FormatError::ChecksumMismatch { expected, found });
     }
     Ok((header, payload))
 }
@@ -226,7 +227,7 @@ mod tests {
         best_fitness: Option<f64>,
         payload: &[u8],
     ) -> Result<Vec<u8>, String> {
-        let (mut bytes, _) = encode_head(fingerprint, generation, best_fitness, payload)?;
+        let mut bytes = encode_head(fingerprint, generation, best_fitness, payload)?;
         bytes.extend_from_slice(payload);
         Ok(bytes)
     }
@@ -235,9 +236,11 @@ mod tests {
     fn encode_decode_round_trip() {
         let payload = br#"{"hello":"world"}"#;
         let bytes = encode(&fp(), 12, Some(3.5), payload).unwrap();
-        assert!(bytes.starts_with(b"e3snap 2\n{\"format_version\":2,"));
+        let magic_end = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let checksum = format!("e3snap 3 {:016x}", fnv1a(&bytes[magic_end + 1..]));
+        assert_eq!(&bytes[..magic_end], checksum.as_bytes());
+        assert!(bytes[magic_end + 1..].starts_with(b"{\"fingerprint\":"));
         let (header, got) = decode(&bytes).unwrap();
-        assert_eq!(header.format_version, FORMAT_VERSION);
         assert_eq!(header.generation, 12);
         assert_eq!(header.best_fitness, Some(3.5));
         assert_eq!(header.fingerprint, fp());
@@ -269,21 +272,28 @@ mod tests {
         let bytes = encode(&fp(), 3, None, b"0123456789").unwrap();
         assert!(matches!(decode(&bytes[..4]), Err(FormatError::BadMagic)));
         // Truncation inside the header line.
+        let header = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
         assert!(matches!(
-            decode(&bytes[..MAGIC.len() + 10]),
+            decode(&bytes[..header + 10]),
             Err(FormatError::BadHeader(_))
         ));
     }
 
     #[test]
     fn checksum_corruption_is_detected() {
-        let mut bytes = encode(&fp(), 3, None, b"0123456789").unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        assert!(matches!(
-            decode(&bytes),
-            Err(FormatError::ChecksumMismatch { .. })
-        ));
+        let bytes = encode(&fp(), 3, Some(2.0), b"0123456789").unwrap();
+        let mut payload_flip = bytes.clone();
+        *payload_flip.last_mut().unwrap() ^= 0x01;
+        // Header edits that still parse: another run, another fitness.
+        let text = String::from_utf8(bytes).unwrap();
+        let backend = text.replace("E3-CPU", "E3-GPU");
+        let fitness = text.replace("\"best_fitness\":2", "\"best_fitness\":3");
+        for damaged in [payload_flip, backend.into_bytes(), fitness.into_bytes()] {
+            assert!(matches!(
+                decode(&damaged),
+                Err(FormatError::ChecksumMismatch { .. })
+            ));
+        }
     }
 
     #[test]
@@ -298,6 +308,7 @@ mod tests {
             "e3snap 0\n{}\n",
             "e3snap\n{}\n",
             "e3snap 1\n{}\n",
+            "e3snap 2\n{}\n",
         ] {
             assert!(
                 matches!(
@@ -307,18 +318,17 @@ mod tests {
                 "{magic:?}"
             );
         }
-    }
-
-    #[test]
-    fn a_header_that_contradicts_its_magic_line_is_rejected() {
-        let bytes = encode(&fp(), 3, None, b"{}").unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let relabelled = text.replace("\"format_version\":2", "\"format_version\":1");
-        assert!(relabelled.starts_with("e3snap 2\n{\"format_version\":1,"));
-        assert!(matches!(
-            decode(relabelled.as_bytes()),
-            Err(FormatError::BadHeader(_))
-        ));
+        for magic in [
+            "e3snap 3\n{}\n",
+            "e3snap 3 xyz\n{}\n",
+            "e3snap 3 0123456789abcdef more\n{}\n",
+        ] {
+            assert_eq!(
+                decode(magic.as_bytes()),
+                Err(FormatError::BadMagic),
+                "{magic:?}"
+            );
+        }
     }
 
     #[test]

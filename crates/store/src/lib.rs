@@ -5,21 +5,24 @@
 //! resumed run must be indistinguishable from one that never stopped.
 //! This crate provides the storage half of that contract:
 //!
-//! * **Versioned snapshot format** ([`format`](mod@format)) — magic + format
-//!   version + run fingerprint + checksummed binary payload, so torn,
-//!   short, and bit-flipped files are all detectable. The payload is
-//!   streamed from the state's fields into a buffer the store keeps
-//!   across saves; no intermediate tree or text is built.
+//! * **Versioned snapshot format** ([`format`](mod@format)) — a magic
+//!   line with the format version and one checksum over the header
+//!   (run fingerprint, generation, best fitness) and the binary
+//!   payload, so torn, short, and bit-flipped files are all
+//!   detectable. The payload is streamed from the state's fields into
+//!   a buffer the store keeps across saves; no intermediate tree or
+//!   text is built.
 //! * **Atomic writes** — each snapshot goes to a temp file, is
 //!   `fsync`ed, and is renamed into place; the directory is synced so
-//!   the rename itself survives a crash.
-//! * **Manifest + recovery** (`manifest`) — `manifest.json` points
-//!   at the latest generation, but recovery never trusts it blindly:
-//!   it scans the directory newest-first and resumes from the newest
-//!   snapshot that validates, skipping torn ones.
-//! * **Retention** — keep the last *N* snapshots plus the best-so-far
-//!   generation; everything else is pruned after each save, and again
-//!   after a recovery, for what a crash left unpruned.
+//!   the rename itself survives a crash, and a directory the store
+//!   creates is made durable by syncing its parent.
+//! * **The directory is the index** — it holds `gen-*.e3snap` files
+//!   and nothing else. Opening a store validates every one of them;
+//!   recovery scans them newest-first and resumes from the newest
+//!   snapshot that validates, skipping damaged ones.
+//! * **Retention** — keep the last *N* intact snapshots plus the
+//!   best-so-far one; everything else is pruned after each save, and
+//!   on opening, for what a crash left unpruned.
 //! * **One I/O seam** ([`Disk`]) — every filesystem call goes through
 //!   it. [`StdDisk`] is `std::fs`; the root test `crash_points`
 //!   records a run's calls through it and resumes from every state a
@@ -46,14 +49,12 @@
 
 mod disk;
 pub mod format;
-mod manifest;
 mod multi;
 
 pub use disk::{Disk, StdDisk};
 pub use format::{RunFingerprint, FORMAT_VERSION};
 pub use multi::MultiStore;
 
-use manifest::{Manifest, ManifestEntry, MANIFEST_FILE};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -112,9 +113,9 @@ pub enum StoreError {
     /// A validated snapshot's payload failed to deserialize (type
     /// mismatch between writer and reader).
     Decode(String),
-    /// A snapshot or manifest belongs to a different run (config,
-    /// backend, or seed differs). Resuming it would silently change
-    /// results, so the store refuses.
+    /// An intact snapshot in the directory belongs to a different run
+    /// (config, backend, or seed differs). Resuming it would silently
+    /// change results, so the store refuses to open the directory.
     FingerprintMismatch {
         /// File whose fingerprint disagreed.
         path: String,
@@ -190,14 +191,16 @@ pub struct Recovered<T> {
 /// A crash-safe snapshot store rooted at one checkpoint directory.
 ///
 /// One store instance belongs to one run, identified by its
-/// [`RunFingerprint`]; snapshots and manifests from a different run
-/// are refused rather than resumed.
+/// [`RunFingerprint`]; snapshots from a different run are refused
+/// rather than resumed.
 #[derive(Debug)]
 pub struct RunStore {
     dir: PathBuf,
     fingerprint: RunFingerprint,
     keep_last: usize,
-    manifest: Manifest,
+    /// The retention set: intact snapshots on disk as
+    /// `(generation, best fitness)`, oldest first.
+    kept: Vec<(usize, Option<f64>)>,
     stats: StoreStats,
     disk: Arc<dyn Disk>,
     /// The encoded payload of the last save, kept for its capacity.
@@ -229,9 +232,13 @@ impl RunStore {
     /// Opens (creating if necessary) a checkpoint directory for the
     /// run identified by `fingerprint`.
     ///
-    /// An existing readable manifest must match the fingerprint; a
-    /// missing or unparseable manifest is tolerated (recovery scans
-    /// the directory anyway) and is rebuilt on the next save.
+    /// Reads and validates every `gen-*.e3snap` file once. An intact
+    /// snapshot of another run is an error; the intact ones of this
+    /// run form the retention set, and what falls outside it — older
+    /// snapshots a crash left unpruned, and damaged files older than
+    /// the newest intact one — is removed. A damaged file newer than
+    /// every intact snapshot stays for a post-mortem; the next save of
+    /// its generation overwrites it.
     pub fn open(
         dir: impl AsRef<Path>,
         fingerprint: RunFingerprint,
@@ -249,31 +256,45 @@ impl RunStore {
         disk: Arc<dyn Disk>,
     ) -> Result<Self, StoreError> {
         let dir = dir.as_ref().to_path_buf();
-        disk.create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        let manifest_path = dir.join(MANIFEST_FILE);
-        let text = disk.read(&manifest_path).map(String::from_utf8);
-        let manifest = match text {
-            Ok(Ok(text)) => match serde_json::from_str::<Manifest>(&text) {
-                Ok(m) if m.fingerprint == fingerprint => m,
-                Ok(_) => {
-                    return Err(StoreError::FingerprintMismatch {
-                        path: manifest_path.display().to_string(),
-                    })
-                }
-                // A torn manifest is recoverable state, not an error.
-                Err(_) => Manifest::new(fingerprint.clone()),
-            },
-            _ => Manifest::new(fingerprint.clone()),
-        };
-        Ok(RunStore {
+        create_dir_durable(&*disk, &dir)?;
+        let mut store = RunStore {
             dir,
             fingerprint,
             keep_last: keep_last.max(1),
-            manifest,
+            kept: Vec::new(),
             stats: StoreStats::default(),
             disk,
             payload: Vec::new(),
-        })
+        };
+        // Check every file before removing any: a directory that holds
+        // another run's snapshots is refused untouched.
+        let mut intact = Vec::new();
+        let mut damaged = Vec::new();
+        for (generation, name) in store.snapshots()? {
+            let path = store.dir.join(&name);
+            let bytes = store.disk.read(&path).map_err(|e| io_err(&path, e))?;
+            match format::decode(&bytes) {
+                Ok((header, _)) if header.fingerprint != store.fingerprint => {
+                    return Err(StoreError::FingerprintMismatch {
+                        path: path.display().to_string(),
+                    })
+                }
+                Ok((header, _)) if header.generation == generation => {
+                    intact.push((generation, header.best_fitness));
+                }
+                _ => damaged.push((generation, path)),
+            }
+        }
+        let newest = intact.last().map(|&(generation, _)| generation);
+        for (generation, path) in damaged {
+            if Some(generation) < newest {
+                store.disk.remove(&path).ok();
+            }
+        }
+        for (generation, best_fitness) in intact {
+            store.retain(generation, best_fitness);
+        }
+        Ok(store)
     }
 
     /// The run identity snapshots are stamped with.
@@ -287,8 +308,8 @@ impl RunStore {
     }
 
     /// Serializes `state` and writes the generation snapshot
-    /// atomically: temp file, `fsync`, rename, directory sync, then
-    /// the manifest (same protocol) and retention pruning.
+    /// atomically — temp file, `fsync`, rename, directory sync — then
+    /// removes the snapshot retention evicts, if any.
     pub fn save<T: Serialize>(
         &mut self,
         generation: usize,
@@ -298,47 +319,53 @@ impl RunStore {
         self.payload.clear();
         serde::bin::encode_into(state, &mut self.payload)
             .map_err(|e| StoreError::Encode(e.to_string()))?;
-        let (head, payload_fnv) =
-            format::encode_head(&self.fingerprint, generation, best_fitness, &self.payload)
-                .map_err(StoreError::Encode)?;
+        let head = format::encode_head(&self.fingerprint, generation, best_fitness, &self.payload)
+            .map_err(StoreError::Encode)?;
         let file = snapshot_file_name(generation);
-        let path = self.dir.join(&file);
         write_atomic_in(&*self.disk, &self.dir, &file, &[&head, &self.payload])?;
-        let bytes = (head.len() + self.payload.len()) as u64;
         self.stats.snapshots_written += 1;
-        self.stats.bytes_written += bytes;
+        self.stats.bytes_written += (head.len() + self.payload.len()) as u64;
+        self.retain(generation, best_fitness.filter(|f| f.is_finite()));
+        Ok(self.dir.join(file))
+    }
 
-        self.manifest.format_version = FORMAT_VERSION;
-        let evicted = self.manifest.admit(
-            ManifestEntry {
-                generation,
-                file,
-                bytes,
-                payload_fnv,
-                best_fitness: best_fitness.filter(|f| f.is_finite()),
-            },
-            self.keep_last,
-        );
-        self.write_manifest()?;
-        for entry in evicted {
-            // Pruning is best-effort; a leftover snapshot is harmless.
-            self.disk.remove(&self.dir.join(&entry.file)).ok();
+    /// Adds an intact snapshot to the retention set and removes the
+    /// files that fall outside it: all but the `keep_last` newest
+    /// generations and the best-fitness one.
+    fn retain(&mut self, generation: usize, best_fitness: Option<f64>) {
+        self.kept.retain(|&(g, _)| g != generation);
+        self.kept.push((generation, best_fitness));
+        self.kept.sort_by_key(|&(g, _)| g);
+
+        // Best-so-far: highest recorded fitness, newest generation
+        // breaking ties (the set is generation-sorted, so a later
+        // equal fitness wins).
+        let mut best: Option<(f64, usize)> = None;
+        for &(g, fitness) in &self.kept {
+            let fitness = fitness.unwrap_or(f64::NEG_INFINITY);
+            if best.is_none_or(|(bf, _)| fitness >= bf) {
+                best = Some((fitness, g));
+            }
         }
-        Ok(path)
+        let best_generation = best.map(|(_, g)| g);
+
+        let keep_from = self.kept.len().saturating_sub(self.keep_last);
+        let kept_tail: Vec<usize> = self.kept[keep_from..].iter().map(|&(g, _)| g).collect();
+        let keep = |g: usize| kept_tail.contains(&g) || Some(g) == best_generation;
+        for &(g, _) in self.kept.iter().filter(|&&(g, _)| !keep(g)) {
+            // Pruning is best-effort; a leftover snapshot is removed
+            // the next time the directory is opened.
+            self.disk.remove(&self.dir.join(snapshot_file_name(g))).ok();
+        }
+        self.kept.retain(|&(g, _)| keep(g));
     }
 
     /// Finds and deserializes the newest intact snapshot.
     ///
-    /// Scans the directory for `gen-*.e3snap` files newest-first and
+    /// Re-reads the directory's `gen-*.e3snap` files newest-first and
     /// returns the first one that fully validates (magic, version,
     /// length, checksum) — torn, short, and corrupt files are counted
-    /// and skipped, never fatal. The manifest is only bookkeeping, so
-    /// a stale one (crash between snapshot and manifest writes) is
-    /// corrected here rather than trusted, and older snapshots outside
-    /// its retention set (evicted by a save the crash cut short) are
-    /// pruned. Corrupt files newer than the one recovered are left in
-    /// place for post-mortems; the next save at that generation
-    /// overwrites them.
+    /// and skipped, never fatal, and left in place.
     ///
     /// A file whose name and header name different generations is
     /// corrupt too: resuming it would report one generation and run
@@ -363,26 +390,29 @@ impl RunStore {
         self.scan(|state| Some(generation_of(state)))
     }
 
+    /// The `gen-*.e3snap` files in the directory as `(generation,
+    /// name)`, oldest first.
+    fn snapshots(&self) -> Result<Vec<(usize, String)>, StoreError> {
+        let names = self
+            .disk
+            .read_dir(&self.dir)
+            .map_err(|e| io_err(&self.dir, e))?;
+        let mut snapshots: Vec<(usize, String)> = names
+            .into_iter()
+            .filter_map(|name| Some((parse_snapshot_file_name(&name)?, name)))
+            .collect();
+        snapshots.sort();
+        Ok(snapshots)
+    }
+
     /// The newest-first scan behind both recoveries; `generation_of`
     /// reads a decoded payload's own generation, if it has one.
     fn scan<T: Deserialize>(
         &mut self,
         generation_of: impl Fn(&T) -> Option<usize>,
     ) -> Result<Option<Recovered<T>>, StoreError> {
-        let names = self
-            .disk
-            .read_dir(&self.dir)
-            .map_err(|e| io_err(&self.dir, e))?;
-        let mut generations: Vec<(usize, String)> = names
-            .into_iter()
-            .filter_map(|name| Some((parse_snapshot_file_name(&name)?, name)))
-            .collect();
-        generations.sort();
-        generations.reverse();
-
         let mut skipped = 0usize;
-        for (i, (generation, name)) in generations.iter().enumerate() {
-            let generation = *generation;
+        for (generation, name) in self.snapshots()?.into_iter().rev() {
             let path = self.dir.join(name);
             let bytes = self.disk.read(&path).map_err(|e| io_err(&path, e))?;
             let (header, payload) = match format::decode(&bytes) {
@@ -408,31 +438,6 @@ impl RunStore {
                 continue;
             }
             self.stats.recoveries += 1;
-            // Reconcile a possibly-stale manifest with what the scan
-            // actually found. A manifest read from disk then holds the
-            // retention set the interrupted save would have left; one
-            // rebuilt from nothing holds none, so it prunes nothing.
-            let known = self.manifest.latest_generation.is_some();
-            if self.manifest.latest_generation != Some(generation) {
-                self.manifest.admit(
-                    ManifestEntry {
-                        generation,
-                        file: name.clone(),
-                        bytes: bytes.len() as u64,
-                        payload_fnv: header.payload_fnv,
-                        best_fitness: header.best_fitness,
-                    },
-                    self.keep_last,
-                );
-                self.write_manifest()?;
-            }
-            if known {
-                for (older, name) in &generations[i + 1..] {
-                    if !self.manifest.entries.iter().any(|e| e.generation == *older) {
-                        self.disk.remove(&self.dir.join(name)).ok();
-                    }
-                }
-            }
             return Ok(Some(Recovered {
                 generation,
                 best_fitness: header.best_fitness,
@@ -443,17 +448,33 @@ impl RunStore {
         }
         Ok(None)
     }
+}
 
-    fn write_manifest(&self) -> Result<(), StoreError> {
-        let json = serde_json::to_string_pretty(&self.manifest)
-            .map_err(|e| StoreError::Encode(e.to_string()))?;
-        write_atomic_in(&*self.disk, &self.dir, MANIFEST_FILE, &[json.as_bytes()])
+/// Creates `dir` and its missing parents, syncing each new directory's
+/// parent so the new entry survives a crash. A directory that already
+/// exists is left alone: there is nothing new to make durable.
+pub(crate) fn create_dir_durable(disk: &dyn Disk, dir: &Path) -> Result<(), StoreError> {
+    let parent = match dir.parent() {
+        Some(p) if p.as_os_str().is_empty() => Path::new("."),
+        Some(p) => p,
+        None => return Ok(()),
+    };
+    match disk.create_dir(dir) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => return Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            create_dir_durable(disk, parent)?;
+            disk.create_dir(dir).map_err(|e| io_err(dir, e))?;
+        }
+        Err(e) => return Err(io_err(dir, e)),
     }
+    disk.sync_dir(parent);
+    Ok(())
 }
 
 /// Temp file + `fsync` + rename + directory sync. After this returns,
 /// either the old file or the complete new file is on disk — never a
-/// mix. Shared by snapshot, manifest, and sidecar writes. The file is
+/// mix. Shared by snapshot, sidecar, and registry writes. The file is
 /// `parts` back to back, so a header and a payload need no joining.
 pub(crate) fn write_atomic_in(
     disk: &dyn Disk,
@@ -509,71 +530,85 @@ mod tests {
     #[test]
     fn empty_directory_recovers_to_none() {
         let dir = scratch("empty");
-        let mut store = RunStore::open(&dir, fp(), 3).unwrap();
+        // Missing parents are created too.
+        let mut store = RunStore::open(dir.join("nested/run"), fp(), 3).unwrap();
         assert!(store.recover::<Vec<u64>>().unwrap().is_none());
         assert_eq!(store.stats().recoveries, 0);
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Saves in order, as `(generation, best fitness)`.
+    type Saves = &'static [(usize, f64)];
+
+    /// `(keep_last, saves, generations left on disk)`.
+    const RETENTION: [(usize, Saves, &[usize]); 4] = [
+        // Keep the last two plus the best, which peaks early.
+        (
+            2,
+            &[(0, 1.0), (1, 9.0), (2, 2.0), (3, 3.0), (4, 4.0)],
+            &[1, 3, 4],
+        ),
+        // A best among the last two keeps nothing more.
+        (2, &[(0, 1.0), (1, 2.0), (2, 3.0)], &[1, 2]),
+        // Equal fitness: the newer generation is the best one.
+        (1, &[(0, 5.0), (1, 5.0), (2, 1.0)], &[1, 2]),
+        // Saving a generation again replaces its fitness.
+        (1, &[(0, 5.0), (1, 1.0), (1, 9.0), (2, 2.0)], &[1, 2]),
+    ];
+
     #[test]
     fn retention_prunes_files_on_disk() {
-        let dir = scratch("retention");
-        let mut store = RunStore::open(&dir, fp(), 2).unwrap();
-        // Best fitness peaks at generation 1.
-        for (generation, fitness) in [(0, 1.0), (1, 9.0), (2, 2.0), (3, 3.0), (4, 4.0)] {
-            store.save(generation, Some(fitness), &generation).unwrap();
+        for (case, (keep_last, saves, expected)) in RETENTION.into_iter().enumerate() {
+            // One store for the whole run, and one opened afresh before
+            // every save: retention read from the headers must agree.
+            for reopen in [false, true] {
+                let dir = scratch(&format!("retention-{case}-{reopen}"));
+                let mut store = RunStore::open(&dir, fp(), keep_last).unwrap();
+                for &(generation, fitness) in saves {
+                    if reopen {
+                        store = RunStore::open(&dir, fp(), keep_last).unwrap();
+                    }
+                    store.save(generation, Some(fitness), &generation).unwrap();
+                }
+                let mut on_disk: Vec<String> = fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                    .collect();
+                on_disk.sort();
+                let expected: Vec<String> =
+                    expected.iter().map(|&g| snapshot_file_name(g)).collect();
+                assert_eq!(on_disk, expected, "case {case}, reopened: {reopen}");
+                fs::remove_dir_all(&dir).ok();
+            }
         }
-        let mut on_disk: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".e3snap"))
-            .collect();
-        on_disk.sort();
-        // Last two plus the best-so-far generation.
-        assert_eq!(
-            on_disk,
-            vec![
-                snapshot_file_name(1),
-                snapshot_file_name(3),
-                snapshot_file_name(4)
-            ]
-        );
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn alien_manifest_is_refused() {
+    fn an_alien_snapshot_is_refused_at_open() {
         let dir = scratch("alien");
         {
             let mut store = RunStore::open(&dir, fp(), 3).unwrap();
             store.save(0, None, &1u32).unwrap();
         }
-        let other = RunFingerprint {
-            config_hash: 999,
-            ..fp()
-        };
-        let err = RunStore::open(&dir, other, 3).unwrap_err();
-        assert!(matches!(err, StoreError::FingerprintMismatch { .. }));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn alien_snapshot_is_refused_at_recovery() {
-        let dir = scratch("alien-snap");
-        {
-            let mut store = RunStore::open(&dir, fp(), 3).unwrap();
-            store.save(0, None, &1u32).unwrap();
+        let others = [
+            RunFingerprint {
+                config_hash: 999,
+                ..fp()
+            },
+            RunFingerprint {
+                backend: "E3-INAX".to_string(),
+                ..fp()
+            },
+            RunFingerprint {
+                seed: 12345,
+                ..fp()
+            },
+        ];
+        for other in others {
+            let err = RunStore::open(&dir, other, 3).unwrap_err();
+            assert!(matches!(err, StoreError::FingerprintMismatch { .. }));
         }
-        // Remove the manifest so open() succeeds with a different
-        // fingerprint, then let recovery hit the mismatched snapshot.
-        fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
-        let other = RunFingerprint {
-            seed: 12345,
-            ..fp()
-        };
-        let mut store = RunStore::open(&dir, other, 3).unwrap();
-        let err = store.recover::<u32>().unwrap_err();
-        assert!(matches!(err, StoreError::FingerprintMismatch { .. }));
+        assert!(RunStore::open(&dir, fp(), 3).is_ok());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -582,7 +617,7 @@ mod tests {
         assert_eq!(snapshot_file_name(42), "gen-00000042.e3snap");
         assert_eq!(parse_snapshot_file_name("gen-00000042.e3snap"), Some(42));
         assert_eq!(parse_snapshot_file_name("gen-.e3snap"), None);
-        assert_eq!(parse_snapshot_file_name("manifest.json"), None);
+        assert_eq!(parse_snapshot_file_name("namespaces.json"), None);
         assert_eq!(parse_snapshot_file_name(".tmp.gen-00000001.e3snap"), None);
         assert!(snapshot_file_name(9) < snapshot_file_name(10));
     }

@@ -1,10 +1,10 @@
 //! Multiple runs sharing one parent checkpoint directory.
 //!
-//! A [`RunStore`] assumes one run per directory: one manifest, one
-//! fingerprint, one snapshot sequence. An island-evolution run breaks
-//! that assumption — N islands checkpoint concurrently, and they
-//! should live under a single parent directory so an operator can
-//! point one `--checkpoint-dir` at the whole archipelago.
+//! A [`RunStore`] assumes one run per directory: one fingerprint, one
+//! snapshot sequence. An island-evolution run breaks that assumption —
+//! N islands checkpoint concurrently, and they should live under a
+//! single parent directory so an operator can point one
+//! `--checkpoint-dir` at the whole archipelago.
 //!
 //! [`MultiStore`] provides the scoping: each run gets a *namespace*
 //! (a subdirectory, e.g. `island-00/`), and a registry file at the
@@ -13,18 +13,23 @@
 //! [`StoreError::NamespaceMismatch`] — a cross-island snapshot mixup
 //! is refused before any snapshot is read, not silently resumed.
 //!
-//! The registry is advisory the same way the per-run manifest is:
-//! a torn or missing registry is rebuilt from use, and every snapshot
-//! still carries its own fingerprint, so even a hand-scrambled
-//! directory layout cannot smuggle one island's state into another
-//! (the per-snapshot check in [`RunStore::recover`] backstops it).
+//! A torn or missing registry is rebuilt from use. Every snapshot
+//! still carries its own checksummed fingerprint, which
+//! [`RunStore::open`] checks, so even a hand-scrambled directory
+//! layout cannot smuggle one island's state into another. The registry
+//! is still needed: a namespace can hold sidecars before its first
+//! snapshot, and there the registry is the only record of which run
+//! the namespace belongs to.
 //!
 //! Namespaces can also hold *sidecar* files — small atomic JSON
 //! documents next to the snapshots. The islands scheduler persists
 //! migration packets this way so a killed daemon can replay exchanges
 //! whose source islands have already moved past them.
 
-use crate::{io_err, write_atomic_in, Disk, RunFingerprint, RunStore, StdDisk, StoreError};
+use crate::{
+    create_dir_durable, io_err, write_atomic_in, Disk, RunFingerprint, RunStore, StdDisk,
+    StoreError,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -78,9 +83,9 @@ impl MultiStore {
     /// Opens (creating if necessary) a shared parent directory.
     ///
     /// A readable registry is loaded; a missing or torn one is
-    /// tolerated and rebuilt as namespaces are (re)bound — per-run
-    /// manifests and per-snapshot fingerprints keep every individual
-    /// namespace self-validating regardless.
+    /// tolerated and rebuilt as namespaces are (re)bound — the
+    /// fingerprint in every snapshot's header keeps each namespace
+    /// that holds a snapshot self-validating regardless.
     pub fn open(parent: impl AsRef<Path>) -> Result<Self, StoreError> {
         MultiStore::open_on(parent, Arc::new(StdDisk))
     }
@@ -89,8 +94,7 @@ impl MultiStore {
     /// [`RunStore`] shares.
     pub fn open_on(parent: impl AsRef<Path>, disk: Arc<dyn Disk>) -> Result<Self, StoreError> {
         let parent = parent.as_ref().to_path_buf();
-        disk.create_dir_all(&parent)
-            .map_err(|e| io_err(&parent, e))?;
+        create_dir_durable(&*disk, &parent)?;
         let path = parent.join(NAMESPACE_REGISTRY_FILE);
         let registry = match disk.read(&path).map(String::from_utf8) {
             Ok(Ok(text)) => serde_json::from_str(&text).unwrap_or_default(),
@@ -132,38 +136,40 @@ impl MultiStore {
         keep_last: usize,
     ) -> Result<RunStore, StoreError> {
         let dir = self.namespace_dir(namespace);
-        match self.registry.namespaces.get(namespace) {
-            Some(bound) if *bound != fingerprint => {
-                return Err(StoreError::NamespaceMismatch {
-                    namespace: namespace.to_string(),
-                    path: self
-                        .parent
-                        .join(NAMESPACE_REGISTRY_FILE)
-                        .display()
-                        .to_string(),
-                });
-            }
-            Some(_) => {}
-            None => {
-                self.registry
-                    .namespaces
-                    .insert(namespace.to_string(), fingerprint.clone());
-                self.write_registry()?;
-            }
+        let bound = self.registry.namespaces.get(namespace);
+        if bound.is_some_and(|bound| *bound != fingerprint) {
+            return Err(StoreError::NamespaceMismatch {
+                namespace: namespace.to_string(),
+                path: self
+                    .parent
+                    .join(NAMESPACE_REGISTRY_FILE)
+                    .display()
+                    .to_string(),
+            });
         }
-        // The per-namespace manifest still checks the fingerprint, so
+        let unbound = bound.is_none();
+        // Opening the namespace checks every snapshot's fingerprint, so
         // a registry rebuilt after a torn write cannot mask a mixup.
         // Translate that lower-level refusal into the namespace-typed
         // error: at this layer the caller knows *which island* it was
         // opening, and the distinction is the whole point.
-        let store = RunStore::open_on(&dir, fingerprint, keep_last, self.disk.clone());
-        store.map_err(|err| match err {
-            StoreError::FingerprintMismatch { path } => StoreError::NamespaceMismatch {
-                namespace: namespace.to_string(),
-                path,
-            },
-            other => other,
-        })
+        let store = RunStore::open_on(&dir, fingerprint.clone(), keep_last, self.disk.clone())
+            .map_err(|err| match err {
+                StoreError::FingerprintMismatch { path } => StoreError::NamespaceMismatch {
+                    namespace: namespace.to_string(),
+                    path,
+                },
+                other => other,
+            })?;
+        // Bind only a namespace whose snapshots agree: binding a refused
+        // one would lock its own run out of it.
+        if unbound {
+            self.registry
+                .namespaces
+                .insert(namespace.to_string(), fingerprint);
+            self.write_registry()?;
+        }
+        Ok(store)
     }
 
     /// Atomically writes a JSON sidecar document into a namespace.
@@ -179,9 +185,7 @@ impl MultiStore {
     ) -> Result<PathBuf, StoreError> {
         validate_namespace(name);
         let dir = self.namespace_dir(namespace);
-        self.disk
-            .create_dir_all(&dir)
-            .map_err(|e| io_err(&dir, e))?;
+        create_dir_durable(&*self.disk, &dir)?;
         let json = serde_json::to_string(value).map_err(|e| StoreError::Encode(e.to_string()))?;
         write_atomic_in(&*self.disk, &dir, name, &[json.as_bytes()])?;
         Ok(dir.join(name))
@@ -291,20 +295,25 @@ mod tests {
     }
 
     #[test]
-    fn torn_registry_still_refuses_mixups_via_manifest() {
+    fn torn_registry_still_refuses_mixups_via_snapshot_header() {
         let dir = scratch("torn-registry");
         {
             let mut multi = MultiStore::open(&dir).unwrap();
             let mut store = multi.store_for("island-00", fp(0), 3).unwrap();
             store.save(0, None, &1u32).unwrap();
         }
-        // Simulate a crash that tore the registry: the per-namespace
-        // manifest check must still surface the mixup, typed as a
-        // namespace mismatch.
+        // Simulate a crash that tore the registry: the fingerprint in
+        // the namespace's snapshot header must still surface the
+        // mixup, typed as a namespace mismatch.
         fs::write(dir.join(NAMESPACE_REGISTRY_FILE), b"{ torn").unwrap();
         let mut multi = MultiStore::open(&dir).unwrap();
         let err = multi.store_for("island-00", fp(1), 3).unwrap_err();
         assert!(matches!(err, StoreError::NamespaceMismatch { .. }));
+        // The refusal binds nothing: the namespace's own run still
+        // opens, now and after a restart.
+        multi.store_for("island-00", fp(0), 3).unwrap();
+        let mut multi = MultiStore::open(&dir).unwrap();
+        multi.store_for("island-00", fp(0), 3).unwrap();
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -44,9 +44,19 @@ fn snapshots(dir: &Path) -> Vec<usize> {
 /// Damage done to a snapshot file's bytes.
 type Damage = fn(&mut Vec<u8>);
 
+/// Position of the first occurrence of `needle` in `bytes`.
+fn find(bytes: &[u8], needle: &[u8]) -> usize {
+    bytes
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .unwrap()
+}
+
 /// Media corruption, one case per region of a snapshot file: the
-/// magic line, the header line, the payload, and a file cut short.
-const DAMAGE: [(&str, Damage); 4] = [
+/// magic line, the header line, the payload, and a file cut short;
+/// then two header edits that still parse: another run's backend, and
+/// another best fitness.
+const DAMAGE: [(&str, Damage); 6] = [
     ("bit flip in the magic line", |b| b[0] ^= 0x01),
     ("bit flip in the header", |b| {
         let header = b.iter().position(|&c| c == b'\n').unwrap() + 1;
@@ -57,6 +67,17 @@ const DAMAGE: [(&str, Damage); 4] = [
         b[last] ^= 0x01;
     }),
     ("truncation", |b| b.truncate(b.len() * 3 / 4)),
+    ("bit flip in the backend", |b| {
+        let at = find(b, b"E3-CPU") + 3;
+        b[at] ^= 0x01;
+    }),
+    ("best fitness changed in the header", |b| {
+        let at = find(b, b"\"best_fitness\":") + 15;
+        match b[at] {
+            b'n' => b[at..at + 4].copy_from_slice(b"9e99"),
+            digit => b[at] = b'0' + (digit - b'0' + 1) % 10,
+        }
+    }),
 ];
 
 fn damage(path: &Path, how: Damage) {
@@ -152,39 +173,53 @@ fn re_saving_a_damaged_generation_heals_it() {
 
 /// `keep_last` 2, saves 0, 1, 2 with rising fitness: saving 2 evicts 0.
 /// A crash after gen 2's rename is durable and before the unlink leaves
-/// gen 0 on disk, beside either the manifest of save 1 (listing 0 and
-/// 1: the manifest rename was lost too) or that of save 2 (which has
-/// already forgotten gen 0). Either way the recovery must prune it, or
-/// no later save ever will.
+/// gen 0 on disk. Opening the directory must prune it, or no later save
+/// ever will.
 #[test]
 fn recovery_prunes_a_snapshot_a_crash_left_behind() {
-    for stale_manifest in [true, false] {
-        let dir = scratch(&format!("leak-{stale_manifest}"));
-        let mut store = RunStore::open(&dir, fp(), 2).unwrap();
-        store.save(0, Some(0.0), &0u32).unwrap();
-        store.save(1, Some(1.0), &1u32).unwrap();
-        let manifest_1 = fs::read(dir.join("manifest.json")).unwrap();
-        let gen_0 = fs::read(snapshot(&dir, 0)).unwrap();
-        store.save(2, Some(2.0), &2u32).unwrap();
-        drop(store);
-        fs::write(snapshot(&dir, 0), gen_0).unwrap();
-        if stale_manifest {
-            fs::write(dir.join("manifest.json"), manifest_1).unwrap();
-        }
+    let dir = scratch("leak");
+    let mut store = RunStore::open(&dir, fp(), 2).unwrap();
+    store.save(0, Some(0.0), &0u32).unwrap();
+    store.save(1, Some(1.0), &1u32).unwrap();
+    let gen_0 = fs::read(snapshot(&dir, 0)).unwrap();
+    store.save(2, Some(2.0), &2u32).unwrap();
+    drop(store);
+    fs::write(snapshot(&dir, 0), gen_0).unwrap();
 
-        let mut resumed = RunStore::open(&dir, fp(), 2).unwrap();
-        let recovered = resumed.recover::<u32>().unwrap().unwrap();
-        assert_eq!((recovered.generation, recovered.state), (2, 2));
-        for generation in 3..=6 {
-            resumed
-                .save(generation, Some(generation as f64), &(generation as u32))
+    let mut resumed = RunStore::open(&dir, fp(), 2).unwrap();
+    assert_eq!(snapshots(&dir), vec![1, 2]);
+    let recovered = resumed.recover::<u32>().unwrap().unwrap();
+    assert_eq!((recovered.generation, recovered.state), (2, 2));
+    for generation in 3..=6 {
+        resumed
+            .save(generation, Some(generation as f64), &(generation as u32))
+            .unwrap();
+    }
+    assert_eq!(snapshots(&dir), vec![5, 6]);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Whatever fitness a damaged file's header claims, it never protects
+/// that file as the best one: once an intact snapshot is newer, opening
+/// the directory prunes it, and retention keeps the intact best.
+#[test]
+fn a_damaged_snapshot_is_never_kept_as_the_best() {
+    for (i, (what, how)) in DAMAGE.into_iter().enumerate() {
+        let dir = scratch(&format!("damaged-best-{i}"));
+        let mut store = RunStore::open(&dir, fp(), 1).unwrap();
+        for (generation, fitness) in [(0, 9.0), (1, 1.0), (2, 2.0)] {
+            store
+                .save(generation, Some(fitness), &(generation as u32))
                 .unwrap();
         }
-        assert_eq!(
-            snapshots(&dir),
-            vec![5, 6],
-            "stale manifest: {stale_manifest}"
-        );
+        // Generation 0 is the best and stays beside the newest.
+        assert_eq!(snapshots(&dir), vec![0, 2], "{what}");
+        damage(&snapshot(&dir, 0), how);
+
+        let mut reopened = RunStore::open(&dir, fp(), 1).unwrap();
+        assert_eq!(snapshots(&dir), vec![2], "{what}");
+        reopened.save(3, Some(1.0), &3u32).unwrap();
+        assert_eq!(snapshots(&dir), vec![2, 3], "{what}");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,13 +15,17 @@
 # Both sides are built from checkouts under target/ab/ (the parent from
 # `git archive`, keyed by its commit; the change from the working
 # tree's tracked and untracked-unignored files, keyed by a hash of
-# their names and contents), so the two binaries differ in nothing but
-# the source. A checkout is kept and reused by every later call with
-# the same key, so a session builds each side once; `rm -rf target/ab`
-# drops them. Builds are function-aligned
-# (`-C llvm-args=-align-all-functions=6`) unless RUSTFLAGS is set: where
-# the linker happens to place an unchanged hot function moves a
-# workload by a few percent (EXPERIMENTS.md, "INAX off the cache").
+# their names and contents). The two binaries differ in more than the
+# source: each checkout's path is embedded (panic locations, and
+# `env!("CARGO_MANIFEST_DIR")` in benchmark/src/report.rs), which moves
+# their sizes, crate hashes and layout. Two builds of one commit differ
+# even with `--remap-path-prefix` (ROADMAP item 10). A checkout is
+# kept and reused by every later call with the same key, so a session
+# builds each side once; `rm -rf target/ab` drops them. Builds are
+# function-aligned (`-C llvm-args=-align-all-functions=6`) unless
+# RUSTFLAGS is set: where the linker happens to place an unchanged hot
+# function moves a workload by a few percent (EXPERIMENTS.md, "INAX off
+# the cache").
 # The script writes nothing under benchmark/ and touches neither
 # BENCHMARK.json nor benchmark/history.ndjson: it runs the
 # single-workload command, which maintains neither, and each binary

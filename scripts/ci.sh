@@ -154,10 +154,17 @@ if [ "$ref" != "$resumed" ]; then
     echo "error: resumed run diverged from the uninterrupted reference" >&2
     exit 1
 fi
-# The writer emits snapshot format v2, the only one the reader accepts.
+# The writer emits snapshot format v3, the only one the reader accepts:
+# `e3snap 3` and the checksum of the rest of the file, 16 hex digits.
 newest=$(ls "$store_dir"/gen-*.e3snap | sort | tail -n 1)
-if [ "$(head -n 1 "$newest")" != "e3snap 2" ]; then
-    echo "error: $newest does not start with the 'e3snap 2' magic line" >&2
+if ! [[ "$(head -n 1 "$newest")" =~ ^e3snap\ 3\ [0-9a-f]{16}$ ]]; then
+    echo "error: $newest does not start with an 'e3snap 3 <checksum>' magic line" >&2
+    exit 1
+fi
+# The directory is its own index: snapshots and nothing else.
+others=$(ls -A "$store_dir" | grep -v '^gen-[0-9]\{8\}\.e3snap$' || true)
+if [ -n "$others" ]; then
+    echo "error: $store_dir holds more than gen-*.e3snap files: $others" >&2
     exit 1
 fi
 

@@ -4,14 +4,16 @@
 //! call a sequence of saves makes. For every prefix of the log that
 //! ends between two calls, or inside a temp file's write, the state a
 //! crash there leaves is rebuilt in a fresh directory, once for each
-//! way of keeping or losing the renames and unlinks that no directory
-//! sync has made durable yet, and the run resumes from it. The crash
-//! model, after ALICE (Pillai et al., OSDI 2014):
+//! way of keeping or losing the directory creations, renames and unlinks
+//! that no directory sync has made durable yet, and the run resumes from
+//! it. The crash model, after ALICE (Pillai et al., OSDI 2014):
 //!
 //! * a file's bytes are durable once `write_synced` returns; a crash
 //!   inside it leaves the temp file half written;
 //! * a rename or an unlink is durable once its directory is synced;
-//! * creating a directory is durable at once.
+//! * a new directory is durable once its parent is synced; a lost
+//!   directory loses everything under it. Creating a directory that
+//!   already exists creates nothing, so it is not logged.
 
 use e3::envs::EnvId;
 use e3::platform::{fingerprint, BackendKind, CheckpointPolicy, E3Config, E3Platform, RunState};
@@ -61,13 +63,21 @@ struct Recorder {
 
 impl Recorder {
     fn new(root: &Path) -> Arc<Self> {
+        // The root's parent lies outside the recorded tree, so it
+        // exists before the store starts, as a checkpoint directory's
+        // parent does.
+        fs::create_dir_all(root.parent().unwrap()).unwrap();
         Arc::new(Recorder {
             root: root.to_path_buf(),
             log: Mutex::new(Vec::new()),
         })
     }
 
+    /// `path` relative to the root; the root's own parent is `..`.
     fn rel(&self, path: &Path) -> PathBuf {
+        if self.root.parent() == Some(path) {
+            return PathBuf::from("..");
+        }
         path.strip_prefix(&self.root)
             .expect("the store stays under its root")
             .to_path_buf()
@@ -83,9 +93,10 @@ impl Recorder {
 }
 
 impl Disk for Recorder {
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        StdDisk.create_dir(dir)?;
         self.push(Op::CreateDir(self.rel(dir)));
-        StdDisk.create_dir_all(dir)
+        Ok(())
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
@@ -156,8 +167,9 @@ fn snapshot_generation(name: &str) -> Option<usize> {
         .ok()
 }
 
+/// The directory holding `path`; the root's is `..`.
 fn parent(path: &Path) -> PathBuf {
-    path.parent().unwrap_or(Path::new("")).to_path_buf()
+    path.parent().unwrap_or(Path::new("..")).to_path_buf()
 }
 
 /// Every state a crash during `log` can leave.
@@ -169,10 +181,12 @@ fn crash_states(log: &[Op]) -> Vec<CrashState> {
     let mut states = Vec::new();
     for n in 0..=ops.len() {
         let done = &ops[..n];
-        // Renames and unlinks whose directory has not been synced since.
+        // Directory creations, renames and unlinks whose directory has
+        // not been synced since.
         let volatile: Vec<usize> = (0..n)
             .filter(|&i| {
                 let dir = match done[i] {
+                    Op::CreateDir(d) => parent(d),
                     Op::Rename(_, to) => parent(to),
                     Op::Remove(path) => parent(path),
                     _ => return false,
@@ -186,7 +200,7 @@ fn crash_states(log: &[Op]) -> Vec<CrashState> {
         // does not would have this loop enumerate 2^n states.
         assert!(
             volatile.len() <= 6,
-            "after call {n}: {} renames and unlinks not yet synced",
+            "after call {n}: {} creations, renames and unlinks not yet synced",
             volatile.len()
         );
         let torn = match ops.get(n) {
@@ -209,9 +223,13 @@ fn crash_states(log: &[Op]) -> Vec<CrashState> {
                     },
                     ..CrashState::default()
                 };
+                let mut lost_dirs = Vec::new();
                 for (i, op) in done.iter().enumerate() {
                     if lost.contains(&i) {
                         state.label += &format!(", lost `{op}`");
+                        if let Op::CreateDir(d) = op {
+                            lost_dirs.push(d.clone());
+                        }
                         continue;
                     }
                     match op {
@@ -235,6 +253,9 @@ fn crash_states(log: &[Op]) -> Vec<CrashState> {
                     state.label += &format!(", inside `{}`", ops[n]);
                     state.files.insert(path.clone(), half.to_vec());
                 }
+                let survives = |path: &PathBuf| !lost_dirs.iter().any(|d| path.starts_with(d));
+                state.dirs.retain(survives);
+                state.files.retain(|path, _| survives(path));
                 states.push(state);
             }
         }
@@ -467,14 +488,19 @@ fn an_archipelago_reopens_from_every_crash_point() {
 }
 
 /// The protocol's order, call by call, for a save that evicts: the
-/// snapshot, then the manifest, each as temp write + sync, rename,
-/// directory sync; then the unlink. Adding, dropping or reordering a
-/// filesystem call fails here.
+/// snapshot as temp write + sync, rename, directory sync; then the
+/// unlink. The directory is the only index, so there is nothing else
+/// to write. Adding, dropping or reordering a filesystem call fails
+/// here.
 #[test]
 fn a_save_that_evicts_makes_exactly_these_calls() {
     let dir = scratch("order");
     let recorder = Recorder::new(&dir);
     let mut store = RunStore::open_on(&dir, island_fp(0), 1, recorder.clone()).unwrap();
+    // Opening creates the directory and syncs its parent, so the new
+    // directory is durable before any snapshot lands in it.
+    let opening: Vec<String> = recorder.take().iter().map(Op::to_string).collect();
+    assert_eq!(opening, ["mkdir .", "syncdir ..", "readdir ."]);
     store.save(0, Some(0.0), &0u32).unwrap();
     recorder.take();
     store.save(1, Some(1.0), &1u32).unwrap();
@@ -484,9 +510,6 @@ fn a_save_that_evicts_makes_exactly_these_calls() {
         [
             "write+sync .tmp.gen-00000001.e3snap",
             "rename .tmp.gen-00000001.e3snap gen-00000001.e3snap",
-            "syncdir .",
-            "write+sync .tmp.manifest.json",
-            "rename .tmp.manifest.json manifest.json",
             "syncdir .",
             "remove gen-00000000.e3snap",
         ]

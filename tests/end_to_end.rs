@@ -454,7 +454,7 @@ fn make_cyclic(genome: &Genome) -> Genome {
 }
 
 #[test]
-fn a_killed_run_resumes_bit_identically_from_a_v2_snapshot() {
+fn a_killed_run_resumes_bit_identically_from_its_newest_snapshot() {
     // The full gates live in e3-platform and e3-store (`resume_parity`,
     // `snapshot_bytes`, `recovery`) and in the root `crash_points`,
     // which resumes from every state a crash can leave; this is the
@@ -476,7 +476,7 @@ fn a_killed_run_resumes_bit_identically_from_a_v2_snapshot() {
         // Killed here: dropped mid-run, no summary, no final snapshot.
     };
     let newest = std::fs::read(dir.join("gen-00000002.e3snap")).unwrap();
-    assert!(newest.starts_with(b"e3snap 2\n"), "store writes format v2");
+    assert!(newest.starts_with(b"e3snap 3 "), "store writes format v3");
     assert!(
         newest.len() * 3 < state_as_json.len(),
         "{} B snapshot of a state that is {} B as JSON",
