@@ -143,6 +143,26 @@ impl Episode {
         decode_action_into(outputs, &self.space, &mut self.action);
         env.step_into(&self.action, &mut self.observation)
     }
+
+    /// The number of actions of a discrete action space, `None` for a
+    /// continuous one.
+    pub fn discrete_actions(&self) -> Option<usize> {
+        match self.space {
+            ActionSpace::Discrete(n) => Some(n),
+            ActionSpace::Continuous { .. } => None,
+        }
+    }
+
+    /// Steps `env` with discrete action `action`, which the caller has
+    /// already decided from the network's outputs.
+    ///
+    /// # Panics
+    ///
+    /// As [`Environment::step_into`], for an action outside the space.
+    pub fn step_discrete(&mut self, env: &mut dyn Environment, action: usize) -> Transition {
+        self.action = Action::Discrete(action);
+        env.step_into(&self.action, &mut self.observation)
+    }
 }
 
 /// Runs one full episode of `policy` in `env` from `seed` and returns

@@ -199,6 +199,48 @@ fn tanh(x: f64) -> f64 {
     (e / (e + 2.0)).copysign(x)
 }
 
+/// The largest `|x_m|` [`tanh_argmax`] decides from.
+const DECIDED_MAX: f64 = 8.0;
+/// `2⁻²⁰`: how far below `x_m` [`tanh_argmax`] needs every other sum.
+const DECIDED_GAP: f64 = 1.0 / 1_048_576.0;
+
+/// The index a `total_cmp` argmax of `Tanh` of `sums` picks (the
+/// discrete-action decode), decided from the sums alone where that is
+/// provably the same index, or `None` where the caller must apply
+/// `Tanh` and take the argmax itself.
+///
+/// With `m` the last argmax of the sums, the answer is `m` if
+/// `|x_m| ≤ 8` and every other sum has `x_m − x_i > 2⁻²⁰` as computed.
+/// Rounding is monotone and `2⁻²⁰` is a double, so the computed
+/// difference exceeds it only if the exact one does. For `x_i ≥ −9` the
+/// mean value theorem then gives `tanh x_m − tanh x_i ≥ 2⁻²⁰·sech²9 ≈
+/// 5.8·10⁻¹⁴`; below `−9` the gap is at least `tanh 9 − tanh 8 ≈
+/// 2·10⁻⁷`. The `tanh` core is within 3 ulp of exact and `|tanh| < 1`,
+/// so each computed value is off by at most `3·2⁻⁵³`; their two
+/// errors, `6.7·10⁻¹⁶` together, are 87 times smaller than the gap: the
+/// computed `Tanh(x_m)` is strictly the largest. Everything else is
+/// `None`:
+/// `|x_m| > 8` (toward saturation, where two outputs round to one
+/// value), sums within `2⁻²⁰` (ties and ±0 among them), any NaN and
+/// `x_m = +∞`. A sum of `−∞` decides like any far-below sum.
+///
+/// One pass, comparisons only: the largest sum and the largest of the
+/// others (a NaN is neither, and is flagged).
+pub fn tanh_argmax(sums: impl Iterator<Item = f64>) -> Option<usize> {
+    let (mut m, mut top, mut second) = (0, f64::NEG_INFINITY, f64::NEG_INFINITY);
+    let mut nan = false;
+    for (i, x) in sums.enumerate() {
+        if x >= top {
+            (m, top, second) = (i, x, top);
+        } else if x > second {
+            second = x;
+        } else {
+            nan |= x.is_nan();
+        }
+    }
+    (!nan && top.abs() <= DECIDED_MAX && top - second > DECIDED_GAP).then_some(m)
+}
+
 impl fmt::Display for Activation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())

@@ -71,7 +71,7 @@ pub mod stats;
 
 mod error;
 
-pub use activation::Activation;
+pub use activation::{tanh_argmax, Activation};
 pub use config::NeatConfig;
 pub use error::DecodeError;
 pub use genome::{Genome, NodeKind};

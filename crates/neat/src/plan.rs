@@ -33,11 +33,19 @@
 //! * `outputs` — compute-node indices of the output nodes in genome
 //!   id order (the order `execute_into` returns values in).
 //!
+//! `compile` also records whether every output is a `Tanh` *sink*, an
+//! output no edge reads ([`NetPlan::leaves_sums`]). The kernel walks of
+//! such a plan skip the output activations, so that a discrete action
+//! can be decided from the sums ([`crate::tanh_argmax`]).
+//!
 //! # Value-buffer slot convention
 //!
 //! The plan is the single source of truth for the INAX value-buffer
 //! layout: slot `i` holds input `i` for `i < num_inputs`, and the
-//! activation of compute node `i - num_inputs` otherwise. Edge slots
+//! activation of compute node `i - num_inputs` otherwise — except that
+//! after a kernel walk ([`NetPlan::fill_lanes`], [`NetPlan::fill_pair`])
+//! of a plan that [`NetPlan::leaves_sums`], each output slot holds the
+//! output's sum ([`NetPlan::activate_outputs`] finishes them). Edge slots
 //! always reference strictly earlier slots, so one in-order sweep per
 //! inference suffices and *every* intermediate activation stays live —
 //! exactly what irregular skip connections require (paper Fig. 4(c)).
@@ -89,6 +97,10 @@ pub struct NetPlan {
     biases: Vec<f64>,
     /// Per compute node: activation function.
     activations: Vec<Activation>,
+    /// Per compute node: the activation the kernel walks apply —
+    /// `activations`, but `Identity` at every output of a plan whose
+    /// outputs are all `Tanh` nodes no edge reads.
+    walked: Vec<Activation>,
     /// Per compute level: `(start, end)` compute-node index range.
     levels: Vec<(u32, u32)>,
     /// Compute-node indices of the outputs, in genome id order.
@@ -153,7 +165,9 @@ impl NetPlan {
 
         // Adjacency over genome node indices using enabled connections:
         // degrees, then the out-edges (connection indices) grouped by
-        // source in one counting sort.
+        // source in one counting sort. `Genome::check_new_edge` forbids
+        // output sources, but a hand-built genome may have one.
+        let mut output_read = false;
         for (k, c) in connections.iter().enumerate().filter(|(_, c)| c.enabled) {
             let (from, to) = match (index_of(c.from), index_of(c.to)) {
                 (Some(f), Some(t)) => (f, t),
@@ -166,6 +180,7 @@ impl NetPlan {
             };
             ends[2 * k] = from;
             ends[2 * k + 1] = to;
+            output_read |= genome_nodes[from as usize].kind == NodeKind::Output;
             out_start[from as usize + 1] += 1;
             in_degree[to as usize] += 1;
         }
@@ -299,6 +314,16 @@ impl NetPlan {
                 .filter(|&i| genome_nodes[i].kind == NodeKind::Output)
                 .map(|i| new_index[i] - num_inputs as u32),
         );
+        let sums = !output_read
+            && outputs
+                .iter()
+                .all(|&o| activations[o as usize] == Activation::Tanh);
+        let mut walked = activations.clone();
+        if sums {
+            for &o in &outputs {
+                walked[o as usize] = Activation::Identity;
+            }
+        }
 
         Ok(NetPlan {
             num_inputs,
@@ -307,6 +332,7 @@ impl NetPlan {
             edge_ranges,
             biases,
             activations,
+            walked,
             levels,
             outputs,
         })
@@ -355,7 +381,8 @@ impl NetPlan {
     }
 
     /// The scalar forward pass: validates `inputs`, copies them into the
-    /// input slots and runs [`NetPlan::fill_lanes`] one lane wide.
+    /// input slots, runs [`NetPlan::fill_lanes`] one lane wide and
+    /// finishes the outputs, so every slot holds its activation.
     fn fill(&self, inputs: &[f64], values: &mut [f64]) {
         assert_eq!(
             inputs.len(),
@@ -365,7 +392,9 @@ impl NetPlan {
             inputs.len()
         );
         values[..self.num_inputs].copy_from_slice(inputs);
-        self.fill_lanes(values.as_chunks_mut::<1>().0);
+        let rows = values.as_chunks_mut::<1>().0;
+        self.fill_lanes(rows);
+        self.activate_outputs(rows);
     }
 
     /// The forward-pass kernel, over `L` independent lanes: row `j` of
@@ -375,8 +404,11 @@ impl NetPlan {
     /// scalar operation sequence — bias first, then the sorted edges,
     /// then the activation, no fused multiply-add — so lane `l` is
     /// bit-identical to [`NetPlan::execute_into`] on lane `l`'s inputs,
-    /// whatever the other lanes hold. The weights are read once per
-    /// step for all lanes, and the lanes' chains overlap.
+    /// whatever the other lanes hold, except that a plan that
+    /// [`NetPlan::leaves_sums`] leaves each output's sum in its row
+    /// ([`NetPlan::activate_outputs`] applies what the walk skipped).
+    /// The weights are read once per step for all lanes, and the lanes'
+    /// chains overlap.
     ///
     /// # Panics
     ///
@@ -396,7 +428,7 @@ impl NetPlan {
     /// one two-lane [`Activation`] call computes both. Each node sums
     /// as [`NetPlan::fill_lanes`] does and every lane runs the scalar
     /// activation, so `a_rows` and `b_rows` come out bit-identical to a
-    /// `fill_lanes::<1>` walk of each plan alone.
+    /// `fill_lanes::<1>` walk of each plan alone (output sums included).
     ///
     /// # Panics
     ///
@@ -426,6 +458,35 @@ impl NetPlan {
         }
     }
 
+    /// Whether every output is a `Tanh` node that no edge reads, so the
+    /// kernel walks leave each output's sum in its slot rather than its
+    /// activation. Recorded once by [`NetPlan::compile`].
+    pub fn leaves_sums(&self) -> bool {
+        // `walked` differs from `activations` exactly at the outputs of
+        // such a plan.
+        let differs = |&o: &u32| self.walked[o as usize] != self.activations[o as usize];
+        self.outputs.first().is_some_and(differs)
+    }
+
+    /// Applies the output activations a kernel walk of a plan that
+    /// [`NetPlan::leaves_sums`] skipped, to every lane of `values`; for
+    /// any other plan, nothing. Afterwards the rows hold what
+    /// [`NetPlan::execute_into`] leaves in its value buffer, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not have [`NetPlan::value_buffer_slots`]
+    /// rows.
+    pub fn activate_outputs<const L: usize>(&self, values: &mut [[f64; L]]) {
+        self.check_rows(values);
+        if self.leaves_sums() {
+            for &o in &self.outputs {
+                let row = &mut values[self.num_inputs + o as usize];
+                *row = Activation::Tanh.apply_lanes(*row);
+            }
+        }
+    }
+
     fn check_rows<const L: usize>(&self, values: &[[f64; L]]) {
         assert_eq!(
             values.len(),
@@ -435,13 +496,9 @@ impl NetPlan {
     }
 
     /// Per compute node in walk order: its slot, edge window, bias and
-    /// activation.
+    /// the activation the walk applies.
     fn nodes(&self) -> impl Iterator<Item = (usize, (u32, u32), f64, Activation)> + '_ {
-        let params = self
-            .edge_ranges
-            .iter()
-            .zip(&self.biases)
-            .zip(&self.activations);
+        let params = self.edge_ranges.iter().zip(&self.biases).zip(&self.walked);
         params
             .enumerate()
             .map(|(i, ((&edges, &bias), &activation))| {
@@ -485,7 +542,8 @@ impl NetPlan {
         self.words().eq(other.words())
     }
 
-    /// Every field as a stream of words, lengths first.
+    /// Every field `compile` reads off the genome as a stream of words,
+    /// lengths first; `walked` follows from them.
     fn words(&self) -> impl Iterator<Item = u64> + '_ {
         let lengths = [
             self.num_inputs,

@@ -4,8 +4,9 @@
 //! `Sigmoid`, `Tanh` and `Gauss` are computed in-repo rather than by the
 //! host's libm. This suite holds them to the formulas they replaced,
 //! evaluated with the host's libm ([`host`]), and pins the edge classes
-//! bit for bit. The `#[ignore]`d ten-million-point survey is the run
-//! DESIGN.md quotes; `scripts/ci.sh` runs it in release:
+//! bit for bit. The `#[ignore]`d ten-million-point survey, and the
+//! sweep of the margin `e3_neat::tanh_argmax` decides by, are the runs
+//! DESIGN.md quotes; `scripts/ci.sh` runs them in release:
 //!
 //! ```text
 //! cargo test --release -p e3-neat --test activation_accuracy -- --ignored --nocapture
@@ -154,6 +155,36 @@ fn ten_million_points_per_kind() {
     for (kind, found) in &surveys {
         check(*kind, found);
     }
+}
+
+/// The empirical half of `tanh_argmax`'s margin (DESIGN.md §4): for
+/// `b` on `[−8, 8]` and `a` a sum `2⁻²⁰` or more below it, the computed
+/// `tanh(a)` is strictly below the computed `tanh(b)`. Ten million
+/// seeded `b`, each with `a = b − 2⁻²⁰` and the double below that, plus
+/// both ends and zero; prints the smallest computed gap found.
+#[test]
+#[ignore = "ten million points; run in release"]
+fn tanh_keeps_every_pair_two_to_the_minus_20_apart_in_order() {
+    const GAP: f64 = 1.0 / 1_048_576.0;
+    let mut rng = StdRng::seed_from_u64(0x3a6);
+    let seeded = (0..10_000_000).map(|_| rng.gen_range(-8.0..8.0));
+    let mut narrowest = (f64::INFINITY, 0.0);
+    for b in seeded.chain([-8.0, 8.0, 0.0, -0.0, 8.0_f64.next_down()]) {
+        let below = b - GAP;
+        let tanh_b = Activation::Tanh.apply(b);
+        for a in [below, below.next_down()] {
+            let gap = tanh_b - Activation::Tanh.apply(a);
+            assert!(gap > 0.0, "tanh({a:e}) ≥ tanh({b:e})");
+            if gap < narrowest.0 {
+                narrowest = (gap, b);
+            }
+        }
+    }
+    let (gap, b) = narrowest;
+    println!(
+        "Tanh margin: smallest tanh(b) − tanh(b − 2⁻²⁰) = {gap:e} ({:.0} × 2⁻⁵³) at b = {b:e}",
+        gap * 2f64.powi(53)
+    );
 }
 
 #[test]

@@ -1,5 +1,7 @@
 //! The lane walk against the scalar one: for L ∈ {1, 2, 4}, lane `l` of
-//! [`NetPlan::fill_lanes`] holds, in every value-buffer slot, the bits
+//! [`NetPlan::fill_lanes`], once [`NetPlan::activate_outputs`] has
+//! finished the output sums a plan that [`NetPlan::leaves_sums`] leaves,
+//! holds, in every value-buffer slot, the bits
 //! [`NetPlan::execute_into`] computes from lane `l`'s inputs alone (a
 //! NaN as a NaN, see `same`); and the fused walk of two plans,
 //! [`NetPlan::fill_pair`], leaves each plan's rows as a one-lane walk of
@@ -30,12 +32,17 @@ const SPECIAL: [f64; 14] = [
     710.0,
 ];
 
-/// An evolved plan whose nodes draw from every activation.
+/// An evolved plan whose nodes draw from every activation. An even
+/// seed keeps the default `Tanh` outputs, so its walks leave output
+/// sums; an odd one draws the output activation too.
 fn evolved_plan(seed: u64, mutations: usize, num_inputs: usize, num_outputs: usize) -> NetPlan {
     let mut config = NeatConfig::builder(num_inputs, num_outputs)
         .initial_connection_density(0.7)
         .build();
     config.activation_options = Activation::ALL.to_vec();
+    if seed % 2 == 1 {
+        config.output_activation = Activation::ALL[(seed / 2 % 8) as usize];
+    }
     config.activation_mutate_rate = 0.3;
     let mut tracker = InnovationTracker::with_reserved_nodes(num_inputs + num_outputs);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -73,6 +80,7 @@ fn lanes_match_scalar<const L: usize>(plan: &NetPlan, draws: &[(usize, f64)]) {
         }
     }
     plan.fill_lanes(&mut rows);
+    plan.activate_outputs(&mut rows);
     let mut values = vec![0.0; plan.value_buffer_slots()];
     for lane in 0..L {
         let inputs: Vec<f64> = (0..n).map(|i| input(lane, i)).collect();
@@ -167,6 +175,16 @@ fn evolved_plans_cover_every_activation() {
     for activation in Activation::ALL {
         assert!(seen.contains(&activation), "no {activation} node drawn");
     }
+}
+
+/// The properties meet both kinds of plan: some whose walks leave
+/// output sums, some whose walks activate every node.
+#[test]
+fn evolved_plans_include_both_kinds_of_output() {
+    let kinds: Vec<bool> = (0..16)
+        .map(|seed| evolved_plan(seed, 60, 4, 1 + seed as usize % 3).leaves_sums())
+        .collect();
+    assert!(kinds.contains(&true) && kinds.contains(&false), "{kinds:?}");
 }
 
 /// The pair property meets both orders of unequal lengths: over its

@@ -7,7 +7,11 @@
 //! long it takes, so there is **one** [`Backend`] with one kernel — each
 //! worker takes whole genomes and runs their K episodes together, up to
 //! four lanes of one plan walk per step ([`Worlds::run`]), or at K = 1
-//! two genomes in flight whose walks fuse ([`NetPlan::fill_pair`]). A
+//! two genomes in flight whose walks fuse ([`NetPlan::fill_pair`]).
+//! Either walk leaves a plan's `Tanh` output sums unactivated where
+//! nothing reads them ([`NetPlan::leaves_sums`]), and a discrete action
+//! is decided from the sums wherever [`tanh_argmax`] proves that the
+//! decoder would pick the same action from the activations. A
 //! tier, when the backend has one, is asked only about each compiled
 //! plan, and a plan it holds native code for runs alone on that code —
 //! and the setting is data: a
@@ -38,7 +42,7 @@ use e3_exec::{AnyExecutor, ExecError, ExecStats, Executor, WorkerScratch};
 use e3_inax::{EpisodeRunReport, InaxAccelerator, InaxConfig};
 use e3_jit::{CompiledPlan, JitConfig};
 use e3_neat::stats::PlanShape;
-use e3_neat::{DecodeError, Genome, NetPlan};
+use e3_neat::{tanh_argmax, Activation, DecodeError, Genome, NetPlan};
 use e3_telemetry::{SpanTimer, Tracer, UtilizationBreakdown};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -340,6 +344,16 @@ impl Worlds {
                 "expected {inputs} inputs, got {}",
                 episode.observation().len()
             );
+            // A step decided from the sums never reaches the decoder's
+            // own check of the output count.
+            if let Some(actions) = episode.discrete_actions() {
+                assert_eq!(
+                    plan.num_outputs(),
+                    actions,
+                    "policy produced {} outputs for a space needing {actions}",
+                    plan.num_outputs()
+                );
+            }
             chunk.live[lane] = s;
         }
         chunk
@@ -401,8 +415,12 @@ impl Worlds {
     /// The environment half of a step, after a walk `width` lanes wide
     /// (or none, on the native tier): each live world, in scenario
     /// order, decodes its action straight from its lane's output rows —
-    /// or from its native call — and steps. A finished episode closes
-    /// its span and leaves the chunk.
+    /// or from its native call — and steps. Where the walk left output
+    /// sums ([`NetPlan::leaves_sums`]), a discrete action is decided
+    /// from them when [`tanh_argmax`] can; otherwise, and for a
+    /// continuous action, the rows are read through `Tanh` and decoded
+    /// as the activations they stand for. A finished episode closes its
+    /// span and leaves the chunk.
     fn advance(
         &mut self,
         plan: &NetPlan,
@@ -411,6 +429,7 @@ impl Worlds {
         width: usize,
     ) {
         let inputs = plan.num_inputs();
+        let sums = plan.leaves_sums();
         let mut kept = 0;
         for lane in 0..chunk.count {
             let s = chunk.live[lane];
@@ -426,7 +445,16 @@ impl Worlds {
                         .outputs()
                         .iter()
                         .map(|&i| values[(inputs + i as usize) * width + lane]);
-                    episode.step(env.as_mut(), outputs)
+                    if !sums {
+                        episode.step(env.as_mut(), outputs)
+                    } else if let Some(action) = episode
+                        .discrete_actions()
+                        .and_then(|_| tanh_argmax(outputs.clone()))
+                    {
+                        episode.step_discrete(env.as_mut(), action)
+                    } else {
+                        episode.step(env.as_mut(), outputs.map(|x| Activation::Tanh.apply(x)))
+                    }
                 }
             };
             self.fitness[s] += transition.reward;

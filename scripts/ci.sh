@@ -53,12 +53,15 @@ echo "== repro run: --threads and the tier do not change results =="
 # like a software run (one kernel), so the comparison exercises its
 # shard plan too: fitness, modeled seconds and every accelerator counter
 # in the RunOutcome must match. The tier-on run (every plan native from
-# its first use) runs each genome alone on its native twin, beside the
-# tier-off runs' fused pairs.
+# its first use) runs each genome alone on its native twin, which
+# activates every output, beside the tier-off runs' fused pairs, which
+# leave the Tanh outputs' sums and decide a discrete action from them.
+# Pendulum's actions are continuous, so there the interpreter applies
+# the output Tanh at decode and every output bit reaches the reward.
 repro_run() {
     cargo run --release --offline -q -p e3-bench --bin repro -- run --json "$@"
 }
-for env in mountain_car lunar_lander; do
+for env in mountain_car lunar_lander pendulum; do
     for backend in cpu inax; do
         reference=$(repro_run --env "$env" --backend "$backend" --threads 1)
         variants=("--threads 4")
